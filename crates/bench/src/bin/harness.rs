@@ -12,19 +12,22 @@
 //!   table1      vulnerability matrix
 //!   params      Table III simulation parameters
 //!   list        Table II workload descriptions
-//!   bench       engine + crypto self-benchmarks -> BENCH_harness.json
-//!   bench-check schema-check an existing BENCH_harness.json
 //!   profile <fig> [scale]
 //!               cycle-attribution profile of a figure's cells
 //!               -> stdout + PROFILE_<fig>.json + PROFILE_<fig>_trace.json
 //!   ablation-ott / ablation-osiris / ablation-direct / ablation-partition
-//!   all         everything above except bench (slow)
+//!   all         every figure, table and ablation above (slow)
 //!   snapshot <save|load|info> [PATH]
 //!               save/restore/inspect an fsencr-snap/1 machine image
 //! ```
 //!
 //! `scale` in (0, 1] shrinks operation counts; default 1.0. Run with
-//! `--release`.
+//! `--release`. Malformed arguments print the usage line and exit 2.
+//!
+//! Host-time measurement lives outside this binary: the `benchmark/`
+//! package (declared by `BENCHMARK.json`) times the cold figure suite and
+//! a fault campaign end to end and per layer, and the criterion benches
+//! under `crates/*/benches` time the kernels.
 //!
 //! `--jobs N` (or the `FSENCR_JOBS` environment variable) sets how many
 //! experiment cells run concurrently; the default is the host's available
@@ -42,30 +45,38 @@
 
 #![forbid(unsafe_code)]
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
+use fsencr::machine::{Machine, MachineError, MachineOpts, SecurityMode};
 use fsencr_bench as exp;
-use fsencr_bench::jsonio::Json;
-use fsencr::controller::{CtrlMode, MemoryController};
-use fsencr::machine::{Machine, MachineOpts, SecurityMode};
-use fsencr_bench::report::{
-    AesThroughput, BatchThroughput, BenchReport, DigestThroughput, MerkleThroughput,
-    MetaThroughput, PadThroughput, SnapshotThroughput,
-};
-use fsencr_crypto::{
-    ctr_pads_n, digest8_line, digest8_lines4, line_pad, line_pad_with, sha256, sha256_line,
-    Aes128, Key128, PadDomain, PadInput,
-};
-use fsencr_nvm::{LineAddr, NvmDevice, PageId, PhysAddr};
-use fsencr_secmem::{MetadataLayout, MetadataSystem};
-use fsencr_sim::config::{CacheConfig, NvmConfig, SecurityConfig};
-use fsencr_sim::{Cycle, MachineConfig};
+use fsencr_fs::{GroupId, Mode, UserId};
+use fsencr_sim::{MachineConfig, SplitMix64};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: harness [--jobs N] [--no-cache] <fig3|fig8-10|fig11|fig12-14|fig15|table1|params|list|bench|bench-check|ablation-ott|ablation-osiris|ablation-direct|ablation-partition|all> [scale]\n       harness [--jobs N] profile <fig3|fig8-10|fig11|fig12-14> [scale]\n       harness [--jobs N] faults [--seed N] [--campaign SPEC] [--out PATH]\n       harness snapshot <save|load|info> [PATH] [--seed N] [--pages N] [--mode M]\n\nFigure subcommands reuse cached cell results from CACHE_cells.json and\npost-setup machine snapshots from CACHE_snapshots/ (both\ncontent-addressed; output is byte-identical either way). `--no-cache`\ndisables both; deleting the files invalidates them.\n\n`faults` runs a deterministic fault-injection campaign and writes\nFAULTS_report.json (byte-identical at any --jobs count). SPEC is a\ncomma list like `scenarios=8,ops=64,bitrot=2,torn=1,cuts=1,stuck=1`;\nomitted knobs keep their defaults (`default` for all defaults).\n\n`snapshot save` simulates the reference setup and writes its\nfsencr-snap/1 image (default MACHINE.snap); `load` restores it; `info`\nlists its digest-chained sections without restoring."
+        "usage: harness [--jobs N] [--no-cache] <fig3|fig8-10|fig11|fig12-14|fig15|table1|params|list|ablation-ott|ablation-osiris|ablation-direct|ablation-partition|all> [scale]\n       harness [--jobs N] profile <fig3|fig8-10|fig11|fig12-14> [scale]\n       harness [--jobs N] faults [--seed N] [--campaign SPEC] [--out PATH]\n       harness snapshot <save|load|info> [PATH] [--seed N] [--pages N] [--mode M]\n\nFigure subcommands reuse cached cell results from CACHE_cells.json and\npost-setup machine snapshots from CACHE_snapshots/ (both\ncontent-addressed; output is byte-identical either way). `--no-cache`\ndisables both; deleting the files invalidates them.\n\n`faults` runs a deterministic fault-injection campaign and writes\nFAULTS_report.json (byte-identical at any --jobs count). SPEC is a\ncomma list like `scenarios=8,ops=64,bitrot=2,torn=1,cuts=1,stuck=1`;\nomitted knobs keep their defaults (`default` for all defaults).\n\n`snapshot save` simulates the reference setup and writes its\nfsencr-snap/1 image (default MACHINE.snap); `load` restores it; `info`\nlists its digest-chained sections without restoring."
     );
     std::process::exit(2);
+}
+
+/// Parses an optional `scale` operand: a number in (0, 1], or `default`
+/// when absent. Anything else (out of range, NaN, not a number) is a
+/// usage error.
+fn parse_scale(arg: Option<&String>, default: f64) -> f64 {
+    let Some(s) = arg else { return default };
+    match s.parse::<f64>() {
+        Ok(v) if v > 0.0 && v <= 1.0 => v,
+        _ => usage(),
+    }
+}
+
+/// Writes `contents` to `path`, or reports the failure under `tag` and
+/// exits 1.
+fn write_or_exit(tag: &str, path: &str, contents: impl AsRef<[u8]>) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("[{tag}] write {path}: {e}");
+        std::process::exit(1);
+    }
 }
 
 fn params() {
@@ -130,721 +141,6 @@ fn list() {
     }
 }
 
-/// Measures raw single-thread AES block throughput: the T-table hot path
-/// against the byte-wise reference it replaced.
-fn aes_throughput() -> AesThroughput {
-    let aes = Aes128::new(&Key128::from_seed(0x5eed));
-    let blocks_per_sec = |f: &dyn Fn([u8; 16]) -> [u8; 16]| {
-        let mut block = [0x3cu8; 16];
-        // Warm up tables and caches.
-        for _ in 0..1_000 {
-            block = f(block);
-        }
-        let mut blocks = 0u64;
-        let start = Instant::now();
-        while start.elapsed() < Duration::from_millis(200) {
-            for _ in 0..4_096 {
-                block = f(block);
-            }
-            blocks += 4_096;
-        }
-        // Feed the chained block back in so the loop cannot be elided.
-        std::hint::black_box(block);
-        blocks as f64 / start.elapsed().as_secs_f64()
-    };
-    AesThroughput {
-        ttable_blocks_per_sec: blocks_per_sec(&|b| aes.encrypt_block(b)),
-        reference_blocks_per_sec: blocks_per_sec(&|b| aes.encrypt_block_ref(b)),
-    }
-}
-
-/// Best rate over several short measurement windows: scheduler noise and
-/// frequency ramps only ever make a window slower, so the max is the
-/// most faithful estimate of the code's actual throughput.
-fn best_of_windows(mut window: impl FnMut(Duration) -> f64) -> f64 {
-    (0..5).map(|_| window(Duration::from_millis(60))).fold(0.0, f64::max)
-}
-
-/// Measures 64-byte line hashing: the two-block `sha256_line` fast path
-/// against the streaming hasher it bypasses.
-fn digest_throughput() -> DigestThroughput {
-    let hashes_per_sec = |f: &dyn Fn(&[u8; 64]) -> [u8; 32]| {
-        let mut line = [0x5au8; 64];
-        for _ in 0..1_000 {
-            let d = f(&line);
-            line[..32].copy_from_slice(&d);
-        }
-        let rate = best_of_windows(|budget| {
-            let mut hashes = 0u64;
-            let start = Instant::now();
-            while start.elapsed() < budget {
-                for _ in 0..1_024 {
-                    // Chain the digest back into the line so the loop
-                    // cannot be elided.
-                    let d = f(&line);
-                    line[..32].copy_from_slice(&d);
-                }
-                hashes += 1_024;
-            }
-            hashes as f64 / start.elapsed().as_secs_f64()
-        });
-        std::hint::black_box(line);
-        rate
-    };
-    DigestThroughput {
-        line_hashes_per_sec: hashes_per_sec(&|l| sha256_line(l)),
-        streaming_hashes_per_sec: hashes_per_sec(&|l| sha256(l)),
-    }
-}
-
-/// Measures CTR pad generation: a reused expanded key schedule (what the
-/// `ScheduleCache` serves on every hit) against per-pad key expansion.
-fn pad_throughput() -> PadThroughput {
-    let key = Key128::from_seed(0x9ad5);
-    let aes = Aes128::new(&key);
-    let mut input = PadInput {
-        page_id: 0x1234,
-        block_in_page: 3,
-        major: 7,
-        minor: 0,
-        domain: PadDomain::File,
-    };
-    let mut pads_per_sec = |f: &mut dyn FnMut(&PadInput) -> [u8; 64]| {
-        let mut acc = 0u8;
-        for _ in 0..256 {
-            input.minor = input.minor.wrapping_add(1) & 0x7f;
-            acc ^= f(&input)[0];
-        }
-        let rate = best_of_windows(|budget| {
-            let mut pads = 0u64;
-            let start = Instant::now();
-            while start.elapsed() < budget {
-                for _ in 0..256 {
-                    input.minor = input.minor.wrapping_add(1) & 0x7f;
-                    acc ^= f(&input)[0];
-                }
-                pads += 256;
-            }
-            pads as f64 / start.elapsed().as_secs_f64()
-        });
-        std::hint::black_box(acc);
-        rate
-    };
-    PadThroughput {
-        cached_pads_per_sec: pads_per_sec(&mut |i| line_pad_with(&aes, i)),
-        uncached_pads_per_sec: pads_per_sec(&mut |i| line_pad(&key, i)),
-    }
-}
-
-/// Measures the metadata persist path end to end: repeated
-/// `persist_block` calls on unchanged lines, where the digest memo turns
-/// each parent bump's line hash into a map probe, against the same
-/// sequence with the memo disabled (every bump re-hashes the line).
-/// This is the line-digest fast path as the integrity pipeline actually
-/// exercises it.
-fn meta_throughput() -> MetaThroughput {
-    const LINES: u64 = 32;
-    let build = |memo: bool| -> (MetadataSystem, NvmDevice, Cycle) {
-        let layout = MetadataLayout::new(64 * 4096, 4096);
-        let mut cfg = SecurityConfig::default();
-        cfg.metadata_cache = CacheConfig {
-            size_bytes: 64 * 64, // 64 lines
-            ways: 8,
-            block_bytes: 64,
-            latency_cycles: 3,
-        };
-        let mut sys = MetadataSystem::new(layout, &cfg);
-        sys.set_digest_memo_enabled(memo);
-        let mut nvm = NvmDevice::new(NvmConfig::default());
-        let mut t = Cycle::ZERO;
-        for p in 0..LINES {
-            let addr = sys.layout().mecb_addr(PageId::new(p));
-            t = sys
-                .write_block(&mut nvm, t, addr, [p as u8; 64])
-                .expect("fresh tree verifies")
-                .done;
-        }
-        t = sys.flush(&mut nvm, t);
-        (sys, nvm, t)
-    };
-    let digests_per_sec = |memo: bool| {
-        let (mut sys, mut nvm, _) = build(memo);
-        let lines: Vec<_> = (0..LINES)
-            .map(|p| {
-                let addr = sys.layout().mecb_addr(PageId::new(p));
-                let (bytes, _) = sys
-                    .read_block(&mut nvm, Cycle::ZERO, addr)
-                    .expect("cached line reads back");
-                (addr, bytes)
-            })
-            .collect();
-        let mut acc = 0u8;
-        for (addr, bytes) in &lines {
-            acc ^= sys.trusted_line_digest(*addr, bytes)[0];
-        }
-        let rate = best_of_windows(|budget| {
-            let mut digests = 0u64;
-            let start = Instant::now();
-            while start.elapsed() < budget {
-                for (addr, bytes) in &lines {
-                    acc ^= sys.trusted_line_digest(*addr, bytes)[0];
-                }
-                digests += LINES;
-            }
-            digests as f64 / start.elapsed().as_secs_f64()
-        });
-        std::hint::black_box(acc);
-        rate
-    };
-    let persists_per_sec = |memo: bool| {
-        let (mut sys, mut nvm, mut t) = build(memo);
-        let addrs: Vec<_> =
-            (0..LINES).map(|p| sys.layout().mecb_addr(PageId::new(p))).collect();
-        for &addr in &addrs {
-            t = sys.persist_block(&mut nvm, t, addr).expect("persist verified line");
-        }
-        best_of_windows(|budget| {
-            let mut persists = 0u64;
-            let start = Instant::now();
-            while start.elapsed() < budget {
-                for &addr in &addrs {
-                    t = sys.persist_block(&mut nvm, t, addr).expect("persist verified line");
-                }
-                persists += LINES;
-            }
-            persists as f64 / start.elapsed().as_secs_f64()
-        })
-    };
-    MetaThroughput {
-        memo_digests_per_sec: digests_per_sec(true),
-        rehash_digests_per_sec: digests_per_sec(false),
-        memo_persists_per_sec: persists_per_sec(true),
-        rehash_persists_per_sec: persists_per_sec(false),
-    }
-}
-
-/// Measures the two host-side wins of the page-batched datapath. The pad
-/// pair runs `ctr_pads_n` four lanes at a time against one pad per call
-/// over the same cached schedule. The read pair runs a 64-line
-/// `read_lines` region read of a primed file page against the equivalent
-/// per-line `read_line` loop — identical simulated cycles either way, so
-/// the delta is purely the amortized counter-block parses and
-/// schedule-cache probes.
-fn batch_throughput() -> BatchThroughput {
-    let aes = Aes128::new(&Key128::from_seed(0xba7c));
-    let mut input = PadInput {
-        page_id: 0x88,
-        block_in_page: 5,
-        major: 3,
-        minor: 0,
-        domain: PadDomain::File,
-    };
-    let mut pads_per_sec = |lanes: usize| {
-        let mut pad = [0u8; 64];
-        let mut acc = 0u8;
-        for _ in 0..256 {
-            input.minor = input.minor.wrapping_add(1) & 0x7f;
-            ctr_pads_n(&aes, &input, lanes, &mut pad);
-            acc ^= pad[0];
-        }
-        let rate = best_of_windows(|budget| {
-            let mut pads = 0u64;
-            let start = Instant::now();
-            while start.elapsed() < budget {
-                for _ in 0..256 {
-                    input.minor = input.minor.wrapping_add(1) & 0x7f;
-                    ctr_pads_n(&aes, &input, lanes, &mut pad);
-                    acc ^= pad[0];
-                }
-                pads += 256;
-            }
-            pads as f64 / start.elapsed().as_secs_f64()
-        });
-        std::hint::black_box(acc);
-        rate
-    };
-    let quad_pads_per_sec = pads_per_sec(4);
-    let single_pads_per_sec = pads_per_sec(1);
-
-    // A controller with one primed DF page: key installed, FECB stamped,
-    // every line written once, metadata cache warm.
-    let build = || -> (MemoryController, Vec<PhysAddr>, Cycle) {
-        let layout = MetadataLayout::new(64 * 4096, 8192);
-        let cfg = SecurityConfig::default();
-        let mut ctrl = MemoryController::new(
-            CtrlMode::Encrypted,
-            layout,
-            &cfg,
-            Key128::from_seed(1),
-            Key128::from_seed(2),
-            NvmDevice::new(NvmConfig::default()),
-        );
-        let mut t = ctrl
-            .install_key(Cycle::ZERO, 1, 7, Key128::from_seed(0xfee))
-            .expect("fresh OTT accepts a key");
-        let page = PageId::new(2);
-        t = ctrl.stamp_file_page(t, page, 1, 7).expect("fresh tree verifies");
-        let addrs: Vec<PhysAddr> = page.lines().map(|l| PhysAddr::new(l.get())).collect();
-        for (i, &addr) in addrs.iter().enumerate() {
-            t = ctrl
-                .write_line(t, addr, &[i as u8; 64])
-                .expect("primed page writes cleanly");
-        }
-        (ctrl, addrs, t)
-    };
-    let looped_reads_per_sec = {
-        let (mut ctrl, addrs, mut t) = build();
-        best_of_windows(|budget| {
-            let mut lines = 0u64;
-            let start = Instant::now();
-            while start.elapsed() < budget {
-                let mut acc = 0u8;
-                for &addr in &addrs {
-                    let (plain, done) =
-                        ctrl.read_line(t, addr).expect("primed page reads back");
-                    acc ^= plain[0];
-                    t = done;
-                }
-                std::hint::black_box(acc);
-                lines += addrs.len() as u64;
-            }
-            lines as f64 / start.elapsed().as_secs_f64()
-        })
-    };
-    let batched_reads_per_sec = {
-        let (mut ctrl, addrs, mut t) = build();
-        let mut out: Vec<[u8; 64]> = Vec::with_capacity(addrs.len());
-        best_of_windows(|budget| {
-            let mut lines = 0u64;
-            let start = Instant::now();
-            while start.elapsed() < budget {
-                out.clear();
-                t = ctrl
-                    .read_lines(t, &addrs, &mut out)
-                    .expect("primed page reads back");
-                std::hint::black_box(out[0][0]);
-                lines += addrs.len() as u64;
-            }
-            lines as f64 / start.elapsed().as_secs_f64()
-        })
-    };
-    BatchThroughput {
-        quad_pads_per_sec,
-        single_pads_per_sec,
-        batched_reads_per_sec,
-        looped_reads_per_sec,
-    }
-}
-
-/// Measures the batched Merkle engine. The lane pair chains
-/// `digest8_lines4` against the same four digests via one-shot
-/// `digest8_line` calls. The verify pair replays a 64-line region from
-/// cold post-crash state — `verify_lines` (one shared-ancestor plan,
-/// four-lane hashing) against the equivalent chained `read_block` loop —
-/// timing only the verify itself, not the crash that re-colds the
-/// caches. The persist pair dirties the same 64 leaves with fresh
-/// content each round and times `persist_blocks` against the per-line
-/// `persist_block` loop, excluding the (identical) dirtying writes.
-fn merkle_throughput() -> MerkleThroughput {
-    let mut lines = [[0u8; 64]; 4];
-    for (i, line) in lines.iter_mut().enumerate() {
-        for (j, byte) in line.iter_mut().enumerate() {
-            *byte = (i as u8).wrapping_mul(67).wrapping_add((j as u8).wrapping_mul(13)).wrapping_add(5);
-        }
-    }
-    let lane_digests_per_sec = {
-        let mut lines = lines;
-        let rate = best_of_windows(|budget| {
-            let mut digests = 0u64;
-            let start = Instant::now();
-            while start.elapsed() < budget {
-                for _ in 0..256 {
-                    let [l0, l1, l2, l3] = &lines;
-                    let d = digest8_lines4([l0, l1, l2, l3]);
-                    // Chain the digests back in so the loop cannot be
-                    // elided.
-                    for (l, digest) in d.iter().enumerate() {
-                        lines[l][..8].copy_from_slice(digest);
-                    }
-                }
-                digests += 4 * 256;
-            }
-            digests as f64 / start.elapsed().as_secs_f64()
-        });
-        std::hint::black_box(lines);
-        rate
-    };
-    let oneshot_digests_per_sec = {
-        let mut lines = lines;
-        let rate = best_of_windows(|budget| {
-            let mut digests = 0u64;
-            let start = Instant::now();
-            while start.elapsed() < budget {
-                for _ in 0..256 {
-                    for line in &mut lines {
-                        let d = digest8_line(line);
-                        line[..8].copy_from_slice(&d);
-                    }
-                }
-                digests += 4 * 256;
-            }
-            digests as f64 / start.elapsed().as_secs_f64()
-        });
-        std::hint::black_box(lines);
-        rate
-    };
-
-    const REGION: u64 = 64;
-    // A populated tree: 64 persisted MECB leaves behind a deliberately
-    // small metadata cache, so cold per-line climbs re-hash shared
-    // ancestors — the redundancy the batch planner removes.
-    let build = |cache_lines: usize| -> (MetadataSystem, NvmDevice, Vec<LineAddr>, Cycle) {
-        let layout = MetadataLayout::new(REGION * 4096, 4096);
-        let mut cfg = SecurityConfig::default();
-        cfg.metadata_cache = CacheConfig {
-            size_bytes: cache_lines * 64,
-            ways: 8,
-            block_bytes: 64,
-            latency_cycles: 3,
-        };
-        let mut sys = MetadataSystem::new(layout, &cfg);
-        let mut nvm = NvmDevice::new(NvmConfig::default());
-        let mut t = Cycle::ZERO;
-        let addrs: Vec<LineAddr> =
-            (0..REGION).map(|p| sys.layout().mecb_addr(PageId::new(p))).collect();
-        for (i, &addr) in addrs.iter().enumerate() {
-            t = sys
-                .write_block(&mut nvm, t, addr, [i as u8 + 1; 64])
-                .expect("fresh tree verifies")
-                .done;
-        }
-        t = sys.flush(&mut nvm, t);
-        (sys, nvm, addrs, t)
-    };
-    let verifies_per_sec = |batched: bool| {
-        let (mut sys, mut nvm, addrs, _) = build(8);
-        best_of_windows(|budget| {
-            let mut lines = 0u64;
-            let mut spent = Duration::ZERO;
-            let start = Instant::now();
-            while start.elapsed() < budget {
-                sys.crash();
-                let timed = Instant::now();
-                if batched {
-                    sys.verify_lines(&mut nvm, Cycle::ZERO, &addrs).expect("tree verifies");
-                } else {
-                    let mut t = Cycle::ZERO;
-                    for &addr in &addrs {
-                        t = sys.read_block(&mut nvm, t, addr).expect("tree verifies").1.done;
-                    }
-                }
-                spent += timed.elapsed();
-                lines += REGION;
-            }
-            lines as f64 / spent.as_secs_f64()
-        })
-    };
-    let persists_per_sec = |batched: bool| {
-        let (mut sys, mut nvm, addrs, mut t) = build(256);
-        let mut v = 0u8;
-        best_of_windows(|budget| {
-            let mut lines = 0u64;
-            let mut spent = Duration::ZERO;
-            let start = Instant::now();
-            while start.elapsed() < budget {
-                v = v.wrapping_add(1);
-                for (i, &addr) in addrs.iter().enumerate() {
-                    let bytes = [v ^ (i as u8).wrapping_mul(3); 64];
-                    t = sys
-                        .write_block(&mut nvm, t, addr, bytes)
-                        .expect("cached line writes cleanly")
-                        .done;
-                }
-                let timed = Instant::now();
-                if batched {
-                    t = sys.persist_blocks(&mut nvm, t, &addrs).expect("persist verified lines");
-                } else {
-                    for &addr in &addrs {
-                        t = sys.persist_block(&mut nvm, t, addr).expect("persist verified line");
-                    }
-                }
-                spent += timed.elapsed();
-                lines += REGION;
-            }
-            lines as f64 / spent.as_secs_f64()
-        })
-    };
-    MerkleThroughput {
-        lane_digests_per_sec,
-        oneshot_digests_per_sec,
-        batched_verifies_per_sec: verifies_per_sec(true),
-        looped_verifies_per_sec: verifies_per_sec(false),
-        batched_persists_per_sec: persists_per_sec(true),
-        looped_persists_per_sec: persists_per_sec(false),
-    }
-}
-
-/// Measures the warm-start win: simulating a representative setup phase
-/// (a fully initialised and persisted 512 KiB encrypted file) against
-/// restoring the identical machine from its `fsencr-snap/1` image. Both
-/// sides take the best of several attempts; the restored machine is
-/// bit-identical (round-trip theorem), so the gap is pure saved
-/// simulation.
-fn snapshot_throughput() -> SnapshotThroughput {
-    let stream = exp::epochs::EpochStream { seed: 0x57AB, file_pages: 128, ops: 0 };
-    let opts = MachineOpts::small_test();
-    let mode = SecurityMode::FsEncr;
-    let mut cold = Duration::MAX;
-    let mut bytes = Vec::new();
-    for _ in 0..3 {
-        let t = Instant::now();
-        let (m, _) = stream.build(opts, mode).expect("snapshot bench setup");
-        cold = cold.min(t.elapsed());
-        bytes = m.save_snapshot().expect("no injector armed during setup");
-    }
-    let mut restore = Duration::MAX;
-    for _ in 0..3 {
-        let t = Instant::now();
-        let m = Machine::restore_snapshot(opts, mode, &bytes).expect("snapshot restores");
-        restore = restore.min(t.elapsed());
-        std::hint::black_box(m.elapsed());
-    }
-    SnapshotThroughput {
-        cold_setup_wall: cold,
-        restore_wall: restore,
-        snapshot_bytes: bytes.len() as u64,
-    }
-}
-
-/// Times one full `fig8_9_10` pass at `scale` with a fixed worker count.
-fn timed_fig8(jobs: usize, scale: f64) -> Duration {
-    exp::pool::set_jobs(jobs);
-    let start = Instant::now();
-    let (a, b, c) = exp::fig8_9_10(scale);
-    std::hint::black_box((a, b, c));
-    start.elapsed()
-}
-
-/// `harness bench`: emits `BENCH_harness.json` with the AES fast-path
-/// speedup and the serial-vs-parallel experiment-engine comparison.
-fn bench(scale: f64, jobs_flag: Option<usize>) {
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let jobs = jobs_flag.unwrap_or_else(exp::pool::jobs);
-    eprintln!("[bench] AES throughput (single thread)...");
-    let aes = aes_throughput();
-    eprintln!(
-        "[bench]   ttable {:.0} blk/s, reference {:.0} blk/s, speedup {:.2}x",
-        aes.ttable_blocks_per_sec,
-        aes.reference_blocks_per_sec,
-        aes.speedup()
-    );
-    eprintln!("[bench] line-digest throughput (single thread)...");
-    let digest = digest_throughput();
-    eprintln!(
-        "[bench]   sha256_line {:.0} h/s, streaming {:.0} h/s, speedup {:.2}x",
-        digest.line_hashes_per_sec,
-        digest.streaming_hashes_per_sec,
-        digest.speedup()
-    );
-    eprintln!("[bench] CTR pad throughput (single thread)...");
-    let pad = pad_throughput();
-    eprintln!(
-        "[bench]   cached schedule {:.0} pad/s, fresh expansion {:.0} pad/s, speedup {:.2}x",
-        pad.cached_pads_per_sec,
-        pad.uncached_pads_per_sec,
-        pad.speedup()
-    );
-    eprintln!("[bench] metadata digest-memo throughput (single thread)...");
-    let meta = meta_throughput();
-    eprintln!(
-        "[bench]   digest path: memo {:.0} /s, re-hash {:.0} /s, speedup {:.2}x",
-        meta.memo_digests_per_sec,
-        meta.rehash_digests_per_sec,
-        meta.speedup()
-    );
-    eprintln!(
-        "[bench]   persist path: memo {:.0} /s, re-hash {:.0} /s, speedup {:.2}x",
-        meta.memo_persists_per_sec,
-        meta.rehash_persists_per_sec,
-        meta.persist_speedup()
-    );
-    eprintln!("[bench] batched-datapath throughput (single thread)...");
-    let batch = batch_throughput();
-    eprintln!(
-        "[bench]   pad kernel: 4-lane {:.0} pad/s, 1-lane {:.0} pad/s, speedup {:.2}x",
-        batch.quad_pads_per_sec,
-        batch.single_pads_per_sec,
-        batch.pad_speedup()
-    );
-    eprintln!(
-        "[bench]   region read: batched {:.0} ln/s, looped {:.0} ln/s, speedup {:.2}x",
-        batch.batched_reads_per_sec,
-        batch.looped_reads_per_sec,
-        batch.read_speedup()
-    );
-    eprintln!("[bench] batched Merkle-engine throughput (single thread)...");
-    let merkle = merkle_throughput();
-    eprintln!(
-        "[bench]   digest kernel: 4-lane {:.0} /s, one-shot {:.0} /s, speedup {:.2}x",
-        merkle.lane_digests_per_sec,
-        merkle.oneshot_digests_per_sec,
-        merkle.lanes_speedup()
-    );
-    eprintln!(
-        "[bench]   region verify: batched {:.0} ln/s, looped {:.0} ln/s, speedup {:.2}x",
-        merkle.batched_verifies_per_sec,
-        merkle.looped_verifies_per_sec,
-        merkle.verify_speedup()
-    );
-    eprintln!(
-        "[bench]   region persist: batched {:.0} ln/s, looped {:.0} ln/s, speedup {:.2}x",
-        merkle.batched_persists_per_sec,
-        merkle.looped_persists_per_sec,
-        merkle.persist_speedup()
-    );
-    eprintln!("[bench] snapshot restore vs cold setup...");
-    let snap = snapshot_throughput();
-    eprintln!(
-        "[bench]   cold setup {:.2?}, restore {:.2?}, speedup {:.2}x ({} snapshot bytes)",
-        snap.cold_setup_wall,
-        snap.restore_wall,
-        snap.speedup(),
-        snap.snapshot_bytes
-    );
-    eprintln!("[bench] engine serial run (jobs=1, scale {scale})...");
-    exp::report::take_cell_records();
-    let serial_wall = timed_fig8(1, scale);
-    exp::report::take_cell_records();
-    eprintln!("[bench] engine parallel run (jobs={jobs})...");
-    let parallel_wall = timed_fig8(jobs, scale);
-    let mut cells = exp::report::take_cell_records();
-    cells.sort_by(|a, b| (&a.workload, &a.mode).cmp(&(&b.workload, &b.mode)));
-    exp::pool::set_jobs(0);
-    let report = BenchReport {
-        jobs,
-        host_parallelism: host,
-        scale,
-        aes,
-        digest,
-        pad,
-        meta,
-        batch,
-        merkle,
-        snap,
-        serial_wall,
-        parallel_wall,
-        cells,
-    };
-    eprintln!(
-        "[bench]   serial {:.2?}, parallel {:.2?}, speedup {:.2}x",
-        serial_wall,
-        parallel_wall,
-        report.engine_speedup()
-    );
-    let path = "BENCH_harness.json";
-    std::fs::write(path, report.to_json()).expect("write BENCH_harness.json");
-    eprintln!("[bench] wrote {path}");
-}
-
-/// `harness bench-check`: validates the schema and required sections of
-/// an existing `BENCH_harness.json` (used by `scripts/verify.sh`). Exits
-/// non-zero with a diagnostic on any mismatch.
-fn bench_check(path: &str) {
-    let fail = |msg: &str| -> ! {
-        eprintln!("[bench-check] {path}: {msg}");
-        std::process::exit(1);
-    };
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| fail(&format!("unreadable: {e}")));
-    let json = Json::parse(&text).unwrap_or_else(|e| fail(&format!("invalid JSON: {e}")));
-    match json.get("schema").and_then(Json::as_str) {
-        Some("fsencr-bench-harness/5") => {}
-        other => fail(&format!("schema mismatch: {other:?}")),
-    }
-    for key in ["host_parallelism", "jobs", "scale"] {
-        if json.get(key).and_then(Json::as_f64).is_none() {
-            fail(&format!("missing numeric field {key:?}"));
-        }
-    }
-    let sections: &[(&str, &[&str])] = &[
-        ("aes", &["ttable_blocks_per_sec", "reference_blocks_per_sec", "speedup"]),
-        ("digest", &["line_hashes_per_sec", "streaming_hashes_per_sec", "speedup"]),
-        ("pad", &["cached_pads_per_sec", "uncached_pads_per_sec", "speedup"]),
-        (
-            "metadata",
-            &[
-                "memo_digests_per_sec",
-                "rehash_digests_per_sec",
-                "speedup",
-                "memo_persists_per_sec",
-                "rehash_persists_per_sec",
-                "persist_speedup",
-            ],
-        ),
-        (
-            "batch",
-            &[
-                "quad_pads_per_sec",
-                "single_pads_per_sec",
-                "pad_speedup",
-                "batched_reads_per_sec",
-                "looped_reads_per_sec",
-                "read_speedup",
-            ],
-        ),
-        (
-            "merkle",
-            &[
-                "lane_digests_per_sec",
-                "oneshot_digests_per_sec",
-                "lanes_speedup",
-                "batched_verifies_per_sec",
-                "looped_verifies_per_sec",
-                "verify_speedup",
-                "batched_persists_per_sec",
-                "looped_persists_per_sec",
-                "persist_speedup",
-            ],
-        ),
-        (
-            "snapshot",
-            &["cold_setup_wall_s", "restore_wall_s", "speedup", "snapshot_bytes"],
-        ),
-        ("engine", &["serial_wall_s", "parallel_wall_s", "speedup"]),
-    ];
-    for (section, fields) in sections {
-        let Some(obj) = json.get(section) else {
-            fail(&format!("missing section {section:?}"));
-        };
-        for f in *fields {
-            match obj.get(f).and_then(Json::as_f64) {
-                Some(v) if v >= 0.0 => {}
-                other => fail(&format!("{section}.{f}: bad value {other:?}")),
-            }
-        }
-    }
-    let Some(cells) = json.get("engine").and_then(|e| e.get("cells")).and_then(Json::as_arr)
-    else {
-        fail("engine.cells missing or not an array");
-    };
-    if cells.is_empty() {
-        fail("engine.cells is empty");
-    }
-    for cell in cells {
-        for f in ["workload", "mode"] {
-            if cell.get(f).and_then(Json::as_str).is_none() {
-                fail(&format!("cell missing string field {f:?}"));
-            }
-        }
-        for f in ["wall_s", "sim_cycles", "nvm_lines", "sim_lines_per_sec"] {
-            if cell.get(f).and_then(Json::as_f64).is_none() {
-                fail(&format!("cell missing numeric field {f:?}"));
-            }
-        }
-    }
-    println!("[bench-check] {path}: OK ({} cells)", cells.len());
-}
-
 /// `harness faults`: runs a deterministic fault-injection campaign and
 /// writes `FAULTS_report.json`. Exits non-zero if any in-coverage
 /// corruption went undetected — the report is a pass/fail artifact, not
@@ -884,8 +180,7 @@ fn faults(args: &[String]) {
     });
     eprintln!("[faults] seed {seed}, campaign {spec}");
     let report = exp::faultcamp::run_campaign(seed, &spec);
-    std::fs::write(&out_path, report.to_json())
-        .unwrap_or_else(|e| panic!("write {out_path}: {e}"));
+    write_or_exit("faults", &out_path, report.to_json());
     eprintln!("[faults] {}", report.summary());
     eprintln!("[faults] wrote {out_path}");
     if report.undetected_in_coverage() > 0 {
@@ -907,6 +202,32 @@ fn parse_mode(s: &str) -> SecurityMode {
         "software-encryption" | "software" => SecurityMode::Software,
         _ => usage(),
     }
+}
+
+/// The reference setup `harness snapshot save` simulates: one encrypted
+/// file of `pages` pages, created, mapped, and every page filled with
+/// seeded bytes and persisted.
+fn reference_setup(
+    seed: u64,
+    pages: u64,
+    opts: MachineOpts,
+    mode: SecurityMode,
+) -> Result<Machine, MachineError> {
+    const PAGE: u64 = 4096;
+    let mut m = Machine::new(opts, mode);
+    // The file name is part of the saved image: keep it stable.
+    let h = m.create(UserId::new(1), GroupId::new(1), "epochs.bin", Mode::PRIVATE, Some("pw"))?;
+    let map = m.mmap(&h)?;
+    let mut rng = SplitMix64::new(seed ^ 0xEF0C);
+    let mut page = vec![0u8; PAGE as usize];
+    for p in 0..pages {
+        for b in page.iter_mut() {
+            *b = rng.next_u64() as u8;
+        }
+        m.write(0, map, p * PAGE, &page)?;
+        m.persist(0, map, p * PAGE, PAGE)?;
+    }
+    Ok(m)
 }
 
 /// `harness snapshot <save|load|info> [PATH]`: the snapshot subsystem's
@@ -954,9 +275,8 @@ fn snapshot_cmd(args: &[String]) {
     let opts = MachineOpts::small_test();
     match verb {
         "save" => {
-            let stream = exp::epochs::EpochStream { seed, file_pages: pages, ops: 0 };
             let t0 = Instant::now();
-            let (m, _) = stream.build(opts, mode).unwrap_or_else(|e| {
+            let m = reference_setup(seed, pages, opts, mode).unwrap_or_else(|e| {
                 eprintln!("[snapshot] setup failed: {e}");
                 std::process::exit(1);
             });
@@ -965,10 +285,7 @@ fn snapshot_cmd(args: &[String]) {
                 eprintln!("[snapshot] save refused: {e}");
                 std::process::exit(1);
             });
-            std::fs::write(path, &bytes).unwrap_or_else(|e| {
-                eprintln!("[snapshot] write {path}: {e}");
-                std::process::exit(1);
-            });
+            write_or_exit("snapshot", path, &bytes);
             let sections = fsencr_snapshot::describe(&bytes).map_or(0, |s| s.len());
             eprintln!(
                 "[snapshot] wrote {path}: {} bytes, {sections} sections (setup {setup:.2?}, \
@@ -1030,9 +347,9 @@ fn profile(fig: &str, scale: f64) {
     };
     print!("{}", report.render_text());
     let json_path = format!("PROFILE_{fig}.json");
-    std::fs::write(&json_path, report.to_json()).expect("write profile json");
+    write_or_exit("profile", &json_path, report.to_json());
     let trace_path = format!("PROFILE_{fig}_trace.json");
-    std::fs::write(&trace_path, report.to_chrome_trace()).expect("write chrome trace");
+    write_or_exit("profile", &trace_path, report.to_chrome_trace());
     eprintln!("[profile] wrote {json_path} and {trace_path}");
 }
 
@@ -1068,23 +385,16 @@ fn main() {
     let which = which.clone();
     if which == "profile" {
         let Some(fig) = args.get(1) else { usage() };
-        // Like `bench`, profiling defaults to a small scale: the span
-        // buffers make full-scale runs memory-heavy.
-        let scale: f64 = args
-            .get(2)
-            .map_or(0.05, |s| s.parse().unwrap_or_else(|_| usage()));
-        assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
-        let t0 = std::time::Instant::now();
+        // Profiling defaults to a small scale: the span buffers make
+        // full-scale runs memory-heavy.
+        let scale = parse_scale(args.get(2), 0.05);
+        let t0 = Instant::now();
         profile(fig, scale);
         eprintln!("[harness] completed in {:.1?}", t0.elapsed());
         return;
     }
-    if which == "bench-check" {
-        bench_check(args.get(1).map_or("BENCH_harness.json", String::as_str));
-        return;
-    }
     if which == "faults" {
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         faults(&args[1..]);
         eprintln!("[harness] completed in {:.1?}", t0.elapsed());
         return;
@@ -1093,14 +403,10 @@ fn main() {
         snapshot_cmd(&args[1..]);
         return;
     }
-    let scale_arg: Option<f64> = args.get(1).map(|s| s.parse().unwrap_or_else(|_| usage()));
-    let scale = scale_arg.unwrap_or(1.0);
-    assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
+    let scale = parse_scale(args.get(1), 1.0);
 
-    // The cell cache serves figure subcommands only. `bench` and
-    // `profile` keep it disabled: `bench` times the simulation engine (a
-    // warm cache would skip the very work being measured) and `profile`
-    // needs the observer to actually run.
+    // The cell cache serves figure subcommands only; `profile` keeps it
+    // disabled because it needs the observer to actually run.
     let cacheable = matches!(
         which.as_str(),
         "fig3" | "fig8-10" | "fig8" | "fig9" | "fig10" | "fig11" | "fig12-14" | "fig12"
@@ -1113,7 +419,7 @@ fn main() {
         exp::snapstore::configure(Some(std::path::PathBuf::from("CACHE_snapshots")));
     }
 
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     match which.as_str() {
         "fig3" => println!("{}", exp::fig3(scale)),
         "fig8-10" | "fig8" | "fig9" | "fig10" => {
@@ -1132,9 +438,6 @@ fn main() {
         "table1" => println!("{}", exp::table1()),
         "params" => params(),
         "list" => list(),
-        // The engine comparison runs fig8-10 twice; default to a small
-        // scale so a bare `harness bench` finishes in minutes.
-        "bench" => bench(scale_arg.unwrap_or(0.05), jobs_flag),
         "ablation-ott" => println!("{}", exp::ablation_ott(scale)),
         "ablation-osiris" => println!("{}", exp::ablation_osiris(scale)),
         "ablation-direct" => println!("{}", exp::ablation_direct(scale)),

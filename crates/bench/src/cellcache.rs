@@ -21,9 +21,8 @@
 //!
 //! The store is process-global (cells run on pool worker threads) and
 //! disabled by default; the `harness` binary enables it for figure
-//! subcommands only. `harness bench` and `harness profile` keep it
-//! disabled — `bench` times the engine and a warm cache would skip the
-//! very work being measured.
+//! subcommands only. `harness profile` keeps it disabled, because it
+//! needs the observer to actually run.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;

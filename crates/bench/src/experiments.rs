@@ -5,10 +5,7 @@
 //! built in deterministic source order, fanned out across worker threads
 //! (see [`crate::pool`]), and gathered back in submission order before the
 //! figure is assembled, so the output is identical to a serial run at any
-//! worker count. Each cell also records its wall-clock time with
-//! [`crate::report`] for the `harness bench` subcommand.
-
-use std::time::Instant;
+//! worker count.
 
 use fsencr::machine::{MachineOpts, Preset, RunStats, SecurityMode};
 use fsencr::security;
@@ -21,7 +18,6 @@ use fsencr_workloads::whisper::{CtreeBench, HashmapBench, Ycsb};
 
 use crate::cellcache;
 use crate::pool;
-use crate::report;
 use crate::snapstore;
 use crate::table::Figure;
 
@@ -46,7 +42,7 @@ pub type Factory = Box<dyn Fn() -> Box<dyn Workload> + Send + Sync>;
 
 /// One independent experiment cell.
 struct Cell<'a> {
-    /// Workload label, used for the figure row and the bench record.
+    /// Workload label, used for the figure row and the cell-cache key.
     label: String,
     opts: MachineOpts,
     mode: SecurityMode,
@@ -58,9 +54,8 @@ struct Cell<'a> {
 ///
 /// When the [`cellcache`] is enabled, a cell whose content-addressed key
 /// is already cached returns the stored (bit-identical) stats and skips
-/// both the simulation and the `harness bench` wall-clock record — the
-/// record would time a lookup, not the engine. Fresh results are stored
-/// back; the harness persists the cache after the figure completes.
+/// the simulation. Fresh results are stored back; the harness persists
+/// the cache after the figure completes.
 ///
 /// When the [`snapstore`] is enabled, a cell that misses the cell cache
 /// still tries to restore its post-setup machine image (keyed by
@@ -84,23 +79,19 @@ fn run_cells(cells: Vec<Cell<'_>>) -> Vec<RunStats> {
                     return stats;
                 }
                 if !snapstore::is_enabled() {
-                    let start = Instant::now();
                     let stats = run_with(cell.opts, cell.mode, workload.as_mut());
-                    report::record_cell(&cell.label, cell.mode, start.elapsed(), &stats);
                     cellcache::store(&key, &stats);
                     return stats;
                 }
                 let skey =
                     snapstore::snap_key(cell.mode, &cell.opts, &workload.setup_spec());
                 let snap = snapstore::lookup(&skey);
-                let start = Instant::now();
                 let warm =
                     run_workload_warm(cell.opts, cell.mode, workload.as_mut(), snap.as_deref())
                         .unwrap_or_else(|e| {
                             panic!("{} under {}: {e}", cell.label, cell.mode)
                         });
                 let stats = warm.result.stats;
-                report::record_cell(&cell.label, cell.mode, start.elapsed(), &stats);
                 if let Some(bytes) = warm.snapshot {
                     snapstore::store(&skey, &bytes);
                 }

@@ -19,9 +19,7 @@ pub mod experiments;
 pub mod faultcamp;
 pub mod jsonio;
 pub use fsencr_sim::pool;
-pub mod epochs;
 pub mod profile;
-pub mod report;
 pub mod shell;
 pub mod snapstore;
 pub mod table;

@@ -17,7 +17,6 @@ use fsencr_workloads::driver::profile_workload;
 
 use crate::experiments::{profile_cells, ProfileCellSpec};
 use crate::pool;
-use crate::report::{json_f64, json_string};
 
 /// Default span-buffer capacity per cell: enough for small profile
 /// scales; overflow is counted (`spans_dropped`), never silent.
@@ -271,6 +270,35 @@ impl ProfileReport {
     }
 }
 
+/// Formats an `f64` as a JSON number (finite; NaN/inf degrade to 0).
+fn json_f64(v: f64) -> String {
+    if v.is_finite() {
+        // Fixed precision: enough digits for the scales and ratios
+        // printed here, and never a `1e20`-style exponent.
+        format!("{v:.6}")
+    } else {
+        "0.0".to_string()
+    }
+}
+
+/// Escapes a string as a JSON string literal.
+fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,6 +341,14 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         let trace = report.to_chrome_trace();
         assert!(trace.starts_with('[') && trace.ends_with("]\n"));
+    }
+
+    #[test]
+    fn json_scalars_are_escaped_and_finite() {
+        assert_eq!(json_string("a\"b\\c\nd\te\u{1}"), "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
+        assert_eq!(json_f64(4.0), "4.000000");
+        assert_eq!(json_f64(f64::NAN), "0.0");
+        assert_eq!(json_f64(f64::INFINITY), "0.0");
     }
 
     #[test]

@@ -1,0 +1,84 @@
+//! Hostile command lines end in an exit code, never a panic: malformed
+//! operands print the usage line and exit 2, and output files that cannot
+//! be written are reported and exit 1. A panic would exit 101.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+/// A scratch working directory unique to `name`, so the harness writes
+/// nothing into the source tree.
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("fsencr-harness-cli-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+fn harness(cwd: &Path, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_harness"))
+        .args(args)
+        .current_dir(cwd)
+        .output()
+        .expect("spawn harness")
+}
+
+fn assert_exit(out: &Output, code: i32, args: &[&str]) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(code), "harness {args:?}: {stderr}");
+}
+
+#[test]
+fn malformed_operands_are_usage_errors() {
+    let cwd = scratch_dir("usage");
+    for args in [
+        &["fig3", "1.5"][..],
+        &["fig3", "nan"],
+        &["fig3", "0"],
+        &["profile", "fig3", "0"],
+        &["profile", "fig3", "-1"],
+        &["bench"],
+        &["bench-check"],
+    ] {
+        let out = harness(&cwd, args);
+        assert_exit(&out, 2, args);
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("usage: harness"),
+            "{args:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&cwd);
+}
+
+#[test]
+fn unwritable_outputs_exit_one() {
+    let cwd = scratch_dir("unwritable");
+    // A directory where a file is expected: the write fails on any host.
+    let blocked = cwd.join("blocked");
+    std::fs::create_dir_all(&blocked).expect("create blocking dir");
+    let out_arg = format!("--out={}", blocked.display());
+    let args = [
+        "faults",
+        "--seed",
+        "1",
+        "--campaign",
+        "scenarios=1,ops=4",
+        out_arg.as_str(),
+    ];
+    let out = harness(&cwd, &args);
+    assert_exit(&out, 1, &args);
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("[faults] write"),
+        "{out:?}"
+    );
+
+    std::fs::create_dir_all(cwd.join("PROFILE_fig12-14.json")).expect("create blocking dir");
+    let args = ["profile", "fig12-14", "0.001"];
+    let out = harness(&cwd, &args);
+    assert_exit(&out, 1, &args);
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("[profile] write"),
+        "{out:?}"
+    );
+    let _ = std::fs::remove_dir_all(&cwd);
+}

@@ -1,12 +1,10 @@
 //! Snapshot warm starts must be an implementation detail: the same
 //! post-setup snapshots, restored at any worker count and under any
 //! pool schedule, must render byte-identical figures. Together with the
-//! epoch-replay suite (stats snapshots stitch identically at any
-//! `--jobs`/schedule, `crates/bench/src/epochs.rs`) and the fault
-//! campaign suite (the snapshot-seeded `FAULTS_report.json` is
+//! fault campaign suite (the snapshot-seeded `FAULTS_report.json` is
 //! byte-identical across jobs and schedules,
-//! `crates/bench/tests/fault_campaign.rs`), this pins the whole
-//! checkpoint/replay subsystem to the determinism bar the figures set.
+//! `crates/bench/tests/fault_campaign.rs`), this pins the snapshot
+//! subsystem to the determinism bar the figures set.
 //!
 //! Kept as a single test: the snapshot store and the worker pool are
 //! process-global, so the phases must run sequentially.

@@ -7,9 +7,9 @@
 //! cannot be vendored. This shim keeps `cargo bench` functional: each
 //! bench warms up, then measures enough iterations to fill a fixed
 //! measurement window and reports mean ns/iter. There are no statistics,
-//! plots or baselines — for cross-run comparisons use
-//! `harness bench` (see `crates/bench`), which emits machine-readable
-//! JSON.
+//! plots or baselines. End-to-end and per-layer host time, with
+//! calibrated regression bounds, come from the `benchmark/` package that
+//! `BENCHMARK.json` declares.
 
 #![forbid(unsafe_code)]
 

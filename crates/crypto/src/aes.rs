@@ -9,9 +9,9 @@
 //! a 32-bit T-table implementation: each round is 16 table lookups and a
 //! handful of XORs, with the tables derived *from the computed S-box* at
 //! first use so the algebraic derivation stays the single source of
-//! truth. The original byte-wise FIPS-197 transcription is kept as
-//! [`Aes128::encrypt_block_ref`]/[`Aes128::decrypt_block_ref`] and the
-//! two are cross-validated property-style in the test suites. No
+//! truth. The original byte-wise FIPS-197 transcription lives in the test
+//! module as the reference the T-table rounds are cross-validated
+//! against, next to the FIPS-197 vectors. No
 //! constant-time tricks are attempted because the "hardware" here is a
 //! simulation model, not a production cipher.
 
@@ -46,7 +46,6 @@ const RK_WORDS: usize = 4 * (ROUNDS + 1);
 /// ```
 #[derive(Clone)]
 pub struct Aes128 {
-    round_keys: [[u8; 16]; ROUNDS + 1],
     /// Big-endian packed encryption round keys for the T-table path.
     enc_words: [u32; RK_WORDS],
     /// Decryption round keys for the equivalent inverse cipher: the
@@ -166,11 +165,6 @@ fn sub(b: u8) -> u8 {
     sboxes().0[b as usize]
 }
 
-#[inline]
-fn inv_sub(b: u8) -> u8 {
-    sboxes().1[b as usize]
-}
-
 impl Aes128 {
     /// Expands `key` into the full round-key schedule.
     pub fn new(key: &Key128) -> Self {
@@ -212,7 +206,7 @@ impl Aes128 {
             }
         }
         let dec_words = pack_words(&dec_keys);
-        Aes128 { round_keys, enc_words, dec_words }
+        Aes128 { enc_words, dec_words }
     }
 
     /// Encrypts one 16-byte block (T-table fast path).
@@ -409,41 +403,6 @@ impl Aes128 {
         }
         out
     }
-
-    /// Encrypts one block with the byte-wise FIPS-197 reference rounds.
-    ///
-    /// Kept as the readable specification of the cipher; the test suites
-    /// cross-validate [`Aes128::encrypt_block`] against it.
-    pub fn encrypt_block_ref(&self, block: [u8; 16]) -> [u8; 16] {
-        let mut s = block;
-        add_round_key(&mut s, &self.round_keys[0]);
-        for round in 1..ROUNDS {
-            sub_bytes(&mut s);
-            shift_rows(&mut s);
-            mix_columns(&mut s);
-            add_round_key(&mut s, &self.round_keys[round]);
-        }
-        sub_bytes(&mut s);
-        shift_rows(&mut s);
-        add_round_key(&mut s, &self.round_keys[ROUNDS]);
-        s
-    }
-
-    /// Decrypts one block with the byte-wise FIPS-197 reference rounds.
-    pub fn decrypt_block_ref(&self, block: [u8; 16]) -> [u8; 16] {
-        let mut s = block;
-        add_round_key(&mut s, &self.round_keys[ROUNDS]);
-        inv_shift_rows(&mut s);
-        inv_sub_bytes(&mut s);
-        for round in (1..ROUNDS).rev() {
-            add_round_key(&mut s, &self.round_keys[round]);
-            inv_mix_columns(&mut s);
-            inv_shift_rows(&mut s);
-            inv_sub_bytes(&mut s);
-        }
-        add_round_key(&mut s, &self.round_keys[0]);
-        s
-    }
 }
 
 /// Packs a byte round-key schedule into big-endian 32-bit column words.
@@ -506,56 +465,9 @@ fn pack_words(keys: &[[u8; 16]; ROUNDS + 1]) -> [u32; RK_WORDS] {
     out
 }
 
-// State is column-major as in FIPS-197: s[r + 4c] is row r, column c.
-
-#[inline]
-fn add_round_key(s: &mut [u8; 16], rk: &[u8; 16]) {
-    for (b, k) in s.iter_mut().zip(rk.iter()) {
-        *b ^= k;
-    }
-}
-
-fn sub_bytes(s: &mut [u8; 16]) {
-    for b in s.iter_mut() {
-        *b = sub(*b);
-    }
-}
-
-fn inv_sub_bytes(s: &mut [u8; 16]) {
-    for b in s.iter_mut() {
-        *b = inv_sub(*b);
-    }
-}
-
-fn shift_rows(s: &mut [u8; 16]) {
-    // Row r shifts left by r. Row r occupies indices r, r+4, r+8, r+12.
-    for r in 1..4 {
-        let row = [s[r], s[r + 4], s[r + 8], s[r + 12]];
-        for c in 0..4 {
-            s[r + 4 * c] = row[(c + r) % 4];
-        }
-    }
-}
-
-fn inv_shift_rows(s: &mut [u8; 16]) {
-    for r in 1..4 {
-        let row = [s[r], s[r + 4], s[r + 8], s[r + 12]];
-        for c in 0..4 {
-            s[r + 4 * c] = row[(c + 4 - r) % 4];
-        }
-    }
-}
-
-fn mix_columns(s: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [s[4 * c], s[4 * c + 1], s[4 * c + 2], s[4 * c + 3]];
-        s[4 * c] = xtime(col[0]) ^ (xtime(col[1]) ^ col[1]) ^ col[2] ^ col[3];
-        s[4 * c + 1] = col[0] ^ xtime(col[1]) ^ (xtime(col[2]) ^ col[2]) ^ col[3];
-        s[4 * c + 2] = col[0] ^ col[1] ^ xtime(col[2]) ^ (xtime(col[3]) ^ col[3]);
-        s[4 * c + 3] = (xtime(col[0]) ^ col[0]) ^ col[1] ^ col[2] ^ xtime(col[3]);
-    }
-}
-
+/// `InvMixColumns` on a column-major state (s[r + 4c] is row r, column
+/// c, as in FIPS-197); the key schedule pushes it through the decryption
+/// round keys.
 fn inv_mix_columns(s: &mut [u8; 16]) {
     for c in 0..4 {
         let col = [s[4 * c], s[4 * c + 1], s[4 * c + 2], s[4 * c + 3]];
@@ -572,6 +484,101 @@ fn inv_mix_columns(s: &mut [u8; 16]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // The byte-wise FIPS-197 reference rounds: the readable specification
+    // of the cipher, which the T-table path is cross-validated against.
+
+    impl Aes128 {
+        /// Round key `r` as bytes, unpacked from the T-table schedule.
+        fn round_key(&self, r: usize) -> [u8; 16] {
+            let mut rk = [0u8; 16];
+            for (c, chunk) in rk.chunks_exact_mut(4).enumerate() {
+                chunk.copy_from_slice(&self.enc_words[4 * r + c].to_be_bytes());
+            }
+            rk
+        }
+
+        /// Encrypts one block with the byte-wise FIPS-197 reference rounds.
+        fn encrypt_block_ref(&self, block: [u8; 16]) -> [u8; 16] {
+            let mut s = block;
+            add_round_key(&mut s, &self.round_key(0));
+            for round in 1..ROUNDS {
+                sub_bytes(&mut s);
+                shift_rows(&mut s);
+                mix_columns(&mut s);
+                add_round_key(&mut s, &self.round_key(round));
+            }
+            sub_bytes(&mut s);
+            shift_rows(&mut s);
+            add_round_key(&mut s, &self.round_key(ROUNDS));
+            s
+        }
+
+        /// Decrypts one block with the byte-wise FIPS-197 reference rounds.
+        fn decrypt_block_ref(&self, block: [u8; 16]) -> [u8; 16] {
+            let mut s = block;
+            add_round_key(&mut s, &self.round_key(ROUNDS));
+            inv_shift_rows(&mut s);
+            inv_sub_bytes(&mut s);
+            for round in (1..ROUNDS).rev() {
+                add_round_key(&mut s, &self.round_key(round));
+                inv_mix_columns(&mut s);
+                inv_shift_rows(&mut s);
+                inv_sub_bytes(&mut s);
+            }
+            add_round_key(&mut s, &self.round_key(0));
+            s
+        }
+    }
+
+    // State is column-major as in FIPS-197: s[r + 4c] is row r, column c.
+
+    fn add_round_key(s: &mut [u8; 16], rk: &[u8; 16]) {
+        for (b, k) in s.iter_mut().zip(rk.iter()) {
+            *b ^= k;
+        }
+    }
+
+    fn sub_bytes(s: &mut [u8; 16]) {
+        for b in s.iter_mut() {
+            *b = sub(*b);
+        }
+    }
+
+    fn inv_sub_bytes(s: &mut [u8; 16]) {
+        for b in s.iter_mut() {
+            *b = sboxes().1[*b as usize];
+        }
+    }
+
+    fn shift_rows(s: &mut [u8; 16]) {
+        // Row r shifts left by r. Row r occupies indices r, r+4, r+8, r+12.
+        for r in 1..4 {
+            let row = [s[r], s[r + 4], s[r + 8], s[r + 12]];
+            for c in 0..4 {
+                s[r + 4 * c] = row[(c + r) % 4];
+            }
+        }
+    }
+
+    fn inv_shift_rows(s: &mut [u8; 16]) {
+        for r in 1..4 {
+            let row = [s[r], s[r + 4], s[r + 8], s[r + 12]];
+            for c in 0..4 {
+                s[r + 4 * c] = row[(c + 4 - r) % 4];
+            }
+        }
+    }
+
+    fn mix_columns(s: &mut [u8; 16]) {
+        for c in 0..4 {
+            let col = [s[4 * c], s[4 * c + 1], s[4 * c + 2], s[4 * c + 3]];
+            s[4 * c] = xtime(col[0]) ^ (xtime(col[1]) ^ col[1]) ^ col[2] ^ col[3];
+            s[4 * c + 1] = col[0] ^ xtime(col[1]) ^ (xtime(col[2]) ^ col[2]) ^ col[3];
+            s[4 * c + 2] = col[0] ^ col[1] ^ xtime(col[2]) ^ (xtime(col[3]) ^ col[3]);
+            s[4 * c + 3] = (xtime(col[0]) ^ col[0]) ^ col[1] ^ col[2] ^ xtime(col[3]);
+        }
+    }
 
     fn hex16(s: &str) -> [u8; 16] {
         let mut out = [0u8; 16];

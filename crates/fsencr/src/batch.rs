@@ -30,9 +30,11 @@
 //! The slice-form region ops ([`MemoryController::read_lines`],
 //! [`MemoryController::write_lines`], [`MemoryController::write_lines_at`])
 //! drive one memo across a whole address run and replay the per-line
-//! cycle accounting exactly; `tests/batch_equivalence.rs` proves the
-//! batched and per-line paths bit-identical in plaintext, cycles,
-//! statistics, Merkle roots and tamper verdicts.
+//! cycle accounting exactly. They are the only route `Machine` takes to
+//! the controller; `tests/batch_equivalence.rs` keeps the per-line
+//! [`MemoryController::read_line`]/[`MemoryController::write_line`]
+//! loops as the reference and proves the region ops bit-identical to
+//! them in plaintext, cycles, errors, statistics and Merkle roots.
 
 use fsencr_crypto::{Aes128, Key128, ScheduleCache};
 use fsencr_nvm::{LineAddr, PageId, PhysAddr, LINE_BYTES};
@@ -73,14 +75,6 @@ impl RegionRun {
             fecb: None,
             key: None,
         }
-    }
-
-    /// Drops every memoized entry (the next line re-derives everything,
-    /// exactly like the legacy per-line path).
-    pub fn clear(&mut self) {
-        self.mecb = None;
-        self.fecb = None;
-        self.key = None;
     }
 
     /// Parses an MECB, reusing the previous parse when `read_block`
@@ -132,12 +126,6 @@ impl RegionRun {
             .key
             .get_or_insert_with(|| (key, cache.get(&key).clone()));
         aes
-    }
-}
-
-impl Default for RegionRun {
-    fn default() -> Self {
-        RegionRun::new()
     }
 }
 

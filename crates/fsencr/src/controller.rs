@@ -46,7 +46,7 @@ use crate::spill::{OttSpill, SpillError};
 // ops can drive the private datapath fields directly; the file lives at
 // `src/batch.rs` where the hot-alloc lint scopes it.
 #[path = "batch.rs"]
-pub mod batch;
+pub(crate) mod batch;
 
 use batch::{RegionRun, Repad};
 

@@ -57,7 +57,7 @@ pub mod spill;
 pub mod tlb;
 pub mod trace;
 
-pub use controller::batch::RegionRun;
+pub(crate) use controller::batch::RegionRun;
 pub use controller::{CtrlStats, IntegrityError, MemError, MemoryController, ModuleEnvelope};
 pub use machine::{Machine, MachineOpts, MapId, Preset, RunStats, SecurityMode};
 pub use plane::{FaultPlane, InspectPlane, ModuleFault, ModuleInspect};

@@ -31,11 +31,11 @@ use fsencr_sim::{Cycle, MachineConfig};
 
 use fsencr_obs::Observer;
 
-use crate::controller::batch::RegionRun;
 use crate::controller::{CtrlMode, MemError, MemoryController, ModuleEnvelope, RecoveryReport};
 use crate::snapshot::StatsSnapshot;
 use crate::tlb::{Tlb, PAGE_WALK_CYCLES, TLB_ENTRIES};
 use crate::trace::{TraceKind, Tracer};
+use crate::RegionRun;
 
 /// Kernel cycles charged per minor page fault (trap, fault handler,
 /// mapping insertion).
@@ -398,9 +398,6 @@ pub struct Machine {
     tlbs: Vec<Tlb>,
     tracer: Tracer,
     baseline: StatsSnapshot,
-    /// Route region operations through the page-batched datapath
-    /// (bit-identical in simulated cycles; host wall-clock only).
-    batching: bool,
     /// Reused write-back collection buffer for batched persists.
     persist_scratch: Vec<(PhysAddr, [u8; LINE_BYTES])>,
 }
@@ -477,7 +474,6 @@ impl Machine {
             tlbs: (0..cores).map(|_| Tlb::new(TLB_ENTRIES)).collect(),
             tracer: Tracer::new(),
             baseline: StatsSnapshot::default(),
-            batching: true,
             persist_scratch: Vec::new(),
         }
     }
@@ -551,20 +547,6 @@ impl Machine {
     /// attacker experiments of Section VI / Table I.
     pub fn mem_key(&self) -> Key128 {
         self.mem_key
-    }
-
-    /// Whether region operations take the page-batched datapath.
-    pub fn batching(&self) -> bool {
-        self.batching
-    }
-
-    /// Switches the page-batched datapath on (default) or off. Both
-    /// settings are bit-identical in simulated cycles, statistics and
-    /// media contents — `tests/batch_equivalence.rs` runs a machine in
-    /// each mode against the same operation stream to prove it — so the
-    /// switch only trades host-side wall-clock.
-    pub fn set_batching(&mut self, on: bool) {
-        self.batching = on;
     }
 
     /// The controller's on-chip Merkle root register.
@@ -680,7 +662,6 @@ impl Machine {
         enc.put_u32(self.next_map);
         enc.put_u64(self.heap_next);
         enc.put_u64(self.journal_cursor);
-        enc.put_bool(self.batching);
         enc.put_u64(self.clocks.len() as u64);
         for c in &self.clocks {
             enc.put_u64(c.get());
@@ -789,7 +770,6 @@ impl Machine {
         let next_map = dec.get_u32()?;
         let heap_next = dec.get_u64()?;
         let journal_cursor = dec.get_u64()?;
-        let batching = dec.get_bool()?;
         let cores = dec.get_len()?;
         if cores != opts.config.cpu.cores {
             return Err(SnapError::StateMismatch);
@@ -912,7 +892,6 @@ impl Machine {
             tlbs,
             tracer: Tracer::new(),
             baseline,
-            batching,
             persist_scratch: Vec::new(),
         })
     }
@@ -1120,34 +1099,19 @@ impl Machine {
             let mut pages_plain: Vec<(PageId, Vec<[u8; LINE_BYTES]>)> = Vec::new();
             for frame in frames {
                 let mut page_plain = Vec::with_capacity(64);
-                if self.batching {
-                    let addrs: Vec<PhysAddr> =
-                        frame.lines().map(|l| PhysAddr::new(l.get())).collect();
-                    t = self.ctrl.read_lines(t, &addrs, &mut page_plain)?;
-                } else {
-                    for line in frame.lines() {
-                        let (plain, done) = self.ctrl.read_line(t, PhysAddr::new(line.get()))?;
-                        t = done;
-                        page_plain.push(plain);
-                    }
-                }
+                let addrs: Vec<PhysAddr> = frame.lines().map(|l| PhysAddr::new(l.get())).collect();
+                t = self.ctrl.read_lines(t, &addrs, &mut page_plain)?;
                 pages_plain.push((frame, page_plain));
             }
             t += MMIO_CYCLES;
             t = self.ctrl.install_key(t, group.get(), ino.get(), new_fek)?;
             for (frame, page_plain) in pages_plain {
-                if self.batching {
-                    let writes: Vec<(PhysAddr, [u8; LINE_BYTES])> = frame
-                        .lines()
-                        .map(|l| PhysAddr::new(l.get()))
-                        .zip(page_plain)
-                        .collect();
-                    t = self.ctrl.write_lines(t, &writes)?;
-                } else {
-                    for (line, plain) in frame.lines().zip(page_plain) {
-                        t = self.ctrl.write_line(t, PhysAddr::new(line.get()), &plain)?;
-                    }
-                }
+                let writes: Vec<(PhysAddr, [u8; LINE_BYTES])> = frame
+                    .lines()
+                    .map(|l| PhysAddr::new(l.get()))
+                    .zip(page_plain)
+                    .collect();
+                t = self.ctrl.write_lines(t, &writes)?;
             }
             self.clocks[0] = self.clocks[0].max(t);
         }
@@ -1278,33 +1242,21 @@ impl Machine {
             // before exposing them (DAX block zeroing uses non-temporal
             // stores + flush): this establishes valid ciphertext for the
             // zero content that survives an immediate crash.
+            // One memo spans the whole page, so the MECB parse happens
+            // once, not 64 times.
             let now = self.clocks[core];
-            if self.batching {
-                // Same write/fill interleave as below; one memo spans the
-                // whole page so the MECB parse happens once, not 64 times.
-                let mut run = RegionRun::new();
-                for line in pf.frame.lines() {
-                    self.ctrl.write_line_with(
-                        now,
-                        PhysAddr::new(line.get()),
-                        &[0u8; LINE_BYTES],
-                        &mut run,
-                    )?;
-                    let wbs = self.hier.fill(core, line, [0u8; LINE_BYTES]);
-                    for wb in wbs {
-                        self.ctrl
-                            .write_line_with(now, PhysAddr::new(wb.addr.get()), &wb.data, &mut run)?;
-                    }
-                }
-            } else {
-                for line in pf.frame.lines() {
+            let mut run = RegionRun::new();
+            for line in pf.frame.lines() {
+                self.ctrl.write_line_with(
+                    now,
+                    PhysAddr::new(line.get()),
+                    &[0u8; LINE_BYTES],
+                    &mut run,
+                )?;
+                let wbs = self.hier.fill(core, line, [0u8; LINE_BYTES]);
+                for wb in wbs {
                     self.ctrl
-                        .write_line(now, PhysAddr::new(line.get()), &[0u8; LINE_BYTES])?;
-                    let wbs = self.hier.fill(core, line, [0u8; LINE_BYTES]);
-                    for wb in wbs {
-                        self.ctrl
-                            .write_line(now, PhysAddr::new(wb.addr.get()), &wb.data)?;
-                    }
+                        .write_line_with(now, PhysAddr::new(wb.addr.get()), &wb.data, &mut run)?;
                 }
             }
         }
@@ -1312,45 +1264,9 @@ impl Machine {
     }
 
     /// Loads one line through the hierarchy, fetching from the controller
-    /// on a full miss. Returns the line's plaintext.
-    fn load_line(&mut self, core: usize, line: LineAddr) -> Result<[u8; LINE_BYTES], MemError> {
-        let out = self.hier.load(core, line);
-        self.clocks[core] += out.latency;
-        let now = self.clocks[core];
-        for wb in &out.writebacks {
-            self.ctrl.write_line(now, PhysAddr::new(wb.addr.get()), &wb.data)?;
-        }
-        match out.data {
-            Some(data) => Ok(data),
-            None => {
-                let (data, done) = self.ctrl.read_line(now, PhysAddr::new(line.get()))?;
-                self.clocks[core] = done;
-                let wbs = self.hier.fill(core, line, data);
-                for wb in wbs {
-                    self.ctrl
-                        .write_line(done, PhysAddr::new(wb.addr.get()), &wb.data)?;
-                }
-                Ok(data)
-            }
-        }
-    }
-
-    /// Stores one full line through the hierarchy (write-allocate, no
-    /// fetch). Write-backs are posted.
-    fn store_line(&mut self, core: usize, line: LineAddr, data: [u8; LINE_BYTES]) -> Result<(), MemError> {
-        let (_hit, latency, wbs) = self.hier.store(core, line, data);
-        self.clocks[core] += latency;
-        let now = self.clocks[core];
-        for wb in wbs {
-            self.ctrl.write_line(now, PhysAddr::new(wb.addr.get()), &wb.data)?;
-        }
-        Ok(())
-    }
-
-    /// [`Self::load_line`] threading a region-run memo: the hierarchy is
-    /// consulted identically; controller traffic (miss fetch, write-backs)
-    /// shares the caller's batch state.
-    fn load_line_run(
+    /// on a full miss. Returns the line's plaintext. Controller traffic
+    /// (miss fetch, write-backs) shares the caller's region-run memo.
+    fn load_line(
         &mut self,
         core: usize,
         line: LineAddr,
@@ -1378,8 +1294,9 @@ impl Machine {
         }
     }
 
-    /// [`Self::store_line`] threading a region-run memo.
-    fn store_line_run(
+    /// Stores one full line through the hierarchy (write-allocate, no
+    /// fetch). Write-backs are posted and share the caller's memo.
+    fn store_line(
         &mut self,
         core: usize,
         line: LineAddr,
@@ -1396,62 +1313,37 @@ impl Machine {
         Ok(())
     }
 
-    /// Byte-granular read within one physical page.
-    fn read_page_bytes(
+    /// Byte-granular read of `buf.len()` bytes at physical address `base`.
+    fn read_bytes(
         &mut self,
         core: usize,
-        frame: PageId,
-        offset_in_page: usize,
-        buf: &mut [u8],
-    ) -> Result<(), MemError> {
-        let base = frame.get() * PAGE_BYTES as u64 + offset_in_page as u64;
-        let mut pos = 0usize;
-        while pos < buf.len() {
-            let addr = base + pos as u64;
-            let line = LineAddr::new(addr);
-            let in_line = (addr - line.get()) as usize;
-            let take = (LINE_BYTES - in_line).min(buf.len() - pos);
-            let data = self.load_line(core, line)?;
-            buf[pos..pos + take].copy_from_slice(&data[in_line..in_line + take]);
-            pos += take;
-        }
-        Ok(())
-    }
-
-    /// [`Self::read_page_bytes`] threading a region-run memo across the
-    /// page's lines.
-    fn read_page_bytes_run(
-        &mut self,
-        core: usize,
-        frame: PageId,
-        offset_in_page: usize,
+        base: u64,
         buf: &mut [u8],
         run: &mut RegionRun,
     ) -> Result<(), MemError> {
-        let base = frame.get() * PAGE_BYTES as u64 + offset_in_page as u64;
         let mut pos = 0usize;
         while pos < buf.len() {
             let addr = base + pos as u64;
             let line = LineAddr::new(addr);
             let in_line = (addr - line.get()) as usize;
             let take = (LINE_BYTES - in_line).min(buf.len() - pos);
-            let data = self.load_line_run(core, line, run)?;
+            let data = self.load_line(core, line, run)?;
             buf[pos..pos + take].copy_from_slice(&data[in_line..in_line + take]);
             pos += take;
         }
         Ok(())
     }
 
-    /// Byte-granular write within one physical page (read-modify-write
-    /// for partial lines, allocate-no-fetch for full lines).
-    fn write_page_bytes(
+    /// Byte-granular write of `data` at physical address `base`
+    /// (read-modify-write for partial lines, allocate-no-fetch for full
+    /// lines).
+    fn write_bytes(
         &mut self,
         core: usize,
-        frame: PageId,
-        offset_in_page: usize,
+        base: u64,
         data: &[u8],
+        run: &mut RegionRun,
     ) -> Result<(), MemError> {
-        let base = frame.get() * PAGE_BYTES as u64 + offset_in_page as u64;
         let mut pos = 0usize;
         while pos < data.len() {
             let addr = base + pos as u64;
@@ -1461,39 +1353,10 @@ impl Machine {
             let mut merged = if take == LINE_BYTES {
                 [0u8; LINE_BYTES]
             } else {
-                self.load_line(core, line)?
+                self.load_line(core, line, run)?
             };
             merged[in_line..in_line + take].copy_from_slice(&data[pos..pos + take]);
-            self.store_line(core, line, merged)?;
-            pos += take;
-        }
-        Ok(())
-    }
-
-    /// [`Self::write_page_bytes`] threading a region-run memo across the
-    /// page's lines.
-    fn write_page_bytes_run(
-        &mut self,
-        core: usize,
-        frame: PageId,
-        offset_in_page: usize,
-        data: &[u8],
-        run: &mut RegionRun,
-    ) -> Result<(), MemError> {
-        let base = frame.get() * PAGE_BYTES as u64 + offset_in_page as u64;
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let addr = base + pos as u64;
-            let line = LineAddr::new(addr);
-            let in_line = (addr - line.get()) as usize;
-            let take = (LINE_BYTES - in_line).min(data.len() - pos);
-            let mut merged = if take == LINE_BYTES {
-                [0u8; LINE_BYTES]
-            } else {
-                self.load_line_run(core, line, run)?
-            };
-            merged[in_line..in_line + take].copy_from_slice(&data[pos..pos + take]);
-            self.store_line_run(core, line, merged, run)?;
+            self.store_line(core, line, merged, run)?;
             pos += take;
         }
         Ok(())
@@ -1526,11 +1389,8 @@ impl Machine {
             let in_page = (off % PAGE_BYTES as u64) as usize;
             let take = (PAGE_BYTES - in_page).min(buf.len() - pos);
             let frame = self.resolve_page(core, &m, page_idx)?;
-            if self.batching {
-                self.read_page_bytes_run(core, frame, in_page, &mut buf[pos..pos + take], &mut run)?;
-            } else {
-                self.read_page_bytes(core, frame, in_page, &mut buf[pos..pos + take])?;
-            }
+            let base = frame.get() * PAGE_BYTES as u64 + in_page as u64;
+            self.read_bytes(core, base, &mut buf[pos..pos + take], &mut run)?;
             pos += take;
         }
         Ok(())
@@ -1566,11 +1426,8 @@ impl Machine {
             let in_page = (off % PAGE_BYTES as u64) as usize;
             let take = (PAGE_BYTES - in_page).min(data.len() - pos);
             let frame = self.resolve_page(core, &m, page_idx)?;
-            if self.batching {
-                self.write_page_bytes_run(core, frame, in_page, &data[pos..pos + take], &mut run)?;
-            } else {
-                self.write_page_bytes(core, frame, in_page, &data[pos..pos + take])?;
-            }
+            let base = frame.get() * PAGE_BYTES as u64 + in_page as u64;
+            self.write_bytes(core, base, &data[pos..pos + take], &mut run)?;
             pos += take;
         }
         self.fs.grow(m.ino, offset + data.len() as u64);
@@ -1621,58 +1478,29 @@ impl Machine {
             self.clocks[core] += FENCE_CYCLES;
             return Ok(());
         }
-        if self.batching {
-            // `clwb` never touches the controller and every write-back is
-            // issued at the same fence-pending clock, so collecting the
-            // evictions first and fanning them out as one region write is
-            // cycle-identical to the interleaved loop below.
-            let mut scratch = std::mem::take(&mut self.persist_scratch);
-            scratch.clear();
-            let mut off = offset;
-            let end = offset + len;
-            while off < end {
-                let page_idx = (off / PAGE_BYTES as u64) as usize;
-                let in_page = off % PAGE_BYTES as u64;
-                let vpn_frame = {
-                    let vpn = m.base / PAGE_BYTES as u64 + page_idx as u64;
-                    self.pt.pte(vpn).map(|p| p.frame)
-                };
-                if let Some(frame) = vpn_frame {
-                    let line = LineAddr::new(frame.get() * PAGE_BYTES as u64 + in_page);
-                    if let Some(wb) = self.hier.clwb(line) {
-                        scratch.push((PhysAddr::new(wb.addr.get()), wb.data));
-                    }
-                }
-                off = (off - in_page) + LINE_BYTES as u64 * ((in_page / LINE_BYTES as u64) + 1);
-            }
-            let res = self.ctrl.write_lines_at(self.clocks[core], &scratch);
-            scratch.clear();
-            self.persist_scratch = scratch;
-            self.clocks[core] = res? + FENCE_CYCLES;
-            return Ok(());
-        }
-        let mut fence_at = self.clocks[core];
+        // `clwb` never touches the controller and every write-back is
+        // issued at the same fence-pending clock, so the evictions are
+        // collected first and fanned out as one region write.
+        let mut scratch = std::mem::take(&mut self.persist_scratch);
+        scratch.clear();
         let mut off = offset;
         let end = offset + len;
         while off < end {
             let page_idx = (off / PAGE_BYTES as u64) as usize;
             let in_page = off % PAGE_BYTES as u64;
-            let vpn_frame = {
-                let vpn = m.base / PAGE_BYTES as u64 + page_idx as u64;
-                self.pt.pte(vpn).map(|p| p.frame)
-            };
-            if let Some(frame) = vpn_frame {
-                let line = LineAddr::new(frame.get() * PAGE_BYTES as u64 + in_page);
+            let vpn = m.base / PAGE_BYTES as u64 + page_idx as u64;
+            if let Some(pte) = self.pt.pte(vpn) {
+                let line = LineAddr::new(pte.frame.get() * PAGE_BYTES as u64 + in_page);
                 if let Some(wb) = self.hier.clwb(line) {
-                    let done = self
-                        .ctrl
-                        .write_line(self.clocks[core], PhysAddr::new(wb.addr.get()), &wb.data)?;
-                    fence_at = fence_at.max(done);
+                    scratch.push((PhysAddr::new(wb.addr.get()), wb.data));
                 }
             }
             off = (off - in_page) + LINE_BYTES as u64 * ((in_page / LINE_BYTES as u64) + 1);
         }
-        self.clocks[core] = fence_at + FENCE_CYCLES;
+        let res = self.ctrl.write_lines_at(self.clocks[core], &scratch);
+        scratch.clear();
+        self.persist_scratch = scratch;
+        self.clocks[core] = res? + FENCE_CYCLES;
         Ok(())
     }
 
@@ -1727,17 +1555,7 @@ impl Machine {
     ///
     /// Memory-path failures.
     pub fn heap_read(&mut self, core: usize, addr: u64, buf: &mut [u8]) -> Result<(), MachineError> {
-        let mut pos = 0usize;
-        while pos < buf.len() {
-            let a = addr + pos as u64;
-            let line = LineAddr::new(a);
-            let in_line = (a - line.get()) as usize;
-            let take = (LINE_BYTES - in_line).min(buf.len() - pos);
-            let data = self.load_line(core, line)?;
-            buf[pos..pos + take].copy_from_slice(&data[in_line..in_line + take]);
-            pos += take;
-        }
-        Ok(())
+        Ok(self.read_bytes(core, addr, buf, &mut RegionRun::new())?)
     }
 
     /// Writes to general memory.
@@ -1746,22 +1564,7 @@ impl Machine {
     ///
     /// Memory-path failures.
     pub fn heap_write(&mut self, core: usize, addr: u64, data: &[u8]) -> Result<(), MachineError> {
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let a = addr + pos as u64;
-            let line = LineAddr::new(a);
-            let in_line = (a - line.get()) as usize;
-            let take = (LINE_BYTES - in_line).min(data.len() - pos);
-            let mut merged = if take == LINE_BYTES {
-                [0u8; LINE_BYTES]
-            } else {
-                self.load_line(core, line)?
-            };
-            merged[in_line..in_line + take].copy_from_slice(&data[pos..pos + take]);
-            self.store_line(core, line, merged)?;
-            pos += take;
-        }
-        Ok(())
+        Ok(self.write_bytes(core, addr, data, &mut RegionRun::new())?)
     }
 
     // ------------------------------------------------------------------
@@ -1820,10 +1623,12 @@ impl Machine {
         let frame = self.resolve_page(core, m, page)?;
         let pc_base = self.pc_frame_for(m.ino, page);
         self.advance(core, self.soft_cfg.fill_overhead_cycles);
+        let mut run = RegionRun::new();
         if !self.sw_valid.contains(&(m.ino.get(), page)) {
             // Hole / fresh block: reads as zeroes without touching media.
             for blk in 0..(PAGE_BYTES / LINE_BYTES) as u64 {
-                self.store_line(core, LineAddr::new(pc_base + blk * LINE_BYTES as u64), [0u8; LINE_BYTES])?;
+                let line = LineAddr::new(pc_base + blk * LINE_BYTES as u64);
+                self.store_line(core, line, [0u8; LINE_BYTES], &mut run)?;
             }
             return Ok(());
         }
@@ -1834,11 +1639,12 @@ impl Machine {
         let t0 = self.clocks[core];
         for blk in 0..(PAGE_BYTES / LINE_BYTES) as u64 {
             let file_line = LineAddr::new(frame.get() * PAGE_BYTES as u64 + blk * LINE_BYTES as u64);
-            let cipher = self.load_line(core, file_line)?;
+            let cipher = self.load_line(core, file_line, &mut run)?;
             let pad = self.sw_pad(fek, frame, blk as u8);
             let mut plain = cipher;
             ctr::xor_in_place(&mut plain, &pad);
-            self.store_line(core, LineAddr::new(pc_base + blk * LINE_BYTES as u64), plain)?;
+            let pc_line = LineAddr::new(pc_base + blk * LINE_BYTES as u64);
+            self.store_line(core, pc_line, plain, &mut run)?;
         }
         self.clocks[core] = t0 + PAGE_COPY_CYCLES;
         self.advance(core, self.soft_cfg.page_crypt_cycles());
@@ -1855,13 +1661,15 @@ impl Machine {
             return Ok(()); // never filled: nothing to write back
         };
         let t0 = self.clocks[core];
+        let mut run = RegionRun::new();
         for blk in 0..(PAGE_BYTES / LINE_BYTES) as u64 {
-            let plain = self.load_line(core, LineAddr::new(pc_base + blk * LINE_BYTES as u64))?;
+            let pc_line = LineAddr::new(pc_base + blk * LINE_BYTES as u64);
+            let plain = self.load_line(core, pc_line, &mut run)?;
             let pad = self.sw_pad(fek, frame, blk as u8);
             let mut cipher = plain;
             ctr::xor_in_place(&mut cipher, &pad);
             let file_line = LineAddr::new(frame.get() * PAGE_BYTES as u64 + blk * LINE_BYTES as u64);
-            self.store_line(core, file_line, cipher)?;
+            self.store_line(core, file_line, cipher, &mut run)?;
             // Write the file line back (eCryptfs write-back). The write is
             // *posted*: fsync waits until the stores reach the persistence
             // domain (the controller), not until the PCM array commits.
@@ -1967,7 +1775,7 @@ impl Machine {
         record[0] = op;
         record[1..9].copy_from_slice(&self.journal_cursor.to_le_bytes());
         record[9..17].copy_from_slice(&self.elapsed().get().to_le_bytes());
-        self.store_line(core, line, record)?;
+        self.store_line(core, line, record, &mut RegionRun::new())?;
         if let Some(wb) = self.hier.clwb(line) {
             let done = self
                 .ctrl

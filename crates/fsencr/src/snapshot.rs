@@ -121,8 +121,8 @@ impl StatsSnapshot {
     }
 
     /// Accumulates `other` into `self`, field by field, including the
-    /// read-latency histogram. Used by epoch replay to stitch per-epoch
-    /// window deltas back into one figure-equivalent measurement.
+    /// read-latency histogram, so window deltas measured on separate
+    /// machines sum to one figure-equivalent measurement.
     pub fn merge(&mut self, other: &StatsSnapshot) {
         for (slot, v) in field_slots(self).into_iter().zip(field_values(other)) {
             *slot = slot.saturating_add(v);

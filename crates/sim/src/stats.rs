@@ -75,26 +75,6 @@ pub fn hit_rate(hits: u64, misses: u64) -> f64 {
     }
 }
 
-/// Throughput helper: `events` per wall-clock second over `wall`, or 0.0
-/// when no time elapsed (so cold/instant measurements stay finite).
-///
-/// # Examples
-///
-/// ```
-/// use std::time::Duration;
-/// use fsencr_sim::stats::per_second;
-/// assert_eq!(per_second(500, Duration::from_millis(250)), 2000.0);
-/// assert_eq!(per_second(500, Duration::ZERO), 0.0);
-/// ```
-pub fn per_second(events: u64, wall: std::time::Duration) -> f64 {
-    let secs = wall.as_secs_f64();
-    if secs <= 0.0 {
-        0.0
-    } else {
-        events as f64 / secs
-    }
-}
-
 /// Uniform reporting interface for component statistics.
 ///
 /// Implementors return `(name, value)` rows; the harness prefixes them with

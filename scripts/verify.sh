@@ -30,9 +30,8 @@ begin "cargo test -q --workspace"
 cargo test -q --workspace
 finish
 
-begin "batched-datapath equivalence: region ops vs legacy per-line path"
+begin "batched-datapath equivalence: region ops vs per-line controller reference"
 cargo test -q -p fsencr --test batch_equivalence
-cargo test -q -p fsencr-workloads --test batch_parity
 finish
 
 begin "batched Merkle engine: lane kernel cross-validation + region/rebuild equivalence"
@@ -63,13 +62,6 @@ finish
 
 begin "static analysis gate: cargo run -p analysis -- check"
 cargo run --release -q -p analysis -- check
-finish
-
-begin "harness bench (small scale) + schema check"
-bench_dir="$(mktemp -d)"
-(cd "$bench_dir" && "$OLDPWD/target/release/harness" bench 0.01)
-./target/release/harness bench-check "$bench_dir/BENCH_harness.json"
-rm -rf "$bench_dir"
 finish
 
 begin "seeded fault campaign: byte-identical across --jobs, zero undetected corruption"
