@@ -34,14 +34,14 @@
 //! parallelism. The figures are identical at any worker count — only the
 //! wall-clock changes.
 //!
-//! Figure subcommands memoize finished cells in `CACHE_cells.json`,
-//! keyed by a content hash of the full cell specification (config +
-//! workload parameters + crate version), so re-running an unchanged
-//! figure skips its simulations and prints byte-identical output. They
-//! also keep post-setup machine snapshots in `CACHE_snapshots/`, keyed
-//! by the setup-only parameter subset, so cells that miss the cell
-//! cache still warm-start past their setup phase. `--no-cache` disables
-//! both; deleting the files invalidates them.
+//! Figure subcommands memoize into one content-addressed store,
+//! `CACHE/` (see `fsencr_bench::store`): finished cells as `<key>.cell`,
+//! keyed by a hash of the full cell specification (config + workload
+//! parameters + crate version), so re-running an unchanged figure skips
+//! its simulations; and post-setup machine images as `<key>.setup`,
+//! keyed by the setup-only parameter subset, so cells that miss still
+//! warm-start past their setup phase. Output is byte-identical either
+//! way, a damaged entry is a miss, and `--no-cache` disables the store.
 
 #![forbid(unsafe_code)]
 
@@ -49,12 +49,13 @@ use std::time::Instant;
 
 use fsencr::machine::{Machine, MachineError, MachineOpts, SecurityMode};
 use fsencr_bench as exp;
+use fsencr_bench::store::{self, Kind};
 use fsencr_fs::{GroupId, Mode, UserId};
 use fsencr_sim::{MachineConfig, SplitMix64};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: harness [--jobs N] [--no-cache] <fig3|fig8-10|fig11|fig12-14|fig15|table1|params|list|ablation-ott|ablation-osiris|ablation-direct|ablation-partition|all> [scale]\n       harness [--jobs N] profile <fig3|fig8-10|fig11|fig12-14> [scale]\n       harness [--jobs N] faults [--seed N] [--campaign SPEC] [--out PATH]\n       harness snapshot <save|load|info> [PATH] [--seed N] [--pages N] [--mode M]\n\nFigure subcommands reuse cached cell results from CACHE_cells.json and\npost-setup machine snapshots from CACHE_snapshots/ (both\ncontent-addressed; output is byte-identical either way). `--no-cache`\ndisables both; deleting the files invalidates them.\n\n`faults` runs a deterministic fault-injection campaign and writes\nFAULTS_report.json (byte-identical at any --jobs count). SPEC is a\ncomma list like `scenarios=8,ops=64,bitrot=2,torn=1,cuts=1,stuck=1`;\nomitted knobs keep their defaults (`default` for all defaults).\n\n`snapshot save` simulates the reference setup and writes its\nfsencr-snap/1 image (default MACHINE.snap); `load` restores it; `info`\nlists its digest-chained sections without restoring."
+        "usage: harness [--jobs N] [--no-cache] <fig3|fig8-10|fig11|fig12-14|fig15|table1|params|list|ablation-ott|ablation-osiris|ablation-direct|ablation-partition|all> [scale]\n       harness [--jobs N] profile <fig3|fig8-10|fig11|fig12-14> [scale]\n       harness [--jobs N] faults [--seed N] [--campaign SPEC] [--out PATH]\n       harness snapshot <save|load|info> [PATH] [--seed N] [--pages N] [--mode M]\n\nFigure subcommands reuse finished cells and post-setup machine images\nfrom the content-addressed store CACHE/ (output is byte-identical\neither way; a damaged entry is re-simulated). `--no-cache` disables it.\n\n`faults` runs a deterministic fault-injection campaign and writes\nFAULTS_report.json (byte-identical at any --jobs count). SPEC is a\ncomma list like `scenarios=8,ops=64,bitrot=2,torn=1,cuts=1,stuck=1`;\nomitted knobs keep their defaults (`default` for all defaults).\n\n`snapshot save` simulates the reference setup and writes its\nfsencr-snap/1 image (default MACHINE.snap); `load` restores it; `info`\nlists its digest-chained sections without restoring."
     );
     std::process::exit(2);
 }
@@ -141,6 +142,27 @@ fn list() {
     }
 }
 
+/// Parses `--key V` / `--key=V` flags, in order, against `allowed`;
+/// anything else (an unknown key, a missing value) is a usage error.
+fn flags(args: &[String], allowed: &[&'static str]) -> Vec<(&'static str, String)> {
+    let mut out = Vec::new();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let (key, value) = match arg.split_once('=') {
+            Some((key, value)) => (key, value.to_string()),
+            None => (
+                arg.as_str(),
+                rest.next().cloned().unwrap_or_else(|| usage()),
+            ),
+        };
+        let Some(&key) = allowed.iter().find(|&&k| k == key) else {
+            usage()
+        };
+        out.push((key, value));
+    }
+    out
+}
+
 /// `harness faults`: runs a deterministic fault-injection campaign and
 /// writes `FAULTS_report.json`. Exits non-zero if any in-coverage
 /// corruption went undetected — the report is a pass/fail artifact, not
@@ -149,29 +171,11 @@ fn faults(args: &[String]) {
     let mut seed: u64 = 42;
     let mut spec_str = String::from("default");
     let mut out_path = String::from("FAULTS_report.json");
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        let mut take = |key: &str| -> Option<String> {
-            if arg == key {
-                let v = args.get(i + 1).cloned().unwrap_or_else(|| usage());
-                i += 2;
-                Some(v)
-            } else if let Some(v) = arg.strip_prefix(&format!("{key}=")) {
-                i += 1;
-                Some(v.to_string())
-            } else {
-                None
-            }
-        };
-        if let Some(v) = take("--seed") {
-            seed = v.parse().unwrap_or_else(|_| usage());
-        } else if let Some(v) = take("--campaign") {
-            spec_str = v;
-        } else if let Some(v) = take("--out") {
-            out_path = v;
-        } else {
-            usage();
+    for (key, v) in flags(args, &["--seed", "--campaign", "--out"]) {
+        match key {
+            "--seed" => seed = v.parse().unwrap_or_else(|_| usage()),
+            "--campaign" => spec_str = v,
+            _ => out_path = v,
         }
     }
     let spec: fsencr_faults::CampaignSpec = spec_str.parse().unwrap_or_else(|e| {
@@ -243,33 +247,15 @@ fn snapshot_cmd(args: &[String]) {
         .get(1)
         .filter(|a| !a.starts_with("--"))
         .map_or("MACHINE.snap", String::as_str);
-    let flags = if args.get(1).is_some_and(|a| !a.starts_with("--")) { &args[2..] } else { &args[1..] };
+    let rest = if args.get(1).is_some_and(|a| !a.starts_with("--")) { &args[2..] } else { &args[1..] };
     let mut seed: u64 = 0x57AB;
     let mut pages: u64 = 128;
     let mut mode = SecurityMode::FsEncr;
-    let mut i = 0;
-    while i < flags.len() {
-        let arg = flags[i].as_str();
-        let mut take = |key: &str| -> Option<String> {
-            if arg == key {
-                let v = flags.get(i + 1).cloned().unwrap_or_else(|| usage());
-                i += 2;
-                Some(v)
-            } else if let Some(v) = arg.strip_prefix(&format!("{key}=")) {
-                i += 1;
-                Some(v.to_string())
-            } else {
-                None
-            }
-        };
-        if let Some(v) = take("--seed") {
-            seed = v.parse().unwrap_or_else(|_| usage());
-        } else if let Some(v) = take("--pages") {
-            pages = v.parse().unwrap_or_else(|_| usage());
-        } else if let Some(v) = take("--mode") {
-            mode = parse_mode(&v);
-        } else {
-            usage();
+    for (key, v) in flags(rest, &["--seed", "--pages", "--mode"]) {
+        match key {
+            "--seed" => seed = v.parse().unwrap_or_else(|_| usage()),
+            "--pages" => pages = v.parse().unwrap_or_else(|_| usage()),
+            _ => mode = parse_mode(&v),
         }
     }
     let opts = MachineOpts::small_test();
@@ -405,7 +391,7 @@ fn main() {
     }
     let scale = parse_scale(args.get(1), 1.0);
 
-    // The cell cache serves figure subcommands only; `profile` keeps it
+    // The store serves figure subcommands only; `profile` keeps it
     // disabled because it needs the observer to actually run.
     let cacheable = matches!(
         which.as_str(),
@@ -415,8 +401,7 @@ fn main() {
     );
     let use_cache = cacheable && !no_cache;
     if use_cache {
-        exp::cellcache::configure(Some(std::path::PathBuf::from("CACHE_cells.json")));
-        exp::snapstore::configure(Some(std::path::PathBuf::from("CACHE_snapshots")));
+        store::configure(Some(std::path::PathBuf::from("CACHE")));
     }
 
     let t0 = Instant::now();
@@ -462,20 +447,14 @@ fn main() {
         _ => usage(),
     }
     if use_cache {
-        let (hits, misses) = exp::cellcache::counters();
-        if let Err(e) = exp::cellcache::persist() {
-            eprintln!("[cache] warning: {e}");
-        }
+        let (cell_hits, cell_misses) = store::counters(Kind::Cell);
+        let (setup_hits, setup_misses) = store::counters(Kind::Setup);
         eprintln!(
-            "[cache] {hits} hits, {misses} misses ({} cells in CACHE_cells.json)",
-            exp::cellcache::len()
+            "[store] cell {cell_hits} hits / {cell_misses} misses, setup {setup_hits} hits / \
+             {setup_misses} misses, {} entries written to CACHE/",
+            store::stores()
         );
-        exp::cellcache::configure(None);
-        let (shits, smisses, sstores) = exp::snapstore::counters();
-        eprintln!(
-            "[snapstore] {shits} warm starts, {smisses} cold setups, {sstores} snapshots stored"
-        );
-        exp::snapstore::configure(None);
+        store::configure(None);
     }
     eprintln!("[harness] completed in {:.1?}", t0.elapsed());
 }

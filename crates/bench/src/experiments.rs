@@ -16,9 +16,8 @@ use fsencr_workloads::driver::{run_workload, run_workload_warm, Workload};
 use fsencr_workloads::pmemkv::{DbBench, PmemKv};
 use fsencr_workloads::whisper::{CtreeBench, HashmapBench, Ycsb};
 
-use crate::cellcache;
 use crate::pool;
-use crate::snapstore;
+use crate::store::{self, Kind};
 use crate::table::Figure;
 
 use fsencr::machine::Machine;
@@ -52,50 +51,55 @@ struct Cell<'a> {
 /// Runs every cell (concurrently when the pool has more than one worker)
 /// and returns the stats in the cells' submission order.
 ///
-/// When the [`cellcache`] is enabled, a cell whose content-addressed key
-/// is already cached returns the stored (bit-identical) stats and skips
-/// the simulation. Fresh results are stored back; the harness persists
-/// the cache after the figure completes.
-///
-/// When the [`snapstore`] is enabled, a cell that misses the cell cache
-/// still tries to restore its post-setup machine image (keyed by
-/// [`Workload::setup_spec`]) and skip the simulated setup; a cold setup
-/// by a warm-start-capable workload deposits a fresh snapshot for later
-/// cells and runs. Warm and cold paths measure bit-identically (see the
-/// `warm_start` suite), so figure bytes never depend on the store.
+/// When the [`store`] is enabled, a cell whose [`Kind::Cell`] entry is
+/// present and intact returns the stored (bit-identical) stats and skips
+/// the simulation. A cell that misses still tries to restore its
+/// [`Kind::Setup`] image (keyed by [`Workload::setup_spec`]) and skip the
+/// simulated setup; a cold setup by a warm-start-capable workload
+/// deposits a fresh image for later cells. Warm and cold paths measure
+/// bit-identically (see the `warm_start` suite), so figure bytes never
+/// depend on the store.
 fn run_cells(cells: Vec<Cell<'_>>) -> Vec<RunStats> {
     let tasks: Vec<_> = cells
         .into_iter()
         .map(|cell| {
             move || {
                 let mut workload = (cell.factory)();
-                let key = cellcache::cell_key(
+                let key = store::key(
+                    Kind::Cell,
                     &cell.label,
                     cell.mode,
                     &cell.opts,
                     &workload.spec(),
                 );
-                if let Some(stats) = cellcache::lookup(&key) {
+                let cached = store::get(Kind::Cell, &key).and_then(|b| store::cell_stats(&b).ok());
+                store::count(Kind::Cell, cached.is_some());
+                if let Some(stats) = cached {
                     return stats;
                 }
-                if !snapstore::is_enabled() {
-                    let stats = run_with(cell.opts, cell.mode, workload.as_mut());
-                    cellcache::store(&key, &stats);
-                    return stats;
+                if !store::is_enabled() {
+                    return run_with(cell.opts, cell.mode, workload.as_mut());
                 }
-                let skey =
-                    snapstore::snap_key(cell.mode, &cell.opts, &workload.setup_spec());
-                let snap = snapstore::lookup(&skey);
+                // Setups are shared across cells, so their key has no label.
+                let skey = store::key(
+                    Kind::Setup,
+                    "",
+                    cell.mode,
+                    &cell.opts,
+                    &workload.setup_spec(),
+                );
+                let snap = store::get(Kind::Setup, &skey);
                 let warm =
                     run_workload_warm(cell.opts, cell.mode, workload.as_mut(), snap.as_deref())
                         .unwrap_or_else(|e| {
                             panic!("{} under {}: {e}", cell.label, cell.mode)
                         });
-                let stats = warm.result.stats;
+                store::count(Kind::Setup, warm.warm);
                 if let Some(bytes) = warm.snapshot {
-                    snapstore::store(&skey, &bytes);
+                    store::put(Kind::Setup, &skey, &bytes);
                 }
-                cellcache::store(&key, &stats);
+                let stats = warm.result.stats;
+                store::put(Kind::Cell, &key, &store::cell_bytes(&stats));
                 stats
             }
         })
@@ -206,35 +210,40 @@ pub struct ProfileCellSpec {
     pub factory: std::sync::Arc<Factory>,
 }
 
+/// The cell matrix of a paper figure: its workload rows and the security
+/// modes every row runs under. The figure and its profile both read it.
+/// `None` for subcommands without one (`table1`, `fig15`, ablations).
+fn matrix(fig: &str, scale: f64) -> Option<(Vec<(String, Factory)>, &'static [SecurityMode])> {
+    use SecurityMode::{FsEncr, MemoryOnly, Software, Unencrypted};
+    Some(match fig {
+        "fig3" => (whisper_factories(scale), &[Unencrypted, Software]),
+        "fig8" | "fig9" | "fig10" | "fig8-10" => (pmemkv_factories(scale), &[MemoryOnly, FsEncr]),
+        "fig11" => (
+            whisper_factories(scale),
+            &[Unencrypted, MemoryOnly, FsEncr, Software],
+        ),
+        "fig12" | "fig13" | "fig14" | "fig12-14" => {
+            (daxmicro_factories(scale), &[MemoryOnly, FsEncr])
+        }
+        _ => return None,
+    })
+}
+
+/// Runs the cell matrix of `fig` and returns its row labels and stats:
+/// `stats[i * modes + j]` is row `i` under the matrix's mode `j`.
+fn run_matrix(fig: &str, scale: f64) -> (Vec<String>, Vec<RunStats>) {
+    let (factories, modes) =
+        matrix(fig, scale).unwrap_or_else(|| panic!("{fig} has no cell matrix"));
+    let stats = run_cells(mode_cells(&factories, modes));
+    (factories.into_iter().map(|(name, _)| name).collect(), stats)
+}
+
 /// The cell list of `fig` at `scale`, in the same deterministic
 /// workload-major order the figure itself runs them. Returns `None` for
 /// subcommands without a profilable workload/mode matrix (`table1`,
 /// `fig15`, ablations).
 pub fn profile_cells(fig: &str, scale: f64) -> Option<Vec<ProfileCellSpec>> {
-    let (factories, modes): (Vec<(String, Factory)>, Vec<SecurityMode>) = match fig {
-        "fig3" => (
-            whisper_factories(scale),
-            vec![SecurityMode::Unencrypted, SecurityMode::Software],
-        ),
-        "fig8" | "fig9" | "fig10" | "fig8-10" => (
-            pmemkv_factories(scale),
-            vec![SecurityMode::MemoryOnly, SecurityMode::FsEncr],
-        ),
-        "fig11" => (
-            whisper_factories(scale),
-            vec![
-                SecurityMode::Unencrypted,
-                SecurityMode::MemoryOnly,
-                SecurityMode::FsEncr,
-                SecurityMode::Software,
-            ],
-        ),
-        "fig12" | "fig13" | "fig14" | "fig12-14" => (
-            daxmicro_factories(scale),
-            vec![SecurityMode::MemoryOnly, SecurityMode::FsEncr],
-        ),
-        _ => return None,
-    };
+    let (factories, modes) = matrix(fig, scale)?;
     Some(
         factories
             .into_iter()
@@ -254,19 +263,15 @@ pub fn profile_cells(fig: &str, scale: f64) -> Option<Vec<ProfileCellSpec>> {
 /// Figure 3: slowdown of software filesystem encryption (eCryptfs model)
 /// over plain ext4-DAX, Whisper benchmarks.
 pub fn fig3(scale: f64) -> Figure {
-    let factories = whisper_factories(scale);
-    let stats = run_cells(mode_cells(
-        &factories,
-        &[SecurityMode::Unencrypted, SecurityMode::Software],
-    ));
+    let (names, stats) = run_matrix("fig3", scale);
     let mut fig = Figure::new(
         "Figure 3: software-encryption slowdown (normalized to ext4-dax)",
         vec!["slowdown".to_string()],
     );
-    for (i, (name, _)) in factories.iter().enumerate() {
+    for (i, name) in names.into_iter().enumerate() {
         let dax = stats[2 * i];
         let soft = stats[2 * i + 1];
-        fig.push(name.clone(), vec![soft.cycles as f64 / dax.cycles as f64]);
+        fig.push(name, vec![soft.cycles as f64 / dax.cycles as f64]);
     }
     fig
 }
@@ -303,18 +308,14 @@ fn normalized_from(
     (slow, writes, reads)
 }
 
-fn normalized_figures(
-    tag: &str,
-    factories: Vec<(String, Factory)>,
-) -> (Figure, Figure, Figure) {
-    let stats = run_cells(mode_cells(
-        &factories,
-        &[SecurityMode::MemoryOnly, SecurityMode::FsEncr],
-    ));
-    let rows = factories
-        .iter()
+/// Runs the `(baseline security, FsEncr)` matrix of `fig` and assembles
+/// its normalized triple.
+fn normalized_figures(tag: &str, fig: &str, scale: f64) -> (Figure, Figure, Figure) {
+    let (names, stats) = run_matrix(fig, scale);
+    let rows = names
+        .into_iter()
         .enumerate()
-        .map(|(i, (name, _))| (name.clone(), stats[2 * i], stats[2 * i + 1]))
+        .map(|(i, name)| (name, stats[2 * i], stats[2 * i + 1]))
         .collect();
     normalized_from(tag, rows)
 }
@@ -322,7 +323,7 @@ fn normalized_figures(
 /// Figures 8, 9, 10: PMEMKV slowdown / writes / reads, FsEncr normalized
 /// to baseline security.
 pub fn fig8_9_10(scale: f64) -> (Figure, Figure, Figure) {
-    normalized_figures("Figures 8-10 (PMEMKV)", pmemkv_factories(scale))
+    normalized_figures("Figures 8-10 (PMEMKV)", "fig8-10", scale)
 }
 
 /// Figure 11 (a,b,c): Whisper slowdown / writes / reads, plus the
@@ -330,31 +331,25 @@ pub fn fig8_9_10(scale: f64) -> (Figure, Figure, Figure) {
 /// reduction). All four security modes run once per workload and the four
 /// figures are assembled from that single matrix.
 pub fn fig11(scale: f64) -> (Figure, Figure, Figure, Figure) {
-    let factories = whisper_factories(scale);
-    let modes = [
-        SecurityMode::Unencrypted,
-        SecurityMode::MemoryOnly,
-        SecurityMode::FsEncr,
-        SecurityMode::Software,
-    ];
-    let stats = run_cells(mode_cells(&factories, &modes));
-    let row = |i: usize, j: usize| stats[i * modes.len() + j];
-    let rows = factories
+    let (names, stats) = run_matrix("fig11", scale);
+    // The matrix's modes: ext4-dax, baseline security, FsEncr, software.
+    let row = |i: usize, j: usize| stats[i * 4 + j];
+    let rows = names
         .iter()
         .enumerate()
-        .map(|(i, (name, _))| (name.clone(), row(i, 1), row(i, 2)))
+        .map(|(i, name)| (name.clone(), row(i, 1), row(i, 2)))
         .collect();
     let (slow, writes, reads) = normalized_from("Figure 11 (Whisper)", rows);
     let mut reduction = Figure::new(
         "Figure 11 (text): FsEncr reduction of filesystem-encryption overhead vs software [%]",
         vec!["reduction %".to_string()],
     );
-    for (i, (name, _)) in factories.iter().enumerate() {
+    for (i, name) in names.into_iter().enumerate() {
         let (dax, base, fse, soft) = (row(i, 0), row(i, 1), row(i, 2), row(i, 3));
         let ov_soft = soft.cycles as f64 / dax.cycles as f64 - 1.0;
         let ov_fse = (fse.cycles as f64 / base.cycles as f64 - 1.0).max(0.0);
         let red = 100.0 * (1.0 - ov_fse / ov_soft.max(1e-9));
-        reduction.push(name.clone(), vec![red]);
+        reduction.push(name, vec![red]);
     }
     (slow, writes, reads, reduction)
 }
@@ -362,7 +357,7 @@ pub fn fig11(scale: f64) -> (Figure, Figure, Figure, Figure) {
 /// Figures 12, 13, 14: synthetic DAX micro-benchmarks, FsEncr normalized
 /// to baseline security.
 pub fn fig12_13_14(scale: f64) -> (Figure, Figure, Figure) {
-    normalized_figures("Figures 12-14 (DAX micro)", daxmicro_factories(scale))
+    normalized_figures("Figures 12-14 (DAX micro)", "fig12-14", scale)
 }
 
 /// Figure 15: sensitivity of FsEncr overhead to metadata-cache size for

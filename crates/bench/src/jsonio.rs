@@ -1,9 +1,8 @@
 //! Minimal JSON reader for the harness's own on-disk artifacts.
 //!
-//! The workspace is offline (no serde). The harness writes and re-reads
-//! the content-addressed cell cache (`CACHE_cells.json`), and the
-//! `benchmark/` package reads its expected cells and the fault-campaign
-//! report through this parser. It covers exactly the JSON those writers emit — objects, arrays, strings with `\`
+//! The workspace is offline (no serde). The `benchmark/` package reads
+//! its expected cells and the fault-campaign report through this parser.
+//! It covers exactly the JSON those writers emit — objects, arrays, strings with `\`
 //! escapes, numbers, booleans, null — and keeps numbers as their source
 //! text so 64-bit integers (e.g. `f64::to_bits` round-trips) survive
 //! without a lossy trip through `f64`.

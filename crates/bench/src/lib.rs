@@ -14,14 +14,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cellcache;
 pub mod experiments;
 pub mod faultcamp;
 pub mod jsonio;
 pub use fsencr_sim::pool;
 pub mod profile;
 pub mod shell;
-pub mod snapstore;
+pub mod store;
 pub mod table;
 
 pub use experiments::*;

@@ -11,8 +11,7 @@
 
 use fsencr::machine::SecurityMode;
 use fsencr::snapshot::StatsSnapshot;
-use fsencr::trace::{TraceEvent, TraceKind};
-use fsencr_obs::Observer;
+use fsencr_obs::{json_string, Observer};
 use fsencr_workloads::driver::profile_workload;
 
 use crate::experiments::{profile_cells, ProfileCellSpec};
@@ -31,11 +30,10 @@ pub struct ProfiledCell {
     pub mode: SecurityMode,
     /// The measurement window as a raw counter delta.
     pub window: StatsSnapshot,
-    /// The run-phase observer (metrics + spans).
+    /// The run-phase observer: metrics, datapath spans and the machine
+    /// lifecycle events (page faults, key installs, shreds) as
+    /// `machine`-category spans.
     pub observer: Observer,
-    /// Machine-level trace events (page faults, key installs, shreds)
-    /// recorded over the same window.
-    pub trace: Vec<TraceEvent>,
     /// Merkle batch-planner plans built over the run (host-side).
     pub batch_plans: u64,
     /// Digests the planner seeded into those plans.
@@ -73,7 +71,6 @@ pub fn profile(fig: &str, scale: f64, span_capacity: usize) -> Option<ProfileRep
                     mode: spec.mode,
                     window: run.window,
                     observer: run.observer,
-                    trace: run.trace,
                     batch_plans: run.plan_stats.0,
                     batch_digests_seeded: run.plan_stats.1,
                 }
@@ -87,21 +84,14 @@ pub fn profile(fig: &str, scale: f64, span_capacity: usize) -> Option<ProfileRep
     })
 }
 
-fn trace_name(kind: &TraceKind) -> &'static str {
-    match kind {
-        TraceKind::PageFault { .. } => "page_fault",
-        TraceKind::KeyInstall { .. } => "key_install",
-        TraceKind::KeyRemove { .. } => "key_remove",
-        TraceKind::Shred { .. } => "shred",
-        TraceKind::Journal { .. } => "journal",
-        TraceKind::Crash => "crash",
-        TraceKind::Recover { .. } => "recover",
-    }
-}
-
 impl ProfiledCell {
     fn header(&self) -> String {
         format!("{} [{}]", self.label, self.mode)
+    }
+
+    /// Recorded machine lifecycle events (`machine`-category spans).
+    fn machine_events(&self) -> usize {
+        self.observer.spans().filter(|s| s.cat == "machine").count()
     }
 
     /// The attribution groups the paper's datapath story names, derived
@@ -177,7 +167,7 @@ impl ProfileReport {
                 "  spans: {} recorded, {} dropped; machine trace events: {}\n",
                 cell.observer.spans().count(),
                 cell.observer.spans_dropped(),
-                cell.trace.len()
+                cell.machine_events()
             ));
         }
         out
@@ -216,7 +206,7 @@ impl ProfileReport {
                 cell.batch_digests_seeded,
                 cell.observer.spans().count(),
                 cell.observer.spans_dropped(),
-                cell.trace.len()
+                cell.machine_events()
             ));
         }
         format!(
@@ -228,7 +218,9 @@ impl ProfileReport {
     }
 
     /// `chrome://tracing` / Perfetto export: one process per cell (pid =
-    /// cell index + 1, named by a metadata event), spans in record order.
+    /// cell index + 1, named by a metadata event), spans in record order —
+    /// machine lifecycle events are zero-length spans on the same
+    /// timeline.
     pub fn to_chrome_trace(&self) -> String {
         let mut out = String::from("[");
         let mut first = true;
@@ -254,16 +246,6 @@ impl ProfileReport {
                     s.arg
                 ));
             }
-            // Machine-level events (page faults, key installs, shreds)
-            // appear as instant markers on the same timeline.
-            for e in &cell.trace {
-                out.push_str(&format!(
-                    ",\n  {{\"name\": \"{}\", \"cat\": \"machine\", \"ph\": \"i\", \"pid\": {}, \"tid\": 1, \"ts\": {}, \"s\": \"t\"}}",
-                    trace_name(&e.kind),
-                    pid,
-                    e.at.get()
-                ));
-            }
         }
         out.push_str("\n]\n");
         out
@@ -279,24 +261,6 @@ fn json_f64(v: f64) -> String {
     } else {
         "0.0".to_string()
     }
-}
-
-/// Escapes a string as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -344,19 +308,18 @@ mod tests {
     }
 
     #[test]
-    fn json_scalars_are_escaped_and_finite() {
-        assert_eq!(json_string("a\"b\\c\nd\te\u{1}"), "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
+    fn json_scalars_are_finite() {
         assert_eq!(json_f64(4.0), "4.000000");
         assert_eq!(json_f64(f64::NAN), "0.0");
         assert_eq!(json_f64(f64::INFINITY), "0.0");
     }
 
     #[test]
-    fn machine_events_render_as_instant_markers() {
-        use fsencr_sim::Cycle;
+    fn machine_events_render_as_machine_spans() {
         let mut obs = Observer::default();
         obs.enable(4);
         obs.span("ctrl", "read_line", 10, 25, 64);
+        obs.span("machine", "shred", 17, 17, 3);
         let report = ProfileReport {
             figure: "synthetic".to_string(),
             scale: 1.0,
@@ -365,20 +328,17 @@ mod tests {
                 mode: SecurityMode::FsEncr,
                 window: StatsSnapshot::default(),
                 observer: obs,
-                trace: vec![TraceEvent {
-                    at: Cycle::new(17),
-                    kind: TraceKind::Shred { frame: 3 },
-                }],
                 batch_plans: 2,
                 batch_digests_seeded: 5,
             }],
         };
         let trace = report.to_chrome_trace();
         assert!(
-            trace.contains("\"name\": \"shred\", \"cat\": \"machine\", \"ph\": \"i\", \"pid\": 1, \"tid\": 1, \"ts\": 17"),
+            trace.contains("\"name\": \"shred\", \"cat\": \"machine\", \"ph\": \"X\", \"pid\": 1, \"tid\": 1, \"ts\": 17, \"dur\": 0, \"args\": {\"arg\": 3}"),
             "{trace}"
         );
-        assert!(trace.contains("\"ph\": \"X\""), "{trace}");
+        assert!(trace.contains("\"name\": \"read_line\", \"cat\": \"ctrl\""), "{trace}");
+        assert!(report.to_json().contains("\"spans_recorded\": 2"));
         assert!(report.to_json().contains("\"trace_events\": 1"));
         assert!(report.to_json().contains("\"batch_plans\": 2"));
         assert!(report.to_json().contains("\"batch_digests_seeded\": 5"));

@@ -39,11 +39,48 @@ fn malformed_operands_are_usage_errors() {
         &["profile", "fig3", "-1"],
         &["bench"],
         &["bench-check"],
+        &["--jobs", "0", "fig3", "0.01"],
+        &["faults", "--seed", "x"],
+        &["faults", "--bogus", "1"],
+        &["snapshot", "frob"],
+        &["snapshot", "--pages", "x", "save"],
+        &["snapshot", "save", "--pages=x"],
     ] {
         let out = harness(&cwd, args);
         assert_exit(&out, 2, args);
         assert!(
             String::from_utf8_lossy(&out.stderr).contains("usage: harness"),
+            "{args:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&cwd);
+}
+
+#[test]
+fn bad_campaign_spec_is_a_usage_error() {
+    let cwd = scratch_dir("campaign");
+    let args = ["faults", "--campaign", "bogus=1"];
+    let out = harness(&cwd, &args);
+    assert_exit(&out, 2, &args);
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("bad --campaign"),
+        "{out:?}"
+    );
+    let _ = std::fs::remove_dir_all(&cwd);
+}
+
+#[test]
+fn unreadable_snapshots_exit_one() {
+    let cwd = scratch_dir("snapshot");
+    std::fs::write(cwd.join("garbage.snap"), b"not a snapshot").expect("write garbage");
+    for args in [
+        &["snapshot", "load", "garbage.snap"][..],
+        &["snapshot", "info", "missing.snap"],
+    ] {
+        let out = harness(&cwd, args);
+        assert_exit(&out, 1, args);
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("[snapshot]"),
             "{args:?}"
         );
     }

@@ -488,6 +488,11 @@ impl MemoryController {
         &self.obs
     }
 
+    /// The observer, for the machine's lifecycle events.
+    pub(crate) fn obs_mut(&mut self) -> &mut Observer {
+        &mut self.obs
+    }
+
     /// The on-chip Merkle root register authenticating all metadata.
     pub fn merkle_root(&self) -> [u8; 8] {
         self.meta.root()

@@ -55,7 +55,6 @@ pub mod security;
 pub mod snapshot;
 pub mod spill;
 pub mod tlb;
-pub mod trace;
 
 pub(crate) use controller::batch::RegionRun;
 pub use controller::{CtrlStats, IntegrityError, MemError, MemoryController, ModuleEnvelope};

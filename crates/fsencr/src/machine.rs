@@ -34,7 +34,6 @@ use fsencr_obs::Observer;
 use crate::controller::{CtrlMode, MemError, MemoryController, ModuleEnvelope, RecoveryReport};
 use crate::snapshot::StatsSnapshot;
 use crate::tlb::{Tlb, PAGE_WALK_CYCLES, TLB_ENTRIES};
-use crate::trace::{TraceKind, Tracer};
 use crate::RegionRun;
 
 /// Kernel cycles charged per minor page fault (trap, fault handler,
@@ -344,6 +343,11 @@ pub struct RunStats {
 const MAP_STRIDE: u64 = 1 << 30;
 const MAP_BASE: u64 = 1 << 40;
 
+/// The `arg` of a per-file machine event: `(gid << 32) | fid`.
+fn file_tag(gid: u32, fid: u32) -> u64 {
+    (u64::from(gid) << 32) | u64::from(fid)
+}
+
 /// The physically travelling half of a module transfer: the DIMM with its
 /// contents (including the on-media filesystem image) and its ECC lanes.
 #[derive(Debug)]
@@ -396,7 +400,6 @@ pub struct Machine {
     mem_key: Key128,
     journal_cursor: u64,
     tlbs: Vec<Tlb>,
-    tracer: Tracer,
     baseline: StatsSnapshot,
     /// Reused write-back collection buffer for batched persists.
     persist_scratch: Vec<(PhysAddr, [u8; LINE_BYTES])>,
@@ -472,21 +475,9 @@ impl Machine {
             mem_key,
             journal_cursor: 0,
             tlbs: (0..cores).map(|_| Tlb::new(TLB_ENTRIES)).collect(),
-            tracer: Tracer::new(),
             baseline: StatsSnapshot::default(),
             persist_scratch: Vec::new(),
         }
-    }
-
-    /// Enables event tracing with a bounded buffer (see
-    /// [`crate::trace::Tracer`]).
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.tracer.enable(capacity);
-    }
-
-    /// The recorded trace events, oldest first.
-    pub fn trace(&self) -> Vec<crate::trace::TraceEvent> {
-        self.tracer.events().copied().collect()
     }
 
     /// The machine's security mode.
@@ -644,7 +635,7 @@ impl Machine {
     /// bytes with [`Machine::restore_snapshot`] (under the same options
     /// and mode) continues bit-identically — same simulated cycles, same
     /// media, same Merkle root, same statistics — as one that never
-    /// stopped. Host-side accelerators (tracer, schedule caches, scratch
+    /// stopped. Host-side accelerators (schedule caches, scratch
     /// buffers, observers, oracles) are rebuilt cold; the batch- and
     /// observer-equivalence suites prove them cycle-neutral.
     ///
@@ -890,7 +881,6 @@ impl Machine {
             mem_key,
             journal_cursor,
             tlbs,
-            tracer: Tracer::new(),
             baseline,
             persist_scratch: Vec::new(),
         })
@@ -916,6 +906,14 @@ impl Machine {
     /// The controller's observer (metrics + recorded spans).
     pub fn observer(&self) -> &Observer {
         self.ctrl.observer()
+    }
+
+    /// Records a lifecycle event (page fault, key install/remove, shred,
+    /// journal record, crash, recovery) as a zero-length `machine` span
+    /// on the observer, so it shares one timeline with the datapath
+    /// spans. Costs one branch while the observer is disabled.
+    fn event(&mut self, name: &'static str, at: Cycle, arg: u64) {
+        self.ctrl.obs_mut().span("machine", name, at.get(), at.get(), arg);
     }
 
     // ------------------------------------------------------------------
@@ -970,13 +968,7 @@ impl Machine {
         if self.mode == SecurityMode::FsEncr {
             if let Some(fek) = handle.fek {
                 let at = self.clocks[0];
-                self.tracer.record(
-                    at,
-                    TraceKind::KeyInstall {
-                        gid: handle.group.get(),
-                        fid: handle.ino.get(),
-                    },
-                );
+                self.event("key_install", at, file_tag(handle.group.get(), handle.ino.get()));
                 self.clocks[0] += MMIO_CYCLES;
                 let done =
                     self.ctrl
@@ -1005,7 +997,7 @@ impl Machine {
                 self.hier.clflush(line); // discard: content is being shredded
             }
             if self.mode != SecurityMode::Unencrypted {
-                self.tracer.record(t, TraceKind::Shred { frame: frame.get() });
+                self.event("shred", t, frame.get());
                 t = self.ctrl.shred_page(t, *frame)?;
             }
             self.ctrl.clear_file_page(*frame);
@@ -1016,13 +1008,7 @@ impl Machine {
             tlb.flush();
         }
         if un.was_encrypted && self.mode == SecurityMode::FsEncr {
-            self.tracer.record(
-                t,
-                TraceKind::KeyRemove {
-                    gid: un.group.get(),
-                    fid: un.ino.get(),
-                },
-            );
+            self.event("key_remove", t, file_tag(un.group.get(), un.ino.get()));
             t = self.ctrl.remove_key(t, un.group.get(), un.ino.get())?;
         }
         self.clocks[0] = t;
@@ -1228,14 +1214,7 @@ impl Machine {
         self.pt.map(vpn, Pte { frame: pf.frame, df });
         self.tlbs[core].insert(vpn, Pte { frame: pf.frame, df });
         let at = self.clocks[core];
-        self.tracer.record(
-            at,
-            TraceKind::PageFault {
-                frame: pf.frame.get(),
-                gid: pf.group.get(),
-                fid: pf.ino.get(),
-            },
-        );
+        self.event("page_fault", at, pf.frame.get());
         if pf.newly_allocated {
             self.journal_op(core, 6)?;
             // The kernel zeroes freshly allocated file blocks *durably*
@@ -1770,7 +1749,7 @@ impl Machine {
         let line = LineAddr::new(ring_base + (self.journal_cursor % ring_lines) * LINE_BYTES as u64);
         self.journal_cursor += 1;
         let at = self.elapsed();
-        self.tracer.record(at, TraceKind::Journal { op });
+        self.event("journal", at, u64::from(op));
         let mut record = [0u8; LINE_BYTES];
         record[0] = op;
         record[1..9].copy_from_slice(&self.journal_cursor.to_le_bytes());
@@ -1976,7 +1955,7 @@ impl Machine {
     /// cache) vanishes; page tables and mappings die with the processes.
     pub fn crash(&mut self) {
         let at = self.elapsed();
-        self.tracer.record(at, TraceKind::Crash);
+        self.event("crash", at, 0);
         self.hier.drop_all();
         self.ctrl.crash();
         self.pc_frames.clear();
@@ -1993,13 +1972,7 @@ impl Machine {
     pub fn recover(&mut self) -> RecoveryReport {
         let report = self.ctrl.recover();
         let at = self.elapsed();
-        self.tracer.record(
-            at,
-            TraceKind::Recover {
-                repaired: report.repaired,
-                unrecoverable: report.unrecoverable,
-            },
-        );
+        self.event("recover", at, report.unrecoverable);
         report
     }
 }

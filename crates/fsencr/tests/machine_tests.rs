@@ -462,10 +462,9 @@ fn rename_keeps_content_and_keys() {
 }
 
 #[test]
-fn trace_records_lifecycle_in_order() {
-    use fsencr::trace::TraceKind;
+fn machine_events_record_lifecycle_in_order() {
     let mut m = machine(SecurityMode::FsEncr);
-    m.enable_trace(64);
+    m.enable_observer(1 << 12);
     let h = m.create(ALICE, STAFF, "traced", Mode::PRIVATE, Some("pw")).unwrap();
     let map = m.mmap(&h).unwrap();
     m.write(0, map, 0, b"x").unwrap();
@@ -473,25 +472,25 @@ fn trace_records_lifecycle_in_order() {
     m.munmap(0, map).unwrap();
     m.unlink(ALICE, "traced").unwrap();
     m.crash();
-    m.recover();
+    let report = m.recover();
 
-    let kinds: Vec<_> = m.trace().iter().map(|e| e.kind).collect();
-    let pos = |pred: &dyn Fn(&TraceKind) -> bool| kinds.iter().position(|k| pred(k));
-    let install = pos(&|k| matches!(k, TraceKind::KeyInstall { .. })).expect("install");
-    let fault = pos(&|k| matches!(k, TraceKind::PageFault { .. })).expect("fault");
-    let shred = pos(&|k| matches!(k, TraceKind::Shred { .. })).expect("shred");
-    let remove = pos(&|k| matches!(k, TraceKind::KeyRemove { .. })).expect("remove");
-    let crash = pos(&|k| matches!(k, TraceKind::Crash)).expect("crash");
-    let recover = pos(&|k| matches!(k, TraceKind::Recover { .. })).expect("recover");
+    assert_eq!(m.observer().spans_dropped(), 0);
+    let events: Vec<_> = m.observer().spans().filter(|s| s.cat == "machine").copied().collect();
+    let pos = |name: &str| events.iter().position(|e| e.name == name);
+    let install = pos("key_install").expect("install");
+    let fault = pos("page_fault").expect("fault");
+    let shred = pos("shred").expect("shred");
+    let remove = pos("key_remove").expect("remove");
+    let crash = pos("crash").expect("crash");
+    let recover = pos("recover").expect("recover");
     assert!(install < fault, "key installed before first access");
     assert!(fault < shred && shred < remove, "deletion after use");
     assert!(crash < recover);
-    // Timestamps are monotone.
-    let times: Vec<u64> = m.trace().iter().map(|e| e.at.get()).collect();
+    // Events are zero-length and their timestamps are monotone.
+    assert!(events.iter().all(|e| e.duration() == 0));
+    let times: Vec<u64> = events.iter().map(|e| e.begin).collect();
     assert!(times.windows(2).all(|w| w[0] <= w[1]), "{times:?}");
     // Recovery found nothing unrecoverable.
-    assert!(kinds.iter().any(|k| matches!(
-        k,
-        TraceKind::Recover { unrecoverable: 0, .. }
-    )));
+    assert_eq!(events[recover].arg, 0);
+    assert_eq!(report.unrecoverable, 0);
 }

@@ -18,7 +18,9 @@
 //! cycles supplied by the caller, so output is byte-identical at any
 //! `--jobs` worker count and under adversarial scheduler interleavings.
 //!
-//! Cost when disabled follows the `fsencr::trace::Tracer` idiom: a
+//! It is the simulator's one event stream: the machine records its
+//! lifecycle events (page faults, key installs, shreds, crashes,
+//! recoveries) here too, as zero-length `machine`-category spans. A
 //! disabled observer early-returns from every record call, so the hot
 //! path pays one predictable branch.
 //!
@@ -263,7 +265,7 @@ impl Observer {
 }
 
 /// Escapes a string as a JSON string literal.
-fn json_string(s: &str) -> String {
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for ch in s.chars() {
@@ -385,7 +387,10 @@ mod tests {
         assert!(trace.contains("\"ts\": 100"));
         assert!(trace.contains("\"dur\": 90"));
         assert_eq!(trace.matches('[').count(), trace.matches(']').count());
-        assert_eq!(json_string("a\"b\\c\nd\u{1}"), "\"a\\\"b\\\\c\\nd\\u0001\"");
+        assert_eq!(
+            json_string("a\"b\\c\nd\te\u{1}"),
+            "\"a\\\"b\\\\c\\nd\\te\\u0001\""
+        );
     }
 
     #[test]

@@ -181,13 +181,11 @@ pub fn run_workload_warm(
 pub struct ProfiledRun {
     /// The plain result, identical to what [`run_workload`] returns.
     pub result: RunResult,
-    /// Cycle-attribution metrics and spans covering the run phase only.
+    /// Cycle-attribution metrics and spans covering the run phase only,
+    /// machine lifecycle events included (`machine`-category spans).
     pub observer: Observer,
     /// The measurement window as a raw counter snapshot delta.
     pub window: StatsSnapshot,
-    /// Machine-level trace events (page faults, key installs, shreds,
-    /// crashes) recorded over the same window.
-    pub trace: Vec<fsencr::trace::TraceEvent>,
     /// Merkle batch-planner telemetry over the whole run: `(plans,
     /// digests seeded)` — host-side attribution, cycle-neutral.
     pub plan_stats: (u64, u64),
@@ -214,9 +212,6 @@ pub fn profile_workload(
     let mut m = Machine::new(opts, mode);
     workload.setup(&mut m)?;
     m.enable_observer(span_capacity);
-    if span_capacity > 0 {
-        m.enable_trace(span_capacity);
-    }
     m.begin_measurement();
     workload.run(&mut m)?;
     m.sync_cores();
@@ -228,7 +223,6 @@ pub fn profile_workload(
         },
         observer: m.observer().clone(),
         window: m.measurement_snapshot(),
-        trace: m.trace(),
         plan_stats: m.controller().batch_plan_stats(),
     })
 }

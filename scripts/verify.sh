@@ -41,11 +41,11 @@ cargo test -q -p fsencr-secmem --lib verify_lines
 cargo test -q -p fsencr-secmem --lib parallel_rebuild
 finish
 
-begin "snapshot subsystem: codec round-trip + warm-start equivalence + figure determinism"
+begin "snapshot subsystem + store: codec round-trip + warm-start equivalence + store equivalence"
 cargo test -q -p fsencr-snapshot
 cargo test -q -p fsencr --test snapshot_roundtrip
 cargo test -q -p fsencr-workloads --test warm_start
-cargo test -q -p fsencr-bench --test snapshot_determinism
+cargo test -q -p fsencr-bench --test store_equivalence
 finish
 
 begin "security-oracle replay: figures + rekey + crash recovery under armed oracles"
@@ -91,11 +91,11 @@ snap_dir="$(mktemp -d)"
     "$OLDPWD/target/release/harness" snapshot save MACHINE.snap
     "$OLDPWD/target/release/harness" snapshot info MACHINE.snap >/dev/null
     "$OLDPWD/target/release/harness" snapshot load MACHINE.snap >/dev/null
-    # Figure byte-diff: a cold run populates CACHE_snapshots/, a warm
-    # run at a different worker count restores from it — the printed
-    # figures must be byte-identical.
+    # Figure byte-diff: a cold run populates CACHE/, a warm run at a
+    # different worker count (cell entries deleted) restores the setup
+    # entries — the printed figures must be byte-identical.
     "$OLDPWD/target/release/harness" --jobs 1 fig12-14 0.01 >fig_cold.txt
-    rm -f CACHE_cells.json
+    rm -f CACHE/*.cell
     "$OLDPWD/target/release/harness" --jobs 4 fig12-14 0.01 >fig_warm.txt
     if ! cmp -s fig_cold.txt fig_warm.txt; then
         echo "FAIL: warm-started figures differ from cold-setup figures" >&2
