@@ -1,10 +1,10 @@
-//! Seeded-violation fixture: a fake batch planner that trips
-//! `hot-alloc` — the shared-ancestor planner runs once per region op
-//! and must reuse the table's scratch vectors, never allocate per
-//! window. Never compiled.
+//! Seeded-violation fixture: a fake verification climb that trips
+//! `hot-alloc` — the metadata system's climbs and eviction cascades run
+//! on every metadata miss and must reuse the system's scratch vectors,
+//! never allocate per call. Never compiled.
 //! A doc-comment Vec::new() here must NOT be flagged.
 
-pub fn plan_window(leaves: &[u64]) -> Vec<[u8; 64]> {
+pub fn climb_chain(leaves: &[u64]) -> Vec<[u8; 64]> {
     let mut pending = Vec::new();
     let mut climbs: VecDeque<u64> = VecDeque::new();
     for &leaf in leaves {

@@ -42,7 +42,7 @@ fn fixtures_trip_every_rule() {
     // HashMap and Instant on two lines each — test modules exempt.
     assert_eq!(count("nondeterminism"), 13, "{}", render(&report.findings));
 
-    // crates/fsencr/src/batch.rs and crates/secmem/src/batch.rs
+    // crates/fsencr/src/batch.rs and crates/secmem/src/metadata.rs
     // fixtures: one bare `Vec::new()` and one bare `VecDeque::new()`
     // each; crates/crypto/src/lanes.rs, crates/faults/src/inject.rs and
     // crates/snapshot/src/lib.rs fixtures: one bare `Vec::new()` each —

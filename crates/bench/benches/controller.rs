@@ -56,13 +56,11 @@ fn bench_write_paths(c: &mut Criterion) {
 }
 
 fn bench_region_reads(c: &mut Criterion) {
-    // A primed DF page: region reads against the per-line loop at batch
-    // sizes 1/8/64. Simulated cycles are identical either way; the delta
-    // is the amortized counter-block parses and schedule-cache probes.
+    // A primed DF page: region reads at batch sizes 1/8/64.
     for lines in [1usize, 8, 64] {
         let addrs: Vec<PhysAddr> =
             (0..lines as u64).map(|l| PhysAddr::new(l * 64)).collect();
-        c.bench_function(&format!("ctrl_read_lines_batched_{lines}"), |b| {
+        c.bench_function(&format!("ctrl_read_lines_{lines}"), |b| {
             let mut ctrl = controller(true);
             for &addr in &addrs {
                 ctrl.write_line(Cycle::ZERO, addr, &[0x33u8; 64]).unwrap();
@@ -73,22 +71,6 @@ fn bench_region_reads(c: &mut Criterion) {
                 out.clear();
                 t = ctrl.read_lines(t, black_box(&addrs), &mut out).unwrap();
                 out[0][0]
-            })
-        });
-        c.bench_function(&format!("ctrl_read_line_looped_{lines}"), |b| {
-            let mut ctrl = controller(true);
-            for &addr in &addrs {
-                ctrl.write_line(Cycle::ZERO, addr, &[0x33u8; 64]).unwrap();
-            }
-            let mut t = Cycle::ZERO;
-            b.iter(|| {
-                let mut acc = 0u8;
-                for &addr in &addrs {
-                    let (plain, done) = ctrl.read_line(t, black_box(addr)).unwrap();
-                    acc ^= plain[0];
-                    t = done;
-                }
-                acc
             })
         });
     }

@@ -108,35 +108,22 @@ fn populated(pages: u64, cache_lines: usize) -> (MetadataSystem, NvmDevice, Vec<
 }
 
 fn bench_merkle(c: &mut Criterion) {
-    // Region verify, batched (`verify_lines`: one shared-ancestor plan,
-    // four-lane hashing) against the equivalent chained `read_block`
-    // loop, from the same cold post-crash state each iteration.
+    // Region verify (`verify_lines`) from the same cold post-crash state
+    // each iteration.
     for n in [1usize, 8, 64] {
-        c.bench_function(&format!("merkle_verify_batched_{n}"), |b| {
+        c.bench_function(&format!("merkle_verify_{n}"), |b| {
             let (mut sys, mut nvm, addrs, _) = populated(64, 16);
             b.iter(|| {
                 sys.crash();
                 sys.verify_lines(&mut nvm, Cycle::ZERO, black_box(&addrs[..n])).unwrap()
             })
         });
-        c.bench_function(&format!("merkle_verify_looped_{n}"), |b| {
-            let (mut sys, mut nvm, addrs, _) = populated(64, 16);
-            b.iter(|| {
-                sys.crash();
-                let mut t = Cycle::ZERO;
-                for &addr in black_box(&addrs[..n]) {
-                    t = sys.read_block(&mut nvm, t, addr).unwrap().1.done;
-                }
-                t
-            })
-        });
     }
-    // Region persist of freshly dirtied leaves, batched
-    // (`persist_blocks`) against the per-line `persist_block` loop. The
-    // cache is large enough to hold the working set: the delta is the
+    // Region persist (`persist_blocks`) of freshly dirtied leaves. The
+    // cache is large enough to hold the working set: the cost is the
     // host-side hashing of the new leaf contents.
     for n in [1usize, 8, 64] {
-        c.bench_function(&format!("merkle_persist_batched_{n}"), |b| {
+        c.bench_function(&format!("merkle_persist_{n}"), |b| {
             let (mut sys, mut nvm, addrs, mut t) = populated(64, 256);
             let mut v = 0u8;
             b.iter(|| {
@@ -146,21 +133,6 @@ fn bench_merkle(c: &mut Criterion) {
                     t = sys.write_block(&mut nvm, t, addr, bytes).unwrap().done;
                 }
                 t = sys.persist_blocks(&mut nvm, t, black_box(&addrs[..n])).unwrap();
-                t
-            })
-        });
-        c.bench_function(&format!("merkle_persist_looped_{n}"), |b| {
-            let (mut sys, mut nvm, addrs, mut t) = populated(64, 256);
-            let mut v = 0u8;
-            b.iter(|| {
-                v = v.wrapping_add(1);
-                for (i, &addr) in addrs[..n].iter().enumerate() {
-                    let bytes = [v ^ (i as u8).wrapping_mul(3); 64];
-                    t = sys.write_block(&mut nvm, t, addr, bytes).unwrap().done;
-                }
-                for &addr in black_box(&addrs[..n]) {
-                    t = sys.persist_block(&mut nvm, t, addr).unwrap();
-                }
                 t
             })
         });

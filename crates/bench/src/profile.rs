@@ -34,10 +34,6 @@ pub struct ProfiledCell {
     /// lifecycle events (page faults, key installs, shreds) as
     /// `machine`-category spans.
     pub observer: Observer,
-    /// Merkle batch-planner plans built over the run (host-side).
-    pub batch_plans: u64,
-    /// Digests the planner seeded into those plans.
-    pub batch_digests_seeded: u64,
 }
 
 /// A full profile: every cell of one figure, in submission order.
@@ -71,8 +67,6 @@ pub fn profile(fig: &str, scale: f64, span_capacity: usize) -> Option<ProfileRep
                     mode: spec.mode,
                     window: run.window,
                     observer: run.observer,
-                    batch_plans: run.plan_stats.0,
-                    batch_digests_seeded: run.plan_stats.1,
                 }
             }
         })
@@ -153,10 +147,6 @@ impl ProfileReport {
                 "  merkle: {} climbs, {} levels walked, {} parent bumps; osiris persists {}\n",
                 w.meta_verify_climbs, w.meta_verify_levels, w.meta_update_bumps, w.meta_osiris_persists
             ));
-            out.push_str(&format!(
-                "  batch planner: {} plans, {} digests seeded\n",
-                cell.batch_plans, cell.batch_digests_seeded
-            ));
             out.push_str("  attribution:\n");
             for (name, v) in cell.breakdown() {
                 if v > 0 {
@@ -197,13 +187,11 @@ impl ProfileReport {
                 window.push_str(&format!("\n        {}: {}", json_string(k), v));
             }
             cells.push_str(&format!(
-                "\n    {{\n      \"label\": {},\n      \"mode\": {},\n      \"metrics\": {{{}\n      }},\n      \"window\": {{{}\n      }},\n      \"batch_plans\": {},\n      \"batch_digests_seeded\": {},\n      \"spans_recorded\": {},\n      \"spans_dropped\": {},\n      \"trace_events\": {}\n    }}",
+                "\n    {{\n      \"label\": {},\n      \"mode\": {},\n      \"metrics\": {{{}\n      }},\n      \"window\": {{{}\n      }},\n      \"spans_recorded\": {},\n      \"spans_dropped\": {},\n      \"trace_events\": {}\n    }}",
                 json_string(&cell.label),
                 json_string(&cell.mode.to_string()),
                 metrics,
                 window,
-                cell.batch_plans,
-                cell.batch_digests_seeded,
                 cell.observer.spans().count(),
                 cell.observer.spans_dropped(),
                 cell.machine_events()
@@ -328,8 +316,6 @@ mod tests {
                 mode: SecurityMode::FsEncr,
                 window: StatsSnapshot::default(),
                 observer: obs,
-                batch_plans: 2,
-                batch_digests_seeded: 5,
             }],
         };
         let trace = report.to_chrome_trace();
@@ -340,9 +326,6 @@ mod tests {
         assert!(trace.contains("\"name\": \"read_line\", \"cat\": \"ctrl\""), "{trace}");
         assert!(report.to_json().contains("\"spans_recorded\": 2"));
         assert!(report.to_json().contains("\"trace_events\": 1"));
-        assert!(report.to_json().contains("\"batch_plans\": 2"));
-        assert!(report.to_json().contains("\"batch_digests_seeded\": 5"));
         assert!(report.render_text().contains("machine trace events: 1"));
-        assert!(report.render_text().contains("batch planner: 2 plans, 5 digests seeded"));
     }
 }

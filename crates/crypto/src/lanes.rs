@@ -1,4 +1,4 @@
-//! Four-lane interleaved SHA-256 for batched Merkle climbs.
+//! Four-lane interleaved SHA-256 for the parallel Merkle rebuild.
 //!
 //! A single SHA-256 compression is one long serial dependency chain: each
 //! round's `a`/`e` feed the next round, so a scalar core spends most of
@@ -10,8 +10,10 @@
 //! it). Same 16-word-ring schedule trick as [`crate::sha256_line`], four
 //! schedules in flight.
 //!
-//! The batched [`fsencr_secmem`] climb planner uses [`digest8_lines4`]
-//! for sibling digests; odd remainders fall back to the one-shot path.
+//! The post-crash tree rebuild in `fsencr_secmem` hashes leaves and
+//! nodes four at a time through [`digest8_lines4`]; odd remainders fall
+//! back to the one-shot path. Verification climbs and write-backs hash
+//! one line at a time through `digest8_line`.
 //! Both entry points are cross-validated against `sha256_line` /
 //! `digest8_line` in the tests, and the kernel is pure safe Rust.
 

@@ -21,11 +21,8 @@
 //!   byte compare — no invalidation protocol needed), and the expanded
 //!   AES schedule is held across lines while the resolved key is
 //!   unchanged instead of being re-fetched from the [`ScheduleCache`]
-//!   per pad, and each region op opens one metadata *batch window*
-//!   (`MetadataSystem::begin_batch`) so the Merkle climbs of the
-//!   region's counter blocks hash every shared tree ancestor once —
-//!   four lines at a time through the interleaved SHA-256 kernel —
-//!   instead of once per line.
+//!   per pad. Merkle digests are not memoized here: every climb hashes
+//!   through the metadata system's one digest route.
 //!
 //! The slice-form region ops ([`MemoryController::read_lines`],
 //! [`MemoryController::write_lines`], [`MemoryController::write_lines_at`])
@@ -37,11 +34,11 @@
 //! them in plaintext, cycles, errors, statistics and Merkle roots.
 
 use fsencr_crypto::{Aes128, Key128, ScheduleCache};
-use fsencr_nvm::{LineAddr, PageId, PhysAddr, LINE_BYTES};
+use fsencr_nvm::{PageId, PhysAddr, LINE_BYTES};
 use fsencr_secmem::{Fecb, Mecb};
 use fsencr_sim::Cycle;
 
-use super::{CtrlMode, MemError, MemoryController};
+use super::{MemError, MemoryController};
 
 /// Host-side parse/schedule memo for one region run.
 ///
@@ -151,31 +148,6 @@ pub(crate) enum Repad {
 }
 
 impl MemoryController {
-    /// Collects the covered metadata leaves a region over `addrs` will
-    /// touch — each page's MECB, plus the FECB for unlocked file pages —
-    /// so the metadata system can plan its shared-ancestor climbs once
-    /// for the whole region (see `begin_batch` in `fsencr-secmem`).
-    /// Pure address arithmetic: no simulated accesses, no cache effects.
-    fn region_meta_leaves<I>(&self, addrs: I, out: &mut Vec<LineAddr>)
-    where
-        I: Iterator<Item = PhysAddr>,
-    {
-        if self.mode == CtrlMode::Unencrypted {
-            return;
-        }
-        for addr in addrs {
-            let line = addr.line();
-            if !self.meta.layout().is_data(line) {
-                continue;
-            }
-            let page = line.page();
-            out.push(self.meta.layout().mecb_addr(page));
-            if self.file_pages.contains(&page.get()) && !self.locked {
-                out.push(self.meta.layout().fecb_addr(page));
-            }
-        }
-    }
-
     /// Chained region read: line `i` is issued at line `i - 1`'s
     /// completion (the first at `now`), exactly like a serial
     /// [`MemoryController::read_line`] loop. Plaintexts are appended to
@@ -195,26 +167,14 @@ impl MemoryController {
         addrs: &[PhysAddr],
         out: &mut Vec<[u8; LINE_BYTES]>,
     ) -> Result<Cycle, MemError> {
-        let mut leaves = Vec::with_capacity(addrs.len() * 2);
-        self.region_meta_leaves(addrs.iter().copied(), &mut leaves);
-        self.meta.begin_batch(&self.nvm, &leaves);
         let mut run = RegionRun::new();
         let mut t = now;
-        let mut res = Ok(());
         for &addr in addrs {
-            match self.read_line_with(t, addr, &mut run) {
-                Ok((plain, done)) => {
-                    out.push(plain);
-                    t = done;
-                }
-                Err(e) => {
-                    res = Err(e);
-                    break;
-                }
-            }
+            let (plain, done) = self.read_line_with(t, addr, &mut run)?;
+            out.push(plain);
+            t = done;
         }
-        self.meta.end_batch();
-        res.map(|()| t)
+        Ok(t)
     }
 
     /// Chained region write: write `i` is issued at write `i - 1`'s
@@ -236,26 +196,14 @@ impl MemoryController {
         if let Some(inj) = self.fault_injector_mut() {
             inj.begin_region(writes.len() as u64);
         }
-        let mut leaves = Vec::with_capacity(writes.len() * 2);
-        self.region_meta_leaves(writes.iter().map(|(a, _)| *a), &mut leaves);
-        self.meta.begin_batch(&self.nvm, &leaves);
         let mut run = RegionRun::new();
-        let mut t = now;
-        let mut res = Ok(t);
-        for (addr, data) in writes {
-            match self.write_line_with(t, *addr, data, &mut run) {
-                Ok(done) => t = done,
-                Err(e) => {
-                    res = Err(e);
-                    break;
-                }
-            }
-        }
-        self.meta.end_batch();
+        let res = writes.iter().try_fold(now, |t, (addr, data)| {
+            self.write_line_with(t, *addr, data, &mut run)
+        });
         if let Some(inj) = self.fault_injector_mut() {
             inj.end_region();
         }
-        res.map(|_| t)
+        res
     }
 
     /// Fan-out region write: every line is issued at `now` — the
@@ -276,26 +224,14 @@ impl MemoryController {
         if let Some(inj) = self.fault_injector_mut() {
             inj.begin_region(writes.len() as u64);
         }
-        let mut leaves = Vec::with_capacity(writes.len() * 2);
-        self.region_meta_leaves(writes.iter().map(|(a, _)| *a), &mut leaves);
-        self.meta.begin_batch(&self.nvm, &leaves);
         let mut run = RegionRun::new();
-        let mut fence_at = now;
-        let mut res = Ok(());
-        for (addr, data) in writes {
-            match self.write_line_with(now, *addr, data, &mut run) {
-                Ok(done) => fence_at = fence_at.max(done),
-                Err(e) => {
-                    res = Err(e);
-                    break;
-                }
-            }
-        }
-        self.meta.end_batch();
+        let res = writes.iter().try_fold(now, |fence_at, (addr, data)| {
+            Ok(fence_at.max(self.write_line_with(now, *addr, data, &mut run)?))
+        });
         if let Some(inj) = self.fault_injector_mut() {
             inj.end_region();
         }
-        res.map(|()| fence_at)
+        res
     }
 
     /// Re-pads every line of `page`: read at the previous completion,

@@ -170,8 +170,9 @@ pub struct RecoveryReport {
     pub repaired: u64,
     /// Lines no counter candidate could explain (data loss).
     pub unrecoverable: u64,
-    /// Lines newly quarantined by this recovery (a subset of
-    /// `unrecoverable`; zero unless auto-quarantine is enabled).
+    /// Lines newly quarantined by this recovery: the `unrecoverable`
+    /// lines (under auto-quarantine) plus every data line of a page
+    /// whose counter block the rebuild reset.
     pub quarantined: u64,
     /// Quarantined metadata leaves the Merkle rebuild reset to
     /// canonical zero — exactly the skip-set prediction, enforced by
@@ -406,13 +407,6 @@ impl MemoryController {
     /// Distinct (key, IV) pads the oracle has recorded (0 when off).
     pub fn pad_oracle_distinct(&self) -> usize {
         self.pad_ledger.distinct_pads()
-    }
-
-    /// Host-side Merkle batch-planner telemetry: `(plans, digests
-    /// seeded)` since construction. Pure observability — never feeds
-    /// back into simulated cycles.
-    pub fn batch_plan_stats(&self) -> (u64, u64) {
-        self.meta.batch_plan_stats()
     }
 
     /// Turns the metadata system's Merkle-coverage oracle on or off for
@@ -1315,6 +1309,18 @@ impl MemoryController {
         // laundered back into the tree by a rebuild.
         let reset = self.meta.rebuild_skipping(&mut self.nvm, &self.quarantine);
         report.metadata_reset = reset.len() as u64;
+        // A reset MECB or FECB reads back as zero counters, so every data
+        // line of its page would decrypt to garbage without an error.
+        // Fence them all; a later write heals each line.
+        for &leaf in &reset {
+            if let Some(page) = layout.counter_page(LineAddr::new(leaf)) {
+                for line in page.lines() {
+                    if self.quarantine.insert(line.get()) {
+                        report.quarantined += 1;
+                    }
+                }
+            }
+        }
         // A skipped (zeroed) metadata leaf is now canonical, Merkle-
         // covered zero; keeping it fenced would re-zero it on every
         // future rebuild even as its counters legitimately evolve, so

@@ -20,9 +20,6 @@
 //! [`TransferredModule`] gets the same split ([`ModuleInspect`] /
 //! [`ModuleFault`]) for the in-transit attacker model.
 //!
-//! The old accessors remain for one PR as `#[deprecated]` shims that
-//! delegate here; see the migration notes in `EXPERIMENTS.md`.
-//!
 //! [`Machine::inspect_plane`]: crate::Machine::inspect_plane
 //! [`Machine::fault_plane`]: crate::Machine::fault_plane
 //! [`TransferredModule`]: crate::machine::TransferredModule

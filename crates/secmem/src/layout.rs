@@ -161,6 +161,14 @@ impl MetadataLayout {
         LineAddr::new(self.mecb_addr(page).get() + LINE_BYTES as u64)
     }
 
+    /// The data page whose MECB or FECB lives at `addr`, or `None` when
+    /// `addr` is not a counter block.
+    pub fn counter_page(&self, addr: LineAddr) -> Option<PageId> {
+        let a = addr.get();
+        (a >= self.meta_base && a < self.ott_base)
+            .then(|| PageId::new((a - self.meta_base) / META_PER_PAGE))
+    }
+
     /// Leaf index of a covered metadata line.
     ///
     /// # Panics
@@ -251,7 +259,13 @@ mod tests {
             let page = PageId::new(p);
             assert_eq!(l.mecb_addr(page).get(), l.meta_base() + p * 128);
             assert_eq!(l.fecb_addr(page).get(), l.meta_base() + p * 128 + 64);
+            assert_eq!(l.counter_page(l.mecb_addr(page)), Some(page));
+            assert_eq!(l.counter_page(l.fecb_addr(page)), Some(page));
         }
+        // OTT-spill leaves, tree nodes and data lines are not counters.
+        assert_eq!(l.counter_page(LineAddr::new(l.ott_base())), None);
+        assert_eq!(l.counter_page(LineAddr::new(l.merkle_base())), None);
+        assert_eq!(l.counter_page(LineAddr::new(0)), None);
     }
 
     #[test]

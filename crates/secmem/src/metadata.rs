@@ -32,14 +32,14 @@
 //! independent of how fast the host computes digests, so this module
 //! optimizes the host work without touching any figure:
 //!
-//! * every line digest uses the two-compression [`digest8_line`] fast
-//!   path, with canonical-zero content short-circuited to the
-//!   precomputed zero digests;
-//! * digests of *trusted* (cache-resident) content are memoized per line
-//!   with generation-counter invalidation ([`DigestMemo`]), so
-//!   write-backs of unchanged content never re-hash. Freshly fetched NVM
-//!   bytes are untrusted and always re-hashed — a memo hit there would
-//!   vouch for tampered content;
+//! * every line digest takes one route, `MetadataSystem::line_digest`:
+//!   canonical-zero content short-circuits to the precomputed zero
+//!   digest, everything else is hashed by the two-compression
+//!   [`digest8_line`]. Nothing is memoized, so no digest can outlive the
+//!   bytes it describes;
+//! * the post-crash rebuild sweeps the tree four lines at a time through
+//!   the interleaved [`digest8_lines4`](fsencr_crypto::digest8_lines4)
+//!   kernel, fanned out over the scoped worker pool;
 //! * verification climbs, eviction cascades and flushes run out of
 //!   reusable scratch buffers owned by the system instead of per-call
 //!   `Vec`s (audited by the `hot-alloc` lint rule).
@@ -54,10 +54,6 @@ use fsencr_nvm::{LineAddr, NvmDevice, LINE_BYTES};
 use fsencr_sim::{config::SecurityConfig, Counter, Cycle, StatSource};
 
 use crate::layout::MetadataLayout;
-
-#[path = "batch.rs"]
-mod batch;
-use batch::BatchTable;
 
 /// Process-wide default for the Merkle-coverage oracle of newly created
 /// [`MetadataSystem`]s. Per-instance state (not this flag) is what the
@@ -180,85 +176,6 @@ enum StatKind {
     Node,
 }
 
-fn digest8(bytes: &[u8; LINE_BYTES]) -> [u8; 8] {
-    digest8_line(bytes)
-}
-
-/// One memoized digest: the generation it was computed at, the exact
-/// content it describes, and the digest itself.
-#[derive(Debug, Clone, Copy)]
-struct MemoEntry {
-    gen: u64,
-    content: [u8; LINE_BYTES],
-    digest: [u8; 8],
-}
-
-/// Memo of 8-byte digests for trusted (cache-resident) line content.
-///
-/// Each line address carries a *dirty generation* that [`DigestMemo::touch`]
-/// bumps on every content mutation; a memoized digest is only considered
-/// while its stored generation matches, so dirtied entries invalidate
-/// without being removed. The entry additionally keeps the exact content
-/// it was computed from as an equality witness: write-back paths (e.g. a
-/// flush that drained a node, then re-dirtied it through a child's bump
-/// before writing the drained copy) can legitimately present *older*
-/// content for the same address and generation, and the witness guarantees
-/// the served digest always belongs to the presented bytes. Only content
-/// the system itself produced (and therefore trusts) is ever memoized —
-/// freshly fetched NVM bytes must always be re-hashed.
-#[derive(Debug, Clone)]
-struct DigestMemo {
-    /// Dirty generation per line address (absent = generation 0).
-    gens: std::collections::HashMap<u64, u64>,
-    entries: std::collections::HashMap<u64, MemoEntry>,
-    enabled: bool,
-}
-
-impl DigestMemo {
-    fn new() -> Self {
-        DigestMemo {
-            gens: std::collections::HashMap::new(),
-            entries: std::collections::HashMap::new(),
-            enabled: true,
-        }
-    }
-
-    /// Invalidates any memoized digest for `addr` by bumping its dirty
-    /// generation.
-    fn touch(&mut self, addr: LineAddr) {
-        if self.enabled {
-            *self.gens.entry(addr.get()).or_insert(0) += 1;
-        }
-    }
-
-    fn get(&self, addr: LineAddr, bytes: &[u8; LINE_BYTES]) -> Option<[u8; 8]> {
-        if !self.enabled {
-            return None;
-        }
-        let gen = self.gens.get(&addr.get()).copied().unwrap_or(0);
-        match self.entries.get(&addr.get()) {
-            Some(e) if e.gen == gen && e.content == *bytes => Some(e.digest),
-            _ => None,
-        }
-    }
-
-    fn put(&mut self, addr: LineAddr, bytes: &[u8; LINE_BYTES], digest: [u8; 8]) {
-        if !self.enabled {
-            return;
-        }
-        let gen = self.gens.get(&addr.get()).copied().unwrap_or(0);
-        self.entries.insert(
-            addr.get(),
-            MemoEntry { gen, content: *bytes, digest },
-        );
-    }
-
-    fn clear(&mut self) {
-        self.gens.clear();
-        self.entries.clear();
-    }
-}
-
 /// The metadata cache, optionally partitioned per metadata kind
 /// (Section III-D: MECBs get half the capacity, FECBs and tree nodes a
 /// quarter each).
@@ -367,20 +284,13 @@ pub struct MetadataSystem {
     stop_loss: u32,
     mac_cycles: u64,
     stats: MetaStats,
-    /// Digests of trusted content, generation-invalidated.
-    memo: DigestMemo,
-    /// Content-witnessed digest table for the open batch window (see
-    /// `batch.rs`); empty — one branch per probe — outside a window.
-    batch: BatchTable,
     /// Reusable scratch for [`MetadataSystem::verify_climb`]: the nodes
-    /// fetched along the chain plus their digests, installed on success.
-    climb_scratch: Vec<(LineAddr, [u8; LINE_BYTES], [u8; 8])>,
+    /// fetched along the chain, installed on success.
+    climb_scratch: Vec<(LineAddr, [u8; LINE_BYTES])>,
     /// Reusable scratch for eviction cascades.
     evict_scratch: VecDeque<Eviction>,
     /// Reusable scratch for full-cache flushes.
     dirty_scratch: Vec<Eviction>,
-    /// Reusable scratch for the flush rounds' batch-window address list.
-    flush_scratch: Vec<LineAddr>,
     /// Merkle-coverage oracle: when on, every line this system persists
     /// to NVM is re-verified reachable from the on-chip root (through
     /// trusted cached ancestors) immediately after the persist completes.
@@ -391,7 +301,7 @@ pub struct MetadataSystem {
 impl MetadataSystem {
     /// Creates the system for a layout and security configuration.
     pub fn new(layout: MetadataLayout, cfg: &SecurityConfig) -> Self {
-        let zero_leaf_digest = digest8(&[0u8; LINE_BYTES]);
+        let zero_leaf_digest = digest8_line(&[0u8; LINE_BYTES]);
         let levels = layout.merkle_levels();
         let mut canon_nodes = Vec::with_capacity(levels);
         let mut canon_digests = Vec::with_capacity(levels);
@@ -401,7 +311,7 @@ impl MetadataSystem {
             for slot in 0..8 {
                 node[slot * 8..slot * 8 + 8].copy_from_slice(&child);
             }
-            let d = digest8(&node);
+            let d = digest8_line(&node);
             canon_nodes.push(node);
             canon_digests.push(d);
             child = d;
@@ -435,23 +345,11 @@ impl MetadataSystem {
             stop_loss: cfg.osiris_stop_loss.max(1),
             mac_cycles: cfg.mac_cycles,
             stats: MetaStats::default(),
-            memo: DigestMemo::new(),
-            batch: BatchTable::new(),
             climb_scratch: Vec::with_capacity(16),
             evict_scratch: VecDeque::with_capacity(16),
             dirty_scratch: Vec::with_capacity(64),
-            flush_scratch: Vec::with_capacity(64),
             coverage_oracle: coverage_enabled(),
         }
-    }
-
-    /// Enables or disables the trusted-content digest memo (enabled by
-    /// default). Disabling forces every digest through the reference
-    /// path; results must be bit-identical either way — the equivalence
-    /// proptest runs both sides of this switch against each other.
-    pub fn set_digest_memo_enabled(&mut self, enabled: bool) {
-        self.memo.enabled = enabled;
-        self.memo.clear();
     }
 
     /// Turns the Merkle-coverage oracle on or off for this instance
@@ -674,49 +572,17 @@ impl MetadataSystem {
         node[slot * 8..slot * 8 + 8].copy_from_slice(&digest);
     }
 
-    /// Digest of a line's content, short-circuiting all-zero content to
-    /// the precomputed zero-leaf digest and probing the batch digest
-    /// table before hashing. Sound for any input: the zero comparison
-    /// inspects the actual bytes, and a batch-table hit maps exact
-    /// content to the digest of exactly those bytes — both are faster
-    /// hashes of a known message, not trust decisions.
+    /// Digest of a line's content — the only digest route of the tree.
+    /// All-zero content short-circuits to the precomputed zero-leaf
+    /// digest (a faster hash of a known message, not a trust decision);
+    /// everything else is hashed. Sound for any input, trusted or
+    /// freshly fetched.
     fn line_digest(&self, bytes: &[u8; LINE_BYTES]) -> [u8; 8] {
         if *bytes == [0u8; LINE_BYTES] {
             self.zero_leaf_digest
-        } else if let Some(d) = self.batch.probe(bytes) {
-            d
         } else {
-            digest8(bytes)
+            digest8_line(bytes)
         }
-    }
-
-    /// Digest of *trusted* content about to be written back: served from
-    /// the memo when the line's generation is unchanged, computed (and
-    /// memoized) otherwise. Callers must only pass content that came from
-    /// the metadata cache — never freshly fetched NVM bytes.
-    fn trusted_digest(&mut self, addr: LineAddr, bytes: &[u8; LINE_BYTES]) -> [u8; 8] {
-        if let Some(d) = self.memo.get(addr, bytes) {
-            debug_assert_eq!(d, self.line_digest(bytes), "stale digest memo for {addr:?}");
-            return d;
-        }
-        let d = self.line_digest(bytes);
-        self.memo.put(addr, bytes, d);
-        d
-    }
-
-    /// The 8-byte digest this system publishes for trusted line content:
-    /// the exact path parent-digest write-backs take — a memo probe
-    /// first (generation and content must both match), the one-shot line
-    /// hash otherwise. Same trust contract as the internal path: `bytes`
-    /// must be content this system produced (cache-resident or about to
-    /// be written back), never freshly fetched NVM bytes. Exposed for
-    /// the equivalence proptests and the digest microbenchmarks.
-    pub fn trusted_line_digest(
-        &mut self,
-        addr: LineAddr,
-        bytes: &[u8; LINE_BYTES],
-    ) -> [u8; 8] {
-        self.trusted_digest(addr, bytes)
     }
 
     /// Reads a covered metadata line, fetching and verifying on a cache
@@ -778,13 +644,10 @@ impl MetadataSystem {
         mut t: Cycle,
         addr: LineAddr,
         bytes: &[u8; LINE_BYTES],
-        fetched: &mut Vec<(LineAddr, [u8; LINE_BYTES], [u8; 8])>,
+        fetched: &mut Vec<(LineAddr, [u8; LINE_BYTES])>,
     ) -> Result<Cycle, TamperError> {
         let leaf = self.layout.leaf_index(addr);
-        // `bytes` is fresh off the NVM and untrusted: always hash it
-        // (the all-zero short-circuit is a faster hash, not a memo hit).
-        let leaf_digest = self.line_digest(bytes);
-        let mut expected = leaf_digest;
+        let mut expected = self.line_digest(bytes);
         t += self.mac_cycles;
         self.stats.verify_climbs.incr();
 
@@ -801,7 +664,7 @@ impl MetadataSystem {
                     return Err(TamperError { addr, level });
                 }
                 t += self.mac_cycles;
-                return Ok(self.accept_chain(nvm, t, addr, bytes, leaf_digest, fetched));
+                return Ok(self.accept_chain(nvm, t, fetched));
             }
             let (raw, t_read) = nvm.read_line(t, node_addr.into_phys());
             t = t_read + self.mac_cycles;
@@ -815,36 +678,28 @@ impl MetadataSystem {
             expected = if canonical_zero {
                 self.canon_digests[level]
             } else {
-                // Routed through the batch digest table when a region
-                // planner pre-hashed this node's content (never all-zero
-                // here — interpretation already replaced that case).
                 self.line_digest(&node)
             };
-            fetched.push((node_addr, node, expected));
+            fetched.push((node_addr, node));
             if level == top_level {
                 if expected != self.root {
                     return Err(TamperError { addr, level: usize::MAX });
                 }
-                return Ok(self.accept_chain(nvm, t, addr, bytes, leaf_digest, fetched));
+                return Ok(self.accept_chain(nvm, t, fetched));
             }
         }
         unreachable!("path always terminates at the top level");
     }
 
-    /// A verification chain closed: the leaf and every fetched node are
-    /// now trusted. Memoize their digests and install the nodes.
+    /// A verification chain closed: every fetched node is now trusted.
+    /// Install them.
     fn accept_chain(
         &mut self,
         nvm: &mut NvmDevice,
         mut t: Cycle,
-        addr: LineAddr,
-        bytes: &[u8; LINE_BYTES],
-        leaf_digest: [u8; 8],
-        fetched: &[(LineAddr, [u8; LINE_BYTES], [u8; 8])],
+        fetched: &[(LineAddr, [u8; LINE_BYTES])],
     ) -> Cycle {
-        self.memo.put(addr, bytes, leaf_digest);
-        for &(a, b, d) in fetched {
-            self.memo.put(a, &b, d);
+        for &(a, b) in fetched {
             t = self.install(nvm, t, a, b, false);
         }
         t
@@ -890,11 +745,7 @@ impl MetadataSystem {
         bytes: &[u8; LINE_BYTES],
         queue: &mut VecDeque<Eviction>,
     ) -> Cycle {
-        // Write-back content always came out of the cache, so the memo
-        // applies: unchanged content costs a lookup, not a hash. The
-        // simulated MAC latency is charged either way — the engine still
-        // "computes" the digest; only the host skips the work.
-        let new_digest = self.trusted_digest(addr, bytes);
+        let new_digest = self.line_digest(bytes);
         t += self.mac_cycles;
         self.stats.update_bumps.incr();
 
@@ -936,7 +787,6 @@ impl MetadataSystem {
             }
         };
         Self::set_slot(&mut node, slot, new_digest);
-        self.memo.touch(parent_addr);
         if !self.cache_at(parent_addr).update(parent_addr, &node) {
             if let Some(ev) = self.cache_at(parent_addr).insert(parent_addr, node, true) {
                 queue.push_back(ev);
@@ -968,7 +818,6 @@ impl MetadataSystem {
         }
         let updated = self.cache_at(addr).update(addr, &bytes);
         debug_assert!(updated, "line present after fetch");
-        self.memo.touch(addr);
 
         let count = self.pending.entry(addr.get()).or_insert(0);
         *count += 1;
@@ -1007,17 +856,36 @@ impl MetadataSystem {
         self.persist_blocks(nvm, now, std::slice::from_ref(&addr))
     }
 
-    /// Page-batch entry point of the persist path: write-through a run of
+    /// Region variant of the verify path: reads (and on miss, verifies)
+    /// a run of covered lines in order, each issued at the previous
+    /// completion — exactly a chained [`MetadataSystem::read_block`]
+    /// loop. Returns the last completion time.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first verification failure; lines before it have
+    /// already been read and installed.
+    pub fn verify_lines(
+        &mut self,
+        nvm: &mut NvmDevice,
+        now: Cycle,
+        addrs: &[LineAddr],
+    ) -> Result<Cycle, TamperError> {
+        let mut t = now;
+        for &addr in addrs {
+            t = self.read_block(nvm, t, addr)?.1.done;
+        }
+        Ok(t)
+    }
+
+    /// Region variant of the persist path: write-through a run of
     /// covered lines in order, each starting where the previous one
     /// completed. Simulated behavior is identical to calling
     /// [`MetadataSystem::persist_block`] per address with chained
-    /// completion times — the batch only amortizes host-side work: one
-    /// eviction-scratch take/restore covers the whole run, the run opens
-    /// one batch window (see `batch.rs`) so shared Merkle ancestors are
-    /// hashed once — four lines at a time — before the replay, and
-    /// sibling lines (e.g. a page's MECB and FECB, adjacent under one
-    /// tree parent) resolve their climbs against the ancestors and
-    /// digest memos the first line's climb just installed.
+    /// completion times; the run shares one eviction queue, and sibling
+    /// lines (e.g. a page's MECB and FECB, adjacent under one tree
+    /// parent) resolve their climbs against the ancestors the first
+    /// line's climb just installed.
     ///
     /// # Errors
     ///
@@ -1029,22 +897,12 @@ impl MetadataSystem {
         now: Cycle,
         addrs: &[LineAddr],
     ) -> Result<Cycle, TamperError> {
-        self.begin_batch(nvm, addrs);
         let mut queue = std::mem::take(&mut self.evict_scratch);
-        let mut t = now;
-        for &addr in addrs {
-            match self.persist_one(nvm, t, addr, &mut queue) {
-                Ok(done) => t = done,
-                Err(e) => {
-                    self.evict_scratch = queue;
-                    self.end_batch();
-                    return Err(e);
-                }
-            }
-        }
+        let out = addrs
+            .iter()
+            .try_fold(now, |t, &addr| self.persist_one(nvm, t, addr, &mut queue));
         self.evict_scratch = queue;
-        self.end_batch();
-        Ok(t)
+        out
     }
 
     /// One persist_block step against a caller-held eviction queue.
@@ -1088,18 +946,10 @@ impl MetadataSystem {
 
     /// Flushes every dirty metadata line to NVM (clean shutdown), keeping
     /// the tree consistent. Returns the completion time.
-    ///
-    /// Each drain round opens one batch window over the round's dirty
-    /// set, exactly like [`MetadataSystem::persist_blocks`]: the
-    /// shared-ancestor planner hashes the round's common Merkle path
-    /// once (peek-only), and the per-line drain below replays with every
-    /// simulated access unchanged. `flush_matches_per_line_drain` proves
-    /// the window leaves cycles, roots and media bit-identical.
     pub fn flush(&mut self, nvm: &mut NvmDevice, now: Cycle) -> Cycle {
         let mut t = now;
         let mut dirty = std::mem::take(&mut self.dirty_scratch);
         let mut queue = std::mem::take(&mut self.evict_scratch);
-        let mut addrs = std::mem::take(&mut self.flush_scratch);
         // bump_parent dirties parents again; iterate until clean.
         loop {
             dirty.clear();
@@ -1107,9 +957,6 @@ impl MetadataSystem {
             if dirty.is_empty() {
                 break;
             }
-            addrs.clear();
-            addrs.extend(dirty.iter().map(|ev| ev.addr));
-            self.begin_batch(nvm, &addrs);
             queue.clear();
             for ev in &dirty {
                 t = nvm.write_line(t, ev.addr.into_phys(), &ev.data);
@@ -1117,12 +964,10 @@ impl MetadataSystem {
                 self.assert_covered(nvm, ev.addr);
             }
             t = self.drain_queue(nvm, t, &mut queue);
-            self.end_batch();
         }
         self.pending.clear();
         self.dirty_scratch = dirty;
         self.evict_scratch = queue;
-        self.flush_scratch = addrs;
         t
     }
 
@@ -1132,8 +977,6 @@ impl MetadataSystem {
     pub fn crash(&mut self) {
         self.cache.for_each_mut(Cache::clear);
         self.pending.clear();
-        // Nothing is resident any more; restart the memo cold.
-        self.memo.clear();
     }
 
     /// Rebuilds the whole Merkle tree from NVM contents and installs the
@@ -1239,7 +1082,7 @@ impl MetadataSystem {
                         j += 4;
                     }
                     for &i in &work[j..] {
-                        out[i] = digest8(&contents[i]);
+                        out[i] = digest8_line(&contents[i]);
                     }
                     out
                 }
@@ -1308,7 +1151,7 @@ impl MetadataSystem {
                         }
                         for &i in &work[j..] {
                             if let (Some(node), d) = &mut built[i] {
-                                *d = digest8(node);
+                                *d = digest8_line(node);
                             }
                         }
                         // Canonical nodes keep `None`: the merge leaves
@@ -1334,9 +1177,6 @@ impl MetadataSystem {
         self.root = digests[0];
         self.cache.for_each_mut(Cache::clear);
         self.pending.clear();
-        // rebuild rewrote node lines directly on media; every memoized
-        // digest is suspect, and nothing is resident anyway.
-        self.memo.clear();
         if self.coverage_oracle {
             // Post-crash the cache is empty, so every chain must close on
             // the freshly installed root through NVM-resident nodes alone.
@@ -1352,10 +1192,8 @@ impl MetadataSystem {
     /// Serializes the simulation-visible state: cache partitions (entry
     /// order verbatim — LRU victims fall out of `swap_remove` order),
     /// the on-chip root, pending Osiris deltas (sorted) and behaviour
-    /// counters. Host-side accelerators (digest memo, batch table,
-    /// scratch buffers) are rebuilt cold at restore: they are proven
-    /// cycle-neutral by the batch-equivalence suites, so dropping them
-    /// cannot move a figure.
+    /// counters. Scratch buffers are host-side only and start empty at
+    /// restore.
     pub fn snap_save(&self, enc: &mut fsencr_snapshot::Enc) {
         match &self.cache {
             MetaCaches::Unified(c) => {
@@ -1571,7 +1409,7 @@ mod tests {
     #[test]
     fn persist_blocks_matches_per_line_persists() {
         // Same writes, then persist a page's MECB + FECB plus two sibling
-        // pages' counters — batched on one system, per-line on the other.
+        // pages' counters — region on one system, per-line on the other.
         // Completion time, root, media bytes and every counter must agree.
         let build = || {
             let (mut sys, mut nvm) = small_setup();
@@ -1584,39 +1422,38 @@ mod tests {
             }
             (sys, nvm, t)
         };
-        let (mut batched, mut nvm_b, t0) = build();
+        let (mut region, mut nvm_b, t0) = build();
         let (mut serial, mut nvm_s, t0_s) = build();
         assert_eq!(t0, t0_s);
         let addrs: Vec<LineAddr> = (0..4u64)
             .flat_map(|p| {
                 [
-                    batched.layout().mecb_addr(PageId::new(p)),
-                    batched.layout().fecb_addr(PageId::new(p)),
+                    region.layout().mecb_addr(PageId::new(p)),
+                    region.layout().fecb_addr(PageId::new(p)),
                 ]
             })
             .collect();
-        let t_batch = batched.persist_blocks(&mut nvm_b, t0, &addrs).unwrap();
+        let t_region = region.persist_blocks(&mut nvm_b, t0, &addrs).unwrap();
         let mut t_serial = t0_s;
         for &addr in &addrs {
             t_serial = serial.persist_block(&mut nvm_s, t_serial, addr).unwrap();
         }
-        assert_eq!(t_batch, t_serial);
-        assert_eq!(batched.root(), serial.root());
+        assert_eq!(t_region, t_serial);
+        assert_eq!(region.root(), serial.root());
         for &addr in &addrs {
             assert_eq!(nvm_b.peek_line(addr.into_phys()), nvm_s.peek_line(addr.into_phys()));
         }
-        assert_eq!(batched.stat_rows(), serial.stat_rows());
+        assert_eq!(region.stat_rows(), serial.stat_rows());
         assert_eq!(nvm_b.stats().reads.get(), nvm_s.stats().reads.get());
         assert_eq!(nvm_b.stats().writes.get(), nvm_s.stats().writes.get());
     }
 
     #[test]
     fn flush_matches_per_line_drain() {
-        // Same dirty state flushed twice: once through the batched flush
-        // (each round opens a shared-ancestor batch window), once through
-        // a replica of the legacy per-line drain. Completion time, root,
-        // counters and the entire media image must be bit-identical —
-        // the window only changes who hashes, never what is simulated.
+        // Same dirty state flushed twice: once through `flush`, once
+        // through an inline replica of the per-line drain built from the
+        // write-back primitives. Completion time, root, counters and the
+        // entire media image must be bit-identical.
         let build = || {
             let (mut sys, mut nvm) = small_setup();
             let mut t = Cycle::ZERO;
@@ -1628,13 +1465,13 @@ mod tests {
             }
             (sys, nvm, t)
         };
-        let (mut batched, mut nvm_b, t0) = build();
+        let (mut flushed, mut nvm_b, t0) = build();
         let (mut serial, mut nvm_s, t0_s) = build();
         assert_eq!(t0, t0_s);
 
-        let t_b = batched.flush(&mut nvm_b, t0);
+        let t_b = flushed.flush(&mut nvm_b, t0);
 
-        // The legacy flush loop, verbatim, minus the batch window.
+        // The per-line drain, spelled out.
         let mut t_s = t0_s;
         let mut dirty = Vec::new();
         let mut queue = VecDeque::new();
@@ -1654,8 +1491,8 @@ mod tests {
         serial.pending.clear();
 
         assert_eq!(t_b, t_s, "flush completion time moved");
-        assert_eq!(batched.root(), serial.root());
-        assert_eq!(batched.stat_rows(), serial.stat_rows());
+        assert_eq!(flushed.root(), serial.root());
+        assert_eq!(flushed.stat_rows(), serial.stat_rows());
         assert_eq!(nvm_b.stats().reads.get(), nvm_s.stats().reads.get());
         assert_eq!(nvm_b.stats().writes.get(), nvm_s.stats().writes.get());
         let mut frames_b: Vec<u64> = nvm_b.storage().frames().collect();
@@ -1670,9 +1507,6 @@ mod tests {
                 "media diverged in frame {f}"
             );
         }
-        // The batched side actually planned; the legacy replica never did.
-        assert!(batched.batch_plan_stats().0 >= 1);
-        assert_eq!(serial.batch_plan_stats().0, 0);
     }
 
     #[test]
@@ -1742,7 +1576,7 @@ mod tests {
 
     /// Writes a few pages of counters, flushes, and crashes, leaving a
     /// cold cache over a populated tree — the worst case for verify
-    /// climbs and the state where batching has the most to share.
+    /// climbs.
     fn cold_populated() -> (MetadataSystem, NvmDevice, Vec<LineAddr>) {
         let (mut sys, mut nvm) = small_setup();
         let mut t = Cycle::ZERO;
@@ -1767,70 +1601,37 @@ mod tests {
 
     #[test]
     fn verify_lines_matches_per_line_reads() {
-        // Batched region verify vs the chained read_block loop it
-        // replays: completion time, root, every stat row and the NVM
-        // access counters must be bit-identical — the batch window only
-        // moves host-side hashing.
-        let (mut batched, mut nvm_b, addrs) = cold_populated();
+        // Region verify vs a chained read_block loop: completion time,
+        // root, every stat row and the NVM access counters must be
+        // bit-identical.
+        let (mut region, mut nvm_b, addrs) = cold_populated();
         let (mut serial, mut nvm_s, _) = cold_populated();
-        let t_batch = batched.verify_lines(&mut nvm_b, Cycle::ZERO, &addrs).unwrap();
+        let t_region = region.verify_lines(&mut nvm_b, Cycle::ZERO, &addrs).unwrap();
         let mut t_serial = Cycle::ZERO;
         for &addr in &addrs {
             let (_, acc) = serial.read_block(&mut nvm_s, t_serial, addr).unwrap();
             t_serial = acc.done;
         }
-        assert_eq!(t_batch, t_serial);
-        assert_eq!(batched.root(), serial.root());
-        assert_eq!(batched.stat_rows(), serial.stat_rows());
+        assert_eq!(t_region, t_serial);
+        assert_eq!(region.root(), serial.root());
+        assert_eq!(region.stat_rows(), serial.stat_rows());
         assert_eq!(nvm_b.stats().reads.get(), nvm_s.stats().reads.get());
         assert_eq!(nvm_b.stats().writes.get(), nvm_s.stats().writes.get());
-        // The batched side planned one extra window beyond the shared
-        // warmup (whose flush rounds plan on both sides identically).
-        let (plans, seeded) = batched.batch_plan_stats();
-        let (base_plans, _) = serial.batch_plan_stats();
-        assert_eq!(plans, base_plans + 1);
-        assert!(seeded > 0, "cold climbs should have pre-hashed content");
     }
 
     #[test]
-    fn batched_persists_plan_and_stay_equivalent() {
-        // persist_blocks opens a batch window since PR 9; re-assert the
-        // per-line equivalence from a cold (post-crash) state where the
-        // planner has real work, and check the window actually planned.
-        let (mut batched, mut nvm_b, addrs) = cold_populated();
-        let (mut serial, mut nvm_s, _) = cold_populated();
-        let t_batch = batched.persist_blocks(&mut nvm_b, Cycle::ZERO, &addrs).unwrap();
-        let mut t_serial = Cycle::ZERO;
-        for &addr in &addrs {
-            t_serial = serial.persist_block(&mut nvm_s, t_serial, addr).unwrap();
-        }
-        assert_eq!(t_batch, t_serial);
-        assert_eq!(batched.root(), serial.root());
-        assert_eq!(batched.stat_rows(), serial.stat_rows());
-        for &addr in &addrs {
-            assert_eq!(nvm_b.peek_line(addr.into_phys()), nvm_s.peek_line(addr.into_phys()));
-        }
-        assert_eq!(nvm_b.stats().writes.get(), nvm_s.stats().writes.get());
-        assert_eq!(
-            batched.batch_plan_stats().0,
-            serial.batch_plan_stats().0 + 1
-        );
-    }
-
-    #[test]
-    fn batched_verify_tamper_verdict_matches_per_line() {
+    fn verify_lines_tamper_verdict_matches_per_line() {
         // A tampered counter line must produce the exact same typed
-        // verdict through the batch window as through the legacy loop:
-        // the digest table maps content to the digest of exactly those
-        // bytes, so pre-hashed tampered bytes still fail the slot check.
-        let (mut batched, mut nvm_b, addrs) = cold_populated();
+        // verdict through the region verify as through a chained
+        // read_block loop.
+        let (mut region, mut nvm_b, addrs) = cold_populated();
         let (mut serial, mut nvm_s, _) = cold_populated();
         let victim = addrs[5];
         let mut evil = nvm_b.peek_line(victim.into_phys());
         evil[13] ^= 0x40;
         nvm_b.poke_line(victim.into_phys(), &evil);
         nvm_s.poke_line(victim.into_phys(), &evil);
-        let be = batched.verify_lines(&mut nvm_b, Cycle::ZERO, &addrs).unwrap_err();
+        let be = region.verify_lines(&mut nvm_b, Cycle::ZERO, &addrs).unwrap_err();
         let mut serr = None;
         let mut t = Cycle::ZERO;
         for &addr in &addrs {
@@ -2110,44 +1911,9 @@ mod tests {
     }
 
     #[test]
-    fn digest_memo_is_invisible_to_behavior() {
-        // The same operation sequence, memo on vs off, must agree on
-        // every byte, every completion cycle, and the root digest.
-        let (mut on, mut nvm_on) = small_setup();
-        let (mut off, mut nvm_off) = small_setup();
-        off.set_digest_memo_enabled(false);
-        let (mut t_on, mut t_off) = (Cycle::ZERO, Cycle::ZERO);
-        for round in 0..3 {
-            for p in 0..48u64 {
-                let addr = on.layout().mecb_addr(PageId::new(p));
-                let data = [(p as u8).wrapping_add(round); 64];
-                t_on = on.write_block(&mut nvm_on, t_on, addr, data).unwrap().done;
-                t_off = off.write_block(&mut nvm_off, t_off, addr, data).unwrap().done;
-                assert_eq!(t_on, t_off, "round {round} page {p}");
-            }
-            t_on = on.flush(&mut nvm_on, t_on);
-            t_off = off.flush(&mut nvm_off, t_off);
-            assert_eq!(t_on, t_off, "flush round {round}");
-            on.crash();
-            off.crash();
-        }
-        assert_eq!(on.root(), off.root());
-        for p in 0..48u64 {
-            let addr = on.layout().mecb_addr(PageId::new(p));
-            let (a, acc_on) = on.read_block(&mut nvm_on, t_on, addr).unwrap();
-            let (b, acc_off) = off.read_block(&mut nvm_off, t_off, addr).unwrap();
-            t_on = acc_on.done;
-            t_off = acc_off.done;
-            assert_eq!(a, b);
-            assert_eq!(t_on, t_off);
-        }
-    }
-
-    #[test]
     fn repeated_persist_of_unchanged_content_stays_correct() {
         // persist_block twice without an intervening write: the second
-        // bump_parent serves the leaf digest from the memo (the
-        // debug_assert in trusted_digest cross-checks it in this build).
+        // bump_parent re-publishes the same leaf digest.
         let (mut sys, mut nvm) = small_setup();
         let addr = sys.layout().fecb_addr(PageId::new(2));
         sys.write_block(&mut nvm, Cycle::ZERO, addr, [0x5au8; 64]).unwrap();

@@ -108,108 +108,6 @@ proptest! {
     }
 }
 
-proptest! {
-    /// The digest memo must be invisible: the same operation sequence —
-    /// writes, persists, reads, evictions (the 16-line cache thrashes),
-    /// flushes, crash/rebuild cycles — run memo-on and memo-off must
-    /// agree on every byte read, every completion cycle, the root after
-    /// every flush, and tamper detection afterwards.
-    #[test]
-    fn digest_memo_never_changes_observable_behavior(
-        ops in prop::collection::vec((0u8..5, 0u64..24, any::<u8>(), any::<bool>()), 1..60),
-        tamper_byte in any::<u8>(),
-    ) {
-        let build = || {
-            let layout = MetadataLayout::new(24 * 4096, 512);
-            let mut cfg = SecurityConfig::default();
-            cfg.metadata_cache = CacheConfig {
-                size_bytes: 16 * 64, // 16 lines: heavy eviction pressure
-                ways: 4,
-                block_bytes: 64,
-                latency_cycles: 3,
-            };
-            (MetadataSystem::new(layout, &cfg), NvmDevice::new(NvmConfig::default()))
-        };
-        let (mut on, mut nvm_on) = build();
-        let (mut off, mut nvm_off) = build();
-        off.set_digest_memo_enabled(false);
-        let (mut t_on, mut t_off) = (Cycle::ZERO, Cycle::ZERO);
-        let mut last_addr = None;
-
-        for (i, (op, page, tag, use_fecb)) in ops.iter().enumerate() {
-            let addr = if *use_fecb {
-                on.layout().fecb_addr(PageId::new(*page))
-            } else {
-                on.layout().mecb_addr(PageId::new(*page))
-            };
-            match op {
-                0 | 1 => {
-                    let data = [*tag; 64];
-                    t_on = on.write_block(&mut nvm_on, t_on, addr, data).unwrap().done;
-                    t_off = off.write_block(&mut nvm_off, t_off, addr, data).unwrap().done;
-                    last_addr = Some(addr);
-                }
-                2 => {
-                    if let Some(a) = last_addr {
-                        t_on = on.persist_block(&mut nvm_on, t_on, a).unwrap();
-                        t_off = off.persist_block(&mut nvm_off, t_off, a).unwrap();
-                    }
-                }
-                3 => {
-                    let (b_on, a_on) = on.read_block(&mut nvm_on, t_on, addr).unwrap();
-                    let (b_off, a_off) = off.read_block(&mut nvm_off, t_off, addr).unwrap();
-                    prop_assert_eq!(b_on, b_off, "op {}: bytes diverge", i);
-                    prop_assert_eq!(a_on.cache_hit, a_off.cache_hit, "op {}", i);
-                    t_on = a_on.done;
-                    t_off = a_off.done;
-                }
-                _ => {
-                    t_on = on.flush(&mut nvm_on, t_on);
-                    t_off = off.flush(&mut nvm_off, t_off);
-                    prop_assert_eq!(on.root(), off.root(), "op {}: roots diverge", i);
-                    on.crash();
-                    off.crash();
-                    on.rebuild(&mut nvm_on);
-                    off.rebuild(&mut nvm_off);
-                    prop_assert_eq!(on.root(), off.root(), "op {}: rebuilt roots diverge", i);
-                }
-            }
-            prop_assert_eq!(t_on, t_off, "op {}: cycles diverge", i);
-        }
-
-        // The published trusted digest agrees with the reference hash
-        // on both sides for fresh trusted content.
-        let addr = on.layout().mecb_addr(PageId::new(0));
-        let data = [0x5a; 64];
-        t_on = on.write_block(&mut nvm_on, t_on, addr, data).unwrap().done;
-        let _ = off.write_block(&mut nvm_off, t_off, addr, data).unwrap();
-        let _ = t_on;
-        let d_on = on.trusted_line_digest(addr, &data);
-        let d_memo_hit = on.trusted_line_digest(addr, &data); // second call: memo hit
-        let d_off = off.trusted_line_digest(addr, &data);
-        prop_assert_eq!(d_on, d_off);
-        prop_assert_eq!(d_on, d_memo_hit);
-        prop_assert_eq!(&d_on[..], &fsencr_crypto::sha256_line(&data)[..8]);
-        // Both sides must detect the same tampering identically: flush,
-        // crash (drop caches), corrupt one leaf on the media, and read.
-        if let Some(addr) = last_addr {
-            t_on = on.flush(&mut nvm_on, t_on);
-            t_off = off.flush(&mut nvm_off, t_off);
-            on.crash();
-            off.crash();
-            let phys = fsencr_nvm::PhysAddr::new(addr.get());
-            let mut evil = nvm_on.peek_line(phys);
-            evil[7] ^= tamper_byte | 1; // guaranteed to differ
-            nvm_on.poke_line(phys, &evil);
-            nvm_off.poke_line(phys, &evil);
-            let e_on = on.read_block(&mut nvm_on, t_on, addr).unwrap_err();
-            let e_off = off.read_block(&mut nvm_off, t_off, addr).unwrap_err();
-            prop_assert_eq!(e_on, e_off, "tamper verdicts diverge");
-            prop_assert_eq!(e_on.addr, addr);
-        }
-    }
-}
-
 /// Regression: a clean install() used to clobber a cached node that the
 /// eviction cascade of an *earlier* install had just updated via
 /// `bump_parent`, orphaning a child's digest. Found by

@@ -186,9 +186,6 @@ pub struct ProfiledRun {
     pub observer: Observer,
     /// The measurement window as a raw counter snapshot delta.
     pub window: StatsSnapshot,
-    /// Merkle batch-planner telemetry over the whole run: `(plans,
-    /// digests seeded)` — host-side attribution, cycle-neutral.
-    pub plan_stats: (u64, u64),
 }
 
 /// Builds a machine, runs `workload` under `mode` with the
@@ -223,7 +220,6 @@ pub fn profile_workload(
         },
         observer: m.observer().clone(),
         window: m.measurement_snapshot(),
-        plan_stats: m.controller().batch_plan_stats(),
     })
 }
 

@@ -34,9 +34,9 @@ begin "batched-datapath equivalence: region ops vs per-line controller reference
 cargo test -q -p fsencr --test batch_equivalence
 finish
 
-begin "batched Merkle engine: lane kernel cross-validation + region/rebuild equivalence"
+begin "Merkle engine: lane kernel cross-validation + region/rebuild equivalence"
 cargo test -q -p fsencr-crypto --lib lanes
-cargo test -q -p fsencr-secmem --lib batch
+cargo test -q -p fsencr-secmem --lib matches_per_line
 cargo test -q -p fsencr-secmem --lib verify_lines
 cargo test -q -p fsencr-secmem --lib parallel_rebuild
 finish
@@ -114,7 +114,7 @@ fi
 # The fixture tree seeds violations in every guarded crate class,
 # including the observability and fault-injection crates; each must
 # actually be reported.
-for seeded in "crates/bench/src/lib.rs" "crates/fsencr/src/lib.rs" "crates/obs/src/lib.rs" "crates/fsencr/src/batch.rs" "crates/secmem/src/batch.rs" "crates/crypto/src/lanes.rs" "crates/faults/src/inject.rs" "crates/snapshot/src/lib.rs"; do
+for seeded in "crates/bench/src/lib.rs" "crates/fsencr/src/lib.rs" "crates/obs/src/lib.rs" "crates/fsencr/src/batch.rs" "crates/secmem/src/metadata.rs" "crates/crypto/src/lanes.rs" "crates/faults/src/inject.rs" "crates/snapshot/src/lib.rs"; do
     if ! grep -q "$seeded" /tmp/fsencr_lint_fixture.out; then
         echo "FAIL: lint did not flag seeded violations in $seeded" >&2
         exit 1

@@ -1,6 +1,7 @@
 //! Crash-consistency matrix: crash points x security modes x workloads.
 
-use fsencr::machine::{Machine, MachineOpts, SecurityMode};
+use fsencr::controller::MemError;
+use fsencr::machine::{Machine, MachineError, MachineOpts, SecurityMode};
 use fsencr_fs::{AccessKind, GroupId, Mode, UserId};
 use fsencr_workloads::kv::BTreeKv;
 
@@ -122,4 +123,33 @@ fn unencrypted_recovery_reports_empty() {
     let mut buf = [0u8; 28];
     m.read(0, map, 0, &mut buf).unwrap();
     assert_eq!(&buf, b"plaintext persists trivially");
+}
+
+/// A quarantined MECB is reset to zero by the recovery rebuild. Every
+/// line of its page would then decrypt under zero counters, so each read
+/// must fail with a typed integrity error instead of returning garbage.
+#[test]
+fn reset_counter_block_fences_its_page() {
+    let mut m = machine(SecurityMode::FsEncr);
+    let h = m.create(USER, GROUP, "q", Mode::PRIVATE, Some("pw")).unwrap();
+    let map = m.mmap(&h).unwrap();
+    m.write(0, map, 0, &[0x5a; 4096]).unwrap();
+    m.persist(0, map, 0, 4096).unwrap();
+    let frame = m.fs().stat("q").unwrap().page(0).unwrap();
+    let meta_base = m.opts().general_bytes + m.opts().pmem_bytes;
+    m.fault_plane().quarantine_line(meta_base + frame.get() * 128);
+    m.crash();
+    let report = m.recover();
+    assert_eq!(report.metadata_reset, 1, "{report:?}");
+    assert_eq!(report.quarantined, 64, "{report:?}");
+
+    let h = m.open(USER, &[GROUP], "q", AccessKind::Read, Some("pw")).unwrap();
+    let map = m.mmap(&h).unwrap();
+    let mut buf = [0u8; 64];
+    for line in 0..64u64 {
+        match m.read(0, map, line * 64, &mut buf) {
+            Err(MachineError::Mem(MemError::Integrity(_))) => {}
+            other => panic!("line {line}: {other:?} (read {buf:?})"),
+        }
+    }
 }
