@@ -48,10 +48,13 @@ const FIGURE_CRATES: [&str; 3] = ["bench", "sim", "obs"];
 const NARROW: [&str; 6] = ["u8", "u16", "u32", "i8", "i16", "i32"];
 
 /// Files whose inner loops (verification chains, line digests, pad
-/// generation) must stay allocation-free: scratch lives in the owning
-/// struct and is reused across calls.
-const ALLOC_FREE_FILES: [&str; 9] = [
+/// generation, per-write ECC tags and counter packing) must stay
+/// allocation-free: scratch lives in the owning struct and is reused
+/// across calls.
+const ALLOC_FREE_FILES: [&str; 11] = [
     "crates/secmem/src/metadata.rs",
+    "crates/secmem/src/ecc.rs",
+    "crates/secmem/src/counters.rs",
     "crates/crypto/src/sha256.rs",
     "crates/crypto/src/lanes.rs",
     "crates/crypto/src/ctr.rs",
@@ -468,6 +471,13 @@ mod tests {
         let lanes = lint_file("crates/crypto/src/lanes.rs", src);
         assert_eq!(lanes.len(), 2, "{lanes:?}");
         assert!(lanes.iter().all(|f| f.rule == "hot-alloc"));
+        // Every line write records an ECC tag into a fixed pending
+        // buffer and packs counter blocks: both run per write.
+        for per_write in ["crates/secmem/src/ecc.rs", "crates/secmem/src/counters.rs"] {
+            let found = lint_file(per_write, src);
+            assert_eq!(found.len(), 2, "{per_write}: {found:?}");
+            assert!(found.iter().all(|f| f.rule == "hot-alloc"));
+        }
         // Snapshot encode/decode runs once per warm start over
         // megabyte-scale state: its scratch must be sized up front.
         // (`lib.rs` is a crate root, so the bare source also trips

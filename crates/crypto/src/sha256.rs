@@ -11,6 +11,10 @@
 //! the data block's message schedule is fused into the rounds (a 16-word
 //! ring instead of a materialized 64-word array), and the padding block's
 //! entire `K[i] + w[i]` addend table is computed at compile time.
+//!
+//! [`ecc_tag`] is the same idea for the Osiris ECC tag of a line, a
+//! 72-byte `line ‖ addr` message: the line block, then one block holding
+//! the address and the padding.
 
 pub(crate) const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
@@ -94,11 +98,16 @@ impl Sha256 {
     /// Finishes the computation and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
+        // `0x80` and the zero fill go in with one slice write; a tail
+        // with no room for the length spills into one extra block.
+        let n = self.buffered;
+        self.buffer[n] = 0x80;
+        self.buffer[n + 1..].fill(0);
+        if n >= 56 {
+            let block = self.buffer;
+            self.compress(&block);
+            self.buffer = [0u8; 64];
         }
-        // Length goes directly into the buffer to avoid recounting.
         self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buffer;
         self.compress(&block);
@@ -306,6 +315,32 @@ pub fn sha256_line(line: &[u8; 64]) -> [u8; 32] {
 /// Bit-identical to truncating `sha256(line)`.
 pub fn digest8_line(line: &[u8; 64]) -> [u8; 8] {
     let state = line_state(line);
+    let mut out = [0u8; 8];
+    out[..4].copy_from_slice(&state[0].to_be_bytes());
+    out[4..].copy_from_slice(&state[1].to_be_bytes());
+    out
+}
+
+/// The second block of an Osiris ECC tag message `line ‖ addr_le`: the
+/// eight address bytes, `0x80`, zeros, then the 64-bit big-endian bit
+/// length of the 72-byte message (576).
+#[inline(always)]
+pub(crate) fn ecc_tail_block(addr: u64) -> [u8; 64] {
+    let mut b = [0u8; 64];
+    b[..8].copy_from_slice(&addr.to_le_bytes());
+    b[8] = 0x80;
+    b[56..].copy_from_slice(&576u64.to_be_bytes());
+    b
+}
+
+/// The Osiris ECC tag of one line: the first 8 bytes of
+/// `sha256(line ‖ addr.to_le_bytes())`, computed as two fused
+/// compressions — the line itself, then the address-and-padding block —
+/// with no message copy.
+pub fn ecc_tag(line: &[u8; 64], addr: u64) -> [u8; 8] {
+    let mut state = H0;
+    compress_block_fused(&mut state, line);
+    compress_block_fused(&mut state, &ecc_tail_block(addr));
     let mut out = [0u8; 8];
     out[..4].copy_from_slice(&state[0].to_be_bytes());
     out[4..].copy_from_slice(&state[1].to_be_bytes());

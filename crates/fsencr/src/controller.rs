@@ -312,6 +312,12 @@ impl MemoryController {
         &self.nvm
     }
 
+    /// The ECC lanes: the per-line Osiris tags that travel with the
+    /// device.
+    pub fn ecc(&self) -> &EccStore {
+        &self.ecc
+    }
+
     /// Raw mutable device access. Debug/attack surface only — production
     /// callers go through the datapath; tests and attack fixtures that
     /// need to corrupt media directly reach for this, visibly.

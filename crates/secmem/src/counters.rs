@@ -14,35 +14,46 @@ pub const MINOR_LIMIT: u8 = 128;
 
 const MINOR_BITS: usize = 7;
 
-/// Packs 64 seven-bit values into 56 bytes.
+/// Minors per packed word: eight 7-bit minors fill the low 56 bits of a
+/// little-endian `u64`, i.e. exactly seven bytes of the block.
+const MINORS_PER_WORD: usize = 8;
+
+/// Bytes each group of [`MINORS_PER_WORD`] minors occupies.
+const WORD_BYTES: usize = MINORS_PER_WORD * MINOR_BITS / 8;
+
+/// Packs 64 seven-bit values into 56 bytes, LSB-first: minor `i` lands at
+/// bit `7 * i` of the little-endian bit stream. Works a word at a time —
+/// eight minors per `u64`, seven bytes per word.
 fn pack_minors(minors: &[u8; MINORS_PER_BLOCK], out: &mut [u8]) {
     debug_assert_eq!(out.len(), 56);
-    out.fill(0);
-    for (i, &m) in minors.iter().enumerate() {
-        debug_assert!(m < MINOR_LIMIT);
-        let bit = i * MINOR_BITS;
-        let byte = bit / 8;
-        let shift = bit % 8;
-        out[byte] |= m << shift;
-        if shift > 1 {
-            out[byte + 1] |= m >> (8 - shift);
+    for (group, bytes) in minors
+        .chunks_exact(MINORS_PER_WORD)
+        .zip(out.chunks_exact_mut(WORD_BYTES))
+    {
+        let mut word = 0u64;
+        for (j, &m) in group.iter().enumerate() {
+            debug_assert!(m < MINOR_LIMIT);
+            word |= u64::from(m) << (MINOR_BITS * j);
         }
+        bytes.copy_from_slice(&word.to_le_bytes()[..WORD_BYTES]);
     }
 }
 
-/// Unpacks 64 seven-bit values from 56 bytes.
+/// Unpacks 64 seven-bit values from 56 bytes; the inverse of
+/// [`pack_minors`].
 fn unpack_minors(bytes: &[u8]) -> [u8; MINORS_PER_BLOCK] {
     debug_assert_eq!(bytes.len(), 56);
     let mut minors = [0u8; MINORS_PER_BLOCK];
-    for (i, m) in minors.iter_mut().enumerate() {
-        let bit = i * MINOR_BITS;
-        let byte = bit / 8;
-        let shift = bit % 8;
-        let mut v = (bytes[byte] >> shift) as u16;
-        if shift > 1 {
-            v |= (bytes[byte + 1] as u16) << (8 - shift);
+    for (group, chunk) in minors
+        .chunks_exact_mut(MINORS_PER_WORD)
+        .zip(bytes.chunks_exact(WORD_BYTES))
+    {
+        let mut le = [0u8; 8];
+        le[..WORD_BYTES].copy_from_slice(chunk);
+        let word = u64::from_le_bytes(le);
+        for (j, m) in group.iter_mut().enumerate() {
+            *m = ((word >> (MINOR_BITS * j)) & 0x7f) as u8;
         }
-        *m = (v & 0x7f) as u8;
     }
     minors
 }
@@ -286,6 +297,82 @@ impl Fecb {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bit-serial codec the word packer replaced, kept as the
+    /// reference: one minor at a time, split across a byte boundary
+    /// where needed.
+    fn pack_minors_bitwise(minors: &[u8; MINORS_PER_BLOCK]) -> [u8; 56] {
+        let mut out = [0u8; 56];
+        for (i, &m) in minors.iter().enumerate() {
+            let bit = i * MINOR_BITS;
+            let byte = bit / 8;
+            let shift = bit % 8;
+            out[byte] |= m << shift;
+            if shift > 1 {
+                out[byte + 1] |= m >> (8 - shift);
+            }
+        }
+        out
+    }
+
+    fn unpack_minors_bitwise(bytes: &[u8; 56]) -> [u8; MINORS_PER_BLOCK] {
+        let mut minors = [0u8; MINORS_PER_BLOCK];
+        for (i, m) in minors.iter_mut().enumerate() {
+            let bit = i * MINOR_BITS;
+            let byte = bit / 8;
+            let shift = bit % 8;
+            let mut v = (bytes[byte] >> shift) as u16;
+            if shift > 1 {
+                v |= (bytes[byte + 1] as u16) << (8 - shift);
+            }
+            *m = (v & 0x7f) as u8;
+        }
+        minors
+    }
+
+    fn assert_codecs_agree(minors: &[u8; MINORS_PER_BLOCK], what: &str) {
+        let mut packed = [0u8; 56];
+        pack_minors(minors, &mut packed);
+        assert_eq!(packed, pack_minors_bitwise(minors), "pack {what}");
+        assert_eq!(unpack_minors(&packed), *minors, "round trip {what}");
+        assert_eq!(unpack_minors(&packed), unpack_minors_bitwise(&packed), "unpack {what}");
+    }
+
+    #[test]
+    fn word_packer_matches_bitwise_codec_on_every_single_minor() {
+        for i in 0..MINORS_PER_BLOCK {
+            for v in 1..MINOR_LIMIT {
+                let mut minors = [0u8; MINORS_PER_BLOCK];
+                minors[i] = v;
+                assert_codecs_agree(&minors, &format!("minor {i} = {v}"));
+            }
+        }
+    }
+
+    #[test]
+    fn word_packer_matches_bitwise_codec_on_random_blocks() {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for round in 0..512 {
+            let mut minors = [0u8; MINORS_PER_BLOCK];
+            for m in minors.iter_mut() {
+                *m = (next() % u64::from(MINOR_LIMIT)) as u8;
+            }
+            assert_codecs_agree(&minors, &format!("round {round}"));
+            // Every 56-byte image is a valid block: the unpackers must
+            // agree on arbitrary bytes too.
+            let mut bytes = [0u8; 56];
+            for b in bytes.iter_mut() {
+                *b = next() as u8;
+            }
+            assert_eq!(unpack_minors(&bytes), unpack_minors_bitwise(&bytes), "round {round}");
+        }
+    }
 
     #[test]
     fn minor_packing_roundtrips_all_patterns() {

@@ -34,8 +34,10 @@ begin "batched-datapath equivalence: region ops vs per-line controller reference
 cargo test -q -p fsencr --test batch_equivalence
 finish
 
-begin "Merkle engine: lane kernel cross-validation + region/rebuild equivalence"
+begin "Merkle engine + ECC lanes: lane kernel cross-validation, batched tags, counter packing, region/rebuild equivalence"
 cargo test -q -p fsencr-crypto --lib lanes
+cargo test -q -p fsencr-secmem --lib ecc
+cargo test -q -p fsencr-secmem --lib counters
 cargo test -q -p fsencr-secmem --lib matches_per_line
 cargo test -q -p fsencr-secmem --lib verify_lines
 cargo test -q -p fsencr-secmem --lib parallel_rebuild
