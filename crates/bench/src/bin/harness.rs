@@ -29,9 +29,8 @@
 //! a fault campaign end to end and per layer, and the criterion benches
 //! under `crates/*/benches` time the kernels.
 //!
-//! `--jobs N` (or the `FSENCR_JOBS` environment variable) sets how many
-//! experiment cells run concurrently; the default is the host's available
-//! parallelism. The figures are identical at any worker count — only the
+//! `--jobs N` sets how many experiment cells run concurrently; the
+//! default is the host's available parallelism. The figures are identical at any worker count — only the
 //! wall-clock changes.
 //!
 //! Figure subcommands memoize into one content-addressed store,

@@ -7,8 +7,9 @@
 //! figure is assembled, so the output is identical to a serial run at any
 //! worker count.
 
-use fsencr::machine::{MachineOpts, Preset, RunStats, SecurityMode};
+use fsencr::machine::{MachineOpts, Preset, SecurityMode};
 use fsencr::security;
+use fsencr::snapshot::StatsSnapshot;
 use fsencr_crypto::Key128;
 use fsencr_fs::{GroupId, Mode, UserId};
 use fsencr_workloads::daxmicro::{DaxStride, DaxSwap};
@@ -30,7 +31,7 @@ fn run_with(
     opts: MachineOpts,
     mode: SecurityMode,
     w: &mut dyn Workload,
-) -> RunStats {
+) -> StatsSnapshot {
     run_workload(opts, mode, w)
         .unwrap_or_else(|e| panic!("{} under {mode}: {e}", w.name()))
         .stats
@@ -59,7 +60,7 @@ struct Cell<'a> {
 /// deposits a fresh image for later cells. Warm and cold paths measure
 /// bit-identically (see the `warm_start` suite), so figure bytes never
 /// depend on the store.
-fn run_cells(cells: Vec<Cell<'_>>) -> Vec<RunStats> {
+fn run_cells(cells: Vec<Cell<'_>>) -> Vec<StatsSnapshot> {
     let tasks: Vec<_> = cells
         .into_iter()
         .map(|cell| {
@@ -72,7 +73,7 @@ fn run_cells(cells: Vec<Cell<'_>>) -> Vec<RunStats> {
                     &cell.opts,
                     &workload.spec(),
                 );
-                let cached = store::get(Kind::Cell, &key).and_then(|b| store::cell_stats(&b).ok());
+                let cached = store::get(Kind::Cell, &key).and_then(|b| store::decode_cell(&b).ok());
                 store::count(Kind::Cell, cached.is_some());
                 if let Some(stats) = cached {
                     return stats;
@@ -99,7 +100,7 @@ fn run_cells(cells: Vec<Cell<'_>>) -> Vec<RunStats> {
                     store::put(Kind::Setup, &skey, &bytes);
                 }
                 let stats = warm.result.stats;
-                store::put(Kind::Cell, &key, &store::cell_bytes(&stats));
+                store::put(Kind::Cell, &key, &store::encode_cell(&stats));
                 stats
             }
         })
@@ -231,7 +232,7 @@ fn matrix(fig: &str, scale: f64) -> Option<(Vec<(String, Factory)>, &'static [Se
 
 /// Runs the cell matrix of `fig` and returns its row labels and stats:
 /// `stats[i * modes + j]` is row `i` under the matrix's mode `j`.
-fn run_matrix(fig: &str, scale: f64) -> (Vec<String>, Vec<RunStats>) {
+fn run_matrix(fig: &str, scale: f64) -> (Vec<String>, Vec<StatsSnapshot>) {
     let (factories, modes) =
         matrix(fig, scale).unwrap_or_else(|| panic!("{fig} has no cell matrix"));
     let stats = run_cells(mode_cells(&factories, modes));
@@ -280,7 +281,7 @@ pub fn fig3(scale: f64) -> Figure {
 /// `(baseline security, FsEncr)` stat pairs.
 fn normalized_from(
     tag: &str,
-    rows: Vec<(String, RunStats, RunStats)>,
+    rows: Vec<(String, StatsSnapshot, StatsSnapshot)>,
 ) -> (Figure, Figure, Figure) {
     let mut slow = Figure::new(
         format!("{tag}: FsEncr slowdown (normalized to baseline security)"),

@@ -61,7 +61,7 @@ const FILE_BYTES: u64 = FILE_PAGES * 4096;
 /// 64-byte lines in the campaign file.
 const FILE_LINES: u64 = FILE_BYTES / 64;
 
-/// Aggregated outcome of one scenario.
+/// Summed outcome of one scenario.
 #[derive(Debug, Clone, Default)]
 struct ScenarioOutcome {
     scenario: u64,
@@ -311,8 +311,6 @@ fn run_scenario(
     // write + persist re-anchors each line.
     let mut indeterminate: BTreeSet<u64> = BTreeSet::new();
     let mut rng = XorShift64::new(seed).derive(scenario.wrapping_add(1)).derive(0x0505);
-    // Set FAULTCAMP_DEBUG=1 for a per-operation trace on stderr.
-    let dbg = std::env::var("FAULTCAMP_DEBUG").is_ok();
 
     fn mark_indeterminate(indeterminate: &mut BTreeSet<u64>, off: u64, len: u64) {
         for line in off / 64..(off + len) / 64 {
@@ -320,7 +318,7 @@ fn run_scenario(
         }
     }
 
-    for op in 0..spec.ops {
+    for _ in 0..spec.ops {
         let line = rng.next_below(FILE_LINES);
         let off = line * 64;
         let span = 1 + rng.next_below(4);
@@ -330,9 +328,6 @@ fn run_scenario(
         if rng.next_below(100) < 70 {
             let mut buf = vec![0u8; len as usize];
             fill_random(&mut rng, &mut buf);
-            if dbg {
-                eprintln!("[dbg] op {op}: WRITE lines {}..={}", off / 64, (off + len) / 64 - 1);
-            }
             match m.write(0, map, off, &buf) {
                 Ok(()) => {
                     // The datapath accepted every line: the ECC oracle now
@@ -348,9 +343,6 @@ fn run_scenario(
                     // at the first error — a failed persist leaves the
                     // span's durable state unknowable.
                     if let Err(e) = m.persist(0, map, off, len) {
-                        if dbg {
-                            eprintln!("[dbg] op {op}: persist ERR {e}");
-                        }
                         if is_integrity(&e) {
                             out.detected_during_ops += 1;
                         }
@@ -358,9 +350,6 @@ fn run_scenario(
                     }
                 }
                 Err(e) => {
-                    if dbg {
-                        eprintln!("[dbg] op {op}: write ERR {e}");
-                    }
                     if is_integrity(&e) {
                         out.detected_during_ops += 1;
                     }
@@ -372,9 +361,6 @@ fn run_scenario(
             }
         } else {
             let mut buf = vec![0u8; len as usize];
-            if dbg {
-                eprintln!("[dbg] op {op}: READ lines {}..={}", off / 64, (off + len) / 64 - 1);
-            }
             match m.read(0, map, off, &mut buf) {
                 Ok(()) => {
                     if buf != shadow[lo..hi] {
@@ -395,12 +381,6 @@ fn run_scenario(
             m.fault_plane().restore_power();
             m.crash();
             let rep = m.recover();
-            if dbg {
-                eprintln!(
-                    "[dbg] op {op}: mid-run recovery {rep:?}, quarantine {:?}",
-                    m.inspect_plane().quarantined()
-                );
-            }
             out.recoveries += 1;
             out.rec_clean += rep.clean;
             out.rec_repaired += rep.repaired;
@@ -419,10 +399,6 @@ fn run_scenario(
         m.fault_plane().restore_power();
     }
     let events = m.fault_plane().disarm();
-    if dbg {
-        eprintln!("[dbg] scenario {scenario} events: {events:?}");
-        eprintln!("[dbg] scenario {scenario} plan: {:?}", FaultPlan::generate(seed, scenario, spec));
-    }
     for e in &events {
         if e.changed {
             out.applied += 1;
@@ -441,12 +417,6 @@ fn run_scenario(
     // data lines enter coverage and get quarantined.
     m.crash();
     let rep = m.recover();
-    if dbg {
-        eprintln!(
-            "[dbg] scenario {scenario}: final recovery {rep:?}, quarantine {:?}",
-            m.inspect_plane().quarantined()
-        );
-    }
     out.recoveries += 1;
     out.rec_clean += rep.clean;
     out.rec_repaired += rep.repaired;
@@ -468,9 +438,6 @@ fn run_scenario(
                     out.lines_indeterminate += 1;
                 } else {
                     out.lines_undetected += 1;
-                    if dbg {
-                        eprintln!("[dbg] scenario {scenario} UNDETECTED line {line} (addr {})", line * 64);
-                    }
                 }
             }
             // Typed refusal — quarantine fence or Merkle verdict. The

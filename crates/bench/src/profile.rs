@@ -65,7 +65,7 @@ pub fn profile(fig: &str, scale: f64, span_capacity: usize) -> Option<ProfileRep
                 ProfiledCell {
                     label: spec.label.clone(),
                     mode: spec.mode,
-                    window: run.window,
+                    window: run.result.stats,
                     observer: run.observer,
                 }
             }

@@ -233,18 +233,18 @@ impl Shell {
                 )
             }
             ("stats", _) => {
-                let s = self.machine.measurement();
+                let s = self.machine.measurement_snapshot();
                 format!(
                     "cycles={} nvm_reads={} nvm_writes={} meta_hit={:.1}% ott={}h/{}m file_accesses={} read_p50={} read_p99={}",
                     s.cycles,
                     s.nvm_reads,
                     s.nvm_writes,
-                    100.0 * s.meta_hit_rate,
+                    100.0 * s.meta_hit_rate(),
                     s.ott_hits,
                     s.ott_misses,
                     s.file_accesses,
-                    s.read_p50,
-                    s.read_p99
+                    s.read_latency.percentile(0.5),
+                    s.read_latency.percentile(0.99)
                 )
             }
             ("scan", text @ [_, ..]) => {

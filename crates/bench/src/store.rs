@@ -6,8 +6,8 @@
 //! construction (enforced by the determinism test suites). That makes
 //! two things safe to memoize *by content*:
 //!
-//! * [`Kind::Cell`] — a finished cell's [`RunStats`], keyed by the cell
-//!   label and the workload's parameter-complete
+//! * [`Kind::Cell`] — a finished cell's measured [`StatsSnapshot`], keyed
+//!   by the cell label and the workload's parameter-complete
 //!   [`spec`](fsencr_workloads::driver::Workload::spec). A hit skips the
 //!   simulation entirely.
 //! * [`Kind::Setup`] — a post-setup [`Machine::save_snapshot`] image,
@@ -21,11 +21,13 @@
 //! The store is one directory (`CACHE/` under the `harness` binary) with
 //! one `<key>.<kind>` file per entry, written as soon as it is produced
 //! so later cells of the same run already hit. Both kinds are
-//! `fsencr-snap/1` streams: a cell entry is a single `cell` section of
-//! the ten `RunStats` fields as `u64` (the two rates as `to_bits`), so a
-//! hit is bit-exact and the codec's chained digest rejects a damaged
-//! entry. The key ([`key`]) is a SHA-256 over the crate-version salt,
-//! the kind, the label, the security mode, the full `Debug` rendering of
+//! `fsencr-snap/1` streams: a cell entry is a single `cell` section
+//! holding [`StatsSnapshot::snap_save`] (every counter plus the
+//! read-latency histogram), so a hit is bit-exact and the codec's
+//! chained digest rejects a damaged entry. An entry in any other
+//! counter layout fails to decode and is a miss like any other damage.
+//! The key ([`key`]) is a SHA-256 over the crate-version salt, the kind,
+//! the label, the security mode, the full `Debug` rendering of
 //! [`MachineOpts`] and the spec, so any change to any input yields a
 //! different file and a stale entry can never be served.
 //!
@@ -40,7 +42,8 @@
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-use fsencr::machine::{MachineOpts, RunStats, SecurityMode};
+use fsencr::machine::{MachineOpts, SecurityMode};
+use fsencr::snapshot::StatsSnapshot;
 use fsencr_crypto::sha256;
 use fsencr_snapshot::{Dec, Enc, SnapError};
 
@@ -51,7 +54,7 @@ const SALT: &str = concat!("fsencr-bench/", env!("CARGO_PKG_VERSION"));
 /// What a store entry holds; its name is the entry's file extension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {
-    /// A finished cell's [`RunStats`].
+    /// A finished cell's measured [`StatsSnapshot`].
     Cell,
     /// A post-setup machine snapshot image.
     Setup,
@@ -176,51 +179,26 @@ pub fn stores() -> u64 {
     with_store(|s| s.stores).unwrap_or(0)
 }
 
-/// Encodes a cell entry: one `cell` section of the ten [`RunStats`]
-/// fields, the two rates through `to_bits`.
-pub(crate) fn cell_bytes(s: &RunStats) -> Vec<u8> {
+/// Encodes a cell entry: one `cell` section holding the cell's
+/// measured [`StatsSnapshot`].
+pub(crate) fn encode_cell(s: &StatsSnapshot) -> Vec<u8> {
     let mut enc = Enc::new();
     enc.begin_section("cell");
-    for v in [
-        s.cycles,
-        s.nvm_reads,
-        s.nvm_writes,
-        s.meta_hit_rate.to_bits(),
-        s.ott_hits,
-        s.ott_misses,
-        s.file_accesses,
-        s.tlb_hit_rate.to_bits(),
-        s.read_p50,
-        s.read_p99,
-    ] {
-        enc.put_u64(v);
-    }
+    s.snap_save(&mut enc);
     enc.end_section();
     enc.finish()
 }
 
-/// Decodes a cell entry written by [`cell_bytes`], bit-exactly.
+/// Decodes a cell entry written by [`encode_cell`], bit-exactly.
 ///
 /// # Errors
 ///
-/// The codec's error for a truncated, damaged or foreign stream.
-pub(crate) fn cell_stats(bytes: &[u8]) -> Result<RunStats, SnapError> {
+/// The codec's error for a truncated, damaged or foreign stream,
+/// including an entry in any other counter layout.
+pub(crate) fn decode_cell(bytes: &[u8]) -> Result<StatsSnapshot, SnapError> {
     let mut dec = Dec::new(bytes)?;
     dec.begin_section("cell")?;
-    // Struct-literal fields evaluate in source order: this mirrors the
-    // put order of `cell_bytes`.
-    let stats = RunStats {
-        cycles: dec.get_u64()?,
-        nvm_reads: dec.get_u64()?,
-        nvm_writes: dec.get_u64()?,
-        meta_hit_rate: f64::from_bits(dec.get_u64()?),
-        ott_hits: dec.get_u64()?,
-        ott_misses: dec.get_u64()?,
-        file_accesses: dec.get_u64()?,
-        tlb_hit_rate: f64::from_bits(dec.get_u64()?),
-        read_p50: dec.get_u64()?,
-        read_p99: dec.get_u64()?,
-    };
+    let stats = StatsSnapshot::snap_load(&mut dec)?;
     dec.end_section()?;
     dec.finish()?;
     Ok(stats)
@@ -270,40 +248,37 @@ mod tests {
 
     #[test]
     fn cell_round_trip_is_bit_exact_and_damage_is_rejected() {
-        let stats = RunStats {
+        let mut stats = StatsSnapshot {
             cycles: 123_456_789_012,
             nvm_reads: 42,
             nvm_writes: 7,
-            meta_hit_rate: 0.1 + 0.2, // deliberately non-representable
+            meta_cache_hits: 9,
+            meta_cache_misses: 4,
             ott_hits: 5,
             ott_misses: 3,
             file_accesses: 11,
-            tlb_hit_rate: 1.0 / 3.0,
-            read_p50: 250,
-            read_p99: 1200,
+            tlb_hits: 1,
+            tlb_misses: 2,
+            ..StatsSnapshot::default()
         };
-        let bytes = cell_bytes(&stats);
-        let back = cell_stats(&bytes).expect("round trip");
-        assert_eq!(back.cycles, stats.cycles);
-        assert_eq!(back.nvm_reads, stats.nvm_reads);
-        assert_eq!(back.nvm_writes, stats.nvm_writes);
-        assert_eq!(back.meta_hit_rate.to_bits(), stats.meta_hit_rate.to_bits());
-        assert_eq!(back.ott_hits, stats.ott_hits);
-        assert_eq!(back.ott_misses, stats.ott_misses);
-        assert_eq!(back.file_accesses, stats.file_accesses);
-        assert_eq!(back.tlb_hit_rate.to_bits(), stats.tlb_hit_rate.to_bits());
-        assert_eq!(back.read_p50, stats.read_p50);
-        assert_eq!(back.read_p99, stats.read_p99);
+        for latency in [250, 250, 1200, 40_000] {
+            stats.read_latency.record(latency);
+        }
+        assert_eq!(stats.read_latency.count(), 4);
+        let bytes = encode_cell(&stats);
+        assert_eq!(decode_cell(&bytes).expect("round trip"), stats);
         for at in 0..bytes.len() {
             let mut flipped = bytes.clone();
             flipped[at] ^= 0x10;
             assert!(
-                cell_stats(&flipped).is_err(),
+                decode_cell(&flipped).is_err(),
                 "flip at byte {at} went unnoticed"
             );
         }
-        assert!(cell_stats(&bytes[..bytes.len() - 1]).is_err());
-        assert!(cell_stats(b"not a snapshot").is_err());
+        for len in 0..bytes.len() {
+            assert!(decode_cell(&bytes[..len]).is_err(), "truncation to {len}");
+        }
+        assert!(decode_cell(b"not a snapshot").is_err());
     }
 
     #[test]

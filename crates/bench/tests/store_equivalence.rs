@@ -116,8 +116,11 @@ fn store_never_changes_figure_bytes() {
 
     // Damage: flip a byte in cell 0's entry and in its setup entry, and
     // truncate cell 1's entry (same workload, the other mode, so its
-    // setup entry is another, intact one). All three must be misses that
-    // fall back to simulating, and be rewritten with the original bytes.
+    // setup entry is another, intact one). Replace the last cell's entry
+    // (cell 1's mode, so never cell 0's setup) with an intact stream in a
+    // stale counter layout: ten bare `u64`s in the `cell` section. All
+    // four must be misses that fall back to simulating, and be rewritten
+    // with the original bytes.
     let specs = profile_cells("fig12-14", SCALE).expect("fig12-14 has a cell matrix");
     let cell_key = |i: usize| {
         let s = &specs[i];
@@ -131,10 +134,13 @@ fn store_never_changes_figure_bytes() {
         &s0.opts,
         &(s0.factory)().setup_spec(),
     );
+    let last = specs.len() - 1;
+    assert_eq!(specs[last].mode, specs[1].mode);
     let damaged = [
         entry(&dir, &cell_key(0), "cell"),
         entry(&dir, &setup0, "setup"),
         entry(&dir, &cell_key(1), "cell"),
+        entry(&dir, &cell_key(last), "cell"),
     ];
     let originals: Vec<Vec<u8>> = damaged
         .iter()
@@ -146,13 +152,20 @@ fn store_never_changes_figure_bytes() {
         std::fs::write(path, flipped).expect("flip a byte");
     }
     std::fs::write(&damaged[2], &originals[2][..originals[2].len() - 3]).expect("truncate");
+    let mut stale = fsencr_snapshot::Enc::new();
+    stale.begin_section("cell");
+    for v in 1..=10u64 {
+        stale.put_u64(v * 1000);
+    }
+    stale.end_section();
+    std::fs::write(&damaged[3], stale.finish()).expect("write a stale-layout entry");
     let (repaired, cell, setup) = pass(&dir);
     assert_eq!(reference, repaired, "damaged entries changed figure bytes");
-    assert_eq!(cell, (cells - 2, 2), "both damaged cell entries must miss");
+    assert_eq!(cell, (cells - 3, 3), "every damaged cell entry must miss");
     assert_eq!(
         setup,
-        (1, 1),
-        "the damaged setup misses, the intact one restores"
+        (2, 1),
+        "the damaged setup misses, the intact ones restore"
     );
     for (path, bytes) in damaged.iter().zip(&originals) {
         assert_eq!(

@@ -295,14 +295,14 @@ impl Hierarchy {
         self.l3.clear();
     }
 
-    /// Aggregated (hits, misses) across all L1 caches.
+    /// Summed (hits, misses) across all L1 caches.
     pub fn l1_stats(&self) -> (u64, u64) {
         self.l1
             .iter()
             .fold((0, 0), |(h, m), c| (h + c.stats().hits.get(), m + c.stats().misses.get()))
     }
 
-    /// Aggregated (hits, misses) across all L2 caches.
+    /// Summed (hits, misses) across all L2 caches.
     pub fn l2_stats(&self) -> (u64, u64) {
         self.l2
             .iter()

@@ -27,13 +27,6 @@ pub struct CacheStats {
     pub evictions: Counter,
 }
 
-impl CacheStats {
-    /// Hit rate in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        fsencr_sim::stats::hit_rate(self.hits.get(), self.misses.get())
-    }
-}
-
 #[derive(Debug, Clone)]
 struct Entry {
     tag: u64,
@@ -241,11 +234,6 @@ impl Cache {
     /// Hit/miss counters.
     pub fn stats(&self) -> &CacheStats {
         &self.stats
-    }
-
-    /// Resets the hit/miss counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 
     /// Number of lines currently resident.

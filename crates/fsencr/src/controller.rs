@@ -36,7 +36,7 @@ use fsencr_faults::{FaultEvent, FaultInjector, FaultPlan};
 use fsencr_nvm::{LineAddr, NvmDevice, NvmError, PageId, PhysAddr, LINE_BYTES};
 use fsencr_obs::Observer;
 use fsencr_secmem::{EccStore, Fecb, Mecb, MetadataLayout, MetadataSystem, TamperError};
-use fsencr_sim::{config::SecurityConfig, Counter, Cycle, Histogram, StatSource};
+use fsencr_sim::{config::SecurityConfig, Counter, Cycle, Histogram};
 
 use crate::ott::OpenTunnelTable;
 use crate::snapshot::StatsSnapshot;
@@ -1518,24 +1518,5 @@ impl MemoryController {
             .collect();
         lines.sort_by_key(|l| l.get());
         lines
-    }
-}
-
-impl StatSource for MemoryController {
-    fn stat_rows(&self) -> Vec<(String, u64)> {
-        let mut rows = vec![
-            ("ctrl.reads".to_string(), self.stats.reads.get()),
-            ("ctrl.writes".to_string(), self.stats.writes.get()),
-            ("ctrl.file_accesses".to_string(), self.stats.file_accesses.get()),
-            (
-                "ctrl.overflow_reencryptions".to_string(),
-                self.stats.overflow_reencryptions.get(),
-            ),
-            ("ctrl.shredded_pages".to_string(), self.stats.shredded_pages.get()),
-        ];
-        rows.extend(self.nvm.stat_rows());
-        rows.extend(self.meta.stat_rows());
-        rows.extend(self.ott.stat_rows());
-        rows
     }
 }

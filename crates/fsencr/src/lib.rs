@@ -58,7 +58,7 @@ pub mod tlb;
 
 pub(crate) use controller::batch::RegionRun;
 pub use controller::{CtrlStats, IntegrityError, MemError, MemoryController, ModuleEnvelope};
-pub use machine::{Machine, MachineOpts, MapId, Preset, RunStats, SecurityMode};
+pub use machine::{Machine, MachineOpts, MapId, Preset, SecurityMode};
 pub use plane::{FaultPlane, InspectPlane, ModuleFault, ModuleInspect};
 pub use snapshot::StatsSnapshot;
 pub use ott::{OpenTunnelTable, OttStats};

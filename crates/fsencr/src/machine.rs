@@ -314,32 +314,6 @@ struct Mapping {
     writable: bool,
 }
 
-/// Measurement snapshot returned by [`Machine::measurement`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RunStats {
-    /// Wall-clock cycles elapsed since `begin_measurement` (max over
-    /// cores).
-    pub cycles: u64,
-    /// 64-byte reads that reached the NVM (data + metadata).
-    pub nvm_reads: u64,
-    /// 64-byte writes that reached the NVM (data + metadata).
-    pub nvm_writes: u64,
-    /// Metadata-cache hit rate over the window.
-    pub meta_hit_rate: f64,
-    /// OTT hits over the window.
-    pub ott_hits: u64,
-    /// OTT misses over the window.
-    pub ott_misses: u64,
-    /// Requests that engaged the file engine.
-    pub file_accesses: u64,
-    /// TLB hit rate across cores over the window.
-    pub tlb_hit_rate: f64,
-    /// Median data-read latency at the controller, in cycles.
-    pub read_p50: u64,
-    /// 99th-percentile data-read latency at the controller, in cycles.
-    pub read_p99: u64,
-}
-
 const MAP_STRIDE: u64 = 1 << 30;
 const MAP_BASE: u64 = 1 << 40;
 
@@ -599,23 +573,6 @@ impl Machine {
     /// since construction, if it was never called).
     pub fn measurement_snapshot(&self) -> StatsSnapshot {
         self.snapshot().delta(&self.baseline)
-    }
-
-    /// Snapshot of the current measurement window.
-    pub fn measurement(&self) -> RunStats {
-        let d = self.measurement_snapshot();
-        RunStats {
-            cycles: d.cycles,
-            nvm_reads: d.nvm_reads,
-            nvm_writes: d.nvm_writes,
-            meta_hit_rate: d.meta_hit_rate(),
-            ott_hits: d.ott_hits,
-            ott_misses: d.ott_misses,
-            file_accesses: d.file_accesses,
-            tlb_hit_rate: d.tlb_hit_rate(),
-            read_p50: d.read_latency.percentile(0.5),
-            read_p99: d.read_latency.percentile(0.99),
-        }
     }
 
     // ------------------------------------------------------------------

@@ -8,7 +8,7 @@
 //! spilling into the encrypted OTT memory region.
 
 use fsencr_crypto::Key128;
-use fsencr_sim::{Counter, StatSource};
+use fsencr_sim::Counter;
 
 /// Hit/miss/eviction counters for the OTT.
 #[derive(Debug, Clone, Copy, Default)]
@@ -166,11 +166,6 @@ impl OpenTunnelTable {
         &self.stats
     }
 
-    /// Resets the behaviour counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = OttStats::default();
-    }
-
     /// Serializes the table. Entry order is written verbatim — `insert`
     /// uses `swap_remove`, so the physical order is behavioral state.
     pub fn snap_save(&self, enc: &mut fsencr_snapshot::Enc) {
@@ -227,16 +222,6 @@ impl OpenTunnelTable {
             stamp,
             stats,
         })
-    }
-}
-
-impl StatSource for OpenTunnelTable {
-    fn stat_rows(&self) -> Vec<(String, u64)> {
-        vec![
-            ("ott.hits".to_string(), self.stats.hits.get()),
-            ("ott.misses".to_string(), self.stats.misses.get()),
-            ("ott.evictions".to_string(), self.stats.evictions.get()),
-        ]
     }
 }
 
@@ -308,10 +293,6 @@ mod tests {
         ott.lookup(9, 9);
         assert_eq!(ott.stats().hits.get(), 1);
         assert_eq!(ott.stats().misses.get(), 1);
-        let rows = ott.stat_rows();
-        assert!(rows.iter().any(|(k, v)| k == "ott.hits" && *v == 1));
-        ott.reset_stats();
-        assert_eq!(ott.stats().hits.get(), 0);
     }
 
     #[test]

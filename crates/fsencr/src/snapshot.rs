@@ -1,12 +1,16 @@
 //! One coherent, diffable snapshot of every datapath counter.
 //!
-//! Replaces the `stats()` / `ott_stats()` / `meta_stats()` /
-//! `meta_hit_rate()` accessor sprawl: a [`StatsSnapshot`] captures the
-//! controller, OTT, metadata-system, NVM and machine-level counters in a
-//! single `Copy` value. Measurement is reset-free — take a snapshot at
-//! the start of the window, another at the end, and [`StatsSnapshot::delta`]
-//! yields exactly the counters accumulated in between (including the
-//! read-latency histogram, diffed bucket-wise).
+//! [`StatsSnapshot`] is the only way counters leave the machine: figures,
+//! the figure store's cell entries, profiles, the shell's `stats`
+//! command and the benchmark all read it. It captures the controller,
+//! OTT, metadata-system, NVM and machine-level counters in a single
+//! `Copy` value. Measurement is reset-free (no component can zero its
+//! counters) — take a snapshot at the start of the window, another at
+//! the end, and [`StatsSnapshot::delta`] yields exactly the counters
+//! accumulated in between (including the read-latency histogram, diffed
+//! bucket-wise). Hit rates and latency percentiles are derived on read
+//! ([`StatsSnapshot::meta_hit_rate`],
+//! [`Histogram::percentile`](fsencr_sim::Histogram::percentile)).
 //!
 //! # Examples
 //!
@@ -179,23 +183,6 @@ impl StatsSnapshot {
         rows.push(("read_p99", self.read_latency.percentile(0.99)));
         rows
     }
-
-    /// Renders the snapshot as a small, dependency-free JSON object with
-    /// one key per counter row — stable across runs by construction.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (name, value)) in self.rows().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n  \"");
-            out.push_str(name);
-            out.push_str("\": ");
-            out.push_str(&value.to_string());
-        }
-        out.push_str("\n}\n");
-        out
-    }
 }
 
 /// Field order shared by [`field_names`], [`field_values`] and the
@@ -311,16 +298,12 @@ mod tests {
     }
 
     #[test]
-    fn rows_and_json_cover_every_field() {
+    fn rows_cover_every_field() {
         let s = StatsSnapshot::default();
         let rows = s.rows();
         assert_eq!(rows.len(), field_names().len() + 3);
-        let json = s.to_json();
-        for name in field_names() {
-            assert!(json.contains(&format!("\"{name}\"")), "{name} missing");
+        for (row, name) in rows.iter().zip(field_names()) {
+            assert_eq!(row.0, *name);
         }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        // Byte-stable.
-        assert_eq!(json, s.to_json());
     }
 }

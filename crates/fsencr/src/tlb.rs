@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 
 use fsencr_fs::Pte;
-use fsencr_sim::{Counter, StatSource};
+use fsencr_sim::Counter;
 
 /// Cycles charged for a TLB miss (the page-table walk; most walk levels
 /// hit in the data caches).
@@ -125,11 +125,6 @@ impl Tlb {
         &self.stats
     }
 
-    /// Resets counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = TlbStats::default();
-    }
-
     /// Serializes the TLB: stamp plus entries sorted by `vpn` (lookups
     /// hash and eviction keys on the per-entry LRU stamp, so map order is
     /// not behavioral), then the counters.
@@ -185,15 +180,6 @@ impl Tlb {
             stamp,
             stats,
         })
-    }
-}
-
-impl StatSource for Tlb {
-    fn stat_rows(&self) -> Vec<(String, u64)> {
-        vec![
-            ("tlb.hits".to_string(), self.stats.hits.get()),
-            ("tlb.misses".to_string(), self.stats.misses.get()),
-        ]
     }
 }
 

@@ -91,7 +91,7 @@ fn time_advances_and_modes_rank_sensibly() {
             let mut buf = [0u8; 256];
             m.read(0, map, off, &mut buf).unwrap();
         }
-        cycles.insert(format!("{mode}"), m.measurement().cycles);
+        cycles.insert(format!("{mode}"), m.measurement_snapshot().cycles);
     }
     let dax = cycles["ext4-dax"] as f64;
     let base = cycles["baseline-security"] as f64;
@@ -398,11 +398,11 @@ fn measurement_counters_move() {
         m.write(0, map, i * 4096, &[1u8; 64]).unwrap();
         m.persist(0, map, i * 4096, 64).unwrap();
     }
-    let stats = m.measurement();
+    let stats = m.measurement_snapshot();
     assert!(stats.cycles > 0);
     assert!(stats.nvm_writes >= 32, "persists must reach the device");
     assert!(stats.file_accesses > 0, "file engine must engage");
-    assert!(stats.meta_hit_rate > 0.0);
+    assert!(stats.meta_hit_rate() > 0.0);
 }
 
 #[test]

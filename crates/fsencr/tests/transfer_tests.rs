@@ -231,7 +231,7 @@ fn metadata_ops_write_the_journal() {
     m.rename(ALICE, "j2", "j3").unwrap();
     m.chmod(ALICE, "j3", Mode::WIDE_OPEN).unwrap();
     m.unlink(ALICE, "j3").unwrap();
-    let stats = m.measurement();
+    let stats = m.measurement_snapshot();
     assert!(stats.nvm_writes >= 5, "five journaled ops: {stats:?}");
 }
 

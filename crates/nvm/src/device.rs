@@ -1,7 +1,7 @@
 //! The assembled NVM device: contents plus timing plus statistics.
 
 use fsencr_faults::FaultInjector;
-use fsencr_sim::{config::NvmConfig, Counter, Cycle, StatSource};
+use fsencr_sim::{config::NvmConfig, Counter, Cycle};
 
 use crate::addr::{LineAddr, PhysAddr, LINE_BYTES};
 use crate::error::NvmError;
@@ -198,11 +198,6 @@ impl NvmDevice {
         &self.stats
     }
 
-    /// Resets access counters (used between measurement phases).
-    pub fn reset_stats(&mut self) {
-        self.stats = NvmStats::default();
-    }
-
     /// Row-buffer hits observed by the timing model.
     pub fn row_hits(&self) -> u64 {
         self.timing.row_hits()
@@ -269,17 +264,6 @@ impl NvmDevice {
     }
 }
 
-impl StatSource for NvmDevice {
-    fn stat_rows(&self) -> Vec<(String, u64)> {
-        vec![
-            ("nvm.reads".to_string(), self.stats.reads.get()),
-            ("nvm.writes".to_string(), self.stats.writes.get()),
-            ("nvm.row_hits".to_string(), self.row_hits()),
-            ("nvm.row_misses".to_string(), self.row_misses()),
-        ]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,8 +293,7 @@ mod tests {
         nvm.read_line(Cycle::ZERO, addr);
         assert_eq!(nvm.stats().writes.get(), 1);
         assert_eq!(nvm.stats().reads.get(), 2);
-        nvm.reset_stats();
-        assert_eq!(nvm.stats().reads.get(), 0);
+        assert_eq!(nvm.row_hits() + nvm.row_misses(), 3);
     }
 
     #[test]
@@ -407,14 +390,5 @@ mod tests {
         nvm.storage_mut().set_stuck_cells(None);
         nvm.poke_line(addr, &[0u8; LINE_BYTES]);
         assert_eq!(nvm.peek_line(addr)[3], 0);
-    }
-
-    #[test]
-    fn stat_rows_exposes_counters() {
-        let mut nvm = device();
-        nvm.read_line(Cycle::ZERO, PhysAddr::new(0));
-        let rows = nvm.stat_rows();
-        assert!(rows.iter().any(|(k, v)| k == "nvm.reads" && *v == 1));
-        assert!(rows.iter().any(|(k, _)| k == "nvm.row_misses"));
     }
 }

@@ -51,7 +51,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use fsencr_cache::{Cache, Eviction};
 use fsencr_crypto::digest8_line;
 use fsencr_nvm::{LineAddr, NvmDevice, LINE_BYTES};
-use fsencr_sim::{config::SecurityConfig, Counter, Cycle, StatSource};
+use fsencr_sim::{config::SecurityConfig, Counter, Cycle};
 
 use crate::layout::MetadataLayout;
 
@@ -108,7 +108,7 @@ pub struct MetaAccess {
 }
 
 /// Counters describing metadata-system behaviour.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MetaStats {
     /// Leaf (counter/OTT) lookups that hit the metadata cache.
     pub leaf_hits: Counter,
@@ -258,11 +258,6 @@ impl MetaCaches {
             }
         }
         (hits, misses)
-    }
-
-    fn hit_rate(&self) -> f64 {
-        let (hits, misses) = self.counts();
-        fsencr_sim::stats::hit_rate(hits, misses)
     }
 }
 
@@ -479,21 +474,9 @@ impl MetadataSystem {
         &self.stats
     }
 
-    /// Resets the behaviour counters (not the cache contents).
-    pub fn reset_stats(&mut self) {
-        self.stats = MetaStats::default();
-        self.cache.for_each_mut(Cache::reset_stats);
-    }
-
-    /// Hit rate of the metadata cache since the last reset.
-    pub fn cache_hit_rate(&self) -> f64 {
-        self.cache.hit_rate()
-    }
-
     /// Raw `(hits, misses)` of the metadata cache (summed across
-    /// partitions) — the monotonic counters behind
-    /// [`MetadataSystem::cache_hit_rate`], exposed so snapshot-delta
-    /// measurement can recompute the rate over any window.
+    /// partitions) — monotonic counters, so snapshot-delta measurement
+    /// can compute the hit rate over any window.
     pub fn cache_counts(&self) -> (u64, u64) {
         self.cache.counts()
     }
@@ -1306,35 +1289,6 @@ impl MetadataSystem {
     }
 }
 
-impl StatSource for MetadataSystem {
-    fn stat_rows(&self) -> Vec<(String, u64)> {
-        vec![
-            ("meta.leaf_hits".to_string(), self.stats.leaf_hits.get()),
-            ("meta.leaf_misses".to_string(), self.stats.leaf_misses.get()),
-            ("meta.node_fetches".to_string(), self.stats.node_fetches.get()),
-            (
-                "meta.evict_writebacks".to_string(),
-                self.stats.evict_writebacks.get(),
-            ),
-            (
-                "meta.osiris_persists".to_string(),
-                self.stats.osiris_persists.get(),
-            ),
-            ("meta.mecb_hits".to_string(), self.stats.mecb_hits.get()),
-            ("meta.mecb_misses".to_string(), self.stats.mecb_misses.get()),
-            ("meta.fecb_hits".to_string(), self.stats.fecb_hits.get()),
-            ("meta.fecb_misses".to_string(), self.stats.fecb_misses.get()),
-            ("meta.spill_hits".to_string(), self.stats.spill_hits.get()),
-            ("meta.spill_misses".to_string(), self.stats.spill_misses.get()),
-            ("meta.node_hits".to_string(), self.stats.node_hits.get()),
-            ("meta.node_misses".to_string(), self.stats.node_misses.get()),
-            ("meta.verify_climbs".to_string(), self.stats.verify_climbs.get()),
-            ("meta.verify_levels".to_string(), self.stats.verify_levels.get()),
-            ("meta.update_bumps".to_string(), self.stats.update_bumps.get()),
-        ]
-    }
-}
-
 /// Convenience conversion used throughout this module.
 trait IntoPhys {
     fn into_phys(self) -> fsencr_nvm::PhysAddr;
@@ -1443,7 +1397,7 @@ mod tests {
         for &addr in &addrs {
             assert_eq!(nvm_b.peek_line(addr.into_phys()), nvm_s.peek_line(addr.into_phys()));
         }
-        assert_eq!(region.stat_rows(), serial.stat_rows());
+        assert_eq!(region.stats(), serial.stats());
         assert_eq!(nvm_b.stats().reads.get(), nvm_s.stats().reads.get());
         assert_eq!(nvm_b.stats().writes.get(), nvm_s.stats().writes.get());
     }
@@ -1492,7 +1446,7 @@ mod tests {
 
         assert_eq!(t_b, t_s, "flush completion time moved");
         assert_eq!(flushed.root(), serial.root());
-        assert_eq!(flushed.stat_rows(), serial.stat_rows());
+        assert_eq!(flushed.stats(), serial.stats());
         assert_eq!(nvm_b.stats().reads.get(), nvm_s.stats().reads.get());
         assert_eq!(nvm_b.stats().writes.get(), nvm_s.stats().writes.get());
         let mut frames_b: Vec<u64> = nvm_b.storage().frames().collect();
@@ -1550,7 +1504,7 @@ mod tests {
         dec.finish().unwrap();
 
         assert_eq!(restored.root(), sys.root());
-        assert_eq!(restored.stat_rows(), sys.stat_rows());
+        assert_eq!(restored.stats(), sys.stats());
         let mut t2 = t;
         for p in 0..5u64 {
             let fecb = sys.layout().fecb_addr(PageId::new(p));
@@ -1614,7 +1568,7 @@ mod tests {
         }
         assert_eq!(t_region, t_serial);
         assert_eq!(region.root(), serial.root());
-        assert_eq!(region.stat_rows(), serial.stat_rows());
+        assert_eq!(region.stats(), serial.stats());
         assert_eq!(nvm_b.stats().reads.get(), nvm_s.stats().reads.get());
         assert_eq!(nvm_b.stats().writes.get(), nvm_s.stats().writes.get());
     }
@@ -1897,17 +1851,16 @@ mod tests {
             t = acc.done;
             assert_eq!(f, [p as u8 + 100; 64]);
         }
-        assert!(sys.cache_hit_rate() > 0.0);
+        assert!(sys.cache_counts().0 > 0);
     }
 
     #[test]
-    fn stat_rows_present() {
+    fn first_leaf_read_counts_one_miss() {
         let (mut sys, mut nvm) = small_setup();
         let addr = sys.layout().mecb_addr(PageId::new(0));
         sys.read_block(&mut nvm, Cycle::ZERO, addr).unwrap();
-        let rows = sys.stat_rows();
-        assert!(rows.iter().any(|(k, v)| k == "meta.leaf_misses" && *v == 1));
-        assert!(rows.iter().any(|(k, v)| k == "meta.mecb_misses" && *v == 1));
+        assert_eq!(sys.stats().leaf_misses.get(), 1);
+        assert_eq!(sys.stats().mecb_misses.get(), 1);
     }
 
     #[test]
@@ -1950,7 +1903,7 @@ mod tests {
         t_off = off.flush(&mut nvm_off, t_off);
         assert_eq!(t_on, t_off);
         assert_eq!(on.root(), off.root());
-        assert_eq!(on.stat_rows(), off.stat_rows());
+        assert_eq!(on.stats(), off.stats());
         for leaf in on.layout().leaves() {
             assert_eq!(
                 nvm_on.peek_line(leaf.into_phys()),

@@ -45,4 +45,4 @@ pub use config::MachineConfig;
 pub use event::EventQueue;
 pub use resource::Resource;
 pub use rng::SplitMix64;
-pub use stats::{Counter, Histogram, StatSource};
+pub use stats::{Counter, Histogram};

@@ -8,16 +8,16 @@
 //! so figure assembly — and therefore the printed output — is identical to
 //! a serial run regardless of completion order or worker count.
 //!
-//! The worker count resolves, in priority order: [`set_jobs`] (the
-//! harness's `--jobs N` flag), the `FSENCR_JOBS` environment variable,
-//! then [`std::thread::available_parallelism`]. `1` forces fully serial
-//! execution on the calling thread.
+//! The worker count is [`set_jobs`] (the harness's `--jobs N` flag) when
+//! set, else [`std::thread::available_parallelism`]. `1` forces fully
+//! serial execution on the calling thread.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// `0` means "not set"; resolution falls through to the environment.
+/// `0` means "not set"; resolution falls through to the host's
+/// available parallelism.
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Stored as `Schedule as usize`; `Fifo` (0) is the production default.
@@ -73,19 +73,12 @@ pub fn set_jobs(n: usize) {
     JOBS_OVERRIDE.store(n, Ordering::Relaxed);
 }
 
-/// The worker count [`run_tasks`] will use: [`set_jobs`] override, else
-/// `FSENCR_JOBS`, else the host's available parallelism.
+/// The worker count [`run_tasks`] will use: the [`set_jobs`] override,
+/// else the host's available parallelism.
 pub fn jobs() -> usize {
     let fixed = JOBS_OVERRIDE.load(Ordering::Relaxed);
     if fixed > 0 {
         return fixed;
-    }
-    if let Some(n) = std::env::var("FSENCR_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
-        return n;
     }
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }

@@ -1,8 +1,9 @@
 //! Lightweight statistics primitives.
 //!
-//! Components keep strongly-typed stats structs built from [`Counter`]s and
-//! expose them uniformly through [`StatSource`], which the benchmark harness
-//! uses to print tables without knowing any component's internals.
+//! Components keep strongly-typed stats structs built from monotonic
+//! [`Counter`]s and [`Histogram`]s that nothing resets. The machine
+//! gathers them into one `StatsSnapshot` (in the `fsencr` crate), and a
+//! measurement is the delta of two snapshots.
 
 use std::fmt;
 
@@ -44,11 +45,6 @@ impl Counter {
     pub const fn get(self) -> u64 {
         self.0
     }
-
-    /// Resets to zero.
-    pub fn reset(&mut self) {
-        self.0 = 0;
-    }
 }
 
 impl fmt::Display for Counter {
@@ -72,92 +68,6 @@ pub fn hit_rate(hits: u64, misses: u64) -> f64 {
         0.0
     } else {
         hits as f64 / total as f64
-    }
-}
-
-/// Uniform reporting interface for component statistics.
-///
-/// Implementors return `(name, value)` rows; the harness prefixes them with
-/// the component name and prints them as a table.
-pub trait StatSource {
-    /// Stable, human-readable rows describing this component's counters.
-    fn stat_rows(&self) -> Vec<(String, u64)>;
-}
-
-/// A running mean/min/max aggregate for sampled values (e.g. latencies).
-///
-/// # Examples
-///
-/// ```
-/// use fsencr_sim::stats::Aggregate;
-///
-/// let mut lat = Aggregate::new();
-/// lat.record(10);
-/// lat.record(30);
-/// assert_eq!(lat.count(), 2);
-/// assert_eq!(lat.mean(), 20.0);
-/// assert_eq!(lat.min(), Some(10));
-/// assert_eq!(lat.max(), Some(30));
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Aggregate {
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Aggregate {
-    /// Creates an empty aggregate.
-    pub const fn new() -> Self {
-        Aggregate {
-            count: 0,
-            sum: 0,
-            min: 0,
-            max: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        if self.count == 0 {
-            self.min = value;
-            self.max = value;
-        } else {
-            self.min = self.min.min(value);
-            self.max = self.max.max(value);
-        }
-        self.count += 1;
-        self.sum += value;
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Arithmetic mean, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Smallest sample, if any.
-    pub fn min(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample, if any.
-    pub fn max(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.max)
     }
 }
 
@@ -359,8 +269,6 @@ mod tests {
         c.add(9);
         assert_eq!(c.get(), 10);
         assert_eq!(format!("{c}"), "10");
-        c.reset();
-        assert_eq!(c.get(), 0);
     }
 
     #[test]
@@ -369,27 +277,5 @@ mod tests {
         assert_eq!(hit_rate(5, 0), 1.0);
         assert_eq!(hit_rate(0, 5), 0.0);
         assert!((hit_rate(1, 2) - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn aggregate_empty() {
-        let a = Aggregate::new();
-        assert_eq!(a.count(), 0);
-        assert_eq!(a.mean(), 0.0);
-        assert_eq!(a.min(), None);
-        assert_eq!(a.max(), None);
-    }
-
-    #[test]
-    fn aggregate_tracks_extrema() {
-        let mut a = Aggregate::new();
-        for v in [5u64, 1, 9, 3] {
-            a.record(v);
-        }
-        assert_eq!(a.count(), 4);
-        assert_eq!(a.sum(), 18);
-        assert_eq!(a.min(), Some(1));
-        assert_eq!(a.max(), Some(9));
-        assert_eq!(a.mean(), 4.5);
     }
 }

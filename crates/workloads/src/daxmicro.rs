@@ -250,10 +250,10 @@ mod tests {
         let r1 = run_workload(opts, SecurityMode::FsEncr, &mut w1).unwrap();
         let r2 = run_workload(opts, SecurityMode::FsEncr, &mut w2).unwrap();
         assert!(
-            r2.stats.meta_hit_rate < r1.stats.meta_hit_rate,
+            r2.stats.meta_hit_rate() < r1.stats.meta_hit_rate(),
             "dax1 hit {} vs dax2 hit {}",
-            r1.stats.meta_hit_rate,
-            r2.stats.meta_hit_rate
+            r1.stats.meta_hit_rate(),
+            r2.stats.meta_hit_rate()
         );
     }
 

@@ -1,7 +1,11 @@
 //! Workload harness: construction, setup/measure phases, thread
 //! interleaving.
+//!
+//! Every run reports its measured phase as one
+//! [`StatsSnapshot`] delta ([`RunResult::stats`]); figures derive hit
+//! rates and latency percentiles from it on read.
 
-use fsencr::machine::{Machine, MachineError, MachineOpts, RunStats, SecurityMode};
+use fsencr::machine::{Machine, MachineError, MachineOpts, SecurityMode};
 use fsencr::snapshot::StatsSnapshot;
 use fsencr_obs::Observer;
 
@@ -74,8 +78,9 @@ pub struct RunResult {
     pub workload: String,
     /// Security mode it ran under.
     pub mode: SecurityMode,
-    /// Measured counters.
-    pub stats: RunStats,
+    /// Counters accumulated over the measured phase
+    /// ([`Machine::measurement_snapshot`]).
+    pub stats: StatsSnapshot,
 }
 
 /// Builds a machine, runs `workload` under `mode`, returns the measured
@@ -98,7 +103,7 @@ pub fn run_workload(
     Ok(RunResult {
         workload: workload.name(),
         mode,
-        stats: m.measurement(),
+        stats: m.measurement_snapshot(),
     })
 }
 
@@ -166,7 +171,7 @@ pub fn run_workload_warm(
         result: RunResult {
             workload: workload.name(),
             mode,
-            stats: m.measurement(),
+            stats: m.measurement_snapshot(),
         },
         warm,
         snapshot: fresh,
@@ -175,8 +180,7 @@ pub fn run_workload_warm(
 
 /// [`run_workload`] plus cycle attribution: the run phase executes with
 /// the machine's observer enabled, and the result carries the observer
-/// (metrics + spans) and the raw [`StatsSnapshot`] window next to the
-/// usual [`RunStats`].
+/// (metrics + spans) next to the usual measured [`StatsSnapshot`].
 #[derive(Debug, Clone)]
 pub struct ProfiledRun {
     /// The plain result, identical to what [`run_workload`] returns.
@@ -184,8 +188,6 @@ pub struct ProfiledRun {
     /// Cycle-attribution metrics and spans covering the run phase only,
     /// machine lifecycle events included (`machine`-category spans).
     pub observer: Observer,
-    /// The measurement window as a raw counter snapshot delta.
-    pub window: StatsSnapshot,
 }
 
 /// Builds a machine, runs `workload` under `mode` with the
@@ -216,10 +218,9 @@ pub fn profile_workload(
         result: RunResult {
             workload: workload.name(),
             mode,
-            stats: m.measurement(),
+            stats: m.measurement_snapshot(),
         },
         observer: m.observer().clone(),
-        window: m.measurement_snapshot(),
     })
 }
 

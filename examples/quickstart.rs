@@ -51,12 +51,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("passphrase gate: OK");
 
     // Peek at the simulator's accounting.
-    let stats = m.measurement();
+    let stats = m.measurement_snapshot();
     println!(
         "NVM traffic since boot: {} reads, {} writes; metadata cache hit rate {:.1}%",
         stats.nvm_reads,
         stats.nvm_writes,
-        100.0 * stats.meta_hit_rate
+        100.0 * stats.meta_hit_rate()
     );
     Ok(())
 }

@@ -22,8 +22,8 @@ finish() {
     echo "    [section '$section_label' took $(( now - t_section ))s; total $(( now - t_start ))s]"
 }
 
-begin "cargo build --release"
-cargo build --release
+begin "cargo build --release --workspace"
+cargo build --release --workspace
 finish
 
 begin "cargo test -q --workspace"
