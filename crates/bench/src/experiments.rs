@@ -211,10 +211,14 @@ pub struct ProfileCellSpec {
     pub factory: std::sync::Arc<Factory>,
 }
 
+/// A figure's labelled workload rows and the security modes each runs
+/// under.
+type Matrix = (Vec<(String, Factory)>, &'static [SecurityMode]);
+
 /// The cell matrix of a paper figure: its workload rows and the security
 /// modes every row runs under. The figure and its profile both read it.
 /// `None` for subcommands without one (`table1`, `fig15`, ablations).
-fn matrix(fig: &str, scale: f64) -> Option<(Vec<(String, Factory)>, &'static [SecurityMode])> {
+fn matrix(fig: &str, scale: f64) -> Option<Matrix> {
     use SecurityMode::{FsEncr, MemoryOnly, Software, Unencrypted};
     Some(match fig {
         "fig3" => (whisper_factories(scale), &[Unencrypted, Software]),

@@ -1,11 +1,12 @@
 //! Expanded-key-schedule cache for CTR pad generation.
 //!
 //! AES-128 key expansion costs ten rounds of S-box work per key — more
-//! than encrypting a block — yet the datapath only ever pads lines under
-//! a handful of live keys: the machine's memory key plus the file keys
-//! currently resident in the OTT. [`ScheduleCache`] memoizes the expanded
-//! [`Aes128`] schedule per [`Key128`] so `xor_mem_pad`/`xor_file_pad`
-//! expand each key once instead of once per line.
+//! than encrypting a block — yet file pads are only ever generated under
+//! a handful of live file keys. [`ScheduleCache`] memoizes the expanded
+//! [`Aes128`] schedule per [`Key128`], so the controller's file-pad paths
+//! and the software-encryption model expand each file key once instead
+//! of once per line. (The memory key is expanded once, when the
+//! controller is built, and never goes through the cache.)
 //!
 //! The cache is purely a host-side optimization: expansion is
 //! deterministic, so a cached schedule is bit-identical to a fresh one
@@ -27,13 +28,10 @@ use crate::key::Key128;
 /// let key = Key128::from_bytes([7u8; 16]);
 /// let ct = cache.get(&key).encrypt_block([0u8; 16]);
 /// assert_eq!(cache.get(&key).encrypt_block([0u8; 16]), ct);
-/// assert_eq!((cache.hits(), cache.misses()), (1, 1));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleCache {
     schedules: HashMap<Key128, Aes128>,
-    hits: u64,
-    misses: u64,
 }
 
 impl ScheduleCache {
@@ -45,38 +43,7 @@ impl ScheduleCache {
     /// Returns the expanded schedule for `key`, expanding and caching it
     /// on first use.
     pub fn get(&mut self, key: &Key128) -> &Aes128 {
-        if self.schedules.contains_key(key) {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
         self.schedules.entry(*key).or_insert_with(|| Aes128::new(key))
-    }
-
-    /// Number of cached schedules.
-    pub fn len(&self) -> usize {
-        self.schedules.len()
-    }
-
-    /// Whether no schedule is cached.
-    pub fn is_empty(&self) -> bool {
-        self.schedules.is_empty()
-    }
-
-    /// Lookups served from the cache.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that had to run key expansion.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Drops every cached schedule (e.g. when the key universe rotates);
-    /// hit/miss counters are preserved.
-    pub fn clear(&mut self) {
-        self.schedules.clear();
     }
 }
 
@@ -95,20 +62,5 @@ mod tests {
             // Second lookup must serve the same schedule.
             assert_eq!(cache.get(&key).encrypt_block(block), fresh.encrypt_block(block));
         }
-        assert_eq!(cache.len(), 16);
-        assert_eq!(cache.misses(), 16);
-        assert_eq!(cache.hits(), 16);
-    }
-
-    #[test]
-    fn clear_drops_schedules_but_keeps_counters() {
-        let mut cache = ScheduleCache::new();
-        let key = Key128::from_bytes([1u8; 16]);
-        cache.get(&key);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.misses(), 1);
-        cache.get(&key);
-        assert_eq!(cache.misses(), 2);
     }
 }

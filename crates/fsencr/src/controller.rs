@@ -42,13 +42,13 @@ use crate::ott::OpenTunnelTable;
 use crate::snapshot::StatsSnapshot;
 use crate::spill::{OttSpill, SpillError};
 
-// A child module of `controller` (not a sibling) so the batched region
-// ops can drive the private datapath fields directly; the file lives at
+// A child module of `controller` (not a sibling) so the region ops can
+// drive the private datapath fields directly; the file lives at
 // `src/batch.rs` where the hot-alloc lint scopes it.
 #[path = "batch.rs"]
 pub(crate) mod batch;
 
-use batch::{RegionRun, Repad};
+use batch::Repad;
 
 /// Integrity-verification failures, surfaced as values.
 ///
@@ -515,11 +515,6 @@ impl MemoryController {
         self.locked = false;
     }
 
-    /// Whether the file engine is locked out.
-    pub fn is_locked(&self) -> bool {
-        self.locked
-    }
-
     /// The `OTP_mem` IV for `(page, block)` under `mecb`'s counters.
     fn mem_pad_input(page: PageId, block: u8, mecb: &Mecb) -> PadInput {
         PadInput {
@@ -579,29 +574,12 @@ impl MemoryController {
         ctr::xor_in_place(data, &self.pad_scratch);
     }
 
-    /// [`Self::xor_file_pad`] with the expanded schedule supplied by the
-    /// caller (a [`RegionRun`] holds it across a batch, skipping the
-    /// per-line schedule-cache probe).
-    fn xor_file_pad_with(
+    /// [`Self::xor_file_pad`] for fresh pad issue (encrypt paths only):
+    /// oracle-recorded like [`Self::fresh_mem_pad`], with `key`
+    /// identifying the epoch in the ledger.
+    fn fresh_file_pad(
         &mut self,
         data: &mut [u8; LINE_BYTES],
-        aes: &Aes128,
-        page: PageId,
-        block: u8,
-        fecb: &Fecb,
-    ) {
-        let input = Self::file_pad_input(page, block, fecb);
-        ctr::line_pad_into(aes, &input, &mut self.pad_scratch);
-        ctr::xor_in_place(data, &self.pad_scratch);
-    }
-
-    /// [`Self::xor_file_pad_with`] for fresh pad issue (encrypt paths
-    /// only): oracle-recorded like [`Self::fresh_mem_pad`]. `key` is the
-    /// unexpanded form of `aes`, identifying the epoch in the ledger.
-    fn fresh_file_pad_with(
-        &mut self,
-        data: &mut [u8; LINE_BYTES],
-        aes: &Aes128,
         key: Key128,
         page: PageId,
         block: u8,
@@ -610,6 +588,7 @@ impl MemoryController {
         let input = Self::file_pad_input(page, block, fecb);
         let issue = self.pad_ledger.record(&key, &input, data);
         assert!(issue.is_ok(), "file-pad oracle: {:?}", issue.err());
+        let aes = self.schedules.get(&key);
         ctr::line_pad_into(aes, &input, &mut self.pad_scratch);
         ctr::xor_in_place(data, &self.pad_scratch);
     }
@@ -648,6 +627,10 @@ impl MemoryController {
     /// Reads one line (Figure 7, read path). Returns the plaintext and
     /// the completion time.
     ///
+    /// This is also the graceful-degradation fence: it validates the
+    /// address, denies quarantined lines, and (when auto-quarantine is
+    /// on) turns tamper detections into standing quarantines.
+    ///
     /// # Errors
     ///
     /// Integrity failures (tampering, quarantined lines), missing file
@@ -658,29 +641,11 @@ impl MemoryController {
         now: Cycle,
         addr: PhysAddr,
     ) -> Result<([u8; LINE_BYTES], Cycle), MemError> {
-        let mut run = RegionRun::new();
-        self.read_line_with(now, addr, &mut run)
-    }
-
-    /// [`Self::read_line`] threading a caller-held [`RegionRun`] memo, the
-    /// building block of [`Self::read_lines`]. Identical simulated
-    /// behaviour; the memo only short-circuits byte-identical counter
-    /// parses and redundant schedule probes.
-    ///
-    /// This wrapper is also the graceful-degradation fence: it validates
-    /// the address, denies quarantined lines, and (when auto-quarantine
-    /// is on) turns tamper detections into standing quarantines.
-    pub(crate) fn read_line_with(
-        &mut self,
-        now: Cycle,
-        addr: PhysAddr,
-        run: &mut RegionRun,
-    ) -> Result<([u8; LINE_BYTES], Cycle), MemError> {
         self.nvm.check_addr(addr)?;
         if !self.quarantine.is_empty() && self.quarantine.contains(&addr.line().get()) {
             return Err(IntegrityError::Quarantined { line: addr.line().get() }.into());
         }
-        let res = self.read_line_inner(now, addr, run);
+        let res = self.read_line_inner(now, addr);
         if self.auto_quarantine {
             if let Err(MemError::Integrity(IntegrityError::Tamper(t))) = &res {
                 self.quarantine.insert(t.addr.get());
@@ -694,7 +659,6 @@ impl MemoryController {
         &mut self,
         now: Cycle,
         addr: PhysAddr,
-        run: &mut RegionRun,
     ) -> Result<([u8; LINE_BYTES], Cycle), MemError> {
         let line = addr.line();
         self.stats.reads.incr();
@@ -717,7 +681,7 @@ impl MemoryController {
         // OTP_mem in parallel with the data fetch.
         let mecb_addr = self.meta.layout().mecb_addr(page);
         let (mecb_bytes, macc) = self.meta.read_block(&mut self.nvm, now, mecb_addr)?;
-        let mecb = run.mecb(&mecb_bytes);
+        let mecb = Mecb::from_bytes(&mecb_bytes);
         // Counter mode generates the pad in parallel with the data fetch;
         // the direct-encryption ablation decrypts only after both the data
         // and the counter are available.
@@ -742,7 +706,7 @@ impl MemoryController {
             self.stats.file_accesses.incr();
             let fecb_addr = self.meta.layout().fecb_addr(page);
             let (fecb_bytes, facc) = self.meta.read_block(&mut self.nvm, now, fecb_addr)?;
-            let fecb = run.fecb(&fecb_bytes);
+            let fecb = Fecb::from_bytes(&fecb_bytes);
             let (key, t_key) = self.resolve_key(facc.done, fecb.gid(), fecb.fid())?;
             self.obs.incr(if facc.cache_hit {
                 "ctrl/read/fecb_hits"
@@ -752,8 +716,7 @@ impl MemoryController {
             self.obs.add("ctrl/read/fecb_wait_cycles", facc.done.since(now).get());
             self.obs.add("ctrl/read/key_wait_cycles", t_key.since(facc.done).get());
             self.obs.add("ctrl/read/pad_gen_cycles", self.aes_cycles);
-            let aes = run.schedule(key, &mut self.schedules);
-            self.xor_file_pad_with(&mut plain, aes, page, block, &fecb);
+            self.xor_file_pad(&mut plain, key, page, block, &fecb);
             done = if self.direct_encryption {
                 done.max(t_key) + self.aes_cycles
             } else {
@@ -793,6 +756,10 @@ impl MemoryController {
     /// Writes one line (Figure 7, write path). Returns the completion
     /// time.
     ///
+    /// Like [`Self::read_line`], this is a graceful-degradation fence
+    /// (address validation, quarantine healing, auto-quarantine of tamper
+    /// detections).
+    ///
     /// # Errors
     ///
     /// Integrity failures and missing file keys.
@@ -802,25 +769,6 @@ impl MemoryController {
         addr: PhysAddr,
         plaintext: &[u8; LINE_BYTES],
     ) -> Result<Cycle, MemError> {
-        let mut run = RegionRun::new();
-        self.write_line_with(now, addr, plaintext, &mut run)
-    }
-
-    /// [`Self::write_line`] threading a caller-held [`RegionRun`] memo,
-    /// the building block of [`Self::write_lines`]. Identical simulated
-    /// behaviour; the memo only short-circuits byte-identical counter
-    /// parses and redundant schedule probes.
-    ///
-    /// Like the read twin, this wrapper is the graceful-degradation
-    /// fence (address validation, quarantine denial, auto-quarantine of
-    /// tamper detections).
-    pub(crate) fn write_line_with(
-        &mut self,
-        now: Cycle,
-        addr: PhysAddr,
-        plaintext: &[u8; LINE_BYTES],
-        run: &mut RegionRun,
-    ) -> Result<Cycle, MemError> {
         self.nvm.check_addr(addr)?;
         // Writes *heal* a quarantined line rather than bouncing off it:
         // a full-line write re-records the ECC belief and bumps fresh
@@ -829,7 +777,7 @@ impl MemoryController {
         if !self.quarantine.is_empty() {
             self.quarantine.remove(&addr.line().get());
         }
-        let res = self.write_line_inner(now, addr, plaintext, run);
+        let res = self.write_line_inner(now, addr, plaintext);
         if self.auto_quarantine {
             if let Err(MemError::Integrity(IntegrityError::Tamper(t))) = &res {
                 self.quarantine.insert(t.addr.get());
@@ -844,7 +792,6 @@ impl MemoryController {
         now: Cycle,
         addr: PhysAddr,
         plaintext: &[u8; LINE_BYTES],
-        run: &mut RegionRun,
     ) -> Result<Cycle, MemError> {
         let line = addr.line();
         self.stats.writes.incr();
@@ -870,7 +817,7 @@ impl MemoryController {
         } else {
             "ctrl/write/mecb_misses"
         });
-        let mut mecb = run.mecb(&mecb_bytes);
+        let mut mecb = Mecb::from_bytes(&mecb_bytes);
         let mut t = macc.done;
         let mut mecb_overflowed = false;
         if mecb.increment(block as usize) {
@@ -880,8 +827,9 @@ impl MemoryController {
             self.meta
                 .write_block(&mut self.nvm, t, mecb_addr, mecb.to_bytes())?;
             t = self.meta.persist_block(&mut self.nvm, t, mecb_addr)?;
-            t = self.reencrypt_page_mem(t, page, &mecb)?;
+            let old = mecb;
             mecb.carry_major();
+            t = self.reencrypt_page(t, page, &Repad::Mem { old, new: mecb })?;
             mecb.increment(block as usize);
             mecb_overflowed = true;
             self.obs.incr("ctrl/write/overflows");
@@ -889,7 +837,6 @@ impl MemoryController {
         let macc = self
             .meta
             .write_block(&mut self.nvm, t, mecb_addr, mecb.to_bytes())?;
-        run.note_mecb(mecb);
         if mecb_overflowed {
             // A major-counter bump moves the whole page's pads further
             // than the Osiris stop-loss window can recover; it must reach
@@ -912,7 +859,7 @@ impl MemoryController {
             } else {
                 "ctrl/write/fecb_misses"
             });
-            let mut fecb = run.fecb(&fecb_bytes);
+            let mut fecb = Fecb::from_bytes(&fecb_bytes);
             let mut tf = facc.done;
             let (key, t_key) = self.resolve_key(tf, fecb.gid(), fecb.fid())?;
             self.obs.add("ctrl/write/key_wait_cycles", t_key.since(facc.done).get());
@@ -922,8 +869,9 @@ impl MemoryController {
                 self.meta
                     .write_block(&mut self.nvm, tf, fecb_addr, fecb.to_bytes())?;
                 tf = self.meta.persist_block(&mut self.nvm, tf, fecb_addr)?;
-                tf = self.reencrypt_page_file(tf, page, key, &fecb)?;
+                let old = fecb;
                 fecb.carry_major();
+                tf = self.reencrypt_page(tf, page, &Repad::File { key, old, new: fecb })?;
                 fecb.increment(block as usize);
                 fecb_overflowed = true;
                 self.obs.incr("ctrl/write/overflows");
@@ -931,12 +879,10 @@ impl MemoryController {
             let facc = self
                 .meta
                 .write_block(&mut self.nvm, tf, fecb_addr, fecb.to_bytes())?;
-            run.note_fecb(fecb);
             if fecb_overflowed {
                 self.meta.persist_block(&mut self.nvm, facc.done, fecb_addr)?;
             }
-            let aes = run.schedule(key, &mut self.schedules);
-            self.fresh_file_pad_with(&mut cipher, aes, key, page, block, &fecb);
+            self.fresh_file_pad(&mut cipher, key, page, block, &fecb);
             t_pads = t_pads.max(facc.done + self.aes_cycles);
             self.obs.add("ctrl/write/pad_gen_cycles", self.aes_cycles);
         }
@@ -951,28 +897,12 @@ impl MemoryController {
     }
 
     /// Minor-counter overflow: re-pad every line of `page` from the old
-    /// memory counters to `(major + 1, minor = 0)`. Costs 64 reads + 64
+    /// counters to the carried `(major + 1, minor = 0)` ones, in the
+    /// memory or file engine as `repad` says. Costs 64 reads + 64
     /// writes, as the paper describes.
-    fn reencrypt_page_mem(&mut self, now: Cycle, page: PageId, old: &Mecb) -> Result<Cycle, MemError> {
+    fn reencrypt_page(&mut self, now: Cycle, page: PageId, repad: &Repad) -> Result<Cycle, MemError> {
         self.stats.overflow_reencryptions.incr();
-        let mut new = *old;
-        new.carry_major();
-        let t = self.repad_page(now, page, &Repad::Mem { old: *old, new })?;
-        Ok(t + self.aes_cycles)
-    }
-
-    /// Same as [`Self::reencrypt_page_mem`] but for the file-pad component.
-    fn reencrypt_page_file(
-        &mut self,
-        now: Cycle,
-        page: PageId,
-        key: Key128,
-        old: &Fecb,
-    ) -> Result<Cycle, MemError> {
-        self.stats.overflow_reencryptions.incr();
-        let mut new = *old;
-        new.carry_major();
-        let t = self.repad_page(now, page, &Repad::File { key, old: *old, new })?;
+        let t = self.repad_page(now, page, repad)?;
         Ok(t + self.aes_cycles)
     }
 

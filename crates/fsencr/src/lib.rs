@@ -56,7 +56,6 @@ pub mod snapshot;
 pub mod spill;
 pub mod tlb;
 
-pub(crate) use controller::batch::RegionRun;
 pub use controller::{CtrlStats, IntegrityError, MemError, MemoryController, ModuleEnvelope};
 pub use machine::{Machine, MachineOpts, MapId, Preset, SecurityMode};
 pub use plane::{FaultPlane, InspectPlane, ModuleFault, ModuleInspect};

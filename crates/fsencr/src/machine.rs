@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 
-use fsencr_cache::Hierarchy;
+use fsencr_cache::{CacheLine, Hierarchy};
 use fsencr_crypto::{ctr, Key128, PadDomain, PadInput};
 use fsencr_fs::{
     AccessKind, DaxFs, FileHandle, FsError, GroupId, Ino, Mode, PageCacheModel, PageTable,
@@ -34,7 +34,6 @@ use fsencr_obs::Observer;
 use crate::controller::{CtrlMode, MemError, MemoryController, ModuleEnvelope, RecoveryReport};
 use crate::snapshot::StatsSnapshot;
 use crate::tlb::{Tlb, PAGE_WALK_CYCLES, TLB_ENTRIES};
-use crate::RegionRun;
 
 /// Kernel cycles charged per minor page fault (trap, fault handler,
 /// mapping insertion).
@@ -1178,52 +1177,42 @@ impl Machine {
             // before exposing them (DAX block zeroing uses non-temporal
             // stores + flush): this establishes valid ciphertext for the
             // zero content that survives an immediate crash.
-            // One memo spans the whole page, so the MECB parse happens
-            // once, not 64 times.
             let now = self.clocks[core];
-            let mut run = RegionRun::new();
             for line in pf.frame.lines() {
-                self.ctrl.write_line_with(
-                    now,
-                    PhysAddr::new(line.get()),
-                    &[0u8; LINE_BYTES],
-                    &mut run,
-                )?;
+                self.ctrl
+                    .write_line(now, PhysAddr::new(line.get()), &[0u8; LINE_BYTES])?;
                 let wbs = self.hier.fill(core, line, [0u8; LINE_BYTES]);
-                for wb in wbs {
-                    self.ctrl
-                        .write_line_with(now, PhysAddr::new(wb.addr.get()), &wb.data, &mut run)?;
+                for wb in &wbs {
+                    self.write_back(now, wb)?;
                 }
             }
         }
         Ok(pf.frame)
     }
 
+    /// Hands one dirty line evicted or cleaned from the hierarchy to the
+    /// controller at `at`. Returns the write's completion time.
+    fn write_back(&mut self, at: Cycle, wb: &CacheLine) -> Result<Cycle, MemError> {
+        self.ctrl.write_line(at, PhysAddr::new(wb.addr.get()), &wb.data)
+    }
+
     /// Loads one line through the hierarchy, fetching from the controller
-    /// on a full miss. Returns the line's plaintext. Controller traffic
-    /// (miss fetch, write-backs) shares the caller's region-run memo.
-    fn load_line(
-        &mut self,
-        core: usize,
-        line: LineAddr,
-        run: &mut RegionRun,
-    ) -> Result<[u8; LINE_BYTES], MemError> {
+    /// on a full miss. Returns the line's plaintext.
+    fn load_line(&mut self, core: usize, line: LineAddr) -> Result<[u8; LINE_BYTES], MemError> {
         let out = self.hier.load(core, line);
         self.clocks[core] += out.latency;
         let now = self.clocks[core];
         for wb in &out.writebacks {
-            self.ctrl
-                .write_line_with(now, PhysAddr::new(wb.addr.get()), &wb.data, run)?;
+            self.write_back(now, wb)?;
         }
         match out.data {
             Some(data) => Ok(data),
             None => {
-                let (data, done) = self.ctrl.read_line_with(now, PhysAddr::new(line.get()), run)?;
+                let (data, done) = self.ctrl.read_line(now, PhysAddr::new(line.get()))?;
                 self.clocks[core] = done;
                 let wbs = self.hier.fill(core, line, data);
-                for wb in wbs {
-                    self.ctrl
-                        .write_line_with(done, PhysAddr::new(wb.addr.get()), &wb.data, run)?;
+                for wb in &wbs {
+                    self.write_back(done, wb)?;
                 }
                 Ok(data)
             }
@@ -1231,39 +1220,26 @@ impl Machine {
     }
 
     /// Stores one full line through the hierarchy (write-allocate, no
-    /// fetch). Write-backs are posted and share the caller's memo.
-    fn store_line(
-        &mut self,
-        core: usize,
-        line: LineAddr,
-        data: [u8; LINE_BYTES],
-        run: &mut RegionRun,
-    ) -> Result<(), MemError> {
+    /// fetch). Write-backs are posted.
+    fn store_line(&mut self, core: usize, line: LineAddr, data: [u8; LINE_BYTES]) -> Result<(), MemError> {
         let (_hit, latency, wbs) = self.hier.store(core, line, data);
         self.clocks[core] += latency;
         let now = self.clocks[core];
-        for wb in wbs {
-            self.ctrl
-                .write_line_with(now, PhysAddr::new(wb.addr.get()), &wb.data, run)?;
+        for wb in &wbs {
+            self.write_back(now, wb)?;
         }
         Ok(())
     }
 
     /// Byte-granular read of `buf.len()` bytes at physical address `base`.
-    fn read_bytes(
-        &mut self,
-        core: usize,
-        base: u64,
-        buf: &mut [u8],
-        run: &mut RegionRun,
-    ) -> Result<(), MemError> {
+    fn read_bytes(&mut self, core: usize, base: u64, buf: &mut [u8]) -> Result<(), MemError> {
         let mut pos = 0usize;
         while pos < buf.len() {
             let addr = base + pos as u64;
             let line = LineAddr::new(addr);
             let in_line = (addr - line.get()) as usize;
             let take = (LINE_BYTES - in_line).min(buf.len() - pos);
-            let data = self.load_line(core, line, run)?;
+            let data = self.load_line(core, line)?;
             buf[pos..pos + take].copy_from_slice(&data[in_line..in_line + take]);
             pos += take;
         }
@@ -1273,13 +1249,7 @@ impl Machine {
     /// Byte-granular write of `data` at physical address `base`
     /// (read-modify-write for partial lines, allocate-no-fetch for full
     /// lines).
-    fn write_bytes(
-        &mut self,
-        core: usize,
-        base: u64,
-        data: &[u8],
-        run: &mut RegionRun,
-    ) -> Result<(), MemError> {
+    fn write_bytes(&mut self, core: usize, base: u64, data: &[u8]) -> Result<(), MemError> {
         let mut pos = 0usize;
         while pos < data.len() {
             let addr = base + pos as u64;
@@ -1289,10 +1259,10 @@ impl Machine {
             let mut merged = if take == LINE_BYTES {
                 [0u8; LINE_BYTES]
             } else {
-                self.load_line(core, line, run)?
+                self.load_line(core, line)?
             };
             merged[in_line..in_line + take].copy_from_slice(&data[pos..pos + take]);
-            self.store_line(core, line, merged, run)?;
+            self.store_line(core, line, merged)?;
             pos += take;
         }
         Ok(())
@@ -1317,7 +1287,6 @@ impl Machine {
         if self.mode == SecurityMode::Software && m.fek.is_some() {
             return self.soft_read(core, &m, offset, buf);
         }
-        let mut run = RegionRun::new();
         let mut pos = 0usize;
         while pos < buf.len() {
             let off = offset + pos as u64;
@@ -1326,7 +1295,7 @@ impl Machine {
             let take = (PAGE_BYTES - in_page).min(buf.len() - pos);
             let frame = self.resolve_page(core, &m, page_idx)?;
             let base = frame.get() * PAGE_BYTES as u64 + in_page as u64;
-            self.read_bytes(core, base, &mut buf[pos..pos + take], &mut run)?;
+            self.read_bytes(core, base, &mut buf[pos..pos + take])?;
             pos += take;
         }
         Ok(())
@@ -1354,7 +1323,6 @@ impl Machine {
         if self.mode == SecurityMode::Software && m.fek.is_some() {
             return self.soft_write(core, &m, offset, data);
         }
-        let mut run = RegionRun::new();
         let mut pos = 0usize;
         while pos < data.len() {
             let off = offset + pos as u64;
@@ -1363,7 +1331,7 @@ impl Machine {
             let take = (PAGE_BYTES - in_page).min(data.len() - pos);
             let frame = self.resolve_page(core, &m, page_idx)?;
             let base = frame.get() * PAGE_BYTES as u64 + in_page as u64;
-            self.write_bytes(core, base, &data[pos..pos + take], &mut run)?;
+            self.write_bytes(core, base, &data[pos..pos + take])?;
             pos += take;
         }
         self.fs.grow(m.ino, offset + data.len() as u64);
@@ -1405,8 +1373,7 @@ impl Machine {
                 if let Some(&pc_base) = self.pc_frames.get(&(m.ino.get(), page)) {
                     let line = LineAddr::new(pc_base + (in_page & !(LINE_BYTES as u64 - 1)));
                     if let Some(wb) = self.hier.clwb(line) {
-                        self.ctrl
-                            .write_line(self.clocks[core], PhysAddr::new(wb.addr.get()), &wb.data)?;
+                        self.write_back(self.clocks[core], &wb)?;
                     }
                 }
                 off = (off - in_page) + LINE_BYTES as u64 * ((in_page / LINE_BYTES as u64) + 1);
@@ -1491,7 +1458,7 @@ impl Machine {
     ///
     /// Memory-path failures.
     pub fn heap_read(&mut self, core: usize, addr: u64, buf: &mut [u8]) -> Result<(), MachineError> {
-        Ok(self.read_bytes(core, addr, buf, &mut RegionRun::new())?)
+        Ok(self.read_bytes(core, addr, buf)?)
     }
 
     /// Writes to general memory.
@@ -1500,7 +1467,7 @@ impl Machine {
     ///
     /// Memory-path failures.
     pub fn heap_write(&mut self, core: usize, addr: u64, data: &[u8]) -> Result<(), MachineError> {
-        Ok(self.write_bytes(core, addr, data, &mut RegionRun::new())?)
+        Ok(self.write_bytes(core, addr, data)?)
     }
 
     // ------------------------------------------------------------------
@@ -1559,12 +1526,11 @@ impl Machine {
         let frame = self.resolve_page(core, m, page)?;
         let pc_base = self.pc_frame_for(m.ino, page);
         self.advance(core, self.soft_cfg.fill_overhead_cycles);
-        let mut run = RegionRun::new();
         if !self.sw_valid.contains(&(m.ino.get(), page)) {
             // Hole / fresh block: reads as zeroes without touching media.
             for blk in 0..(PAGE_BYTES / LINE_BYTES) as u64 {
                 let line = LineAddr::new(pc_base + blk * LINE_BYTES as u64);
-                self.store_line(core, line, [0u8; LINE_BYTES], &mut run)?;
+                self.store_line(core, line, [0u8; LINE_BYTES])?;
             }
             return Ok(());
         }
@@ -1575,12 +1541,12 @@ impl Machine {
         let t0 = self.clocks[core];
         for blk in 0..(PAGE_BYTES / LINE_BYTES) as u64 {
             let file_line = LineAddr::new(frame.get() * PAGE_BYTES as u64 + blk * LINE_BYTES as u64);
-            let cipher = self.load_line(core, file_line, &mut run)?;
+            let cipher = self.load_line(core, file_line)?;
             let pad = self.sw_pad(fek, frame, blk as u8);
             let mut plain = cipher;
             ctr::xor_in_place(&mut plain, &pad);
             let pc_line = LineAddr::new(pc_base + blk * LINE_BYTES as u64);
-            self.store_line(core, pc_line, plain, &mut run)?;
+            self.store_line(core, pc_line, plain)?;
         }
         self.clocks[core] = t0 + PAGE_COPY_CYCLES;
         self.advance(core, self.soft_cfg.page_crypt_cycles());
@@ -1597,21 +1563,19 @@ impl Machine {
             return Ok(()); // never filled: nothing to write back
         };
         let t0 = self.clocks[core];
-        let mut run = RegionRun::new();
         for blk in 0..(PAGE_BYTES / LINE_BYTES) as u64 {
             let pc_line = LineAddr::new(pc_base + blk * LINE_BYTES as u64);
-            let plain = self.load_line(core, pc_line, &mut run)?;
+            let plain = self.load_line(core, pc_line)?;
             let pad = self.sw_pad(fek, frame, blk as u8);
             let mut cipher = plain;
             ctr::xor_in_place(&mut cipher, &pad);
             let file_line = LineAddr::new(frame.get() * PAGE_BYTES as u64 + blk * LINE_BYTES as u64);
-            self.store_line(core, file_line, cipher, &mut run)?;
+            self.store_line(core, file_line, cipher)?;
             // Write the file line back (eCryptfs write-back). The write is
             // *posted*: fsync waits until the stores reach the persistence
             // domain (the controller), not until the PCM array commits.
             if let Some(wb) = self.hier.clwb(file_line) {
-                self.ctrl
-                    .write_line(self.clocks[core], PhysAddr::new(wb.addr.get()), &wb.data)?;
+                self.write_back(self.clocks[core], &wb)?;
             }
         }
         self.clocks[core] = t0 + PAGE_COPY_CYCLES;
@@ -1711,11 +1675,9 @@ impl Machine {
         record[0] = op;
         record[1..9].copy_from_slice(&self.journal_cursor.to_le_bytes());
         record[9..17].copy_from_slice(&self.elapsed().get().to_le_bytes());
-        self.store_line(core, line, record, &mut RegionRun::new())?;
+        self.store_line(core, line, record)?;
         if let Some(wb) = self.hier.clwb(line) {
-            let done = self
-                .ctrl
-                .write_line(self.clocks[core], PhysAddr::new(wb.addr.get()), &wb.data)?;
+            let done = self.write_back(self.clocks[core], &wb)?;
             self.clocks[core] = self.clocks[core].max(done) + FENCE_CYCLES;
         }
         Ok(())
@@ -1747,9 +1709,7 @@ impl Machine {
         while off < end {
             let line = LineAddr::new(base + off);
             if let Some(wb) = self.hier.clwb(line) {
-                let done = self
-                    .ctrl
-                    .write_line(self.clocks[core], PhysAddr::new(wb.addr.get()), &wb.data)?;
+                let done = self.write_back(self.clocks[core], &wb)?;
                 fence_at = fence_at.max(done);
             }
             off += LINE_BYTES as u64;
@@ -1882,10 +1842,8 @@ impl Machine {
     fn flush_hierarchy(&mut self) -> Result<(), MemError> {
         let dirty = self.hier.flush_all();
         let mut t = self.elapsed();
-        for wb in dirty {
-            t = self
-                .ctrl
-                .write_line(t, PhysAddr::new(wb.addr.get()), &wb.data)?;
+        for wb in &dirty {
+            t = self.write_back(t, wb)?;
         }
         for c in &mut self.clocks {
             *c = t.max(*c);

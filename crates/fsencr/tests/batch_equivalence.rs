@@ -1,6 +1,6 @@
-//! Region-op equivalence: the controller's region operations — the only
-//! route `Machine` takes onto the datapath — must be *bit-identical* to
-//! the per-line reference kept here:
+//! Region-op equivalence: the controller's region operations are loops
+//! over the one line body, and must stay *bit-identical* to the explicit
+//! per-line loops kept here, under chained and fan-out timing:
 //!
 //! * [`MemoryController::read_lines`] against a chained per-line
 //!   `read_line` loop (line `i` issued at line `i - 1`'s completion);

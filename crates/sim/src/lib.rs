@@ -7,8 +7,6 @@
 //!
 //! * [`Cycle`] — a strongly-typed simulation timestamp (1 cycle = 1 ns at
 //!   the paper's 1 GHz core clock).
-//! * [`EventQueue`] — a deterministic time-ordered event queue used to
-//!   interleave multiple workload threads.
 //! * [`Resource`] — a single-server occupancy model used for banks, buses
 //!   and engines that can serve one request at a time.
 //! * [`stats`] — lightweight counters and a uniform reporting interface.
@@ -16,25 +14,12 @@
 //!   paper's values as defaults.
 //! * [`rng`] — a tiny deterministic PRNG (SplitMix64) so that the low-level
 //!   crates do not need an external RNG dependency.
-//!
-//! # Examples
-//!
-//! ```
-//! use fsencr_sim::{Cycle, EventQueue};
-//!
-//! let mut q = EventQueue::new();
-//! q.push(Cycle::new(10), "b");
-//! q.push(Cycle::new(5), "a");
-//! let (t, ev) = q.pop().unwrap();
-//! assert_eq!((t, ev), (Cycle::new(5), "a"));
-//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clock;
 pub mod config;
-pub mod event;
 pub mod pool;
 pub mod resource;
 pub mod rng;
@@ -42,7 +27,6 @@ pub mod stats;
 
 pub use clock::Cycle;
 pub use config::MachineConfig;
-pub use event::EventQueue;
 pub use resource::Resource;
 pub use rng::SplitMix64;
 pub use stats::{Counter, Histogram};

@@ -158,10 +158,6 @@ impl Enc {
         self.out.push(u8::from(v));
     }
 
-    pub fn put_u16(&mut self, v: u16) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-
     pub fn put_u32(&mut self, v: u32) {
         self.out.extend_from_slice(&v.to_le_bytes());
     }
@@ -299,11 +295,6 @@ impl<'a> Dec<'a> {
             1 => Ok(true),
             _ => Err(SnapError::Corrupt("bool")),
         }
-    }
-
-    pub fn get_u16(&mut self) -> Result<u16, SnapError> {
-        let s = self.take(2, self.section_end)?;
-        Ok(u16::from_le_bytes([s[0], s[1]]))
     }
 
     pub fn get_u32(&mut self) -> Result<u32, SnapError> {

@@ -30,7 +30,7 @@ begin "cargo test -q --workspace"
 cargo test -q --workspace
 finish
 
-begin "batched-datapath equivalence: region ops vs per-line controller reference"
+begin "region-op equivalence: region ops vs chained and fan-out per-line loops"
 cargo test -q -p fsencr --test batch_equivalence
 finish
 
