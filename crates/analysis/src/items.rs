@@ -552,10 +552,7 @@ fn classify_call(tokens: &[Token], body: Span, idx: usize) -> (Callee, Option<Re
         // Method call: walk `ident . ident . … .` backwards.
         let mut chain = Vec::new();
         let mut j = idx - 1; // at the `.`
-        loop {
-            let Some(recv_idx) = j.checked_sub(1).filter(|p| *p >= body.start) else {
-                break;
-            };
+        while let Some(recv_idx) = j.checked_sub(1).filter(|p| *p >= body.start) {
             let recv = &tokens[recv_idx];
             if recv.kind == TokenKind::Ident {
                 chain.push(recv.text.clone());

@@ -85,12 +85,14 @@ fn bench_metadata(c: &mut Criterion) {
 /// the batched region ops remove.
 fn populated(pages: u64, cache_lines: usize) -> (MetadataSystem, NvmDevice, Vec<LineAddr>, Cycle) {
     let layout = MetadataLayout::new(pages * 4096, 4096);
-    let mut cfg = SecurityConfig::default();
-    cfg.metadata_cache = CacheConfig {
-        size_bytes: cache_lines * 64,
-        ways: 8,
-        block_bytes: 64,
-        latency_cycles: 3,
+    let cfg = SecurityConfig {
+        metadata_cache: CacheConfig {
+            size_bytes: cache_lines * 64,
+            ways: 8,
+            block_bytes: 64,
+            latency_cycles: 3,
+        },
+        ..SecurityConfig::default()
     };
     let mut sys = MetadataSystem::new(layout, &cfg);
     let mut nvm = NvmDevice::new(NvmConfig::default());

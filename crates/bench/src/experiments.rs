@@ -7,6 +7,8 @@
 //! figure is assembled, so the output is identical to a serial run at any
 //! worker count.
 
+use std::sync::Arc;
+
 use fsencr::machine::{MachineOpts, Preset, SecurityMode};
 use fsencr::security;
 use fsencr::snapshot::StatsSnapshot;
@@ -40,15 +42,6 @@ fn run_with(
 /// Builds a fresh workload instance per cell run.
 pub type Factory = Box<dyn Fn() -> Box<dyn Workload> + Send + Sync>;
 
-/// One independent experiment cell.
-struct Cell<'a> {
-    /// Workload label, used for the figure row and the cell-cache key.
-    label: String,
-    opts: MachineOpts,
-    mode: SecurityMode,
-    factory: &'a Factory,
-}
-
 /// Runs every cell (concurrently when the pool has more than one worker)
 /// and returns the stats in the cells' submission order.
 ///
@@ -60,12 +53,12 @@ struct Cell<'a> {
 /// deposits a fresh image for later cells. Warm and cold paths measure
 /// bit-identically (see the `warm_start` suite), so figure bytes never
 /// depend on the store.
-fn run_cells(cells: Vec<Cell<'_>>) -> Vec<StatsSnapshot> {
+fn run_cells(cells: Vec<ProfileCellSpec>) -> Vec<StatsSnapshot> {
     let tasks: Vec<_> = cells
         .into_iter()
         .map(|cell| {
             move || {
-                let mut workload = (cell.factory)();
+                let mut workload = (*cell.factory)();
                 let key = store::key(
                     Kind::Cell,
                     &cell.label,
@@ -108,26 +101,6 @@ fn run_cells(cells: Vec<Cell<'_>>) -> Vec<StatsSnapshot> {
     pool::run_tasks(tasks)
 }
 
-/// The `workloads x modes` cross product on the benchmark machine, in
-/// workload-major order: `stats[i * modes.len() + j]` is workload `i`
-/// under mode `j`.
-fn mode_cells<'a>(
-    factories: &'a [(String, Factory)],
-    modes: &[SecurityMode],
-) -> Vec<Cell<'a>> {
-    factories
-        .iter()
-        .flat_map(|(name, factory)| {
-            modes.iter().map(move |&mode| Cell {
-                label: name.clone(),
-                opts: MachineOpts::benchmark(),
-                mode,
-                factory,
-            })
-        })
-        .collect()
-}
-
 fn whisper_factories(scale: f64) -> Vec<(String, Factory)> {
     let n = scaled(16 * 1024, scale);
     vec![
@@ -156,6 +129,8 @@ fn pmemkv_factories(scale: f64) -> Vec<(String, Factory)> {
         DbBench::ReadSeq,
     ] {
         for large in [false, true] {
+            // Working sets exceed the 4.5 MiB cache hierarchy so that the
+            // read benchmarks actually exercise the memory system.
             let (value, keys, ops) = if large {
                 (4096usize, scaled(3072, scale), scaled(3072, scale))
             } else {
@@ -197,18 +172,19 @@ fn daxmicro_factories(scale: f64) -> Vec<(String, Factory)> {
     ]
 }
 
-/// One profilable cell: an owned `(workload, mode, config)` triple that
-/// [`crate::profile`] fans out across the pool. The factory is shared
-/// (`Arc`) because one workload row appears once per security mode.
+/// One independent experiment cell: an owned `(workload, mode, config)`
+/// triple that the figures and [`crate::profile`] fan out across the
+/// pool. The factory is shared (`Arc`) because one workload row appears
+/// once per security mode or configuration.
 pub struct ProfileCellSpec {
-    /// Workload label (figure row name).
+    /// Workload label, used for the figure row and the cell-cache key.
     pub label: String,
     /// Machine configuration for the cell.
     pub opts: MachineOpts,
     /// Security mode the cell runs under.
     pub mode: SecurityMode,
     /// Builds a fresh workload instance for the run.
-    pub factory: std::sync::Arc<Factory>,
+    pub factory: Arc<Factory>,
 }
 
 /// A figure's labelled workload rows and the security modes each runs
@@ -234,13 +210,15 @@ fn matrix(fig: &str, scale: f64) -> Option<Matrix> {
     })
 }
 
-/// Runs the cell matrix of `fig` and returns its row labels and stats:
-/// `stats[i * modes + j]` is row `i` under the matrix's mode `j`.
+/// Runs the cell matrix of `fig` (its [`profile_cells`]) and returns its
+/// row labels and stats: `stats[i * modes + j]` is row `i` under the
+/// matrix's mode `j`.
 fn run_matrix(fig: &str, scale: f64) -> (Vec<String>, Vec<StatsSnapshot>) {
-    let (factories, modes) =
-        matrix(fig, scale).unwrap_or_else(|| panic!("{fig} has no cell matrix"));
-    let stats = run_cells(mode_cells(&factories, modes));
-    (factories.into_iter().map(|(name, _)| name).collect(), stats)
+    let cells = profile_cells(fig, scale).unwrap_or_else(|| panic!("{fig} has no cell matrix"));
+    // A row's cells are adjacent and rows have distinct labels.
+    let mut names: Vec<String> = cells.iter().map(|c| c.label.clone()).collect();
+    names.dedup();
+    (names, run_cells(cells))
 }
 
 /// The cell list of `fig` at `scale`, in the same deterministic
@@ -253,7 +231,7 @@ pub fn profile_cells(fig: &str, scale: f64) -> Option<Vec<ProfileCellSpec>> {
         factories
             .into_iter()
             .flat_map(|(label, factory)| {
-                let factory = std::sync::Arc::new(factory);
+                let factory = Arc::new(factory);
                 modes.iter().map(move |&mode| ProfileCellSpec {
                     label: label.clone(),
                     opts: MachineOpts::benchmark(),
@@ -384,21 +362,23 @@ pub fn fig15(scale: f64) -> Figure {
     let n_ops = scaled(16 * 1024, scale);
     let file = ((24 << 20) as f64 * scale.max(0.2)) as u64 / 4096 * 4096;
     let reads = scaled(400_000, scale);
-    let workloads: Vec<(String, Factory)> = vec![
+    let workloads: Vec<(String, Arc<Factory>)> = vec![
         (
             "Fillrandom-L".to_string(),
-            Box::new(move || {
+            Arc::new(Box::new(move || {
                 Box::new(PmemKv::new(DbBench::FillRandom, 4096, n_large, n_large, 2))
                     as Box<dyn Workload>
-            }) as Factory,
+            })),
         ),
         (
             "Hashmap".to_string(),
-            Box::new(move || Box::new(HashmapBench::new(n_ops, 2)) as Box<dyn Workload>),
+            Arc::new(Box::new(move || Box::new(HashmapBench::new(n_ops, 2)) as Box<dyn Workload>)),
         ),
         (
             "DAX-2".to_string(),
-            Box::new(move || Box::new(DaxStride::new(128, file, reads)) as Box<dyn Workload>),
+            Arc::new(Box::new(move || {
+                Box::new(DaxStride::new(128, file, reads)) as Box<dyn Workload>
+            })),
         ),
     ];
     let mut cells = Vec::new();
@@ -408,11 +388,11 @@ pub fn fig15(scale: f64) -> Figure {
                 .metadata_cache_bytes(*bytes)
                 .build();
             for mode in [SecurityMode::MemoryOnly, SecurityMode::FsEncr] {
-                cells.push(Cell {
+                cells.push(ProfileCellSpec {
                     label: format!("{name}/{size_name}"),
                     opts,
                     mode,
-                    factory,
+                    factory: Arc::clone(factory),
                 });
             }
         }
@@ -520,21 +500,22 @@ pub fn ablation_ott(scale: f64) -> Figure {
         vec!["slowdown".to_string()],
     );
     let n = scaled(8 * 1024, scale);
-    let factory: Factory = Box::new(move || Box::new(Ycsb::new(n, n, 2)) as Box<dyn Workload>);
+    let factory: Arc<Factory> =
+        Arc::new(Box::new(move || Box::new(Ycsb::new(n, n, 2)) as Box<dyn Workload>));
     let latencies = [1u64, 20, 100, 400];
-    let mut cells = vec![Cell {
+    let mut cells = vec![ProfileCellSpec {
         label: "YCSB/baseline".to_string(),
         opts: MachineOpts::benchmark(),
         mode: SecurityMode::MemoryOnly,
-        factory: &factory,
+        factory: Arc::clone(&factory),
     }];
     for lat in latencies {
         let opts = MachineOpts::preset(Preset::Paper).ott_latency_cycles(lat).build();
-        cells.push(Cell {
+        cells.push(ProfileCellSpec {
             label: format!("YCSB/ott-latency-{lat}"),
             opts,
             mode: SecurityMode::FsEncr,
-            factory: &factory,
+            factory: Arc::clone(&factory),
         });
     }
     let stats = run_cells(cells);
@@ -556,23 +537,23 @@ pub fn ablation_osiris(scale: f64) -> Figure {
         vec!["slowdown".to_string(), "nvm writes".to_string()],
     );
     let n = scaled(4096, scale);
-    let factory: Factory = Box::new(move || {
+    let factory: Arc<Factory> = Arc::new(Box::new(move || {
         Box::new(PmemKv::new(DbBench::Overwrite, 64, n, n, 2)) as Box<dyn Workload>
-    });
+    }));
     let stop_losses = [1u32, 2, 4, 8, 16];
-    let mut cells = vec![Cell {
+    let mut cells = vec![ProfileCellSpec {
         label: "Overwrite-S/reference".to_string(),
         opts: MachineOpts::benchmark(),
         mode: SecurityMode::FsEncr,
-        factory: &factory,
+        factory: Arc::clone(&factory),
     }];
     for stop_loss in stop_losses {
         let opts = MachineOpts::preset(Preset::Paper).osiris_stop_loss(stop_loss).build();
-        cells.push(Cell {
+        cells.push(ProfileCellSpec {
             label: format!("Overwrite-S/stop-loss-{stop_loss}"),
             opts,
             mode: SecurityMode::FsEncr,
-            factory: &factory,
+            factory: Arc::clone(&factory),
         });
     }
     let stats = run_cells(cells);
@@ -600,17 +581,19 @@ pub fn ablation_partition(scale: f64) -> Figure {
     let n_large = scaled(3072, scale);
     let file = ((24 << 20) as f64 * scale.max(0.2)) as u64 / 4096 * 4096;
     let reads = scaled(400_000, scale);
-    let factories: Vec<(String, Factory)> = vec![
+    let factories: Vec<(String, Arc<Factory>)> = vec![
         (
             "Fillrandom-L".to_string(),
-            Box::new(move || {
+            Arc::new(Box::new(move || {
                 Box::new(PmemKv::new(DbBench::FillRandom, 4096, n_large, n_large, 2))
                     as Box<dyn Workload>
-            }) as Factory,
+            })),
         ),
         (
             "DAX-2".to_string(),
-            Box::new(move || Box::new(DaxStride::new(128, file, reads)) as Box<dyn Workload>),
+            Arc::new(Box::new(move || {
+                Box::new(DaxStride::new(128, file, reads)) as Box<dyn Workload>
+            })),
         ),
     ];
     let mut cells = Vec::new();
@@ -620,11 +603,11 @@ pub fn ablation_partition(scale: f64) -> Figure {
                 .partition_metadata_cache(partitioned)
                 .build();
             for mode in [SecurityMode::MemoryOnly, SecurityMode::FsEncr] {
-                cells.push(Cell {
+                cells.push(ProfileCellSpec {
                     label: format!("{name}/partitioned-{partitioned}"),
                     opts,
                     mode,
-                    factory,
+                    factory: Arc::clone(factory),
                 });
             }
         }
@@ -650,39 +633,41 @@ pub fn ablation_direct(scale: f64) -> Figure {
     );
     let file = ((24 << 20) as f64 * scale.max(0.2)) as u64 / 4096 * 4096;
     let reads = scaled(200_000, scale);
-    let factories: Vec<(String, Factory)> = vec![
+    let factories: Vec<(String, Arc<Factory>)> = vec![
         (
             "DAX-1".to_string(),
-            Box::new(move || Box::new(DaxStride::new(16, file, reads)) as Box<dyn Workload>) as Factory,
+            Arc::new(Box::new(move || {
+                Box::new(DaxStride::new(16, file, reads)) as Box<dyn Workload>
+            })),
         ),
         (
             "Readrandom-S".to_string(),
-            Box::new(move || {
+            Arc::new(Box::new(move || {
                 Box::new(PmemKv::new(DbBench::ReadRandom, 64, scaled(32768, scale), scaled(16384, scale), 2))
                     as Box<dyn Workload>
-            }),
+            })),
         ),
     ];
     let direct_opts = MachineOpts::preset(Preset::Paper).direct_encryption(true).build();
     let mut cells = Vec::new();
     for (name, factory) in &factories {
-        cells.push(Cell {
+        cells.push(ProfileCellSpec {
             label: name.clone(),
             opts: MachineOpts::benchmark(),
             mode: SecurityMode::Unencrypted,
-            factory,
+            factory: Arc::clone(factory),
         });
-        cells.push(Cell {
+        cells.push(ProfileCellSpec {
             label: name.clone(),
             opts: MachineOpts::benchmark(),
             mode: SecurityMode::FsEncr,
-            factory,
+            factory: Arc::clone(factory),
         });
-        cells.push(Cell {
+        cells.push(ProfileCellSpec {
             label: format!("{name}/direct"),
             opts: direct_opts,
             mode: SecurityMode::FsEncr,
-            factory,
+            factory: Arc::clone(factory),
         });
     }
     let stats = run_cells(cells);

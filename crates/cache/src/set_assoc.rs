@@ -241,11 +241,6 @@ impl Cache {
         self.sets.iter().map(|s| s.len()).sum()
     }
 
-    /// Total capacity in lines.
-    pub fn capacity_lines(&self) -> usize {
-        self.sets.len() * self.cfg.ways
-    }
-
     /// Serializes the full cache state. Way order within each set is
     /// preserved verbatim: `insert` evicts via `swap_remove`, so the
     /// in-memory entry order is behavioral and must survive a restore
@@ -432,7 +427,6 @@ mod tests {
     #[test]
     fn capacity_and_residency() {
         let mut c = small();
-        assert_eq!(c.capacity_lines(), 4);
         for i in 0..8 {
             c.insert(line(i), [i as u8; 64], false);
         }

@@ -55,7 +55,7 @@ proptest! {
         // The reference model: last value stored per line.
         let mut model: HashMap<u64, [u8; 64]> = HashMap::new();
 
-        let mut absorb = |memory: &mut HashMap<u64, [u8; 64]>, wbs: Vec<fsencr_cache::CacheLine>| {
+        let absorb = |memory: &mut HashMap<u64, [u8; 64]>, wbs: Vec<fsencr_cache::CacheLine>| {
             for wb in wbs {
                 memory.insert(wb.addr.get() / 64, wb.data);
             }

@@ -53,15 +53,6 @@ impl Key128 {
     pub const fn into_bytes(self) -> [u8; 16] {
         self.0
     }
-
-    /// XORs two keys; used to build distinct sub-keys cheaply in tests.
-    pub fn xor(&self, other: &Key128) -> Key128 {
-        let mut out = [0u8; 16];
-        for (o, (a, b)) in out.iter_mut().zip(self.0.iter().zip(other.0.iter())) {
-            *o = a ^ b;
-        }
-        Key128(out)
-    }
 }
 
 impl fmt::Debug for Key128 {
@@ -110,11 +101,5 @@ mod tests {
         let back: [u8; 16] = key.into();
         assert_eq!(back, bytes);
         assert_eq!(key.into_bytes(), bytes);
-    }
-
-    #[test]
-    fn xor_self_is_zero() {
-        let key = Key128::from_seed(77);
-        assert_eq!(key.xor(&key), Key128::from_bytes([0u8; 16]));
     }
 }

@@ -349,11 +349,6 @@ impl MemoryController {
         events
     }
 
-    /// The armed fault injector, if any.
-    pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.nvm.fault_injector()
-    }
-
     /// Mutable access to the armed injector for the barrier/region hooks
     /// and campaign drivers (power-cut polling, event drains).
     pub(crate) fn fault_injector_mut(&mut self) -> Option<&mut FaultInjector> {

@@ -202,12 +202,6 @@ impl MachineOptsBuilder {
         self
     }
 
-    /// Bytes reserved for the encrypted OTT spill region.
-    pub fn ott_spill_bytes(mut self, bytes: u64) -> Self {
-        self.opts.ott_spill_bytes = bytes;
-        self
-    }
-
     /// Seed for keys and FEK generation.
     pub fn seed(mut self, seed: u64) -> Self {
         self.opts.seed = seed;
@@ -241,12 +235,6 @@ impl MachineOptsBuilder {
     /// Ablation: direct (serialized) encryption instead of counter mode.
     pub fn direct_encryption(mut self, on: bool) -> Self {
         self.opts.config.security.direct_encryption = on;
-        self
-    }
-
-    /// Software page-cache capacity in 4 KiB pages.
-    pub fn page_cache_pages(mut self, pages: usize) -> Self {
-        self.opts.softencr.page_cache_pages = pages;
         self
     }
 

@@ -11,7 +11,7 @@
 //!   armed injector's state. Handing one out can never change the
 //!   machine.
 //! * [`FaultPlane`] ([`Machine::fault_plane`]) — every way to make the
-//!   device misbehave, in one audited place: raw tampering, bit flips,
+//!   device misbehave, in one audited place: raw tampering,
 //!   arming/disarming deterministic [`FaultPlan`]s, power-cut control and
 //!   the quarantine knobs. The confinement gate's `debug-reach` and
 //!   `plaintext-confinement` rules allowlist exactly this module, so a
@@ -24,7 +24,7 @@
 //! [`Machine::fault_plane`]: crate::Machine::fault_plane
 //! [`TransferredModule`]: crate::machine::TransferredModule
 
-use fsencr_faults::{FaultEvent, FaultInjector, FaultPlan};
+use fsencr_faults::{FaultEvent, FaultPlan};
 use fsencr_nvm::{NvmDevice, PhysAddr, WearTracker, LINE_BYTES};
 
 use crate::controller::MemoryController;
@@ -69,14 +69,6 @@ impl<'a> InspectPlane<'a> {
         self.ctrl.auto_quarantine()
     }
 
-    /// Faults the armed injector has applied so far (empty when none is
-    /// armed).
-    pub fn fault_events(&self) -> &'a [FaultEvent] {
-        self.ctrl
-            .fault_injector()
-            .map_or(&[], FaultInjector::events)
-    }
-
     /// True while an armed injector has cut power.
     pub fn power_lost(&self) -> bool {
         self.ctrl.power_lost()
@@ -117,14 +109,6 @@ impl<'a> FaultPlane<'a> {
         self.ctrl.debug_nvm_mut().poke_line(addr, data);
     }
 
-    /// Flips a single media bit — the minimal tamper, and the manual
-    /// form of the injector's bit-rot fault.
-    pub fn flip_bit(&mut self, addr: PhysAddr, byte: usize, bit: u8) {
-        let mut line = self.media_line(addr);
-        line[byte % LINE_BYTES] ^= 1u8 << (bit & 0x7);
-        self.tamper_line(addr, &line);
-    }
-
     /// Arms a deterministic fault plan (replacing any armed injector and
     /// healing the wear-out overlay).
     pub fn arm(&mut self, plan: FaultPlan) {
@@ -134,13 +118,6 @@ impl<'a> FaultPlane<'a> {
     /// Disarms the injector, returning the log of applied faults.
     pub fn disarm(&mut self) -> Vec<FaultEvent> {
         self.ctrl.disarm_faults()
-    }
-
-    /// Faults the armed injector has applied so far.
-    pub fn fault_events(&self) -> &[FaultEvent] {
-        self.ctrl
-            .fault_injector()
-            .map_or(&[], FaultInjector::events)
     }
 
     /// True while the armed injector has cut power.
@@ -219,12 +196,5 @@ impl<'a> ModuleFault<'a> {
     /// Overwrites a raw media line of the travelling DIMM.
     pub fn tamper_line(&mut self, addr: PhysAddr, data: &[u8; LINE_BYTES]) {
         self.nvm.poke_line(addr, data);
-    }
-
-    /// Flips a single media bit of the travelling DIMM.
-    pub fn flip_bit(&mut self, addr: PhysAddr, byte: usize, bit: u8) {
-        let mut line = self.media_line(addr);
-        line[byte % LINE_BYTES] ^= 1u8 << (bit & 0x7);
-        self.tamper_line(addr, &line);
     }
 }

@@ -277,21 +277,25 @@ mod tests {
 
     #[test]
     fn delta_saturates_on_mismatched_baseline() {
-        let mut stale = StatsSnapshot::default();
-        stale.reads = 100;
+        let stale = StatsSnapshot {
+            reads: 100,
+            ..StatsSnapshot::default()
+        };
         let fresh = StatsSnapshot::default();
         assert_eq!(fresh.delta(&stale).reads, 0);
     }
 
     #[test]
     fn rates_follow_the_window() {
-        let mut s = StatsSnapshot::default();
-        s.meta_cache_hits = 3;
-        s.meta_cache_misses = 1;
-        s.ott_hits = 1;
-        s.ott_misses = 1;
-        s.tlb_hits = 9;
-        s.tlb_misses = 1;
+        let s = StatsSnapshot {
+            meta_cache_hits: 3,
+            meta_cache_misses: 1,
+            ott_hits: 1,
+            ott_misses: 1,
+            tlb_hits: 9,
+            tlb_misses: 1,
+            ..StatsSnapshot::default()
+        };
         assert_eq!(s.meta_hit_rate(), 0.75);
         assert_eq!(s.ott_hit_rate(), 0.5);
         assert_eq!(s.tlb_hit_rate(), 0.9);

@@ -14,9 +14,11 @@ use fsencr_sim::Cycle;
 
 fn controller(ott_entries: usize) -> MemoryController {
     let layout = MetadataLayout::new(64 * 4096, 8192);
-    let mut cfg = SecurityConfig::default();
-    cfg.ott_ways = 1;
-    cfg.ott_entries_per_way = ott_entries;
+    let cfg = SecurityConfig {
+        ott_ways: 1,
+        ott_entries_per_way: ott_entries,
+        ..SecurityConfig::default()
+    };
     MemoryController::new(
         CtrlMode::Encrypted,
         layout,

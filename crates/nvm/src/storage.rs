@@ -9,9 +9,7 @@
 //! Line traffic is heavily page-local (64 consecutive lines share a 4 KiB
 //! frame), so the store keeps the most recently accessed frame *out* of
 //! the page map in a one-entry memo: a run of line accesses to one page
-//! pays a single `HashMap` probe instead of one per 64-byte line. Batched
-//! callers can go further and borrow a whole frame once via
-//! [`Storage::page_ref`]/[`Storage::page_mut`].
+//! pays a single `HashMap` probe instead of one per 64-byte line.
 
 use std::collections::HashMap;
 
@@ -104,13 +102,6 @@ impl Storage {
         }
     }
 
-    /// Mutably borrows a whole page, allocating it on first touch.
-    /// Batched writers call this once per 4 KiB frame; the page also
-    /// becomes the memoized frame for subsequent line accesses.
-    pub fn page_mut(&mut self, page: PageId) -> &mut [u8; PAGE_BYTES] {
-        self.frame_mut(page.get())
-    }
-
     /// Reads `buf.len()` bytes starting at `addr` (DF-bit ignored).
     pub fn read(&self, addr: PhysAddr, buf: &mut [u8]) {
         let mut pos = addr.strip_df().get();
@@ -197,29 +188,10 @@ impl Storage {
         self.stuck = cells.map(Box::new);
     }
 
-    /// The wear-out overlay, if one is installed.
-    pub fn stuck_cells(&self) -> Option<&StuckCells> {
-        self.stuck.as_deref()
-    }
-
     /// Mutable wear-out overlay, installing an empty one on first use
     /// (the fault injector registers newly worn cells through this).
     pub fn stuck_cells_mut(&mut self) -> &mut StuckCells {
         self.stuck.get_or_insert_with(Default::default)
-    }
-
-    /// Fills an entire page with `byte` (used by secure shredding).
-    pub fn fill_page(&mut self, page: PageId, byte: u8) {
-        *self.frame_mut(page.get()) = [byte; PAGE_BYTES];
-    }
-
-    /// Drops a page's backing store, returning it to the all-zero state.
-    pub fn discard_page(&mut self, page: PageId) {
-        if matches!(&self.last, Some((f, _)) if *f == page.get()) {
-            self.last = None;
-        } else {
-            self.pages.remove(&page.get());
-        }
     }
 
     /// Iterates the frame numbers of every touched page — what a physical
@@ -355,19 +327,6 @@ mod tests {
     }
 
     #[test]
-    fn fill_and_discard_page() {
-        let mut s = Storage::new();
-        let page = PageId::new(3);
-        s.fill_page(page, 0xee);
-        assert_eq!(s.read_line(LineAddr::new(3 * 4096)), [0xee; LINE_BYTES]);
-        let snap = s.snapshot_page(page);
-        assert!(snap.iter().all(|&b| b == 0xee));
-        s.discard_page(page);
-        assert_eq!(s.read_line(LineAddr::new(3 * 4096)), [0u8; LINE_BYTES]);
-        assert_eq!(s.snapshot_page(page), [0u8; PAGE_BYTES]);
-    }
-
-    #[test]
     fn overwrite_replaces() {
         let mut s = Storage::new();
         s.write(PhysAddr::new(0), b"aaaa");
@@ -404,29 +363,5 @@ mod tests {
         s.write_line(LineAddr::new(4096), &[2u8; LINE_BYTES]);
         assert_eq!(s.read_line_hot(LineAddr::new(0)), [1u8; LINE_BYTES]);
         assert_eq!(s.resident_pages(), 2);
-    }
-
-    #[test]
-    fn page_ref_and_mut_borrow_whole_frames() {
-        let mut s = Storage::new();
-        assert!(s.page_ref(PageId::new(5)).is_none());
-        s.page_mut(PageId::new(5))[100] = 0x42;
-        let page = s.page_ref(PageId::new(5)).expect("allocated by page_mut");
-        assert_eq!(page[100], 0x42);
-        assert_eq!(page[101], 0);
-        // The borrowed view and the line view agree.
-        let mut line = [0u8; LINE_BYTES];
-        line.copy_from_slice(&page[64..128]);
-        assert_eq!(s.read_line(LineAddr::new(5 * 4096 + 64)), line);
-    }
-
-    #[test]
-    fn discard_clears_memoized_page() {
-        let mut s = Storage::new();
-        s.write_line(LineAddr::new(2 * 4096), &[9u8; LINE_BYTES]);
-        // Frame 2 sits in the memo slot; discarding must still zero it.
-        s.discard_page(PageId::new(2));
-        assert_eq!(s.resident_pages(), 0);
-        assert_eq!(s.read_line(LineAddr::new(2 * 4096)), [0u8; LINE_BYTES]);
     }
 }

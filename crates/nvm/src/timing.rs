@@ -299,7 +299,7 @@ mod tests {
         // Write to row 0 of bank 0 (dirty), then read a different row of
         // the same bank: the close must pay the 150 ns write-back.
         let lines_per_row = 1024 / 64;
-        let banks_rows_stride = 1024 * 1 * 8 * 2; // one full row of every bank
+        let banks_rows_stride = 1024 * 8 * 2; // one full row of every bank
         let same_bank_next_row = LineAddr::new(banks_rows_stride);
         let t0 = t.decode(LineAddr::new(0));
         let t1 = t.decode(same_bank_next_row);
@@ -330,7 +330,7 @@ mod tests {
         let mut now = Cycle::ZERO;
         let mut last_delta = 0;
         for i in 0..12u64 {
-            let line = LineAddr::new((i % 2) * stride as u64 * 2 + (i / 2) * 0);
+            let line = LineAddr::new((i % 2) * stride as u64 * 2);
             let done = t.access(now, line, AccessKind::Write);
             last_delta = (done - now).get();
             now = done;

@@ -261,13 +261,6 @@ impl Fecb {
         self.minors[block] = minor;
     }
 
-    /// Resets counters entirely (file deletion / new key — footnote 4 of
-    /// the paper: FECBs may be re-initialized when the file key changes).
-    pub fn reset_counters(&mut self) {
-        self.major = 0;
-        self.minors = [0; MINORS_PER_BLOCK];
-    }
-
     /// Serializes to the 64-byte in-memory representation.
     pub fn to_bytes(&self) -> [u8; 64] {
         let mut out = [0u8; 64];
@@ -448,17 +441,6 @@ mod tests {
         f.stamp(5, 9);
         assert_eq!(f.minor(0), 2);
         assert_eq!((f.gid(), f.fid()), (5, 9));
-    }
-
-    #[test]
-    fn fecb_reset_counters_keeps_identity() {
-        let mut f = Fecb::new(2, 3);
-        f.increment(10);
-        f.carry_major();
-        f.reset_counters();
-        assert_eq!(f.major(), 0);
-        assert_eq!(f.minor(10), 0);
-        assert_eq!((f.gid(), f.fid()), (2, 3));
     }
 
     #[test]

@@ -21,6 +21,21 @@ pub const META_PER_PAGE: u64 = 128;
 
 const ARITY: u64 = 8;
 
+/// Which region of the device a line belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LineKind {
+    /// Plain data or DAX filesystem page.
+    Data,
+    /// Memory encryption counter block (first line of a page's pair).
+    Mecb,
+    /// File encryption counter block (second line of a page's pair).
+    Fecb,
+    /// Encrypted spilled-OTT slot.
+    Spill,
+    /// Merkle-tree node (the region past the covered leaves).
+    Node,
+}
+
 /// Region map and Merkle-tree geometry for one device.
 ///
 /// # Examples
@@ -169,6 +184,25 @@ impl MetadataLayout {
             .then(|| PageId::new((a - self.meta_base) / META_PER_PAGE))
     }
 
+    /// The region `addr` lies in. Counter blocks alternate MECB/FECB at
+    /// line granularity; everything at or past `merkle_base` is a node.
+    pub fn kind_of(&self, addr: LineAddr) -> LineKind {
+        let a = addr.get();
+        if a < self.meta_base {
+            LineKind::Data
+        } else if a < self.ott_base {
+            if (a - self.meta_base).is_multiple_of(META_PER_PAGE) {
+                LineKind::Mecb
+            } else {
+                LineKind::Fecb
+            }
+        } else if a < self.merkle_base {
+            LineKind::Spill
+        } else {
+            LineKind::Node
+        }
+    }
+
     /// Leaf index of a covered metadata line.
     ///
     /// # Panics
@@ -261,7 +295,12 @@ mod tests {
             assert_eq!(l.fecb_addr(page).get(), l.meta_base() + p * 128 + 64);
             assert_eq!(l.counter_page(l.mecb_addr(page)), Some(page));
             assert_eq!(l.counter_page(l.fecb_addr(page)), Some(page));
+            assert_eq!(l.kind_of(l.mecb_addr(page)), LineKind::Mecb);
+            assert_eq!(l.kind_of(l.fecb_addr(page)), LineKind::Fecb);
         }
+        assert_eq!(l.kind_of(LineAddr::new(0)), LineKind::Data);
+        assert_eq!(l.kind_of(LineAddr::new(l.ott_base())), LineKind::Spill);
+        assert_eq!(l.kind_of(LineAddr::new(l.merkle_base())), LineKind::Node);
         // OTT-spill leaves, tree nodes and data lines are not counters.
         assert_eq!(l.counter_page(LineAddr::new(l.ott_base())), None);
         assert_eq!(l.counter_page(LineAddr::new(l.merkle_base())), None);

@@ -42,7 +42,7 @@ pub mod metadata;
 
 pub use counters::{Fecb, Mecb, MINORS_PER_BLOCK, MINOR_LIMIT};
 pub use ecc::EccStore;
-pub use layout::MetadataLayout;
+pub use layout::{LineKind, MetadataLayout};
 pub use metadata::{
     coverage_enabled, set_coverage_enabled, MetaAccess, MetaStats, MetadataSystem, TamperError,
 };

@@ -26,6 +26,18 @@
 //! canonical zero), which gives a freshly-booted device a consistent tree
 //! without writing gigabytes of initial hashes.
 //!
+//! ## One cache, one write-back step
+//!
+//! The metadata cache is one shared cache or, with Section III-D's
+//! partitioning, three (MECBs, FECBs, everything else). Which partition a
+//! line uses follows from [`MetadataLayout::kind_of`], the layout's
+//! region map, which also feeds the per-structure hit/miss counters.
+//! Every write of a metadata line to media, from an Osiris write-through,
+//! an explicit persist or an eviction, goes through one step: write the
+//! line, then bump its parent digest. `flush` alone splits that step in
+//! two passes: it writes every drained line before bumping any parent,
+//! since a bump may evict a drained (already clean) line.
+//!
 //! ## Host-side fast paths
 //!
 //! Simulated cycle accounting (`mac_cycles` charges, NVM timing) is
@@ -51,9 +63,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use fsencr_cache::{Cache, Eviction};
 use fsencr_crypto::digest8_line;
 use fsencr_nvm::{LineAddr, NvmDevice, LINE_BYTES};
-use fsencr_sim::{config::SecurityConfig, Counter, Cycle};
+use fsencr_sim::config::{CacheConfig, SecurityConfig};
+use fsencr_sim::{Counter, Cycle};
 
-use crate::layout::MetadataLayout;
+use crate::layout::{LineKind, MetadataLayout};
 
 /// Process-wide default for the Merkle-coverage oracle of newly created
 /// [`MetadataSystem`]s. Per-instance state (not this flag) is what the
@@ -145,120 +158,20 @@ pub struct MetaStats {
     pub update_bumps: Counter,
 }
 
-impl MetaStats {
-    /// Per-structure leaf hits and misses summed back together — equals
-    /// (`leaf_hits`, `leaf_misses`) by construction.
-    pub fn leaf_totals(&self) -> (u64, u64) {
-        (
-            self.mecb_hits.get() + self.fecb_hits.get() + self.spill_hits.get(),
-            self.mecb_misses.get() + self.fecb_misses.get() + self.spill_misses.get(),
-        )
+/// The metadata cache partitions for `cfg`, in routing and snapshot
+/// order: one shared cache, or (Section III-D) MECBs with half the
+/// capacity and FECBs and the remaining lines (OTT spill and tree nodes)
+/// with a quarter each.
+fn cache_parts(cfg: &SecurityConfig) -> Vec<CacheConfig> {
+    if !cfg.partition_metadata_cache {
+        return vec![cfg.metadata_cache];
     }
-
-    /// Mean tree depth walked per verification climb (0.0 when none ran).
-    pub fn mean_verify_depth(&self) -> f64 {
-        if self.verify_climbs.get() == 0 {
-            0.0
-        } else {
-            self.verify_levels.get() as f64 / self.verify_climbs.get() as f64
-        }
-    }
-}
-
-/// Which structure a covered leaf belongs to, for per-structure stats.
-/// Finer-grained than the cache partition: the encrypted OTT spill
-/// region is split out of the node partition it shares.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StatKind {
-    Mecb,
-    Fecb,
-    Spill,
-    Node,
-}
-
-/// The metadata cache, optionally partitioned per metadata kind
-/// (Section III-D: MECBs get half the capacity, FECBs and tree nodes a
-/// quarter each).
-#[derive(Debug, Clone)]
-enum MetaCaches {
-    Unified(Cache),
-    Partitioned {
-        mecb: Cache,
-        fecb: Cache,
-        nodes: Cache,
-    },
-}
-
-/// Which partition a metadata line routes to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MetaKind {
-    Mecb,
-    Fecb,
-    Nodes,
-}
-
-impl MetaCaches {
-    fn get(&mut self, kind: MetaKind) -> &mut Cache {
-        match self {
-            MetaCaches::Unified(c) => c,
-            MetaCaches::Partitioned { mecb, fecb, nodes } => match kind {
-                MetaKind::Mecb => mecb,
-                MetaKind::Fecb => fecb,
-                MetaKind::Nodes => nodes,
-            },
-        }
-    }
-
-    /// Side-effect-free read for the coverage oracle: routes to the same
-    /// partition as [`MetaCaches::get`] but perturbs neither LRU recency
-    /// nor hit/miss statistics, so running the oracle cannot change any
-    /// simulated behaviour it is checking.
-    fn peek(&self, kind: MetaKind, addr: LineAddr) -> Option<&[u8; LINE_BYTES]> {
-        let cache = match self {
-            MetaCaches::Unified(c) => c,
-            MetaCaches::Partitioned { mecb, fecb, nodes } => match kind {
-                MetaKind::Mecb => mecb,
-                MetaKind::Fecb => fecb,
-                MetaKind::Nodes => nodes,
-            },
-        };
-        cache.peek(addr)
-    }
-
-    fn for_each_mut(&mut self, mut f: impl FnMut(&mut Cache)) {
-        match self {
-            MetaCaches::Unified(c) => f(c),
-            MetaCaches::Partitioned { mecb, fecb, nodes } => {
-                f(mecb);
-                f(fecb);
-                f(nodes);
-            }
-        }
-    }
-
-    fn latency_cycles(&self) -> u64 {
-        match self {
-            MetaCaches::Unified(c) => c.latency_cycles(),
-            MetaCaches::Partitioned { mecb, .. } => mecb.latency_cycles(),
-        }
-    }
-
-    fn counts(&self) -> (u64, u64) {
-        let (mut hits, mut misses) = (0u64, 0u64);
-        let collect = |c: &Cache, hits: &mut u64, misses: &mut u64| {
-            *hits += c.stats().hits.get();
-            *misses += c.stats().misses.get();
-        };
-        match self {
-            MetaCaches::Unified(c) => collect(c, &mut hits, &mut misses),
-            MetaCaches::Partitioned { mecb, fecb, nodes } => {
-                collect(mecb, &mut hits, &mut misses);
-                collect(fecb, &mut hits, &mut misses);
-                collect(nodes, &mut hits, &mut misses);
-            }
-        }
-        (hits, misses)
-    }
+    [2, 4, 4]
+        .map(|fraction| CacheConfig {
+            size_bytes: cfg.metadata_cache.size_bytes / fraction,
+            ..cfg.metadata_cache
+        })
+        .to_vec()
 }
 
 /// The metadata cache + Merkle engine + Osiris persistence state.
@@ -267,7 +180,9 @@ pub struct MetadataSystem {
     /// Shared so controllers can hold a handle across `&mut self` calls
     /// without deep-copying the per-level geometry tables.
     layout: std::sync::Arc<MetadataLayout>,
-    cache: MetaCaches,
+    /// The metadata cache, as the partitions of [`cache_parts`];
+    /// [`MetadataSystem::part_of`] routes a line to its partition.
+    caches: Vec<Cache>,
     root: [u8; 8],
     /// Canonical all-zero node content per level.
     canon_nodes: Vec<[u8; LINE_BYTES]>,
@@ -315,23 +230,9 @@ impl MetadataSystem {
         // digest list) is unreachable; it exists to keep this path
         // panic-free.
         let root = canon_digests.last().copied().unwrap_or(zero_leaf_digest);
-        let cache = if cfg.partition_metadata_cache {
-            let part = |fraction: usize| {
-                let mut c = cfg.metadata_cache;
-                c.size_bytes /= fraction;
-                Cache::new(c)
-            };
-            MetaCaches::Partitioned {
-                mecb: part(2),
-                fecb: part(4),
-                nodes: part(4),
-            }
-        } else {
-            MetaCaches::Unified(Cache::new(cfg.metadata_cache))
-        };
         MetadataSystem {
             layout: std::sync::Arc::new(layout),
-            cache,
+            caches: cache_parts(cfg).into_iter().map(Cache::new).collect(),
             root,
             canon_nodes,
             canon_digests,
@@ -407,7 +308,7 @@ impl MetadataSystem {
         loop {
             let (node_idx, slot) = (child / 8, (child % 8) as usize);
             let node_addr = self.layout.node_addr(level, node_idx);
-            if let Some(node) = self.cache.peek(self.kind_of(node_addr), node_addr) {
+            if let Some(node) = self.caches[self.part_of(node_addr)].peek(node_addr) {
                 // Trusted on-chip ancestor: one slot check closes the chain.
                 return if Self::slot_of(node, slot) == expected {
                     Ok(())
@@ -478,63 +379,49 @@ impl MetadataSystem {
     /// partitions) — monotonic counters, so snapshot-delta measurement
     /// can compute the hit rate over any window.
     pub fn cache_counts(&self) -> (u64, u64) {
-        self.cache.counts()
+        self.caches.iter().fold((0, 0), |(hits, misses), c| {
+            (hits + c.stats().hits.get(), misses + c.stats().misses.get())
+        })
     }
 
-    /// Which partition `addr` belongs to. Counter leaves alternate
-    /// MECB/FECB at 64-byte granularity; OTT-spill leaves and tree nodes
-    /// share the node partition.
-    fn kind_of(&self, addr: LineAddr) -> MetaKind {
-        let base = self.layout.meta_base();
-        let counters_end = base + self.layout.data_bytes() / 4096 * 128;
-        if addr.get() >= base && addr.get() < counters_end {
-            if (addr.get() - base).is_multiple_of(128) {
-                MetaKind::Mecb
-            } else {
-                MetaKind::Fecb
-            }
-        } else {
-            MetaKind::Nodes
+    /// Index into `caches` of the partition `addr` routes to: MECBs,
+    /// FECBs, then everything else when partitioned; the one shared
+    /// cache otherwise.
+    fn part_of(&self, addr: LineAddr) -> usize {
+        if self.caches.len() == 1 {
+            return 0;
+        }
+        match self.layout.kind_of(addr) {
+            LineKind::Mecb => 0,
+            LineKind::Fecb => 1,
+            LineKind::Data | LineKind::Spill | LineKind::Node => 2,
         }
     }
 
     fn cache_at(&mut self, addr: LineAddr) -> &mut Cache {
-        let kind = self.kind_of(addr);
-        self.cache.get(kind)
+        let part = self.part_of(addr);
+        &mut self.caches[part]
     }
 
-    /// Classifies `addr` for per-structure statistics.
-    fn stat_kind_of(&self, addr: LineAddr) -> StatKind {
-        let a = addr.get();
-        let base = self.layout.meta_base();
-        let counters_end = base + self.layout.data_bytes() / 4096 * 128;
-        if a >= base && a < counters_end {
-            if (a - base).is_multiple_of(128) {
-                StatKind::Mecb
-            } else {
-                StatKind::Fecb
-            }
-        } else if a >= self.layout.ott_base() && a < self.layout.merkle_base() {
-            StatKind::Spill
-        } else {
-            StatKind::Node
-        }
-    }
-
-    /// Records a per-structure leaf-cache outcome alongside the coarse
-    /// `leaf_hits`/`leaf_misses` counters.
+    /// Records a leaf-cache outcome in the coarse `leaf_hits` /
+    /// `leaf_misses` counter and the per-structure one together.
     fn note_leaf(&mut self, addr: LineAddr, hit: bool) {
-        let counter = match (self.stat_kind_of(addr), hit) {
-            (StatKind::Mecb, true) => &mut self.stats.mecb_hits,
-            (StatKind::Mecb, false) => &mut self.stats.mecb_misses,
-            (StatKind::Fecb, true) => &mut self.stats.fecb_hits,
-            (StatKind::Fecb, false) => &mut self.stats.fecb_misses,
-            // read_block only ever sees leaves, so Node here would mean a
-            // layout bug; fold it into the spill bucket rather than panic.
-            (StatKind::Spill | StatKind::Node, true) => &mut self.stats.spill_hits,
-            (StatKind::Spill | StatKind::Node, false) => &mut self.stats.spill_misses,
+        let kind = self.layout.kind_of(addr);
+        let s = &mut self.stats;
+        let (total, mecb, fecb, spill) = if hit {
+            (&mut s.leaf_hits, &mut s.mecb_hits, &mut s.fecb_hits, &mut s.spill_hits)
+        } else {
+            (&mut s.leaf_misses, &mut s.mecb_misses, &mut s.fecb_misses, &mut s.spill_misses)
         };
-        counter.incr();
+        total.incr();
+        match kind {
+            LineKind::Mecb => mecb.incr(),
+            LineKind::Fecb => fecb.incr(),
+            // read_block only ever sees leaves, so Data or Node here would
+            // mean a layout bug; fold it into the spill bucket rather than
+            // panic.
+            LineKind::Spill | LineKind::Data | LineKind::Node => spill.incr(),
+        }
     }
 
     fn interpret_node(&self, level: usize, bytes: [u8; LINE_BYTES]) -> [u8; LINE_BYTES] {
@@ -585,14 +472,13 @@ impl MetadataSystem {
         now: Cycle,
         addr: LineAddr,
     ) -> Result<([u8; LINE_BYTES], MetaAccess), TamperError> {
-        let mut t = now + self.cache.latency_cycles();
+        // Every partition shares the configured latency.
+        let mut t = now + self.caches[0].latency_cycles();
         if let Some(data) = self.cache_at(addr).lookup(addr) {
             let data = *data;
-            self.stats.leaf_hits.incr();
             self.note_leaf(addr, true);
             return Ok((data, MetaAccess { done: t, cache_hit: true }));
         }
-        self.stats.leaf_misses.incr();
         self.note_leaf(addr, false);
 
         let (bytes, t_read) = nvm.read_line(t, addr.into_phys());
@@ -605,29 +491,13 @@ impl MetadataSystem {
 
     /// Verifies `bytes` (the content of covered line `addr`) by climbing
     /// the tree until a cached ancestor or the root. Fetched nodes are
-    /// installed in the cache on success.
+    /// installed in the cache once the chain closes.
     fn verify_climb(
-        &mut self,
-        nvm: &mut NvmDevice,
-        t: Cycle,
-        addr: LineAddr,
-        bytes: &[u8; LINE_BYTES],
-    ) -> Result<Cycle, TamperError> {
-        let mut fetched = std::mem::take(&mut self.climb_scratch);
-        fetched.clear();
-        let out = self.verify_climb_with(nvm, t, addr, bytes, &mut fetched);
-        fetched.clear();
-        self.climb_scratch = fetched;
-        out
-    }
-
-    fn verify_climb_with(
         &mut self,
         nvm: &mut NvmDevice,
         mut t: Cycle,
         addr: LineAddr,
         bytes: &[u8; LINE_BYTES],
-        fetched: &mut Vec<(LineAddr, [u8; LINE_BYTES])>,
     ) -> Result<Cycle, TamperError> {
         let leaf = self.layout.leaf_index(addr);
         let mut expected = self.line_digest(bytes);
@@ -636,56 +506,54 @@ impl MetadataSystem {
 
         let path = self.layout.path_of_leaf(leaf);
         let top_level = self.layout.merkle_levels() - 1;
-
-        for (level, node_idx, slot) in path {
-            self.stats.verify_levels.incr();
-            let node_addr = self.layout.node_addr(level, node_idx);
-            if let Some(node) = self.cache_at(node_addr).lookup(node_addr).copied() {
-                self.stats.node_hits.incr();
-                // Trusted on-chip copy: one check closes the chain.
+        let mut fetched = std::mem::take(&mut self.climb_scratch);
+        fetched.clear();
+        let verdict = 'climb: {
+            for (level, node_idx, slot) in path {
+                self.stats.verify_levels.incr();
+                let node_addr = self.layout.node_addr(level, node_idx);
+                if let Some(node) = self.cache_at(node_addr).lookup(node_addr).copied() {
+                    self.stats.node_hits.incr();
+                    // Trusted on-chip copy: one check closes the chain.
+                    if Self::slot_of(&node, slot) != expected {
+                        break 'climb Err(TamperError { addr, level });
+                    }
+                    t += self.mac_cycles;
+                    break 'climb Ok(());
+                }
+                let (raw, t_read) = nvm.read_line(t, node_addr.into_phys());
+                t = t_read + self.mac_cycles;
+                self.stats.node_fetches.incr();
+                self.stats.node_misses.incr();
+                let canonical_zero = raw == [0u8; LINE_BYTES];
+                let node = if canonical_zero { self.canon_nodes[level] } else { raw };
                 if Self::slot_of(&node, slot) != expected {
-                    return Err(TamperError { addr, level });
+                    break 'climb Err(TamperError { addr, level });
                 }
-                t += self.mac_cycles;
-                return Ok(self.accept_chain(nvm, t, fetched));
-            }
-            let (raw, t_read) = nvm.read_line(t, node_addr.into_phys());
-            t = t_read + self.mac_cycles;
-            self.stats.node_fetches.incr();
-            self.stats.node_misses.incr();
-            let canonical_zero = raw == [0u8; LINE_BYTES];
-            let node = if canonical_zero { self.canon_nodes[level] } else { raw };
-            if Self::slot_of(&node, slot) != expected {
-                return Err(TamperError { addr, level });
-            }
-            expected = if canonical_zero {
-                self.canon_digests[level]
-            } else {
-                self.line_digest(&node)
-            };
-            fetched.push((node_addr, node));
-            if level == top_level {
-                if expected != self.root {
-                    return Err(TamperError { addr, level: usize::MAX });
+                expected = if canonical_zero {
+                    self.canon_digests[level]
+                } else {
+                    self.line_digest(&node)
+                };
+                fetched.push((node_addr, node));
+                if level == top_level {
+                    if expected != self.root {
+                        break 'climb Err(TamperError { addr, level: usize::MAX });
+                    }
+                    break 'climb Ok(());
                 }
-                return Ok(self.accept_chain(nvm, t, fetched));
+            }
+            unreachable!("path always terminates at the top level");
+        };
+        if verdict.is_ok() {
+            // The chain closed: every fetched node is now trusted.
+            for &(a, b) in &fetched {
+                t = self.install(nvm, t, a, b, false);
             }
         }
-        unreachable!("path always terminates at the top level");
-    }
-
-    /// A verification chain closed: every fetched node is now trusted.
-    /// Install them.
-    fn accept_chain(
-        &mut self,
-        nvm: &mut NvmDevice,
-        mut t: Cycle,
-        fetched: &[(LineAddr, [u8; LINE_BYTES])],
-    ) -> Cycle {
-        for &(a, b) in fetched {
-            t = self.install(nvm, t, a, b, false);
-        }
-        t
+        fetched.clear();
+        self.climb_scratch = fetched;
+        verdict.map(|()| t)
     }
 
     /// Inserts a line into the metadata cache, processing the eviction
@@ -714,6 +582,28 @@ impl MetadataSystem {
         }
         t = self.drain_queue(nvm, t, &mut queue);
         self.evict_scratch = queue;
+        t
+    }
+
+    /// The one write-back step: `bytes` (the content of `addr`) go to
+    /// media, then the parent digest (or the root) is bumped. It never
+    /// cleans the cached line: a caller writing back its own cached copy
+    /// cleans it first, and a parent that an earlier bump re-dirtied must
+    /// stay dirty.
+    fn write_back(
+        &mut self,
+        nvm: &mut NvmDevice,
+        t: Cycle,
+        addr: LineAddr,
+        bytes: &[u8; LINE_BYTES],
+        queue: &mut VecDeque<Eviction>,
+    ) -> Cycle {
+        let t = nvm.write_line(t, addr.into_phys(), bytes);
+        let t = self.bump_parent(nvm, t, addr, bytes, queue);
+        // bump_parent just left the parent cached (or bumped the root),
+        // so this check closes in one level: cheap enough to run per
+        // write-back.
+        self.assert_covered(nvm, addr);
         t
     }
 
@@ -792,7 +682,7 @@ impl MetadataSystem {
         addr: LineAddr,
         bytes: [u8; LINE_BYTES],
     ) -> Result<MetaAccess, TamperError> {
-        let mut t = now + self.cache.latency_cycles();
+        let mut t = now + self.caches[0].latency_cycles();
         let mut hit = true;
         if !self.cache_at(addr).probe(addr) {
             hit = false;
@@ -807,16 +697,14 @@ impl MetadataSystem {
         if *count >= self.stop_loss {
             *count = 0;
             self.stats.osiris_persists.incr();
-            t = nvm.write_line(t, addr.into_phys(), &bytes);
             self.cache_at(addr).clean(addr);
             let mut queue = std::mem::take(&mut self.evict_scratch);
             queue.clear();
-            t = self.bump_parent(nvm, t, addr, &bytes, &mut queue);
-            // bump_parent may dirty the parent; the queue only fills if the
-            // parent insertion evicted something.
+            t = self.write_back(nvm, t, addr, &bytes, &mut queue);
+            // The queue only fills if the parent insertion evicted
+            // something.
             t = self.drain_queue(nvm, t, &mut queue);
             self.evict_scratch = queue;
-            self.assert_covered(nvm, addr);
         }
         Ok(MetaAccess { done: t, cache_hit: hit })
     }
@@ -897,14 +785,11 @@ impl MetadataSystem {
         queue: &mut VecDeque<Eviction>,
     ) -> Result<Cycle, TamperError> {
         let (bytes, acc) = self.read_block(nvm, now, addr)?;
-        let mut t = nvm.write_line(acc.done, addr.into_phys(), &bytes);
         self.cache_at(addr).clean(addr);
         self.pending.remove(&addr.get());
         queue.clear();
-        t = self.bump_parent(nvm, t, addr, &bytes, queue);
-        t = self.drain_queue(nvm, t, queue);
-        self.assert_covered(nvm, addr);
-        Ok(t)
+        let t = self.write_back(nvm, acc.done, addr, &bytes, queue);
+        Ok(self.drain_queue(nvm, t, queue))
     }
 
     fn drain_queue(&mut self, nvm: &mut NvmDevice, mut t: Cycle, queue: &mut VecDeque<Eviction>) -> Cycle {
@@ -917,12 +802,7 @@ impl MetadataSystem {
             }
             self.stats.evict_writebacks.incr();
             self.pending.remove(&ev.addr.get());
-            t = nvm.write_line(t, ev.addr.into_phys(), &ev.data);
-            t = self.bump_parent(nvm, t, ev.addr, &ev.data, queue);
-            // bump_parent just left the victim's parent cached (or bumped
-            // the root), so this check closes in one level — cheap enough
-            // to run per write-back.
-            self.assert_covered(nvm, ev.addr);
+            t = self.write_back(nvm, t, ev.addr, &ev.data, queue);
         }
         t
     }
@@ -936,13 +816,21 @@ impl MetadataSystem {
         // bump_parent dirties parents again; iterate until clean.
         loop {
             dirty.clear();
-            self.cache.for_each_mut(|c| c.drain_dirty_into(&mut dirty));
+            for c in &mut self.caches {
+                c.drain_dirty_into(&mut dirty);
+            }
             if dirty.is_empty() {
                 break;
             }
-            queue.clear();
+            // Every drained line reaches media before any parent is
+            // bumped: a bump's insert can evict a drained line, which is
+            // clean by now and dropped, so its media copy must already be
+            // the current one when a later bump fetches it back.
             for ev in &dirty {
                 t = nvm.write_line(t, ev.addr.into_phys(), &ev.data);
+            }
+            queue.clear();
+            for ev in &dirty {
                 t = self.bump_parent(nvm, t, ev.addr, &ev.data, &mut queue);
                 self.assert_covered(nvm, ev.addr);
             }
@@ -958,7 +846,7 @@ impl MetadataSystem {
     /// The on-chip root survives (persistent processor register, Section
     /// III-H).
     pub fn crash(&mut self) {
-        self.cache.for_each_mut(Cache::clear);
+        self.caches.iter_mut().for_each(Cache::clear);
         self.pending.clear();
     }
 
@@ -1158,7 +1046,7 @@ impl MetadataSystem {
             digests = next;
         }
         self.root = digests[0];
-        self.cache.for_each_mut(Cache::clear);
+        self.caches.iter_mut().for_each(Cache::clear);
         self.pending.clear();
         if self.coverage_oracle {
             // Post-crash the cache is empty, so every chain must close on
@@ -1178,17 +1066,9 @@ impl MetadataSystem {
     /// counters. Scratch buffers are host-side only and start empty at
     /// restore.
     pub fn snap_save(&self, enc: &mut fsencr_snapshot::Enc) {
-        match &self.cache {
-            MetaCaches::Unified(c) => {
-                enc.put_u8(0);
-                c.snap_save(enc);
-            }
-            MetaCaches::Partitioned { mecb, fecb, nodes } => {
-                enc.put_u8(1);
-                mecb.snap_save(enc);
-                fecb.snap_save(enc);
-                nodes.snap_save(enc);
-            }
+        enc.put_u8(u8::from(self.caches.len() > 1));
+        for c in &self.caches {
+            c.snap_save(enc);
         }
         enc.put_bytes(&self.root);
         let mut pending: Vec<(u64, u32)> = self.pending.iter().map(|(k, v)| (*k, *v)).collect();
@@ -1198,8 +1078,9 @@ impl MetadataSystem {
             enc.put_u64(addr);
             enc.put_u32(count);
         }
-        for counter in Self::stat_slots_ref(&self.stats) {
-            enc.put_u64(counter);
+        let mut stats = self.stats;
+        for counter in Self::stat_slots(&mut stats) {
+            enc.put_u64(counter.get());
         }
     }
 
@@ -1214,22 +1095,11 @@ impl MetadataSystem {
         dec: &mut fsencr_snapshot::Dec<'_>,
     ) -> Result<Self, fsencr_snapshot::SnapError> {
         let mut sys = MetadataSystem::new(layout, cfg);
-        let tag = dec.get_u8()?;
-        match (&mut sys.cache, tag) {
-            (MetaCaches::Unified(c), 0) => {
-                *c = Cache::snap_load(cfg.metadata_cache, dec)?;
-            }
-            (MetaCaches::Partitioned { mecb, fecb, nodes }, 1) => {
-                let part = |fraction: usize| {
-                    let mut c = cfg.metadata_cache;
-                    c.size_bytes /= fraction;
-                    c
-                };
-                *mecb = Cache::snap_load(part(2), dec)?;
-                *fecb = Cache::snap_load(part(4), dec)?;
-                *nodes = Cache::snap_load(part(4), dec)?;
-            }
-            _ => return Err(fsencr_snapshot::SnapError::StateMismatch),
+        if dec.get_u8()? != u8::from(sys.caches.len() > 1) {
+            return Err(fsencr_snapshot::SnapError::StateMismatch);
+        }
+        for (cache, part) in sys.caches.iter_mut().zip(cache_parts(cfg)) {
+            *cache = Cache::snap_load(part, dec)?;
         }
         sys.root = dec.get_arr8()?;
         let n = dec.get_len()?;
@@ -1238,36 +1108,14 @@ impl MetadataSystem {
             let count = dec.get_u32()?;
             sys.pending.insert(addr, count);
         }
-        for counter in Self::stat_slots_mut(&mut sys.stats) {
+        for counter in Self::stat_slots(&mut sys.stats) {
             counter.add(dec.get_u64()?);
         }
         Ok(sys)
     }
 
     /// The behaviour counters in canonical snapshot order.
-    fn stat_slots_ref(s: &MetaStats) -> [u64; 16] {
-        [
-            s.leaf_hits.get(),
-            s.leaf_misses.get(),
-            s.node_fetches.get(),
-            s.evict_writebacks.get(),
-            s.osiris_persists.get(),
-            s.mecb_hits.get(),
-            s.mecb_misses.get(),
-            s.fecb_hits.get(),
-            s.fecb_misses.get(),
-            s.spill_hits.get(),
-            s.spill_misses.get(),
-            s.node_hits.get(),
-            s.node_misses.get(),
-            s.verify_climbs.get(),
-            s.verify_levels.get(),
-            s.update_bumps.get(),
-        ]
-    }
-
-    /// Mutable twin of [`MetadataSystem::stat_slots_ref`], same order.
-    fn stat_slots_mut(s: &mut MetaStats) -> [&mut Counter; 16] {
+    fn stat_slots(s: &mut MetaStats) -> [&mut Counter; 16] {
         [
             &mut s.leaf_hits,
             &mut s.leaf_misses,
@@ -1306,17 +1154,22 @@ mod tests {
     use fsencr_nvm::PageId;
     use fsencr_sim::config::{CacheConfig, NvmConfig, SecurityConfig};
 
+    fn small_cfg() -> SecurityConfig {
+        SecurityConfig {
+            metadata_cache: CacheConfig {
+                size_bytes: 64 * 64, // 64 lines
+                ways: 8,
+                block_bytes: 64,
+                latency_cycles: 3,
+            },
+            osiris_stop_loss: 4,
+            ..SecurityConfig::default()
+        }
+    }
+
     fn small_setup() -> (MetadataSystem, NvmDevice) {
         let layout = MetadataLayout::new(64 * 4096, 4096);
-        let mut cfg = SecurityConfig::default();
-        cfg.metadata_cache = CacheConfig {
-            size_bytes: 64 * 64, // 64 lines
-            ways: 8,
-            block_bytes: 64,
-            latency_cycles: 3,
-        };
-        cfg.osiris_stop_loss = 4;
-        let sys = MetadataSystem::new(layout, &cfg);
+        let sys = MetadataSystem::new(layout, &small_cfg());
         let nvm = NvmDevice::new(NvmConfig::default());
         (sys, nvm)
     }
@@ -1405,9 +1258,10 @@ mod tests {
     #[test]
     fn flush_matches_per_line_drain() {
         // Same dirty state flushed twice: once through `flush`, once
-        // through an inline replica of the per-line drain built from the
-        // write-back primitives. Completion time, root, counters and the
-        // entire media image must be bit-identical.
+        // through an inline replica of its two-pass drain (write every
+        // drained line, then bump every parent) built from the write-back
+        // primitives. Completion time, root, counters and the entire
+        // media image must be bit-identical.
         let build = || {
             let (mut sys, mut nvm) = small_setup();
             let mut t = Cycle::ZERO;
@@ -1425,19 +1279,24 @@ mod tests {
 
         let t_b = flushed.flush(&mut nvm_b, t0);
 
-        // The per-line drain, spelled out.
+        // The two-pass drain, spelled out: every drained line is written,
+        // then every parent is bumped.
         let mut t_s = t0_s;
         let mut dirty = Vec::new();
         let mut queue = VecDeque::new();
         loop {
             dirty.clear();
-            serial.cache.for_each_mut(|c| c.drain_dirty_into(&mut dirty));
+            for c in &mut serial.caches {
+                c.drain_dirty_into(&mut dirty);
+            }
             if dirty.is_empty() {
                 break;
             }
-            queue.clear();
             for ev in &dirty {
                 t_s = nvm_s.write_line(t_s, ev.addr.into_phys(), &ev.data);
+            }
+            queue.clear();
+            for ev in &dirty {
                 t_s = serial.bump_parent(&mut nvm_s, t_s, ev.addr, &ev.data, &mut queue);
             }
             t_s = serial.drain_queue(&mut nvm_s, t_s, &mut queue);
@@ -1487,15 +1346,7 @@ mod tests {
         let mut dec = fsencr_snapshot::Dec::new(&bytes).unwrap();
         dec.begin_section("meta").unwrap();
         let layout = MetadataLayout::new(64 * 4096, 4096);
-        let mut cfg = SecurityConfig::default();
-        cfg.metadata_cache = CacheConfig {
-            size_bytes: 64 * 64,
-            ways: 8,
-            block_bytes: 64,
-            latency_cycles: 3,
-        };
-        cfg.osiris_stop_loss = 4;
-        let mut restored = MetadataSystem::snap_load(layout, &cfg, &mut dec).unwrap();
+        let mut restored = MetadataSystem::snap_load(layout, &small_cfg(), &mut dec).unwrap();
         dec.end_section().unwrap();
         dec.begin_section("nvm").unwrap();
         let mut restored_nvm =
@@ -1823,13 +1674,15 @@ mod tests {
     #[test]
     fn partitioned_cache_behaves_like_unified() {
         let layout = MetadataLayout::new(64 * 4096, 4096);
-        let mut cfg = SecurityConfig::default();
-        cfg.partition_metadata_cache = true;
-        cfg.metadata_cache = CacheConfig {
-            size_bytes: 64 * 64,
-            ways: 8,
-            block_bytes: 64,
-            latency_cycles: 3,
+        let cfg = SecurityConfig {
+            partition_metadata_cache: true,
+            metadata_cache: CacheConfig {
+                size_bytes: 64 * 64,
+                ways: 8,
+                block_bytes: 64,
+                latency_cycles: 3,
+            },
+            ..SecurityConfig::default()
         };
         let mut sys = MetadataSystem::new(layout, &cfg);
         let mut nvm = NvmDevice::new(NvmConfig::default());
@@ -2000,14 +1853,18 @@ mod tests {
         assert_eq!(s.mecb_misses.get(), 8);
         assert_eq!(s.fecb_misses.get(), 8);
         assert_eq!(s.mecb_hits.get(), 8);
-        let (hits, misses) = s.leaf_totals();
-        assert_eq!(hits, s.leaf_hits.get());
-        assert_eq!(misses, s.leaf_misses.get());
+        assert_eq!(
+            s.mecb_hits.get() + s.fecb_hits.get() + s.spill_hits.get(),
+            s.leaf_hits.get()
+        );
+        assert_eq!(
+            s.mecb_misses.get() + s.fecb_misses.get() + s.spill_misses.get(),
+            s.leaf_misses.get()
+        );
         // Every leaf miss starts exactly one climb, and each climb walks
         // at least one level.
         assert_eq!(s.verify_climbs.get(), s.leaf_misses.get());
         assert!(s.verify_levels.get() >= s.verify_climbs.get());
-        assert!(s.mean_verify_depth() >= 1.0);
         // Node fetches and node misses are the same event.
         assert_eq!(s.node_misses.get(), s.node_fetches.get());
     }

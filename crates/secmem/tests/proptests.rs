@@ -67,12 +67,14 @@ proptest! {
         crash_points in prop::collection::vec(any::<bool>(), 1..80),
     ) {
         let layout = MetadataLayout::new(24 * 4096, 512);
-        let mut cfg = SecurityConfig::default();
-        cfg.metadata_cache = CacheConfig {
-            size_bytes: 16 * 64, // 16 lines: heavy eviction pressure
-            ways: 4,
-            block_bytes: 64,
-            latency_cycles: 3,
+        let cfg = SecurityConfig {
+            metadata_cache: CacheConfig {
+                size_bytes: 16 * 64, // 16 lines: heavy eviction pressure
+                ways: 4,
+                block_bytes: 64,
+                latency_cycles: 3,
+            },
+            ..SecurityConfig::default()
         };
         let mut sys = MetadataSystem::new(layout, &cfg);
         let mut nvm = NvmDevice::new(NvmConfig::default());
@@ -127,12 +129,14 @@ fn regression_install_must_not_clobber_fresher_cached_nodes() {
     let crash_points = [false, true, false, false, true, true, true];
 
     let layout = MetadataLayout::new(24 * 4096, 512);
-    let mut cfg = SecurityConfig::default();
-    cfg.metadata_cache = CacheConfig {
-        size_bytes: 16 * 64,
-        ways: 4,
-        block_bytes: 64,
-        latency_cycles: 3,
+    let cfg = SecurityConfig {
+        metadata_cache: CacheConfig {
+            size_bytes: 16 * 64,
+            ways: 4,
+            block_bytes: 64,
+            latency_cycles: 3,
+        },
+        ..SecurityConfig::default()
     };
     let mut sys = MetadataSystem::new(layout, &cfg);
     let mut nvm = NvmDevice::new(NvmConfig::default());

@@ -237,13 +237,6 @@ impl MachineConfig {
             page_bytes: 4096,
         }
     }
-
-    /// Returns a copy with a different metadata-cache capacity, used by the
-    /// Figure 15 sensitivity sweep.
-    pub fn with_metadata_cache_bytes(mut self, bytes: usize) -> Self {
-        self.security.metadata_cache.size_bytes = bytes;
-        self
-    }
 }
 
 impl Default for MachineConfig {
@@ -300,14 +293,6 @@ mod tests {
             latency_cycles: 1,
         }
         .sets();
-    }
-
-    #[test]
-    fn sweep_helper() {
-        let cfg = MachineConfig::paper_defaults().with_metadata_cache_bytes(128 << 10);
-        assert_eq!(cfg.security.metadata_cache.size_bytes, 128 << 10);
-        // other fields untouched
-        assert_eq!(cfg.security.aes_ns, 40);
     }
 
     #[test]

@@ -25,16 +25,6 @@ pub struct DaxStride {
 }
 
 impl DaxStride {
-    /// DAX-1: one byte after every 16 bytes.
-    pub fn dax1() -> Self {
-        DaxStride::new(16, 24 << 20, 400_000)
-    }
-
-    /// DAX-2: one byte after every 128 bytes.
-    pub fn dax2() -> Self {
-        DaxStride::new(128, 24 << 20, 400_000)
-    }
-
     /// Fully parameterised constructor.
     ///
     /// # Panics
@@ -124,16 +114,6 @@ pub struct DaxSwap {
 }
 
 impl DaxSwap {
-    /// DAX-3: 16-byte arrays.
-    pub fn dax3() -> Self {
-        DaxSwap::new(16, 24 << 20, 60_000)
-    }
-
-    /// DAX-4: 128-byte arrays.
-    pub fn dax4() -> Self {
-        DaxSwap::new(128, 24 << 20, 60_000)
-    }
-
     /// Fully parameterised constructor.
     ///
     /// # Panics

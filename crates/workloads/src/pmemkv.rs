@@ -68,19 +68,6 @@ pub struct PmemKv {
 }
 
 impl PmemKv {
-    /// The paper's configuration: `large = false` is the `-S` variant
-    /// (64 B values), `large = true` the `-L` variant (4 KiB values); two
-    /// threads.
-    pub fn paper(bench: DbBench, large: bool) -> Self {
-        // Working sets are sized to exceed the 4.5 MiB cache hierarchy so
-        // that the read benchmarks actually exercise the memory system.
-        if large {
-            PmemKv::new(bench, 4096, 3072, 3072, 2)
-        } else {
-            PmemKv::new(bench, 64, 32768, 16384, 2)
-        }
-    }
-
     /// Fully parameterised constructor.
     ///
     /// # Panics

@@ -36,11 +36,6 @@ pub struct Ycsb {
 }
 
 impl Ycsb {
-    /// Paper configuration: R/W = 0.5, workers = 2.
-    pub fn paper() -> Self {
-        Ycsb::new(16 * 1024, 16 * 1024, 2)
-    }
-
     /// Fully parameterised constructor.
     ///
     /// # Panics
@@ -159,11 +154,6 @@ pub struct HashmapBench {
 }
 
 impl HashmapBench {
-    /// Paper configuration: data-size 128 B, 2 threads.
-    pub fn paper() -> Self {
-        HashmapBench::new(16 * 1024, 2)
-    }
-
     /// Fully parameterised constructor.
     ///
     /// # Panics
@@ -265,11 +255,6 @@ pub struct CtreeBench {
 }
 
 impl CtreeBench {
-    /// Paper configuration: data-size 128 B, 2 threads.
-    pub fn paper() -> Self {
-        CtreeBench::new(16 * 1024, 2)
-    }
-
     /// Fully parameterised constructor.
     ///
     /// # Panics

@@ -58,8 +58,8 @@ begin "fault campaign properties: determinism across jobs/schedules, injector ne
 cargo test -q -p fsencr-bench --test fault_campaign
 finish
 
-begin "cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+begin "cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 finish
 
 begin "static analysis gate: cargo run -p analysis -- check"

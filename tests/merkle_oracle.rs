@@ -1,9 +1,12 @@
 //! Merkle oracle: a seeded stream of metadata writes, persists, reads
-//! and flushes over a thrashing 16-line metadata cache. After every
-//! flush the live root must equal the root a from-scratch rebuild
-//! computes over the media, reads must return the last value written,
-//! and a crashed copy must reject both a flipped leaf byte and a
-//! replayed older leaf image.
+//! and flushes over a thrashing 16-line metadata cache, run once with
+//! the shared cache and once with the partitioned one, with the
+//! coverage oracle on. After every flush the live root must equal the
+//! root a from-scratch rebuild computes over the media, reads must
+//! return the last value written, a crashed copy must reject both a
+//! flipped leaf byte and a replayed older leaf image, and the system's
+//! snapshot must round-trip byte for byte and be refused under the
+//! other cache layout.
 
 use std::collections::BTreeMap;
 
@@ -11,12 +14,16 @@ use fsencr_nvm::{LineAddr, NvmDevice, PhysAddr};
 use fsencr_secmem::{MetadataLayout, MetadataSystem};
 use fsencr_sim::config::{CacheConfig, NvmConfig, SecurityConfig};
 use fsencr_sim::{Cycle, SplitMix64};
+use fsencr_snapshot::{Dec, Enc, SnapError};
 
 const OPS: usize = 1500;
 
-fn build() -> (MetadataSystem, NvmDevice) {
-    let layout = MetadataLayout::new(24 * 4096, 512);
-    let cfg = SecurityConfig {
+fn layout() -> MetadataLayout {
+    MetadataLayout::new(24 * 4096, 512)
+}
+
+fn config(partitioned: bool) -> SecurityConfig {
+    SecurityConfig {
         metadata_cache: CacheConfig {
             size_bytes: 16 * 64,
             ways: 4,
@@ -24,12 +31,26 @@ fn build() -> (MetadataSystem, NvmDevice) {
             latency_cycles: 3,
         },
         osiris_stop_loss: 4,
+        partition_metadata_cache: partitioned,
         ..SecurityConfig::default()
-    };
-    (
-        MetadataSystem::new(layout, &cfg),
-        NvmDevice::new(NvmConfig::default()),
-    )
+    }
+}
+
+fn snapshot(sys: &MetadataSystem) -> Vec<u8> {
+    let mut enc = Enc::new();
+    enc.begin_section("meta");
+    sys.snap_save(&mut enc);
+    enc.end_section();
+    enc.finish()
+}
+
+fn restore(image: &[u8], cfg: &SecurityConfig) -> Result<MetadataSystem, SnapError> {
+    let mut dec = Dec::new(image)?;
+    dec.begin_section("meta")?;
+    let sys = MetadataSystem::snap_load(layout(), cfg, &mut dec)?;
+    dec.end_section()?;
+    dec.finish()?;
+    Ok(sys)
 }
 
 fn phys(addr: LineAddr) -> PhysAddr {
@@ -64,9 +85,11 @@ fn older_image(
         })
 }
 
-#[test]
-fn live_root_matches_rebuild_and_rejects_tamper_and_replay() {
-    let (mut sys, mut nvm) = build();
+fn run(partitioned: bool) {
+    let cfg = config(partitioned);
+    let mut sys = MetadataSystem::new(layout(), &cfg);
+    sys.set_coverage_oracle(true);
+    let mut nvm = NvmDevice::new(NvmConfig::default());
     let leaves: Vec<LineAddr> = sys.layout().leaves().collect();
     let mut rng = SplitMix64::new(0x6d65_726b_6c65);
     let mut model: BTreeMap<u64, [u8; 64]> = BTreeMap::new();
@@ -98,6 +121,18 @@ fn live_root_matches_rebuild_and_rejects_tamper_and_replay() {
                 let (mut rebuilt, mut rebuilt_nvm) = crashed(&sys, &nvm);
                 rebuilt.rebuild(&mut rebuilt_nvm);
                 assert_eq!(rebuilt.root(), sys.root(), "op {op}: rebuilt root differs");
+
+                // The snapshot round-trips byte for byte and keeps the
+                // root; the other cache layout refuses it.
+                let image = snapshot(&sys);
+                let restored = restore(&image, &cfg).unwrap();
+                assert_eq!(restored.root(), sys.root(), "op {op}: restored root");
+                assert!(snapshot(&restored) == image, "op {op}: snapshot not stable");
+                assert_eq!(
+                    restore(&image, &config(!partitioned)).err(),
+                    Some(SnapError::StateMismatch),
+                    "op {op}: other cache layout accepted"
+                );
 
                 for (&a, &bytes) in &model {
                     let images = history.entry(a).or_default();
@@ -135,4 +170,14 @@ fn live_root_matches_rebuild_and_rejects_tamper_and_replay() {
         sys.stats().evict_writebacks.get() > 0,
         "the cache never thrashed"
     );
+}
+
+#[test]
+fn live_root_matches_rebuild_and_rejects_tamper_and_replay() {
+    run(false);
+}
+
+#[test]
+fn partitioned_live_root_matches_rebuild_and_rejects_tamper_and_replay() {
+    run(true);
 }
