@@ -48,7 +48,7 @@ const FIGURE_CRATES: [&str; 3] = ["bench", "sim", "obs"];
 const NARROW: [&str; 6] = ["u8", "u16", "u32", "i8", "i16", "i32"];
 
 /// Files whose inner loops (verification chains, line digests, pad
-/// generation, per-write ECC tags and counter packing) must stay
+/// generation, per-write ECC checks and counter packing) must stay
 /// allocation-free: scratch lives in the owning struct and is reused
 /// across calls.
 const ALLOC_FREE_FILES: [&str; 11] = [
@@ -471,8 +471,8 @@ mod tests {
         let lanes = lint_file("crates/crypto/src/lanes.rs", src);
         assert_eq!(lanes.len(), 2, "{lanes:?}");
         assert!(lanes.iter().all(|f| f.rule == "hot-alloc"));
-        // Every line write records an ECC tag into a fixed pending
-        // buffer and packs counter blocks: both run per write.
+        // Every line write records an ECC check and packs counter
+        // blocks: both run per write.
         for per_write in ["crates/secmem/src/ecc.rs", "crates/secmem/src/counters.rs"] {
             let found = lint_file(per_write, src);
             assert_eq!(found.len(), 2, "{per_write}: {found:?}");

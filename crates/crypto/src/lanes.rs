@@ -1,5 +1,4 @@
-//! Four-lane interleaved SHA-256 for the parallel Merkle rebuild and the
-//! batched Osiris ECC tags.
+//! Four-lane interleaved SHA-256 for the parallel Merkle rebuild.
 //!
 //! A single SHA-256 compression is one long serial dependency chain: each
 //! round's `a`/`e` feed the next round, so a scalar core spends most of
@@ -14,14 +13,12 @@
 //! The post-crash tree rebuild in `fsencr_secmem` hashes leaves and
 //! nodes four at a time through [`digest8_lines4`]; odd remainders fall
 //! back to the one-shot path. Verification climbs and write-backs hash
-//! one line at a time through `digest8_line`. The controller's Osiris
-//! ECC store settles its per-write tags four at a time through
-//! [`ecc_tags4`].
-//! Every entry point is cross-validated against its one-lane
-//! counterpart and the streaming `sha256` in the tests, and the kernel
-//! is pure safe Rust.
+//! one line at a time through `digest8_line`.
+//! Every entry point is cross-validated in the tests against its
+//! one-lane counterpart, which `sha256.rs` checks against the streaming
+//! `sha256`, and the kernel is pure safe Rust.
 
-use crate::sha256::{ecc_tail_block, H0, K, LINE_PAD_KW};
+use crate::sha256::{H0, K, LINE_PAD_KW};
 
 /// One value per lane; all round arithmetic is lane-wise over this type.
 type Lanes = [u32; 4];
@@ -169,21 +166,10 @@ pub fn digest8_lines4(lines: [&[u8; 64]; 4]) -> [[u8; 8]; 4] {
     digest8_of4(&line_states4(lines))
 }
 
-/// Osiris ECC tags of four lines at once: two four-lane compressions,
-/// the line blocks and then the address-and-padding blocks. Lane `l` is
-/// bit-identical to `ecc_tag(lines[l], addrs[l])`.
-pub fn ecc_tags4(lines: [&[u8; 64]; 4], addrs: [u64; 4]) -> [[u8; 8]; 4] {
-    let mut state = initial_states4();
-    compress_blocks4(&mut state, lines);
-    let tails = addrs.map(ecc_tail_block);
-    compress_blocks4(&mut state, [&tails[0], &tails[1], &tails[2], &tails[3]]);
-    digest8_of4(&state)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sha256::{digest8_line, ecc_tag, sha256, sha256_line};
+    use crate::sha256::{digest8_line, sha256_line};
 
     fn pattern_lines() -> Vec<[u8; 64]> {
         // Same multiplicative PRNG pattern the one-shot fast-path test
@@ -219,33 +205,6 @@ mod tests {
             let got = digest8_lines4([&quad[0], &quad[1], &quad[2], &quad[3]]);
             for l in 0..4 {
                 assert_eq!(got[l], digest8_line(&quad[l]), "lane {l}");
-            }
-        }
-    }
-
-    #[test]
-    fn ecc_tags_match_sha256_of_line_and_address() {
-        let lines = pattern_lines();
-        let edges = [0u64, 64, 1 << 38, !63];
-        for (q, quad) in lines.chunks_exact(4).enumerate() {
-            // Edge addresses on every lane position, mixed with
-            // per-quad ordinary ones.
-            let mut addrs = [0u64; 4];
-            for (l, a) in addrs.iter_mut().enumerate() {
-                *a = if (q + l) % 2 == 0 {
-                    edges[(q + l) / 2 % 4]
-                } else {
-                    (q * 4 + l) as u64 * 4096 + 192
-                };
-            }
-            let got = ecc_tags4([&quad[0], &quad[1], &quad[2], &quad[3]], addrs);
-            for l in 0..4 {
-                let mut msg = [0u8; 72];
-                msg[..64].copy_from_slice(&quad[l]);
-                msg[64..].copy_from_slice(&addrs[l].to_le_bytes());
-                let want = &sha256(&msg)[..8];
-                assert_eq!(got[l], want, "quad {q} lane {l}");
-                assert_eq!(ecc_tag(&quad[l], addrs[l]), want, "quad {q} lane {l}");
             }
         }
     }

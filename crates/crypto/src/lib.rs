@@ -50,5 +50,5 @@ pub use kdf::{pbkdf2_hmac_sha256, KeyWrap};
 pub use key::Key128;
 pub use oracle::{pads_enabled, set_pads_enabled, PadLedger, PadReuse};
 pub use schedule::ScheduleCache;
-pub use lanes::{digest8_lines4, ecc_tags4, sha256_lines4};
-pub use sha256::{digest8_line, ecc_tag, sha256, sha256_line, Sha256};
+pub use lanes::{digest8_lines4, sha256_lines4};
+pub use sha256::{digest8_line, sha256, sha256_line, Sha256};

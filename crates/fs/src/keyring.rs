@@ -91,7 +91,7 @@ impl Keyring {
         dec: &mut fsencr_snapshot::Dec<'_>,
     ) -> Result<Keyring, fsencr_snapshot::SnapError> {
         let rng = SplitMix64::new(dec.get_u64()?);
-        let n = dec.get_len()?;
+        let n = dec.get_count(20)?;
         let mut sessions = HashMap::with_capacity(n);
         for _ in 0..n {
             let uid = dec.get_u32()?;

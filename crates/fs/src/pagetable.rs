@@ -111,7 +111,7 @@ impl PageTable {
     pub fn snap_load(
         dec: &mut fsencr_snapshot::Dec<'_>,
     ) -> Result<PageTable, fsencr_snapshot::SnapError> {
-        let n = dec.get_len()?;
+        let n = dec.get_count(17)?;
         let mut entries = HashMap::with_capacity(n);
         for _ in 0..n {
             let vpn = dec.get_u64()?;

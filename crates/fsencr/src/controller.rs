@@ -312,12 +312,6 @@ impl MemoryController {
         &self.nvm
     }
 
-    /// The ECC lanes: the per-line Osiris tags that travel with the
-    /// device.
-    pub fn ecc(&self) -> &EccStore {
-        &self.ecc
-    }
-
     /// Raw mutable device access. Debug/attack surface only — production
     /// callers go through the datapath; tests and attack fixtures that
     /// need to corrupt media directly reach for this, visibly.
@@ -1414,7 +1408,7 @@ impl MemoryController {
         ctrl.meta = MetadataSystem::snap_load(layout, cfg, dec)?;
         ctrl.ecc = EccStore::snap_load(dec)?;
         ctrl.ott = OpenTunnelTable::snap_load(cfg.ott_entries(), dec)?;
-        let n = dec.get_len()?;
+        let n = dec.get_count(8)?;
         ctrl.file_pages = HashSet::with_capacity(n);
         for _ in 0..n {
             ctrl.file_pages.insert(dec.get_u64()?);

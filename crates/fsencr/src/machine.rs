@@ -713,7 +713,7 @@ impl Machine {
         for _ in 0..cores {
             clocks.push(Cycle::new(dec.get_u64()?));
         }
-        let n_maps = dec.get_len()?;
+        let n_maps = dec.get_count(26)?;
         let mut mappings = HashMap::with_capacity(n_maps);
         for _ in 0..n_maps {
             let id = dec.get_u32()?;
@@ -737,19 +737,19 @@ impl Machine {
                 },
             );
         }
-        let n_frames = dec.get_len()?;
+        let n_frames = dec.get_count(20)?;
         let mut pc_frames = HashMap::with_capacity(n_frames);
         for _ in 0..n_frames {
             let ino = dec.get_u32()?;
             let page = dec.get_u64()? as usize;
             pc_frames.insert((ino, page), dec.get_u64()?);
         }
-        let n_free = dec.get_len()?;
+        let n_free = dec.get_count(8)?;
         let mut pc_free = Vec::with_capacity(n_free);
         for _ in 0..n_free {
             pc_free.push(dec.get_u64()?);
         }
-        let n_valid = dec.get_len()?;
+        let n_valid = dec.get_count(12)?;
         let mut sw_valid = std::collections::HashSet::with_capacity(n_valid);
         for _ in 0..n_valid {
             let ino = dec.get_u32()?;

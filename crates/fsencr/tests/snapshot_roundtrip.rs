@@ -253,3 +253,62 @@ fn software_mode_round_trips() {
     assert_eq!(a.snapshot(), b.snapshot());
     assert_eq!(a.save_snapshot().unwrap(), b.save_snapshot().unwrap());
 }
+
+/// A loader whose collection count sizes an allocation must turn a
+/// hostile count into a typed error, not abort on the allocation: the
+/// section digest is keyless, so a crafted image passes it.
+#[test]
+fn hostile_collection_counts_are_typed_errors() {
+    use fsencr::controller::CtrlMode;
+    use fsencr::{MemoryController, OpenTunnelTable};
+    use fsencr_fs::{Keyring, PageTable};
+    use fsencr_nvm::{NvmDevice, Storage, WearTracker};
+    use fsencr_secmem::{EccStore, MetadataLayout, MetadataSystem};
+    use fsencr_snapshot::{Dec, Enc};
+
+    type Prefix = Box<dyn Fn(&mut Enc)>;
+    type Load = Box<dyn Fn(&mut Dec<'_>) -> Result<(), SnapError>>;
+    let opts = MachineOpts::small_test();
+    let cfg = opts.config.security;
+    let nvm_cfg = opts.config.nvm;
+    let layout = MetadataLayout::new(opts.general_bytes + opts.pmem_bytes, opts.ott_spill_bytes);
+    let ctrl_layout = layout.clone();
+    let no_prefix = || -> Prefix { Box::new(|_| {}) };
+    let table: Vec<(&str, Prefix, Load)> = vec![
+        ("storage", no_prefix(), Box::new(|d| Storage::snap_load(d).map(drop))),
+        ("wear", no_prefix(), Box::new(|d| WearTracker::snap_load(d).map(drop))),
+        ("pagetable", no_prefix(), Box::new(|d| PageTable::snap_load(d).map(drop))),
+        (
+            "keyring",
+            Box::new(|e| e.put_u64(1)),
+            Box::new(|d| Keyring::snap_load(d).map(drop)),
+        ),
+        ("ecc", no_prefix(), Box::new(|d| EccStore::snap_load(d).map(drop))),
+        (
+            "controller file pages",
+            Box::new(move |e| {
+                e.put_bytes(&[0u8; 32]);
+                NvmDevice::new(nvm_cfg).snap_save(e).unwrap();
+                MetadataSystem::new(layout.clone(), &cfg).snap_save(e);
+                EccStore::new().snap_save(e);
+                OpenTunnelTable::new(cfg.ott_entries(), cfg.ott_latency_cycles).snap_save(e);
+            }),
+            Box::new(move |d| {
+                MemoryController::snap_load(CtrlMode::Encrypted, ctrl_layout.clone(), &cfg, nvm_cfg, d)
+                    .map(drop)
+            }),
+        ),
+    ];
+    for (name, prefix, load) in table {
+        let mut enc = Enc::new();
+        enc.begin_section("hostile");
+        prefix(&mut enc);
+        enc.put_u64(1 << 40);
+        enc.put_bytes(&[0u8; 64]);
+        enc.end_section();
+        let image = enc.finish();
+        let mut dec = Dec::new(&image).unwrap();
+        dec.begin_section("hostile").unwrap();
+        assert_eq!(load(&mut dec), Err(SnapError::Corrupt("count")), "{name}");
+    }
+}

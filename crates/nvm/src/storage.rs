@@ -242,7 +242,7 @@ impl Storage {
     pub fn snap_load(
         dec: &mut fsencr_snapshot::Dec<'_>,
     ) -> Result<Storage, fsencr_snapshot::SnapError> {
-        let n = dec.get_len()?;
+        let n = dec.get_count(8 + PAGE_BYTES)?;
         let mut pages = HashMap::with_capacity(n);
         let mut prev: Option<u64> = None;
         for _ in 0..n {

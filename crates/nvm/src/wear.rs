@@ -98,7 +98,7 @@ impl WearTracker {
     pub fn snap_load(
         dec: &mut fsencr_snapshot::Dec<'_>,
     ) -> Result<WearTracker, fsencr_snapshot::SnapError> {
-        let n = dec.get_len()?;
+        let n = dec.get_count(16)?;
         let mut per_page = HashMap::with_capacity(n);
         for _ in 0..n {
             let page = dec.get_u64()?;

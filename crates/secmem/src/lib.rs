@@ -17,8 +17,8 @@
 //!   functional Merkle verification/update and Osiris-style stop-loss
 //!   persistence of counter blocks.
 //! * [`EccStore`] — the ECC-bit side channel Osiris repurposes: a
-//!   per-line integrity tag over the *plaintext* that crash recovery uses
-//!   as its oracle when replaying counter candidates.
+//!   per-line keyless check over the *plaintext* and address that crash
+//!   recovery uses as its oracle when replaying counter candidates.
 //!
 //! # Examples
 //!

@@ -312,6 +312,17 @@ impl<'a> Dec<'a> {
         usize::try_from(self.get_u64()?).map_err(|_| SnapError::Corrupt("length"))
     }
 
+    /// A collection count whose entries take at least `min_entry` bytes
+    /// each. A count the rest of the open section cannot hold is
+    /// `Corrupt`, so a hostile count never sizes an allocation.
+    pub fn get_count(&mut self, min_entry: usize) -> Result<usize, SnapError> {
+        let n = self.get_len()?;
+        if n > self.section_end.saturating_sub(self.pos) / min_entry.max(1) {
+            return Err(SnapError::Corrupt("count"));
+        }
+        Ok(n)
+    }
+
     /// Raw bytes of a schema-fixed length.
     pub fn get_bytes(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
         self.take(n, self.section_end)
@@ -560,6 +571,28 @@ mod tests {
             d.end_section(),
             Err(SnapError::Corrupt("section not fully consumed"))
         );
+    }
+
+    #[test]
+    fn count_is_bounded_by_the_section_remainder() {
+        // Two 8-byte entries follow each count: 2 fits, 3 does not.
+        for (count, ok) in [(2u64, true), (3, false), (1 << 40, false)] {
+            let mut e = Enc::new();
+            e.begin_section("list");
+            e.put_u64(count);
+            e.put_u64(7);
+            e.put_u64(9);
+            e.end_section();
+            let bytes = e.finish();
+            let mut d = Dec::new(&bytes).unwrap();
+            d.begin_section("list").unwrap();
+            let got = d.get_count(8);
+            if ok {
+                assert_eq!(got, Ok(2));
+            } else {
+                assert_eq!(got, Err(SnapError::Corrupt("count")), "count {count}");
+            }
+        }
     }
 
     #[test]

@@ -162,20 +162,17 @@ fn ecc_line(n: u64) -> [u8; 64] {
     line
 }
 
-/// Writes and persists file lines 0, 1, 2, ... until exactly `pending`
-/// ECC tags wait for their four-lane batch. Returns the machine, the
-/// file's mapping and the number of lines written.
-fn persist_until_pending(pending: usize) -> (Machine, MapId, u64) {
+/// Writes and persists file lines `0..lines`. Returns the machine and
+/// the file's mapping.
+fn persist_lines(lines: u64) -> (Machine, MapId) {
     let mut m = machine(SecurityMode::FsEncr);
     let h = m.create(USER, GROUP, "ecc", Mode::PRIVATE, Some("pw")).unwrap();
     let map = m.mmap(&h).unwrap();
-    let mut n = 0u64;
-    while n < 8 || m.controller().ecc().pending() != pending {
+    for n in 0..lines {
         m.write(0, map, n * 64, &ecc_line(n)).unwrap();
         m.persist(0, map, n * 64, 64).unwrap();
-        n += 1;
     }
-    (m, map, n)
+    (m, map)
 }
 
 fn assert_lines_read_back(m: &mut Machine, lines: u64, what: &str) {
@@ -188,53 +185,40 @@ fn assert_lines_read_back(m: &mut Machine, lines: u64, what: &str) {
     }
 }
 
-/// ECC tags are hashed four at a time, so a power cut can catch up to
-/// three recorded tags still waiting for their batch. Recovery, a
-/// snapshot and a module export must each see those tags exactly as if
-/// they had been hashed on record.
+/// Counters lag their lines (Osiris stop-loss), so after a power cut
+/// recovery must match the persisted lines against their ECC checks. A
+/// snapshot and a module export must carry every check with them.
 #[test]
-fn pending_ecc_tags_survive_power_cut_snapshot_and_export() {
-    for pending in 1..=3usize {
-        let (mut live, _, lines) = persist_until_pending(pending);
-        let tagged = live.controller().ecc().len();
+fn ecc_tags_survive_power_cut_snapshot_and_export() {
+    for lines in 8..=11u64 {
+        let (mut live, _) = persist_lines(lines);
         let image = live.save_snapshot().unwrap();
-
-        // A restored store holds every tag settled; its image must equal
-        // the one taken with tags pending.
         let opts = *live.opts();
         let mut restored = Machine::restore_snapshot(opts, SecurityMode::FsEncr, &image).unwrap();
-        assert_eq!(restored.controller().ecc().pending(), 0);
-        assert_eq!(restored.controller().ecc().len(), tagged, "{pending} pending");
-        assert_eq!(restored.save_snapshot().unwrap(), image, "{pending} pending");
+        assert_eq!(restored.save_snapshot().unwrap(), image, "{lines} lines");
 
-        // Cut power on both. Counters lag their lines (Osiris stop-loss),
-        // so recovery must match the pending lines against their tags.
         live.crash();
         let report = live.recover();
-        assert_eq!(report.unrecoverable, 0, "{pending} pending: {report:?}");
-        assert!(report.repaired > 0, "{pending} pending: {report:?}");
+        assert_eq!(report.unrecoverable, 0, "{lines} lines: {report:?}");
+        assert!(report.repaired > 0, "{lines} lines: {report:?}");
         restored.crash();
-        assert_eq!(restored.recover(), report, "{pending} pending: restored copy");
-        assert_lines_read_back(&mut live, lines, &format!("{pending} pending, live"));
-        assert_lines_read_back(&mut restored, lines, &format!("{pending} pending, restored"));
+        assert_eq!(restored.recover(), report, "{lines} lines: restored copy");
+        assert_lines_read_back(&mut live, lines, &format!("{lines} lines, live"));
+        assert_lines_read_back(&mut restored, lines, &format!("{lines} lines, restored"));
 
-        // Export flushes the filesystem image (one whole batch) and then
-        // the dirty data lines, whose tags are still pending when the
-        // module leaves: they must travel with it.
-        let (mut live, map, persisted) = persist_until_pending(0);
+        // Export flushes the filesystem image and then the dirty data
+        // lines written after it: their checks must travel with the
+        // module.
+        let (mut live, map) = persist_lines(8);
         live.shutdown_flush().unwrap();
-        let lines = persisted + pending as u64;
-        for n in persisted..lines {
+        for n in 8..lines {
             live.write(0, map, n * 64, &ecc_line(n)).unwrap();
         }
-        let tagged = live.controller().ecc().len();
         let (envelope, module) = live.export_module().unwrap();
         let mut imported = Machine::import_module(&envelope, module).unwrap();
-        assert_eq!(imported.controller().ecc().pending(), pending, "export scenario");
-        assert_eq!(imported.controller().ecc().len(), tagged, "{pending} pending, imported");
         imported.crash();
         let report = imported.recover();
-        assert_eq!(report.unrecoverable, 0, "{pending} pending, imported: {report:?}");
-        assert_lines_read_back(&mut imported, lines, &format!("{pending} pending, imported"));
+        assert_eq!(report.unrecoverable, 0, "{lines} lines, imported: {report:?}");
+        assert_lines_read_back(&mut imported, lines, &format!("{lines} lines, imported"));
     }
 }
