@@ -3,10 +3,11 @@
 //! Four rules, all driven by the token stream from [`crate::lexer`]:
 //!
 //! * `no-panic` — `.unwrap()`, `.expect(…)` and `panic!(…)` are banned in
-//!   non-test code of the hot-path crates (`fsencr`, `secmem`, `crypto`,
-//!   `nvm`, `cache`, `obs`, `faults`, `snapshot`): the simulated datapath
-//!   — and the snapshot codec a restore depends on — must degrade into
-//!   typed errors, not abort mid-figure.
+//!   non-test code of the hot-path crates (`fsencr`, `fs`, `secmem`,
+//!   `crypto`, `nvm`, `cache`, `obs`, `faults`, `snapshot`): the
+//!   simulated datapath — and the filesystem state and snapshot codec a
+//!   restore depends on — must degrade into typed errors, not abort
+//!   mid-figure.
 //! * `lossy-cast` — `as {u8,u16,u32,i8,i16,i32}` applied to a
 //!   counter/address-width source (an `…addr…`/`…cycle…` identifier or a
 //!   `.get()` accessor) silently truncates 64-bit counters; hot-path
@@ -38,8 +39,8 @@ use crate::lexer::{lex, Token, TokenKind};
 use crate::Finding;
 
 /// Crates whose non-test code must be panic-free and cast-safe.
-const HOT_CRATES: [&str; 8] =
-    ["fsencr", "secmem", "crypto", "nvm", "cache", "obs", "faults", "snapshot"];
+const HOT_CRATES: [&str; 9] =
+    ["fsencr", "fs", "secmem", "crypto", "nvm", "cache", "obs", "faults", "snapshot"];
 
 /// Crates whose output is figure bytes and must be deterministic.
 const FIGURE_CRATES: [&str; 3] = ["bench", "sim", "obs"];

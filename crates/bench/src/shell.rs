@@ -429,6 +429,19 @@ mod tests {
     }
 
     #[test]
+    fn flush_reports_an_oversized_filesystem_image() {
+        // Long names outgrow the reserved image pages: `flush` answers
+        // with an error line instead of aborting the shell.
+        let mut sh = shell();
+        for i in 0..1000 {
+            let created = out(&mut sh, &format!("create {i:0>244} 1 1 600"));
+            assert!(created.starts_with("created"), "{created}");
+        }
+        assert_eq!(out(&mut sh, "flush"), "error: no space left in persistent region");
+        assert!(out(&mut sh, "ls").contains(&format!("{:0>244}", 999)));
+    }
+
+    #[test]
     fn unlink_shreds() {
         let mut sh = shell();
         out(&mut sh, "create t 1 1 600 pw");

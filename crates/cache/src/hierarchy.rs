@@ -295,25 +295,6 @@ impl Hierarchy {
         self.l3.clear();
     }
 
-    /// Summed (hits, misses) across all L1 caches.
-    pub fn l1_stats(&self) -> (u64, u64) {
-        self.l1
-            .iter()
-            .fold((0, 0), |(h, m), c| (h + c.stats().hits.get(), m + c.stats().misses.get()))
-    }
-
-    /// Summed (hits, misses) across all L2 caches.
-    pub fn l2_stats(&self) -> (u64, u64) {
-        self.l2
-            .iter()
-            .fold((0, 0), |(h, m), c| (h + c.stats().hits.get(), m + c.stats().misses.get()))
-    }
-
-    /// (hits, misses) of the shared L3.
-    pub fn l3_stats(&self) -> (u64, u64) {
-        (self.l3.stats().hits.get(), self.l3.stats().misses.get())
-    }
-
     /// Serializes every cache in a fixed order (L1s, L2s, L3).
     pub fn snap_save(&self, enc: &mut fsencr_snapshot::Enc) {
         enc.put_u64(self.l1.len() as u64);
@@ -492,19 +473,6 @@ mod tests {
         h.store(0, line(1), [8u8; 64]);
         h.drop_all();
         assert!(h.load(0, line(1)).data.is_none());
-    }
-
-    #[test]
-    fn stats_aggregate() {
-        let mut h = Hierarchy::new(&tiny_cfg());
-        h.fill(0, line(0), [0u8; 64]);
-        h.load(0, line(0)); // L1 hit
-        h.load(1, line(50)); // full miss
-        let (h1, m1) = h.l1_stats();
-        assert_eq!(h1, 1);
-        assert!(m1 >= 1);
-        let (_, m3) = h.l3_stats();
-        assert!(m3 >= 1);
     }
 
     #[test]

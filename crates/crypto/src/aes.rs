@@ -243,55 +243,6 @@ impl Aes128 {
         out
     }
 
-    /// Encrypts four 16-byte blocks with their rounds interleaved.
-    ///
-    /// Bit-identical to four [`Aes128::encrypt_block`] calls, but the
-    /// four states advance through each round together: the table lookups
-    /// of lane *k+1* issue while lane *k*'s are still in flight, so the
-    /// serial lookup→XOR dependency chain of one block no longer bounds
-    /// throughput. For the CTR-pad case — four counter blocks differing
-    /// only in their lane bits — prefer [`Aes128::encrypt_ctr_lanes`],
-    /// which additionally shares the barely-diverged first two rounds.
-    pub fn encrypt_blocks4(&self, blocks: [[u8; 16]; 4]) -> [[u8; 16]; 4] {
-        let t = tables();
-        let rk = &self.enc_words;
-        // Lane-major state: s[lane][column].
-        let mut s = [[0u32; 4]; 4];
-        for (lane, block) in s.iter_mut().zip(blocks.iter()) {
-            for (c, sc) in lane.iter_mut().enumerate() {
-                let b = [block[4 * c], block[4 * c + 1], block[4 * c + 2], block[4 * c + 3]];
-                *sc = u32::from_be_bytes(b) ^ rk[c];
-            }
-        }
-        for round in 1..ROUNDS {
-            let base = 4 * round;
-            let mut n = [[0u32; 4]; 4];
-            // The lane loop is innermost so the four independent chains
-            // interleave within each column computation.
-            for c in 0..4 {
-                for (lane, nl) in n.iter_mut().enumerate() {
-                    nl[c] = t.te[0][(s[lane][c] >> 24) as usize]
-                        ^ t.te[1][((s[lane][(c + 1) & 3] >> 16) & 0xff) as usize]
-                        ^ t.te[2][((s[lane][(c + 2) & 3] >> 8) & 0xff) as usize]
-                        ^ t.te[3][(s[lane][(c + 3) & 3] & 0xff) as usize]
-                        ^ rk[base + c];
-                }
-            }
-            s = n;
-        }
-        let mut out = [[0u8; 16]; 4];
-        for (lane, ol) in out.iter_mut().enumerate() {
-            for (c, chunk) in ol.chunks_exact_mut(4).enumerate() {
-                let w = (u32::from(t.sbox[(s[lane][c] >> 24) as usize]) << 24)
-                    | (u32::from(t.sbox[((s[lane][(c + 1) & 3] >> 16) & 0xff) as usize]) << 16)
-                    | (u32::from(t.sbox[((s[lane][(c + 2) & 3] >> 8) & 0xff) as usize]) << 8)
-                    | u32::from(t.sbox[(s[lane][(c + 3) & 3] & 0xff) as usize]);
-                chunk.copy_from_slice(&(w ^ rk[4 * ROUNDS + c]).to_be_bytes());
-            }
-        }
-        out
-    }
-
     /// Encrypts the four CTR counter blocks of one cache-line pad.
     ///
     /// `iv` is the lane-0 counter block; lane *k*'s block is `iv` with
@@ -695,32 +646,6 @@ mod tests {
                 let iexpect =
                     u32::from_be_bytes([icol[0], icol[1], icol[2], icol[3]]);
                 assert_eq!(t.td[j][x], iexpect, "td[{j}][{x:#x}]");
-            }
-        }
-    }
-
-    #[test]
-    fn four_lane_encrypt_matches_single_block() {
-        for seed in 0..4u64 {
-            let aes = Aes128::new(&Key128::from_seed(seed.wrapping_mul(0x517c_c1b7_2722_0a95)));
-            let mut blocks = [[0u8; 16]; 4];
-            for round in 0..16u32 {
-                for (lane, block) in blocks.iter_mut().enumerate() {
-                    for (j, b) in block.iter_mut().enumerate() {
-                        *b = (round as u8)
-                            .wrapping_mul(53)
-                            .wrapping_add((lane as u8).wrapping_mul(101))
-                            .wrapping_add((j as u8).wrapping_mul(19));
-                    }
-                }
-                let interleaved = aes.encrypt_blocks4(blocks);
-                for (lane, block) in blocks.iter().enumerate() {
-                    assert_eq!(
-                        interleaved[lane],
-                        aes.encrypt_block(*block),
-                        "seed {seed} round {round} lane {lane}"
-                    );
-                }
             }
         }
     }

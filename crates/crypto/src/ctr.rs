@@ -122,7 +122,7 @@ pub fn line_pad_into(aes: &Aes128, input: &PadInput, pad: &mut [u8; 64]) {
 /// `lanes == 1` encrypts the four counter blocks one at a time (the
 /// block-at-a-time path this kernel replaces, kept as the benchmark
 /// comparator); `lanes == 4` advances all four through the AES rounds
-/// together via [`Aes128::encrypt_blocks4`]. Both produce bit-identical
+/// together via [`Aes128::encrypt_ctr_lanes`]. Both produce bit-identical
 /// pads — the lane count only changes host instruction-level
 /// parallelism, never the ciphertext.
 ///

@@ -48,11 +48,6 @@ impl Key128 {
     pub const fn as_bytes(&self) -> &[u8; 16] {
         &self.0
     }
-
-    /// Consumes the key, returning the raw bytes.
-    pub const fn into_bytes(self) -> [u8; 16] {
-        self.0
-    }
 }
 
 impl fmt::Debug for Key128 {
@@ -100,6 +95,5 @@ mod tests {
         let key = Key128::from(bytes);
         let back: [u8; 16] = key.into();
         assert_eq!(back, bytes);
-        assert_eq!(key.into_bytes(), bytes);
     }
 }

@@ -7,6 +7,7 @@
 //! counter-block models reward.
 
 use fsencr_nvm::PageId;
+use fsencr_snapshot::{Dec, Enc, SnapError};
 
 /// Allocates 4 KiB page frames from a contiguous persistent region.
 ///
@@ -30,7 +31,6 @@ pub struct PageAllocator {
     free: Vec<u64>,
     /// Next never-allocated frame.
     next: u64,
-    allocated: u64,
 }
 
 impl PageAllocator {
@@ -46,7 +46,6 @@ impl PageAllocator {
             pages,
             free: Vec::new(),
             next: 0,
-            allocated: 0,
         }
     }
 
@@ -62,7 +61,6 @@ impl PageAllocator {
         } else {
             return None;
         };
-        self.allocated += 1;
         Some(PageId::new(frame))
     }
 
@@ -86,51 +84,68 @@ impl PageAllocator {
             Ok(_) => panic!("double free of frame {frame}"),
             Err(pos) => self.free.insert(pos, frame),
         }
-        self.allocated -= 1;
     }
 
-    /// Snapshot of the allocator's full state, for on-media filesystem
-    /// metadata serialization: `(base, pages, next, free-list)`.
-    pub fn state(&self) -> (u64, u64, u64, Vec<u64>) {
-        (self.base, self.pages, self.next, self.free.clone())
+    /// Serializes the allocator: region, high-water mark and the free
+    /// list in its held (strictly descending) order.
+    pub fn snap_save(&self, enc: &mut Enc) {
+        enc.put_u64(self.base);
+        enc.put_u64(self.pages);
+        enc.put_u64(self.next);
+        enc.put_u64(self.free.len() as u64);
+        for &f in &self.free {
+            enc.put_u64(f);
+        }
     }
 
-    /// Reconstructs an allocator from a [`PageAllocator::state`] snapshot.
+    /// Restores an allocator from [`PageAllocator::snap_save`] bytes.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on an inconsistent snapshot.
-    pub fn from_state(base: u64, pages: u64, next: u64, free: Vec<u64>) -> Self {
-        assert!(next <= pages, "next beyond region");
-        assert!(free.len() as u64 <= next, "more free frames than allocated");
-        let allocated = next - free.len() as u64;
-        PageAllocator {
+    /// [`SnapError::Corrupt`] for a region that overflows the frame
+    /// space, a high-water mark beyond the region, or a free list that is
+    /// not strictly descending inside the allocated prefix.
+    pub fn snap_load(dec: &mut Dec<'_>) -> Result<PageAllocator, SnapError> {
+        let base = dec.get_u64()?;
+        let pages = dec.get_u64()?;
+        let next = dec.get_u64()?;
+        if base.checked_add(pages).is_none() || next > pages {
+            return Err(SnapError::Corrupt("allocator region"));
+        }
+        let n = dec.get_count(8)?;
+        let mut free: Vec<u64> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let f = dec.get_u64()?;
+            let in_prefix = f >= base && f - base < next;
+            if !in_prefix || free.last().is_some_and(|&prev| prev <= f) {
+                return Err(SnapError::Corrupt("allocator free list"));
+            }
+            free.push(f);
+        }
+        Ok(PageAllocator {
             base,
             pages,
             free,
             next,
-            allocated,
-        }
+        })
     }
 
-    /// Frames currently handed out.
-    pub fn allocated(&self) -> u64 {
-        self.allocated
+    /// Whether `frame` is currently handed out: inside the allocated
+    /// prefix and not on the free list.
+    pub(crate) fn is_allocated(&self, frame: u64) -> bool {
+        frame >= self.base
+            && frame - self.base < self.next
+            && self.free.binary_search_by(|f| frame.cmp(f)).is_err()
     }
 
     /// Frames still available.
     pub fn available(&self) -> u64 {
-        self.pages - self.allocated
+        self.pages - (self.next - self.free.len() as u64)
     }
 
-    /// Total frames managed.
-    pub fn capacity(&self) -> u64 {
-        self.pages
-    }
-
-    /// First frame of the region.
-    pub fn base(&self) -> u64 {
-        self.base
+    /// The managed frames as `(first frame, frame count)`.
+    pub fn region(&self) -> (u64, u64) {
+        (self.base, self.pages)
     }
 }
 
@@ -144,7 +159,6 @@ mod tests {
         let frames: Vec<u64> = (0..5).map(|_| a.alloc().unwrap().get()).collect();
         assert_eq!(frames, vec![10, 11, 12, 13, 14]);
         assert!(a.alloc().is_none());
-        assert_eq!(a.allocated(), 5);
         assert_eq!(a.available(), 0);
     }
 
@@ -186,25 +200,10 @@ mod tests {
     }
 
     #[test]
-    fn state_roundtrip() {
-        let mut a = PageAllocator::new(5, 10);
-        let p1 = a.alloc().unwrap();
-        let _p2 = a.alloc().unwrap();
-        a.free(p1);
-        let (base, pages, next, free) = a.state();
-        let b = PageAllocator::from_state(base, pages, next, free);
-        assert_eq!(b.allocated(), a.allocated());
-        assert_eq!(b.available(), a.available());
-        let mut b = b;
-        assert_eq!(b.alloc().unwrap(), p1, "free list preserved");
-    }
-
-    #[test]
     fn capacity_accounting() {
         let mut a = PageAllocator::new(0, 3);
-        assert_eq!(a.capacity(), 3);
-        assert_eq!(a.base(), 0);
+        assert_eq!(a.region(), (0, 3));
         a.alloc();
-        assert_eq!((a.allocated(), a.available()), (1, 2));
+        assert_eq!(a.available(), 2);
     }
 }

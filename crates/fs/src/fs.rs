@@ -6,10 +6,12 @@
 //! backs which file page, who may open what, and how file keys are
 //! created, wrapped, unwrapped and destroyed.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use fsencr_crypto::Key128;
 use fsencr_nvm::{PageId, PAGE_BYTES};
+use fsencr_sim::SplitMix64;
+use fsencr_snapshot::{Dec, Enc, SnapError};
 
 use crate::alloc::PageAllocator;
 use crate::error::FsError;
@@ -84,6 +86,9 @@ pub struct DaxFs {
     names: BTreeMap<String, u32>,
     alloc: PageAllocator,
     keyring: Keyring,
+    /// FEK generator: persisted with the filesystem so a remount never
+    /// reissues a key.
+    feks: SplitMix64,
     next_ino: u32,
     free_inos: Vec<u32>,
 }
@@ -95,13 +100,14 @@ impl DaxFs {
             inodes: HashMap::new(),
             names: BTreeMap::new(),
             alloc: PageAllocator::new(base_page, pages),
-            keyring: Keyring::new(seed),
+            keyring: Keyring::default(),
+            feks: SplitMix64::new(seed ^ 0x6b65_7972_696e_6700),
             next_ino: 1, // ino 0 is reserved
             free_inos: Vec::new(),
         }
     }
 
-    /// The kernel keyring (login/logout).
+    /// The kernel keyring (session restore).
     pub fn keyring_mut(&mut self) -> &mut Keyring {
         &mut self.keyring
     }
@@ -114,6 +120,12 @@ impl DaxFs {
     /// Convenience: derive and store a session KEK for `user`.
     pub fn login(&mut self, user: UserId, passphrase: &str) {
         self.keyring.login(user, passphrase);
+    }
+
+    fn generate_fek(&mut self) -> Key128 {
+        let mut bytes = [0u8; 16];
+        self.feks.fill_bytes(&mut bytes);
+        Key128::from_bytes(bytes)
     }
 
     fn alloc_ino(&mut self) -> Result<Ino, FsError> {
@@ -154,7 +166,7 @@ impl DaxFs {
         let ino = self.alloc_ino()?;
         let (crypto, fek) = match passphrase {
             Some(pw) => {
-                let fek = self.keyring.generate_fek();
+                let fek = self.generate_fek();
                 let kek = Keyring::kek_for(pw, owner);
                 let wrapped = fsencr_crypto::KeyWrap::wrap(&kek, &fek);
                 (Some(FileCrypto { wrapped_fek: wrapped }), Some(fek))
@@ -173,8 +185,10 @@ impl DaxFs {
     }
 
     fn lookup(&self, name: &str) -> Result<&Inode, FsError> {
-        let ino = self.names.get(name).ok_or(FsError::NotFound)?;
-        Ok(&self.inodes[ino])
+        self.names
+            .get(name)
+            .and_then(|ino| self.inodes.get(ino))
+            .ok_or(FsError::NotFound)
     }
 
     fn check_access(
@@ -247,7 +261,7 @@ impl DaxFs {
             return Err(FsError::AlreadyExists);
         }
         let ino = *self.names.get(from).ok_or(FsError::NotFound)?;
-        let inode = &self.inodes[&ino];
+        let inode = self.inodes.get(&ino).ok_or(FsError::NotFound)?;
         if !user.is_root() && inode.owner() != user {
             return Err(FsError::PermissionDenied);
         }
@@ -295,7 +309,7 @@ impl DaxFs {
     /// [`FsError::NotFound`] or [`FsError::PermissionDenied`].
     pub fn unlink(&mut self, user: UserId, name: &str) -> Result<Unlinked, FsError> {
         let ino = *self.names.get(name).ok_or(FsError::NotFound)?;
-        let inode = self.inodes.get_mut(&ino).expect("namespace consistent");
+        let inode = self.inodes.get_mut(&ino).ok_or(FsError::NotFound)?;
         if !user.is_root() && inode.owner() != user {
             return Err(FsError::PermissionDenied);
         }
@@ -322,7 +336,7 @@ impl DaxFs {
     /// [`FsError::NotFound`] or [`FsError::PermissionDenied`].
     pub fn chmod(&mut self, user: UserId, name: &str, mode: Mode) -> Result<(), FsError> {
         let ino = *self.names.get(name).ok_or(FsError::NotFound)?;
-        let inode = self.inodes.get_mut(&ino).expect("namespace consistent");
+        let inode = self.inodes.get_mut(&ino).ok_or(FsError::NotFound)?;
         if !user.is_root() && inode.owner() != user {
             return Err(FsError::PermissionDenied);
         }
@@ -346,7 +360,7 @@ impl DaxFs {
             return Err(FsError::PermissionDenied);
         }
         let ino = *self.names.get(name).ok_or(FsError::NotFound)?;
-        let inode = self.inodes.get_mut(&ino).expect("namespace consistent");
+        let inode = self.inodes.get_mut(&ino).ok_or(FsError::NotFound)?;
         inode.set_owner(owner, group);
         Ok(())
     }
@@ -369,8 +383,8 @@ impl DaxFs {
         new_passphrase: &str,
     ) -> Result<(Key128, Key128), FsError> {
         let ino = *self.names.get(name).ok_or(FsError::NotFound)?;
-        let new_fek = self.keyring.generate_fek();
-        let inode = self.inodes.get_mut(&ino).expect("namespace consistent");
+        let new_fek = self.generate_fek();
+        let inode = self.inodes.get_mut(&ino).ok_or(FsError::NotFound)?;
         if !user.is_root() && inode.owner() != user {
             return Err(FsError::PermissionDenied);
         }
@@ -389,7 +403,7 @@ impl DaxFs {
 
     /// Looks up an inode by name.
     pub fn stat(&self, name: &str) -> Option<&Inode> {
-        self.names.get(name).map(|i| &self.inodes[i])
+        self.names.get(name).and_then(|i| self.inodes.get(i))
     }
 
     /// Looks up an inode by number.
@@ -409,6 +423,11 @@ impl DaxFs {
         self.names.len()
     }
 
+    /// The allocator's region as `(first frame, frame count)`.
+    pub fn region(&self) -> (u64, u64) {
+        self.alloc.region()
+    }
+
     /// Frames still available in the persistent region.
     pub fn free_pages(&self) -> u64 {
         self.alloc.available()
@@ -421,177 +440,161 @@ impl DaxFs {
 }
 
 
-// ----------------------------------------------------------------------
-// On-media serialization: the filesystem's own metadata (superblock,
-// inode table, allocator state) as a flat byte image written into the
-// reserved pages at the head of the persistent region.
-// ----------------------------------------------------------------------
-
-const FS_IMAGE_MAGIC: u64 = 0x4653_494D_4721_0001;
-const FS_IMAGE_VERSION: u8 = 1;
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], FsError> {
-        if self.pos + n > self.buf.len() {
-            return Err(FsError::InvalidArgument("truncated filesystem image"));
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, FsError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, FsError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len")))
-    }
-
-    fn u32(&mut self) -> Result<u32, FsError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len")))
-    }
-
-    fn u64(&mut self) -> Result<u64, FsError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len")))
-    }
-}
+/// Marks a hole in an encoded page-slot list.
+const HOLE: u64 = u64::MAX;
 
 impl DaxFs {
-    /// Serializes the complete filesystem metadata (superblock, allocator,
-    /// inode table, wrapped keys) into a flat image. Session keys are
-    /// volatile by design and are *not* included — users re-login after a
-    /// mount.
-    pub fn serialize(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(1024);
-        out.extend_from_slice(&FS_IMAGE_MAGIC.to_le_bytes());
-        out.push(FS_IMAGE_VERSION);
-        out.extend_from_slice(&self.keyring.rng_state().to_le_bytes());
-
-        let (base, pages, next, free) = self.alloc.state();
-        out.extend_from_slice(&base.to_le_bytes());
-        out.extend_from_slice(&pages.to_le_bytes());
-        out.extend_from_slice(&next.to_le_bytes());
-        out.extend_from_slice(&(free.len() as u32).to_le_bytes());
-        for f in &free {
-            out.extend_from_slice(&f.to_le_bytes());
+    /// Serializes the persistent filesystem metadata: the FEK generator,
+    /// the allocator, the inode-number allocator and every file in name
+    /// order (ids, mode, size, wrapped key, page placement). Session
+    /// keys are volatile and are *not* included — users log in again
+    /// after a mount; a machine checkpoint adds them through
+    /// [`Keyring::snap_save`].
+    pub fn snap_save(&self, enc: &mut Enc) {
+        enc.put_u64(self.feks.state());
+        self.alloc.snap_save(enc);
+        enc.put_u32(self.next_ino);
+        enc.put_u64(self.free_inos.len() as u64);
+        for &i in &self.free_inos {
+            enc.put_u32(i);
         }
-
-        out.extend_from_slice(&self.next_ino.to_le_bytes());
-        out.extend_from_slice(&(self.free_inos.len() as u32).to_le_bytes());
-        for i in &self.free_inos {
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-
-        out.extend_from_slice(&(self.names.len() as u32).to_le_bytes());
+        enc.put_u64(self.names.len() as u64);
         for (name, ino) in &self.names {
             let inode = &self.inodes[ino];
-            out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-            out.extend_from_slice(name.as_bytes());
-            out.extend_from_slice(&inode.ino().get().to_le_bytes());
-            out.extend_from_slice(&inode.owner().get().to_le_bytes());
-            out.extend_from_slice(&inode.group().get().to_le_bytes());
-            out.extend_from_slice(&inode.mode().bits().to_le_bytes());
-            out.extend_from_slice(&inode.size().to_le_bytes());
-            match inode.crypto() {
-                Some(c) => {
-                    out.push(1);
-                    out.extend_from_slice(c.wrapped_fek.ciphertext());
-                    out.extend_from_slice(c.wrapped_fek.tag());
-                }
-                None => out.push(0),
+            enc.put_str(name);
+            enc.put_u32(inode.ino().get());
+            enc.put_u32(inode.owner().get());
+            enc.put_u32(inode.group().get());
+            enc.put_u32(u32::from(inode.mode().bits()));
+            enc.put_u64(inode.size());
+            enc.put_bool(inode.is_encrypted());
+            if let Some(c) = inode.crypto() {
+                enc.put_bytes(c.wrapped_fek.ciphertext());
+                enc.put_bytes(c.wrapped_fek.tag());
             }
-            out.extend_from_slice(&(inode.page_slots() as u32).to_le_bytes());
+            enc.put_u64(inode.page_slots() as u64);
             for idx in 0..inode.page_slots() {
-                let frame = inode.page(idx).map(|p| p.get()).unwrap_or(u64::MAX);
-                out.extend_from_slice(&frame.to_le_bytes());
+                enc.put_u64(inode.page(idx).map_or(HOLE, PageId::get));
             }
         }
-        out
     }
 
-    /// Reconstructs a filesystem from a [`DaxFs::serialize`] image.
+    /// Restores a filesystem from [`DaxFs::snap_save`] bytes, with no
+    /// session keys.
     ///
     /// # Errors
     ///
-    /// [`FsError::InvalidArgument`] for a corrupt or truncated image.
-    pub fn deserialize(bytes: &[u8]) -> Result<DaxFs, FsError> {
-        let mut r = Reader { buf: bytes, pos: 0 };
-        if r.u64()? != FS_IMAGE_MAGIC {
-            return Err(FsError::InvalidArgument("not a filesystem image"));
+    /// Decode errors, and [`SnapError::Corrupt`] for any state the
+    /// filesystem never produces: an inconsistent allocator, an inode
+    /// number that is 0 or not below the inode high-water mark, a
+    /// duplicate name or inode, a group or mode out of range, or a page
+    /// mapped twice or onto a frame the allocator never handed out.
+    pub fn snap_load(dec: &mut Dec<'_>) -> Result<DaxFs, SnapError> {
+        let feks = SplitMix64::new(dec.get_u64()?);
+        let alloc = PageAllocator::snap_load(dec)?;
+        let next_ino = dec.get_u32()?;
+        if next_ino == 0 || next_ino > Ino::LIMIT {
+            return Err(SnapError::Corrupt("inode high-water mark"));
         }
-        if r.u8()? != FS_IMAGE_VERSION {
-            return Err(FsError::InvalidArgument("unsupported image version"));
+        let mut seen_inos = HashSet::new();
+        let mut claim_ino = |i: u32| i != 0 && i < next_ino && seen_inos.insert(i);
+        let n = dec.get_count(4)?;
+        let mut free_inos = Vec::with_capacity(n);
+        for _ in 0..n {
+            let i = dec.get_u32()?;
+            if !claim_ino(i) {
+                return Err(SnapError::Corrupt("free inode"));
+            }
+            free_inos.push(i);
         }
-        let rng_state = r.u64()?;
-
-        let base = r.u64()?;
-        let pages = r.u64()?;
-        let next = r.u64()?;
-        let free_len = r.u32()? as usize;
-        let mut free = Vec::with_capacity(free_len);
-        for _ in 0..free_len {
-            free.push(r.u64()?);
-        }
-        let alloc = PageAllocator::from_state(base, pages, next, free);
-
-        let next_ino = r.u32()?;
-        let free_inos_len = r.u32()? as usize;
-        let mut free_inos = Vec::with_capacity(free_inos_len);
-        for _ in 0..free_inos_len {
-            free_inos.push(r.u32()?);
-        }
-
-        let file_count = r.u32()? as usize;
+        // A file takes at least: empty name, ids, mode, size, crypto tag
+        // and an empty page-slot list.
+        let n = dec.get_count(8 + 4 * 4 + 8 + 1 + 8)?;
         let mut names = BTreeMap::new();
-        let mut inodes = HashMap::new();
-        for _ in 0..file_count {
-            let name_len = r.u16()? as usize;
-            let name = std::str::from_utf8(r.take(name_len)?)
-                .map_err(|_| FsError::InvalidArgument("file name is not utf-8"))?
+        let mut inodes = HashMap::with_capacity(n);
+        let mut seen_frames = HashSet::new();
+        for _ in 0..n {
+            let name = std::str::from_utf8(dec.get_blob()?)
+                .map_err(|_| SnapError::Corrupt("file name"))?
                 .to_string();
-            let ino = Ino::new(r.u32()?);
-            let owner = UserId::new(r.u32()?);
-            let group = GroupId::new(r.u32()?);
-            let mode = Mode::new(r.u16()?);
-            let size = r.u64()?;
-            let crypto = if r.u8()? == 1 {
-                let ct: [u8; 16] = r.take(16)?.try_into().expect("len");
-                let tag: [u8; 32] = r.take(32)?.try_into().expect("len");
+            let ino = dec.get_u32()?;
+            if !claim_ino(ino) {
+                return Err(SnapError::Corrupt("inode number"));
+            }
+            let owner = UserId::new(dec.get_u32()?);
+            let group = dec.get_u32()?;
+            if group > GroupId::MAX {
+                return Err(SnapError::Corrupt("group"));
+            }
+            let mode = u16::try_from(dec.get_u32()?)
+                .ok()
+                .filter(|&bits| bits <= 0o777)
+                .ok_or(SnapError::Corrupt("mode"))?;
+            let size = dec.get_u64()?;
+            let crypto = if dec.get_bool()? {
+                let ciphertext = dec.get_arr16()?;
+                let tag = dec
+                    .get_bytes(32)?
+                    .try_into()
+                    .map_err(|_| SnapError::Truncated)?;
                 Some(FileCrypto {
-                    wrapped_fek: fsencr_crypto::KeyWrap::from_parts(ct, tag),
+                    wrapped_fek: fsencr_crypto::KeyWrap::from_parts(ciphertext, tag),
                 })
             } else {
                 None
             };
-            let mut inode = Inode::new(ino, owner, group, mode, crypto);
-            let slots = r.u32()? as usize;
-            for idx in 0..slots {
-                let frame = r.u64()?;
-                if frame != u64::MAX {
-                    inode.map_page(idx, PageId::new(frame));
+            let group = GroupId::new(group);
+            let mut inode = Inode::new(Ino::new(ino), owner, group, Mode::new(mode), crypto);
+            for idx in 0..dec.get_count(8)? {
+                let frame = dec.get_u64()?;
+                if frame == HOLE {
+                    continue;
                 }
+                if !alloc.is_allocated(frame) || !seen_frames.insert(frame) {
+                    return Err(SnapError::Corrupt("mapped frame"));
+                }
+                inode.map_page(idx, PageId::new(frame));
             }
             inode.grow_to(size);
-            names.insert(name, ino.get());
-            inodes.insert(ino.get(), inode);
+            if names.insert(name, ino).is_some() {
+                return Err(SnapError::Corrupt("duplicate file name"));
+            }
+            inodes.insert(ino, inode);
         }
-
-        let mut keyring = Keyring::new(0);
-        keyring.set_rng_state(rng_state);
         Ok(DaxFs {
             inodes,
             names,
             alloc,
-            keyring,
+            keyring: Keyring::default(),
+            feks,
             next_ino,
             free_inos,
         })
+    }
+
+    /// The on-media image: [`DaxFs::snap_save`] as the one `fs` section
+    /// of an `fsencr-snap/1` stream, so a torn or foreign image fails its
+    /// digest on [`DaxFs::from_image`].
+    pub fn image(&self) -> Vec<u8> {
+        let mut enc = Enc::new();
+        enc.begin_section("fs");
+        self.snap_save(&mut enc);
+        enc.end_section();
+        enc.finish()
+    }
+
+    /// Mounts a [`DaxFs::image`], with no session keys.
+    ///
+    /// # Errors
+    ///
+    /// Any [`SnapError`] of the stream or of [`DaxFs::snap_load`].
+    pub fn from_image(bytes: &[u8]) -> Result<DaxFs, SnapError> {
+        let mut dec = Dec::new(bytes)?;
+        dec.begin_section("fs")?;
+        let fs = DaxFs::snap_load(&mut dec)?;
+        dec.end_section()?;
+        dec.finish()?;
+        Ok(fs)
     }
 }
 
@@ -787,6 +790,16 @@ mod tests {
     }
 
     #[test]
+    fn feks_are_unique_and_seed_deterministic() {
+        let feks = |fs: &mut DaxFs| {
+            ["x", "y"].map(|n| fs.create(ALICE, STAFF, n, Mode::PRIVATE, Some("pw")).unwrap().fek)
+        };
+        let first = feks(&mut fs());
+        assert_ne!(first[0], first[1]);
+        assert_eq!(feks(&mut fs()), first);
+    }
+
+    #[test]
     fn list_is_name_ordered() {
         let mut fs = fs();
         fs.create(ALICE, STAFF, "b", Mode::PRIVATE, None).unwrap();
@@ -811,7 +824,8 @@ mod image_tests {
         let h2 = fs.create(UserId::new(2), GroupId::new(11), "plain", Mode::GROUP_RW, None).unwrap();
         fs.ensure_page(h2.ino, 0).unwrap();
         // delete a file to exercise free lists
-        fs.create(ALICE, STAFF, "tmp", Mode::PRIVATE, None).unwrap();
+        let h3 = fs.create(ALICE, STAFF, "tmp", Mode::PRIVATE, None).unwrap();
+        fs.ensure_page(h3.ino, 0).unwrap();
         fs.unlink(ALICE, "tmp").unwrap();
         fs
     }
@@ -819,26 +833,14 @@ mod image_tests {
     #[test]
     fn image_roundtrip_preserves_everything() {
         let fs = populated();
-        let image = fs.serialize();
-        let back = DaxFs::deserialize(&image).unwrap();
-
-        assert_eq!(back.file_count(), fs.file_count());
+        let bytes = fs.image();
+        let back = DaxFs::from_image(&bytes).unwrap();
+        // Every encoded field (ids, mode, size, wrapped key, placement,
+        // both free lists, FEK generator) survives: the re-encoding is
+        // byte-identical.
+        assert_eq!(back.image(), bytes);
         assert_eq!(back.free_pages(), fs.free_pages());
-        let names_a: Vec<_> = fs.list().map(|(n, i)| (n.to_string(), i)).collect();
-        let names_b: Vec<_> = back.list().map(|(n, i)| (n.to_string(), i)).collect();
-        assert_eq!(names_a, names_b);
-
-        let orig = fs.stat("enc").unwrap();
-        let rest = back.stat("enc").unwrap();
-        assert_eq!(rest.owner(), orig.owner());
-        assert_eq!(rest.group(), orig.group());
-        assert_eq!(rest.mode(), orig.mode());
-        assert_eq!(rest.size(), orig.size());
-        assert_eq!(rest.page(0), orig.page(0));
-        assert_eq!(rest.page(1), None, "hole preserved");
-        assert_eq!(rest.page(2), orig.page(2));
-        assert!(rest.is_encrypted());
-
+        assert_eq!(back.stat("enc").unwrap().page(1), None, "hole preserved");
         // The wrapped key still unwraps with the right passphrase.
         let h = back.open(ALICE, &[STAFF], "enc", AccessKind::Read, Some("pw")).unwrap();
         assert!(h.fek.is_some());
@@ -848,11 +850,11 @@ mod image_tests {
     #[test]
     fn restored_fs_never_reissues_feks() {
         let mut fs = populated();
-        let image = fs.serialize();
-        let mut back = DaxFs::deserialize(&image).unwrap();
+        let mut back = DaxFs::from_image(&fs.image()).unwrap();
         let next_orig = fs.create(ALICE, STAFF, "n1", Mode::PRIVATE, Some("x")).unwrap();
         let next_back = back.create(ALICE, STAFF, "n1", Mode::PRIVATE, Some("x")).unwrap();
         assert_eq!(next_orig.fek, next_back.fek, "rng state must be preserved");
+        assert_eq!(next_orig.ino, next_back.ino, "free inode list preserved");
         // And the new key differs from every existing file's key.
         let h = back.open(ALICE, &[STAFF], "enc", AccessKind::Read, Some("pw")).unwrap();
         assert_ne!(next_back.fek, h.fek);
@@ -860,18 +862,11 @@ mod image_tests {
 
     #[test]
     fn allocator_state_survives() {
-        let fs = populated();
-        let image = fs.serialize();
-        let mut back = DaxFs::deserialize(&image).unwrap();
+        let mut back = DaxFs::from_image(&populated().image()).unwrap();
         // New allocations must not collide with restored placements.
-        let used: std::collections::HashSet<u64> = back
+        let used: HashSet<u64> = back
             .list()
-            .map(|(_, i)| i)
-            .collect::<Vec<_>>()
-            .into_iter()
-            .flat_map(|i| {
-                back.inode(i).unwrap().mapped_pages().map(|p| p.get()).collect::<Vec<_>>()
-            })
+            .flat_map(|(_, i)| back.inode(i).unwrap().mapped_pages().map(|p| p.get()))
             .collect();
         let h = back.create(ALICE, STAFF, "new", Mode::PRIVATE, None).unwrap();
         let pf = back.ensure_page(h.ino, 0).unwrap();
@@ -879,19 +874,92 @@ mod image_tests {
     }
 
     #[test]
+    fn long_names_round_trip_whole() {
+        let mut fs = DaxFs::format(0, 4, 1);
+        fs.create(ALICE, STAFF, &"n".repeat(70_000), Mode::PRIVATE, None).unwrap();
+        let back = DaxFs::from_image(&fs.image()).unwrap();
+        assert_eq!(back.list().map(|(n, _)| n.len()).collect::<Vec<_>>(), [70_000]);
+    }
+
+    #[test]
     fn corrupt_images_are_rejected() {
-        let fs = populated();
-        let mut image = fs.serialize();
-        // bad magic
-        let mut evil = image.clone();
-        evil[0] ^= 1;
-        assert!(DaxFs::deserialize(&evil).is_err());
-        // truncation at every prefix must error, never panic
-        for len in 0..image.len().min(120) {
-            assert!(DaxFs::deserialize(&image[..len]).is_err(), "len {len}");
+        let bytes = populated().image();
+        // Every bit flip and every truncation errors, never panics.
+        for i in 0..bytes.len() {
+            let mut evil = bytes.clone();
+            evil[i] ^= 0x10;
+            assert!(DaxFs::from_image(&evil).is_err(), "flip at byte {i}");
+            assert!(DaxFs::from_image(&bytes[..i]).is_err(), "prefix of {i} bytes");
         }
-        // bad version
-        image[8] = 99;
-        assert!(DaxFs::deserialize(&image).is_err());
+    }
+
+    /// One file as raw encoded fields: name, inode, group, mode and page
+    /// slots.
+    type RawFile<'a> = (&'a str, u32, u32, u32, &'a [u64]);
+
+    /// The allocator of a valid image: frames `[100, 108)`, of which
+    /// 100 to 103 were handed out and 103 was freed again.
+    const ALLOC: &[u64] = &[100, 8, 4, 1, 103];
+
+    /// Encodes an image field by field, bypassing every invariant the
+    /// public API keeps. `alloc` is the allocator's words: base, pages,
+    /// high-water mark, free-list length and free frames.
+    fn raw(alloc: &[u64], next_ino: u32, free_inos: &[u32], files: &[RawFile<'_>]) -> Vec<u8> {
+        let mut enc = Enc::new();
+        enc.begin_section("fs");
+        enc.put_u64(0); // FEK generator
+        alloc.iter().for_each(|&w| enc.put_u64(w));
+        enc.put_u32(next_ino);
+        enc.put_u64(free_inos.len() as u64);
+        free_inos.iter().for_each(|&i| enc.put_u32(i));
+        enc.put_u64(files.len() as u64);
+        for &(name, ino, group, mode, slots) in files {
+            enc.put_str(name);
+            [ino, ALICE.get(), group, mode].iter().for_each(|&w| enc.put_u32(w));
+            enc.put_u64(0);
+            enc.put_bool(false);
+            enc.put_u64(slots.len() as u64);
+            slots.iter().for_each(|&frame| enc.put_u64(frame));
+        }
+        enc.end_section();
+        enc.finish()
+    }
+
+    #[test]
+    fn impossible_states_are_corrupt() {
+        let a: RawFile<'_> = ("a", 1, 1, 0o600, &[100, HOLE, 101]);
+        let fs = DaxFs::from_image(&raw(ALLOC, 3, &[2], &[a])).unwrap();
+        assert_eq!(fs.stat("a").unwrap().page(2), Some(PageId::new(101)));
+        assert_eq!(fs.free_pages(), 5);
+
+        let limit = Ino::LIMIT;
+        let cases = [
+            ("allocator region", raw(&[0, 4, 5, 0], 1, &[], &[])),
+            ("allocator region", raw(&[u64::MAX, 2, 0, 0], 1, &[], &[])),
+            ("allocator free list", raw(&[10, 8, 4, 2, 12, 12], 1, &[], &[])),
+            ("allocator free list", raw(&[10, 8, 4, 2, 11, 12], 1, &[], &[])),
+            ("allocator free list", raw(&[10, 8, 4, 1, 14], 1, &[], &[])),
+            ("allocator free list", raw(&[10, 8, 4, 1, 9], 1, &[], &[])),
+            ("inode high-water mark", raw(ALLOC, 0, &[], &[])),
+            ("inode high-water mark", raw(ALLOC, limit + 1, &[], &[])),
+            ("free inode", raw(ALLOC, 3, &[0], &[])),
+            ("free inode", raw(ALLOC, 3, &[3], &[])),
+            ("free inode", raw(ALLOC, 3, &[2, 2], &[])),
+            ("inode number", raw(ALLOC, 3, &[1], &[a])),
+            ("inode number", raw(ALLOC, 3, &[], &[a, ("b", 1, 1, 0o600, &[])])),
+            ("inode number", raw(ALLOC, 3, &[], &[("b", 0, 1, 0o600, &[])])),
+            ("inode number", raw(ALLOC, 3, &[], &[("b", 3, 1, 0o600, &[])])),
+            ("inode number", raw(ALLOC, limit, &[], &[("b", limit, 1, 0o600, &[])])),
+            ("duplicate file name", raw(ALLOC, 3, &[], &[a, ("a", 2, 1, 0o600, &[])])),
+            ("group", raw(ALLOC, 3, &[], &[("b", 1, GroupId::MAX + 1, 0o600, &[])])),
+            ("mode", raw(ALLOC, 3, &[], &[("b", 1, 1, 0o1000, &[])])),
+            ("mapped frame", raw(ALLOC, 3, &[], &[("b", 1, 1, 0o600, &[103])])),
+            ("mapped frame", raw(ALLOC, 3, &[], &[("b", 1, 1, 0o600, &[104])])),
+            ("mapped frame", raw(ALLOC, 3, &[], &[("b", 1, 1, 0o600, &[99])])),
+            ("mapped frame", raw(ALLOC, 3, &[], &[a, ("b", 2, 1, 0o600, &[101])])),
+        ];
+        for (what, bytes) in cases {
+            assert_eq!(DaxFs::from_image(&bytes).map(drop), Err(SnapError::Corrupt(what)), "{what}");
+        }
     }
 }

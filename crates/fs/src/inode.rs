@@ -24,6 +24,16 @@ impl Ino {
         Ino(ino)
     }
 
+    /// Checked constructor for decoded input: `None` at or above
+    /// [`Ino::LIMIT`].
+    pub const fn try_new(ino: u32) -> Option<Self> {
+        if ino < Ino::LIMIT {
+            Some(Ino(ino))
+        } else {
+            None
+        }
+    }
+
     /// Raw value.
     pub const fn get(self) -> u32 {
         self.0
@@ -249,6 +259,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds 14 bits")]
     fn ino_limit() {
+        assert_eq!(Ino::try_new(Ino::LIMIT), None);
+        assert_eq!(Ino::try_new(Ino::LIMIT - 1), Some(Ino::new(Ino::LIMIT - 1)));
         Ino::new(Ino::LIMIT);
     }
 }

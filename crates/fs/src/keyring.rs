@@ -1,15 +1,14 @@
-//! The kernel keyring: session KEKs and file-key generation.
+//! The kernel keyring: session KEKs.
 //!
 //! Mirrors the Linux keyring usage of eCryptfs/fscrypt (Section III-E):
 //! logging in derives a per-user Key-Encryption-Key from the passphrase
-//! with PBKDF2; file keys (FEKs) are freshly generated per file and stored
-//! only in wrapped form. Unwrapping with a wrong passphrase fails loudly
-//! thanks to the authenticated wrap.
+//! with PBKDF2; file keys (FEKs, generated by [`crate::DaxFs`]) are
+//! stored only in wrapped form. Unwrapping with a wrong passphrase fails
+//! loudly thanks to the authenticated wrap.
 
 use std::collections::HashMap;
 
 use fsencr_crypto::{kdf, Key128, KeyWrap};
-use fsencr_sim::SplitMix64;
 
 use crate::error::FsError;
 use crate::perm::UserId;
@@ -19,36 +18,28 @@ use crate::perm::UserId;
 /// structural, not computational.
 const KDF_ITERATIONS: u32 = 16;
 
-/// Per-user session keys plus a deterministic FEK generator.
+/// Per-user session keys.
 ///
 /// # Examples
 ///
 /// ```
+/// use fsencr_crypto::Key128;
 /// use fsencr_fs::{Keyring, UserId};
 ///
-/// let mut kr = Keyring::new(42);
+/// let mut kr = Keyring::default();
 /// let alice = UserId::new(1);
 /// kr.login(alice, "correct horse");
-/// let fek = kr.generate_fek();
+/// let fek = Key128::from_seed(42);
 /// let wrapped = kr.wrap(alice, &fek).unwrap();
 /// assert_eq!(kr.unwrap_with("correct horse", alice, &wrapped), Some(fek));
 /// assert_eq!(kr.unwrap_with("wrong", alice, &wrapped), None);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Keyring {
     sessions: HashMap<UserId, Key128>,
-    rng: SplitMix64,
 }
 
 impl Keyring {
-    /// Creates a keyring; `seed` drives FEK generation deterministically.
-    pub fn new(seed: u64) -> Self {
-        Keyring {
-            sessions: HashMap::new(),
-            rng: SplitMix64::new(seed ^ 0x6b65_7972_696e_6700),
-        }
-    }
-
     /// Salt used for a user's KEK derivation (per-user, stable).
     fn salt_for(user: UserId) -> [u8; 8] {
         let mut salt = *b"fsencr\0\0";
@@ -63,16 +54,10 @@ impl Keyring {
         self.sessions.insert(user, kek);
     }
 
-    /// Drops the user's session key.
-    pub fn logout(&mut self, user: UserId) {
-        self.sessions.remove(&user);
-    }
-
-    /// Serializes the keyring: RNG state plus every session KEK, sorted by
-    /// user id. Session keys are volatile kernel state, but a checkpoint
-    /// must carry them so a restored machine accepts the same opens.
+    /// Serializes the session KEKs, sorted by user id. Session keys are
+    /// volatile kernel state, but a checkpoint must carry them so a
+    /// restored machine accepts the same opens.
     pub fn snap_save(&self, enc: &mut fsencr_snapshot::Enc) {
-        enc.put_u64(self.rng.state());
         let mut entries: Vec<(u32, [u8; 16])> = self
             .sessions
             .iter()
@@ -86,11 +71,11 @@ impl Keyring {
         }
     }
 
-    /// Restores a keyring from [`Keyring::snap_save`] bytes.
+    /// Replaces the session KEKs with [`Keyring::snap_save`] bytes.
     pub fn snap_load(
+        &mut self,
         dec: &mut fsencr_snapshot::Dec<'_>,
-    ) -> Result<Keyring, fsencr_snapshot::SnapError> {
-        let rng = SplitMix64::new(dec.get_u64()?);
+    ) -> Result<(), fsencr_snapshot::SnapError> {
         let n = dec.get_count(20)?;
         let mut sessions = HashMap::with_capacity(n);
         for _ in 0..n {
@@ -98,30 +83,8 @@ impl Keyring {
             let kek = Key128::from_bytes(dec.get_arr16()?);
             sessions.insert(UserId::new(uid), kek);
         }
-        Ok(Keyring { sessions, rng })
-    }
-
-    /// Whether the user has an active session.
-    pub fn is_logged_in(&self, user: UserId) -> bool {
-        self.sessions.contains_key(&user)
-    }
-
-    /// The FEK generator's internal state (persisted with the filesystem
-    /// so remounts never regenerate a previously issued key).
-    pub fn rng_state(&self) -> u64 {
-        self.rng.state()
-    }
-
-    /// Restores the FEK generator state from a persisted snapshot.
-    pub fn set_rng_state(&mut self, state: u64) {
-        self.rng = SplitMix64::new(state);
-    }
-
-    /// Generates a fresh 128-bit File Encryption Key.
-    pub fn generate_fek(&mut self) -> Key128 {
-        let mut bytes = [0u8; 16];
-        self.rng.fill_bytes(&mut bytes);
-        Key128::from_bytes(bytes)
+        self.sessions = sessions;
+        Ok(())
     }
 
     /// Wraps `fek` under the user's session KEK.
@@ -166,21 +129,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn login_logout_cycle() {
-        let mut kr = Keyring::new(1);
-        let u = UserId::new(7);
-        assert!(!kr.is_logged_in(u));
-        kr.login(u, "pw");
-        assert!(kr.is_logged_in(u));
-        kr.logout(u);
-        assert!(!kr.is_logged_in(u));
-    }
-
-    #[test]
     fn wrap_requires_session() {
-        let mut kr = Keyring::new(1);
+        let mut kr = Keyring::default();
         let u = UserId::new(1);
-        let fek = kr.generate_fek();
+        let fek = Key128::from_seed(5);
         assert_eq!(kr.wrap(u, &fek).unwrap_err(), FsError::NotLoggedIn);
         kr.login(u, "pw");
         assert!(kr.wrap(u, &fek).is_ok());
@@ -188,10 +140,10 @@ mod tests {
 
     #[test]
     fn unwrap_roundtrip_and_wrong_session() {
-        let mut kr = Keyring::new(1);
+        let mut kr = Keyring::default();
         let u = UserId::new(1);
         kr.login(u, "pw");
-        let fek = kr.generate_fek();
+        let fek = Key128::from_seed(5);
         let w = kr.wrap(u, &fek).unwrap();
         assert_eq!(kr.unwrap(u, &w).unwrap(), fek);
 
@@ -201,26 +153,15 @@ mod tests {
     }
 
     #[test]
-    fn feks_are_unique_and_seed_deterministic() {
-        let mut a = Keyring::new(9);
-        let mut b = Keyring::new(9);
-        let f1 = a.generate_fek();
-        let f2 = a.generate_fek();
-        assert_ne!(f1, f2);
-        assert_eq!(b.generate_fek(), f1);
-        assert_eq!(b.generate_fek(), f2);
-    }
-
-    #[test]
     fn salts_are_per_user() {
         // Same passphrase, different users -> different KEKs, so one
         // user's passphrase cannot unwrap another user's identically
         // protected key.
-        let mut kr = Keyring::new(1);
+        let mut kr = Keyring::default();
         let alice = UserId::new(1);
         let bob = UserId::new(2);
         kr.login(alice, "shared");
-        let fek = kr.generate_fek();
+        let fek = Key128::from_seed(5);
         let w = kr.wrap(alice, &fek).unwrap();
         assert_eq!(kr.unwrap_with("shared", bob, &w), None);
         assert_eq!(kr.unwrap_with("shared", alice, &w), Some(fek));

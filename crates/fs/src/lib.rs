@@ -8,17 +8,18 @@
 //!
 //! * [`DaxFs`] — inodes, a flat namespace, per-file owner/group/mode with
 //!   POSIX-style permission checks, lazy per-page allocation from the
-//!   persistent region, and per-file encryption keys wrapped by
+//!   persistent region, and freshly generated per-file keys wrapped by
 //!   passphrase-derived KEKs (the fscrypt/eCryptfs key hierarchy).
 //! * [`PageTable`] — virtual-to-physical mappings whose PTEs carry the
 //!   DF-bit for encrypted DAX file pages, exactly the
 //!   `(1UL << 51) | pfn` trick of Section III-C.
 //! * [`Keyring`] — the kernel keyring: per-user session KEKs derived from
-//!   login passphrases, FEK generation, wrap/unwrap.
+//!   login passphrases, wrap/unwrap.
 //! * [`PageCacheModel`] + [`SoftEncrConfig`] — the *software* filesystem
-//!   encryption baseline (eCryptfs): a bounded page cache, page-granular
-//!   encryption on fault and write-back, and the VFS-stacking overheads
-//!   that Figure 3 shows dominating DAX-speed accesses.
+//!   encryption baseline (eCryptfs): a bounded page cache that owns its
+//!   DRAM frames, page-granular encryption on fault and write-back, and
+//!   the VFS-stacking overheads that Figure 3 shows dominating DAX-speed
+//!   accesses.
 //!
 //! File *data* lives in the simulated NVM (written by the machine layer);
 //! this crate manages metadata, placement and keys.

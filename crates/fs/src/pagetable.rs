@@ -49,11 +49,6 @@ impl PageTable {
         self.entries.insert(vpn, pte);
     }
 
-    /// Removes the mapping for `vpn`, returning it.
-    pub fn unmap(&mut self, vpn: u64) -> Option<Pte> {
-        self.entries.remove(&vpn)
-    }
-
     /// Removes every mapping that points at `frame` (used at unlink).
     pub fn unmap_frame(&mut self, frame: PageId) -> usize {
         let before = self.entries.len();
@@ -79,16 +74,6 @@ impl PageTable {
                 pa
             }
         })
-    }
-
-    /// Number of live mappings.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Serializes every mapping in ascending `vpn` order.
@@ -133,7 +118,6 @@ mod tests {
     fn translate_unmapped_faults() {
         let pt = PageTable::new();
         assert_eq!(pt.translate(0x1000), None);
-        assert!(pt.is_empty());
     }
 
     #[test]
@@ -150,16 +134,14 @@ mod tests {
     }
 
     #[test]
-    fn unmap_single_and_by_frame() {
+    fn unmap_by_frame() {
         let mut pt = PageTable::new();
         pt.map(1, Pte { frame: PageId::new(7), df: false });
         pt.map(2, Pte { frame: PageId::new(7), df: false });
         pt.map(3, Pte { frame: PageId::new(9), df: false });
-        assert_eq!(pt.len(), 3);
-        assert!(pt.unmap(3).is_some());
         assert_eq!(pt.unmap_frame(PageId::new(7)), 2);
-        assert!(pt.is_empty());
-        assert_eq!(pt.unmap(1), None);
+        assert_eq!(pt.unmap_frame(PageId::new(7)), 0);
+        assert_eq!(pt.pte(3).map(|p| p.frame), Some(PageId::new(9)));
     }
 
     #[test]

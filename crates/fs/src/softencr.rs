@@ -61,12 +61,18 @@ pub struct PageCacheOutcome {
     /// The page was not resident: it must be copied in from NVM and
     /// decrypted.
     pub fill: bool,
-    /// A victim was evicted to make room; `true` means it was dirty and
-    /// must be re-encrypted and copied back to NVM first.
-    pub evicted: Option<(Ino, usize, bool)>,
+    /// The DRAM frame (general-memory base address) holding the page.
+    pub frame: u64,
+    /// A victim `(ino, page, dirty, frame)` was evicted to make room; a
+    /// dirty victim must be re-encrypted and copied back to NVM from its
+    /// frame before the fill reuses it.
+    pub evicted: Option<(Ino, usize, bool, u64)>,
 }
 
-/// LRU page cache tracking `(file, page)` residency and dirtiness.
+/// LRU page cache tracking `(file, page)` residency, dirtiness and the
+/// DRAM frame behind each resident page. Released frames go on a free
+/// list and are reused last-released-first before any new frame is
+/// allocated.
 ///
 /// # Examples
 ///
@@ -75,13 +81,16 @@ pub struct PageCacheOutcome {
 ///
 /// let mut pc = PageCacheModel::new(2);
 /// let f = Ino::new(1);
-/// assert!(pc.touch(f, 0, false).fill);
-/// assert!(!pc.touch(f, 0, true).fill); // now resident (and dirty)
+/// let first = pc.touch(f, 0, false, || 0x1000);
+/// assert!(first.fill);
+/// let again = pc.touch(f, 0, true, || unreachable!()); // resident (and dirty)
+/// assert_eq!((again.fill, again.frame), (false, 0x1000));
 /// ```
 #[derive(Debug, Clone)]
 pub struct PageCacheModel {
     capacity: usize,
-    resident: HashMap<(u32, usize), Entry>,
+    resident: HashMap<(Ino, usize), Entry>,
+    free: Vec<u64>,
     stamp: u64,
 }
 
@@ -89,6 +98,7 @@ pub struct PageCacheModel {
 struct Entry {
     stamp: u64,
     dirty: bool,
+    frame: u64,
 }
 
 impl PageCacheModel {
@@ -102,108 +112,118 @@ impl PageCacheModel {
         PageCacheModel {
             capacity,
             resident: HashMap::new(),
+            free: Vec::new(),
             stamp: 0,
         }
     }
 
-    /// Accesses `(ino, page)`, filling and evicting as needed.
-    pub fn touch(&mut self, ino: Ino, page: usize, write: bool) -> PageCacheOutcome {
+    /// Accesses `(ino, page)`, evicting the LRU page and filling as
+    /// needed. A miss takes its frame from the free list (the victim's,
+    /// if one was evicted) or else from `alloc_frame`.
+    pub fn touch(
+        &mut self,
+        ino: Ino,
+        page: usize,
+        write: bool,
+        alloc_frame: impl FnOnce() -> u64,
+    ) -> PageCacheOutcome {
         self.stamp += 1;
-        let key = (ino.get(), page);
-        if let Some(e) = self.resident.get_mut(&key) {
+        if let Some(e) = self.resident.get_mut(&(ino, page)) {
             e.stamp = self.stamp;
             e.dirty |= write;
             return PageCacheOutcome {
                 fill: false,
+                frame: e.frame,
                 evicted: None,
             };
         }
         let mut evicted = None;
         if self.resident.len() >= self.capacity {
-            let victim_key = *self
-                .resident
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| k)
-                .expect("cache non-empty");
-            let victim = self.resident.remove(&victim_key).expect("present");
-            evicted = Some((Ino::new(victim_key.0), victim_key.1, victim.dirty));
+            let victim = self.resident.iter().min_by_key(|(_, e)| e.stamp).map(|(&k, _)| k);
+            if let Some(((v_ino, v_page), e)) = victim.and_then(|k| self.resident.remove_entry(&k))
+            {
+                self.free.push(e.frame);
+                evicted = Some((v_ino, v_page, e.dirty, e.frame));
+            }
         }
+        let frame = self.free.pop().unwrap_or_else(alloc_frame);
         self.resident.insert(
-            key,
+            (ino, page),
             Entry {
                 stamp: self.stamp,
                 dirty: write,
+                frame,
             },
         );
         PageCacheOutcome {
             fill: true,
+            frame,
             evicted,
         }
     }
 
-    /// Removes every page of `ino`, returning `(page, dirty)` pairs — the
-    /// close/unlink write-back set.
-    pub fn flush_file(&mut self, ino: Ino) -> Vec<(usize, bool)> {
-        let mut pages: Vec<(usize, bool)> = self
+    /// The frame holding `(ino, page)`, if resident; leaves LRU order
+    /// alone.
+    pub fn frame(&self, ino: Ino, page: usize) -> Option<u64> {
+        self.resident.get(&(ino, page)).map(|e| e.frame)
+    }
+
+    /// Removes every page of `ino`, returning `(page, dirty, frame)` in
+    /// page order — the close/unlink write-back set. The frames are
+    /// released in the same order; their contents stay readable until
+    /// the next miss reuses them.
+    pub fn flush_file(&mut self, ino: Ino) -> Vec<(usize, bool, u64)> {
+        let mut pages: Vec<(usize, bool, u64)> = self
             .resident
             .iter()
-            .filter(|((i, _), _)| *i == ino.get())
-            .map(|((_, p), e)| (*p, e.dirty))
+            .filter(|((i, _), _)| *i == ino)
+            .map(|(&(_, p), e)| (p, e.dirty, e.frame))
             .collect();
         pages.sort_unstable();
-        self.resident.retain(|(i, _), _| *i != ino.get());
+        for &(page, _, frame) in &pages {
+            self.resident.remove(&(ino, page));
+            self.free.push(frame);
+        }
         pages
     }
 
-    /// `fsync` semantics: returns the dirty pages of `ino` and marks them
-    /// clean, keeping them resident.
-    pub fn clean_file(&mut self, ino: Ino) -> Vec<usize> {
-        let mut pages: Vec<usize> = self
+    /// `fsync` semantics: returns the dirty pages of `ino` as
+    /// `(page, frame)` in page order and marks them clean, keeping them
+    /// resident.
+    pub fn clean_file(&mut self, ino: Ino) -> Vec<(usize, u64)> {
+        let mut pages: Vec<(usize, u64)> = self
             .resident
             .iter_mut()
-            .filter(|((i, _), e)| *i == ino.get() && e.dirty)
-            .map(|((_, p), e)| {
+            .filter(|((i, _), e)| *i == ino && e.dirty)
+            .map(|(&(_, p), e)| {
                 e.dirty = false;
-                *p
+                (p, e.frame)
             })
             .collect();
         pages.sort_unstable();
         pages
     }
 
-    /// Resident page count.
-    pub fn len(&self) -> usize {
-        self.resident.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.resident.is_empty()
-    }
-
-    /// Capacity in pages.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Serializes the cache: LRU stamp plus resident entries sorted by
-    /// `(ino, page)` key. Sorting is safe — lookups hash, and eviction
-    /// order depends only on the per-entry stamps, not map iteration.
+    /// Serializes the cache: LRU stamp, resident entries sorted by
+    /// `(ino, page)` key, then the free list verbatim. Sorting is safe —
+    /// lookups hash, and eviction order depends only on the per-entry
+    /// stamps; the free list pops from its tail, so its order is
+    /// behavioral.
     pub fn snap_save(&self, enc: &mut fsencr_snapshot::Enc) {
         enc.put_u64(self.stamp);
-        let mut entries: Vec<(u32, usize, u64, bool)> = self
-            .resident
-            .iter()
-            .map(|(&(ino, page), e)| (ino, page, e.stamp, e.dirty))
-            .collect();
-        entries.sort_unstable_by_key(|&(ino, page, _, _)| (ino, page));
+        let mut entries: Vec<(&(Ino, usize), &Entry)> = self.resident.iter().collect();
+        entries.sort_unstable_by_key(|(&key, _)| key);
         enc.put_u64(entries.len() as u64);
-        for (ino, page, stamp, dirty) in entries {
-            enc.put_u32(ino);
+        for (&(ino, page), e) in entries {
+            enc.put_u32(ino.get());
             enc.put_u64(page as u64);
-            enc.put_u64(stamp);
-            enc.put_bool(dirty);
+            enc.put_u64(e.stamp);
+            enc.put_bool(e.dirty);
+            enc.put_u64(e.frame);
+        }
+        enc.put_u64(self.free.len() as u64);
+        for &f in &self.free {
+            enc.put_u64(f);
         }
     }
 
@@ -214,27 +234,35 @@ impl PageCacheModel {
         capacity: usize,
         dec: &mut fsencr_snapshot::Dec<'_>,
     ) -> Result<PageCacheModel, fsencr_snapshot::SnapError> {
+        use fsencr_snapshot::SnapError;
         if capacity == 0 {
-            return Err(fsencr_snapshot::SnapError::StateMismatch);
+            return Err(SnapError::StateMismatch);
         }
         let stamp = dec.get_u64()?;
         let n = dec.get_len()?;
         if n > capacity {
-            return Err(fsencr_snapshot::SnapError::StateMismatch);
+            return Err(SnapError::StateMismatch);
         }
         let mut resident = HashMap::with_capacity(n);
         for _ in 0..n {
-            let ino = dec.get_u32()?;
-            let page = dec.get_u64()? as usize;
+            let ino = Ino::try_new(dec.get_u32()?).ok_or(SnapError::Corrupt("page cache inode"))?;
+            let page = dec.get_len()?;
             let entry = Entry {
                 stamp: dec.get_u64()?,
                 dirty: dec.get_bool()?,
+                frame: dec.get_u64()?,
             };
             resident.insert((ino, page), entry);
+        }
+        let n = dec.get_count(8)?;
+        let mut free = Vec::with_capacity(n);
+        for _ in 0..n {
+            free.push(dec.get_u64()?);
         }
         Ok(PageCacheModel {
             capacity,
             resident,
+            free,
             stamp,
         })
     }
@@ -244,54 +272,79 @@ impl PageCacheModel {
 mod tests {
     use super::*;
 
-    #[test]
-    fn fill_once_then_resident() {
-        let mut pc = PageCacheModel::new(4);
-        let f = Ino::new(1);
-        assert!(pc.touch(f, 0, false).fill);
-        assert!(!pc.touch(f, 0, false).fill);
-        assert_eq!(pc.len(), 1);
+    /// A frame allocator handing out 0x1000, 0x2000, ...
+    fn frames() -> impl FnMut() -> u64 {
+        let mut next = 0;
+        move || {
+            next += 0x1000;
+            next
+        }
     }
 
     #[test]
-    fn lru_eviction_reports_dirtiness() {
-        let mut pc = PageCacheModel::new(2);
+    fn fill_once_then_resident() {
+        let mut pc = PageCacheModel::new(4);
+        let mut alloc = frames();
         let f = Ino::new(1);
-        pc.touch(f, 0, true); // dirty
-        pc.touch(f, 1, false); // clean
+        assert!(pc.touch(f, 0, false, &mut alloc).fill);
+        let again = pc.touch(f, 0, false, &mut alloc);
+        assert_eq!((again.fill, again.frame), (false, 0x1000));
+        assert_eq!(pc.frame(f, 0), Some(0x1000));
+        assert_eq!(pc.frame(f, 1), None);
+    }
+
+    #[test]
+    fn lru_eviction_reports_dirtiness_and_hands_over_the_frame() {
+        let mut pc = PageCacheModel::new(2);
+        let mut alloc = frames();
+        let f = Ino::new(1);
+        pc.touch(f, 0, true, &mut alloc); // dirty, frame 0x1000
+        pc.touch(f, 1, false, &mut alloc); // clean, frame 0x2000
         // touching page 0 keeps it hot; page 1 is the LRU victim
-        pc.touch(f, 0, false);
-        let out = pc.touch(f, 2, false);
+        pc.touch(f, 0, false, &mut alloc);
+        let out = pc.touch(f, 2, false, &mut alloc);
         assert!(out.fill);
-        assert_eq!(out.evicted, Some((f, 1, false)));
+        assert_eq!(out.evicted, Some((f, 1, false, 0x2000)));
+        assert_eq!(out.frame, 0x2000, "the fill reuses the victim's frame");
         // next eviction takes the dirty page 0
-        let out = pc.touch(f, 3, false);
-        assert_eq!(out.evicted, Some((f, 0, true)));
+        let out = pc.touch(f, 3, false, &mut alloc);
+        assert_eq!(out.evicted, Some((f, 0, true, 0x1000)));
+        assert_eq!(alloc(), 0x3000, "no frame allocated past capacity");
     }
 
     #[test]
     fn write_marks_dirty_even_after_clean_fill() {
         let mut pc = PageCacheModel::new(2);
+        let mut alloc = frames();
         let f = Ino::new(5);
-        pc.touch(f, 0, false);
-        pc.touch(f, 0, true);
-        pc.touch(f, 1, false);
-        let out = pc.touch(f, 2, false);
-        assert_eq!(out.evicted, Some((f, 0, true)));
+        pc.touch(f, 0, false, &mut alloc);
+        pc.touch(f, 0, true, &mut alloc);
+        pc.touch(f, 1, false, &mut alloc);
+        let out = pc.touch(f, 2, false, &mut alloc);
+        assert_eq!(out.evicted, Some((f, 0, true, 0x1000)));
     }
 
     #[test]
-    fn flush_file_returns_sorted_pages() {
+    fn clean_and_flush_return_frames_in_page_order() {
         let mut pc = PageCacheModel::new(8);
+        let mut alloc = frames();
         let a = Ino::new(1);
         let b = Ino::new(2);
-        pc.touch(a, 3, true);
-        pc.touch(a, 1, false);
-        pc.touch(b, 0, true);
+        pc.touch(a, 3, true, &mut alloc); // 0x1000
+        pc.touch(a, 1, false, &mut alloc); // 0x2000
+        pc.touch(a, 2, true, &mut alloc); // 0x3000
+        pc.touch(b, 0, true, &mut alloc); // 0x4000
+        assert_eq!(pc.clean_file(a), vec![(2, 0x3000), (3, 0x1000)]);
+        assert!(pc.clean_file(a).is_empty(), "clean pages stay resident");
+        pc.touch(a, 1, true, &mut alloc);
         let flushed = pc.flush_file(a);
-        assert_eq!(flushed, vec![(1, false), (3, true)]);
-        assert_eq!(pc.len(), 1);
+        assert_eq!(flushed, vec![(1, true, 0x2000), (2, false, 0x3000), (3, false, 0x1000)]);
         assert!(pc.flush_file(a).is_empty());
+        assert_eq!(pc.frame(b, 0), Some(0x4000));
+        // Released in page order, reused last-released-first.
+        for (page, frame) in [(1, 0x1000), (2, 0x3000), (3, 0x2000), (4, 0x5000)] {
+            assert_eq!(pc.touch(b, page, false, &mut alloc).frame, frame);
+        }
     }
 
     #[test]

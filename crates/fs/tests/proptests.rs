@@ -38,7 +38,7 @@ proptest! {
                 seen_live.remove(&page.get());
                 alloc.free(page);
             }
-            prop_assert_eq!(alloc.allocated() as usize, live.len());
+            prop_assert_eq!((alloc.region().1 - alloc.available()) as usize, live.len());
         }
     }
 

@@ -28,6 +28,7 @@ use fsencr_fs::{
 use fsencr_nvm::{LineAddr, PageId, PhysAddr, LINE_BYTES, PAGE_BYTES};
 use fsencr_secmem::MetadataLayout;
 use fsencr_sim::{Cycle, MachineConfig};
+use fsencr_snapshot::SnapError;
 
 use fsencr_obs::Observer;
 
@@ -52,12 +53,17 @@ pub const FENCE_CYCLES: u64 = 10;
 pub const PAGE_COPY_CYCLES: u64 = 1200;
 
 /// Pages reserved at the head of the DAX region for the filesystem's own
-/// on-media metadata: the serialized superblock + inode table (first
-/// [`FS_IMAGE_PAGES`]) and the metadata journal ring (the rest).
+/// on-media metadata: the filesystem image written by
+/// [`Machine::sync_fs`] (first [`FS_IMAGE_PAGES`]) and the metadata
+/// journal ring (the rest).
 pub const FS_META_PAGES: u64 = 64;
 
-/// Pages of the reserved area holding the serialized filesystem image.
+/// Pages of the reserved area holding the filesystem image.
 pub const FS_IMAGE_PAGES: u64 = 56;
+
+/// Bytes of the image area left for the image after its 64-byte length
+/// header.
+const FS_IMAGE_CAPACITY: usize = (FS_IMAGE_PAGES * PAGE_BYTES as u64 - 64) as usize;
 
 /// Kernel cycles charged per journaled metadata operation (transaction
 /// setup + commit record), in addition to the journal-record writes.
@@ -261,6 +267,8 @@ pub enum MachineError {
     OutOfBounds,
     /// The operation is not supported in the current security mode.
     Unsupported(&'static str),
+    /// The on-media filesystem image is torn, foreign or corrupt.
+    Image(SnapError),
 }
 
 impl std::fmt::Display for MachineError {
@@ -270,6 +278,7 @@ impl std::fmt::Display for MachineError {
             MachineError::Mem(e) => write!(f, "{e}"),
             MachineError::OutOfBounds => f.write_str("access beyond mapping"),
             MachineError::Unsupported(what) => write!(f, "unsupported in this mode: {what}"),
+            MachineError::Image(e) => write!(f, "filesystem image: {e}"),
         }
     }
 }
@@ -303,6 +312,14 @@ struct Mapping {
 
 const MAP_STRIDE: u64 = 1 << 30;
 const MAP_BASE: u64 = 1 << 40;
+
+/// The frames the filesystem allocates from: the DAX region past its
+/// reserved metadata area, as `(first frame, frame count)`.
+fn fs_region(opts: &MachineOpts) -> (u64, u64) {
+    let (general, pmem) = (opts.general_bytes, opts.pmem_bytes);
+    let page = PAGE_BYTES as u64;
+    (general / page + FS_META_PAGES, (pmem / page).saturating_sub(FS_META_PAGES))
+}
 
 /// The `arg` of a per-file machine event: `(gid << 32) | fid`.
 fn file_tag(gid: u32, fid: u32) -> u64 {
@@ -350,9 +367,6 @@ pub struct Machine {
     heap_next: u64,
     // Software-encryption state.
     page_cache: PageCacheModel,
-    soft_cfg: SoftEncrConfig,
-    pc_frames: HashMap<(u32, usize), u64>,
-    pc_free: Vec<u64>,
     /// File pages that hold valid software-encrypted content on media
     /// (written back at least once). Pages outside this set read as
     /// zeroes, matching hole/fresh-block semantics.
@@ -410,11 +424,8 @@ impl Machine {
             opts.pmem_bytes / PAGE_BYTES as u64 > FS_META_PAGES,
             "DAX region too small for the filesystem metadata area"
         );
-        let fs = DaxFs::format(
-            opts.general_bytes / PAGE_BYTES as u64 + FS_META_PAGES,
-            opts.pmem_bytes / PAGE_BYTES as u64 - FS_META_PAGES,
-            opts.seed,
-        );
+        let (base, pages) = fs_region(&opts);
+        let fs = DaxFs::format(base, pages, opts.seed);
         let cores = opts.config.cpu.cores;
         Machine {
             mode,
@@ -428,9 +439,6 @@ impl Machine {
             clocks: vec![Cycle::ZERO; cores],
             heap_next: PAGE_BYTES as u64,
             page_cache: PageCacheModel::new(opts.softencr.page_cache_pages),
-            soft_cfg: opts.softencr,
-            pc_frames: HashMap::new(),
-            pc_free: Vec::new(),
             sw_valid: std::collections::HashSet::new(),
             sw_schedules: fsencr_crypto::ScheduleCache::new(),
             mem_key,
@@ -618,24 +626,6 @@ impl Machine {
             enc.put_u64(m.bytes);
             enc.put_bool(m.writable);
         }
-        let mut frames: Vec<(u32, u64, u64)> = self
-            .pc_frames
-            .iter()
-            .map(|(&(ino, page), &frame)| (ino, page as u64, frame))
-            .collect();
-        frames.sort_unstable_by_key(|&(ino, page, _)| (ino, page));
-        enc.put_u64(frames.len() as u64);
-        for (ino, page, frame) in frames {
-            enc.put_u32(ino);
-            enc.put_u64(page);
-            enc.put_u64(frame);
-        }
-        // The free list is popped from the tail, so its order is
-        // behavioral — written verbatim.
-        enc.put_u64(self.pc_free.len() as u64);
-        for f in &self.pc_free {
-            enc.put_u64(*f);
-        }
         let mut valid: Vec<(u32, u64)> = self
             .sw_valid
             .iter()
@@ -658,7 +648,7 @@ impl Machine {
         enc.end_section();
 
         enc.begin_section("fs");
-        enc.put_blob(&self.fs.serialize());
+        self.fs.snap_save(&mut enc);
         self.fs.keyring().snap_save(&mut enc);
         self.page_cache.snap_save(&mut enc);
         self.pt.snap_save(&mut enc);
@@ -693,8 +683,6 @@ impl Machine {
         mode: SecurityMode,
         bytes: &[u8],
     ) -> Result<Machine, fsencr_snapshot::SnapError> {
-        use fsencr_snapshot::SnapError;
-
         let mut dec = fsencr_snapshot::Dec::new(bytes)?;
 
         dec.begin_section("machine")?;
@@ -717,7 +705,7 @@ impl Machine {
         let mut mappings = HashMap::with_capacity(n_maps);
         for _ in 0..n_maps {
             let id = dec.get_u32()?;
-            let ino = Ino::new(dec.get_u32()?);
+            let ino = Ino::try_new(dec.get_u32()?).ok_or(SnapError::Corrupt("mapping inode"))?;
             let fek = if dec.get_bool()? {
                 Some(Key128::from_bytes(dec.get_arr16()?))
             } else {
@@ -736,18 +724,6 @@ impl Machine {
                     writable,
                 },
             );
-        }
-        let n_frames = dec.get_count(20)?;
-        let mut pc_frames = HashMap::with_capacity(n_frames);
-        for _ in 0..n_frames {
-            let ino = dec.get_u32()?;
-            let page = dec.get_u64()? as usize;
-            pc_frames.insert((ino, page), dec.get_u64()?);
-        }
-        let n_free = dec.get_count(8)?;
-        let mut pc_free = Vec::with_capacity(n_free);
-        for _ in 0..n_free {
-            pc_free.push(dec.get_u64()?);
         }
         let n_valid = dec.get_count(12)?;
         let mut sw_valid = std::collections::HashSet::with_capacity(n_valid);
@@ -780,10 +756,11 @@ impl Machine {
         dec.end_section()?;
 
         dec.begin_section("fs")?;
-        let image = dec.get_blob()?;
-        let mut fs =
-            DaxFs::deserialize(image).map_err(|_| SnapError::Corrupt("filesystem image"))?;
-        *fs.keyring_mut() = fsencr_fs::Keyring::snap_load(&mut dec)?;
+        let mut fs = DaxFs::snap_load(&mut dec)?;
+        if fs.region() != fs_region(&opts) {
+            return Err(SnapError::StateMismatch);
+        }
+        fs.keyring_mut().snap_load(&mut dec)?;
         let page_cache = PageCacheModel::snap_load(opts.softencr.page_cache_pages, &mut dec)?;
         let pt = PageTable::snap_load(&mut dec)?;
         dec.end_section()?;
@@ -817,9 +794,6 @@ impl Machine {
             clocks,
             heap_next,
             page_cache,
-            soft_cfg: opts.softencr,
-            pc_frames,
-            pc_free,
             sw_valid,
             sw_schedules: fsencr_crypto::ScheduleCache::new(),
             mem_key,
@@ -933,7 +907,6 @@ impl Machine {
         let un = self.fs.unlink(user, name)?;
         self.journal_op(0, 2)?;
         self.page_cache.flush_file(un.ino); // deleted: no write-back
-        self.pc_reclaim(un.ino);
         self.clocks[0] += MMIO_CYCLES;
         let mut t = self.clocks[0];
         for frame in &un.freed {
@@ -1099,13 +1072,11 @@ impl Machine {
     pub fn munmap(&mut self, core: usize, map: MapId) -> Result<(), MachineError> {
         if let Some(m) = self.mappings.get(&map.0).copied() {
             if self.mode == SecurityMode::Software {
-                let dirty = self.page_cache.flush_file(m.ino);
-                for (page, is_dirty) in dirty {
-                    if is_dirty {
-                        self.sw_writeback_page(core, &m, page)?;
+                for (page, dirty, frame) in self.page_cache.flush_file(m.ino) {
+                    if dirty {
+                        self.sw_writeback_page(core, &m, page, frame)?;
                     }
                 }
-                self.pc_reclaim(m.ino);
             }
         }
         self.mappings.remove(&map.0);
@@ -1160,6 +1131,9 @@ impl Machine {
         let at = self.clocks[core];
         self.event("page_fault", at, pf.frame.get());
         if pf.newly_allocated {
+            // A recycled inode number must not inherit the software-mode
+            // validity of a deleted file's page: the fresh frame is zero.
+            self.sw_valid.remove(&(m.ino.get(), page_idx));
             self.journal_op(core, 6)?;
             // The kernel zeroes freshly allocated file blocks *durably*
             // before exposing them (DAX block zeroing uses non-temporal
@@ -1358,7 +1332,7 @@ impl Machine {
             while off < end {
                 let page = (off / PAGE_BYTES as u64) as usize;
                 let in_page = off % PAGE_BYTES as u64;
-                if let Some(&pc_base) = self.pc_frames.get(&(m.ino.get(), page)) {
+                if let Some(pc_base) = self.page_cache.frame(m.ino, page) {
                     let line = LineAddr::new(pc_base + (in_page & !(LINE_BYTES as u64 - 1)));
                     if let Some(wb) = self.hier.clwb(line) {
                         self.write_back(self.clocks[core], &wb)?;
@@ -1416,29 +1390,13 @@ impl Machine {
     /// per operation, while under DAX they use direct loads/stores.
     pub fn syscall_overhead(&mut self, core: usize) {
         if self.mode == SecurityMode::Software {
-            self.advance(core, self.soft_cfg.syscall_cycles);
+            self.advance(core, self.opts.softencr.syscall_cycles);
         }
     }
 
     // ------------------------------------------------------------------
     // Heap (general, non-file memory).
     // ------------------------------------------------------------------
-
-    /// Allocates `bytes` of general memory, returning its physical base.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the general region is exhausted.
-    pub fn heap_alloc(&mut self, bytes: u64) -> u64 {
-        let aligned = bytes.div_ceil(LINE_BYTES as u64) * LINE_BYTES as u64;
-        let addr = self.heap_next;
-        self.heap_next += aligned;
-        assert!(
-            self.heap_next <= self.opts.general_bytes,
-            "general memory exhausted"
-        );
-        addr
-    }
 
     /// Reads from general memory.
     ///
@@ -1476,44 +1434,19 @@ impl Machine {
         )
     }
 
-    fn pc_frame_for(&mut self, ino: Ino, page: usize) -> u64 {
-        if let Some(&f) = self.pc_frames.get(&(ino.get(), page)) {
-            return f;
-        }
-        let f = self
-            .pc_free
-            .pop()
-            .unwrap_or_else(|| self.heap_alloc(PAGE_BYTES as u64));
-        self.pc_frames.insert((ino.get(), page), f);
-        f
-    }
-
-    fn pc_release(&mut self, ino: Ino, page: usize) {
-        if let Some(f) = self.pc_frames.remove(&(ino.get(), page)) {
-            self.pc_free.push(f);
-        }
-    }
-
-    fn pc_reclaim(&mut self, ino: Ino) {
-        let pages: Vec<usize> = self
-            .pc_frames
-            .keys()
-            .filter(|(i, _)| *i == ino.get())
-            .map(|(_, p)| *p)
-            .collect();
-        for p in pages {
-            self.pc_release(ino, p);
-        }
-    }
-
     /// Copies a file page into the page cache, decrypting in software.
-    fn sw_fill_page(&mut self, core: usize, m: &Mapping, page: usize) -> Result<(), MachineError> {
+    fn sw_fill_page(
+        &mut self,
+        core: usize,
+        m: &Mapping,
+        page: usize,
+        pc_base: u64,
+    ) -> Result<(), MachineError> {
         let fek = m
             .fek
             .ok_or(MachineError::Unsupported("software fill of an unencrypted file"))?;
         let frame = self.resolve_page(core, m, page)?;
-        let pc_base = self.pc_frame_for(m.ino, page);
-        self.advance(core, self.soft_cfg.fill_overhead_cycles);
+        self.advance(core, self.opts.softencr.fill_overhead_cycles);
         if !self.sw_valid.contains(&(m.ino.get(), page)) {
             // Hole / fresh block: reads as zeroes without touching media.
             for blk in 0..(PAGE_BYTES / LINE_BYTES) as u64 {
@@ -1537,19 +1470,22 @@ impl Machine {
             self.store_line(core, pc_line, plain)?;
         }
         self.clocks[core] = t0 + PAGE_COPY_CYCLES;
-        self.advance(core, self.soft_cfg.page_crypt_cycles());
+        self.advance(core, self.opts.softencr.page_crypt_cycles());
         Ok(())
     }
 
     /// Copies a page-cache page back to the file, encrypting in software.
-    fn sw_writeback_page(&mut self, core: usize, m: &Mapping, page: usize) -> Result<(), MachineError> {
+    fn sw_writeback_page(
+        &mut self,
+        core: usize,
+        m: &Mapping,
+        page: usize,
+        pc_base: u64,
+    ) -> Result<(), MachineError> {
         let fek = m
             .fek
             .ok_or(MachineError::Unsupported("software writeback of an unencrypted file"))?;
         let frame = self.resolve_page(core, m, page)?;
-        let Some(&pc_base) = self.pc_frames.get(&(m.ino.get(), page)) else {
-            return Ok(()); // never filled: nothing to write back
-        };
         let t0 = self.clocks[core];
         for blk in 0..(PAGE_BYTES / LINE_BYTES) as u64 {
             let pc_line = LineAddr::new(pc_base + blk * LINE_BYTES as u64);
@@ -1567,26 +1503,29 @@ impl Machine {
             }
         }
         self.clocks[core] = t0 + PAGE_COPY_CYCLES;
-        self.advance(core, self.soft_cfg.page_crypt_cycles());
+        self.advance(core, self.opts.softencr.page_crypt_cycles());
         self.sw_valid.insert((m.ino.get(), page));
         Ok(())
     }
 
     fn sw_touch(&mut self, core: usize, m: &Mapping, page: usize, write: bool) -> Result<u64, MachineError> {
-        let outcome = self.page_cache.touch(m.ino, page, write);
-        if let Some((v_ino, v_page, dirty)) = outcome.evicted {
-            if dirty {
-                // The victim belongs to some open mapping of v_ino.
-                if let Some(vm) = self.mappings.values().copied().find(|mm| mm.ino == v_ino) {
-                    self.sw_writeback_page(core, &vm, v_page)?;
-                }
+        // A miss with no released frame bump-allocates general memory.
+        let outcome = self.page_cache.touch(m.ino, page, write, || {
+            let frame = self.heap_next;
+            self.heap_next += PAGE_BYTES as u64;
+            assert!(self.heap_next <= self.opts.general_bytes, "general memory exhausted");
+            frame
+        });
+        if let Some((v_ino, v_page, true, v_frame)) = outcome.evicted {
+            // The victim belongs to some open mapping of v_ino.
+            if let Some(vm) = self.mappings.values().copied().find(|mm| mm.ino == v_ino) {
+                self.sw_writeback_page(core, &vm, v_page, v_frame)?;
             }
-            self.pc_release(v_ino, v_page);
         }
         if outcome.fill {
-            self.sw_fill_page(core, m, page)?;
+            self.sw_fill_page(core, m, page, outcome.frame)?;
         }
-        Ok(self.pc_frame_for(m.ino, page))
+        Ok(outcome.frame)
     }
 
     fn soft_read(
@@ -1635,10 +1574,9 @@ impl Machine {
     }
 
     fn soft_fsync(&mut self, core: usize, m: &Mapping) -> Result<(), MachineError> {
-        self.advance(core, self.soft_cfg.syscall_cycles);
-        let dirty = self.page_cache.clean_file(m.ino);
-        for page in dirty {
-            self.sw_writeback_page(core, m, page)?;
+        self.advance(core, self.opts.softencr.syscall_cycles);
+        for (page, frame) in self.page_cache.clean_file(m.ino) {
+            self.sw_writeback_page(core, m, page, frame)?;
         }
         self.clocks[core] += FENCE_CYCLES;
         Ok(())
@@ -1671,22 +1609,19 @@ impl Machine {
         Ok(())
     }
 
-    /// Writes the serialized filesystem metadata into its reserved
-    /// on-media area (the `umount`-time full image; incremental durability
-    /// between syncs comes from the journal).
+    /// Writes [`DaxFs::image`] into its reserved on-media area (the
+    /// `umount`-time full image; incremental durability between syncs
+    /// comes from the journal). The image holds no session keys.
     ///
     /// # Errors
     ///
-    /// Memory-path failures; panics if the image outgrows the reserved
-    /// area.
+    /// [`FsError::NoSpace`] when the image outgrows the reserved area
+    /// (nothing is written), or memory-path failures.
     pub fn sync_fs(&mut self, core: usize) -> Result<(), MachineError> {
-        let image = self.fs.serialize();
-        let capacity = (FS_IMAGE_PAGES * PAGE_BYTES as u64 - 64) as usize;
-        assert!(
-            image.len() <= capacity,
-            "filesystem image ({} B) exceeds the reserved area ({capacity} B)",
-            image.len()
-        );
+        let image = self.fs.image();
+        if image.len() > FS_IMAGE_CAPACITY {
+            return Err(FsError::NoSpace.into());
+        }
         let base = self.fs_meta_base();
         self.heap_write(core, base, &(image.len() as u64).to_le_bytes())?;
         self.heap_write(core, base + 64, &image)?;
@@ -1708,25 +1643,31 @@ impl Machine {
 
     /// Mounts the filesystem from its on-media image, replacing the
     /// in-memory state (used after module transfer, and usable after a
-    /// crash to prove the image is self-contained).
+    /// crash to prove the image is self-contained). Users log in again
+    /// afterwards.
     ///
     /// # Errors
     ///
-    /// Memory-path failures or a corrupt image.
+    /// [`FsError::InvalidArgument`] when no image was synced,
+    /// [`MachineError::Image`] for a torn, foreign or corrupt one, or
+    /// memory-path failures.
     pub fn mount_fs(&mut self, core: usize) -> Result<(), MachineError> {
         let base = self.fs_meta_base();
         let mut len_bytes = [0u8; 8];
         self.heap_read(core, base, &mut len_bytes)?;
         let len = u64::from_le_bytes(len_bytes) as usize;
-        let capacity = (FS_IMAGE_PAGES * PAGE_BYTES as u64 - 64) as usize;
-        if len == 0 || len > capacity {
+        if len == 0 || len > FS_IMAGE_CAPACITY {
             return Err(MachineError::Fs(FsError::InvalidArgument(
                 "no filesystem image on media",
             )));
         }
         let mut image = vec![0u8; len];
         self.heap_read(core, base + 64, &mut image)?;
-        self.fs = DaxFs::deserialize(&image)?;
+        let fs = DaxFs::from_image(&image).map_err(MachineError::Image)?;
+        if fs.region() != fs_region(&self.opts) {
+            return Err(MachineError::Image(SnapError::StateMismatch));
+        }
+        self.fs = fs;
         Ok(())
     }
 
@@ -1861,9 +1802,7 @@ impl Machine {
         self.event("crash", at, 0);
         self.hier.drop_all();
         self.ctrl.crash();
-        self.pc_frames.clear();
-        self.pc_free.clear();
-        self.page_cache = PageCacheModel::new(self.soft_cfg.page_cache_pages);
+        self.page_cache = PageCacheModel::new(self.opts.softencr.page_cache_pages);
         self.pt = PageTable::new();
         self.mappings.clear();
         for tlb in &mut self.tlbs {

@@ -12,7 +12,7 @@ use fsencr::machine::{Machine, MachineOpts, MapId, SecurityMode};
 use fsencr_faults::FaultPlan;
 use fsencr_fs::{AccessKind, GroupId, Mode, UserId};
 use fsencr_nvm::PAGE_BYTES;
-use fsencr_snapshot::SnapError;
+use fsencr_snapshot::{Dec, Enc, SnapError};
 
 const ALICE: UserId = UserId::new(1);
 const STAFF: GroupId = GroupId::new(3);
@@ -254,6 +254,56 @@ fn software_mode_round_trips() {
     assert_eq!(a.save_snapshot().unwrap(), b.save_snapshot().unwrap());
 }
 
+/// A valid filesystem payload, as `DaxFs::snap_save` writes it: two
+/// files with holes, plus a free inode and free frames from an unlink.
+fn fs_payload() -> Vec<u8> {
+    let (mut m, enc_map, plain_map) = build(SecurityMode::FsEncr);
+    m.write(0, enc_map, 3 * PAGE_BYTES as u64, b"fourth").unwrap();
+    m.write(0, plain_map, PAGE_BYTES as u64, b"second").unwrap();
+    let tmp = m.create(ALICE, STAFF, "tmp", Mode::PRIVATE, None).unwrap();
+    let tmp_map = m.mmap(&tmp).unwrap();
+    m.write(0, tmp_map, 0, &[1; 2 * PAGE_BYTES]).unwrap();
+    m.unlink(ALICE, "tmp").unwrap();
+    let mut enc = Enc::new();
+    let start = enc.written();
+    m.fs().snap_save(&mut enc);
+    enc.finish()[start..].to_vec()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// The section digest is keyless, so crafted filesystem bytes reach
+    /// `DaxFs::snap_load`: byte flips and truncations of a valid payload,
+    /// framed with a fresh digest, decode to `Ok` or a typed error —
+    /// never a panic.
+    #[test]
+    fn hostile_fs_payloads_never_panic(
+        flips in prop::collection::vec((any::<usize>(), any::<u8>()), 0..6),
+        keep in any::<usize>(),
+    ) {
+        static PAYLOAD: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+        let original = PAYLOAD.get_or_init(fs_payload);
+        let mut payload = original.clone();
+        for (at, mask) in flips {
+            let i = at % payload.len();
+            payload[i] ^= mask;
+        }
+        payload.truncate(keep % (original.len() + 1));
+        let mut enc = Enc::new();
+        enc.begin_section("fs");
+        enc.put_bytes(&payload);
+        enc.end_section();
+        let bytes = enc.finish();
+        let mut dec = Dec::new(&bytes).unwrap();
+        dec.begin_section("fs").unwrap();
+        let loaded = fsencr_fs::DaxFs::snap_load(&mut dec);
+        if payload == *original {
+            prop_assert!(loaded.is_ok());
+        }
+    }
+}
+
 /// A loader whose collection count sizes an allocation must turn a
 /// hostile count into a typed error, not abort on the allocation: the
 /// section digest is keyless, so a crafted image passes it.
@@ -261,10 +311,9 @@ fn software_mode_round_trips() {
 fn hostile_collection_counts_are_typed_errors() {
     use fsencr::controller::CtrlMode;
     use fsencr::{MemoryController, OpenTunnelTable};
-    use fsencr_fs::{Keyring, PageTable};
+    use fsencr_fs::{DaxFs, Keyring, PageTable};
     use fsencr_nvm::{NvmDevice, Storage, WearTracker};
     use fsencr_secmem::{EccStore, MetadataLayout, MetadataSystem};
-    use fsencr_snapshot::{Dec, Enc};
 
     type Prefix = Box<dyn Fn(&mut Enc)>;
     type Load = Box<dyn Fn(&mut Dec<'_>) -> Result<(), SnapError>>;
@@ -278,11 +327,7 @@ fn hostile_collection_counts_are_typed_errors() {
         ("storage", no_prefix(), Box::new(|d| Storage::snap_load(d).map(drop))),
         ("wear", no_prefix(), Box::new(|d| WearTracker::snap_load(d).map(drop))),
         ("pagetable", no_prefix(), Box::new(|d| PageTable::snap_load(d).map(drop))),
-        (
-            "keyring",
-            Box::new(|e| e.put_u64(1)),
-            Box::new(|d| Keyring::snap_load(d).map(drop)),
-        ),
+        ("keyring", no_prefix(), Box::new(|d| Keyring::default().snap_load(d))),
         ("ecc", no_prefix(), Box::new(|d| EccStore::snap_load(d).map(drop))),
         (
             "controller file pages",
@@ -299,7 +344,31 @@ fn hostile_collection_counts_are_typed_errors() {
             }),
         ),
     ];
-    for (name, prefix, load) in table {
+    // The filesystem's four counts, each behind the valid fields that
+    // precede it: row k writes stages 0..=k, then the hostile count.
+    let stages: [fn(&mut Enc); 4] = [
+        |e| [7, 100, 8, 4].iter().for_each(|&w| e.put_u64(w)), // FEK generator, allocator region
+        |e| {
+            e.put_u64(0); // no free frames
+            e.put_u32(2); // inode high-water mark
+        },
+        |e| e.put_u64(0), // no free inodes
+        |e| {
+            e.put_u64(1); // one file, up to its page slots
+            e.put_str("a");
+            [1, 1, 1, 0o600].iter().for_each(|&w| e.put_u32(w));
+            e.put_u64(0);
+            e.put_bool(false);
+        },
+    ];
+    let fs_rows = ["fs free frames", "fs free inodes", "fs files", "fs page slots"]
+        .into_iter()
+        .enumerate()
+        .map(|(k, name)| -> (&str, Prefix, Load) {
+            let prefix = move |e: &mut Enc| stages[..=k].iter().for_each(|stage| stage(e));
+            (name, Box::new(prefix), Box::new(|d| DaxFs::snap_load(d).map(drop)))
+        });
+    for (name, prefix, load) in table.into_iter().chain(fs_rows) {
         let mut enc = Enc::new();
         enc.begin_section("hostile");
         prefix(&mut enc);

@@ -148,3 +148,41 @@ fn software_mode_unencrypted_files_bypass_the_page_cache() {
     m.read(0, map, 0, &mut buf).unwrap();
     assert_eq!(&buf, b"direct", "plain files keep DAX durability");
 }
+
+#[test]
+fn a_recycled_inode_reads_zeros_not_the_deleted_files_pads() {
+    let mut m = machine();
+    let a = m.create(ALICE, STAFF, "a", Mode::PRIVATE, Some("pw")).unwrap();
+    let map = m.mmap(&a).unwrap();
+    m.write(0, map, 0, b"deleted contents").unwrap();
+    m.msync(0, map, 0, PAGE_BYTES as u64).unwrap();
+    m.munmap(0, map).unwrap();
+    m.unlink(ALICE, "a").unwrap();
+
+    let b = m.create(ALICE, STAFF, "b", Mode::PRIVATE, Some("pw2")).unwrap();
+    assert_eq!(b.ino, a.ino, "the inode number is recycled");
+    let map = m.mmap(&b).unwrap();
+    let mut buf = vec![0xaau8; PAGE_BYTES];
+    m.read(0, map, 0, &mut buf).unwrap();
+    let nonzero = buf.iter().filter(|&&x| x != 0).count();
+    assert_eq!(nonzero, 0, "a fresh page of the new file must read as zeros");
+}
+
+#[test]
+fn page_cache_frame_reuse_is_deterministic() {
+    // munmap releases the file's page-cache frames; filling another file
+    // reuses them. Two identical runs must end in identical state.
+    let run = || {
+        let mut m = machine();
+        let span = 16 * PAGE_BYTES;
+        let a = m.create(ALICE, STAFF, "a", Mode::PRIVATE, Some("pw")).unwrap();
+        let map = m.mmap(&a).unwrap();
+        m.write(0, map, 0, &vec![7u8; span]).unwrap();
+        m.munmap(0, map).unwrap();
+        let b = m.create(ALICE, STAFF, "b", Mode::PRIVATE, Some("pw")).unwrap();
+        let map = m.mmap(&b).unwrap();
+        m.write(0, map, 0, &vec![9u8; span]).unwrap();
+        m.save_snapshot().unwrap()
+    };
+    assert!(run() == run(), "two identical runs saved different snapshots");
+}

@@ -1,10 +1,11 @@
 //! Section VI operational features: file copy within the device, module
 //! transfer between machines, and counter-overflow re-encryption.
 
-use fsencr::machine::{Machine, MachineOpts, SecurityMode};
+use fsencr::machine::{Machine, MachineError, MachineOpts, SecurityMode};
 use fsencr::security;
 use fsencr_fs::{AccessKind, GroupId, Mode, UserId};
 use fsencr_nvm::PAGE_BYTES;
+use fsencr_snapshot::SnapError;
 
 const ALICE: UserId = UserId::new(1);
 const STAFF: GroupId = GroupId::new(2);
@@ -220,6 +221,18 @@ fn mount_without_an_image_errors() {
     let mut m = machine();
     let err = m.mount_fs(0);
     assert!(err.is_err(), "fresh device has no image");
+}
+
+#[test]
+fn torn_fs_image_fails_its_digest() {
+    let mut m = machine();
+    m.create(ALICE, STAFF, "f", Mode::PRIVATE, Some("pw")).unwrap();
+    m.sync_fs(0).unwrap();
+    // A sync cut short: part of the image never reached the media.
+    let image = m.opts().general_bytes + 64;
+    m.heap_write(0, image + 40, &[0u8; 32]).unwrap();
+    let err = m.mount_fs(0).unwrap_err();
+    assert!(matches!(err, MachineError::Image(SnapError::BadDigest)), "{err}");
 }
 
 #[test]

@@ -76,11 +76,6 @@ impl PhysAddr {
         PageId((self.0 & !DF_BIT) / PAGE_BYTES as u64)
     }
 
-    /// Byte offset within the 4 KiB page.
-    pub const fn page_offset(self) -> u64 {
-        (self.0 & !DF_BIT) % PAGE_BYTES as u64
-    }
-
     /// Adds a byte offset, preserving the DF-bit.
     pub const fn offset(self, delta: u64) -> Self {
         PhysAddr(self.0 + delta)
@@ -133,11 +128,6 @@ impl LineAddr {
     /// 64-byte block index within the page, `0..64`.
     pub const fn block_in_page(self) -> u8 {
         ((self.0 % PAGE_BYTES as u64) / LINE_BYTES as u64) as u8
-    }
-
-    /// The n-th line after this one.
-    pub const fn step(self, lines: u64) -> Self {
-        LineAddr(self.0 + lines * LINE_BYTES as u64)
     }
 }
 
@@ -214,7 +204,6 @@ mod tests {
     fn line_and_page_decomposition() {
         let a = PhysAddr::new(2 * PAGE_BYTES as u64 + 3 * LINE_BYTES as u64 + 7);
         assert_eq!(a.page().get(), 2);
-        assert_eq!(a.page_offset(), 3 * 64 + 7);
         assert_eq!(a.line().get(), 2 * 4096 + 3 * 64);
         assert_eq!(a.line().block_in_page(), 3);
         assert_eq!(a.line().page().get(), 2);
@@ -225,13 +214,10 @@ mod tests {
         let a = PhysAddr::new(0x5000 + 17).with_df();
         assert_eq!(a.line().get() & DF_BIT, 0);
         assert_eq!(a.page().get(), 5);
-        assert_eq!(a.page_offset(), 17);
     }
 
     #[test]
     fn line_step_and_page_lines() {
-        let l = LineAddr::new(4096);
-        assert_eq!(l.step(2).get(), 4096 + 128);
         let page = PageId::new(1);
         let lines: Vec<LineAddr> = page.lines().collect();
         assert_eq!(lines.len(), 64);

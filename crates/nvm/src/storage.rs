@@ -314,7 +314,7 @@ mod tests {
         s.write_line(line, &data);
         assert_eq!(s.read_line(line), data);
         // adjacent lines untouched
-        assert_eq!(s.read_line(line.step(1)), [0u8; LINE_BYTES]);
+        assert_eq!(s.read_line(LineAddr::new(8192 + 192)), [0u8; LINE_BYTES]);
     }
 
     #[test]

@@ -135,18 +135,6 @@ impl Observer {
         self.add(key, 1);
     }
 
-    /// Records the maximum of the current value and `n` at `key`
-    /// (no-op while disabled). Useful for high-water marks such as the
-    /// deepest Merkle climb observed.
-    #[inline]
-    pub fn record_max(&mut self, key: &'static str, n: u64) {
-        if !self.enabled {
-            return;
-        }
-        let slot = self.metrics.entry(key).or_insert(0);
-        *slot = (*slot).max(n);
-    }
-
     /// Records a `[begin, end)` span (no-op while disabled). Once the
     /// ring is full, further spans are counted in
     /// [`Observer::spans_dropped`] instead of stored, keeping memory
@@ -313,10 +301,8 @@ mod tests {
         obs.add("z/last", 1);
         obs.incr("a/first");
         obs.incr("a/first");
-        obs.record_max("m/depth", 3);
-        obs.record_max("m/depth", 2);
         let rows: Vec<_> = obs.metrics().collect();
-        assert_eq!(rows, vec![("a/first", 2), ("m/depth", 3), ("z/last", 1)]);
+        assert_eq!(rows, vec![("a/first", 2), ("z/last", 1)]);
     }
 
     #[test]

@@ -53,11 +53,6 @@ impl Resource {
         self.busy_until
     }
 
-    /// Whether the server is free at `now`.
-    pub fn is_free_at(&self, now: Cycle) -> bool {
-        self.busy_until <= now
-    }
-
     /// Total number of requests served.
     pub fn served(&self) -> u64 {
         self.served
@@ -94,7 +89,7 @@ mod tests {
     #[test]
     fn idle_resource_serves_immediately() {
         let mut r = Resource::new();
-        assert!(r.is_free_at(Cycle::ZERO));
+        assert_eq!(r.busy_until(), Cycle::ZERO);
         let done = r.serve(Cycle::new(100), Cycle::new(25));
         assert_eq!(done, Cycle::new(125));
         assert_eq!(r.busy_until(), Cycle::new(125));
@@ -115,8 +110,7 @@ mod tests {
         r.serve(Cycle::ZERO, Cycle::new(10));
         let done = r.serve(Cycle::new(50), Cycle::new(5));
         assert_eq!(done, Cycle::new(55));
-        assert!(!r.is_free_at(Cycle::new(54)));
-        assert!(r.is_free_at(Cycle::new(55)));
+        assert_eq!(r.busy_until(), Cycle::new(55));
     }
 
     #[test]

@@ -355,11 +355,6 @@ impl<'a> Dec<'a> {
         Ok(arr8(s))
     }
 
-    /// True when the stream has no sections left.
-    pub fn at_end(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
     /// The stream must be fully consumed — trailing bytes mean the
     /// reader and writer disagree about the schema.
     pub fn finish(self) -> Result<(), SnapError> {

@@ -88,7 +88,7 @@ fi
 # The fixture tree seeds violations in every guarded crate class,
 # including the observability and fault-injection crates; each must
 # actually be reported.
-for seeded in "crates/bench/src/lib.rs" "crates/fsencr/src/lib.rs" "crates/obs/src/lib.rs" "crates/fsencr/src/batch.rs" "crates/secmem/src/metadata.rs" "crates/crypto/src/lanes.rs" "crates/faults/src/inject.rs" "crates/snapshot/src/lib.rs"; do
+for seeded in "crates/bench/src/lib.rs" "crates/fsencr/src/lib.rs" "crates/obs/src/lib.rs" "crates/fsencr/src/batch.rs" "crates/secmem/src/metadata.rs" "crates/crypto/src/lanes.rs" "crates/faults/src/inject.rs" "crates/snapshot/src/lib.rs" "crates/fs/src/lib.rs"; do
     if ! grep -q "$seeded" /tmp/fsencr_lint_fixture.out; then
         echo "FAIL: lint did not flag seeded violations in $seeded" >&2
         exit 1
