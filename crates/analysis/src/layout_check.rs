@@ -22,11 +22,11 @@
 //! on-media format fails the gate even if every test was updated.
 
 use fsencr::OttSpill;
-use fsencr_crypto::Key128;
+use fsencr_crypto::{Key128, PadDomain};
 use fsencr_nvm::{LineAddr, NvmDevice, PageId, PhysAddr, LINE_BYTES, PAGE_BYTES};
 use fsencr_secmem::counters::{FID_LIMIT, GID_LIMIT};
 use fsencr_secmem::layout::META_PER_PAGE;
-use fsencr_secmem::{Fecb, Mecb, MetadataLayout, MetadataSystem, MINORS_PER_BLOCK, MINOR_LIMIT};
+use fsencr_secmem::{CounterBlock, MetadataLayout, MetadataSystem, MINORS_PER_BLOCK, MINOR_LIMIT};
 use fsencr_sim::config::{NvmConfig, SecurityConfig};
 use fsencr_sim::Cycle;
 
@@ -88,7 +88,7 @@ fn check_constants(f: &mut Vec<Finding>) {
 }
 
 fn check_mecb(f: &mut Vec<Finding>) {
-    let mut b = Mecb::new();
+    let mut b = CounterBlock::new(PadDomain::Memory);
     b.set(0x0123_4567_89AB_CDEF, 63, 127);
     let bytes = b.to_bytes();
     expect_eq(
@@ -98,10 +98,10 @@ fn check_mecb(f: &mut Vec<Finding>) {
         bytes[..8].to_vec(),
         0x0123_4567_89AB_CDEFu64.to_le_bytes().to_vec(),
     );
-    expect_eq(f, "mecb", "round-trip", Mecb::from_bytes(&bytes), b);
+    expect_eq(f, "mecb", "round-trip", CounterBlock::from_bytes(PadDomain::Memory, &bytes), b);
     // 64 x 7-bit minors must occupy bytes 8..64 exactly: all-maxed
     // minors saturate all 448 packed bits.
-    let mut full = Mecb::new();
+    let mut full = CounterBlock::new(PadDomain::Memory);
     for block in 0..MINORS_PER_BLOCK {
         full.set(0, block, MINOR_LIMIT - 1);
     }
@@ -116,7 +116,8 @@ fn check_mecb(f: &mut Vec<Finding>) {
 fn check_fecb(f: &mut Vec<Finding>) {
     let gid = GID_LIMIT - 1;
     let fid = FID_LIMIT - 1;
-    let mut b = Fecb::new(gid, fid);
+    let mut b = CounterBlock::new(PadDomain::File);
+    b.stamp(gid, fid);
     b.set(0xDEAD_BEEF, 17, 99);
     let bytes = b.to_bytes();
     expect_eq(
@@ -133,7 +134,7 @@ fn check_fecb(f: &mut Vec<Finding>) {
         bytes[4..8].to_vec(),
         0xDEAD_BEEFu32.to_le_bytes().to_vec(),
     );
-    let back = Fecb::from_bytes(&bytes);
+    let back = CounterBlock::from_bytes(PadDomain::File, &bytes);
     expect_eq(f, "fecb", "Group ID survives the round-trip", back.gid(), gid);
     expect_eq(f, "fecb", "File ID survives the round-trip", back.fid(), fid);
     expect_eq(f, "fecb", "major survives the round-trip", back.major(), 0xDEAD_BEEF);

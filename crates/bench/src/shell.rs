@@ -43,6 +43,30 @@ fn parse_u64(s: &str) -> Result<u64, String> {
     }
 }
 
+/// Parses a user ID, which must fit 32 bits.
+fn parse_uid(s: &str) -> Result<UserId, String> {
+    u32::try_from(parse_u64(s)?)
+        .map(UserId::new)
+        .map_err(|_| format!("user ID {s} exceeds 32 bits"))
+}
+
+/// Parses a group ID, which the FECB holds in 18 bits.
+fn parse_gid(s: &str) -> Result<GroupId, String> {
+    match u32::try_from(parse_u64(s)?) {
+        Ok(gid) if gid <= GroupId::MAX => Ok(GroupId::new(gid)),
+        _ => Err(format!("group ID {s} exceeds 18 bits")),
+    }
+}
+
+/// Parses an octal mode, which may use only the nine rwx bits.
+fn parse_mode(s: &str) -> Result<Mode, String> {
+    match u16::from_str_radix(s, 8) {
+        Ok(bits) if bits <= 0o777 => Ok(Mode::new(bits)),
+        Ok(_) => Err(format!("mode {s} uses bits beyond 0o777")),
+        Err(e) => Err(format!("bad mode: {e}")),
+    }
+}
+
 const HELP: &str = "\
 commands:
   create <name> <uid> <gid> <octal-mode> [passphrase]   create a file
@@ -105,11 +129,9 @@ impl Shell {
             ("mode", _) => format!("{}", self.machine.mode()),
 
             ("create", [name, uid, gid, mode, rest @ ..]) => {
-                let user = UserId::new(parse_u64(uid)? as u32);
-                let group = GroupId::new(parse_u64(gid)? as u32);
-                let mode = Mode::new(
-                    u16::from_str_radix(mode, 8).map_err(|e| format!("bad mode: {e}"))?,
-                );
+                let user = parse_uid(uid)?;
+                let group = parse_gid(gid)?;
+                let mode = parse_mode(mode)?;
                 let pass = rest.first().copied();
                 let h = self
                     .machine
@@ -125,7 +147,7 @@ impl Shell {
                 )
             }
             ("open", [name, uid, rest @ ..]) => {
-                let user = UserId::new(parse_u64(uid)? as u32);
+                let user = parse_uid(uid)?;
                 let pass = rest.first().copied();
                 let h = self
                     .machine
@@ -182,28 +204,26 @@ impl Shell {
                 "synced".to_string()
             }
             ("chmod", [name, mode, uid]) => {
-                let user = UserId::new(parse_u64(uid)? as u32);
-                let mode = Mode::new(
-                    u16::from_str_radix(mode, 8).map_err(|e| format!("bad mode: {e}"))?,
-                );
+                let user = parse_uid(uid)?;
+                let mode = parse_mode(mode)?;
                 self.machine.chmod(user, name, mode).map_err(|e| e.to_string())?;
                 format!("{name} -> {mode}")
             }
             ("unlink", [name, uid]) => {
-                let user = UserId::new(parse_u64(uid)? as u32);
+                let user = parse_uid(uid)?;
                 self.open.remove(*name);
                 self.machine.unlink(user, name).map_err(|e| e.to_string())?;
                 format!("unlinked and shredded {name}")
             }
             ("copy", [src, dst, uid, src_pass, dst_pass]) => {
-                let user = UserId::new(parse_u64(uid)? as u32);
+                let user = parse_uid(uid)?;
                 self.machine
                     .copy_file(0, user, &[], src, dst, Some(src_pass), Some(dst_pass))
                     .map_err(|e| e.to_string())?;
                 format!("copied {src} -> {dst}")
             }
             ("rekey", [name, uid, old, new]) => {
-                let user = UserId::new(parse_u64(uid)? as u32);
+                let user = parse_uid(uid)?;
                 self.machine
                     .rekey(user, name, old, new)
                     .map_err(|e| e.to_string())?;
@@ -401,6 +421,27 @@ mod tests {
         assert_eq!(out(&mut sh, "read dst 0 7"), "copy me");
         let rk = out(&mut sh, "rekey src 1 p1 p3");
         assert!(rk.contains("rotated"), "{rk}");
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_error_lines() {
+        let mut sh = shell();
+        let err = out(&mut sh, "create f 1 999999 600");
+        assert!(err.starts_with("error:") && err.contains("18 bits"), "{err}");
+        let err = out(&mut sh, "create f 1 1 7777");
+        assert!(err.starts_with("error:") && err.contains("0o777"), "{err}");
+        // 2^32 + 1 and 2^32 must not wrap to uid 1 and group 0.
+        let err = out(&mut sh, "create f 4294967297 1 600");
+        assert!(err.starts_with("error:") && err.contains("32 bits"), "{err}");
+        let err = out(&mut sh, "create f 1 4294967296 600");
+        assert!(err.starts_with("error:") && err.contains("18 bits"), "{err}");
+        assert_eq!(out(&mut sh, "ls"), "", "no file was created");
+        out(&mut sh, "create f 1 1 600 pw");
+        let err = out(&mut sh, "chmod f 1000 1");
+        assert!(err.starts_with("error:") && err.contains("0o777"), "{err}");
+        let err = out(&mut sh, "unlink f 4294967297");
+        assert!(err.starts_with("error:") && err.contains("32 bits"), "{err}");
+        assert!(out(&mut sh, "stat f").contains("mode=600"));
     }
 
     #[test]

@@ -15,31 +15,10 @@
 
 use fsencr_crypto::Key128;
 use fsencr_nvm::{PageId, PhysAddr, LINE_BYTES};
-use fsencr_secmem::{Fecb, Mecb};
+use fsencr_secmem::CounterBlock;
 use fsencr_sim::Cycle;
 
 use super::{MemError, MemoryController};
-
-/// Which pad pair a page re-encryption strips and re-applies.
-pub(crate) enum Repad {
-    /// Memory-engine minor overflow: old MECB pads out, carried MECB
-    /// pads in.
-    Mem {
-        /// Pre-overflow counter block.
-        old: Mecb,
-        /// Post-carry counter block.
-        new: Mecb,
-    },
-    /// File-engine minor overflow under the page's resolved key.
-    File {
-        /// The file key both pad generations use.
-        key: Key128,
-        /// Pre-overflow counter block.
-        old: Fecb,
-        /// Post-carry counter block.
-        new: Fecb,
-    },
-}
 
 impl MemoryController {
     /// Chained region read: line `i` is issued at line `i - 1`'s
@@ -119,14 +98,18 @@ impl MemoryController {
         res
     }
 
-    /// Re-pads every line of `page`: read at the previous completion,
-    /// strip the old pad, apply the new, write at the read's completion.
+    /// Re-pads every line of `page` from the `old` counters to the `new`
+    /// ones, in their engine (`file_key` for a file block): read at the
+    /// previous completion, strip the old pad, apply the new, write at
+    /// the read's completion. Returns the last write's completion.
     pub(crate) fn repad_page(
         &mut self,
         now: Cycle,
         page: PageId,
-        repad: &Repad,
-    ) -> Result<Cycle, MemError> {
+        file_key: Option<Key128>,
+        old: &CounterBlock,
+        new: &CounterBlock,
+    ) -> Cycle {
         let mut t = now;
         for line in page.lines() {
             let block = line.block_in_page();
@@ -139,18 +122,10 @@ impl MemoryController {
             // freshness is structural: `carry_major` has just advanced
             // the major, and no path ever re-issues an old major.
             let mut data = cipher;
-            match repad {
-                Repad::Mem { old, new } => {
-                    self.xor_mem_pad(&mut data, page, block, old);
-                    self.xor_mem_pad(&mut data, page, block, new);
-                }
-                Repad::File { key, old, new } => {
-                    self.xor_file_pad(&mut data, *key, page, block, old);
-                    self.xor_file_pad(&mut data, *key, page, block, new);
-                }
-            }
+            self.xor_pad(&mut data, page, block, old, file_key, false);
+            self.xor_pad(&mut data, page, block, new, file_key, false);
             t = self.nvm.write_line(t_read, PhysAddr::new(line.get()), &data);
         }
-        Ok(t)
+        t
     }
 }

@@ -29,13 +29,15 @@
 //! engine. The PTE-level DF-bit is still modelled in `fsencr_fs` for
 //! fidelity.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 
 use fsencr_crypto::{ctr, Aes128, Key128, PadDomain, PadInput, PadLedger, ScheduleCache};
 use fsencr_faults::{FaultEvent, FaultInjector, FaultPlan};
 use fsencr_nvm::{LineAddr, NvmDevice, NvmError, PageId, PhysAddr, LINE_BYTES};
 use fsencr_obs::Observer;
-use fsencr_secmem::{EccStore, Fecb, Mecb, MetadataLayout, MetadataSystem, TamperError};
+use fsencr_secmem::{
+    CounterBlock, EccStore, MetaAccess, MetadataLayout, MetadataSystem, TamperError, MINOR_LIMIT,
+};
 use fsencr_sim::{config::SecurityConfig, Counter, Cycle, Histogram};
 
 use crate::ott::OpenTunnelTable;
@@ -47,8 +49,6 @@ use crate::spill::{OttSpill, SpillError};
 // `src/batch.rs` where the hot-alloc lint scopes it.
 #[path = "batch.rs"]
 pub(crate) mod batch;
-
-use batch::Repad;
 
 /// Integrity-verification failures, surfaced as values.
 ///
@@ -487,11 +487,6 @@ impl MemoryController {
         self.meta.root()
     }
 
-    /// Whether the frame is currently a DF (encrypted DAX file) page.
-    pub fn is_file_page(&self, page: PageId) -> bool {
-        self.file_pages.contains(&page.get())
-    }
-
     /// Locks the file engine (failed boot authentication): file lines are
     /// served decrypted by the memory key only, which yields ciphertext
     /// gibberish — exactly the paper's defence against OS-swap attackers.
@@ -504,82 +499,64 @@ impl MemoryController {
         self.locked = false;
     }
 
-    /// The `OTP_mem` IV for `(page, block)` under `mecb`'s counters.
-    fn mem_pad_input(page: PageId, block: u8, mecb: &Mecb) -> PadInput {
+    /// The IV for `(page, block)` under `counters`, in its engine's pad
+    /// domain.
+    fn pad_input(page: PageId, block: u8, counters: &CounterBlock) -> PadInput {
         PadInput {
             page_id: page.get(),
             block_in_page: block,
-            major: mecb.major(),
-            minor: mecb.minor(block as usize),
-            domain: PadDomain::Memory,
+            major: counters.major(),
+            minor: counters.minor(block as usize),
+            domain: counters.domain(),
         }
     }
 
-    /// The `OTP_file` IV for `(page, block)` under `fecb`'s counters.
-    fn file_pad_input(page: PageId, block: u8, fecb: &Fecb) -> PadInput {
-        PadInput {
-            page_id: page.get(),
-            block_in_page: block,
-            major: fecb.major() as u64,
-            minor: fecb.minor(block as usize),
-            domain: PadDomain::File,
-        }
-    }
-
-    /// Generates `OTP_mem` for `(page, block)` into the scratch buffer and
-    /// XORs it into `data`.
-    fn xor_mem_pad(&mut self, data: &mut [u8; LINE_BYTES], page: PageId, block: u8, mecb: &Mecb) {
-        let input = Self::mem_pad_input(page, block, mecb);
-        ctr::line_pad_into(&self.mem_aes, &input, &mut self.pad_scratch);
-        ctr::xor_in_place(data, &self.pad_scratch);
-    }
-
-    /// [`Self::xor_mem_pad`] for *fresh* pad issue (encrypt paths only —
-    /// never pad stripping): the pad-uniqueness oracle records the
-    /// (key, IV, covered-content) triple before the XOR and the
-    /// controller halts on a genuine reuse. Zero simulated cost; one
-    /// real branch when the oracle is off.
-    fn fresh_mem_pad(&mut self, data: &mut [u8; LINE_BYTES], page: PageId, block: u8, mecb: &Mecb) {
-        let input = Self::mem_pad_input(page, block, mecb);
-        let issue = self.pad_ledger.record(&self.mem_key, &input, data);
-        assert!(issue.is_ok(), "memory-pad oracle: {:?}", issue.err());
-        ctr::line_pad_into(&self.mem_aes, &input, &mut self.pad_scratch);
-        ctr::xor_in_place(data, &self.pad_scratch);
-    }
-
-    /// Generates `OTP_file` under `key` into the scratch buffer and XORs
-    /// it into `data`.
-    fn xor_file_pad(
+    /// Generates the pad for `(page, block)` under `counters` into the
+    /// scratch buffer and XORs it into `data`: `OTP_mem` under the memory
+    /// key, or `OTP_file` under `file_key` for a file block.
+    ///
+    /// A `fresh` pad (encrypt paths only — never pad stripping) is first
+    /// recorded by the pad-uniqueness oracle as a (key, IV,
+    /// covered-content) triple, and the controller halts on a genuine
+    /// reuse. Zero simulated cost; one real branch when the oracle is off.
+    fn xor_pad(
         &mut self,
         data: &mut [u8; LINE_BYTES],
-        key: Key128,
         page: PageId,
         block: u8,
-        fecb: &Fecb,
+        counters: &CounterBlock,
+        file_key: Option<Key128>,
+        fresh: bool,
     ) {
-        let input = Self::file_pad_input(page, block, fecb);
-        let aes = self.schedules.get(&key);
+        debug_assert_eq!(file_key.is_some(), counters.domain() == PadDomain::File);
+        let input = Self::pad_input(page, block, counters);
+        let (key, aes) = match file_key {
+            Some(k) => (k, self.schedules.get(&k)),
+            None => (self.mem_key, &self.mem_aes),
+        };
+        if fresh {
+            let issue = self.pad_ledger.record(&key, &input, data);
+            assert!(issue.is_ok(), "{:?}-pad oracle: {:?}", input.domain, issue.err());
+        }
         ctr::line_pad_into(aes, &input, &mut self.pad_scratch);
         ctr::xor_in_place(data, &self.pad_scratch);
     }
 
-    /// [`Self::xor_file_pad`] for fresh pad issue (encrypt paths only):
-    /// oracle-recorded like [`Self::fresh_mem_pad`], with `key`
-    /// identifying the epoch in the ledger.
-    fn fresh_file_pad(
+    /// Fetches `page`'s counter block of `domain` through the
+    /// Merkle-verified metadata system. Returns the block, its address
+    /// and the access.
+    fn read_counters(
         &mut self,
-        data: &mut [u8; LINE_BYTES],
-        key: Key128,
+        now: Cycle,
         page: PageId,
-        block: u8,
-        fecb: &Fecb,
-    ) {
-        let input = Self::file_pad_input(page, block, fecb);
-        let issue = self.pad_ledger.record(&key, &input, data);
-        assert!(issue.is_ok(), "file-pad oracle: {:?}", issue.err());
-        let aes = self.schedules.get(&key);
-        ctr::line_pad_into(aes, &input, &mut self.pad_scratch);
-        ctr::xor_in_place(data, &self.pad_scratch);
+        domain: PadDomain,
+    ) -> Result<(CounterBlock, LineAddr, MetaAccess), MemError> {
+        let addr = match domain {
+            PadDomain::Memory => self.meta.layout().mecb_addr(page),
+            PadDomain::File => self.meta.layout().fecb_addr(page),
+        };
+        let (bytes, acc) = self.meta.read_block(&mut self.nvm, now, addr)?;
+        Ok((CounterBlock::from_bytes(domain, &bytes), addr, acc))
     }
 
     /// Resolves the file key for `(gid, fid)`: OTT first, spill on miss
@@ -668,9 +645,7 @@ impl MemoryController {
         let block = line.block_in_page();
 
         // OTP_mem in parallel with the data fetch.
-        let mecb_addr = self.meta.layout().mecb_addr(page);
-        let (mecb_bytes, macc) = self.meta.read_block(&mut self.nvm, now, mecb_addr)?;
-        let mecb = Mecb::from_bytes(&mecb_bytes);
+        let (mecb, _, macc) = self.read_counters(now, page, PadDomain::Memory)?;
         // Counter mode generates the pad in parallel with the data fetch;
         // the direct-encryption ablation decrypts only after both the data
         // and the counter are available.
@@ -684,7 +659,7 @@ impl MemoryController {
         self.obs.add("ctrl/read/pad_gen_cycles", self.aes_cycles);
 
         let mut plain = cipher;
-        self.xor_mem_pad(&mut plain, page, block, &mecb);
+        self.xor_pad(&mut plain, page, block, &mecb, None, false);
         let mut done = if self.direct_encryption {
             t_data.max(macc.done) + self.aes_cycles
         } else {
@@ -693,9 +668,7 @@ impl MemoryController {
 
         if self.file_pages.contains(&page.get()) && !self.locked {
             self.stats.file_accesses.incr();
-            let fecb_addr = self.meta.layout().fecb_addr(page);
-            let (fecb_bytes, facc) = self.meta.read_block(&mut self.nvm, now, fecb_addr)?;
-            let fecb = Fecb::from_bytes(&fecb_bytes);
+            let (fecb, _, facc) = self.read_counters(now, page, PadDomain::File)?;
             let (key, t_key) = self.resolve_key(facc.done, fecb.gid(), fecb.fid())?;
             self.obs.incr(if facc.cache_hit {
                 "ctrl/read/fecb_hits"
@@ -705,7 +678,7 @@ impl MemoryController {
             self.obs.add("ctrl/read/fecb_wait_cycles", facc.done.since(now).get());
             self.obs.add("ctrl/read/key_wait_cycles", t_key.since(facc.done).get());
             self.obs.add("ctrl/read/pad_gen_cycles", self.aes_cycles);
-            self.xor_file_pad(&mut plain, key, page, block, &fecb);
+            self.xor_pad(&mut plain, page, block, &fecb, Some(key), false);
             done = if self.direct_encryption {
                 done.max(t_key) + self.aes_cycles
             } else {
@@ -798,81 +771,34 @@ impl MemoryController {
         let page = line.page();
         let block = line.block_in_page();
 
-        // Memory counter: increment minor, handling overflow.
-        let mecb_addr = self.meta.layout().mecb_addr(page);
-        let (mecb_bytes, macc) = self.meta.read_block(&mut self.nvm, now, mecb_addr)?;
+        // OTP_mem: the memory engine's counter step, then its pad.
+        let (mut mecb, mecb_addr, macc) = self.read_counters(now, page, PadDomain::Memory)?;
         self.obs.incr(if macc.cache_hit {
             "ctrl/write/mecb_hits"
         } else {
             "ctrl/write/mecb_misses"
         });
-        let mut mecb = Mecb::from_bytes(&mecb_bytes);
-        let mut t = macc.done;
-        let mut mecb_overflowed = false;
-        if mecb.increment(block as usize) {
-            // Two-phase overflow: first pin the exact pre-carry minors on
-            // media (so a crash mid-re-encryption leaves every old line at
-            // delta zero), then re-encrypt, then persist the carried block.
-            self.meta
-                .write_block(&mut self.nvm, t, mecb_addr, mecb.to_bytes())?;
-            t = self.meta.persist_block(&mut self.nvm, t, mecb_addr)?;
-            let old = mecb;
-            mecb.carry_major();
-            t = self.reencrypt_page(t, page, &Repad::Mem { old, new: mecb })?;
-            mecb.increment(block as usize);
-            mecb_overflowed = true;
-            self.obs.incr("ctrl/write/overflows");
-        }
-        let macc = self
-            .meta
-            .write_block(&mut self.nvm, t, mecb_addr, mecb.to_bytes())?;
-        if mecb_overflowed {
-            // A major-counter bump moves the whole page's pads further
-            // than the Osiris stop-loss window can recover; it must reach
-            // the media before any line encrypted under it does.
-            self.meta.persist_block(&mut self.nvm, macc.done, mecb_addr)?;
-        }
-        let mut t_pads = macc.done + self.aes_cycles;
-        self.obs.add("ctrl/write/mecb_wait_cycles", macc.done.since(now).get());
+        let m_done = self.advance_counter(macc.done, page, block, mecb_addr, &mut mecb, None)?;
+        let mut t_pads = m_done + self.aes_cycles;
+        self.obs.add("ctrl/write/mecb_wait_cycles", m_done.since(now).get());
         self.obs.add("ctrl/write/pad_gen_cycles", self.aes_cycles);
 
         let mut cipher = *plaintext;
-        self.fresh_mem_pad(&mut cipher, page, block, &mecb);
+        self.xor_pad(&mut cipher, page, block, &mecb, None, true);
 
         if self.file_pages.contains(&page.get()) && !self.locked {
             self.stats.file_accesses.incr();
-            let fecb_addr = self.meta.layout().fecb_addr(page);
-            let (fecb_bytes, facc) = self.meta.read_block(&mut self.nvm, now, fecb_addr)?;
+            let (mut fecb, fecb_addr, facc) = self.read_counters(now, page, PadDomain::File)?;
             self.obs.incr(if facc.cache_hit {
                 "ctrl/write/fecb_hits"
             } else {
                 "ctrl/write/fecb_misses"
             });
-            let mut fecb = Fecb::from_bytes(&fecb_bytes);
-            let mut tf = facc.done;
-            let (key, t_key) = self.resolve_key(tf, fecb.gid(), fecb.fid())?;
+            let (key, t_key) = self.resolve_key(facc.done, fecb.gid(), fecb.fid())?;
             self.obs.add("ctrl/write/key_wait_cycles", t_key.since(facc.done).get());
-            tf = t_key;
-            let mut fecb_overflowed = false;
-            if fecb.increment(block as usize) {
-                self.meta
-                    .write_block(&mut self.nvm, tf, fecb_addr, fecb.to_bytes())?;
-                tf = self.meta.persist_block(&mut self.nvm, tf, fecb_addr)?;
-                let old = fecb;
-                fecb.carry_major();
-                tf = self.reencrypt_page(tf, page, &Repad::File { key, old, new: fecb })?;
-                fecb.increment(block as usize);
-                fecb_overflowed = true;
-                self.obs.incr("ctrl/write/overflows");
-            }
-            let facc = self
-                .meta
-                .write_block(&mut self.nvm, tf, fecb_addr, fecb.to_bytes())?;
-            if fecb_overflowed {
-                self.meta.persist_block(&mut self.nvm, facc.done, fecb_addr)?;
-            }
-            self.fresh_file_pad(&mut cipher, key, page, block, &fecb);
-            t_pads = t_pads.max(facc.done + self.aes_cycles);
+            let f_done = self.advance_counter(t_key, page, block, fecb_addr, &mut fecb, Some(key))?;
+            self.xor_pad(&mut cipher, page, block, &fecb, Some(key), true);
+            t_pads = t_pads.max(f_done + self.aes_cycles);
             self.obs.add("ctrl/write/pad_gen_cycles", self.aes_cycles);
         }
 
@@ -885,14 +811,44 @@ impl MemoryController {
         Ok(t_end)
     }
 
-    /// Minor-counter overflow: re-pad every line of `page` from the old
-    /// counters to the carried `(major + 1, minor = 0)` ones, in the
-    /// memory or file engine as `repad` says. Costs 64 reads + 64
-    /// writes, as the paper describes.
-    fn reencrypt_page(&mut self, now: Cycle, page: PageId, repad: &Repad) -> Result<Cycle, MemError> {
-        self.stats.overflow_reencryptions.incr();
-        let t = self.repad_page(now, page, repad)?;
-        Ok(t + self.aes_cycles)
+    /// The one write-path counter step, shared by both engines: bumps
+    /// `block`'s minor in `counters` (the counter block at `addr`) and
+    /// writes the block back. Returns the write-back's completion.
+    ///
+    /// On minor overflow it is two-phase. First it pins the exact
+    /// pre-carry minors on media, so a crash mid re-encryption leaves
+    /// every old line at delta zero. Then it carries into the major and
+    /// re-pads the whole page (64 reads + 64 writes, as the paper
+    /// describes). Last, after the write-back, it persists the carried
+    /// block: a major bump moves the page's pads further than the Osiris
+    /// stop-loss window can recover, so it must reach the media before
+    /// any line encrypted under it does.
+    fn advance_counter(
+        &mut self,
+        now: Cycle,
+        page: PageId,
+        block: u8,
+        addr: LineAddr,
+        counters: &mut CounterBlock,
+        file_key: Option<Key128>,
+    ) -> Result<Cycle, MemError> {
+        let mut t = now;
+        let overflowed = counters.increment(block as usize);
+        if overflowed {
+            self.meta.write_block(&mut self.nvm, t, addr, counters.to_bytes())?;
+            t = self.meta.persist_block(&mut self.nvm, t, addr)?;
+            let old = *counters;
+            counters.carry_major();
+            self.stats.overflow_reencryptions.incr();
+            t = self.repad_page(t, page, file_key, &old, counters) + self.aes_cycles;
+            counters.increment(block as usize);
+            self.obs.incr("ctrl/write/overflows");
+        }
+        let acc = self.meta.write_block(&mut self.nvm, t, addr, counters.to_bytes())?;
+        if overflowed {
+            self.meta.persist_block(&mut self.nvm, acc.done, addr)?;
+        }
+        Ok(acc.done)
     }
 
     // ------------------------------------------------------------------
@@ -946,9 +902,7 @@ impl MemoryController {
         gid: u32,
         fid: u32,
     ) -> Result<Cycle, MemError> {
-        let fecb_addr = self.meta.layout().fecb_addr(page);
-        let (bytes, acc) = self.meta.read_block(&mut self.nvm, now, fecb_addr)?;
-        let mut fecb = Fecb::from_bytes(&bytes);
+        let (mut fecb, fecb_addr, acc) = self.read_counters(now, page, PadDomain::File)?;
         fecb.stamp(gid, fid);
         let acc = self
             .meta
@@ -977,26 +931,24 @@ impl MemoryController {
     /// Metadata integrity failures.
     pub fn shred_page(&mut self, now: Cycle, page: PageId) -> Result<Cycle, MemError> {
         self.stats.shredded_pages.incr();
-        let mecb_addr = self.meta.layout().mecb_addr(page);
-        let (bytes, acc) = self.meta.read_block(&mut self.nvm, now, mecb_addr)?;
-        let mut mecb = Mecb::from_bytes(&bytes);
-        mecb.carry_major();
-        let mut t = self
-            .meta
-            .write_block(&mut self.nvm, acc.done, mecb_addr, mecb.to_bytes())?
-            .done;
-        if self.file_pages.contains(&page.get()) {
-            let fecb_addr = self.meta.layout().fecb_addr(page);
-            let (bytes, acc) = self.meta.read_block(&mut self.nvm, t, fecb_addr)?;
-            let mut fecb = Fecb::from_bytes(&bytes);
-            fecb.carry_major();
-            fecb.stamp(0, 0);
+        let engines: &[PadDomain] = if self.file_pages.contains(&page.get()) {
+            &[PadDomain::Memory, PadDomain::File]
+        } else {
+            &[PadDomain::Memory]
+        };
+        let mut t = now;
+        for &domain in engines {
+            let (mut counters, addr, acc) = self.read_counters(t, page, domain)?;
+            counters.carry_major();
+            if domain == PadDomain::File {
+                counters.stamp(0, 0);
+            }
             t = self
                 .meta
-                .write_block(&mut self.nvm, acc.done, fecb_addr, fecb.to_bytes())?
+                .write_block(&mut self.nvm, acc.done, addr, counters.to_bytes())?
                 .done;
-            self.file_pages.remove(&page.get());
         }
+        self.file_pages.remove(&page.get());
         for line in page.lines() {
             self.ecc.clear(line);
         }
@@ -1028,118 +980,69 @@ impl MemoryController {
         if self.mode == CtrlMode::Unencrypted {
             return report;
         }
-        // Collect tagged lines grouped by page.
-        let mut pages: HashMap<u64, Vec<LineAddr>> = HashMap::new();
-        for line in self.tagged_data_lines() {
-            pages.entry(line.page().get()).or_default().push(line);
-        }
+        // Visit the ECC-tagged data lines in address order, so pages go
+        // in ascending order: each OTT lookup below refreshes an LRU
+        // stamp, and identical machines must recover to identical states.
+        let data_bytes = self.meta.layout().data_bytes();
+        let mut tagged: Vec<LineAddr> = self.ecc.lines().filter(|l| l.get() < data_bytes).collect();
+        tagged.sort_by_key(|l| l.get());
         let layout = self.meta.shared_layout();
-        for (page_no, lines) in pages {
-            let page = PageId::new(page_no);
+        for lines in tagged.chunk_by(|a, b| a.page() == b.page()) {
+            let page = lines[0].page();
             let mecb_raw = self.nvm.peek_line(PhysAddr::new(layout.mecb_addr(page).get()));
-            let mecb = Mecb::from_bytes(&mecb_raw);
+            let mecb = CounterBlock::from_bytes(PadDomain::Memory, &mecb_raw);
             let fecb_raw = self.nvm.peek_line(PhysAddr::new(layout.fecb_addr(page).get()));
-            let fecb = Fecb::from_bytes(&fecb_raw);
-            let is_file = fecb.gid() != 0 || fecb.fid() != 0;
+            let fecb = CounterBlock::from_bytes(PadDomain::File, &fecb_raw);
+            let is_file = fecb.is_owned();
             let key = if is_file {
                 self.file_pages.insert(page.get());
-                match self.ott.lookup(fecb.gid(), fecb.fid()) {
-                    Some(k) => Some(k),
-                    None => self
-                        .spill
+                self.ott.lookup(fecb.gid(), fecb.fid()).or_else(|| {
+                    self.spill
                         .lookup(&mut self.meta, &mut self.nvm, Cycle::ZERO, fecb.gid(), fecb.fid())
                         .ok()
-                        .and_then(|(k, _)| k),
-                }
+                        .and_then(|(k, _)| k)
+                })
             } else {
                 None
             };
 
-            // Phase 1: per-line candidate search. A crash can catch a
-            // minor-overflow page re-encryption in flight, so candidates
-            // include the next major with small minors.
+            // Phase 1: per-line candidate search over both engines'
+            // counters. A page that is not a file page has one file
+            // "candidate", its stored block, and no file layer.
             struct Found {
                 line: LineAddr,
-                block: usize,
                 plain: [u8; LINE_BYTES],
-                m_bump: bool,
-                m_minor: u8,
-                f_bump: bool,
-                f_minor: u8,
-                delta: u32,
+                mem: CounterBlock,
+                file: CounterBlock,
             }
             let mut finds: Vec<Found> = Vec::new();
-            let mut any_m_bump = false;
-            let mut any_f_bump = false;
-            for line in lines {
-                let block = line.block_in_page() as usize;
+            for &line in lines {
+                let block = line.block_in_page();
                 let cipher = self.nvm.peek_line(PhysAddr::new(line.get()));
-                let mut mem_cands: Vec<(bool, u8)> = Vec::new();
-                for dm in 0..=self.stop_loss {
-                    let v = mecb.minor(block) as u32 + dm;
-                    if v < 128 {
-                        mem_cands.push((false, v as u8));
-                    }
-                    mem_cands.push((true, dm as u8));
-                }
-                let file_cands: Vec<(bool, u8)> = if is_file {
-                    let mut c = Vec::new();
-                    for df in 0..=self.stop_loss {
-                        let v = fecb.minor(block) as u32 + df;
-                        if v < 128 {
-                            c.push((false, v as u8));
-                        }
-                        c.push((true, df as u8));
-                    }
-                    c
+                let mem_cands = self.candidates(&mecb, block);
+                let file_cands = if is_file {
+                    self.candidates(&fecb, block)
                 } else {
-                    vec![(false, 0)]
+                    vec![(fecb, 0)]
                 };
                 let mut found = None;
-                'search: for &(m_bump, m_minor) in &mem_cands {
-                    for &(f_bump, f_minor) in &file_cands {
-                        let mut cand = Mecb::new();
-                        cand.set(mecb.major() + m_bump as u64, block, m_minor);
+                'search: for &(mem, dm) in &mem_cands {
+                    for &(file, df) in &file_cands {
                         let mut plain = cipher;
-                        self.xor_mem_pad(&mut plain, page, block as u8, &cand);
+                        self.xor_pad(&mut plain, page, block, &mem, None, false);
                         if is_file {
                             let Some(k) = key else { continue };
-                            let mut fcand = Fecb::new(fecb.gid(), fecb.fid());
-                            fcand.set(fecb.major() + f_bump as u32, block, f_minor);
-                            self.xor_file_pad(&mut plain, k, page, block as u8, &fcand);
+                            self.xor_pad(&mut plain, page, block, &file, Some(k), false);
                         }
                         if self.ecc.check(line, &plain) {
-                            let delta_m = if m_bump {
-                                1 + m_minor as u32
-                            } else {
-                                (m_minor - mecb.minor(block)) as u32
-                            };
-                            let delta_f = if !is_file {
-                                0
-                            } else if f_bump {
-                                1 + f_minor as u32
-                            } else {
-                                (f_minor - fecb.minor(block)) as u32
-                            };
-                            found = Some(Found {
-                                line,
-                                block,
-                                plain,
-                                m_bump,
-                                m_minor,
-                                f_bump,
-                                f_minor,
-                                delta: delta_m + delta_f,
-                            });
+                            found = Some((Found { line, plain, mem, file }, dm + df));
                             break 'search;
                         }
                     }
                 }
                 match found {
-                    Some(f) => {
-                        any_m_bump |= f.m_bump;
-                        any_f_bump |= f.f_bump;
-                        if f.delta == 0 {
+                    Some((f, delta)) => {
+                        if delta == 0 {
                             report.clean += 1;
                         } else {
                             report.repaired += 1;
@@ -1160,40 +1063,11 @@ impl MemoryController {
             }
 
             // Phase 2: finalize. If any line was caught mid-overflow,
-            // complete the page re-encryption under the bumped major;
+            // complete the page re-encryption under the carried major;
             // otherwise just roll the minors forward.
-            let mut final_mecb = mecb;
-            let mut final_fecb = fecb;
-            if any_m_bump {
-                final_mecb.carry_major();
-            }
-            if any_f_bump {
-                final_fecb.carry_major();
-            }
-            let mut counters_changed = any_m_bump || any_f_bump;
-            for f in &finds {
-                let target_m = if any_m_bump {
-                    if f.m_bump { f.m_minor } else { 0 }
-                } else {
-                    f.m_minor
-                };
-                if final_mecb.minor(f.block) != target_m {
-                    final_mecb.set(final_mecb.major(), f.block, target_m);
-                    counters_changed = true;
-                }
-                if is_file {
-                    let target_f = if any_f_bump {
-                        if f.f_bump { f.f_minor } else { 0 }
-                    } else {
-                        f.f_minor
-                    };
-                    if final_fecb.minor(f.block) != target_f {
-                        final_fecb.set(final_fecb.major(), f.block, target_f);
-                        counters_changed = true;
-                    }
-                }
-            }
-            if any_m_bump || any_f_bump {
+            let final_mecb = settle(&mecb, finds.iter().map(|f| (f.line, f.mem)));
+            let final_fecb = settle(&fecb, finds.iter().map(|f| (f.line, f.file)));
+            if final_mecb.major() != mecb.major() || final_fecb.major() != fecb.major() {
                 // Re-encrypt every recovered line under the final counters.
                 // Re-encryption starts from recovered plaintext, so the
                 // mem-pad record (digest of `f.plain`) lines up exactly
@@ -1205,21 +1079,16 @@ impl MemoryController {
                 // contexts; it is applied unrecorded (the write path,
                 // its dominant issuer, still checks every file IV).
                 for f in &finds {
+                    let block = f.line.block_in_page();
                     let mut cipher = f.plain;
-                    let mut cand = Mecb::new();
-                    cand.set(final_mecb.major(), f.block, final_mecb.minor(f.block));
-                    self.fresh_mem_pad(&mut cipher, page, f.block as u8, &cand);
-                    if is_file {
-                        if let Some(k) = key {
-                            let mut fcand = Fecb::new(fecb.gid(), fecb.fid());
-                            fcand.set(final_fecb.major(), f.block, final_fecb.minor(f.block));
-                            self.xor_file_pad(&mut cipher, k, page, f.block as u8, &fcand);
-                        }
+                    self.xor_pad(&mut cipher, page, block, &final_mecb, None, true);
+                    if let Some(k) = key {
+                        self.xor_pad(&mut cipher, page, block, &final_fecb, Some(k), false);
                     }
                     self.nvm.poke_line(PhysAddr::new(f.line.get()), &cipher);
                 }
             }
-            if counters_changed {
+            if final_mecb != mecb || final_fecb != fecb {
                 self.nvm
                     .poke_line(PhysAddr::new(layout.mecb_addr(page).get()), &final_mecb.to_bytes());
                 if is_file {
@@ -1251,7 +1120,6 @@ impl MemoryController {
         // future rebuild even as its counters legitimately evolve, so
         // metadata entries leave the quarantine here. Data-line fences
         // persist until a write heals them.
-        let data_bytes = self.meta.layout().data_bytes();
         self.quarantine.retain(|&l| l < data_bytes);
         self.obs.incr("ctrl/recoveries");
         self.obs.add("ctrl/recover/clean", report.clean);
@@ -1331,8 +1199,7 @@ impl MemoryController {
             }
             let page = PageId::new(frame);
             let fecb_raw = ctrl.nvm.peek_line(PhysAddr::new(layout.fecb_addr(page).get()));
-            let fecb = Fecb::from_bytes(&fecb_raw);
-            if fecb.gid() != 0 || fecb.fid() != 0 {
+            if CounterBlock::from_bytes(PadDomain::File, &fecb_raw).is_owned() {
                 ctrl.file_pages.insert(frame);
             }
         }
@@ -1428,14 +1295,53 @@ impl MemoryController {
         Ok(ctrl)
     }
 
-    fn tagged_data_lines(&self) -> Vec<LineAddr> {
-        let data_bytes = self.meta.layout().data_bytes();
-        let mut lines: Vec<LineAddr> = self
-            .ecc
-            .lines()
-            .filter(|l| l.get() < data_bytes)
-            .collect();
-        lines.sort_by_key(|l| l.get());
-        lines
+    /// Osiris counter candidates for line `block` of a page whose stored
+    /// counter block is `stored`, each with its distance from the stored
+    /// counters. The stored minor rolls forward by up to the stop-loss
+    /// bound; interleaved with those, the carried major with small
+    /// minors, since a crash can catch a minor-overflow page
+    /// re-encryption in flight.
+    fn candidates(&self, stored: &CounterBlock, block: u8) -> Vec<(CounterBlock, u32)> {
+        let block = usize::from(block);
+        let mut carried = *stored;
+        carried.carry_major();
+        let mut out = Vec::with_capacity(2 * (self.stop_loss as usize + 1));
+        for d in 0..=self.stop_loss {
+            let v = u32::from(stored.minor(block)) + d;
+            if v < u32::from(MINOR_LIMIT) {
+                let mut cand = *stored;
+                cand.set(stored.major(), block, v as u8);
+                out.push((cand, d));
+            }
+            let mut cand = carried;
+            cand.set(carried.major(), block, d as u8);
+            out.push((cand, 1 + d));
+        }
+        out
     }
+}
+
+/// Recovery's final counter block for one engine: `stored`, carried if
+/// any recovered line's winning candidate was, with each recovered
+/// line's minor set to its winner's — or to zero when the page carried
+/// but that line's winner predates the carry.
+fn settle(
+    stored: &CounterBlock,
+    wins: impl Iterator<Item = (LineAddr, CounterBlock)> + Clone,
+) -> CounterBlock {
+    let mut fin = *stored;
+    let carried = wins.clone().any(|(_, c)| c.major() != stored.major());
+    if carried {
+        fin.carry_major();
+    }
+    for (line, cand) in wins {
+        let block = usize::from(line.block_in_page());
+        let minor = if carried && cand.major() == stored.major() {
+            0
+        } else {
+            cand.minor(block)
+        };
+        fin.set(fin.major(), block, minor);
+    }
+    fin
 }

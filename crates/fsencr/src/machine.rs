@@ -1055,12 +1055,17 @@ impl Machine {
     /// (lowest-id) live mapping of the file's inode.
     pub fn mapping_of(&self, path: &str) -> Option<MapId> {
         let ino = self.fs.stat(path)?.ino();
+        self.lowest_mapping(ino).map(|(id, _)| MapId(id))
+    }
+
+    /// The live mapping of `ino` with the lowest map id: a pick among
+    /// several mappings of one file that does not depend on hash order.
+    fn lowest_mapping(&self, ino: Ino) -> Option<(u32, Mapping)> {
         self.mappings
             .iter()
             .filter(|(_, m)| m.ino == ino)
-            .map(|(&id, _)| id)
-            .min()
-            .map(MapId)
+            .min_by_key(|(&id, _)| id)
+            .map(|(&id, &m)| (id, m))
     }
 
     /// Unmaps a region. In software mode, dirty page-cache pages are
@@ -1517,8 +1522,9 @@ impl Machine {
             frame
         });
         if let Some((v_ino, v_page, true, v_frame)) = outcome.evicted {
-            // The victim belongs to some open mapping of v_ino.
-            if let Some(vm) = self.mappings.values().copied().find(|mm| mm.ino == v_ino) {
+            // The victim belongs to some open mapping of v_ino; with
+            // several, the lowest map id pays the write-back.
+            if let Some((_, vm)) = self.lowest_mapping(v_ino) {
                 self.sw_writeback_page(core, &vm, v_page, v_frame)?;
             }
         }

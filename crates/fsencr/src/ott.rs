@@ -95,11 +95,6 @@ impl OpenTunnelTable {
         }
     }
 
-    /// Checks for presence without touching LRU or statistics.
-    pub fn contains(&self, gid: u32, fid: u32) -> bool {
-        self.entries.iter().any(|e| e.gid == gid && e.fid == fid)
-    }
-
     /// Installs (or refreshes) a key. Returns the LRU victim
     /// `(gid, fid, key)` if the table was full — the caller must spill it.
     pub fn insert(&mut self, gid: u32, fid: u32, key: Key128) -> Option<(u32, u32, Key128)> {
@@ -149,16 +144,6 @@ impl OpenTunnelTable {
             .drain(..)
             .map(|e| (e.gid, e.fid, e.key))
             .collect()
-    }
-
-    /// Live entry count.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Behaviour counters.
@@ -236,7 +221,7 @@ mod tests {
     #[test]
     fn insert_lookup_remove() {
         let mut ott = OpenTunnelTable::new(8, 20);
-        assert!(ott.is_empty());
+        assert_eq!(ott.lookup(1, 1), None);
         ott.insert(1, 1, key(1));
         assert_eq!(ott.lookup(1, 1), Some(key(1)));
         assert_eq!(ott.remove(1, 1), Some(key(1)));
@@ -250,7 +235,7 @@ mod tests {
         ott.insert(1, 1, key(1));
         assert!(ott.insert(1, 1, key(2)).is_none());
         assert_eq!(ott.lookup(1, 1), Some(key(2)));
-        assert_eq!(ott.len(), 1);
+        assert_eq!(ott.drain(), vec![(1, 1, key(2))]);
     }
 
     #[test]
@@ -261,9 +246,9 @@ mod tests {
         ott.lookup(1, 1); // refresh (1,1): victim should be (2,2)
         let victim = ott.insert(3, 3, key(3)).expect("eviction");
         assert_eq!(victim, (2, 2, key(2)));
-        assert!(ott.contains(1, 1));
-        assert!(ott.contains(3, 3));
         assert_eq!(ott.stats().evictions.get(), 1);
+        assert_eq!(ott.lookup(1, 1), Some(key(1)));
+        assert_eq!(ott.lookup(3, 3), Some(key(3)));
     }
 
     #[test]
@@ -282,7 +267,7 @@ mod tests {
         ott.insert(2, 2, key(2));
         let drained = ott.drain();
         assert_eq!(drained.len(), 2);
-        assert!(ott.is_empty());
+        assert!(ott.drain().is_empty());
     }
 
     #[test]
@@ -302,8 +287,8 @@ mod tests {
         for i in 0..1024u32 {
             assert!(ott.insert(i % 16, i, key(i as u64)).is_none());
         }
-        assert_eq!(ott.len(), 1024);
         assert!(ott.insert(99, 5000, key(0)).is_some(), "1025th spills");
+        assert_eq!(ott.drain().len(), 1024);
         assert_eq!(ott.latency_cycles(), 20);
     }
 }

@@ -13,7 +13,7 @@
 
 use fsencr_crypto::{ctr, Aes128, Key128, PadDomain, PadInput};
 use fsencr_nvm::{PageId, PhysAddr, LINE_BYTES, PAGE_BYTES};
-use fsencr_secmem::{Fecb, Mecb};
+use fsencr_secmem::CounterBlock;
 
 use crate::machine::Machine;
 
@@ -58,46 +58,38 @@ pub fn attacker_decrypts(machine: &Machine, mem_key: &Key128, file_keys: &[Key12
         let meta_base = layout_data_bytes;
         let mecb_raw = read_line_at(machine, meta_base + frame * 128);
         let fecb_raw = read_line_at(machine, meta_base + frame * 128 + 64);
-        let mecb = Mecb::from_bytes(&mecb_raw);
-        let fecb = Fecb::from_bytes(&fecb_raw);
-        let is_file_page = fecb.gid() != 0 || fecb.fid() != 0;
+        let mecb = CounterBlock::from_bytes(PadDomain::Memory, &mecb_raw);
+        let fecb = CounterBlock::from_bytes(PadDomain::File, &fecb_raw);
 
-        // Strip the memory-encryption layer.
+        // Strips one engine's pads from every line of the page.
+        let strip = |bytes: &mut [u8; PAGE_BYTES], aes: &Aes128, counters: &CounterBlock| {
+            for blk in 0..(PAGE_BYTES / LINE_BYTES) {
+                let pad = ctr::line_pad_with(
+                    aes,
+                    &PadInput {
+                        page_id: frame,
+                        block_in_page: blk as u8,
+                        major: counters.major(),
+                        minor: counters.minor(blk),
+                        domain: counters.domain(),
+                    },
+                );
+                ctr::xor_in_place(&mut bytes[blk * 64..(blk + 1) * 64], &pad);
+            }
+        };
+        let leaks = |bytes: &[u8; PAGE_BYTES]| bytes.windows(needle.len()).any(|w| w == needle);
+
         let mut mem_plain = storage.snapshot_page(page);
-        for blk in 0..(PAGE_BYTES / LINE_BYTES) {
-            let pad = ctr::line_pad_with(
-                &mem_aes,
-                &PadInput {
-                    page_id: frame,
-                    block_in_page: blk as u8,
-                    major: mecb.major(),
-                    minor: mecb.minor(blk),
-                    domain: PadDomain::Memory,
-                },
-            );
-            ctr::xor_in_place(&mut mem_plain[blk * 64..(blk + 1) * 64], &pad);
-        }
-        if mem_plain.windows(needle.len()).any(|w| w == needle) {
+        strip(&mut mem_plain, &mem_aes, &mecb);
+        if leaks(&mem_plain) {
             return true;
         }
-        if is_file_page {
+        if fecb.is_owned() {
             // Additionally try every file key the attacker holds.
             for aes in &file_aes {
                 let mut attempt = mem_plain;
-                for blk in 0..(PAGE_BYTES / LINE_BYTES) {
-                    let fpad = ctr::line_pad_with(
-                        aes,
-                        &PadInput {
-                            page_id: frame,
-                            block_in_page: blk as u8,
-                            major: fecb.major() as u64,
-                            minor: fecb.minor(blk),
-                            domain: PadDomain::File,
-                        },
-                    );
-                    ctr::xor_in_place(&mut attempt[blk * 64..(blk + 1) * 64], &fpad);
-                }
-                if attempt.windows(needle.len()).any(|w| w == needle) {
+                strip(&mut attempt, aes, &fecb);
+                if leaks(&attempt) {
                     return true;
                 }
             }

@@ -100,24 +100,9 @@ impl Tlb {
         self.entries.insert(vpn, (pte, self.stamp));
     }
 
-    /// Drops a single translation (page unmapped).
-    pub fn invalidate(&mut self, vpn: u64) {
-        self.entries.remove(&vpn);
-    }
-
     /// Drops everything (TLB shootdown / context switch / crash).
     pub fn flush(&mut self) {
         self.entries.clear();
-    }
-
-    /// Live entry count.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the TLB is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Hit/miss counters.
@@ -212,7 +197,6 @@ mod tests {
         tlb.insert(2, pte(2));
         tlb.lookup(1); // 2 becomes LRU
         tlb.insert(3, pte(3));
-        assert_eq!(tlb.len(), 2);
         assert!(tlb.lookup(1).is_some());
         assert!(tlb.lookup(2).is_none());
         assert!(tlb.lookup(3).is_some());
@@ -223,20 +207,20 @@ mod tests {
         let mut tlb = Tlb::new(2);
         tlb.insert(1, pte(1));
         tlb.insert(1, pte(9));
-        assert_eq!(tlb.len(), 1);
+        // One entry, not two: a second translation evicts nothing.
+        tlb.insert(2, pte(2));
         assert_eq!(tlb.lookup(1), Some(pte(9)));
+        assert_eq!(tlb.lookup(2), Some(pte(2)));
     }
 
     #[test]
-    fn invalidate_and_flush() {
+    fn flush_drops_every_translation() {
         let mut tlb = Tlb::new(4);
         tlb.insert(1, pte(1));
         tlb.insert(2, pte(2));
-        tlb.invalidate(1);
-        assert!(tlb.lookup(1).is_none());
-        assert!(tlb.lookup(2).is_some());
         tlb.flush();
-        assert!(tlb.is_empty());
+        assert!(tlb.lookup(1).is_none());
+        assert!(tlb.lookup(2).is_none());
     }
 
     #[test]

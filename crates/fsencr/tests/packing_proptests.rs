@@ -6,9 +6,9 @@
 use proptest::prelude::*;
 
 use fsencr::OttSpill;
-use fsencr_crypto::Key128;
+use fsencr_crypto::{Key128, PadDomain};
 use fsencr_nvm::NvmDevice;
-use fsencr_secmem::{Fecb, Mecb, MetadataLayout, MetadataSystem, MINORS_PER_BLOCK};
+use fsencr_secmem::{CounterBlock, MetadataLayout, MetadataSystem, MINORS_PER_BLOCK};
 use fsencr_sim::config::{NvmConfig, SecurityConfig};
 use fsencr_sim::Cycle;
 
@@ -28,12 +28,13 @@ proptest! {
         block in 0usize..64,
         minor in 0u8..128,
     ) {
-        let mut fecb = Fecb::new(gid, fid);
-        fecb.set(major, block, minor);
-        let back = Fecb::from_bytes(&fecb.to_bytes());
+        let mut fecb = CounterBlock::new(PadDomain::File);
+        fecb.stamp(gid, fid);
+        fecb.set(u64::from(major), block, minor);
+        let back = CounterBlock::from_bytes(PadDomain::File, &fecb.to_bytes());
         prop_assert_eq!(back.gid(), gid);
         prop_assert_eq!(back.fid(), fid);
-        prop_assert_eq!(back.major(), major);
+        prop_assert_eq!(back.major(), u64::from(major));
         prop_assert_eq!(back.minor(block), minor);
         prop_assert_eq!(back, fecb);
     }
@@ -45,7 +46,9 @@ proptest! {
     ) {
         // The on-media identity word must pack exactly 18 + 14 bits —
         // neighbouring files/groups must never collide after packing.
-        let bytes = Fecb::new(gid, fid).to_bytes();
+        let mut fecb = CounterBlock::new(PadDomain::File);
+        fecb.stamp(gid, fid);
+        let bytes = fecb.to_bytes();
         let word = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
         prop_assert_eq!(word >> 14, gid);
         prop_assert_eq!(word & ((1 << 14) - 1), fid);
@@ -56,11 +59,11 @@ proptest! {
         major in any::<u64>(),
         minors in prop::collection::vec(0u8..128, MINORS_PER_BLOCK),
     ) {
-        let mut mecb = Mecb::new();
+        let mut mecb = CounterBlock::new(PadDomain::Memory);
         for (block, &minor) in minors.iter().enumerate() {
             mecb.set(major, block, minor);
         }
-        let back = Mecb::from_bytes(&mecb.to_bytes());
+        let back = CounterBlock::from_bytes(PadDomain::Memory, &mecb.to_bytes());
         prop_assert_eq!(back.major(), major);
         for (block, &minor) in minors.iter().enumerate() {
             prop_assert_eq!(back.minor(block), minor, "minor {block}");

@@ -44,12 +44,17 @@ proptest! {
                     prop_assert!(inserted.remove(&vfid), "evicted a phantom {vfid}");
                 }
                 inserted.insert(fid);
-                prop_assert!(ott.len() <= 8);
+                prop_assert!(inserted.len() <= 8);
             } else {
                 let hit = ott.lookup(1, fid).is_some();
                 prop_assert_eq!(hit, inserted.contains(&fid));
             }
         }
+        let mut held: Vec<u32> = ott.drain().into_iter().map(|(_, fid, _)| fid).collect();
+        held.sort_unstable();
+        let mut want: Vec<u32> = inserted.into_iter().collect();
+        want.sort_unstable();
+        prop_assert_eq!(held, want);
     }
 
     #[test]

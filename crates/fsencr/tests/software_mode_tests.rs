@@ -186,3 +186,25 @@ fn page_cache_frame_reuse_is_deterministic() {
     };
     assert!(run() == run(), "two identical runs saved different snapshots");
 }
+
+#[test]
+fn dirty_victim_write_back_does_not_depend_on_hash_order() {
+    // Two live mappings of one file: a dirty page-cache victim is written
+    // back through one of them, and which one must not depend on hash
+    // order. Identical runs must end in identical state.
+    let run = || {
+        let mut m = machine();
+        let h = m.create(ALICE, STAFF, "f", Mode::PRIVATE, Some("pw")).unwrap();
+        let map = m.mmap(&h).unwrap();
+        m.mmap(&h).unwrap();
+        let pages = m.opts().softencr.page_cache_pages + 16;
+        for p in 0..pages {
+            m.write(0, map, (p * PAGE_BYTES) as u64, &[p as u8; 64]).unwrap();
+        }
+        m.save_snapshot().unwrap()
+    };
+    let first = run();
+    for attempt in 1..8 {
+        assert!(run() == first, "run {attempt} saved a different snapshot");
+    }
+}

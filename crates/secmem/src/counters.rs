@@ -1,10 +1,14 @@
-//! Split-counter block codecs (Figure 6 of the paper).
+//! The split-counter block (Figure 6 of the paper).
 //!
-//! A 64-byte counter block covers one 4 KiB page (64 lines). The classic
-//! MECB packs a 64-bit major counter and 64 seven-bit minors into exactly
-//! 64 bytes. The FECB trades major-counter width for identity: 18-bit
-//! Group ID + 14-bit File ID + 32-bit major + the same 64 seven-bit
-//! minors — file counters only need to outlive the file, not the device.
+//! A 64-byte counter block covers one 4 KiB page (64 lines): an 8-byte
+//! header, then 64 seven-bit minors in the remaining 56 bytes. Both
+//! engines share one [`CounterBlock`] and one counter protocol; the
+//! [`PadDomain`] tag picks the header. The MECB spends all eight bytes
+//! on a 64-bit major. The FECB is an MECB that gives 32 bits of its
+//! major to the owning 18-bit Group ID and 14-bit File ID — file
+//! counters only need to outlive the file, not the device.
+
+use fsencr_crypto::PadDomain;
 
 /// Minor counters per block — one per 64-byte line of a 4 KiB page.
 pub const MINORS_PER_BLOCK: usize = 64;
@@ -58,14 +62,24 @@ fn unpack_minors(bytes: &[u8]) -> [u8; MINORS_PER_BLOCK] {
     minors
 }
 
-/// Memory Encryption Counter Block: 64-bit major + 64 x 7-bit minors.
+/// Maximum Group ID value (18 bits).
+pub const GID_LIMIT: u32 = 1 << 18;
+
+/// Maximum File ID value (14 bits).
+pub const FID_LIMIT: u32 = 1 << 14;
+
+/// A split-counter block of either engine: a per-page major counter
+/// plus 64 seven-bit minors, tagged with the [`PadDomain`] whose pads it
+/// drives. A file block also carries its owner's Group ID and File ID;
+/// a memory block's are always zero.
 ///
 /// # Examples
 ///
 /// ```
-/// use fsencr_secmem::{Mecb, MINOR_LIMIT};
+/// use fsencr_crypto::PadDomain;
+/// use fsencr_secmem::{CounterBlock, MINOR_LIMIT};
 ///
-/// let mut b = Mecb::new();
+/// let mut b = CounterBlock::new(PadDomain::Memory);
 /// for _ in 0..(MINOR_LIMIT as u32 - 1) {
 ///     assert!(!b.increment(0));
 /// }
@@ -73,27 +87,49 @@ fn unpack_minors(bytes: &[u8]) -> [u8; MINORS_PER_BLOCK] {
 /// assert!(b.increment(0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Mecb {
+pub struct CounterBlock {
+    domain: PadDomain,
+    gid: u32,
+    fid: u32,
     major: u64,
     minors: [u8; MINORS_PER_BLOCK],
 }
 
-impl Default for Mecb {
-    fn default() -> Self {
-        Mecb::new()
-    }
-}
-
-impl Mecb {
-    /// A fresh all-zero counter block.
-    pub fn new() -> Self {
-        Mecb {
+impl CounterBlock {
+    /// A fresh all-zero block of `domain`'s engine (a file block starts
+    /// with no owner).
+    pub fn new(domain: PadDomain) -> Self {
+        CounterBlock {
+            domain,
+            gid: 0,
+            fid: 0,
             major: 0,
             minors: [0; MINORS_PER_BLOCK],
         }
     }
 
-    /// The per-page major counter.
+    /// The engine whose pads this block drives.
+    pub fn domain(&self) -> PadDomain {
+        self.domain
+    }
+
+    /// The 18-bit Group ID of the owning file (0 in a memory block).
+    pub fn gid(&self) -> u32 {
+        self.gid
+    }
+
+    /// The 14-bit File ID of the owning file (0 in a memory block).
+    pub fn fid(&self) -> u32 {
+        self.fid
+    }
+
+    /// Whether the block names an owning file: the on-media test for
+    /// "is this a DAX-file page?".
+    pub fn is_owned(&self) -> bool {
+        self.gid != 0 || self.fid != 0
+    }
+
+    /// The per-page major counter: 64 bits in an MECB, 32 in an FECB.
     pub fn major(&self) -> u64 {
         self.major
     }
@@ -109,7 +145,7 @@ impl Mecb {
 
     /// Increments the minor counter of `block`. Returns `true` when the
     /// minor overflowed — the caller must then call
-    /// [`Mecb::carry_major`] and re-encrypt the whole page.
+    /// [`CounterBlock::carry_major`] and re-encrypt the whole page.
     pub fn increment(&mut self, block: usize) -> bool {
         if self.minors[block] + 1 >= MINOR_LIMIT {
             true
@@ -119,171 +155,82 @@ impl Mecb {
         }
     }
 
-    /// Handles a minor overflow: bumps the major counter and resets every
-    /// minor to zero.
+    /// Handles a minor overflow: bumps the major counter (an FECB's
+    /// wraps at 2^32, like its field) and resets every minor to zero.
     pub fn carry_major(&mut self) {
-        self.major += 1;
+        self.major = self.wrap(self.major.wrapping_add(1));
         self.minors = [0; MINORS_PER_BLOCK];
     }
 
-    /// Forces specific counter values (used by recovery and tests).
-    pub fn set(&mut self, major: u64, block: usize, minor: u8) {
-        assert!(minor < MINOR_LIMIT);
-        self.major = major;
-        self.minors[block] = minor;
-    }
-
-    /// Serializes to the 64-byte in-memory representation.
-    pub fn to_bytes(&self) -> [u8; 64] {
-        let mut out = [0u8; 64];
-        out[..8].copy_from_slice(&self.major.to_le_bytes());
-        pack_minors(&self.minors, &mut out[8..64]);
-        out
-    }
-
-    /// Parses the 64-byte in-memory representation.
-    pub fn from_bytes(bytes: &[u8; 64]) -> Self {
-        let mut major_bytes = [0u8; 8];
-        major_bytes.copy_from_slice(&bytes[..8]);
-        Mecb {
-            major: u64::from_le_bytes(major_bytes),
-            minors: unpack_minors(&bytes[8..64]),
-        }
-    }
-}
-
-/// Maximum Group ID value (18 bits).
-pub const GID_LIMIT: u32 = 1 << 18;
-
-/// Maximum File ID value (14 bits).
-pub const FID_LIMIT: u32 = 1 << 14;
-
-/// File Encryption Counter Block: Group ID (18b) + File ID (14b) +
-/// 32-bit major + 64 x 7-bit minors (Figure 6).
-///
-/// # Examples
-///
-/// ```
-/// use fsencr_secmem::Fecb;
-///
-/// let mut f = Fecb::new(3, 17);
-/// f.increment(2);
-/// let bytes = f.to_bytes();
-/// let back = Fecb::from_bytes(&bytes);
-/// assert_eq!(back.gid(), 3);
-/// assert_eq!(back.fid(), 17);
-/// assert_eq!(back.minor(2), 1);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Fecb {
-    gid: u32,
-    fid: u32,
-    major: u32,
-    minors: [u8; MINORS_PER_BLOCK],
-}
-
-impl Default for Fecb {
-    fn default() -> Self {
-        Fecb::new(0, 0)
-    }
-}
-
-impl Fecb {
-    /// A fresh counter block stamped with the owning group and file.
+    /// Forces specific counter values (used by recovery and tests). An
+    /// FECB keeps the low 32 bits of `major`.
     ///
     /// # Panics
     ///
-    /// Panics if `gid` exceeds 18 bits or `fid` exceeds 14 bits.
-    pub fn new(gid: u32, fid: u32) -> Self {
-        assert!(gid < GID_LIMIT, "group ID exceeds 18 bits");
-        assert!(fid < FID_LIMIT, "file ID exceeds 14 bits");
-        Fecb {
-            gid,
-            fid,
-            major: 0,
-            minors: [0; MINORS_PER_BLOCK],
-        }
+    /// Panics if `minor >= 128`.
+    pub fn set(&mut self, major: u64, block: usize, minor: u8) {
+        assert!(minor < MINOR_LIMIT);
+        self.major = self.wrap(major);
+        self.minors[block] = minor;
     }
 
-    /// The 18-bit Group ID embedded in the block.
-    pub fn gid(&self) -> u32 {
-        self.gid
-    }
-
-    /// The 14-bit File ID embedded in the block.
-    pub fn fid(&self) -> u32 {
-        self.fid
-    }
-
-    /// The 32-bit per-page major counter.
-    pub fn major(&self) -> u32 {
-        self.major
-    }
-
-    /// The minor counter of line `block` (0..64).
-    pub fn minor(&self, block: usize) -> u8 {
-        self.minors[block]
-    }
-
-    /// Re-stamps the identity (page fault handler path: the kernel tells
-    /// the controller which file now owns the page).
+    /// Re-stamps a file block's owner (page fault handler path: the
+    /// kernel tells the controller which file now owns the page).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a memory block, or if `gid` exceeds 18 bits or `fid`
+    /// exceeds 14 bits.
     pub fn stamp(&mut self, gid: u32, fid: u32) {
+        assert!(self.domain == PadDomain::File, "only a file block has an owner");
         assert!(gid < GID_LIMIT, "group ID exceeds 18 bits");
         assert!(fid < FID_LIMIT, "file ID exceeds 14 bits");
         self.gid = gid;
         self.fid = fid;
     }
 
-    /// Increments the minor counter of `block`; `true` signals overflow.
-    pub fn increment(&mut self, block: usize) -> bool {
-        if self.minors[block] + 1 >= MINOR_LIMIT {
-            true
-        } else {
-            self.minors[block] += 1;
-            false
+    /// `major` cut to the width of this block's major field.
+    fn wrap(&self, major: u64) -> u64 {
+        match self.domain {
+            PadDomain::Memory => major,
+            PadDomain::File => major & u64::from(u32::MAX),
         }
     }
 
-    /// Handles a minor overflow: bumps the major and resets the minors.
-    pub fn carry_major(&mut self) {
-        self.major += 1;
-        self.minors = [0; MINORS_PER_BLOCK];
-    }
-
-    /// Forces specific counter values (used by crash recovery).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `minor >= 128`.
-    pub fn set(&mut self, major: u32, block: usize, minor: u8) {
-        assert!(minor < MINOR_LIMIT);
-        self.major = major;
-        self.minors[block] = minor;
-    }
-
-    /// Serializes to the 64-byte in-memory representation.
+    /// Serializes to the 64-byte in-memory representation. Only the
+    /// 8-byte header depends on the engine: an MECB's 64-bit major, or
+    /// an FECB's `(gid << 14) | fid` word followed by its 32-bit major.
     pub fn to_bytes(&self) -> [u8; 64] {
         let mut out = [0u8; 64];
-        let id_word = (self.gid << 14) | self.fid;
-        out[..4].copy_from_slice(&id_word.to_le_bytes());
-        out[4..8].copy_from_slice(&self.major.to_le_bytes());
+        let major = self.major.to_le_bytes();
+        match self.domain {
+            PadDomain::Memory => out[..8].copy_from_slice(&major),
+            PadDomain::File => {
+                out[..4].copy_from_slice(&((self.gid << 14) | self.fid).to_le_bytes());
+                out[4..8].copy_from_slice(&major[..4]);
+            }
+        }
         pack_minors(&self.minors, &mut out[8..64]);
         out
     }
 
-    /// Parses the 64-byte in-memory representation.
-    pub fn from_bytes(bytes: &[u8; 64]) -> Self {
-        let mut word = [0u8; 4];
-        word.copy_from_slice(&bytes[..4]);
-        let id_word = u32::from_le_bytes(word);
-        let mut major = [0u8; 4];
-        major.copy_from_slice(&bytes[4..8]);
-        Fecb {
-            gid: id_word >> 14,
-            fid: id_word & (FID_LIMIT - 1),
-            major: u32::from_le_bytes(major),
-            minors: unpack_minors(&bytes[8..64]),
+    /// Parses the 64-byte in-memory representation of a `domain` block.
+    pub fn from_bytes(domain: PadDomain, bytes: &[u8; 64]) -> Self {
+        let mut head = [0u8; 8];
+        head.copy_from_slice(&bytes[..8]);
+        let head = u64::from_le_bytes(head);
+        let mut block = CounterBlock::new(domain);
+        match domain {
+            PadDomain::Memory => block.major = head,
+            PadDomain::File => {
+                let id_word = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+                block.gid = id_word >> 14;
+                block.fid = id_word & (FID_LIMIT - 1);
+                block.major = head >> 32;
+            }
         }
+        block.minors = unpack_minors(&bytes[8..64]);
+        block
     }
 }
 
@@ -387,18 +334,24 @@ mod tests {
         assert_eq!(unpack_minors(&packed), minors);
     }
 
+    fn file_block(gid: u32, fid: u32) -> CounterBlock {
+        let mut f = CounterBlock::new(PadDomain::File);
+        f.stamp(gid, fid);
+        f
+    }
+
     #[test]
     fn mecb_roundtrip() {
-        let mut b = Mecb::new();
+        let mut b = CounterBlock::new(PadDomain::Memory);
         b.set(0xdeadbeef_12345678, 7, 99);
         b.set(0xdeadbeef_12345678, 63, 1);
         let bytes = b.to_bytes();
-        assert_eq!(Mecb::from_bytes(&bytes), b);
+        assert_eq!(CounterBlock::from_bytes(PadDomain::Memory, &bytes), b);
     }
 
     #[test]
     fn mecb_increment_and_overflow() {
-        let mut b = Mecb::new();
+        let mut b = CounterBlock::new(PadDomain::Memory);
         for i in 1..=127u8 {
             assert!(!b.increment(3));
             assert_eq!(b.minor(3), i);
@@ -415,46 +368,55 @@ mod tests {
     #[test]
     fn fecb_identity_packing() {
         // extreme IDs exercise the 18/14-bit boundary
-        let f = Fecb::new(GID_LIMIT - 1, FID_LIMIT - 1);
-        let back = Fecb::from_bytes(&f.to_bytes());
+        let f = file_block(GID_LIMIT - 1, FID_LIMIT - 1);
+        let back = CounterBlock::from_bytes(PadDomain::File, &f.to_bytes());
         assert_eq!(back.gid(), GID_LIMIT - 1);
         assert_eq!(back.fid(), FID_LIMIT - 1);
     }
 
     #[test]
+    fn fecb_major_wraps_at_32_bits() {
+        let mut f = file_block(1, 2);
+        f.set(u64::from(u32::MAX), 5, 9);
+        f.carry_major();
+        assert_eq!((f.major(), f.minor(5)), (0, 0));
+        f.set((1 << 32) | 7, 0, 0);
+        assert_eq!(f.major(), 7);
+        assert_eq!(CounterBlock::from_bytes(PadDomain::File, &f.to_bytes()), f);
+        let mut m = CounterBlock::new(PadDomain::Memory);
+        m.set(u64::from(u32::MAX), 0, 0);
+        m.carry_major();
+        assert_eq!(m.major(), 1 << 32);
+    }
+
+    #[test]
     #[should_panic(expected = "group ID exceeds 18 bits")]
     fn oversized_gid_panics() {
-        Fecb::new(GID_LIMIT, 0);
+        file_block(GID_LIMIT, 0);
     }
 
     #[test]
     #[should_panic(expected = "file ID exceeds 14 bits")]
     fn oversized_fid_panics() {
-        Fecb::new(0, FID_LIMIT);
+        file_block(0, FID_LIMIT);
+    }
+
+    #[test]
+    #[should_panic(expected = "only a file block has an owner")]
+    fn memory_block_has_no_owner() {
+        CounterBlock::new(PadDomain::Memory).stamp(1, 1);
     }
 
     #[test]
     fn fecb_stamp_preserves_counters() {
-        let mut f = Fecb::new(1, 1);
+        let mut f = file_block(1, 1);
         f.increment(0);
         f.increment(0);
         f.stamp(5, 9);
         assert_eq!(f.minor(0), 2);
         assert_eq!((f.gid(), f.fid()), (5, 9));
-    }
-
-    #[test]
-    fn blocks_are_exactly_64_bytes_and_distinct() {
-        let m = Mecb::new().to_bytes();
-        let mut f = Fecb::new(1, 2);
-        f.increment(0);
-        assert_eq!(m.len(), 64);
-        assert_ne!(f.to_bytes(), m);
-    }
-
-    #[test]
-    fn default_impls() {
-        assert_eq!(Mecb::default(), Mecb::new());
-        assert_eq!(Fecb::default().gid(), 0);
+        assert!(f.is_owned());
+        f.stamp(0, 0);
+        assert!(!f.is_owned());
     }
 }

@@ -9,10 +9,11 @@
 //! * [`MetadataLayout`] — where MECBs, FECBs, the spilled-OTT region and
 //!   the Merkle-tree nodes live in physical memory. One FECB follows each
 //!   MECB, exactly as Figure 6 describes.
-//! * [`Mecb`] / [`Fecb`] — the 64-byte split-counter block codecs: a
-//!   64-bit (MECB) or 32-bit (FECB) major counter plus 64 seven-bit minor
-//!   counters; the FECB additionally embeds the 18-bit Group ID and 14-bit
-//!   File ID the controller uses to locate the file key.
+//! * [`CounterBlock`] — the 64-byte split-counter block both engines
+//!   share: a major counter plus 64 seven-bit minors, tagged with its
+//!   pad domain. The MECB header is a 64-bit major; the FECB header packs
+//!   the 18-bit Group ID and 14-bit File ID the controller uses to locate
+//!   the file key, then a 32-bit major.
 //! * [`MetadataSystem`] — the dedicated metadata cache of Table III plus
 //!   functional Merkle verification/update and Osiris-style stop-loss
 //!   persistence of counter blocks.
@@ -23,13 +24,15 @@
 //! # Examples
 //!
 //! ```
-//! use fsencr_secmem::Mecb;
+//! use fsencr_crypto::PadDomain;
+//! use fsencr_secmem::CounterBlock;
 //!
-//! let mut mecb = Mecb::new();
-//! assert_eq!(mecb.increment(5), false); // no overflow
-//! assert_eq!(mecb.minor(5), 1);
-//! let bytes = mecb.to_bytes();
-//! assert_eq!(Mecb::from_bytes(&bytes), mecb);
+//! let mut fecb = CounterBlock::new(PadDomain::File);
+//! fecb.stamp(3, 17); // the owning (Group ID, File ID)
+//! assert_eq!(fecb.increment(5), false); // no overflow
+//! assert_eq!(fecb.minor(5), 1);
+//! let bytes = fecb.to_bytes();
+//! assert_eq!(CounterBlock::from_bytes(PadDomain::File, &bytes), fecb);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -40,7 +43,7 @@ pub mod ecc;
 pub mod layout;
 pub mod metadata;
 
-pub use counters::{Fecb, Mecb, MINORS_PER_BLOCK, MINOR_LIMIT};
+pub use counters::{CounterBlock, MINORS_PER_BLOCK, MINOR_LIMIT};
 pub use ecc::EccStore;
 pub use layout::{LineKind, MetadataLayout};
 pub use metadata::{

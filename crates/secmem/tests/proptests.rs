@@ -3,8 +3,9 @@
 
 use proptest::prelude::*;
 
+use fsencr_crypto::PadDomain;
 use fsencr_nvm::{NvmDevice, PageId};
-use fsencr_secmem::{Fecb, Mecb, MetadataLayout, MetadataSystem};
+use fsencr_secmem::{CounterBlock, MetadataLayout, MetadataSystem};
 use fsencr_sim::config::{CacheConfig, NvmConfig, SecurityConfig};
 use fsencr_sim::Cycle;
 
@@ -12,11 +13,11 @@ proptest! {
     #[test]
     fn mecb_roundtrips_any_state(major in any::<u64>(),
                                  minors in prop::collection::vec(0u8..128, 64)) {
-        let mut b = Mecb::new();
+        let mut b = CounterBlock::new(PadDomain::Memory);
         for (i, &m) in minors.iter().enumerate() {
             b.set(major, i, m);
         }
-        let back = Mecb::from_bytes(&b.to_bytes());
+        let back = CounterBlock::from_bytes(PadDomain::Memory, &b.to_bytes());
         prop_assert_eq!(back, b);
         for (i, &m) in minors.iter().enumerate() {
             prop_assert_eq!(back.minor(i), m);
@@ -27,13 +28,14 @@ proptest! {
     fn fecb_roundtrips_any_state(gid in 0u32..(1 << 18),
                                  fid in 0u32..(1 << 14),
                                  increments in prop::collection::vec(0usize..64, 0..200)) {
-        let mut f = Fecb::new(gid, fid);
+        let mut f = CounterBlock::new(PadDomain::File);
+        f.stamp(gid, fid);
         for &block in &increments {
             if f.increment(block) {
                 f.carry_major();
             }
         }
-        let back = Fecb::from_bytes(&f.to_bytes());
+        let back = CounterBlock::from_bytes(PadDomain::File, &f.to_bytes());
         prop_assert_eq!(back, f);
         prop_assert_eq!(back.gid(), gid);
         prop_assert_eq!(back.fid(), fid);

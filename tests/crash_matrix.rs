@@ -222,3 +222,80 @@ fn ecc_tags_survive_power_cut_snapshot_and_export() {
         assert_lines_read_back(&mut imported, lines, &format!("{lines} lines, imported"));
     }
 }
+
+/// Recovery visits pages in ascending order: each OTT lookup refreshes
+/// an LRU stamp, so identical machines must recover to identical states.
+#[test]
+fn recovery_is_deterministic() {
+    let run = || {
+        let mut m = Machine::new(MachineOpts::small_test(), SecurityMode::FsEncr);
+        for f in 0..4u8 {
+            let h = m.create(USER, GROUP, &format!("f{f}"), Mode::PRIVATE, Some("pw")).unwrap();
+            let map = m.mmap(&h).unwrap();
+            for page in 0..4u8 {
+                let off = u64::from(page) * 4096;
+                m.write(0, map, off, &[f * 4 + page; 64]).unwrap();
+                m.persist(0, map, off, 64).unwrap();
+            }
+        }
+        m.crash();
+        let report = m.recover();
+        assert_eq!(report.unrecoverable, 0, "{report:?}");
+        m.save_snapshot().unwrap()
+    };
+    let first = run();
+    for attempt in 1..16 {
+        assert!(run() == first, "run {attempt} recovered to a different state");
+    }
+}
+
+/// Each engine's counter step on its own. Memory-only writes (file
+/// engine locked) move line 0's MECB minor 60 ahead of its FECB minor,
+/// so hammering line 0 overflows the MECB alone and, later, the FECB
+/// alone. A crash right after each page re-encryption must lose
+/// nothing: the last acknowledged value and an untouched bystander line
+/// both read back.
+#[test]
+fn one_engine_overflow_survives_crash() {
+    let mut m = machine(SecurityMode::FsEncr);
+    let h = m.create(USER, GROUP, "ovf", Mode::PRIVATE, Some("pw")).unwrap();
+    let mut map = m.mmap(&h).unwrap();
+    let bystander = [0xb7u8; 64];
+    m.write(0, map, 64, &bystander).unwrap();
+    m.persist(0, map, 64, 64).unwrap();
+    m.lock_file_engine();
+    for i in 0..60u8 {
+        m.write(0, map, 0, &[0x80 | i; 64]).unwrap();
+        m.persist(0, map, 0, 64).unwrap();
+    }
+    m.unlock_file_engine();
+
+    // Line 0's MECB minor now leads its FECB minor by 60: the MECB
+    // overflows first, on the 67th write, and the FECB follows on the
+    // 60th write of the next round. After every write the round has
+    // seen no page re-encryption until its last write and exactly one
+    // then; both engines overflowing together would count two.
+    let mut value = 0u8;
+    for (engine, writes) in [("MECB", 67u32), ("FECB", 60)] {
+        let before = m.measurement_snapshot().overflow_reencryptions;
+        let mut last = [0u8; 64];
+        for n in 1..=writes {
+            value += 1;
+            last = [value; 64];
+            m.write(0, map, 0, &last).unwrap();
+            m.persist(0, map, 0, 64).unwrap();
+            let done = m.measurement_snapshot().overflow_reencryptions - before;
+            assert_eq!(done, u64::from(n == writes), "{engine}: write {n}");
+        }
+        m.crash();
+        let report = m.recover();
+        assert_eq!(report.unrecoverable, 0, "{engine}: {report:?}");
+        let h = m.open(USER, &[GROUP], "ovf", AccessKind::Write, Some("pw")).unwrap();
+        map = m.mmap(&h).unwrap();
+        let mut buf = [0u8; 64];
+        m.read(0, map, 0, &mut buf).unwrap();
+        assert_eq!(buf, last, "{engine}: last acknowledged value");
+        m.read(0, map, 64, &mut buf).unwrap();
+        assert_eq!(buf, bystander, "{engine}: bystander line");
+    }
+}
