@@ -445,6 +445,25 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_offsets_are_error_lines() {
+        let mut sh = shell();
+        out(&mut sh, "create f 1 1 600 pw");
+        // `offset + len` wraps past u64::MAX, and 2^40 bytes fit in u64
+        // but not in the mapping: each is refused before any page is
+        // faulted in or any line walked.
+        for cmd in [
+            "write f 18446744073709551615 hi",
+            "read f 18446744073709551615 2",
+            "persist f 0 1099511627776",
+        ] {
+            let err = out(&mut sh, cmd);
+            assert!(err.starts_with("error:") && err.contains("beyond"), "{cmd}: {err}");
+        }
+        assert!(out(&mut sh, "write f 0 hi").contains("wrote 2"));
+        assert_eq!(out(&mut sh, "read f 0 2"), "hi");
+    }
+
+    #[test]
     fn lock_unlock_and_unknown() {
         let mut sh = shell();
         assert!(out(&mut sh, "lock").contains("locked"));

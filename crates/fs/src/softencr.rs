@@ -168,11 +168,11 @@ impl PageCacheModel {
         self.resident.get(&(ino, page)).map(|e| e.frame)
     }
 
-    /// Removes every page of `ino`, returning `(page, dirty, frame)` in
-    /// page order — the close/unlink write-back set. The frames are
-    /// released in the same order; their contents stay readable until
-    /// the next miss reuses them.
-    pub fn flush_file(&mut self, ino: Ino) -> Vec<(usize, bool, u64)> {
+    /// Removes every page of `ino`, returning the dirty ones as
+    /// `(page, frame)` in page order — the close write-back set. The
+    /// frames are released in page order; their contents stay readable
+    /// until the next miss reuses them.
+    pub fn flush_file(&mut self, ino: Ino) -> Vec<(usize, u64)> {
         let mut pages: Vec<(usize, bool, u64)> = self
             .resident
             .iter()
@@ -185,6 +185,9 @@ impl PageCacheModel {
             self.free.push(frame);
         }
         pages
+            .into_iter()
+            .filter_map(|(page, dirty, frame)| dirty.then_some((page, frame)))
+            .collect()
     }
 
     /// `fsync` semantics: returns the dirty pages of `ino` as
@@ -338,8 +341,8 @@ mod tests {
         assert!(pc.clean_file(a).is_empty(), "clean pages stay resident");
         pc.touch(a, 1, true, &mut alloc);
         let flushed = pc.flush_file(a);
-        assert_eq!(flushed, vec![(1, true, 0x2000), (2, false, 0x3000), (3, false, 0x1000)]);
-        assert!(pc.flush_file(a).is_empty());
+        assert_eq!(flushed, vec![(1, 0x2000)], "only dirty pages are written back");
+        assert_eq!(pc.frame(a, 2), None, "clean pages leave too");
         assert_eq!(pc.frame(b, 0), Some(0x4000));
         // Released in page order, reused last-released-first.
         for (page, frame) in [(1, 0x1000), (2, 0x3000), (3, 0x2000), (4, 0x5000)] {

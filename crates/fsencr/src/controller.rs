@@ -31,7 +31,7 @@
 
 use std::collections::{BTreeSet, HashSet};
 
-use fsencr_crypto::{ctr, Aes128, Key128, PadDomain, PadInput, PadLedger, ScheduleCache};
+use fsencr_crypto::{ctr, Aes128, Key128, PadDomain, PadLedger, ScheduleCache};
 use fsencr_faults::{FaultEvent, FaultInjector, FaultPlan};
 use fsencr_nvm::{LineAddr, NvmDevice, NvmError, PageId, PhysAddr, LINE_BYTES};
 use fsencr_obs::Observer;
@@ -312,6 +312,12 @@ impl MemoryController {
         &self.nvm
     }
 
+    /// Where the data, counter blocks, OTT spill and Merkle nodes live
+    /// on the device.
+    pub fn layout(&self) -> &MetadataLayout {
+        self.meta.layout()
+    }
+
     /// Raw mutable device access. Debug/attack surface only — production
     /// callers go through the datapath; tests and attack fixtures that
     /// need to corrupt media directly reach for this, visibly.
@@ -499,18 +505,6 @@ impl MemoryController {
         self.locked = false;
     }
 
-    /// The IV for `(page, block)` under `counters`, in its engine's pad
-    /// domain.
-    fn pad_input(page: PageId, block: u8, counters: &CounterBlock) -> PadInput {
-        PadInput {
-            page_id: page.get(),
-            block_in_page: block,
-            major: counters.major(),
-            minor: counters.minor(block as usize),
-            domain: counters.domain(),
-        }
-    }
-
     /// Generates the pad for `(page, block)` under `counters` into the
     /// scratch buffer and XORs it into `data`: `OTP_mem` under the memory
     /// key, or `OTP_file` under `file_key` for a file block.
@@ -529,7 +523,7 @@ impl MemoryController {
         fresh: bool,
     ) {
         debug_assert_eq!(file_key.is_some(), counters.domain() == PadDomain::File);
-        let input = Self::pad_input(page, block, counters);
+        let input = counters.pad_input(page, block);
         let (key, aes) = match file_key {
             Some(k) => (k, self.schedules.get(&k)),
             None => (self.mem_key, &self.mem_aes),

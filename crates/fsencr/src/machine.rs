@@ -16,8 +16,15 @@
 //! | [`SecurityMode::MemoryOnly`] | counter-mode memory encryption + Merkle | plain DAX (the paper's **baseline security**) |
 //! | [`SecurityMode::FsEncr`] | baseline + the FsEncr file engine | DF-bit set at page faults |
 //! | [`SecurityMode::Software`] | baseline hardware | eCryptfs model: page cache + page-granular software crypto |
+//!
+//! `read`, `write` and `persist` share one file-page walk. The modes
+//! differ only in where a mapped page lives: an encrypted file under
+//! software encryption resolves to its DRAM page-cache frame (filled and
+//! written back by one software-crypto page copy), every other mapping
+//! to its own DAX frame.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use fsencr_cache::{CacheLine, Hierarchy};
 use fsencr_crypto::{ctr, Key128, PadDomain, PadInput};
@@ -319,6 +326,25 @@ fn fs_region(opts: &MachineOpts) -> (u64, u64) {
     let (general, pmem) = (opts.general_bytes, opts.pmem_bytes);
     let page = PAGE_BYTES as u64;
     (general / page + FS_META_PAGES, (pmem / page).saturating_sub(FS_META_PAGES))
+}
+
+/// Splits the `len` bytes at `start` at `UNIT`-byte boundaries, yielding
+/// `(unit index, offset in unit, span of the caller's buffer)`: the page
+/// walk over a mapped range and the line walk over a physical one.
+fn spans<const UNIT: usize>(
+    start: u64,
+    len: usize,
+) -> impl Iterator<Item = (u64, usize, Range<usize>)> {
+    let mut pos = 0usize;
+    std::iter::from_fn(move || {
+        (pos < len).then(|| {
+            let at = start + pos as u64;
+            let within = (at % UNIT as u64) as usize;
+            let take = (UNIT - within).min(len - pos);
+            pos += take;
+            (at / UNIT as u64, within, pos - take..pos)
+        })
+    })
 }
 
 /// The `arg` of a per-file machine event: `(gid << 32) | fid`.
@@ -1076,12 +1102,9 @@ impl Machine {
     /// Write-back failures in software mode.
     pub fn munmap(&mut self, core: usize, map: MapId) -> Result<(), MachineError> {
         if let Some(m) = self.mappings.get(&map.0).copied() {
-            if self.mode == SecurityMode::Software {
-                for (page, dirty, frame) in self.page_cache.flush_file(m.ino) {
-                    if dirty {
-                        self.sw_writeback_page(core, &m, page, frame)?;
-                    }
-                }
+            if self.page_cached(&m) {
+                let dirty = self.page_cache.flush_file(m.ino);
+                self.sw_write_back(core, &m, dirty)?;
             }
         }
         self.mappings.remove(&map.0);
@@ -1091,11 +1114,42 @@ impl Machine {
         Ok(())
     }
 
-    fn mapping(&self, map: MapId) -> Result<Mapping, MachineError> {
-        self.mappings
-            .get(&map.0)
-            .copied()
-            .ok_or(MachineError::OutOfBounds)
+    /// The mapping behind `map`, if the `len` bytes at `offset` lie
+    /// inside it.
+    fn mapped_range(&self, map: MapId, offset: u64, len: u64) -> Result<Mapping, MachineError> {
+        let m = *self.mappings.get(&map.0).ok_or(MachineError::OutOfBounds)?;
+        match offset.checked_add(len) {
+            Some(end) if end <= m.bytes => Ok(m),
+            _ => Err(MachineError::OutOfBounds),
+        }
+    }
+
+    /// Whether `m`'s pages live in the eCryptfs page cache (an encrypted
+    /// file under software encryption) rather than in their DAX frames.
+    fn page_cached(&self, m: &Mapping) -> bool {
+        self.mode == SecurityMode::Software && m.fek.is_some()
+    }
+
+    /// Physical base of the frame backing `page` of a mapping: its
+    /// page-cache frame (filled on a miss) or its DAX frame (faulted in
+    /// on first touch).
+    fn page_base(&mut self, core: usize, m: &Mapping, page: usize, write: bool) -> Result<u64, MachineError> {
+        if self.page_cached(m) {
+            self.sw_touch(core, m, page, write)
+        } else {
+            Ok(self.resolve_page(core, m, page)?.get() * PAGE_BYTES as u64)
+        }
+    }
+
+    /// [`Machine::page_base`] without touching anything: the base of the
+    /// frame backing `page`, or `None` when the page is not resident.
+    fn resident_base(&self, m: &Mapping, page: usize) -> Option<u64> {
+        if self.page_cached(m) {
+            self.page_cache.frame(m.ino, page)
+        } else {
+            let vpn = m.base / PAGE_BYTES as u64 + page as u64;
+            self.pt.pte(vpn).map(|pte| pte.frame.get() * PAGE_BYTES as u64)
+        }
     }
 
     /// Resolves the physical frame backing `page_idx` of a mapping,
@@ -1200,15 +1254,10 @@ impl Machine {
 
     /// Byte-granular read of `buf.len()` bytes at physical address `base`.
     fn read_bytes(&mut self, core: usize, base: u64, buf: &mut [u8]) -> Result<(), MemError> {
-        let mut pos = 0usize;
-        while pos < buf.len() {
-            let addr = base + pos as u64;
-            let line = LineAddr::new(addr);
-            let in_line = (addr - line.get()) as usize;
-            let take = (LINE_BYTES - in_line).min(buf.len() - pos);
-            let data = self.load_line(core, line)?;
-            buf[pos..pos + take].copy_from_slice(&data[in_line..in_line + take]);
-            pos += take;
+        for (line, in_line, span) in spans::<LINE_BYTES>(base, buf.len()) {
+            let data = self.load_line(core, LineAddr::new(line * LINE_BYTES as u64))?;
+            let take = span.len();
+            buf[span].copy_from_slice(&data[in_line..in_line + take]);
         }
         Ok(())
     }
@@ -1217,20 +1266,16 @@ impl Machine {
     /// (read-modify-write for partial lines, allocate-no-fetch for full
     /// lines).
     fn write_bytes(&mut self, core: usize, base: u64, data: &[u8]) -> Result<(), MemError> {
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let addr = base + pos as u64;
-            let line = LineAddr::new(addr);
-            let in_line = (addr - line.get()) as usize;
-            let take = (LINE_BYTES - in_line).min(data.len() - pos);
+        for (line, in_line, span) in spans::<LINE_BYTES>(base, data.len()) {
+            let line = LineAddr::new(line * LINE_BYTES as u64);
+            let take = span.len();
             let mut merged = if take == LINE_BYTES {
                 [0u8; LINE_BYTES]
             } else {
                 self.load_line(core, line)?
             };
-            merged[in_line..in_line + take].copy_from_slice(&data[pos..pos + take]);
+            merged[in_line..in_line + take].copy_from_slice(&data[span]);
             self.store_line(core, line, merged)?;
-            pos += take;
         }
         Ok(())
     }
@@ -1239,7 +1284,8 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Mapping, filesystem, or memory-path failures.
+    /// Mapping, filesystem, or memory-path failures;
+    /// [`MachineError::OutOfBounds`] when the range leaves the mapping.
     pub fn read(
         &mut self,
         core: usize,
@@ -1247,23 +1293,10 @@ impl Machine {
         offset: u64,
         buf: &mut [u8],
     ) -> Result<(), MachineError> {
-        let m = self.mapping(map)?;
-        if offset + buf.len() as u64 > m.bytes {
-            return Err(MachineError::OutOfBounds);
-        }
-        if self.mode == SecurityMode::Software && m.fek.is_some() {
-            return self.soft_read(core, &m, offset, buf);
-        }
-        let mut pos = 0usize;
-        while pos < buf.len() {
-            let off = offset + pos as u64;
-            let page_idx = (off / PAGE_BYTES as u64) as usize;
-            let in_page = (off % PAGE_BYTES as u64) as usize;
-            let take = (PAGE_BYTES - in_page).min(buf.len() - pos);
-            let frame = self.resolve_page(core, &m, page_idx)?;
-            let base = frame.get() * PAGE_BYTES as u64 + in_page as u64;
-            self.read_bytes(core, base, &mut buf[pos..pos + take])?;
-            pos += take;
+        let m = self.mapped_range(map, offset, buf.len() as u64)?;
+        for (page, in_page, span) in spans::<PAGE_BYTES>(offset, buf.len()) {
+            let base = self.page_base(core, &m, page as usize, false)?;
+            self.read_bytes(core, base + in_page as u64, &mut buf[span])?;
         }
         Ok(())
     }
@@ -1272,7 +1305,8 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Mapping, filesystem, or memory-path failures.
+    /// Mapping, filesystem, or memory-path failures;
+    /// [`MachineError::OutOfBounds`] when the range leaves the mapping.
     pub fn write(
         &mut self,
         core: usize,
@@ -1280,38 +1314,27 @@ impl Machine {
         offset: u64,
         data: &[u8],
     ) -> Result<(), MachineError> {
-        let m = self.mapping(map)?;
+        let m = self.mapped_range(map, offset, data.len() as u64)?;
         if !m.writable {
             return Err(MachineError::Fs(FsError::PermissionDenied));
         }
-        if offset + data.len() as u64 > m.bytes {
-            return Err(MachineError::OutOfBounds);
-        }
-        if self.mode == SecurityMode::Software && m.fek.is_some() {
-            return self.soft_write(core, &m, offset, data);
-        }
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let off = offset + pos as u64;
-            let page_idx = (off / PAGE_BYTES as u64) as usize;
-            let in_page = (off % PAGE_BYTES as u64) as usize;
-            let take = (PAGE_BYTES - in_page).min(data.len() - pos);
-            let frame = self.resolve_page(core, &m, page_idx)?;
-            let base = frame.get() * PAGE_BYTES as u64 + in_page as u64;
-            self.write_bytes(core, base, &data[pos..pos + take])?;
-            pos += take;
+        for (page, in_page, span) in spans::<PAGE_BYTES>(offset, data.len()) {
+            let base = self.page_base(core, &m, page as usize, true)?;
+            self.write_bytes(core, base + in_page as u64, &data[span])?;
         }
         self.fs.grow(m.ino, offset + data.len() as u64);
         Ok(())
     }
 
-    /// Persists a mapped range: `clwb` every covered line, then a fence.
-    /// The core waits for the write completions — this is where
-    /// write-intensive persistent workloads feel the encryption overhead.
+    /// Persists a mapped range: `clwb` every covered resident line, then
+    /// a fence. Under DAX the core waits for the write completions — this
+    /// is where write-intensive persistent workloads feel the encryption
+    /// overhead.
     ///
     /// # Errors
     ///
-    /// Mapping or memory-path failures.
+    /// Mapping or memory-path failures;
+    /// [`MachineError::OutOfBounds`] when the range leaves the mapping.
     pub fn persist(
         &mut self,
         core: usize,
@@ -1326,51 +1349,34 @@ impl Machine {
         if let Some(inj) = self.ctrl.fault_injector_mut() {
             inj.on_barrier();
         }
-        let m = self.mapping(map)?;
-        if self.mode == SecurityMode::Software && m.fek.is_some() {
-            // `clwb` on a page-cache mapping flushes the DRAM copy only —
-            // it is NOT durable and triggers no encryption. This is the
-            // broken persistence model the paper warns about; durability
-            // requires an explicit msync ([`Machine::msync`]).
-            let mut off = offset;
-            let end = offset + len;
-            while off < end {
-                let page = (off / PAGE_BYTES as u64) as usize;
-                let in_page = off % PAGE_BYTES as u64;
-                if let Some(pc_base) = self.page_cache.frame(m.ino, page) {
-                    let line = LineAddr::new(pc_base + (in_page & !(LINE_BYTES as u64 - 1)));
-                    if let Some(wb) = self.hier.clwb(line) {
-                        self.write_back(self.clocks[core], &wb)?;
-                    }
-                }
-                off = (off - in_page) + LINE_BYTES as u64 * ((in_page / LINE_BYTES as u64) + 1);
-            }
-            self.clocks[core] += FENCE_CYCLES;
-            return Ok(());
-        }
+        let m = self.mapped_range(map, offset, len)?;
         // `clwb` never touches the controller and every write-back is
         // issued at the same fence-pending clock, so the evictions are
         // collected first and fanned out as one region write.
         let mut scratch = std::mem::take(&mut self.persist_scratch);
         scratch.clear();
-        let mut off = offset;
-        let end = offset + len;
-        while off < end {
-            let page_idx = (off / PAGE_BYTES as u64) as usize;
-            let in_page = off % PAGE_BYTES as u64;
-            let vpn = m.base / PAGE_BYTES as u64 + page_idx as u64;
-            if let Some(pte) = self.pt.pte(vpn) {
-                let line = LineAddr::new(pte.frame.get() * PAGE_BYTES as u64 + in_page);
-                if let Some(wb) = self.hier.clwb(line) {
+        for (page, in_page, span) in spans::<PAGE_BYTES>(offset, len as usize) {
+            let Some(base) = self.resident_base(&m, page as usize) else {
+                continue;
+            };
+            for (line, _, _) in spans::<LINE_BYTES>(base + in_page as u64, span.len()) {
+                if let Some(wb) = self.hier.clwb(LineAddr::new(line * LINE_BYTES as u64)) {
                     scratch.push((PhysAddr::new(wb.addr.get()), wb.data));
                 }
             }
-            off = (off - in_page) + LINE_BYTES as u64 * ((in_page / LINE_BYTES as u64) + 1);
         }
         let res = self.ctrl.write_lines_at(self.clocks[core], &scratch);
         scratch.clear();
         self.persist_scratch = scratch;
-        self.clocks[core] = res? + FENCE_CYCLES;
+        let done = res?;
+        // `clwb` on a page-cache frame flushes the DRAM copy only — it is
+        // NOT durable, triggers no encryption and the core does not wait
+        // for it. This is the broken persistence model the paper warns
+        // about; durability requires an explicit [`Machine::msync`].
+        if !self.page_cached(&m) {
+            self.clocks[core] = done;
+        }
+        self.clocks[core] += FENCE_CYCLES;
         Ok(())
     }
 
@@ -1380,13 +1386,18 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Mapping or memory-path failures.
+    /// Mapping or memory-path failures;
+    /// [`MachineError::OutOfBounds`] when the range leaves the mapping.
     pub fn msync(&mut self, core: usize, map: MapId, offset: u64, len: u64) -> Result<(), MachineError> {
-        let m = self.mapping(map)?;
-        if self.mode == SecurityMode::Software && m.fek.is_some() {
-            return self.soft_fsync(core, &m);
+        let m = self.mapped_range(map, offset, len)?;
+        if !self.page_cached(&m) {
+            return self.persist(core, map, offset, len);
         }
-        self.persist(core, map, offset, len)
+        self.advance(core, self.opts.softencr.syscall_cycles);
+        let dirty = self.page_cache.clean_file(m.ino);
+        self.sw_write_back(core, &m, dirty)?;
+        self.clocks[core] += FENCE_CYCLES;
+        Ok(())
     }
 
     /// Charges the cost of one file-API system call *if* the machine runs
@@ -1439,80 +1450,67 @@ impl Machine {
         )
     }
 
-    /// Copies a file page into the page cache, decrypting in software.
-    fn sw_fill_page(
+    /// Moves one file page between its DAX `frame` and its page-cache
+    /// frame at `pc_base` through eCryptfs's software crypto: a fill
+    /// decrypts the file frame into the page cache; a write-back encrypts
+    /// the page-cache copy into the file frame and `clwb`s each line. The
+    /// write-back is *posted*: fsync waits until the stores reach the
+    /// persistence domain (the controller), not until the PCM array
+    /// commits.
+    ///
+    /// The copy streams at memcpy speed: the functional loads and stores
+    /// move the bytes (and count as NVM traffic), but the core-visible
+    /// time is the streaming-copy constant plus the software crypto, not
+    /// 64 serialized miss latencies.
+    fn sw_copy_page(
         &mut self,
         core: usize,
         m: &Mapping,
-        page: usize,
+        frame: PageId,
         pc_base: u64,
+        write_back: bool,
     ) -> Result<(), MachineError> {
         let fek = m
             .fek
-            .ok_or(MachineError::Unsupported("software fill of an unencrypted file"))?;
-        let frame = self.resolve_page(core, m, page)?;
-        self.advance(core, self.opts.softencr.fill_overhead_cycles);
-        if !self.sw_valid.contains(&(m.ino.get(), page)) {
-            // Hole / fresh block: reads as zeroes without touching media.
-            for blk in 0..(PAGE_BYTES / LINE_BYTES) as u64 {
-                let line = LineAddr::new(pc_base + blk * LINE_BYTES as u64);
-                self.store_line(core, line, [0u8; LINE_BYTES])?;
-            }
-            return Ok(());
-        }
-        // The copy itself streams at memcpy speed: the functional loads
-        // and stores below move the bytes (and count as NVM traffic), but
-        // the core-visible time is the streaming-copy constant plus the
-        // software decryption, not 64 serialized miss latencies.
+            .ok_or(MachineError::Unsupported("software crypto on an unencrypted file"))?;
+        let file_base = frame.get() * PAGE_BYTES as u64;
+        let (src, dst) = if write_back { (pc_base, file_base) } else { (file_base, pc_base) };
         let t0 = self.clocks[core];
-        for blk in 0..(PAGE_BYTES / LINE_BYTES) as u64 {
-            let file_line = LineAddr::new(frame.get() * PAGE_BYTES as u64 + blk * LINE_BYTES as u64);
-            let cipher = self.load_line(core, file_line)?;
-            let pad = self.sw_pad(fek, frame, blk as u8);
-            let mut plain = cipher;
-            ctr::xor_in_place(&mut plain, &pad);
-            let pc_line = LineAddr::new(pc_base + blk * LINE_BYTES as u64);
-            self.store_line(core, pc_line, plain)?;
+        for blk in 0..PAGE_BYTES / LINE_BYTES {
+            let off = (blk * LINE_BYTES) as u64;
+            let mut data = self.load_line(core, LineAddr::new(src + off))?;
+            ctr::xor_in_place(&mut data, &self.sw_pad(fek, frame, blk as u8));
+            let dst_line = LineAddr::new(dst + off);
+            self.store_line(core, dst_line, data)?;
+            if write_back {
+                if let Some(wb) = self.hier.clwb(dst_line) {
+                    self.write_back(self.clocks[core], &wb)?;
+                }
+            }
         }
         self.clocks[core] = t0 + PAGE_COPY_CYCLES;
         self.advance(core, self.opts.softencr.page_crypt_cycles());
         Ok(())
     }
 
-    /// Copies a page-cache page back to the file, encrypting in software.
-    fn sw_writeback_page(
+    /// Writes the `(page, page-cache frame)` pairs of `m`'s file back to
+    /// their DAX frames; each becomes valid ciphertext on media.
+    fn sw_write_back(
         &mut self,
         core: usize,
         m: &Mapping,
-        page: usize,
-        pc_base: u64,
+        pages: impl IntoIterator<Item = (usize, u64)>,
     ) -> Result<(), MachineError> {
-        let fek = m
-            .fek
-            .ok_or(MachineError::Unsupported("software writeback of an unencrypted file"))?;
-        let frame = self.resolve_page(core, m, page)?;
-        let t0 = self.clocks[core];
-        for blk in 0..(PAGE_BYTES / LINE_BYTES) as u64 {
-            let pc_line = LineAddr::new(pc_base + blk * LINE_BYTES as u64);
-            let plain = self.load_line(core, pc_line)?;
-            let pad = self.sw_pad(fek, frame, blk as u8);
-            let mut cipher = plain;
-            ctr::xor_in_place(&mut cipher, &pad);
-            let file_line = LineAddr::new(frame.get() * PAGE_BYTES as u64 + blk * LINE_BYTES as u64);
-            self.store_line(core, file_line, cipher)?;
-            // Write the file line back (eCryptfs write-back). The write is
-            // *posted*: fsync waits until the stores reach the persistence
-            // domain (the controller), not until the PCM array commits.
-            if let Some(wb) = self.hier.clwb(file_line) {
-                self.write_back(self.clocks[core], &wb)?;
-            }
+        for (page, pc_base) in pages {
+            let frame = self.resolve_page(core, m, page)?;
+            self.sw_copy_page(core, m, frame, pc_base, true)?;
+            self.sw_valid.insert((m.ino.get(), page));
         }
-        self.clocks[core] = t0 + PAGE_COPY_CYCLES;
-        self.advance(core, self.opts.softencr.page_crypt_cycles());
-        self.sw_valid.insert((m.ino.get(), page));
         Ok(())
     }
 
+    /// The page-cache frame of `page`: a miss writes a dirty victim back
+    /// and fills the page from its DAX frame.
     fn sw_touch(&mut self, core: usize, m: &Mapping, page: usize, write: bool) -> Result<u64, MachineError> {
         // A miss with no released frame bump-allocates general memory.
         let outcome = self.page_cache.touch(m.ino, page, write, || {
@@ -1525,67 +1523,20 @@ impl Machine {
             // The victim belongs to some open mapping of v_ino; with
             // several, the lowest map id pays the write-back.
             if let Some((_, vm)) = self.lowest_mapping(v_ino) {
-                self.sw_writeback_page(core, &vm, v_page, v_frame)?;
+                self.sw_write_back(core, &vm, [(v_page, v_frame)])?;
             }
         }
         if outcome.fill {
-            self.sw_fill_page(core, m, page, outcome.frame)?;
+            let frame = self.resolve_page(core, m, page)?;
+            self.advance(core, self.opts.softencr.fill_overhead_cycles);
+            if self.sw_valid.contains(&(m.ino.get(), page)) {
+                self.sw_copy_page(core, m, frame, outcome.frame, false)?;
+            } else {
+                // Hole / fresh block: reads as zeroes without touching media.
+                self.write_bytes(core, outcome.frame, &[0u8; PAGE_BYTES])?;
+            }
         }
         Ok(outcome.frame)
-    }
-
-    fn soft_read(
-        &mut self,
-        core: usize,
-        m: &Mapping,
-        offset: u64,
-        buf: &mut [u8],
-    ) -> Result<(), MachineError> {
-        // mmap semantics: cached pages are accessed directly; only faults
-        // (fills) and msync pay the software stack.
-        let mut pos = 0usize;
-        while pos < buf.len() {
-            let off = offset + pos as u64;
-            let page = (off / PAGE_BYTES as u64) as usize;
-            let in_page = (off % PAGE_BYTES as u64) as usize;
-            let take = (PAGE_BYTES - in_page).min(buf.len() - pos);
-            let pc_base = self.sw_touch(core, m, page, false)?;
-            let mut tmp = vec![0u8; take];
-            self.heap_read(core, pc_base + in_page as u64, &mut tmp)?;
-            buf[pos..pos + take].copy_from_slice(&tmp);
-            pos += take;
-        }
-        Ok(())
-    }
-
-    fn soft_write(
-        &mut self,
-        core: usize,
-        m: &Mapping,
-        offset: u64,
-        data: &[u8],
-    ) -> Result<(), MachineError> {
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let off = offset + pos as u64;
-            let page = (off / PAGE_BYTES as u64) as usize;
-            let in_page = (off % PAGE_BYTES as u64) as usize;
-            let take = (PAGE_BYTES - in_page).min(data.len() - pos);
-            let pc_base = self.sw_touch(core, m, page, true)?;
-            self.heap_write(core, pc_base + in_page as u64, &data[pos..pos + take])?;
-            pos += take;
-        }
-        self.fs.grow(m.ino, offset + data.len() as u64);
-        Ok(())
-    }
-
-    fn soft_fsync(&mut self, core: usize, m: &Mapping) -> Result<(), MachineError> {
-        self.advance(core, self.opts.softencr.syscall_cycles);
-        for (page, frame) in self.page_cache.clean_file(m.ino) {
-            self.sw_writeback_page(core, m, page, frame)?;
-        }
-        self.clocks[core] += FENCE_CYCLES;
-        Ok(())
     }
 
     fn fs_meta_base(&self) -> u64 {
@@ -1632,16 +1583,11 @@ impl Machine {
         self.heap_write(core, base, &(image.len() as u64).to_le_bytes())?;
         self.heap_write(core, base + 64, &image)?;
         // Persist the whole image range.
-        let mut off = 0u64;
-        let end = 64 + image.len() as u64;
         let mut fence_at = self.clocks[core];
-        while off < end {
-            let line = LineAddr::new(base + off);
-            if let Some(wb) = self.hier.clwb(line) {
-                let done = self.write_back(self.clocks[core], &wb)?;
-                fence_at = fence_at.max(done);
+        for (line, _, _) in spans::<LINE_BYTES>(base, 64 + image.len()) {
+            if let Some(wb) = self.hier.clwb(LineAddr::new(line * LINE_BYTES as u64)) {
+                fence_at = fence_at.max(self.write_back(self.clocks[core], &wb)?);
             }
-            off += LINE_BYTES as u64;
         }
         self.clocks[core] = fence_at + FENCE_CYCLES;
         Ok(())

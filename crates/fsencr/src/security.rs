@@ -11,8 +11,8 @@
 //!   (modelled as FsEncr with every file sharing a single passphrase-key).
 //! * **System C** — FsEncr proper: dedicated keys per file.
 
-use fsencr_crypto::{ctr, Aes128, Key128, PadDomain, PadInput};
-use fsencr_nvm::{PageId, PhysAddr, LINE_BYTES, PAGE_BYTES};
+use fsencr_crypto::{ctr, Aes128, Key128, PadDomain};
+use fsencr_nvm::{LineAddr, PageId, PhysAddr, LINE_BYTES, PAGE_BYTES};
 use fsencr_secmem::CounterBlock;
 
 use crate::machine::Machine;
@@ -44,37 +44,27 @@ pub fn attacker_decrypts(machine: &Machine, mem_key: &Key128, file_keys: &[Key12
     let mem_aes = Aes128::new(mem_key);
     let file_aes: Vec<Aes128> = file_keys.iter().map(Aes128::new).collect();
 
-    let layout_data_bytes = machine.opts().general_bytes + machine.opts().pmem_bytes;
+    let layout = ctrl.layout();
     let mut frames: Vec<u64> = storage
         .frames()
-        .filter(|f| (f * PAGE_BYTES as u64) < layout_data_bytes)
+        .filter(|f| (f * PAGE_BYTES as u64) < layout.data_bytes())
         .collect();
     frames.sort_unstable();
+    // The attacker reads counters straight from the media — they are
+    // stored in plaintext (integrity-protected, not secret).
+    let counters = |domain, addr: LineAddr| {
+        CounterBlock::from_bytes(domain, &ctrl.nvm().peek_line(PhysAddr::new(addr.get())))
+    };
 
     for frame in frames {
         let page = PageId::new(frame);
-        // The attacker reads counters straight from the media — they are
-        // stored in plaintext (integrity-protected, not secret).
-        let meta_base = layout_data_bytes;
-        let mecb_raw = read_line_at(machine, meta_base + frame * 128);
-        let fecb_raw = read_line_at(machine, meta_base + frame * 128 + 64);
-        let mecb = CounterBlock::from_bytes(PadDomain::Memory, &mecb_raw);
-        let fecb = CounterBlock::from_bytes(PadDomain::File, &fecb_raw);
+        let mecb = counters(PadDomain::Memory, layout.mecb_addr(page));
+        let fecb = counters(PadDomain::File, layout.fecb_addr(page));
 
         // Strips one engine's pads from every line of the page.
         let strip = |bytes: &mut [u8; PAGE_BYTES], aes: &Aes128, counters: &CounterBlock| {
-            for blk in 0..(PAGE_BYTES / LINE_BYTES) {
-                let pad = ctr::line_pad_with(
-                    aes,
-                    &PadInput {
-                        page_id: frame,
-                        block_in_page: blk as u8,
-                        major: counters.major(),
-                        minor: counters.minor(blk),
-                        domain: counters.domain(),
-                    },
-                );
-                ctr::xor_in_place(&mut bytes[blk * 64..(blk + 1) * 64], &pad);
+            for (blk, line) in bytes.chunks_exact_mut(LINE_BYTES).enumerate() {
+                ctr::xor_in_place(line, &ctr::line_pad_with(aes, &counters.pad_input(page, blk as u8)));
             }
         };
         let leaks = |bytes: &[u8; PAGE_BYTES]| bytes.windows(needle.len()).any(|w| w == needle);
@@ -96,10 +86,6 @@ pub fn attacker_decrypts(machine: &Machine, mem_key: &Key128, file_keys: &[Key12
         }
     }
     false
-}
-
-fn read_line_at(machine: &Machine, addr: u64) -> [u8; LINE_BYTES] {
-    machine.controller().nvm().peek_line(PhysAddr::new(addr))
 }
 
 #[cfg(test)]

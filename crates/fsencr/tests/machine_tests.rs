@@ -334,14 +334,30 @@ fn software_mode_hides_plaintext_on_media_after_sync() {
 
 #[test]
 fn out_of_bounds_and_bad_map_rejected() {
-    let mut m = machine(SecurityMode::FsEncr);
-    let h = m.create(ALICE, STAFF, "b", Mode::PRIVATE, None).unwrap();
-    let map = m.mmap(&h).unwrap();
-    let err = m.write(0, map, u64::MAX - 10, b"xx").unwrap_err();
-    assert!(matches!(err, fsencr::machine::MachineError::OutOfBounds));
-    m.munmap(0, map).unwrap();
-    let mut buf = [0u8; 1];
-    assert!(m.read(0, map, 0, &mut buf).is_err());
+    use fsencr::machine::MachineError::OutOfBounds;
+    const MAP_BYTES: u64 = 1 << 30; // every mapping spans 1 GiB
+    for mode in all_modes() {
+        let mut m = machine(mode);
+        let h = m.create(ALICE, STAFF, "b", Mode::PRIVATE, Some("pw")).unwrap();
+        let map = m.mmap(&h).unwrap();
+        let next = m.mmap(&h).unwrap();
+        m.write(0, next, 0, b"next").unwrap();
+        assert_eq!(m.write(0, map, u64::MAX - 10, b"xx"), Err(OutOfBounds), "{mode}");
+        // `offset + len` wraps past u64::MAX: no page 2^52 is faulted in.
+        assert_eq!(m.write(0, map, u64::MAX, b"hi"), Err(OutOfBounds), "{mode}");
+        let mut buf = [0u8; 2];
+        assert_eq!(m.read(0, map, u64::MAX, &mut buf), Err(OutOfBounds), "{mode}");
+        assert_eq!(m.persist(0, map, u64::MAX, 2), Err(OutOfBounds), "{mode}");
+        // A range past the mapping is refused before a line is walked,
+        // and never reaches the next mapping's pages.
+        assert_eq!(m.persist(0, map, 0, 1 << 40), Err(OutOfBounds), "{mode}");
+        assert_eq!(m.persist(0, map, MAP_BYTES - 64, 128), Err(OutOfBounds), "{mode}");
+        m.persist(0, map, MAP_BYTES - 1, 1).unwrap();
+        m.read(0, next, 0, &mut buf).unwrap();
+        assert_eq!(&buf, b"ne", "{mode}");
+        m.munmap(0, map).unwrap();
+        assert!(m.read(0, map, 0, &mut buf).is_err(), "{mode}");
+    }
 }
 
 #[test]

@@ -8,7 +8,8 @@
 //! major to the owning 18-bit Group ID and 14-bit File ID — file
 //! counters only need to outlive the file, not the device.
 
-use fsencr_crypto::PadDomain;
+use fsencr_crypto::{PadDomain, PadInput};
+use fsencr_nvm::PageId;
 
 /// Minor counters per block — one per 64-byte line of a 4 KiB page.
 pub const MINORS_PER_BLOCK: usize = 64;
@@ -141,6 +142,19 @@ impl CounterBlock {
     /// Panics if `block >= 64`.
     pub fn minor(&self, block: usize) -> u8 {
         self.minors[block]
+    }
+
+    /// The IV of line `block` of `page` under these counters, in the
+    /// block's pad domain — the one IV layout of both engines, the
+    /// controller's and the attacker model's.
+    pub fn pad_input(&self, page: PageId, block: u8) -> PadInput {
+        PadInput {
+            page_id: page.get(),
+            block_in_page: block,
+            major: self.major,
+            minor: self.minor(block as usize),
+            domain: self.domain,
+        }
     }
 
     /// Increments the minor counter of `block`. Returns `true` when the

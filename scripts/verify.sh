@@ -67,15 +67,19 @@ snap_dir="$(mktemp -d)"
     "$OLDPWD/target/release/harness" snapshot load MACHINE.snap >/dev/null
     # Figure byte-diff: a cold run populates CACHE/, a warm run at a
     # different worker count (cell entries deleted) restores the setup
-    # entries — the printed figures must be byte-identical.
-    "$OLDPWD/target/release/harness" --jobs 1 fig12-14 0.01 >fig_cold.txt
-    rm -f CACHE/*.cell
-    "$OLDPWD/target/release/harness" --jobs 4 fig12-14 0.01 >fig_warm.txt
-    if ! cmp -s fig_cold.txt fig_warm.txt; then
-        echo "FAIL: warm-started figures differ from cold-setup figures" >&2
-        diff fig_cold.txt fig_warm.txt >&2 || true
-        exit 1
-    fi
+    # entries — the printed figures must be byte-identical. fig12-14
+    # restores DAX state; fig3 also restores software-encryption
+    # page-cache state.
+    for fig in fig12-14 fig3; do
+        "$OLDPWD/target/release/harness" --jobs 1 "$fig" 0.01 >fig_cold.txt
+        rm -f CACHE/*.cell
+        "$OLDPWD/target/release/harness" --jobs 4 "$fig" 0.01 >fig_warm.txt
+        if ! cmp -s fig_cold.txt fig_warm.txt; then
+            echo "FAIL: warm-started $fig differs from its cold-setup run" >&2
+            diff fig_cold.txt fig_warm.txt >&2 || true
+            exit 1
+        fi
+    done
 )
 rm -rf "$snap_dir"
 finish

@@ -20,6 +20,9 @@ enum Op {
     Write { offset: u64, data: Vec<u8> },
     Read { offset: u64, len: usize },
     Persist { offset: u64, len: u64 },
+    Msync { offset: u64, len: u64 },
+    /// `munmap` then `mmap` of the same handle.
+    Remap,
     CrashRecover,
 }
 
@@ -27,10 +30,14 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         4 => (0..FILE_BYTES - 512, prop::collection::vec(any::<u8>(), 1..256))
             .prop_map(|(offset, data)| Op::Write { offset, data }),
-        4 => (0..FILE_BYTES - 512, 1..256usize)
+        // Reads span up to a page, so they often cover earlier writes.
+        4 => (0..FILE_BYTES - 4096, 1..4096usize)
             .prop_map(|(offset, len)| Op::Read { offset, len }),
         2 => (0..FILE_BYTES - 512, 1..512u64)
             .prop_map(|(offset, len)| Op::Persist { offset, len }),
+        1 => (0..FILE_BYTES - 512, 1..512u64)
+            .prop_map(|(offset, len)| Op::Msync { offset, len }),
+        1 => Just(Op::Remap),
         1 => Just(Op::CrashRecover),
     ]
 }
@@ -38,11 +45,16 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// Applies ops to a machine and a byte-array reference; returns false on
 /// any divergence. Writes are always persisted before a crash can occur
 /// (the reference model tracks persisted state only at crash points).
+///
+/// The software page cache holds 4 of the file's 16 pages, so Software
+/// mode's eviction write-back and refill decryption are checked too.
 fn check_mode(mode: SecurityMode, ops: &[Op]) {
-    let mut m = Machine::new(MachineOpts::small_test(), mode);
+    let mut opts = MachineOpts::small_test();
+    opts.softencr.page_cache_pages = 4;
+    let mut m = Machine::new(opts, mode);
     let user = UserId::new(1);
     let group = GroupId::new(1);
-    let h = m
+    let mut h = m
         .create(user, group, "prop.bin", Mode::PRIVATE, Some("pw"))
         .expect("create");
     let mut map = m.mmap(&h).expect("mmap");
@@ -73,6 +85,13 @@ fn check_mode(mode: SecurityMode, ops: &[Op]) {
             Op::Persist { offset, len } => {
                 m.persist(0, map, *offset, *len).expect("persist");
             }
+            Op::Msync { offset, len } => {
+                m.msync(0, map, *offset, *len).expect("msync");
+            }
+            Op::Remap => {
+                m.munmap(0, map).expect("munmap");
+                map = m.mmap(&h).expect("remap");
+            }
             Op::CrashRecover => {
                 if mode == SecurityMode::Software {
                     // Software encryption loses the broken DAX persistence
@@ -83,7 +102,7 @@ fn check_mode(mode: SecurityMode, ops: &[Op]) {
                 m.crash();
                 let report = m.recover();
                 assert_eq!(report.unrecoverable, 0, "{mode}: {report:?}");
-                let h = m
+                h = m
                     .open(user, &[group], "prop.bin", fsencr_fs::AccessKind::Write, Some("pw"))
                     .expect("reopen");
                 map = m.mmap(&h).expect("remap");
