@@ -5,9 +5,14 @@
 //! It covers exactly the JSON those writers emit — objects, arrays, strings with `\`
 //! escapes, numbers, booleans, null — and keeps numbers as their source
 //! text so 64-bit integers (e.g. `f64::to_bits` round-trips) survive
-//! without a lossy trip through `f64`.
+//! without a lossy trip through `f64`. Nesting is bounded by
+//! [`MAX_DEPTH`], so hostile input gets an `Err`, never a stack overflow.
 
 use std::collections::BTreeMap;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The harness
+/// writes depth 4 at most.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value. Numbers keep their raw text; convert on demand.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,11 +36,12 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// A human-readable description of the first syntax error.
+    /// A human-readable description of the first syntax error, or of
+    /// nesting deeper than [`MAX_DEPTH`].
     pub fn parse(src: &str) -> Result<Json, String> {
         let bytes = src.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -107,11 +113,15 @@ fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value nested inside `depth` arrays/objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos))
+        }
+        Some(b'{') => parse_obj(b, pos, depth + 1),
+        Some(b'[') => parse_arr(b, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
@@ -199,7 +209,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'[')?;
     let mut out = Vec::new();
     skip_ws(b, pos);
@@ -208,7 +218,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(out));
     }
     loop {
-        out.push(parse_value(b, pos)?);
+        out.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -221,7 +231,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'{')?;
     let mut out = BTreeMap::new();
     skip_ws(b, pos);
@@ -234,7 +244,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let val = parse_value(b, pos)?;
+        let val = parse_value(b, pos, depth)?;
         out.insert(key, val);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -278,6 +288,20 @@ mod tests {
         for bad in ["{", "[1,", "\"x", "{\"a\" 1}", "1 2", "tru"] {
             assert!(Json::parse(bad).is_err(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        // Far past the bound: an `Err`, not a stack overflow.
+        for open in ["[", "{\"a\":"] {
+            let deep = open.repeat(1_000_000);
+            let err = Json::parse(&deep).unwrap_err();
+            assert!(err.contains("nesting deeper than 128"), "{err}");
+        }
+        // Exactly at the bound still parses; one level more does not.
+        let at = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&at(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&at(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //!
 //! Re-runs a figure's cells with the machine's observer enabled and
 //! renders *where the cycles went* in each cell — pad generation vs
-//! data-fetch overlap, per-structure metadata-cache misses, Merkle
-//! climbs, OTT hits/spills, and NVM row-buffer outcomes. The cells run
+//! data-fetch overlap, counter-block and key waits, OTT hit and miss
+//! cycles — next to the measured window's counts (per-structure
+//! metadata-cache hits and misses, Merkle climbs, OTT hits, NVM
+//! row-buffer outcomes, overflows). The cells run
 //! through the same deterministic pool as the figures, and every export
 //! (text, JSON, chrome-trace) is assembled in submission order from
 //! sorted metric maps, so output is byte-identical at any `--jobs`
@@ -30,7 +32,7 @@ pub struct ProfiledCell {
     pub mode: SecurityMode,
     /// The measurement window as a raw counter delta.
     pub window: StatsSnapshot,
-    /// The run-phase observer: metrics, datapath spans and the machine
+    /// The run-phase observer: cycle sums, datapath spans and the machine
     /// lifecycle events (page faults, key installs, shreds) as
     /// `machine`-category spans.
     pub observer: Observer,
@@ -88,8 +90,8 @@ impl ProfiledCell {
         self.observer.spans().filter(|s| s.cat == "machine").count()
     }
 
-    /// The attribution groups the paper's datapath story names, derived
-    /// from the observer metrics: `(group, cycles-or-count rows)`.
+    /// The attribution groups the paper's datapath story names: cycle
+    /// sums from the observer, plus the window's overflow count.
     fn breakdown(&self) -> Vec<(&'static str, u64)> {
         let m = |k: &'static str| self.observer.metric(k);
         vec![
@@ -104,7 +106,7 @@ impl ProfiledCell {
             ("write pad-wait cycles", m("ctrl/write/pad_wait_cycles")),
             ("write mecb-wait cycles", m("ctrl/write/mecb_wait_cycles")),
             ("write key-wait cycles", m("ctrl/write/key_wait_cycles")),
-            ("write overflows", m("ctrl/write/overflows")),
+            ("write overflows", self.window.overflow_reencryptions),
             ("ott hit cycles", m("ott/hit_cycles")),
             ("ott miss cycles", m("ott/miss_cycles")),
         ]

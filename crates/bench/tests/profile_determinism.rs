@@ -4,6 +4,7 @@
 //! counters are internally consistent.
 
 use fsencr::machine::{Machine, MachineOpts, SecurityMode};
+use fsencr_bench::experiments::profile_cells;
 use fsencr_bench::pool::{self, Schedule};
 use fsencr_bench::profile::profile;
 use fsencr_bench::{fig8_9_10, Figure};
@@ -55,6 +56,32 @@ fn observation_does_not_perturb_simulated_timing() {
     assert_eq!(plain, observed.result.stats);
     // And the observer actually recorded the run.
     assert!(observed.observer.metric("ctrl/write/total_cycles") > 0);
+}
+
+/// The observer holds cycle sums and timeline events only; every count
+/// (hits, misses, row-buffer outcomes, overflows) is read from the
+/// window. A count key creeping back into the observer fails here.
+#[test]
+fn observer_metrics_are_cycle_sums_only() {
+    let cell = |fig: &str, mode: SecurityMode| {
+        let spec = profile_cells(fig, 0.01)
+            .expect("figure must be profilable")
+            .into_iter()
+            .find(|c| c.mode == mode)
+            .expect("figure must run the mode");
+        profile_workload(spec.opts, spec.mode, (spec.factory)().as_mut(), 1 << 12).unwrap()
+    };
+    for (fig, mode) in [("fig8-10", SecurityMode::FsEncr), ("fig11", SecurityMode::Software)] {
+        let run = cell(fig, mode);
+        let keys: Vec<_> = run.observer.metrics().map(|(k, _)| k).collect();
+        assert!(!keys.is_empty(), "{fig} {mode}: nothing attributed");
+        for k in keys {
+            assert!(k.ends_with("_cycles"), "{fig} {mode}: count key {k:?} in the observer");
+        }
+        let w = &run.result.stats;
+        assert!(w.nvm_row_hits + w.nvm_row_misses > 0, "{fig} {mode}: {w:?}");
+        assert!(run.observer.metric("ctrl/write/total_cycles") > 0, "{fig} {mode}");
+    }
 }
 
 /// A profiling run between two figure runs must leave no trace: the

@@ -563,19 +563,15 @@ impl MemoryController {
     ) -> Result<(Key128, Cycle), MemError> {
         let mut t = now + self.ott.latency_cycles();
         if let Some(key) = self.ott.lookup(gid, fid) {
-            self.obs.incr("ott/hits");
             self.obs.add("ott/hit_cycles", t.since(now).get());
             return Ok((key, t));
         }
-        self.obs.incr("ott/misses");
         let (found, t_spill) = self
             .spill
             .lookup(&mut self.meta, &mut self.nvm, t, gid, fid)?;
         t = t_spill + self.aes_cycles; // decrypt the spilled key
         let key = found.ok_or(MemError::KeyUnavailable { gid, fid })?;
-        self.obs.incr("ott/fills");
         if let Some((vg, vf, vkey)) = self.ott.insert(gid, fid, key) {
-            self.obs.incr("ott/spills");
             t = self
                 .spill
                 .insert(&mut self.meta, &mut self.nvm, t, vg, vf, &vkey)?;
@@ -622,13 +618,11 @@ impl MemoryController {
     ) -> Result<([u8; LINE_BYTES], Cycle), MemError> {
         let line = addr.line();
         self.stats.reads.incr();
-        let row_base = self.row_base();
         let (cipher, t_data) = self.nvm.read_line(now, addr);
         if self.mode == CtrlMode::Unencrypted {
             self.stats.read_latency.record(t_data.since(now).get());
             self.obs.add("ctrl/read/total_cycles", t_data.since(now).get());
             self.obs.add("ctrl/read/data_cycles", t_data.since(now).get());
-            self.note_rows("ctrl/read/row_hits", "ctrl/read/row_misses", row_base);
             self.obs.span("ctrl", "read_line", now.get(), t_data.get(), addr.get());
             return Ok((cipher, t_data));
         }
@@ -644,11 +638,6 @@ impl MemoryController {
         // the direct-encryption ablation decrypts only after both the data
         // and the counter are available.
         let t_pad_mem = macc.done + self.aes_cycles;
-        self.obs.incr(if macc.cache_hit {
-            "ctrl/read/mecb_hits"
-        } else {
-            "ctrl/read/mecb_misses"
-        });
         self.obs.add("ctrl/read/mecb_wait_cycles", macc.done.since(now).get());
         self.obs.add("ctrl/read/pad_gen_cycles", self.aes_cycles);
 
@@ -664,11 +653,6 @@ impl MemoryController {
             self.stats.file_accesses.incr();
             let (fecb, _, facc) = self.read_counters(now, page, PadDomain::File)?;
             let (key, t_key) = self.resolve_key(facc.done, fecb.gid(), fecb.fid())?;
-            self.obs.incr(if facc.cache_hit {
-                "ctrl/read/fecb_hits"
-            } else {
-                "ctrl/read/fecb_misses"
-            });
             self.obs.add("ctrl/read/fecb_wait_cycles", facc.done.since(now).get());
             self.obs.add("ctrl/read/key_wait_cycles", t_key.since(facc.done).get());
             self.obs.add("ctrl/read/pad_gen_cycles", self.aes_cycles);
@@ -685,28 +669,8 @@ impl MemoryController {
         self.obs.add("ctrl/read/data_cycles", t_data.since(now).get());
         self.obs
             .add("ctrl/read/pad_exposed_cycles", done.get().saturating_sub(t_data.get()));
-        self.note_rows("ctrl/read/row_hits", "ctrl/read/row_misses", row_base);
         self.obs.span("ctrl", "read_line", now.get(), done.get(), addr.get());
         Ok((plain, done))
-    }
-
-    /// Row-buffer counter baseline, captured only while observing so the
-    /// disabled path stays branch-cheap.
-    fn row_base(&self) -> Option<(u64, u64)> {
-        if self.obs.is_enabled() {
-            Some((self.nvm.row_hits(), self.nvm.row_misses()))
-        } else {
-            None
-        }
-    }
-
-    /// Attributes the row-buffer outcomes accumulated since `base` to the
-    /// given metric keys.
-    fn note_rows(&mut self, hits_key: &'static str, misses_key: &'static str, base: Option<(u64, u64)>) {
-        if let Some((h, m)) = base {
-            self.obs.add(hits_key, self.nvm.row_hits().saturating_sub(h));
-            self.obs.add(misses_key, self.nvm.row_misses().saturating_sub(m));
-        }
     }
 
     /// Writes one line (Figure 7, write path). Returns the completion
@@ -751,11 +715,9 @@ impl MemoryController {
     ) -> Result<Cycle, MemError> {
         let line = addr.line();
         self.stats.writes.incr();
-        let row_base = self.row_base();
         if self.mode == CtrlMode::Unencrypted {
             let t_end = self.nvm.write_line(now, addr, plaintext);
             self.obs.add("ctrl/write/total_cycles", t_end.since(now).get());
-            self.note_rows("ctrl/write/row_hits", "ctrl/write/row_misses", row_base);
             self.obs.span("ctrl", "write_line", now.get(), t_end.get(), addr.get());
             return Ok(t_end);
         }
@@ -767,11 +729,6 @@ impl MemoryController {
 
         // OTP_mem: the memory engine's counter step, then its pad.
         let (mut mecb, mecb_addr, macc) = self.read_counters(now, page, PadDomain::Memory)?;
-        self.obs.incr(if macc.cache_hit {
-            "ctrl/write/mecb_hits"
-        } else {
-            "ctrl/write/mecb_misses"
-        });
         let m_done = self.advance_counter(macc.done, page, block, mecb_addr, &mut mecb, None)?;
         let mut t_pads = m_done + self.aes_cycles;
         self.obs.add("ctrl/write/mecb_wait_cycles", m_done.since(now).get());
@@ -783,11 +740,6 @@ impl MemoryController {
         if self.file_pages.contains(&page.get()) && !self.locked {
             self.stats.file_accesses.incr();
             let (mut fecb, fecb_addr, facc) = self.read_counters(now, page, PadDomain::File)?;
-            self.obs.incr(if facc.cache_hit {
-                "ctrl/write/fecb_hits"
-            } else {
-                "ctrl/write/fecb_misses"
-            });
             let (key, t_key) = self.resolve_key(facc.done, fecb.gid(), fecb.fid())?;
             self.obs.add("ctrl/write/key_wait_cycles", t_key.since(facc.done).get());
             let f_done = self.advance_counter(t_key, page, block, fecb_addr, &mut fecb, Some(key))?;
@@ -800,7 +752,6 @@ impl MemoryController {
         self.obs.add("ctrl/write/pad_wait_cycles", t_pads.since(now).get());
         let t_end = self.nvm.write_line(t_pads + 1, addr, &cipher);
         self.obs.add("ctrl/write/total_cycles", t_end.since(now).get());
-        self.note_rows("ctrl/write/row_hits", "ctrl/write/row_misses", row_base);
         self.obs.span("ctrl", "write_line", now.get(), t_end.get(), addr.get());
         Ok(t_end)
     }
@@ -836,7 +787,6 @@ impl MemoryController {
             self.stats.overflow_reencryptions.incr();
             t = self.repad_page(t, page, file_key, &old, counters) + self.aes_cycles;
             counters.increment(block as usize);
-            self.obs.incr("ctrl/write/overflows");
         }
         let acc = self.meta.write_block(&mut self.nvm, t, addr, counters.to_bytes())?;
         if overflowed {
@@ -962,7 +912,6 @@ impl MemoryController {
     /// OTT survives (flushed with backup power, as the paper's second
     /// option); the on-chip root register survives.
     pub fn crash(&mut self) {
-        self.obs.incr("ctrl/crashes");
         self.meta.crash();
     }
 
@@ -1115,10 +1064,6 @@ impl MemoryController {
         // metadata entries leave the quarantine here. Data-line fences
         // persist until a write heals them.
         self.quarantine.retain(|&l| l < data_bytes);
-        self.obs.incr("ctrl/recoveries");
-        self.obs.add("ctrl/recover/clean", report.clean);
-        self.obs.add("ctrl/recover/repaired", report.repaired);
-        self.obs.add("ctrl/recover/unrecoverable", report.unrecoverable);
         report
     }
 

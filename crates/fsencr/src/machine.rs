@@ -328,6 +328,19 @@ fn fs_region(opts: &MachineOpts) -> (u64, u64) {
     (general / page + FS_META_PAGES, (pmem / page).saturating_sub(FS_META_PAGES))
 }
 
+/// The controller's mode and metadata layout for a machine in `mode`:
+/// the prelude of every controller construction (new, restored or
+/// imported).
+fn ctrl_prelude(opts: &MachineOpts, mode: SecurityMode) -> (CtrlMode, MetadataLayout) {
+    let ctrl_mode = if mode == SecurityMode::Unencrypted {
+        CtrlMode::Unencrypted
+    } else {
+        CtrlMode::Encrypted
+    };
+    let data_bytes = opts.general_bytes + opts.pmem_bytes;
+    (ctrl_mode, MetadataLayout::new(data_bytes, opts.ott_spill_bytes))
+}
+
 /// Splits the `len` bytes at `start` at `UNIT`-byte boundaries, yielding
 /// `(unit index, offset in unit, span of the caller's buffer)`: the page
 /// walk over a mapped range and the line walk over a physical one.
@@ -416,16 +429,10 @@ impl Machine {
     pub fn new(opts: MachineOpts, mode: SecurityMode) -> Self {
         assert_eq!(opts.general_bytes % PAGE_BYTES as u64, 0);
         assert_eq!(opts.pmem_bytes % PAGE_BYTES as u64, 0);
-        let data_bytes = opts.general_bytes + opts.pmem_bytes;
-        let layout = MetadataLayout::new(data_bytes, opts.ott_spill_bytes);
+        let (ctrl_mode, layout) = ctrl_prelude(&opts, mode);
         let nvm = fsencr_nvm::NvmDevice::new(opts.config.nvm);
         let mem_key = Key128::from_seed(opts.seed ^ 0x4d45_4d4b_4559);
         let ott_key = Key128::from_seed(opts.seed ^ 0x4f54_544b_4559);
-        let ctrl_mode = if mode == SecurityMode::Unencrypted {
-            CtrlMode::Unencrypted
-        } else {
-            CtrlMode::Encrypted
-        };
         let ctrl = MemoryController::new(
             ctrl_mode,
             layout,
@@ -765,13 +772,7 @@ impl Machine {
         dec.end_section()?;
 
         dec.begin_section("ctrl")?;
-        let data_bytes = opts.general_bytes + opts.pmem_bytes;
-        let layout = MetadataLayout::new(data_bytes, opts.ott_spill_bytes);
-        let ctrl_mode = if mode == SecurityMode::Unencrypted {
-            CtrlMode::Unencrypted
-        } else {
-            CtrlMode::Encrypted
-        };
+        let (ctrl_mode, layout) = ctrl_prelude(&opts, mode);
         let ctrl = MemoryController::snap_load(
             ctrl_mode,
             layout,
@@ -1700,8 +1701,7 @@ impl Machine {
         module: TransferredModule,
     ) -> Result<Self, MachineError> {
         let opts = module.opts;
-        let data_bytes = opts.general_bytes + opts.pmem_bytes;
-        let layout = MetadataLayout::new(data_bytes, opts.ott_spill_bytes);
+        let (_, layout) = ctrl_prelude(&opts, SecurityMode::FsEncr);
         let ctrl = MemoryController::import_module(
             layout,
             &opts.config.security,

@@ -189,8 +189,7 @@ fn media_tampering_is_detected_on_read() {
 
     // Attacker corrupts the page's FECB on media.
     let frame = m.fs().stat("t").unwrap().page(0).unwrap();
-    let meta_base = m.opts().general_bytes + m.opts().pmem_bytes;
-    let fecb_addr = fsencr_nvm::PhysAddr::new(meta_base + frame.get() * 128 + 64);
+    let fecb_addr = fsencr_nvm::PhysAddr::new(m.controller().layout().fecb_addr(frame).get());
     let mut evil = m.inspect_plane().media_line(fecb_addr);
     evil[4] ^= 0x01;
     m.fault_plane().tamper_line(fecb_addr, &evil);

@@ -85,11 +85,10 @@ fn tampered_module_is_rejected_at_import() {
     m.write(0, map, 0, b"payload").unwrap();
     m.persist(0, map, 0, 7).unwrap();
     let frame = m.fs().stat("f").unwrap().page(0).unwrap();
-    let meta_base = m.opts().general_bytes + m.opts().pmem_bytes;
+    let addr = fsencr_nvm::PhysAddr::new(m.controller().layout().mecb_addr(frame).get());
 
     let (envelope, mut module) = m.export_module().unwrap();
     // In-transit attacker flips a counter bit.
-    let addr = fsencr_nvm::PhysAddr::new(meta_base + frame.get() * 128);
     let mut evil = module.inspect_plane().media_line(addr);
     evil[0] ^= 1;
     module.fault_plane().tamper_line(addr, &evil);

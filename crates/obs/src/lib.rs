@@ -1,16 +1,21 @@
 //! Deterministic, cycle-clocked observability for the FsEncr datapath.
 //!
 //! The paper's evaluation is a story about *where cycles go* — pad
-//! generation overlapped with data fetch, metadata-cache misses, Merkle
-//! walks, OTT spills, Osiris write-through. This crate provides the two
-//! primitives the simulator threads through those points:
+//! generation overlapped with data fetch, counter-block waits, OTT
+//! misses. This crate provides the two primitives the simulator threads
+//! through those points:
 //!
-//! * a hierarchical **metrics registry** ([`Observer::add`] /
-//!   [`Observer::incr`]) keyed by `/`-separated static paths such as
-//!   `ctrl/read/pad_mem_cycles`, iterated in sorted key order, and
+//! * a **cycle-attribution registry** ([`Observer::add`]) keyed by
+//!   `/`-separated static paths such as `ctrl/read/pad_gen_cycles`,
+//!   iterated in sorted key order, and
 //! * a bounded **span ring** ([`Observer::span`]) of `[begin, end)`
-//!   intervals on the *simulated* cycle clock, exportable as a
-//!   `chrome://tracing` / Perfetto document.
+//!   intervals on the *simulated* cycle clock, the event timeline (the
+//!   profile report renders it as a `chrome://tracing` document).
+//!
+//! The rule: cycle sums and timeline events live here; *counts* (hits,
+//! misses, row-buffer outcomes, overflows, evictions) live only in the
+//! controller's `StatsSnapshot`, whose window deltas are the one counter
+//! read-out. Every metric key therefore ends in `_cycles`.
 //!
 //! Determinism is the design constraint: there is no `Instant`, no
 //! `SystemTime`, no hash-ordered container and no thread identity
@@ -30,12 +35,12 @@
 //! use fsencr_obs::Observer;
 //!
 //! let mut obs = Observer::disabled();
-//! obs.add("ctrl/read/pad_mem_cycles", 90); // no-op while disabled
+//! obs.add("ctrl/read/pad_gen_cycles", 90); // no-op while disabled
 //! obs.enable(16);
-//! obs.add("ctrl/read/pad_mem_cycles", 90);
+//! obs.add("ctrl/read/pad_gen_cycles", 90);
 //! obs.span("ctrl", "read_line", 100, 190, 0);
-//! assert_eq!(obs.metric("ctrl/read/pad_mem_cycles"), 90);
-//! assert!(obs.to_chrome_trace().contains("read_line"));
+//! assert_eq!(obs.metric("ctrl/read/pad_gen_cycles"), 90);
+//! assert_eq!(obs.spans().next().map(|s| s.duration()), Some(90));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -66,7 +71,7 @@ impl SpanEvent {
     }
 }
 
-/// Deterministic metrics registry plus bounded span recording.
+/// Deterministic cycle-attribution registry plus bounded span recording.
 ///
 /// Construct with [`Observer::disabled`]; every mutation is a no-op
 /// until [`Observer::enable`] is called, and disabling again drops all
@@ -118,8 +123,9 @@ impl Observer {
 
     /// Adds `n` to the metric at `key` (no-op while disabled).
     ///
-    /// Keys are `/`-separated paths, e.g. `meta/mecb/hits`. Additions
-    /// saturate rather than wrap so a pathological run cannot panic.
+    /// Keys are `/`-separated paths ending in `_cycles`, e.g.
+    /// `ctrl/write/pad_wait_cycles`. Additions saturate rather than wrap
+    /// so a pathological run cannot panic.
     #[inline]
     pub fn add(&mut self, key: &'static str, n: u64) {
         if !self.enabled {
@@ -127,12 +133,6 @@ impl Observer {
         }
         let slot = self.metrics.entry(key).or_insert(0);
         *slot = slot.saturating_add(n);
-    }
-
-    /// Increments the metric at `key` by one (no-op while disabled).
-    #[inline]
-    pub fn incr(&mut self, key: &'static str) {
-        self.add(key, 1);
     }
 
     /// Records a `[begin, end)` span (no-op while disabled). Once the
@@ -197,7 +197,7 @@ impl Observer {
     ///
     /// ```json
     /// {
-    ///   "metrics": { "ctrl/reads": 12, ... },
+    ///   "metrics": { "ctrl/read/total_cycles": 1200, ... },
     ///   "spans_recorded": 3,
     ///   "spans_dropped": 0
     /// }
@@ -223,31 +223,6 @@ impl Observer {
         out.push_str(",\n  \"spans_dropped\": ");
         out.push_str(&self.spans_dropped.to_string());
         out.push_str("\n}\n");
-        out
-    }
-
-    /// Renders spans as a `chrome://tracing` / Perfetto JSON array of
-    /// complete (`"ph": "X"`) events. Timestamps are simulated cycles
-    /// (the importer's microsecond axis reads as cycles).
-    pub fn to_chrome_trace(&self) -> String {
-        let mut out = String::from("[");
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n  {\"name\": ");
-            out.push_str(&json_string(s.name));
-            out.push_str(", \"cat\": ");
-            out.push_str(&json_string(s.cat));
-            out.push_str(", \"ph\": \"X\", \"pid\": 1, \"tid\": 1, \"ts\": ");
-            out.push_str(&s.begin.to_string());
-            out.push_str(", \"dur\": ");
-            out.push_str(&s.duration().to_string());
-            out.push_str(", \"args\": {\"arg\": ");
-            out.push_str(&s.arg.to_string());
-            out.push_str("}}");
-        }
-        out.push_str("\n]\n");
         out
     }
 }
@@ -285,11 +260,11 @@ mod tests {
     #[test]
     fn disabled_observer_records_nothing() {
         let mut obs = Observer::disabled();
-        obs.incr("a/b");
-        obs.add("a/c", 5);
+        obs.add("a/b_cycles", 1);
+        obs.add("a/c_cycles", 5);
         obs.span("cat", "ev", 0, 10, 0);
         assert!(!obs.is_enabled());
-        assert_eq!(obs.metric("a/b"), 0);
+        assert_eq!(obs.metric("a/b_cycles"), 0);
         assert_eq!(obs.metrics().count(), 0);
         assert_eq!(obs.spans().count(), 0);
     }
@@ -298,11 +273,16 @@ mod tests {
     fn metrics_accumulate_and_sort() {
         let mut obs = Observer::disabled();
         obs.enable(0);
-        obs.add("z/last", 1);
-        obs.incr("a/first");
-        obs.incr("a/first");
+        obs.add("z/last_cycles", 1);
+        obs.add("a/first_cycles", 1);
+        obs.add("a/first_cycles", 1);
+        obs.add("m/full_cycles", u64::MAX);
+        obs.add("m/full_cycles", 3);
         let rows: Vec<_> = obs.metrics().collect();
-        assert_eq!(rows, vec![("a/first", 2), ("z/last", 1)]);
+        assert_eq!(
+            rows,
+            vec![("a/first_cycles", 2), ("m/full_cycles", u64::MAX), ("z/last_cycles", 1)]
+        );
     }
 
     #[test]
@@ -325,30 +305,32 @@ mod tests {
     fn enable_clears_and_disable_drops() {
         let mut obs = Observer::disabled();
         obs.enable(4);
-        obs.incr("k");
+        obs.add("k_cycles", 1);
+        obs.span("c", "s", 0, 1, 0);
         obs.enable(4);
-        assert_eq!(obs.metric("k"), 0);
-        obs.incr("k");
+        assert_eq!(obs.metric("k_cycles"), 0);
+        assert_eq!(obs.spans().count(), 0);
+        obs.add("k_cycles", 1);
         obs.disable();
-        assert_eq!(obs.metric("k"), 0);
-        obs.incr("k");
-        assert_eq!(obs.metric("k"), 0);
+        assert_eq!(obs.metric("k_cycles"), 0);
+        obs.add("k_cycles", 1);
+        assert_eq!(obs.metric("k_cycles"), 0);
     }
 
     #[test]
     fn merge_folds_metrics_and_spans() {
         let mut a = Observer::disabled();
         a.enable(8);
-        a.add("n", 1);
+        a.add("n_cycles", 1);
         a.span("c", "x", 0, 1, 0);
         let mut b = Observer::disabled();
         b.enable(8);
-        b.add("n", 2);
-        b.add("only_b", 7);
+        b.add("n_cycles", 2);
+        b.add("only_b_cycles", 7);
         b.span("c", "y", 1, 2, 0);
         a.merge(&b);
-        assert_eq!(a.metric("n"), 3);
-        assert_eq!(a.metric("only_b"), 7);
+        assert_eq!(a.metric("n_cycles"), 3);
+        assert_eq!(a.metric("only_b_cycles"), 7);
         assert_eq!(a.spans().count(), 2);
     }
 
@@ -356,23 +338,18 @@ mod tests {
     fn json_export_is_stable_and_escaped() {
         let mut obs = Observer::disabled();
         obs.enable(4);
-        obs.add("meta/mecb/hits", 10);
-        obs.add("ctrl/reads", 2);
+        obs.add("ott/miss_cycles", 10);
+        obs.add("ctrl/read/total_cycles", 2);
         obs.span("ctrl", "read_line", 100, 190, 42);
         let a = obs.to_json();
         let b = obs.to_json();
         assert_eq!(a, b);
         // Sorted key order.
-        let ctrl = a.find("ctrl/reads").unwrap();
-        let meta = a.find("meta/mecb/hits").unwrap();
-        assert!(ctrl < meta, "{a}");
+        let ctrl = a.find("ctrl/read/total_cycles").unwrap();
+        let ott = a.find("ott/miss_cycles").unwrap();
+        assert!(ctrl < ott, "{a}");
+        assert!(a.contains("\"spans_recorded\": 1"), "{a}");
         assert_eq!(a.matches('{').count(), a.matches('}').count());
-
-        let trace = obs.to_chrome_trace();
-        assert!(trace.contains("\"ph\": \"X\""));
-        assert!(trace.contains("\"ts\": 100"));
-        assert!(trace.contains("\"dur\": 90"));
-        assert_eq!(trace.matches('[').count(), trace.matches(']').count());
         assert_eq!(
             json_string("a\"b\\c\nd\te\u{1}"),
             "\"a\\\"b\\\\c\\nd\\te\\u0001\""
@@ -384,6 +361,5 @@ mod tests {
         let mut obs = Observer::disabled();
         obs.enable(0);
         assert_eq!(obs.to_json(), "{\n  \"metrics\": {},\n  \"spans_recorded\": 0,\n  \"spans_dropped\": 0\n}\n");
-        assert_eq!(obs.to_chrome_trace(), "[\n]\n");
     }
 }

@@ -97,12 +97,18 @@ pub fn run_workload(
     let opts = workload.configure(base_opts);
     let mut m = Machine::new(opts, mode);
     workload.setup(&mut m)?;
+    measure(&mut m, workload)
+}
+
+/// The measured phase every run shares: opens the measurement window,
+/// runs `workload`, drains the cores and reads the window out.
+fn measure(m: &mut Machine, workload: &mut dyn Workload) -> Result<RunResult, MachineError> {
     m.begin_measurement();
-    workload.run(&mut m)?;
+    workload.run(m)?;
     m.sync_cores();
     Ok(RunResult {
         workload: workload.name(),
-        mode,
+        mode: m.mode(),
         stats: m.measurement_snapshot(),
     })
 }
@@ -164,15 +170,8 @@ pub fn run_workload_warm(
             m
         }
     };
-    m.begin_measurement();
-    workload.run(&mut m)?;
-    m.sync_cores();
     Ok(WarmRun {
-        result: RunResult {
-            workload: workload.name(),
-            mode,
-            stats: m.measurement_snapshot(),
-        },
+        result: measure(&mut m, workload)?,
         warm,
         snapshot: fresh,
     })
@@ -180,7 +179,7 @@ pub fn run_workload_warm(
 
 /// [`run_workload`] plus cycle attribution: the run phase executes with
 /// the machine's observer enabled, and the result carries the observer
-/// (metrics + spans) next to the usual measured [`StatsSnapshot`].
+/// (cycle sums + spans) next to the usual measured [`StatsSnapshot`].
 #[derive(Debug, Clone)]
 pub struct ProfiledRun {
     /// The plain result, identical to what [`run_workload`] returns.
@@ -211,15 +210,8 @@ pub fn profile_workload(
     let mut m = Machine::new(opts, mode);
     workload.setup(&mut m)?;
     m.enable_observer(span_capacity);
-    m.begin_measurement();
-    workload.run(&mut m)?;
-    m.sync_cores();
     Ok(ProfiledRun {
-        result: RunResult {
-            workload: workload.name(),
-            mode,
-            stats: m.measurement_snapshot(),
-        },
+        result: measure(&mut m, workload)?,
         observer: m.observer().clone(),
     })
 }

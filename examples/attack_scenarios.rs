@@ -73,8 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     m.crash(); // drop trusted cached metadata
     m.recover();
     let frame = m.fs().stat("hr.doc").unwrap().page(0).unwrap();
-    let meta_base = m.opts().general_bytes + m.opts().pmem_bytes;
-    let mecb = fsencr_nvm::PhysAddr::new(meta_base + frame.get() * 128);
+    let mecb = fsencr_nvm::PhysAddr::new(m.controller().layout().mecb_addr(frame).get());
     let mut evil = m.inspect_plane().media_line(mecb);
     evil[0] ^= 0xff;
     m.fault_plane().tamper_line(mecb, &evil);

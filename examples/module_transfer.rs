@@ -46,9 +46,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     m3.write(0, map, 0, b"payload")?;
     m3.persist(0, map, 0, 7)?;
     let frame = m3.fs().stat("x").unwrap().page(0).unwrap();
-    let meta_base = m3.opts().general_bytes + m3.opts().pmem_bytes;
+    let addr = fsencr_nvm::PhysAddr::new(m3.controller().layout().mecb_addr(frame).get());
     let (envelope, mut module) = m3.export_module()?;
-    let addr = fsencr_nvm::PhysAddr::new(meta_base + frame.get() * 128);
     let mut evil = module.inspect_plane().media_line(addr);
     evil[0] ^= 1;
     module.fault_plane().tamper_line(addr, &evil);

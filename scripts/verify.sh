@@ -34,6 +34,13 @@ begin "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 finish
 
+# The benchmark is a package of its own outside the workspace; it calls
+# the public API (observer, crypto, datapath, profile cells), so an API
+# edit must keep it compiling.
+begin "cargo check benchmark/ (all targets)"
+cargo check --offline --manifest-path benchmark/Cargo.toml --all-targets
+finish
+
 begin "static analysis gate: cargo run -p analysis -- check"
 cargo run --release -q -p analysis -- check
 finish

@@ -136,8 +136,8 @@ fn reset_counter_block_fences_its_page() {
     m.write(0, map, 0, &[0x5a; 4096]).unwrap();
     m.persist(0, map, 0, 4096).unwrap();
     let frame = m.fs().stat("q").unwrap().page(0).unwrap();
-    let meta_base = m.opts().general_bytes + m.opts().pmem_bytes;
-    m.fault_plane().quarantine_line(meta_base + frame.get() * 128);
+    let mecb = m.controller().layout().mecb_addr(frame);
+    m.fault_plane().quarantine_line(mecb.get());
     m.crash();
     let report = m.recover();
     assert_eq!(report.metadata_reset, 1, "{report:?}");
