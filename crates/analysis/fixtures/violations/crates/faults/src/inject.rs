@@ -1,12 +1,9 @@
 //! Seeded-violation fixture: a fake fault-injector module that trips
-//! `no-panic` (the injector sits on the device's every read/write — a
-//! panic there takes down the simulated machine instead of degrading
-//! gracefully) and `hot-alloc` (the on_read/on_write hooks run once per
-//! media access and must not allocate). Never compiled.
-//! A doc-comment Vec::new() or x.unwrap() here must NOT be flagged.
+//! `hot-alloc` (the on_read/on_write hooks run once per media access
+//! and must not allocate). Never compiled.
+//! A doc-comment Vec::new() here must NOT be flagged.
 
-pub fn on_read(events: &mut Vec<Event>, planned: Option<Event>) {
-    let next = planned.unwrap();
+pub fn on_read(events: &mut Vec<Event>, next: Event) {
     let mut scratch: Vec<Event> = Vec::new();
     scratch.push(next);
     events.extend(scratch);
@@ -16,8 +13,7 @@ pub fn on_read(events: &mut Vec<Event>, planned: Option<Event>) {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn test_code_may_allocate_and_panic() {
+    fn test_code_may_allocate() {
         let scratch: Vec<u8> = Vec::new();
-        Some(1u32).unwrap();
     }
 }

@@ -1,14 +1,10 @@
 //! Seeded-violation fixture: a fake snapshot-codec module that trips
-//! `no-panic` (a corrupt snapshot must surface as a typed `SnapError`
-//! and fall back to cold setup — an abort turns the warm-start
-//! accelerator into a dependency) and `hot-alloc` (encode/decode runs
-//! once per warm start over megabyte-scale payloads and must size its
-//! scratch up front). Never compiled.
-//! A doc-comment Vec::new() or bytes.unwrap() here must NOT be flagged.
-#![forbid(unsafe_code)]
+//! `hot-alloc` (encode/decode runs once per warm start over
+//! megabyte-scale payloads and must size its scratch up front). Never
+//! compiled.
+//! A doc-comment Vec::new() here must NOT be flagged.
 
-pub fn decode_section(bytes: Option<&[u8]>) -> Vec<u8> {
-    let payload = bytes.unwrap();
+pub fn decode_section(payload: &[u8]) -> Vec<u8> {
     let mut out: Vec<u8> = Vec::new();
     out.extend_from_slice(payload);
     let sized_is_fine = Vec::<u8>::with_capacity(payload.len());
@@ -18,8 +14,7 @@ pub fn decode_section(bytes: Option<&[u8]>) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn test_code_may_allocate_and_panic() {
+    fn test_code_may_allocate() {
         let scratch: Vec<u8> = Vec::new();
-        Some(1u32).unwrap();
     }
 }

@@ -1,8 +1,8 @@
 //! The audited-exception allowlist, shared by every source pass.
 //!
 //! One file, one format: `rule path needle -- justification` per line,
-//! where `rule` may name a lint rule (`no-panic`, `nondeterminism`, …)
-//! or a confinement rule (`plaintext-confinement`, `pad-site`,
+//! where `rule` may name the lint rule (`hot-alloc`) or a confinement
+//! rule (`plaintext-confinement`, `pad-site`,
 //! `debug-reach`, `confinement-reach`). The lint pass and the
 //! item-graph confinement pass consume the *same* parsed instance, so
 //! the stale-entry check is global: an entry that matches no finding in
@@ -99,15 +99,15 @@ mod tests {
     fn shared_instance_tracks_usage_across_rules() {
         let mut allow = Allowlist::parse(
             "# comment\n\
-             no-panic crates/fsencr/src/x.rs unwrap -- audited\n\
+             hot-alloc crates/secmem/src/ecc.rs Vec::new -- audited\n\
              plaintext-confinement crates/secmem/src/metadata.rs persist_one -- counters only\n\
              pad-site crates/x/src/y.rs never-fires -- stale\n",
         );
         let lint_hit = Finding {
-            path: "crates/fsencr/src/x.rs".to_string(),
+            path: "crates/secmem/src/ecc.rs".to_string(),
             line: 3,
-            rule: "no-panic",
-            message: "`.unwrap()` in non-test code of hot-path crate `fsencr`".to_string(),
+            rule: "hot-alloc",
+            message: "bare `Vec::new()` in allocation-free hot-path file".to_string(),
         };
         let confine_hit = Finding {
             path: "crates/secmem/src/metadata.rs".to_string(),

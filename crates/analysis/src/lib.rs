@@ -1,16 +1,13 @@
 //! The FsEncr workspace's in-tree static analysis gate.
 //!
 //! `cargo run -p analysis -- check` is a tier-1 gate (wired into
-//! `scripts/verify.sh`) with four passes, none of which need anything
+//! `scripts/verify.sh`) with three passes, none of which need anything
 //! outside this offline workspace:
 //!
-//! * [`lint`] — a custom lint pass over every workspace source file,
-//!   driven by the tiny Rust [`lexer`] in this crate: no
-//!   `unwrap`/`expect`/`panic!` in non-test code of the hot-path crates,
-//!   no lossy `as` casts on counter/address-width integers, no
-//!   nondeterminism sources in the figure-producing crates, and
-//!   `#![forbid(unsafe_code)]` in every crate root. Audited exceptions
-//!   live in the checked-in `allowlist.txt` (see [`allow`]).
+//! * [`lint`] — the `hot-alloc` token rule, driven by the tiny Rust
+//!   [`lexer`] in this crate: no bare `Vec::new()`/`VecDeque::new()` in
+//!   the allocation-free hot-path files. Audited exceptions live in the
+//!   checked-in `allowlist.txt` (see [`allow`]).
 //! * [`confine`] — the security-invariant pass: an item-level parser
 //!   ([`items`]) on top of the lexer builds a cross-crate call graph
 //!   and enforces plaintext-confinement (raw NVM writes only inside
@@ -22,19 +19,20 @@
 //!   geometry from the live `fsencr_secmem` and `fsencr` crates and
 //!   compares it against the paper's values (64 B metadata lines, FECB =
 //!   18 b GID + 14 b FID + 32 b major + 64 x 7 b minors, 8-ary tree).
-//! * [`audit`] — a deterministic schedule-permutation harness that
-//!   replays experiment cells through `fsencr_bench::pool` under
-//!   adversarial worker interleavings and asserts the rendered figures
-//!   are byte-identical to a serial run.
+//!
+//! The rest of the gate is stock tooling: rustc forbids `unsafe` through
+//! `[workspace.lints]`; clippy denies `unwrap`/`expect`/`panic!` and
+//! truncating casts at the hot-path crate roots, and bans host clocks,
+//! hashed collections and `thread::current` in the figure-producing
+//! crates through their `clippy.toml`. Schedule invariance of the
+//! figures is the `schedule_audit` test of `crates/bench`.
 //!
 //! Diagnostics are sorted and fully deterministic: two runs over the same
 //! tree print byte-identical output.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod allow;
-pub mod audit;
 pub mod confine;
 pub mod items;
 pub mod layout_check;
@@ -46,11 +44,11 @@ pub mod lint;
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Finding {
     /// `/`-separated path relative to the analysis root, or a logical
-    /// area such as `layout:fecb` / `audit:fig3` for non-file findings.
+    /// area such as `layout:fecb` for non-file findings.
     pub path: String,
     /// 1-based source line, or 0 when the finding has no line.
     pub line: u32,
-    /// Stable rule identifier (`no-panic`, `lossy-cast`, …).
+    /// Stable rule identifier (`hot-alloc`, `pad-site`, …).
     pub rule: &'static str,
     /// Human-readable description; allowlist needles match against this.
     pub message: String,

@@ -1,33 +1,30 @@
 //! CLI for the static analysis gate.
 //!
 //! ```sh
-//! cargo run --release -p analysis -- check          # lint + confine + layout + audit
-//! cargo run --release -p analysis -- lint           # source passes (lint + confine)
-//! cargo run --release -p analysis -- layout         # invariants only
-//! cargo run --release -p analysis -- audit --full   # all scalable figures
+//! cargo run --release -p analysis -- check    # lint + confine + layout
+//! cargo run --release -p analysis -- lint     # source passes (lint + confine)
+//! cargo run --release -p analysis -- layout   # invariants only
 //! cargo run --release -p analysis -- lint --root crates/analysis/fixtures/violations
 //! ```
 //!
 //! Exit status: 0 when no findings survive the allowlist, 1 otherwise,
 //! 2 on usage errors. Output is sorted and byte-identical across runs.
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 
 use analysis::allow::Allowlist;
-use analysis::{audit, confine, layout_check, lint, Finding};
+use analysis::{confine, layout_check, lint, Finding};
+
+const USAGE: &str = "usage: analysis [check|lint|layout] [--root DIR]";
 
 struct Args {
     command: String,
     root: Option<PathBuf>,
-    full: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut command = None;
     let mut root = None;
-    let mut full = false;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
@@ -35,7 +32,6 @@ fn parse_args() -> Result<Args, String> {
                 let value = argv.next().ok_or("--root needs a directory")?;
                 root = Some(PathBuf::from(value));
             }
-            "--full" => full = true,
             "--help" | "-h" => return Err(String::new()),
             flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
             cmd if command.is_none() => command = Some(cmd.to_string()),
@@ -45,7 +41,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args {
         command: command.unwrap_or_else(|| "check".to_string()),
         root,
-        full,
     })
 }
 
@@ -84,7 +79,7 @@ fn main() {
             if !msg.is_empty() {
                 eprintln!("error: {msg}");
             }
-            eprintln!("usage: analysis [check|lint|layout|audit] [--root DIR] [--full]");
+            eprintln!("{USAGE}");
             std::process::exit(2);
         }
     };
@@ -104,21 +99,16 @@ fn main() {
             findings.extend(layout_check::check());
             passes.push("layout");
         }
-        "audit" => {
-            findings.extend(audit::run(args.full));
-            passes.push("audit");
-        }
         "check" => {
             let (f, s) = run_source_passes(&root);
             findings.extend(f);
             suppressed = s;
             findings.extend(layout_check::check());
-            findings.extend(audit::run(args.full));
-            passes.extend(["lint", "confine", "layout", "audit"]);
+            passes.extend(["lint", "confine", "layout"]);
         }
         other => {
             eprintln!("error: unknown command `{other}`");
-            eprintln!("usage: analysis [check|lint|layout|audit] [--root DIR] [--full]");
+            eprintln!("{USAGE}");
             std::process::exit(2);
         }
     }

@@ -1,7 +1,8 @@
 //! The gate must gate: these tests prove the lint and confinement
 //! passes flag every seeded violation in the fixture tree, stay quiet
 //! on the real workspace, and print byte-identical diagnostics across
-//! runs.
+//! runs, and that the clippy/rustc configuration carrying the panic,
+//! cast, nondeterminism and `unsafe` rules is in place.
 
 use std::path::{Path, PathBuf};
 
@@ -26,63 +27,34 @@ fn render(findings: &[analysis::Finding]) -> String {
 #[test]
 fn fixtures_trip_every_rule() {
     let report = lint::lint_tree(&fixture_root(), "", "");
-    let count = |rule: &str| report.findings.iter().filter(|f| f.rule == rule).count();
-
-    // crates/fsencr fixture: missing forbid, unwrap, expect, panic!,
-    // two lossy casts; crates/obs fixture: missing forbid, one unwrap,
-    // one lossy cast; crates/faults and crates/snapshot fixtures: one
-    // unwrap each; crates/fs fixture: one unwrap and one expect — and
-    // nothing from #[cfg(test)] modules, doc comments or string literals.
-    assert_eq!(count("forbid-unsafe"), 2, "{}", render(&report.findings));
-    assert_eq!(count("no-panic"), 8, "{}", render(&report.findings));
-    assert_eq!(count("lossy-cast"), 3, "{}", render(&report.findings));
-
-    // crates/bench fixture: HashMap, HashSet, Instant, SystemTime on
-    // two lines each plus one thread::current; crates/obs fixture:
-    // HashMap and Instant on two lines each — test modules exempt.
-    assert_eq!(count("nondeterminism"), 13, "{}", render(&report.findings));
 
     // crates/fsencr/src/batch.rs and crates/secmem/src/metadata.rs
     // fixtures: one bare `Vec::new()` and one bare `VecDeque::new()`
     // each; crates/crypto/src/lanes.rs, crates/faults/src/inject.rs and
     // crates/snapshot/src/lib.rs fixtures: one bare `Vec::new()` each —
     // sized allocations, doc comments and test modules exempt.
-    assert_eq!(count("hot-alloc"), 7, "{}", render(&report.findings));
-    assert_eq!(report.findings.len(), 33, "{}", render(&report.findings));
+    assert!(
+        report.findings.iter().all(|f| f.rule == "hot-alloc"),
+        "{}",
+        render(&report.findings)
+    );
+    assert_eq!(report.findings.len(), 7, "{}", render(&report.findings));
     assert_eq!(report.suppressed, 0);
-
-    // The observability crate is held to both bars: the obs fixture must
-    // appear under hot-path and figure-determinism rules alike.
-    for rule in ["no-panic", "lossy-cast", "nondeterminism", "forbid-unsafe"] {
-        assert!(
-            report
-                .findings
-                .iter()
-                .any(|f| f.rule == rule && f.path.contains("crates/obs/")),
-            "obs fixture missing under {rule}:\n{}",
-            render(&report.findings)
-        );
-    }
 }
 
 #[test]
 fn fixture_findings_are_allowlistable() {
-    let allow = "no-panic crates/fsencr/src/lib.rs unwrap -- fixture audit\n";
+    let allow = "hot-alloc crates/fsencr/src/batch.rs VecDeque -- fixture audit\n";
     let report = lint::lint_tree(&fixture_root(), allow, "allowlist.txt");
     assert_eq!(report.suppressed, 1);
     assert!(!report
         .findings
         .iter()
-        .any(|f| f.rule == "no-panic"
-            && f.path.contains("crates/fsencr/")
-            && f.message.contains("unwrap")));
+        .any(|f| f.path.contains("crates/fsencr/") && f.message.contains("VecDeque")));
     // A stale entry must itself become a finding.
-    let stale = "no-panic crates/fsencr/src/lib.rs never-matches -- stale\n";
+    let stale = "hot-alloc crates/fsencr/src/batch.rs never-matches -- stale\n";
     let report = lint::lint_tree(&fixture_root(), stale, "allowlist.txt");
-    assert!(report
-        .findings
-        .iter()
-        .any(|f| f.rule == "allowlist-unused"));
+    assert!(report.findings.iter().any(|f| f.rule == "allowlist-unused"));
 }
 
 #[test]
@@ -153,7 +125,7 @@ fn real_tree_is_clean_with_the_checked_in_allowlist() {
     let allowlist_path = root.join("crates/analysis/allowlist.txt");
     let text = std::fs::read_to_string(&allowlist_path).expect("allowlist readable");
     let mut allow = Allowlist::parse(&text);
-    let (mut findings, lint_suppressed) = lint::lint_tree_with(&root, &mut allow);
+    let (mut findings, _) = lint::lint_tree_with(&root, &mut allow);
     let (confine_findings, confine_suppressed) = confine::check_tree_with(&root, &mut allow);
     findings.extend(confine_findings);
     findings.extend(allow.unused_findings("crates/analysis/allowlist.txt"));
@@ -162,7 +134,6 @@ fn real_tree_is_clean_with_the_checked_in_allowlist() {
         "the workspace must pass both source passes clean:\n{}",
         render(&findings)
     );
-    assert!(lint_suppressed > 0, "lint allowlist should be exercised");
     assert!(
         confine_suppressed > 0,
         "confinement allowlist should be exercised"
@@ -173,4 +144,81 @@ fn real_tree_is_clean_with_the_checked_in_allowlist() {
 fn real_tree_satisfies_layout_invariants() {
     let findings = layout_check::check();
     assert!(findings.is_empty(), "{}", render(&findings));
+}
+
+/// The hot-path crates: their non-test code must be panic-free and
+/// free of truncating casts.
+const HOT_CRATES: [&str; 9] = [
+    "fsencr", "fs", "secmem", "crypto", "nvm", "cache", "obs", "faults", "snapshot",
+];
+
+/// The figure-producing crates: no host clocks, hashed collections or
+/// worker identity may reach their output.
+const FIGURE_CRATES: [&str; 3] = ["bench", "sim", "obs"];
+
+fn read(rel: &str) -> String {
+    std::fs::read_to_string(workspace_root().join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
+}
+
+#[test]
+fn stock_lint_config_is_in_place() {
+    let root_manifest = read("Cargo.toml");
+    assert!(
+        root_manifest.contains("[workspace.lints.rust]\nunsafe_code = \"forbid\""),
+        "the workspace must forbid unsafe code"
+    );
+    let mut manifests = vec!["Cargo.toml".to_string()];
+    let mut members: Vec<String> = std::fs::read_dir(workspace_root().join("crates"))
+        .expect("crates/ readable")
+        .flatten()
+        .filter(|e| e.path().join("Cargo.toml").is_file())
+        .filter_map(|e| e.file_name().into_string().ok())
+        .collect();
+    members.sort();
+    assert!(members.len() >= HOT_CRATES.len(), "{members:?}");
+    manifests.extend(members.iter().map(|m| format!("crates/{m}/Cargo.toml")));
+    for manifest in &manifests {
+        assert!(
+            read(manifest).contains("[lints]\nworkspace = true"),
+            "{manifest} must inherit the workspace lints"
+        );
+    }
+    for krate in HOT_CRATES {
+        let lib = read(&format!("crates/{krate}/src/lib.rs"));
+        for line in [
+            "#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]",
+            "#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]",
+        ] {
+            assert!(
+                lib.contains(line),
+                "crates/{krate}/src/lib.rs lacks `{line}`"
+            );
+        }
+    }
+    let test_exemptions = [
+        "allow-unwrap-in-tests = true",
+        "allow-expect-in-tests = true",
+        "allow-panic-in-tests = true",
+    ];
+    let root_config = read("clippy.toml");
+    for key in test_exemptions {
+        assert!(root_config.contains(key), "clippy.toml lacks `{key}`");
+    }
+    for krate in FIGURE_CRATES {
+        let config = read(&format!("crates/{krate}/clippy.toml"));
+        for needle in test_exemptions.iter().chain(&[
+            "disallowed-types",
+            "\"std::collections::HashMap\"",
+            "\"std::collections::HashSet\"",
+            "\"std::time::Instant\"",
+            "\"std::time::SystemTime\"",
+            "disallowed-methods",
+            "\"std::thread::current\"",
+        ]) {
+            assert!(
+                config.contains(needle),
+                "crates/{krate}/clippy.toml lacks `{needle}`"
+            );
+        }
+    }
 }

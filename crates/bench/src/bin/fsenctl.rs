@@ -8,8 +8,6 @@
 //!
 //! `mode` is one of `dax`, `baseline`, `fsencr` (default), `software`.
 
-#![forbid(unsafe_code)]
-
 use std::io::{BufRead, Write};
 
 use fsencr::machine::{MachineOpts, Preset, SecurityMode};

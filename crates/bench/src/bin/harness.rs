@@ -42,7 +42,10 @@
 //! warm-start past their setup phase. Output is byte-identical either
 //! way, a damaged entry is a miss, and `--no-cache` disables the store.
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "per-figure wall-clock goes to stderr progress lines, not figures"
+)]
 
 use std::time::Instant;
 

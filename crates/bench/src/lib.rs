@@ -11,7 +11,6 @@
 //! counts proportionally for quick smoke runs; `1.0` is the calibrated
 //! full size.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;

@@ -31,7 +31,8 @@
 //! assert_eq!(c.lookup(line).map(|d| d[0]), Some(1));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 #![warn(missing_docs)]
 
 pub mod hierarchy;

@@ -66,6 +66,10 @@ impl Cache {
         }
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the set index is below the set count, a `usize`"
+    )]
     fn index_of(&self, addr: LineAddr) -> (usize, u64) {
         let line_no = addr.get() / LINE_BYTES as u64;
         let set = (line_no % self.sets.len() as u64) as usize;

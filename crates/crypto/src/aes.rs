@@ -92,8 +92,8 @@ fn compute_sboxes() -> ([u8; 256], [u8; 256]) {
     }
     let mut sbox = [0u8; 256];
     let mut inv_sbox = [0u8; 256];
-    for x in 0..256usize {
-        let i = inv[x];
+    for x in 0..=255u8 {
+        let i = inv[usize::from(x)];
         // Affine transform: b ^ rotl(b,1) ^ rotl(b,2) ^ rotl(b,3) ^ rotl(b,4) ^ 0x63
         let s = i
             ^ i.rotate_left(1)
@@ -101,8 +101,8 @@ fn compute_sboxes() -> ([u8; 256], [u8; 256]) {
             ^ i.rotate_left(3)
             ^ i.rotate_left(4)
             ^ 0x63;
-        sbox[x] = s;
-        inv_sbox[s as usize] = x as u8;
+        sbox[usize::from(x)] = s;
+        inv_sbox[usize::from(s)] = x;
     }
     (sbox, inv_sbox)
 }
@@ -294,8 +294,8 @@ impl Aes128 {
         let r3p = t.te[1][b1(a0)] ^ t.te[2][b2(a1)] ^ t.te[3][b3(a2)] ^ rk[11];
 
         let mut out = [[0u8; 16]; 4];
-        for pair in 0..2usize {
-            let lanes = [2 * pair as u32, 2 * pair as u32 + 1];
+        for pair in 0..2u32 {
+            let lanes = [2 * pair, 2 * pair + 1];
             let a3 = lanes.map(|l| a3p ^ t.te[2][b2(c1 ^ (l << 14))]);
             let mut x = [
                 r0p ^ t.te[3][b3(a3[0])],
@@ -316,8 +316,8 @@ impl Aes128 {
                 x = nx;
                 y = ny;
             }
-            out[2 * pair] = te_final(t, rk, x);
-            out[2 * pair + 1] = te_final(t, rk, y);
+            out[2 * pair as usize] = te_final(t, rk, x);
+            out[2 * pair as usize + 1] = te_final(t, rk, y);
         }
         out
     }

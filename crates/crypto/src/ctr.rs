@@ -140,8 +140,8 @@ pub fn ctr_pads_n(aes: &Aes128, input: &PadInput, lanes: usize, pad: &mut [u8; 6
         }
     } else {
         let mut iv = input.iv_for_lane(0);
-        for (lane, chunk) in pad.chunks_exact_mut(16).enumerate() {
-            iv[6] = input.block_in_page | ((lane as u8) << 6);
+        for (lane, chunk) in (0u8..).zip(pad.chunks_exact_mut(16)) {
+            iv[6] = input.block_in_page | (lane << 6);
             chunk.copy_from_slice(&aes.encrypt_block(iv));
         }
     }

@@ -169,7 +169,7 @@ pub struct FaultInjector {
 impl FaultInjector {
     /// Creates an injector executing `plan`.
     pub fn new(plan: FaultPlan) -> Self {
-        let planned = plan.planned() as usize;
+        let planned = usize::try_from(plan.planned()).unwrap_or(0);
         FaultInjector {
             plan,
             reads: 0,

@@ -29,7 +29,8 @@
 //! branch when no injector is armed, which keeps the disarmed datapath
 //! bit-identical to a build without this crate.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 #![warn(missing_docs)]
 
 pub mod inject;

@@ -265,41 +265,41 @@ impl FaultPlan {
         let mut rng = XorShift64::new(seed).derive(scenario.wrapping_add(1));
         let line_horizon = spec.ops.saturating_mul(16).max(1);
         let barrier_horizon = spec.ops.max(1);
-        let mut plan = FaultPlan {
-            seed,
-            scenario,
-            rot: Vec::with_capacity(spec.bit_rot as usize),
-            stuck: Vec::with_capacity(spec.stuck as usize),
-            torn: Vec::with_capacity(spec.torn as usize),
-            cuts: Vec::with_capacity(spec.power_cuts as usize),
-        };
-        for _ in 0..spec.bit_rot {
-            plan.rot.push(RotEvent {
+        let rot = (0..spec.bit_rot)
+            .map(|_| RotEvent {
                 read_index: rng.next_below(line_horizon),
                 byte: (rng.next_below(64) & 0x3f) as u8,
                 bit: (rng.next_below(8) & 0x7) as u8,
-            });
-        }
-        for _ in 0..spec.stuck {
-            plan.stuck.push(StuckEvent {
+            })
+            .collect();
+        let stuck = (0..spec.stuck)
+            .map(|_| StuckEvent {
                 write_index: rng.next_below(line_horizon),
                 byte: (rng.next_below(64) & 0x3f) as u8,
                 bit: (rng.next_below(8) & 0x7) as u8,
                 value: rng.next_below(2) == 1,
-            });
-        }
-        for _ in 0..spec.torn {
-            plan.torn.push(TornEvent {
+            })
+            .collect();
+        let torn = (0..spec.torn)
+            .map(|_| TornEvent {
                 region_index: rng.next_below(barrier_horizon),
                 keep_permille: (rng.next_below(1000) & 0x3ff) as u16,
-            });
-        }
-        for _ in 0..spec.power_cuts {
-            // Bias cuts toward the middle of the run so recovery has both
-            // a past to repair and a future to keep exercising.
-            let lo = barrier_horizon / 4;
-            plan.cuts.push(lo + rng.next_below(barrier_horizon - lo));
-        }
+            })
+            .collect();
+        // Bias cuts toward the middle of the run so recovery has both a
+        // past to repair and a future to keep exercising.
+        let lo = barrier_horizon / 4;
+        let cuts = (0..spec.power_cuts)
+            .map(|_| lo + rng.next_below(barrier_horizon - lo))
+            .collect();
+        let mut plan = FaultPlan {
+            seed,
+            scenario,
+            rot,
+            stuck,
+            torn,
+            cuts,
+        };
         plan.rot.sort_by_key(|e| e.read_index);
         plan.stuck.sort_by_key(|e| e.write_index);
         plan.torn.sort_by_key(|e| e.region_index);

@@ -70,6 +70,12 @@ impl PageAllocator {
     ///
     /// Panics if the frame is outside the region or already free
     /// (double-free).
+    #[expect(
+        clippy::panic,
+        reason = "a double free is a kernel bug, not input: DaxFs frees only frames its \
+                  inodes map, and DaxFs::snap_load rejects a frame mapped twice or left \
+                  on the free list"
+    )]
     pub fn free(&mut self, page: PageId) {
         let frame = page.get();
         assert!(

@@ -24,7 +24,8 @@
 //! File *data* lives in the simulated NVM (written by the machine layer);
 //! this crate manages metadata, placement and keys.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 #![warn(missing_docs)]
 
 pub mod alloc;

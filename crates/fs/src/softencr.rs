@@ -81,9 +81,9 @@ pub struct PageCacheOutcome {
 ///
 /// let mut pc = PageCacheModel::new(2);
 /// let f = Ino::new(1);
-/// let first = pc.touch(f, 0, false, || 0x1000);
+/// let first = pc.touch(f, 0, false, || Some(0x1000)).unwrap();
 /// assert!(first.fill);
-/// let again = pc.touch(f, 0, true, || unreachable!()); // resident (and dirty)
+/// let again = pc.touch(f, 0, true, || unreachable!()).unwrap(); // resident (and dirty)
 /// assert_eq!((again.fill, again.frame), (false, 0x1000));
 /// ```
 #[derive(Debug, Clone)]
@@ -119,23 +119,24 @@ impl PageCacheModel {
 
     /// Accesses `(ino, page)`, evicting the LRU page and filling as
     /// needed. A miss takes its frame from the free list (the victim's,
-    /// if one was evicted) or else from `alloc_frame`.
+    /// if one was evicted) or else from `alloc_frame`; `None` when that
+    /// has no frame left, with no page evicted or installed.
     pub fn touch(
         &mut self,
         ino: Ino,
         page: usize,
         write: bool,
-        alloc_frame: impl FnOnce() -> u64,
-    ) -> PageCacheOutcome {
+        alloc_frame: impl FnOnce() -> Option<u64>,
+    ) -> Option<PageCacheOutcome> {
         self.stamp += 1;
         if let Some(e) = self.resident.get_mut(&(ino, page)) {
             e.stamp = self.stamp;
             e.dirty |= write;
-            return PageCacheOutcome {
+            return Some(PageCacheOutcome {
                 fill: false,
                 frame: e.frame,
                 evicted: None,
-            };
+            });
         }
         let mut evicted = None;
         if self.resident.len() >= self.capacity {
@@ -146,7 +147,9 @@ impl PageCacheModel {
                 evicted = Some((v_ino, v_page, e.dirty, e.frame));
             }
         }
-        let frame = self.free.pop().unwrap_or_else(alloc_frame);
+        // An eviction frees a frame, so `alloc_frame` runs only when
+        // nothing was evicted.
+        let frame = self.free.pop().or_else(alloc_frame)?;
         self.resident.insert(
             (ino, page),
             Entry {
@@ -155,11 +158,11 @@ impl PageCacheModel {
                 frame,
             },
         );
-        PageCacheOutcome {
+        Some(PageCacheOutcome {
             fill: true,
             frame,
             evicted,
-        }
+        })
     }
 
     /// The frame holding `(ino, page)`, if resident; leaves LRU order
@@ -276,11 +279,11 @@ mod tests {
     use super::*;
 
     /// A frame allocator handing out 0x1000, 0x2000, ...
-    fn frames() -> impl FnMut() -> u64 {
+    fn frames() -> impl FnMut() -> Option<u64> {
         let mut next = 0;
         move || {
             next += 0x1000;
-            next
+            Some(next)
         }
     }
 
@@ -289,8 +292,8 @@ mod tests {
         let mut pc = PageCacheModel::new(4);
         let mut alloc = frames();
         let f = Ino::new(1);
-        assert!(pc.touch(f, 0, false, &mut alloc).fill);
-        let again = pc.touch(f, 0, false, &mut alloc);
+        assert!(pc.touch(f, 0, false, &mut alloc).unwrap().fill);
+        let again = pc.touch(f, 0, false, &mut alloc).unwrap();
         assert_eq!((again.fill, again.frame), (false, 0x1000));
         assert_eq!(pc.frame(f, 0), Some(0x1000));
         assert_eq!(pc.frame(f, 1), None);
@@ -301,18 +304,26 @@ mod tests {
         let mut pc = PageCacheModel::new(2);
         let mut alloc = frames();
         let f = Ino::new(1);
-        pc.touch(f, 0, true, &mut alloc); // dirty, frame 0x1000
-        pc.touch(f, 1, false, &mut alloc); // clean, frame 0x2000
+        pc.touch(f, 0, true, &mut alloc).unwrap(); // dirty, frame 0x1000
+        pc.touch(f, 1, false, &mut alloc).unwrap(); // clean, frame 0x2000
         // touching page 0 keeps it hot; page 1 is the LRU victim
-        pc.touch(f, 0, false, &mut alloc);
-        let out = pc.touch(f, 2, false, &mut alloc);
+        pc.touch(f, 0, false, &mut alloc).unwrap();
+        let out = pc.touch(f, 2, false, &mut alloc).unwrap();
         assert!(out.fill);
         assert_eq!(out.evicted, Some((f, 1, false, 0x2000)));
         assert_eq!(out.frame, 0x2000, "the fill reuses the victim's frame");
         // next eviction takes the dirty page 0
-        let out = pc.touch(f, 3, false, &mut alloc);
+        let out = pc.touch(f, 3, false, &mut alloc).unwrap();
         assert_eq!(out.evicted, Some((f, 0, true, 0x1000)));
-        assert_eq!(alloc(), 0x3000, "no frame allocated past capacity");
+        assert_eq!(alloc(), Some(0x3000), "no frame allocated past capacity");
+    }
+
+    #[test]
+    fn a_miss_without_a_frame_installs_nothing() {
+        let mut pc = PageCacheModel::new(2);
+        let f = Ino::new(1);
+        assert!(pc.touch(f, 0, false, || None).is_none());
+        assert_eq!(pc.frame(f, 0), None);
     }
 
     #[test]
@@ -320,10 +331,10 @@ mod tests {
         let mut pc = PageCacheModel::new(2);
         let mut alloc = frames();
         let f = Ino::new(5);
-        pc.touch(f, 0, false, &mut alloc);
-        pc.touch(f, 0, true, &mut alloc);
-        pc.touch(f, 1, false, &mut alloc);
-        let out = pc.touch(f, 2, false, &mut alloc);
+        pc.touch(f, 0, false, &mut alloc).unwrap();
+        pc.touch(f, 0, true, &mut alloc).unwrap();
+        pc.touch(f, 1, false, &mut alloc).unwrap();
+        let out = pc.touch(f, 2, false, &mut alloc).unwrap();
         assert_eq!(out.evicted, Some((f, 0, true, 0x1000)));
     }
 
@@ -333,20 +344,20 @@ mod tests {
         let mut alloc = frames();
         let a = Ino::new(1);
         let b = Ino::new(2);
-        pc.touch(a, 3, true, &mut alloc); // 0x1000
-        pc.touch(a, 1, false, &mut alloc); // 0x2000
-        pc.touch(a, 2, true, &mut alloc); // 0x3000
-        pc.touch(b, 0, true, &mut alloc); // 0x4000
+        pc.touch(a, 3, true, &mut alloc).unwrap(); // 0x1000
+        pc.touch(a, 1, false, &mut alloc).unwrap(); // 0x2000
+        pc.touch(a, 2, true, &mut alloc).unwrap(); // 0x3000
+        pc.touch(b, 0, true, &mut alloc).unwrap(); // 0x4000
         assert_eq!(pc.clean_file(a), vec![(2, 0x3000), (3, 0x1000)]);
         assert!(pc.clean_file(a).is_empty(), "clean pages stay resident");
-        pc.touch(a, 1, true, &mut alloc);
+        pc.touch(a, 1, true, &mut alloc).unwrap();
         let flushed = pc.flush_file(a);
         assert_eq!(flushed, vec![(1, 0x2000)], "only dirty pages are written back");
         assert_eq!(pc.frame(a, 2), None, "clean pages leave too");
         assert_eq!(pc.frame(b, 0), Some(0x4000));
         // Released in page order, reused last-released-first.
         for (page, frame) in [(1, 0x1000), (2, 0x3000), (3, 0x2000), (4, 0x5000)] {
-            assert_eq!(pc.touch(b, page, false, &mut alloc).frame, frame);
+            assert_eq!(pc.touch(b, page, false, &mut alloc).unwrap().frame, frame);
         }
     }
 

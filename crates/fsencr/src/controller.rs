@@ -1247,13 +1247,13 @@ impl MemoryController {
         let mut out = Vec::with_capacity(2 * (self.stop_loss as usize + 1));
         for d in 0..=self.stop_loss {
             let v = u32::from(stored.minor(block)) + d;
-            if v < u32::from(MINOR_LIMIT) {
+            if let Some(minor) = u8::try_from(v).ok().filter(|&m| m < MINOR_LIMIT) {
                 let mut cand = *stored;
-                cand.set(stored.major(), block, v as u8);
+                cand.set(stored.major(), block, minor);
                 out.push((cand, d));
             }
             let mut cand = carried;
-            cand.set(carried.major(), block, d as u8);
+            cand.set(carried.major(), block, u8::try_from(d).unwrap_or(u8::MAX));
             out.push((cand, 1 + d));
         }
         out

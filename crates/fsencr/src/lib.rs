@@ -44,7 +44,8 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 #![warn(missing_docs)]
 
 pub mod controller;

@@ -70,7 +70,7 @@ pub const FS_IMAGE_PAGES: u64 = 56;
 
 /// Bytes of the image area left for the image after its 64-byte length
 /// header.
-const FS_IMAGE_CAPACITY: usize = (FS_IMAGE_PAGES * PAGE_BYTES as u64 - 64) as usize;
+const FS_IMAGE_CAPACITY: u64 = FS_IMAGE_PAGES * PAGE_BYTES as u64 - 64;
 
 /// Kernel cycles charged per journaled metadata operation (transaction
 /// setup + commit record), in addition to the journal-record writes.
@@ -344,6 +344,10 @@ fn ctrl_prelude(opts: &MachineOpts, mode: SecurityMode) -> (CtrlMode, MetadataLa
 /// Splits the `len` bytes at `start` at `UNIT`-byte boundaries, yielding
 /// `(unit index, offset in unit, span of the caller's buffer)`: the page
 /// walk over a mapped range and the line walk over a physical one.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the offset in a unit is below `UNIT`, a `usize`"
+)]
 fn spans<const UNIT: usize>(
     start: u64,
     len: usize,
@@ -762,7 +766,8 @@ impl Machine {
         let mut sw_valid = std::collections::HashSet::with_capacity(n_valid);
         for _ in 0..n_valid {
             let ino = dec.get_u32()?;
-            let page = dec.get_u64()? as usize;
+            let page = usize::try_from(dec.get_u64()?)
+                .map_err(|_| SnapError::Corrupt("page-cache page"))?;
             sw_valid.insert((ino, page));
         }
         dec.end_section()?;
@@ -1296,7 +1301,8 @@ impl Machine {
     ) -> Result<(), MachineError> {
         let m = self.mapped_range(map, offset, buf.len() as u64)?;
         for (page, in_page, span) in spans::<PAGE_BYTES>(offset, buf.len()) {
-            let base = self.page_base(core, &m, page as usize, false)?;
+            let page = usize::try_from(page).map_err(|_| MachineError::OutOfBounds)?;
+            let base = self.page_base(core, &m, page, false)?;
             self.read_bytes(core, base + in_page as u64, &mut buf[span])?;
         }
         Ok(())
@@ -1320,7 +1326,8 @@ impl Machine {
             return Err(MachineError::Fs(FsError::PermissionDenied));
         }
         for (page, in_page, span) in spans::<PAGE_BYTES>(offset, data.len()) {
-            let base = self.page_base(core, &m, page as usize, true)?;
+            let page = usize::try_from(page).map_err(|_| MachineError::OutOfBounds)?;
+            let base = self.page_base(core, &m, page, true)?;
             self.write_bytes(core, base + in_page as u64, &data[span])?;
         }
         self.fs.grow(m.ino, offset + data.len() as u64);
@@ -1351,13 +1358,15 @@ impl Machine {
             inj.on_barrier();
         }
         let m = self.mapped_range(map, offset, len)?;
+        let len = usize::try_from(len).map_err(|_| MachineError::OutOfBounds)?;
         // `clwb` never touches the controller and every write-back is
         // issued at the same fence-pending clock, so the evictions are
         // collected first and fanned out as one region write.
         let mut scratch = std::mem::take(&mut self.persist_scratch);
         scratch.clear();
-        for (page, in_page, span) in spans::<PAGE_BYTES>(offset, len as usize) {
-            let Some(base) = self.resident_base(&m, page as usize) else {
+        for (page, in_page, span) in spans::<PAGE_BYTES>(offset, len) {
+            let page = usize::try_from(page).map_err(|_| MachineError::OutOfBounds)?;
+            let Some(base) = self.resident_base(&m, page) else {
                 continue;
             };
             for (line, _, _) in spans::<LINE_BYTES>(base + in_page as u64, span.len()) {
@@ -1477,10 +1486,9 @@ impl Machine {
         let file_base = frame.get() * PAGE_BYTES as u64;
         let (src, dst) = if write_back { (pc_base, file_base) } else { (file_base, pc_base) };
         let t0 = self.clocks[core];
-        for blk in 0..PAGE_BYTES / LINE_BYTES {
-            let off = (blk * LINE_BYTES) as u64;
+        for (blk, off) in (0u8..).zip((0..PAGE_BYTES as u64).step_by(LINE_BYTES)) {
             let mut data = self.load_line(core, LineAddr::new(src + off))?;
-            ctr::xor_in_place(&mut data, &self.sw_pad(fek, frame, blk as u8));
+            ctr::xor_in_place(&mut data, &self.sw_pad(fek, frame, blk));
             let dst_line = LineAddr::new(dst + off);
             self.store_line(core, dst_line, data)?;
             if write_back {
@@ -1514,12 +1522,17 @@ impl Machine {
     /// and fills the page from its DAX frame.
     fn sw_touch(&mut self, core: usize, m: &Mapping, page: usize, write: bool) -> Result<u64, MachineError> {
         // A miss with no released frame bump-allocates general memory.
-        let outcome = self.page_cache.touch(m.ino, page, write, || {
-            let frame = self.heap_next;
-            self.heap_next += PAGE_BYTES as u64;
-            assert!(self.heap_next <= self.opts.general_bytes, "general memory exhausted");
-            frame
-        });
+        let outcome = self
+            .page_cache
+            .touch(m.ino, page, write, || {
+                let frame = self.heap_next;
+                let end = frame
+                    .checked_add(PAGE_BYTES as u64)
+                    .filter(|&end| end <= self.opts.general_bytes)?;
+                self.heap_next = end;
+                Some(frame)
+            })
+            .ok_or(MachineError::Fs(FsError::NoSpace))?;
         if let Some((v_ino, v_page, true, v_frame)) = outcome.evicted {
             // The victim belongs to some open mapping of v_ino; with
             // several, the lowest map id pays the write-back.
@@ -1577,7 +1590,7 @@ impl Machine {
     /// (nothing is written), or memory-path failures.
     pub fn sync_fs(&mut self, core: usize) -> Result<(), MachineError> {
         let image = self.fs.image();
-        if image.len() > FS_IMAGE_CAPACITY {
+        if image.len() as u64 > FS_IMAGE_CAPACITY {
             return Err(FsError::NoSpace.into());
         }
         let base = self.fs_meta_base();
@@ -1608,8 +1621,8 @@ impl Machine {
         let base = self.fs_meta_base();
         let mut len_bytes = [0u8; 8];
         self.heap_read(core, base, &mut len_bytes)?;
-        let len = u64::from_le_bytes(len_bytes) as usize;
-        if len == 0 || len > FS_IMAGE_CAPACITY {
+        let len = usize::try_from(u64::from_le_bytes(len_bytes)).unwrap_or(0);
+        if len == 0 || len as u64 > FS_IMAGE_CAPACITY {
             return Err(MachineError::Fs(FsError::InvalidArgument(
                 "no filesystem image on media",
             )));
@@ -1656,7 +1669,7 @@ impl Machine {
         let mut buf = vec![0u8; PAGE_BYTES];
         let mut off = 0u64;
         while off < size {
-            let take = (size - off).min(PAGE_BYTES as u64) as usize;
+            let take = usize::try_from(size - off).map_or(PAGE_BYTES, |left| left.min(PAGE_BYTES));
             self.read(core, src_map, off, &mut buf[..take])?;
             self.write(core, dst_map, off, &buf[..take])?;
             self.persist(core, dst_map, off, take as u64)?;

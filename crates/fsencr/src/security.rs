@@ -63,8 +63,8 @@ pub fn attacker_decrypts(machine: &Machine, mem_key: &Key128, file_keys: &[Key12
 
         // Strips one engine's pads from every line of the page.
         let strip = |bytes: &mut [u8; PAGE_BYTES], aes: &Aes128, counters: &CounterBlock| {
-            for (blk, line) in bytes.chunks_exact_mut(LINE_BYTES).enumerate() {
-                ctr::xor_in_place(line, &ctr::line_pad_with(aes, &counters.pad_input(page, blk as u8)));
+            for (blk, line) in (0u8..).zip(bytes.chunks_exact_mut(LINE_BYTES)) {
+                ctr::xor_in_place(line, &ctr::line_pad_with(aes, &counters.pad_input(page, blk)));
             }
         };
         let leaks = |bytes: &[u8; PAGE_BYTES]| bytes.windows(needle.len()).any(|w| w == needle);

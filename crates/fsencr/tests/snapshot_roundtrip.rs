@@ -6,13 +6,15 @@
 //! snapshot is full-fidelity: re-serializing the restored machine yields
 //! byte-identical `fsencr-snap/1` output.
 
+use std::ops::Range;
+
 use proptest::prelude::*;
 
 use fsencr::machine::{Machine, MachineOpts, MapId, SecurityMode};
 use fsencr_faults::FaultPlan;
 use fsencr_fs::{AccessKind, GroupId, Mode, UserId};
 use fsencr_nvm::PAGE_BYTES;
-use fsencr_snapshot::{Dec, Enc, SnapError};
+use fsencr_snapshot::{describe, fnv1a64, fnv1a64_once, Dec, Enc, SnapError, MAGIC};
 
 const ALICE: UserId = UserId::new(1);
 const STAFF: GroupId = GroupId::new(3);
@@ -300,6 +302,103 @@ proptest! {
         let loaded = fsencr_fs::DaxFs::snap_load(&mut dec);
         if payload == *original {
             prop_assert!(loaded.is_ok());
+        }
+    }
+}
+
+/// A whole-machine image: two encrypted files, written and persisted.
+fn two_file_image(mode: SecurityMode) -> Vec<u8> {
+    let mut m = Machine::new(MachineOpts::small_test(), mode);
+    for (name, tag) in [("a", 0xa5u8), ("b", 0x5a)] {
+        let h = m.create(ALICE, STAFF, name, Mode::PRIVATE, Some("pw")).unwrap();
+        let map = m.mmap(&h).unwrap();
+        m.write(0, map, 100, &[tag; 2 * PAGE_BYTES]).unwrap();
+        m.persist(0, map, 0, 3 * PAGE_BYTES as u64).unwrap();
+    }
+    m.save_snapshot().unwrap()
+}
+
+/// `(name, payload)` byte ranges of every section frame, in order.
+fn frames(bytes: &[u8]) -> Vec<(Range<usize>, Range<usize>)> {
+    let mut pos = MAGIC.len();
+    describe(bytes)
+        .unwrap()
+        .iter()
+        .map(|s| {
+            let name = pos + 1..pos + 1 + s.name.len();
+            let payload = name.end + 8..name.end + 8 + s.payload_len as usize;
+            pos = payload.end + 8;
+            (name, payload)
+        })
+        .collect()
+}
+
+/// Re-seals every section digest, so edited payloads get past
+/// `Dec::begin_section` and reach the section decoders.
+fn rechain(bytes: &mut [u8], frames: &[(Range<usize>, Range<usize>)]) {
+    let mut chain = fnv1a64_once(&[]);
+    for (name, payload) in frames {
+        chain = fnv1a64(fnv1a64(chain, &bytes[name.clone()]), &bytes[payload.clone()]);
+        bytes[payload.end..payload.end + 8].copy_from_slice(&chain.to_le_bytes());
+    }
+}
+
+/// Reads, writes and persists file `a`, then crashes, recovers and
+/// reads again. Every step may fail, but only with a typed error.
+fn exercise(m: &mut Machine) {
+    let mut buf = [0u8; 256];
+    let mut touch = |m: &mut Machine| {
+        let map = m
+            .open(ALICE, &[STAFF], "a", AccessKind::Write, Some("pw"))
+            .and_then(|h| m.mmap(&h));
+        if let Ok(map) = map {
+            let _ = m.read(0, map, 0, &mut buf);
+            let _ = m.write(0, map, 50, b"hostile");
+            let _ = m.persist(0, map, 0, PAGE_BYTES as u64);
+        }
+    };
+    touch(m);
+    m.crash();
+    let _ = m.recover();
+    touch(m);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// The section digests are keyless, so a crafted whole-machine image
+    /// reaches every section decoder: 1-3 flipped or overwritten payload
+    /// bytes in one section, re-sealed, restore to a machine or fail with
+    /// a typed error, and a restored machine survives
+    /// read/write/persist/crash/recover/read on typed errors alone —
+    /// never a panic.
+    #[test]
+    fn hostile_machine_images_never_panic(
+        software in any::<bool>(),
+        section in any::<usize>(),
+        edits in prop::collection::vec((any::<usize>(), any::<u8>(), any::<bool>()), 1..4),
+    ) {
+        static IMAGES: std::sync::OnceLock<[Vec<u8>; 2]> = std::sync::OnceLock::new();
+        let images = IMAGES.get_or_init(|| {
+            [two_file_image(SecurityMode::FsEncr), two_file_image(SecurityMode::Software)]
+        });
+        let (mode, image) = if software {
+            (SecurityMode::Software, &images[1])
+        } else {
+            (SecurityMode::FsEncr, &images[0])
+        };
+        let mut bytes = image.clone();
+        let frames = frames(&bytes);
+        let (_, payload) = frames[section % frames.len()].clone();
+        prop_assume!(!payload.is_empty());
+        for (at, value, overwrite) in edits {
+            let i = payload.start + at % payload.len();
+            bytes[i] = if overwrite { value } else { bytes[i] ^ value.max(1) };
+        }
+        rechain(&mut bytes, &frames);
+        prop_assert!(describe(&bytes).is_ok());
+        if let Ok(mut m) = Machine::restore_snapshot(MachineOpts::small_test(), mode, &bytes) {
+            exercise(&mut m);
         }
     }
 }

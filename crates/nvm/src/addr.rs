@@ -15,6 +15,12 @@ pub const LINE_BYTES: usize = 64;
 /// Page size in bytes (4 KiB; one counter block covers one page).
 pub const PAGE_BYTES: usize = 4096;
 
+/// Mask of a byte's offset within its page.
+pub(crate) const PAGE_MASK: u64 = PAGE_BYTES as u64 - 1;
+
+/// 64-byte lines per page.
+const LINES_PER_PAGE: u64 = (PAGE_BYTES / LINE_BYTES) as u64;
+
 /// Bit position of the DF (DAX-File) bit inside a physical address.
 ///
 /// Intel IA-32e translates to at most 52 physical bits; bit 51 is unused by
@@ -127,7 +133,7 @@ impl LineAddr {
 
     /// 64-byte block index within the page, `0..64`.
     pub const fn block_in_page(self) -> u8 {
-        ((self.0 % PAGE_BYTES as u64) / LINE_BYTES as u64) as u8
+        ((self.0 / LINE_BYTES as u64) % LINES_PER_PAGE) as u8
     }
 }
 

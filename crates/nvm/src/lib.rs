@@ -30,7 +30,8 @@
 //! assert_eq!(data, [7u8; LINE_BYTES]);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 #![warn(missing_docs)]
 
 pub mod addr;

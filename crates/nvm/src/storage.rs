@@ -15,7 +15,7 @@ use std::collections::HashMap;
 
 use fsencr_faults::StuckCells;
 
-use crate::addr::{LineAddr, PageId, PhysAddr, LINE_BYTES, PAGE_BYTES};
+use crate::addr::{LineAddr, PageId, PhysAddr, LINE_BYTES, PAGE_BYTES, PAGE_MASK};
 
 /// Sparse page-granular byte store.
 ///
@@ -108,7 +108,7 @@ impl Storage {
         let mut remaining = buf;
         while !remaining.is_empty() {
             let frame = pos / PAGE_BYTES as u64;
-            let offset = (pos % PAGE_BYTES as u64) as usize;
+            let offset = (pos & PAGE_MASK) as usize;
             let take = remaining.len().min(PAGE_BYTES - offset);
             match self.page_ref(PageId::new(frame)) {
                 Some(page) => remaining[..take].copy_from_slice(&page[offset..offset + take]),
@@ -125,7 +125,7 @@ impl Storage {
         let mut remaining = data;
         while !remaining.is_empty() {
             let frame = pos / PAGE_BYTES as u64;
-            let offset = (pos % PAGE_BYTES as u64) as usize;
+            let offset = (pos & PAGE_MASK) as usize;
             let take = remaining.len().min(PAGE_BYTES - offset);
             let page = self.frame_mut(frame);
             page[offset..offset + take].copy_from_slice(&remaining[..take]);
@@ -138,7 +138,7 @@ impl Storage {
     pub fn read_line(&self, line: LineAddr) -> [u8; LINE_BYTES] {
         let pos = line.get();
         let frame = pos / PAGE_BYTES as u64;
-        let offset = (pos % PAGE_BYTES as u64) as usize;
+        let offset = (pos & PAGE_MASK) as usize;
         let mut buf = [0u8; LINE_BYTES];
         if let Some(page) = self.page_ref(PageId::new(frame)) {
             buf.copy_from_slice(&page[offset..offset + LINE_BYTES]);
@@ -152,7 +152,7 @@ impl Storage {
     pub fn read_line_hot(&mut self, line: LineAddr) -> [u8; LINE_BYTES] {
         let pos = line.get();
         let frame = pos / PAGE_BYTES as u64;
-        let offset = (pos % PAGE_BYTES as u64) as usize;
+        let offset = (pos & PAGE_MASK) as usize;
         self.promote(frame);
         let mut buf = [0u8; LINE_BYTES];
         if let Some((f, page)) = &self.last {
@@ -167,7 +167,7 @@ impl Storage {
     pub fn write_line(&mut self, line: LineAddr, data: &[u8; LINE_BYTES]) {
         let pos = line.get();
         let frame = pos / PAGE_BYTES as u64;
-        let offset = (pos % PAGE_BYTES as u64) as usize;
+        let offset = (pos & PAGE_MASK) as usize;
         let page = self.frame_mut(frame);
         page[offset..offset + LINE_BYTES].copy_from_slice(data);
         if self.stuck.is_some() {

@@ -83,6 +83,10 @@ impl BankTiming {
 
     /// Decodes a line address with RoRaBaChCo interleaving
     /// (row : rank : bank : channel : column, from MSB to LSB).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "each remainder is below a `usize` geometry count"
+    )]
     pub fn decode(&self, line: LineAddr) -> BankCoord {
         let lines_per_row = (self.cfg.row_buffer_bytes / 64).max(1);
         let mut v = line.get() / 64;

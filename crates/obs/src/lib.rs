@@ -43,7 +43,8 @@
 //! assert_eq!(obs.spans().next().map(|s| s.duration()), Some(90));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;

@@ -23,8 +23,6 @@
 //! Environment knobs: `PROPTEST_CASES` overrides the default case count,
 //! `PROPTEST_SEED` pins the base seed for reproduction.
 
-#![forbid(unsafe_code)]
-
 use std::fmt::Debug;
 use std::ops::Range;
 

@@ -35,7 +35,8 @@
 //! assert_eq!(CounterBlock::from_bytes(PadDomain::File, &bytes), fecb);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 #![warn(missing_docs)]
 
 pub mod counters;

@@ -15,7 +15,6 @@
 //! * [`rng`] — a tiny deterministic PRNG (SplitMix64) so that the low-level
 //!   crates do not need an external RNG dependency.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clock;

@@ -26,7 +26,7 @@ static SCHEDULE: AtomicUsize = AtomicUsize::new(0);
 /// Deterministic orders in which the worker pool drains its task queue.
 ///
 /// Figure output must not depend on which worker runs which cell, so the
-/// concurrency audit (`cargo run -p analysis -- check`) replays the
+/// schedule audit (`crates/bench/tests/schedule_audit.rs`) replays the
 /// experiment engine under each of these adversarial-but-reproducible
 /// schedules and asserts byte-identical figures. `Fifo` is the normal
 /// submission order; the others permute pick-up order or perturb

@@ -23,7 +23,8 @@
 //! readers mirror the exact sequence and finish with [`Dec::finish`],
 //! which insists every byte was consumed.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 /// Stream magic: format name + version, newline-terminated so `head -1`
 /// on a snapshot file identifies it.
@@ -125,6 +126,10 @@ impl Enc {
         debug_assert!(self.open.is_none(), "sections must not nest");
         debug_assert!(name.len() <= u8::MAX as usize);
         let name_bytes = name.as_bytes();
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "section names are short literals; the debug_assert above bounds them"
+        )]
         self.out.push(name_bytes.len() as u8);
         self.out.extend_from_slice(name_bytes);
         self.chain = fnv1a64(self.chain, name_bytes);

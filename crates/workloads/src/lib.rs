@@ -19,7 +19,6 @@
 //! memory system: operation mixes, value sizes, pointer-chase depths and
 //! flush behaviour.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod daxmicro;

@@ -30,7 +30,11 @@ begin "cargo test -q --workspace"
 cargo test -q --workspace
 finish
 
-begin "cargo clippy --workspace --all-targets -- -D warnings"
+# Clippy and rustc carry the panic (unwrap/expect/panic!), truncating-cast,
+# nondeterminism (hashed collections, host clocks, thread::current) and
+# forbid-unsafe rules; see Cargo.toml, the hot-path crate roots and the
+# clippy.toml files.
+begin "cargo clippy --workspace --all-targets -- -D warnings (no-panic, truncating casts, nondeterminism, forbid-unsafe)"
 cargo clippy --workspace --all-targets -- -D warnings
 finish
 
@@ -96,10 +100,9 @@ if cargo run --release -q -p analysis -- lint --root crates/analysis/fixtures/vi
     echo "FAIL: source passes reported the seeded-violation fixture tree as clean" >&2
     exit 1
 fi
-# The fixture tree seeds violations in every guarded crate class,
-# including the observability and fault-injection crates; each must
-# actually be reported.
-for seeded in "crates/bench/src/lib.rs" "crates/fsencr/src/lib.rs" "crates/obs/src/lib.rs" "crates/fsencr/src/batch.rs" "crates/secmem/src/metadata.rs" "crates/crypto/src/lanes.rs" "crates/faults/src/inject.rs" "crates/snapshot/src/lib.rs" "crates/fs/src/lib.rs"; do
+# The fixture tree seeds a bare allocation in each class of
+# allocation-free file; each must actually be reported.
+for seeded in "crates/fsencr/src/batch.rs" "crates/secmem/src/metadata.rs" "crates/crypto/src/lanes.rs" "crates/faults/src/inject.rs" "crates/snapshot/src/lib.rs"; do
     if ! grep -q "$seeded" /tmp/fsencr_lint_fixture.out; then
         echo "FAIL: lint did not flag seeded violations in $seeded" >&2
         exit 1
@@ -114,7 +117,7 @@ for seeded in "crates/fsencr/src/leak.rs" "crates/workloads/src/ivreuse.rs"; do
         exit 1
     fi
 done
-for rule in "plaintext-confinement" "confinement-reach" "pad-site"; do
+for rule in "hot-alloc" "plaintext-confinement" "confinement-reach" "pad-site"; do
     if ! grep -q "$rule" /tmp/fsencr_lint_fixture.out; then
         echo "FAIL: seeded fixtures did not trip the $rule rule" >&2
         exit 1

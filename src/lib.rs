@@ -6,8 +6,6 @@
 //! controller, [`fsencr_workloads`] for the persistent engines). The
 //! re-exports below make the workspace browsable from one rustdoc root.
 
-#![forbid(unsafe_code)]
-
 pub use fsencr;
 pub use fsencr_cache as cache;
 pub use fsencr_crypto as crypto;
