@@ -239,11 +239,7 @@ fn check_paper_scale(f: &mut Vec<Finding>) {
 
 fn check_security_config(f: &mut Vec<Finding>) {
     let cfg = SecurityConfig::default();
-    expect_eq(f, "config", "Merkle arity", cfg.merkle_arity, 8);
-    expect_eq(f, "config", "Merkle levels", cfg.merkle_levels, 9);
-    expect_eq(f, "config", "OTT ways", cfg.ott_ways, 8);
-    expect_eq(f, "config", "OTT entries per way", cfg.ott_entries_per_way, 128);
-    expect_eq(f, "config", "OTT capacity (8 x 128)", cfg.ott_entries(), 1024);
+    expect_eq(f, "config", "OTT capacity (8 x 128)", cfg.ott_entries, 1024);
     expect_eq(f, "config", "OTT lookup latency cycles", cfg.ott_latency_cycles, 20);
     expect_eq(f, "config", "Osiris stop-loss period", cfg.osiris_stop_loss, 4);
     expect_eq(f, "config", "MAC latency cycles", cfg.mac_cycles, 40);

@@ -146,10 +146,10 @@ fn real_tree_satisfies_layout_invariants() {
     assert!(findings.is_empty(), "{}", render(&findings));
 }
 
-/// The hot-path crates: their non-test code must be panic-free and
-/// free of truncating casts.
-const HOT_CRATES: [&str; 9] = [
-    "fsencr", "fs", "secmem", "crypto", "nvm", "cache", "obs", "faults", "snapshot",
+/// The hot-path crates and the experiment library: their non-test code
+/// must be panic-free and free of truncating casts.
+const HOT_CRATES: [&str; 10] = [
+    "fsencr", "fs", "secmem", "crypto", "nvm", "cache", "obs", "faults", "snapshot", "bench",
 ];
 
 /// The figure-producing crates: no host clocks, hashed collections or

@@ -85,7 +85,7 @@ fn write_or_exit(tag: &str, path: &str, contents: impl AsRef<[u8]>) {
 fn params() {
     let cfg = MachineConfig::paper_defaults();
     println!("\n=== Table III: simulation parameters ===");
-    println!("CPU: {} cores @ {} MHz, out-of-order x86-64 (modelled request-level)", cfg.cpu.cores, cfg.cpu.freq_mhz);
+    println!("CPU: {} cores @ 1000 MHz, out-of-order x86-64 (modelled request-level)", cfg.cpu.cores);
     for (name, c) in [("L1", cfg.cpu.l1), ("L2", cfg.cpu.l2), ("L3", cfg.cpu.l3)] {
         println!(
             "{name}: {} KiB, {}-way, {}B lines, {} cycles",
@@ -111,16 +111,25 @@ fn params() {
     );
     let s = cfg.security;
     println!(
-        "security: AES {} ns, metadata cache {} KiB {}-way, Merkle {}-ary (<= {} levels), OTT {} entries @ {} cycles, Osiris stop-loss {}",
+        "security: AES {} ns, metadata cache {} KiB {}-way, Merkle 8-ary (<= 9 levels), OTT {} entries @ {} cycles, Osiris stop-loss {}",
         s.aes_ns,
         s.metadata_cache.size_bytes / 1024,
         s.metadata_cache.ways,
-        s.merkle_arity,
-        s.merkle_levels,
-        s.ott_entries(),
+        s.ott_entries,
         s.ott_latency_cycles,
         s.osiris_stop_loss
     );
+}
+
+/// Prints Table I, or reports the machine failure and exits 1.
+fn table1() {
+    match exp::table1() {
+        Ok(fig) => println!("{fig}"),
+        Err(e) => {
+            eprintln!("[table1] {e}");
+            std::process::exit(1);
+        }
+    }
 }
 
 fn list() {
@@ -422,7 +431,7 @@ fn main() {
             println!("{a}{b}{c}");
         }
         "fig15" => println!("{}", exp::fig15(scale)),
-        "table1" => println!("{}", exp::table1()),
+        "table1" => table1(),
         "params" => params(),
         "list" => list(),
         "ablation-ott" => println!("{}", exp::ablation_ott(scale)),
@@ -432,7 +441,7 @@ fn main() {
         "all" => {
             params();
             list();
-            println!("{}", exp::table1());
+            table1();
             println!("{}", exp::fig3(scale));
             let (a, b, c) = exp::fig8_9_10(scale);
             println!("{a}{b}{c}");

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use fsencr::machine::{MachineOpts, Preset, SecurityMode};
+use fsencr::machine::{MachineError, MachineOpts, Preset, SecurityMode};
 use fsencr::security;
 use fsencr::snapshot::StatsSnapshot;
 use fsencr_crypto::Key128;
@@ -25,8 +25,29 @@ use crate::table::Figure;
 
 use fsencr::machine::Machine;
 
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "scale is in (0, 1], so the product fits the u64 it came from"
+)]
 fn scaled(n: u64, scale: f64) -> u64 {
     ((n as f64 * scale) as u64).max(32)
+}
+
+/// Bytes of the DAX micro-benchmark file at `scale`: 24 MiB scaled (never
+/// below a fifth), rounded down to whole pages.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "at most 24 MiB: scale.max(0.2) is in [0.2, 1]"
+)]
+fn dax_file_bytes(scale: f64) -> u64 {
+    ((24 << 20) as f64 * scale.max(0.2)) as u64 / 4096 * 4096
+}
+
+/// Aborts the figure a failed cell belongs to: the figure has no value
+/// for that cell, so it stops the way a failed assertion does.
+#[expect(clippy::panic, reason = "a figure with a failed cell has nothing to render")]
+pub(crate) fn cell_failed(label: &str, mode: SecurityMode, e: MachineError) -> ! {
+    panic!("{label} under {mode}: {e}")
 }
 
 fn run_with(
@@ -35,7 +56,7 @@ fn run_with(
     w: &mut dyn Workload,
 ) -> StatsSnapshot {
     run_workload(opts, mode, w)
-        .unwrap_or_else(|e| panic!("{} under {mode}: {e}", w.name()))
+        .unwrap_or_else(|e| cell_failed(&w.name(), mode, e))
         .stats
 }
 
@@ -85,9 +106,7 @@ fn run_cells(cells: Vec<ProfileCellSpec>) -> Vec<StatsSnapshot> {
                 let snap = store::get(Kind::Setup, &skey);
                 let warm =
                     run_workload_warm(cell.opts, cell.mode, workload.as_mut(), snap.as_deref())
-                        .unwrap_or_else(|e| {
-                            panic!("{} under {}: {e}", cell.label, cell.mode)
-                        });
+                        .unwrap_or_else(|e| cell_failed(&cell.label, cell.mode, e));
                 store::count(Kind::Setup, warm.warm);
                 if let Some(bytes) = warm.snapshot {
                     store::put(Kind::Setup, &skey, &bytes);
@@ -149,7 +168,7 @@ fn pmemkv_factories(scale: f64) -> Vec<(String, Factory)> {
 }
 
 fn daxmicro_factories(scale: f64) -> Vec<(String, Factory)> {
-    let file = ((24 << 20) as f64 * scale.max(0.2)) as u64 / 4096 * 4096;
+    let file = dax_file_bytes(scale);
     let reads = scaled(400_000, scale);
     let swaps = scaled(60_000, scale);
     vec![
@@ -214,7 +233,7 @@ fn matrix(fig: &str, scale: f64) -> Option<Matrix> {
 /// row labels and stats: `stats[i * modes + j]` is row `i` under the
 /// matrix's mode `j`.
 fn run_matrix(fig: &str, scale: f64) -> (Vec<String>, Vec<StatsSnapshot>) {
-    let cells = profile_cells(fig, scale).unwrap_or_else(|| panic!("{fig} has no cell matrix"));
+    let cells = profile_cells(fig, scale).unwrap_or_default();
     // A row's cells are adjacent and rows have distinct labels.
     let mut names: Vec<String> = cells.iter().map(|c| c.label.clone()).collect();
     names.dedup();
@@ -360,7 +379,7 @@ pub fn fig15(scale: f64) -> Figure {
     );
     let n_large = scaled(3072, scale);
     let n_ops = scaled(16 * 1024, scale);
-    let file = ((24 << 20) as f64 * scale.max(0.2)) as u64 / 4096 * 4096;
+    let file = dax_file_bytes(scale);
     let reads = scaled(400_000, scale);
     let workloads: Vec<(String, Arc<Factory>)> = vec![
         (
@@ -412,35 +431,38 @@ pub fn fig15(scale: f64) -> Figure {
 
 const SECRET: &[u8] = b"CLASSIFIED-RECORD-FOR-TABLE-I";
 
-fn secret_machine(mode: SecurityMode, extra_file: bool) -> (Machine, Key128, Option<Key128>) {
+fn secret_machine(
+    mode: SecurityMode,
+    extra_file: bool,
+) -> Result<(Machine, Key128, Option<Key128>), MachineError> {
     let mut m = Machine::new(MachineOpts::small_test(), mode);
     let user = UserId::new(1);
-    let h = m
-        .create(user, GroupId::new(1), "secret", Mode::PRIVATE, Some("pw"))
-        .expect("create");
+    let h = m.create(user, GroupId::new(1), "secret", Mode::PRIVATE, Some("pw"))?;
     let fek = h.fek.unwrap_or(Key128::from_seed(0));
-    let map = m.mmap(&h).expect("mmap");
-    m.write(0, map, 0, SECRET).expect("write");
-    m.persist(0, map, 0, SECRET.len() as u64).expect("persist");
+    let map = m.mmap(&h)?;
+    m.write(0, map, 0, SECRET)?;
+    m.persist(0, map, 0, SECRET.len() as u64)?;
     let other = if extra_file {
-        let h2 = m
-            .create(user, GroupId::new(1), "other", Mode::PRIVATE, Some("pw2"))
-            .expect("create2");
-        let map2 = m.mmap(&h2).expect("mmap2");
-        m.write(0, map2, 0, b"unrelated").expect("write2");
-        m.persist(0, map2, 0, 9).expect("persist2");
+        let h2 = m.create(user, GroupId::new(1), "other", Mode::PRIVATE, Some("pw2"))?;
+        let map2 = m.mmap(&h2)?;
+        m.write(0, map2, 0, b"unrelated")?;
+        m.persist(0, map2, 0, 9)?;
         h2.fek
     } else {
         None
     };
-    m.shutdown_flush().expect("flush");
-    (m, fek, other)
+    m.shutdown_flush()?;
+    Ok((m, fek, other))
 }
 
 /// Table I: vulnerability of systems A (memory encryption only), B (one
 /// filesystem key) and C (per-file keys) as the attacker accumulates
 /// keys. 1 = the secret is exposed, 0 = protected.
-pub fn table1() -> Figure {
+///
+/// # Errors
+///
+/// A machine failure while writing the secret.
+pub fn table1() -> Result<Figure, MachineError> {
     let mut fig = Figure::new(
         "Table I: vulnerability (1 = secret exposed)",
         vec!["System A".to_string(), "System B".to_string(), "System C".to_string()],
@@ -448,14 +470,14 @@ pub fn table1() -> Figure {
     fig.summarize = false;
 
     // System A: memory encryption only.
-    let (ma, _, _) = secret_machine(SecurityMode::MemoryOnly, false);
+    let (ma, _, _) = secret_machine(SecurityMode::MemoryOnly, false)?;
     // System B: whole-filesystem key, modelled as FsEncr with the single
     // shared key protecting the secret.
-    let (mb, fs_key, _) = secret_machine(SecurityMode::FsEncr, false);
+    let (mb, fs_key, _) = secret_machine(SecurityMode::FsEncr, false)?;
     // System C: per-file keys; the attacker's "single filesystem key" is
     // some *other* file's key.
-    let (mc, file_key, other_key) = secret_machine(SecurityMode::FsEncr, true);
-    let other_key = other_key.expect("extra file");
+    let (mc, file_key, other_key) = secret_machine(SecurityMode::FsEncr, true)?;
+    let all_keys_c: Vec<Key128> = other_key.into_iter().chain([file_key]).collect();
 
     let mem_a = ma.mem_key();
     let mem_b = mb.mem_key();
@@ -478,7 +500,7 @@ pub fn table1() -> Figure {
         vec![
             leak(&ma, &mem_a, &[]),
             leak(&mb, &mem_b, &[fs_key]),
-            leak(&mc, &mem_c, &[other_key]),
+            leak(&mc, &mem_c, other_key.as_slice()),
         ],
     );
     fig.push(
@@ -486,10 +508,10 @@ pub fn table1() -> Figure {
         vec![
             leak(&ma, &mem_a, &[]),
             leak(&mb, &mem_b, &[fs_key]),
-            leak(&mc, &mem_c, &[other_key, file_key]),
+            leak(&mc, &mem_c, &all_keys_c),
         ],
     );
-    fig
+    Ok(fig)
 }
 
 /// Ablation: OTT lookup latency (the paper trades 1 cycle for 20 to save
@@ -579,7 +601,7 @@ pub fn ablation_partition(scale: f64) -> Figure {
         vec!["shared".to_string(), "partitioned".to_string()],
     );
     let n_large = scaled(3072, scale);
-    let file = ((24 << 20) as f64 * scale.max(0.2)) as u64 / 4096 * 4096;
+    let file = dax_file_bytes(scale);
     let reads = scaled(400_000, scale);
     let factories: Vec<(String, Arc<Factory>)> = vec![
         (
@@ -631,7 +653,7 @@ pub fn ablation_direct(scale: f64) -> Figure {
         "Ablation: CTR vs direct encryption (normalized to ext4-dax)",
         vec!["ctr".to_string(), "direct".to_string()],
     );
-    let file = ((24 << 20) as f64 * scale.max(0.2)) as u64 / 4096 * 4096;
+    let file = dax_file_bytes(scale);
     let reads = scaled(200_000, scale);
     let factories: Vec<(String, Arc<Factory>)> = vec![
         (
@@ -690,7 +712,7 @@ mod tests {
 
     #[test]
     fn table1_matches_the_paper_matrix() {
-        let fig = table1();
+        let fig = table1().unwrap();
         // Row 1: only A falls.
         assert_eq!(fig.value("memory key revealed", "System A"), Some(1.0));
         assert_eq!(fig.value("memory key revealed", "System B"), Some(0.0));

@@ -230,22 +230,32 @@ pub struct CampaignBase {
     shadow: Vec<u8>,
 }
 
+/// A file offset as an index into the shadow copy. Offsets stay below
+/// `FILE_BYTES`; anything wider than `usize` would fail the slice bound.
+fn at(off: u64) -> usize {
+    usize::try_from(off).unwrap_or(usize::MAX)
+}
+
 /// Builds the post-initialisation machine in-process: file created,
 /// mapped, every line written and persisted before any injector arms,
 /// so the ECC oracle covers the whole file and the audit has no
 /// out-of-coverage holes by construction.
+#[expect(
+    clippy::expect_used,
+    reason = "a pristine machine with no injector armed accepts every step"
+)]
 fn setup_base(seed: u64) -> (Machine, fsencr::machine::MapId, Vec<u8>) {
     let mut m = Machine::new(MachineOpts::small_test(), SecurityMode::FsEncr);
     let h = m
         .create(UserId::new(1), GroupId::new(1), "camp.bin", Mode::PRIVATE, Some("pw"))
         .expect("campaign file creates");
     let map = m.mmap(&h).expect("campaign file maps");
-    let mut shadow = vec![0u8; FILE_BYTES as usize];
+    let mut shadow = vec![0u8; at(FILE_BYTES)];
     let mut init_rng = XorShift64::new(seed).derive(0xF111);
     fill_random(&mut init_rng, &mut shadow);
     for page in 0..FILE_PAGES {
         let off = page * 4096;
-        m.write(0, map, off, &shadow[off as usize..(off + 4096) as usize])
+        m.write(0, map, off, &shadow[at(off)..at(off + 4096)])
             .expect("pristine machine accepts the init write");
         m.persist(0, map, off, 4096)
             .expect("pristine machine persists the init write");
@@ -255,6 +265,7 @@ fn setup_base(seed: u64) -> (Machine, fsencr::machine::MapId, Vec<u8>) {
 
 /// Serialises the seed's post-initialisation state once, for every
 /// scenario to restore from.
+#[expect(clippy::expect_used, reason = "no injector is armed during setup")]
 pub fn campaign_base(seed: u64) -> CampaignBase {
     let (m, _, shadow) = setup_base(seed);
     let snapshot = m.save_snapshot().expect("no injector armed during setup");
@@ -267,6 +278,10 @@ pub fn campaign_base(seed: u64) -> CampaignBase {
 /// With a [`CampaignBase`], the scenario restores the shared post-init
 /// snapshot; without one it re-simulates the initialisation. Both paths
 /// produce identical outcomes (pinned by the test suite).
+#[expect(
+    clippy::expect_used,
+    reason = "the base image and the campaign file are built in-process; losing them is a harness bug, not a verdict"
+)]
 fn run_scenario(
     seed: u64,
     scenario: u64,
@@ -323,10 +338,10 @@ fn run_scenario(
         let off = line * 64;
         let span = 1 + rng.next_below(4);
         let len = (span * 64).min(FILE_BYTES - off);
-        let lo = off as usize;
-        let hi = (off + len) as usize;
+        let lo = at(off);
+        let hi = at(off + len);
         if rng.next_below(100) < 70 {
-            let mut buf = vec![0u8; len as usize];
+            let mut buf = vec![0u8; hi - lo];
             fill_random(&mut rng, &mut buf);
             match m.write(0, map, off, &buf) {
                 Ok(()) => {
@@ -360,7 +375,7 @@ fn run_scenario(
                 }
             }
         } else {
-            let mut buf = vec![0u8; len as usize];
+            let mut buf = vec![0u8; hi - lo];
             match m.read(0, map, off, &mut buf) {
                 Ok(()) => {
                     if buf != shadow[lo..hi] {
@@ -428,7 +443,7 @@ fn run_scenario(
     map = m.mmap(&h).expect("campaign file remaps for the audit");
 
     for line in 0..FILE_LINES {
-        let lo = (line * 64) as usize;
+        let lo = at(line * 64);
         let mut buf = [0u8; 64];
         match m.read(0, map, line * 64, &mut buf) {
             Ok(()) => {

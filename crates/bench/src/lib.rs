@@ -12,6 +12,8 @@
 //! full size.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 pub mod experiments;
 pub mod faultcamp;

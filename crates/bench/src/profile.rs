@@ -16,7 +16,7 @@ use fsencr::snapshot::StatsSnapshot;
 use fsencr_obs::{json_string, Observer};
 use fsencr_workloads::driver::profile_workload;
 
-use crate::experiments::{profile_cells, ProfileCellSpec};
+use crate::experiments::{cell_failed, profile_cells, ProfileCellSpec};
 use crate::pool;
 
 /// Default span-buffer capacity per cell: enough for small profile
@@ -63,7 +63,7 @@ pub fn profile(fig: &str, scale: f64, span_capacity: usize) -> Option<ProfileRep
                     (spec.factory)().as_mut(),
                     span_capacity,
                 )
-                .unwrap_or_else(|e| panic!("{} under {}: {e}", spec.label, spec.mode));
+                .unwrap_or_else(|e| cell_failed(&spec.label, spec.mode, e));
                 ProfiledCell {
                     label: spec.label.clone(),
                     mode: spec.mode,

@@ -43,6 +43,10 @@ fn parse_u64(s: &str) -> Result<u64, String> {
     }
 }
 
+fn parse_usize(s: &str) -> Result<usize, String> {
+    usize::try_from(parse_u64(s)?).map_err(|e| format!("bad number {s}: {e}"))
+}
+
 /// Parses a user ID, which must fit 32 bits.
 fn parse_uid(s: &str) -> Result<UserId, String> {
     u32::try_from(parse_u64(s)?)
@@ -175,7 +179,7 @@ impl Shell {
             ("read", [name, offset, len]) => {
                 let (_, map) = self.handle_of(name)?;
                 let offset = parse_u64(offset)?;
-                let len = parse_u64(len)? as usize;
+                let len = parse_usize(len)?;
                 let mut buf = vec![0u8; len.min(4096)];
                 self.machine
                     .read(0, map, offset, &mut buf)
@@ -300,7 +304,7 @@ impl Shell {
             }
             ("profile", ["on", rest @ ..]) => {
                 let cap = match rest.first() {
-                    Some(v) => parse_u64(v)? as usize,
+                    Some(v) => parse_usize(v)?,
                     None => 4096,
                 };
                 self.machine.enable_observer(cap);

@@ -1,6 +1,7 @@
 //! Hostile command lines end in an exit code, never a panic: malformed
 //! operands print the usage line and exit 2, and output files that cannot
-//! be written are reported and exit 1. A panic would exit 101.
+//! be written are reported and exit 1. A panic would exit 101. The
+//! `params` printout of Table III is pinned byte for byte.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -116,6 +117,28 @@ fn unwritable_outputs_exit_one() {
     assert!(
         String::from_utf8_lossy(&out.stderr).contains("[profile] write"),
         "{out:?}"
+    );
+    let _ = std::fs::remove_dir_all(&cwd);
+}
+
+#[test]
+fn params_prints_table_iii() {
+    let cwd = scratch_dir("params");
+    let out = harness(&cwd, &["params"]);
+    assert_exit(&out, 0, &["params"]);
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "
+=== Table III: simulation parameters ===
+CPU: 8 cores @ 1000 MHz, out-of-order x86-64 (modelled request-level)
+L1: 32 KiB, 8-way, 64B lines, 2 cycles
+L2: 512 KiB, 8-way, 64B lines, 20 cycles
+L3: 4096 KiB, 64-way, 64B lines, 32 cycles
+NVM: 16 GiB PCM, 2 ranks/ch x 8 banks, 1024 B row buffer, read 60 ns / write 150 ns
+timing: tRCD 55 ns, tCL 13 ns, tBURST 5 ns, tWR 150 ns
+security: AES 40 ns, metadata cache 512 KiB 8-way, Merkle 8-ary (<= 9 levels), \
+OTT 1024 entries @ 20 cycles, Osiris stop-loss 4
+"
     );
     let _ = std::fs::remove_dir_all(&cwd);
 }

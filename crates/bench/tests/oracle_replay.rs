@@ -9,55 +9,58 @@
 //! coverage-invariant claims holding over the real datapath, not over a
 //! hand-picked unit-test slice.
 //!
-//! The oracles must also be *free* when disarmed: the same figure runs
-//! with the switches off have to render byte-identically, proving the
-//! shipping figures owe nothing to observer effects.
+//! The oracles must also be *free* when disarmed: every figure cell run
+//! with its machine unarmed has to measure exactly the same counters,
+//! proving the shipping figures owe nothing to observer effects.
 
 use fsencr::machine::{Machine, MachineOpts, SecurityMode};
-use fsencr_bench::table::Figure;
-use fsencr_bench::{fig3, fig8_9_10};
+use fsencr_bench::{pool, profile_cells};
 use fsencr_fs::{AccessKind, GroupId, Mode, UserId};
+use fsencr_workloads::run_workload;
 
 const ALICE: UserId = UserId::new(1);
 const STAFF: GroupId = GroupId::new(3);
 
-fn render(figs: &[&Figure]) -> String {
-    figs.iter()
-        .map(|f| format!("{f}"))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 #[test]
 fn figure_workloads_replay_clean_under_oracles_and_identically_without() {
-    // Armed window: every machine the experiment engine constructs —
-    // including the ones built on worker threads — samples the
-    // process-wide switches at build time, so the whole Whisper and
-    // PMEMKV matrix replays under both oracles. Any pad reuse or
-    // coverage gap aborts the run.
-    fsencr_crypto::set_pads_enabled(true);
-    fsencr_secmem::set_coverage_enabled(true);
-    let fig3_on = fig3(0.01);
-    let (slow_on, writes_on, reads_on) = fig8_9_10(0.01);
-    fsencr_crypto::set_pads_enabled(false);
-    fsencr_secmem::set_coverage_enabled(false);
+    // Whisper in all four modes (fig11's cells include every fig3 cell),
+    // PMEMKV and the DAX micro-benchmarks: every cell runs once on an
+    // armed machine, where any pad reuse or coverage gap aborts the run,
+    // and once unarmed through `run_workload`, as the figures run it.
+    let tasks: Vec<_> = ["fig8-10", "fig11", "fig12-14"]
+        .into_iter()
+        .flat_map(|fig| profile_cells(fig, 0.01).unwrap())
+        .map(|cell| {
+            move || {
+                let what = format!("{} under {:?}", cell.label, cell.mode);
+                let mut workload = (*cell.factory)();
+                let mut m = Machine::new(workload.configure(cell.opts), cell.mode);
+                m.set_security_oracles(true);
+                workload.setup(&mut m).unwrap();
+                m.begin_measurement();
+                workload.run(&mut m).unwrap();
+                m.sync_cores();
+                assert_eq!(
+                    m.controller().pad_oracle_distinct() > 0,
+                    cell.mode != SecurityMode::Unencrypted,
+                    "{what}: the armed ledger records every encrypting cell's pads"
+                );
 
-    // Disarmed re-run: the oracles only observe, so every figure the
-    // harness would print must come back byte-identical.
-    let fig3_off = fig3(0.01);
-    let (slow_off, writes_off, reads_off) = fig8_9_10(0.01);
-    assert_eq!(
-        render(&[&fig3_on, &slow_on, &writes_on, &reads_on]),
-        render(&[&fig3_off, &slow_off, &writes_off, &reads_off]),
-        "figure bytes must not depend on the oracle switches"
-    );
+                let unarmed =
+                    run_workload(cell.opts, cell.mode, (*cell.factory)().as_mut()).unwrap();
+                assert_eq!(
+                    m.measurement_snapshot(),
+                    unarmed.stats,
+                    "{what}: counters must not depend on the oracles"
+                );
+            }
+        })
+        .collect();
+    pool::run_tasks(tasks);
 }
 
 #[test]
 fn rekey_and_crash_recovery_replay_clean_under_armed_oracles() {
-    // Per-instance arming (not the process switches) keeps this test
-    // independent of the figure test running concurrently in another
-    // thread of the same binary.
     let mut m = Machine::new(MachineOpts::small_test(), SecurityMode::FsEncr);
     m.set_security_oracles(true);
     let h = m

@@ -343,7 +343,6 @@ mod tests {
         };
         CpuConfig {
             cores: 2,
-            freq_mhz: 1000,
             l1: mk(4 * 64, 2, 2),
             l2: mk(8 * 64, 2, 20),
             l3: mk(16 * 64, 4, 32),

@@ -18,7 +18,6 @@ fn tiny_cpu() -> CpuConfig {
     };
     CpuConfig {
         cores: 2,
-        freq_mhz: 1000,
         l1: mk(4 * 64, 2, 2),
         l2: mk(8 * 64, 2, 20),
         l3: mk(16 * 64, 4, 32),

@@ -49,7 +49,7 @@ pub use ctr::{ctr_pads_n, line_pad, line_pad_into, line_pad_with, xor_in_place, 
 pub use hmac::hmac_sha256;
 pub use kdf::{pbkdf2_hmac_sha256, KeyWrap};
 pub use key::Key128;
-pub use oracle::{pads_enabled, set_pads_enabled, PadLedger, PadReuse};
+pub use oracle::{PadLedger, PadReuse};
 pub use schedule::ScheduleCache;
 pub use lanes::{digest8_lines4, sha256_lines4};
 pub use sha256::{digest8_line, sha256, sha256_line, Sha256};

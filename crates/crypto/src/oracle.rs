@@ -17,30 +17,13 @@
 //!
 //! The ledger is off by default and costs one branch per pad when
 //! disabled; benches run with it off so figure bytes are unaffected.
-//! Enable it process-wide with [`set_pads_enabled`] before building a
-//! controller, or per-instance through the owner's setter.
+//! Its owner arms it per instance with [`PadLedger::set_enabled`].
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::ctr::PadInput;
 use crate::key::Key128;
 use crate::sha256::digest8_line;
-
-/// Process-wide default for newly created ledgers. Per-instance state
-/// (not this flag) is what `record` consults, so toggling mid-run only
-/// affects controllers built afterwards — deterministic for replay.
-static PADS_ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Sets the process-wide default for newly created [`PadLedger`]s.
-pub fn set_pads_enabled(on: bool) {
-    PADS_ENABLED.store(on, Ordering::SeqCst);
-}
-
-/// The process-wide default for newly created [`PadLedger`]s.
-pub fn pads_enabled() -> bool {
-    PADS_ENABLED.load(Ordering::SeqCst)
-}
 
 /// A detected (key, IV) reuse over differing content.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,7 +50,7 @@ impl std::fmt::Display for PadReuse {
 /// Shadow tracker of every fresh (key, IV) pad issued by one
 /// controller. Keyed per instance, not globally: parallel bench
 /// workers replay identical-seed machines whose pads legitimately
-/// coincide across instances.
+/// coincide across instances. [`PadLedger::default`] starts disabled.
 #[derive(Debug, Default)]
 pub struct PadLedger {
     enabled: bool,
@@ -75,14 +58,6 @@ pub struct PadLedger {
 }
 
 impl PadLedger {
-    /// A ledger honouring the process-wide [`set_pads_enabled`] default.
-    pub fn new() -> PadLedger {
-        PadLedger {
-            enabled: pads_enabled(),
-            seen: BTreeMap::new(),
-        }
-    }
-
     /// Turns tracking on or off for this instance. Turning it off also
     /// drops the ledger so a later re-enable starts fresh.
     pub fn set_enabled(&mut self, on: bool) {
@@ -90,11 +65,6 @@ impl PadLedger {
         if !on {
             self.seen.clear();
         }
-    }
-
-    /// Whether this instance is tracking.
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Number of distinct (key, IV) pads recorded so far.

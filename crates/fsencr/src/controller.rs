@@ -232,7 +232,6 @@ pub struct MemoryController {
     locked: bool,
     aes_cycles: u64,
     direct_encryption: bool,
-    stop_loss: u32,
     /// Reused pad buffer so the per-line hot path never re-serializes an
     /// IV four times or juggles fresh 64-byte temporaries.
     pad_scratch: [u8; LINE_BYTES],
@@ -287,7 +286,7 @@ impl MemoryController {
             nvm,
             meta,
             ecc: EccStore::new(),
-            ott: OpenTunnelTable::new(cfg.ott_entries(), cfg.ott_latency_cycles),
+            ott: OpenTunnelTable::new(cfg.ott_entries, cfg.ott_latency_cycles),
             spill,
             mem_aes: Aes128::new(&mem_key),
             mem_key,
@@ -297,9 +296,8 @@ impl MemoryController {
             locked: false,
             aes_cycles: cfg.aes_ns,
             direct_encryption: cfg.direct_encryption,
-            stop_loss: cfg.osiris_stop_loss.max(1),
             pad_scratch: [0u8; LINE_BYTES],
-            pad_ledger: PadLedger::new(),
+            pad_ledger: PadLedger::default(),
             stats: CtrlStats::default(),
             obs: Observer::disabled(),
             quarantine: BTreeSet::new(),
@@ -397,25 +395,18 @@ impl MemoryController {
         self.quarantine.iter().copied()
     }
 
-    /// Turns the pad-uniqueness oracle on or off for this controller.
-    /// New controllers honour [`fsencr_crypto::oracle::set_pads_enabled`];
-    /// this overrides per instance. Off by default: benches pay one
-    /// branch per pad and figure bytes are unaffected.
-    pub fn set_pad_oracle(&mut self, on: bool) {
+    /// Turns both runtime security oracles on or off for this
+    /// controller: the pad-uniqueness ledger and the metadata system's
+    /// Merkle-coverage walker. Off in new controllers: benches pay one
+    /// branch per pad or persist and figure bytes are unaffected.
+    pub fn set_security_oracles(&mut self, on: bool) {
         self.pad_ledger.set_enabled(on);
+        self.meta.set_coverage_oracle(on);
     }
 
     /// Distinct (key, IV) pads the oracle has recorded (0 when off).
     pub fn pad_oracle_distinct(&self) -> usize {
         self.pad_ledger.distinct_pads()
-    }
-
-    /// Turns the metadata system's Merkle-coverage oracle on or off for
-    /// this controller. New controllers honour
-    /// [`fsencr_secmem::set_coverage_enabled`]; this overrides per
-    /// instance. Off by default, like the pad oracle.
-    pub fn set_coverage_oracle(&mut self, on: bool) {
-        self.meta.set_coverage_oracle(on);
     }
 
     /// One coherent copy of every datapath counter (controller, OTT,
@@ -1213,7 +1204,7 @@ impl MemoryController {
         let mut ctrl = MemoryController::new(mode, layout.clone(), cfg, mem_key, ott_key, nvm);
         ctrl.meta = MetadataSystem::snap_load(layout, cfg, dec)?;
         ctrl.ecc = EccStore::snap_load(dec)?;
-        ctrl.ott = OpenTunnelTable::snap_load(cfg.ott_entries(), dec)?;
+        ctrl.ott = OpenTunnelTable::snap_load(cfg.ott_entries, dec)?;
         let n = dec.get_count(8)?;
         ctrl.file_pages = HashSet::with_capacity(n);
         for _ in 0..n {
@@ -1239,22 +1230,26 @@ impl MemoryController {
     /// counters. The stored minor rolls forward by up to the stop-loss
     /// bound; interleaved with those, the carried major with small
     /// minors, since a crash can catch a minor-overflow page
-    /// re-encryption in flight.
+    /// re-encryption in flight. No minor reaches [`MINOR_LIMIT`], so the
+    /// walk stops there whatever the stop-loss.
     fn candidates(&self, stored: &CounterBlock, block: u8) -> Vec<(CounterBlock, u32)> {
         let block = usize::from(block);
         let mut carried = *stored;
         carried.carry_major();
-        let mut out = Vec::with_capacity(2 * (self.stop_loss as usize + 1));
-        for d in 0..=self.stop_loss {
-            let v = u32::from(stored.minor(block)) + d;
-            if let Some(minor) = u8::try_from(v).ok().filter(|&m| m < MINOR_LIMIT) {
+        let last = u8::try_from(self.meta.stop_loss())
+            .map_or(MINOR_LIMIT - 1, |s| s.min(MINOR_LIMIT - 1));
+        let mut out = Vec::with_capacity(2 * (usize::from(last) + 1));
+        for d in 0..=last {
+            // Both terms are below MINOR_LIMIT, so the sum fits a u8.
+            let minor = stored.minor(block) + d;
+            if minor < MINOR_LIMIT {
                 let mut cand = *stored;
                 cand.set(stored.major(), block, minor);
-                out.push((cand, d));
+                out.push((cand, u32::from(d)));
             }
             let mut cand = carried;
-            cand.set(carried.major(), block, u8::try_from(d).unwrap_or(u8::MAX));
-            out.push((cand, 1 + d));
+            cand.set(carried.major(), block, d);
+            out.push((cand, 1 + u32::from(d)));
         }
         out
     }

@@ -520,8 +520,7 @@ impl Machine {
     /// bytes are unaffected; replay tests switch them on to turn the
     /// paper's security argument into executed assertions.
     pub fn set_security_oracles(&mut self, on: bool) {
-        self.ctrl.set_pad_oracle(on);
-        self.ctrl.set_coverage_oracle(on);
+        self.ctrl.set_security_oracles(on);
     }
 
     /// Boot-auth lockout: suspends the file engine (reads/writes fall

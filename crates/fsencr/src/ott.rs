@@ -3,9 +3,11 @@
 //! An on-chip, TLB-like structure mapping (Group ID, File ID) to the file
 //! encryption key. The paper implements it as eight fully-associative
 //! 128-entry sub-tables searched in parallel, with the lookup relaxed to
-//! 20 cycles to save power; capacity is therefore 1024 entries and
-//! replacement is LRU. Evicted entries are handed back to the caller for
-//! spilling into the encrypted OTT memory region.
+//! 20 cycles to save power. The model keeps only what that design
+//! fixes: one fully-associative LRU table of 8 x 128 = 1024 entries
+//! (`SecurityConfig::ott_entries`) with the 20-cycle lookup. Evicted
+//! entries are handed back to the caller for spilling into the
+//! encrypted OTT memory region.
 
 use fsencr_crypto::Key128;
 use fsencr_sim::Counter;
@@ -29,7 +31,8 @@ struct Entry {
     stamp: u64,
 }
 
-/// The on-chip key table.
+/// The on-chip key table: one LRU table of `capacity` entries (the
+/// paper's 8 x 128 sub-tables modelled as a single 1024-entry table).
 ///
 /// # Examples
 ///

@@ -15,8 +15,7 @@ use fsencr_sim::Cycle;
 fn controller(ott_entries: usize) -> MemoryController {
     let layout = MetadataLayout::new(64 * 4096, 8192);
     let cfg = SecurityConfig {
-        ott_ways: 1,
-        ott_entries_per_way: ott_entries,
+        ott_entries,
         ..SecurityConfig::default()
     };
     MemoryController::new(

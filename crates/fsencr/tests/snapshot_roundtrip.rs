@@ -435,7 +435,7 @@ fn hostile_collection_counts_are_typed_errors() {
                 NvmDevice::new(nvm_cfg).snap_save(e).unwrap();
                 MetadataSystem::new(layout.clone(), &cfg).snap_save(e);
                 EccStore::new().snap_save(e);
-                OpenTunnelTable::new(cfg.ott_entries(), cfg.ott_latency_cycles).snap_save(e);
+                OpenTunnelTable::new(cfg.ott_entries, cfg.ott_latency_cycles).snap_save(e);
             }),
             Box::new(move |d| {
                 MemoryController::snap_load(CtrlMode::Encrypted, ctrl_layout.clone(), &cfg, nvm_cfg, d)

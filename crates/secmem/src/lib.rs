@@ -47,6 +47,4 @@ pub mod metadata;
 pub use counters::{CounterBlock, MINORS_PER_BLOCK, MINOR_LIMIT};
 pub use ecc::EccStore;
 pub use layout::{LineKind, MetadataLayout};
-pub use metadata::{
-    coverage_enabled, set_coverage_enabled, MetaAccess, MetaStats, MetadataSystem, TamperError,
-};
+pub use metadata::{MetaAccess, MetaStats, MetadataSystem, TamperError};

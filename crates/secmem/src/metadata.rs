@@ -58,7 +58,6 @@
 
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use fsencr_cache::{Cache, Eviction};
 use fsencr_crypto::digest8_line;
@@ -67,23 +66,6 @@ use fsencr_sim::config::{CacheConfig, SecurityConfig};
 use fsencr_sim::{Counter, Cycle};
 
 use crate::layout::{LineKind, MetadataLayout};
-
-/// Process-wide default for the Merkle-coverage oracle of newly created
-/// [`MetadataSystem`]s. Per-instance state (not this flag) is what the
-/// persist paths consult, so toggling mid-run only affects systems built
-/// afterwards — deterministic for replay. Mirrors the pad-uniqueness
-/// oracle's `set_pads_enabled` in the crypto crate.
-static COVERAGE_ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Sets the process-wide default for the Merkle-coverage oracle.
-pub fn set_coverage_enabled(on: bool) {
-    COVERAGE_ENABLED.store(on, Ordering::SeqCst);
-}
-
-/// The process-wide default for the Merkle-coverage oracle.
-pub fn coverage_enabled() -> bool {
-    COVERAGE_ENABLED.load(Ordering::SeqCst)
-}
 
 /// Integrity-verification failure: the Merkle tree rejected a fetched line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -242,22 +224,16 @@ impl MetadataSystem {
             climb_scratch: Vec::with_capacity(16),
             evict_scratch: VecDeque::with_capacity(16),
             dirty_scratch: Vec::with_capacity(64),
-            coverage_oracle: coverage_enabled(),
+            coverage_oracle: false,
         }
     }
 
-    /// Turns the Merkle-coverage oracle on or off for this instance
-    /// (overriding the process-wide [`set_coverage_enabled`] default the
-    /// constructor sampled). When on, every persisted line is checked
-    /// reachable from the root right after the persist — see
+    /// Turns the Merkle-coverage oracle on or off for this instance (new
+    /// systems start with it off). When on, every persisted line is
+    /// checked reachable from the root right after the persist — see
     /// [`MetadataSystem::check_coverage`].
     pub fn set_coverage_oracle(&mut self, on: bool) {
         self.coverage_oracle = on;
-    }
-
-    /// Whether the Merkle-coverage oracle is on for this instance.
-    pub fn coverage_oracle(&self) -> bool {
-        self.coverage_oracle
     }
 
     /// Verifies the module invariant for one NVM-resident line, without
@@ -349,6 +325,12 @@ impl MetadataSystem {
             "merkle-coverage oracle: persisted {addr:?} unreachable from the root: {:?}",
             check.err()
         );
+    }
+
+    /// The Osiris stop-loss period: the most updates a cached counter
+    /// block may take before it is written through (at least 1).
+    pub fn stop_loss(&self) -> u32 {
+        self.stop_loss
     }
 
     /// The layout this system manages.
@@ -1084,8 +1066,8 @@ impl MetadataSystem {
     /// Restores a system for `(layout, cfg)` from
     /// [`MetadataSystem::snap_save`] bytes. The cache partitioning mode
     /// must match the configuration the snapshot was taken under. The
-    /// restored instance samples the process-wide coverage-oracle
-    /// default, exactly like a fresh construction.
+    /// restored instance starts with its coverage oracle off, exactly
+    /// like a fresh construction.
     pub fn snap_load(
         layout: MetadataLayout,
         cfg: &SecurityConfig,
@@ -1773,7 +1755,6 @@ mod tests {
     fn coverage_check_closes_on_live_state_and_rejects_tampering() {
         let (mut sys, mut nvm) = small_setup();
         sys.set_coverage_oracle(true);
-        assert!(sys.coverage_oracle());
         let addr = sys.layout().mecb_addr(PageId::new(4));
         sys.write_block(&mut nvm, Cycle::ZERO, addr, [0x33u8; 64]).unwrap();
         let t = sys.persist_block(&mut nvm, Cycle::ZERO, addr).unwrap();
@@ -1826,17 +1807,6 @@ mod tests {
             .read_block(&mut nvm, t, sys.layout().mecb_addr(PageId::new(7)))
             .unwrap();
         assert_eq!(bytes, [8u8; 64]);
-    }
-
-    #[test]
-    fn new_systems_honour_the_process_default() {
-        // Restore whatever was set before the test: the flag is
-        // process-global and tests share one process.
-        let prev = coverage_enabled();
-        set_coverage_enabled(true);
-        let (sys, _) = small_setup();
-        set_coverage_enabled(prev);
-        assert!(sys.coverage_oracle());
     }
 
     #[test]

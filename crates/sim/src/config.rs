@@ -44,10 +44,9 @@ impl CacheConfig {
 /// Processor-side configuration (Table III, "Processor").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CpuConfig {
-    /// Number of cores (workload threads map 1:1 onto cores).
+    /// Number of cores (workload threads map 1:1 onto cores). Cores run
+    /// at the paper's 1 GHz, so one cycle is one nanosecond throughout.
     pub cores: usize,
-    /// Core frequency in MHz; 1000 MHz makes 1 cycle = 1 ns.
-    pub freq_mhz: u64,
     /// L1 data cache: private, 2 cycles, 32 KiB, 8-way.
     pub l1: CacheConfig,
     /// L2 cache: private, 20 cycles, 512 KiB, 8-way.
@@ -60,7 +59,6 @@ impl Default for CpuConfig {
     fn default() -> Self {
         CpuConfig {
             cores: 8,
-            freq_mhz: 1000,
             l1: CacheConfig {
                 size_bytes: 32 << 10,
                 ways: 8,
@@ -141,22 +139,22 @@ impl NvmConfig {
 
 /// Encryption-engine and security-metadata parameters
 /// (Table III, "Encryption Parameters", plus Section III structures).
+///
+/// The Merkle tree is 8-ary in code and its depth follows from the
+/// protected capacity (`MetadataLayout::merkle_levels`, at most 9 levels
+/// at paper scale), so neither is a setting. The paper's OTT of eight
+/// fully-associative 128-entry sub-tables searched in parallel is
+/// modelled as one 1024-entry LRU table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SecurityConfig {
     /// AES pad-generation latency in ns (40 ns).
     pub aes_ns: u64,
     /// Dedicated metadata cache for MECB/FECB/Merkle nodes: 512 KiB, 8-way.
     pub metadata_cache: CacheConfig,
-    /// Merkle tree arity (8-ary).
-    pub merkle_arity: usize,
-    /// Merkle tree levels (9).
-    pub merkle_levels: usize,
     /// Osiris stop-loss period: counters are persisted every N updates.
     pub osiris_stop_loss: u32,
-    /// OTT ways (8 fully-associative sub-tables searched in parallel).
-    pub ott_ways: usize,
-    /// OTT entries per way (128).
-    pub ott_entries_per_way: usize,
+    /// OTT capacity in entries (8 x 128 = 1024).
+    pub ott_entries: usize,
     /// OTT lookup latency in cycles (20, traded against TLB-like power).
     pub ott_latency_cycles: u64,
     /// Hash/MAC latency charged per Merkle level verified, in cycles.
@@ -182,23 +180,13 @@ impl Default for SecurityConfig {
                 block_bytes: 64,
                 latency_cycles: 3,
             },
-            merkle_arity: 8,
-            merkle_levels: 9,
             osiris_stop_loss: 4,
-            ott_ways: 8,
-            ott_entries_per_way: 128,
+            ott_entries: 1024,
             ott_latency_cycles: 20,
             mac_cycles: 40,
             direct_encryption: false,
             partition_metadata_cache: false,
         }
-    }
-}
-
-impl SecurityConfig {
-    /// Total OTT capacity in entries.
-    pub fn ott_entries(&self) -> usize {
-        self.ott_ways * self.ott_entries_per_way
     }
 }
 
@@ -213,7 +201,6 @@ impl SecurityConfig {
 /// assert_eq!(cfg.cpu.cores, 8);
 /// assert_eq!(cfg.nvm.read_ns, 60);
 /// assert_eq!(cfg.security.aes_ns, 40);
-/// assert_eq!(cfg.page_bytes, 4096);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MachineConfig {
@@ -223,8 +210,6 @@ pub struct MachineConfig {
     pub nvm: NvmConfig,
     /// Encryption engines and metadata structures.
     pub security: SecurityConfig,
-    /// Virtual-memory page size (4 KiB; one counter block covers one page).
-    pub page_bytes: u64,
 }
 
 impl MachineConfig {
@@ -234,7 +219,6 @@ impl MachineConfig {
             cpu: CpuConfig::default(),
             nvm: NvmConfig::default(),
             security: SecurityConfig::default(),
-            page_bytes: 4096,
         }
     }
 }
@@ -269,10 +253,7 @@ mod tests {
         assert_eq!(cfg.nvm.row_buffer_bytes, 1024);
         assert_eq!(cfg.security.aes_ns, 40);
         assert_eq!(cfg.security.metadata_cache.size_bytes, 512 << 10);
-        assert_eq!(cfg.security.merkle_arity, 8);
-        assert_eq!(cfg.security.merkle_levels, 9);
-        assert_eq!(cfg.security.ott_entries(), 1024);
-        assert_eq!(cfg.page_bytes, 4096);
+        assert_eq!(cfg.security.ott_entries, 1024);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Crash-consistency matrix: crash points x security modes x workloads.
 
 use fsencr::controller::MemError;
-use fsencr::machine::{MapId, Machine, MachineError, MachineOpts, SecurityMode};
+use fsencr::machine::{MapId, Machine, MachineError, MachineOpts, Preset, SecurityMode};
 use fsencr_fs::{AccessKind, GroupId, Mode, UserId};
 use fsencr_workloads::kv::BTreeKv;
 
@@ -74,25 +74,34 @@ fn repeated_crash_cycles() {
 }
 
 /// Counters repaired by recovery keep decrypting correctly for
-/// subsequent writes (no pad reuse after repair).
+/// subsequent writes (no pad reuse after repair), at any Osiris
+/// stop-loss: recovery tries at most `MINOR_LIMIT` counter candidates per
+/// line, so periods past the 7-bit minor range recover too.
 #[test]
 fn writes_after_recovery_remain_consistent() {
-    let mut m = machine(SecurityMode::FsEncr);
-    let h = m.create(USER, GROUP, "f", Mode::PRIVATE, Some("pw")).unwrap();
-    let mut map = m.mmap(&h).unwrap();
-    for round in 0..3u8 {
-        for i in 0..10u64 {
-            m.write(0, map, i * 64, &[round * 16 + i as u8; 64]).unwrap();
-            m.persist(0, map, i * 64, 64).unwrap();
-        }
-        m.crash();
-        assert_eq!(m.recover().unrecoverable, 0);
-        let h = m.open(USER, &[GROUP], "f", AccessKind::Write, Some("pw")).unwrap();
-        map = m.mmap(&h).unwrap();
-        let mut buf = [0u8; 64];
-        for i in 0..10u64 {
-            m.read(0, map, i * 64, &mut buf).unwrap();
-            assert_eq!(buf, [round * 16 + i as u8; 64], "round {round} line {i}");
+    for stop_loss in [4, 127, 128, u32::MAX] {
+        let opts = MachineOpts::preset(Preset::SmallTest)
+            .pmem_bytes(8 << 20)
+            .osiris_stop_loss(stop_loss)
+            .build();
+        let mut m = Machine::new(opts, SecurityMode::FsEncr);
+        let h = m.create(USER, GROUP, "f", Mode::PRIVATE, Some("pw")).unwrap();
+        let mut map = m.mmap(&h).unwrap();
+        for round in 0..3u8 {
+            for i in 0..10u64 {
+                m.write(0, map, i * 64, &[round * 16 + i as u8; 64]).unwrap();
+                m.persist(0, map, i * 64, 64).unwrap();
+            }
+            m.crash();
+            assert_eq!(m.recover().unrecoverable, 0, "stop-loss {stop_loss}");
+            let h = m.open(USER, &[GROUP], "f", AccessKind::Write, Some("pw")).unwrap();
+            map = m.mmap(&h).unwrap();
+            let mut buf = [0u8; 64];
+            for i in 0..10u64 {
+                m.read(0, map, i * 64, &mut buf).unwrap();
+                let want = [round * 16 + i as u8; 64];
+                assert_eq!(buf, want, "stop-loss {stop_loss} round {round} line {i}");
+            }
         }
     }
 }

@@ -61,8 +61,7 @@ fn keys_survive_ott_pressure_through_spill() {
     // encrypted region and come back on demand.
     let mut opts = MachineOpts::small_test();
     opts.pmem_bytes = 8 << 20;
-    opts.config.security.ott_ways = 1;
-    opts.config.security.ott_entries_per_way = 4; // 4-entry OTT
+    opts.config.security.ott_entries = 4;
     let mut m = Machine::new(opts, SecurityMode::FsEncr);
 
     let mut maps = Vec::new();
