@@ -1,5 +1,5 @@
 //! Seeded-violation fixture: a fake snapshot-codec module that trips
-//! `hot-alloc` (encode/decode runs once per warm start over
+//! `hot-alloc` (encode/decode runs once per restore over
 //! megabyte-scale payloads and must size its scratch up front). Never
 //! compiled.
 //! A doc-comment Vec::new() here must NOT be flagged.

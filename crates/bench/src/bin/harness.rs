@@ -1,7 +1,7 @@
 //! Experiment driver: regenerates the paper's tables and figures.
 //!
 //! ```text
-//! harness [--jobs N] [--no-cache] <experiment> [scale]
+//! harness [--jobs N] <experiment> [scale]
 //!
 //! experiments:
 //!   fig3        software-encryption overhead (Whisper)
@@ -25,22 +25,14 @@
 //! `--release`. Malformed arguments print the usage line and exit 2.
 //!
 //! Host-time measurement lives outside this binary: the `benchmark/`
-//! package (declared by `BENCHMARK.json`) times the cold figure suite and
-//! a fault campaign end to end and per layer, and the criterion benches
-//! under `crates/*/benches` time the kernels.
+//! package (declared by `BENCHMARK.json`) times the figure suite and a
+//! fault campaign end to end and per layer.
 //!
-//! `--jobs N` sets how many experiment cells run concurrently; the
-//! default is the host's available parallelism. The figures are identical at any worker count — only the
-//! wall-clock changes.
-//!
-//! Figure subcommands memoize into one content-addressed store,
-//! `CACHE/` (see `fsencr_bench::store`): finished cells as `<key>.cell`,
-//! keyed by a hash of the full cell specification (config + workload
-//! parameters + crate version), so re-running an unchanged figure skips
-//! its simulations; and post-setup machine images as `<key>.setup`,
-//! keyed by the setup-only parameter subset, so cells that miss still
-//! warm-start past their setup phase. Output is byte-identical either
-//! way, a damaged entry is a miss, and `--no-cache` disables the store.
+//! `--jobs N` sets how many experiment cells run concurrently, at most
+//! 256; the default is the host's available parallelism. The figures are
+//! identical at any worker count — only the wall-clock changes. Every
+//! figure cell is simulated on every run: nothing is memoized between
+//! runs.
 
 #![expect(
     clippy::disallowed_types,
@@ -51,15 +43,29 @@ use std::time::Instant;
 
 use fsencr::machine::{Machine, MachineError, MachineOpts, SecurityMode};
 use fsencr_bench as exp;
-use fsencr_bench::store::{self, Kind};
 use fsencr_fs::{GroupId, Mode, UserId};
 use fsencr_sim::{MachineConfig, SplitMix64};
 
+/// The largest `--jobs` the harness accepts: far above the host
+/// parallelism this simulator runs on, far below a thread count the OS
+/// refuses (`pool::run_tasks` starts one scoped thread per worker).
+const MAX_JOBS: usize = 256;
+
 fn usage() -> ! {
     eprintln!(
-        "usage: harness [--jobs N] [--no-cache] <fig3|fig8-10|fig11|fig12-14|fig15|table1|params|list|ablation-ott|ablation-osiris|ablation-direct|ablation-partition|all> [scale]\n       harness [--jobs N] profile <fig3|fig8-10|fig11|fig12-14> [scale]\n       harness [--jobs N] faults [--seed N] [--campaign SPEC] [--out PATH]\n       harness snapshot <save|load|info> [PATH] [--seed N] [--pages N] [--mode M]\n\nFigure subcommands reuse finished cells and post-setup machine images\nfrom the content-addressed store CACHE/ (output is byte-identical\neither way; a damaged entry is re-simulated). `--no-cache` disables it.\n\n`faults` runs a deterministic fault-injection campaign and writes\nFAULTS_report.json (byte-identical at any --jobs count). SPEC is a\ncomma list like `scenarios=8,ops=64,bitrot=2,torn=1,cuts=1,stuck=1`;\nomitted knobs keep their defaults (`default` for all defaults).\n\n`snapshot save` simulates the reference setup and writes its\nfsencr-snap/1 image (default MACHINE.snap); `load` restores it; `info`\nlists its digest-chained sections without restoring."
+        "usage: harness [--jobs N] <fig3|fig8-10|fig11|fig12-14|fig15|table1|params|list|ablation-ott|ablation-osiris|ablation-direct|ablation-partition|all> [scale]\n       harness [--jobs N] profile <fig3|fig8-10|fig11|fig12-14> [scale]\n       harness [--jobs N] faults [--seed N] [--campaign SPEC] [--out PATH]\n       harness snapshot <save|load|info> [PATH] [--seed N] [--pages N] [--mode M]\n\n--jobs N runs up to N cells concurrently (1 <= N <= {}); figures are\nbyte-identical at any N.\n\n`faults` runs a deterministic fault-injection campaign and writes\nFAULTS_report.json (byte-identical at any --jobs count). SPEC is a\ncomma list like `scenarios=8,ops=64,bitrot=2,torn=1,cuts=1,stuck=1`;\nomitted knobs keep their defaults (`default` for all defaults).\n\n`snapshot save` simulates the reference setup and writes its\nfsencr-snap/1 image (default MACHINE.snap); `load` restores it; `info`\nlists its digest-chained sections without restoring.",
+        MAX_JOBS
     );
     std::process::exit(2);
+}
+
+/// Parses a `--jobs` operand: a worker count in `1..=MAX_JOBS`.
+/// Anything else is a usage error, reported before any worker starts.
+fn parse_jobs(v: &str) -> usize {
+    match v.parse() {
+        Ok(n) if (1..=MAX_JOBS).contains(&n) => n,
+        _ => usage(),
+    }
 }
 
 /// Parses an optional `scale` operand: a number in (0, 1], or `default`
@@ -352,31 +358,19 @@ fn profile(fig: &str, scale: f64) {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut jobs_flag: Option<usize> = None;
-    let mut no_cache = false;
-    // Accept `--jobs N`, `--jobs=N` and `--no-cache` anywhere on the
-    // command line.
+    // Accept `--jobs N` and `--jobs=N` anywhere on the command line.
     let mut i = 0;
     while i < args.len() {
         if args[i] == "--jobs" {
             let Some(v) = args.get(i + 1) else { usage() };
-            jobs_flag = Some(v.parse().unwrap_or_else(|_| usage()));
+            exp::pool::set_jobs(parse_jobs(v));
             args.drain(i..i + 2);
         } else if let Some(v) = args[i].strip_prefix("--jobs=") {
-            jobs_flag = Some(v.parse().unwrap_or_else(|_| usage()));
-            args.remove(i);
-        } else if args[i] == "--no-cache" {
-            no_cache = true;
+            exp::pool::set_jobs(parse_jobs(v));
             args.remove(i);
         } else {
             i += 1;
         }
-    }
-    if let Some(n) = jobs_flag {
-        if n == 0 {
-            usage();
-        }
-        exp::pool::set_jobs(n);
     }
     let Some(which) = args.first() else { usage() };
     let which = which.clone();
@@ -401,19 +395,6 @@ fn main() {
         return;
     }
     let scale = parse_scale(args.get(1), 1.0);
-
-    // The store serves figure subcommands only; `profile` keeps it
-    // disabled because it needs the observer to actually run.
-    let cacheable = matches!(
-        which.as_str(),
-        "fig3" | "fig8-10" | "fig8" | "fig9" | "fig10" | "fig11" | "fig12-14" | "fig12"
-            | "fig13" | "fig14" | "fig15" | "ablation-ott" | "ablation-osiris"
-            | "ablation-direct" | "ablation-partition" | "all"
-    );
-    let use_cache = cacheable && !no_cache;
-    if use_cache {
-        store::configure(Some(std::path::PathBuf::from("CACHE")));
-    }
 
     let t0 = Instant::now();
     match which.as_str() {
@@ -456,16 +437,6 @@ fn main() {
             println!("{}", exp::ablation_partition(scale));
         }
         _ => usage(),
-    }
-    if use_cache {
-        let (cell_hits, cell_misses) = store::counters(Kind::Cell);
-        let (setup_hits, setup_misses) = store::counters(Kind::Setup);
-        eprintln!(
-            "[store] cell {cell_hits} hits / {cell_misses} misses, setup {setup_hits} hits / \
-             {setup_misses} misses, {} entries written to CACHE/",
-            store::stores()
-        );
-        store::configure(None);
     }
     eprintln!("[harness] completed in {:.1?}", t0.elapsed());
 }

@@ -15,12 +15,11 @@ use fsencr::snapshot::StatsSnapshot;
 use fsencr_crypto::Key128;
 use fsencr_fs::{GroupId, Mode, UserId};
 use fsencr_workloads::daxmicro::{DaxStride, DaxSwap};
-use fsencr_workloads::driver::{run_workload, run_workload_warm, Workload};
+use fsencr_workloads::driver::{run_workload, Workload};
 use fsencr_workloads::pmemkv::{DbBench, PmemKv};
 use fsencr_workloads::whisper::{CtreeBench, HashmapBench, Ycsb};
 
 use crate::pool;
-use crate::store::{self, Kind};
 use crate::table::Figure;
 
 use fsencr::machine::Machine;
@@ -65,57 +64,10 @@ pub type Factory = Box<dyn Fn() -> Box<dyn Workload> + Send + Sync>;
 
 /// Runs every cell (concurrently when the pool has more than one worker)
 /// and returns the stats in the cells' submission order.
-///
-/// When the [`store`] is enabled, a cell whose [`Kind::Cell`] entry is
-/// present and intact returns the stored (bit-identical) stats and skips
-/// the simulation. A cell that misses still tries to restore its
-/// [`Kind::Setup`] image (keyed by [`Workload::setup_spec`]) and skip the
-/// simulated setup; a cold setup by a warm-start-capable workload
-/// deposits a fresh image for later cells. Warm and cold paths measure
-/// bit-identically (see the `warm_start` suite), so figure bytes never
-/// depend on the store.
 fn run_cells(cells: Vec<ProfileCellSpec>) -> Vec<StatsSnapshot> {
     let tasks: Vec<_> = cells
         .into_iter()
-        .map(|cell| {
-            move || {
-                let mut workload = (*cell.factory)();
-                let key = store::key(
-                    Kind::Cell,
-                    &cell.label,
-                    cell.mode,
-                    &cell.opts,
-                    &workload.spec(),
-                );
-                let cached = store::get(Kind::Cell, &key).and_then(|b| store::decode_cell(&b).ok());
-                store::count(Kind::Cell, cached.is_some());
-                if let Some(stats) = cached {
-                    return stats;
-                }
-                if !store::is_enabled() {
-                    return run_with(cell.opts, cell.mode, workload.as_mut());
-                }
-                // Setups are shared across cells, so their key has no label.
-                let skey = store::key(
-                    Kind::Setup,
-                    "",
-                    cell.mode,
-                    &cell.opts,
-                    &workload.setup_spec(),
-                );
-                let snap = store::get(Kind::Setup, &skey);
-                let warm =
-                    run_workload_warm(cell.opts, cell.mode, workload.as_mut(), snap.as_deref())
-                        .unwrap_or_else(|e| cell_failed(&cell.label, cell.mode, e));
-                store::count(Kind::Setup, warm.warm);
-                if let Some(bytes) = warm.snapshot {
-                    store::put(Kind::Setup, &skey, &bytes);
-                }
-                let stats = warm.result.stats;
-                store::put(Kind::Cell, &key, &store::encode_cell(&stats));
-                stats
-            }
-        })
+        .map(|cell| move || run_with(cell.opts, cell.mode, (*cell.factory)().as_mut()))
         .collect();
     pool::run_tasks(tasks)
 }
@@ -196,7 +148,7 @@ fn daxmicro_factories(scale: f64) -> Vec<(String, Factory)> {
 /// pool. The factory is shared (`Arc`) because one workload row appears
 /// once per security mode or configuration.
 pub struct ProfileCellSpec {
-    /// Workload label, used for the figure row and the cell-cache key.
+    /// Workload label, used for the figure row.
     pub label: String,
     /// Machine configuration for the cell.
     pub opts: MachineOpts,

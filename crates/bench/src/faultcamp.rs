@@ -485,7 +485,7 @@ pub fn run_campaign(seed: u64, spec: &CampaignSpec) -> CampaignReport {
 
 /// [`run_campaign`] with every scenario re-simulating its own setup —
 /// the reference path the snapshot-seeded one must match byte for byte.
-/// Kept for the equivalence tests and for auditing the store itself.
+/// Kept for the equivalence tests and the benchmark's reference check.
 pub fn run_campaign_cold(seed: u64, spec: &CampaignSpec) -> CampaignReport {
     let tasks: Vec<_> = (0..spec.scenarios)
         .map(|scenario| {

@@ -21,7 +21,6 @@ pub mod jsonio;
 pub use fsencr_sim::pool;
 pub mod profile;
 pub mod shell;
-pub mod store;
 pub mod table;
 
 pub use experiments::*;

@@ -41,6 +41,8 @@ fn malformed_operands_are_usage_errors() {
         &["bench"],
         &["bench-check"],
         &["--jobs", "0", "fig3", "0.01"],
+        &["--jobs", "100000", "fig3", "0.01"],
+        &["--no-cache", "fig3", "0.01"],
         &["faults", "--seed", "x"],
         &["faults", "--bogus", "1"],
         &["snapshot", "frob"],

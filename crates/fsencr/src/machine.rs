@@ -1080,9 +1080,9 @@ impl Machine {
     }
 
     /// Finds an existing mapping of the file at `path` without driving a
-    /// single simulated cycle — a host-side inspection for snapshot
-    /// warm-starts, where a workload re-attaches to the mapping its own
-    /// `setup` created before the snapshot was taken. Returns the oldest
+    /// single simulated cycle — a host-side inspection for a machine
+    /// restored from a snapshot, such as a fault-campaign scenario
+    /// reaching the file its base image mapped. Returns the oldest
     /// (lowest-id) live mapping of the file's inode.
     pub fn mapping_of(&self, path: &str) -> Option<MapId> {
         let ino = self.fs.stat(path)?.ino();

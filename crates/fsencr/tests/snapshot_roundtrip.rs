@@ -108,7 +108,9 @@ proptest! {
     /// The tentpole property: snapshot mid-stream, restore, and the
     /// restored machine is indistinguishable from the one that kept
     /// running — through writes, reads, persists, msyncs, rekeys and
-    /// crash/recovery — down to byte-identical re-serialized snapshots.
+    /// crash/recovery, in every security mode (Software mode's eCryptfs
+    /// page cache included) — down to byte-identical re-serialized
+    /// snapshots.
     #[test]
     fn restored_machine_continues_bit_identically(
         prefix in prop::collection::vec(
@@ -119,9 +121,14 @@ proptest! {
             (0u8..10, any::<bool>(), 0u64..SPAN, 1usize..1024, any::<u8>()),
             1..12,
         ),
-        mode_fsencr in any::<bool>(),
+        mode in 0usize..4,
     ) {
-        let mode = if mode_fsencr { SecurityMode::FsEncr } else { SecurityMode::MemoryOnly };
+        let mode = [
+            SecurityMode::Unencrypted,
+            SecurityMode::MemoryOnly,
+            SecurityMode::FsEncr,
+            SecurityMode::Software,
+        ][mode];
         let (mut a, enc_map, plain_map) = build(mode);
         let mut a_maps = (enc_map, plain_map);
 

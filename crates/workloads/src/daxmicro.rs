@@ -50,28 +50,9 @@ impl Workload for DaxStride {
         }
     }
 
-    fn spec(&self) -> String {
-        format!(
-            "dax-stride(stride={},file_bytes={},reads={})",
-            self.stride, self.file_bytes, self.reads
-        )
-    }
-
     fn configure(&self, mut opts: MachineOpts) -> MachineOpts {
         opts.pmem_bytes = (self.file_bytes * 2).next_power_of_two().max(32 << 20);
         opts
-    }
-
-    fn setup_spec(&self) -> String {
-        // Setup materialises the file and nothing else: the stride and
-        // read count only matter in the measured phase, so one snapshot
-        // warm-starts DAX-1, DAX-2 and every scale of either.
-        format!("dax-stride-setup(file_bytes={})", self.file_bytes)
-    }
-
-    fn attach(&mut self, m: &Machine) -> bool {
-        self.map = m.mapping_of("dax-stride.bin");
-        self.map.is_some()
     }
 
     fn setup(&mut self, m: &mut Machine) -> Result<(), MachineError> {
@@ -139,25 +120,9 @@ impl Workload for DaxSwap {
         }
     }
 
-    fn spec(&self) -> String {
-        format!(
-            "dax-swap(elem_bytes={},file_bytes={},swaps={})",
-            self.elem_bytes, self.file_bytes, self.swaps
-        )
-    }
-
     fn configure(&self, mut opts: MachineOpts) -> MachineOpts {
         opts.pmem_bytes = (self.file_bytes * 2).next_power_of_two().max(32 << 20);
         opts
-    }
-
-    fn setup_spec(&self) -> String {
-        format!("dax-swap-setup(file_bytes={})", self.file_bytes)
-    }
-
-    fn attach(&mut self, m: &Machine) -> bool {
-        self.map = m.mapping_of("dax-swap.bin");
-        self.map.is_some()
     }
 
     fn setup(&mut self, m: &mut Machine) -> Result<(), MachineError> {

@@ -10,50 +10,16 @@ use fsencr::snapshot::StatsSnapshot;
 use fsencr_obs::Observer;
 
 /// A benchmark: a setup phase (excluded from measurement, like the
-//  paper's fast-forward to the post-file-creation point) and a measured
+/// paper's fast-forward to the post-file-creation point) and a measured
 /// run phase.
 pub trait Workload {
     /// Display name (matches Table II, e.g. `Fillrandom-S`).
     fn name(&self) -> String;
 
-    /// A stable, parameter-complete specification string: two instances
-    /// with the same `spec()` behave identically when run. Used as the
-    /// content-addressed cache key of experiment cells, so every
-    /// constructor parameter that affects the run MUST appear here —
-    /// `name()` alone is not enough (e.g. two `DAX-1` configurations can
-    /// differ only in their operation count).
-    fn spec(&self) -> String {
-        self.name()
-    }
-
     /// Adjusts machine parameters (e.g. a larger DAX region) before
     /// construction.
     fn configure(&self, opts: MachineOpts) -> MachineOpts {
         opts
-    }
-
-    /// A stable specification of the *setup phase only*: two instances
-    /// with the same `setup_spec()` (and machine options) leave the
-    /// machine in an identical post-setup state. Used as the
-    /// content-addressed key of warm-start snapshots, so it must cover
-    /// every parameter `setup` reads — but may omit measured-phase knobs
-    /// (operation counts, strides), letting one snapshot warm-start many
-    /// scales of the same cell. Defaults to the full [`Workload::spec`],
-    /// which is always safe.
-    fn setup_spec(&self) -> String {
-        self.spec()
-    }
-
-    /// Re-attaches to a machine restored from a post-setup snapshot:
-    /// rebuilds the host-side state `setup` left in `self` (map handles,
-    /// engine shards) *without driving any simulated operation*, so the
-    /// restored machine stays bit-identical to one whose setup ran
-    /// in-process. Returns `false` (the default) when the workload does
-    /// not support warm starts; the caller then falls back to a cold
-    /// `setup`.
-    fn attach(&mut self, m: &Machine) -> bool {
-        let _ = m;
-        false
     }
 
     /// Creates files and preloads data. Not measured.
@@ -110,70 +76,6 @@ fn measure(m: &mut Machine, workload: &mut dyn Workload) -> Result<RunResult, Ma
         workload: workload.name(),
         mode: m.mode(),
         stats: m.measurement_snapshot(),
-    })
-}
-
-/// Outcome of a [`run_workload_warm`] call.
-#[derive(Debug, Clone)]
-pub struct WarmRun {
-    /// The measured result, identical either way (warm or cold).
-    pub result: RunResult,
-    /// Whether the run restored its post-setup state from the snapshot.
-    pub warm: bool,
-    /// Fresh post-setup snapshot bytes to store for the next run — only
-    /// present after a cold setup by a warm-start-capable workload.
-    pub snapshot: Option<Vec<u8>>,
-}
-
-/// [`run_workload`] with snapshot warm-start: when `snapshot` holds a
-/// post-setup machine image for this `(opts, mode, setup_spec)` cell,
-/// the machine is restored from it and [`Workload::attach`] rebuilds the
-/// workload's host-side state, skipping the simulated setup entirely.
-/// The snapshot round-trip theorem (see the `snapshot_roundtrip` suite)
-/// makes the restored machine bit-identical to one whose setup ran
-/// in-process, so the measured statistics are identical either way.
-///
-/// Restore failures (stale, corrupt, or mismatched bytes) and workloads
-/// without [`Workload::attach`] support silently fall back to the cold
-/// path: the snapshot store is an accelerator, never a dependency.
-///
-/// # Errors
-///
-/// Propagates machine failures from setup or run.
-pub fn run_workload_warm(
-    base_opts: MachineOpts,
-    mode: SecurityMode,
-    workload: &mut dyn Workload,
-    snapshot: Option<&[u8]>,
-) -> Result<WarmRun, MachineError> {
-    let opts = workload.configure(base_opts);
-    let mut machine = None;
-    if let Some(bytes) = snapshot {
-        if let Ok(m) = Machine::restore_snapshot(opts, mode, bytes) {
-            if workload.attach(&m) {
-                machine = Some(m);
-            }
-        }
-    }
-    let warm = machine.is_some();
-    let mut fresh = None;
-    let mut m = match machine {
-        Some(m) => m,
-        None => {
-            let mut m = Machine::new(opts, mode);
-            workload.setup(&mut m)?;
-            // Only offer a snapshot for storage if this workload can
-            // actually consume it next time.
-            if workload.attach(&m) {
-                fresh = m.save_snapshot().ok();
-            }
-            m
-        }
-    };
-    Ok(WarmRun {
-        result: measure(&mut m, workload)?,
-        warm,
-        snapshot: fresh,
     })
 }
 

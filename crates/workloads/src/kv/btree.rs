@@ -83,13 +83,6 @@ impl BTreeKv {
         Ok(BTreeKv { map })
     }
 
-    /// Re-attaches to a tree known to live on `map` without touching the
-    /// machine — the snapshot warm-start path, where `create` already ran
-    /// in the run that took the snapshot and drove zero cycles since.
-    pub fn attach(map: MapId) -> Self {
-        BTreeKv { map }
-    }
-
     /// The mapping this engine lives on (for `msync` calls).
     pub fn map_id(&self) -> MapId {
         self.map

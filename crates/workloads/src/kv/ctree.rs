@@ -80,17 +80,6 @@ impl CtreeKv {
         })
     }
 
-    /// Re-attaches to a tree of known geometry without touching the
-    /// machine — the snapshot warm-start path. `value_size` must match
-    /// the value `create` was given.
-    pub fn attach(map: MapId, value_size: u64) -> Self {
-        CtreeKv {
-            map,
-            value_size,
-            stride: (32 + value_size).div_ceil(64) * 64,
-        }
-    }
-
     /// The mapping this engine lives on (for `msync` calls).
     pub fn map_id(&self) -> MapId {
         self.map

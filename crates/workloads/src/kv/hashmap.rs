@@ -89,18 +89,6 @@ impl HashKv {
         })
     }
 
-    /// Re-attaches to a table of known geometry without touching the
-    /// machine — the snapshot warm-start path. `capacity` and
-    /// `value_size` must match the values `create` was given.
-    pub fn attach(map: MapId, capacity: u64, value_size: u64) -> Self {
-        HashKv {
-            map,
-            capacity,
-            value_size,
-            stride: (16 + value_size).div_ceil(64) * 64,
-        }
-    }
-
     /// The configured inline value size.
     pub fn value_size(&self) -> usize {
         self.value_size as usize

@@ -121,17 +121,6 @@ impl Workload for PmemKv {
         format!("{}-{}", self.bench.label(), size)
     }
 
-    fn spec(&self) -> String {
-        format!(
-            "pmemkv(bench={},value_bytes={},keys_per_thread={},ops_per_thread={},threads={})",
-            self.bench.label(),
-            self.value_bytes,
-            self.keys_per_thread,
-            self.ops_per_thread,
-            self.threads
-        )
-    }
-
     fn configure(&self, mut opts: MachineOpts) -> MachineOpts {
         // Room for shards: keys * (value + entry + node amortisation) * 2,
         // with slack for splits and the value log.
@@ -141,33 +130,6 @@ impl Workload for PmemKv {
             + (4 << 20);
         opts.pmem_bytes = (per_thread * self.threads as u64).next_power_of_two().max(32 << 20);
         opts
-    }
-
-    fn setup_spec(&self) -> String {
-        // The five preloading benches (overwrite/read/delete) share one
-        // post-setup state: only `needs_preload` matters, not which
-        // measured phase follows. `ops_per_thread` stays in the key
-        // because the prefault extent depends on it.
-        format!(
-            "pmemkv-setup(preload={},value_bytes={},keys_per_thread={},ops_per_thread={},threads={})",
-            self.bench.needs_preload(),
-            self.value_bytes,
-            self.keys_per_thread,
-            self.ops_per_thread,
-            self.threads
-        )
-    }
-
-    fn attach(&mut self, m: &Machine) -> bool {
-        let mut trees = Vec::with_capacity(self.threads);
-        for t in 0..self.threads {
-            match m.mapping_of(&format!("pmemkv-{t}.db")) {
-                Some(map) => trees.push(BTreeKv::attach(map)),
-                None => return false,
-            }
-        }
-        self.trees = trees;
-        true
     }
 
     fn setup(&mut self, m: &mut Machine) -> Result<(), MachineError> {

@@ -57,13 +57,6 @@ impl Workload for Ycsb {
         "YCSB".to_string()
     }
 
-    fn spec(&self) -> String {
-        format!(
-            "ycsb(records_per_worker={},ops_per_worker={},workers={})",
-            self.records_per_worker, self.ops_per_worker, self.workers
-        )
-    }
-
     fn configure(&self, mut opts: MachineOpts) -> MachineOpts {
         let slots = (self.records_per_worker * 2).next_power_of_two();
         let bytes_per_worker = 4096 + slots * 192;
@@ -71,29 +64,6 @@ impl Workload for Ycsb {
             .next_power_of_two()
             .max(32 << 20);
         opts
-    }
-
-    fn setup_spec(&self) -> String {
-        // Preload size and worker count fix the post-setup state; the op
-        // count only drives the measured phase, so one snapshot serves
-        // every scale.
-        format!(
-            "ycsb-setup(records_per_worker={},workers={})",
-            self.records_per_worker, self.workers
-        )
-    }
-
-    fn attach(&mut self, m: &Machine) -> bool {
-        let slots = (self.records_per_worker * 2).next_power_of_two();
-        let mut tables = Vec::with_capacity(self.workers);
-        for w in 0..self.workers {
-            match m.mapping_of(&format!("ycsb-{w}.db")) {
-                Some(map) => tables.push(HashKv::attach(map, slots, VALUE_BYTES as u64)),
-                None => return false,
-            }
-        }
-        self.tables = tables;
-        true
     }
 
     fn setup(&mut self, m: &mut Machine) -> Result<(), MachineError> {
@@ -174,32 +144,12 @@ impl Workload for HashmapBench {
         "Hashmap".to_string()
     }
 
-    fn spec(&self) -> String {
-        format!(
-            "hashmap(ops_per_thread={},threads={})",
-            self.ops_per_thread, self.threads
-        )
-    }
-
     fn configure(&self, mut opts: MachineOpts) -> MachineOpts {
         let slots = (self.ops_per_thread * 2).next_power_of_two();
         opts.pmem_bytes = ((4096 + slots * 192) * self.threads as u64 * 2)
             .next_power_of_two()
             .max(32 << 20);
         opts
-    }
-
-    fn attach(&mut self, m: &Machine) -> bool {
-        let slots = (self.ops_per_thread * 2).next_power_of_two();
-        let mut tables = Vec::with_capacity(self.threads);
-        for t in 0..self.threads {
-            match m.mapping_of(&format!("hashmap-{t}.db")) {
-                Some(map) => tables.push(HashKv::attach(map, slots, VALUE_BYTES as u64)),
-                None => return false,
-            }
-        }
-        self.tables = tables;
-        true
     }
 
     fn setup(&mut self, m: &mut Machine) -> Result<(), MachineError> {
@@ -275,30 +225,11 @@ impl Workload for CtreeBench {
         "CTree".to_string()
     }
 
-    fn spec(&self) -> String {
-        format!(
-            "ctree(ops_per_thread={},threads={})",
-            self.ops_per_thread, self.threads
-        )
-    }
-
     fn configure(&self, mut opts: MachineOpts) -> MachineOpts {
         opts.pmem_bytes = (self.ops_per_thread * 192 * self.threads as u64 * 4)
             .next_power_of_two()
             .max(32 << 20);
         opts
-    }
-
-    fn attach(&mut self, m: &Machine) -> bool {
-        let mut trees = Vec::with_capacity(self.threads);
-        for t in 0..self.threads {
-            match m.mapping_of(&format!("ctree-{t}.db")) {
-                Some(map) => trees.push(CtreeKv::attach(map, VALUE_BYTES as u64)),
-                None => return false,
-            }
-        }
-        self.trees = trees;
-        true
     }
 
     fn setup(&mut self, m: &mut Machine) -> Result<(), MachineError> {

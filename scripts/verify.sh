@@ -67,30 +67,15 @@ fi
 rm -rf "$faults_dir"
 finish
 
-begin "snapshot save -> restore + warm-start figure byte-diff"
+begin "snapshot save -> info -> load CLI round trip"
 snap_dir="$(mktemp -d)"
 (
     cd "$snap_dir"
-    # The CLI round-trip: save a post-setup image, list its sections,
-    # restore it. Any digest/fingerprint mismatch exits non-zero.
+    # Save a post-setup image, list its sections, restore it. Any
+    # digest/fingerprint mismatch exits non-zero.
     "$OLDPWD/target/release/harness" snapshot save MACHINE.snap
     "$OLDPWD/target/release/harness" snapshot info MACHINE.snap >/dev/null
     "$OLDPWD/target/release/harness" snapshot load MACHINE.snap >/dev/null
-    # Figure byte-diff: a cold run populates CACHE/, a warm run at a
-    # different worker count (cell entries deleted) restores the setup
-    # entries — the printed figures must be byte-identical. fig12-14
-    # restores DAX state; fig3 also restores software-encryption
-    # page-cache state.
-    for fig in fig12-14 fig3; do
-        "$OLDPWD/target/release/harness" --jobs 1 "$fig" 0.01 >fig_cold.txt
-        rm -f CACHE/*.cell
-        "$OLDPWD/target/release/harness" --jobs 4 "$fig" 0.01 >fig_warm.txt
-        if ! cmp -s fig_cold.txt fig_warm.txt; then
-            echo "FAIL: warm-started $fig differs from its cold-setup run" >&2
-            diff fig_cold.txt fig_warm.txt >&2 || true
-            exit 1
-        fi
-    done
 )
 rm -rf "$snap_dir"
 finish
