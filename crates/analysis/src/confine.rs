@@ -91,7 +91,10 @@ pub fn check_tree(root: &Path, allowlist_text: &str, allowlist_path: &str) -> Co
     findings.extend(allow.unused_findings(allowlist_path));
     findings.sort();
     findings.dedup();
-    ConfineReport { findings, suppressed }
+    ConfineReport {
+        findings,
+        suppressed,
+    }
 }
 
 /// Runs the confinement pass against a caller-owned [`Allowlist`],
@@ -254,8 +257,7 @@ fn analyze(files: &[(String, FileItems)], allow: &mut Allowlist) -> (Vec<Finding
                         }
                     }
                     Callee::Path(segs) => {
-                        (RAW_ALWAYS.contains(&name.as_str())
-                            || RAW_TYPED.contains(&name.as_str()))
+                        (RAW_ALWAYS.contains(&name.as_str()) || RAW_TYPED.contains(&name.as_str()))
                             && segs.len() >= 2
                             && is_nvm_type(&segs[segs.len() - 2], &aliases)
                     }
@@ -410,11 +412,9 @@ fn analyze(files: &[(String, FileItems)], allow: &mut Allowlist) -> (Vec<Finding
                             format!("fn:{}", segs[segs.len() - 1]),
                         ]
                     }
-                    Callee::Path(segs) => segs
-                        .last()
-                        .map(|n| format!("fn:{n}"))
-                        .into_iter()
-                        .collect(),
+                    Callee::Path(segs) => {
+                        segs.last().map(|n| format!("fn:{n}")).into_iter().collect()
+                    }
                     Callee::Bare(n) => vec![format!("fn:{n}")],
                 };
                 for key in keys {

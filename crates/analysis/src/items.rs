@@ -312,7 +312,9 @@ fn parse_impl_header(tokens: &[Token], impl_idx: usize) -> Option<(String, usize
             while i + 1 < tokens.len()
                 && tokens[i].is_punct(':')
                 && tokens[i + 1].is_punct(':')
-                && tokens.get(i + 2).is_some_and(|t| t.kind == TokenKind::Ident)
+                && tokens
+                    .get(i + 2)
+                    .is_some_and(|t| t.kind == TokenKind::Ident)
             {
                 last_path_head = Some(tokens[i + 2].text.clone());
                 i += 3;
@@ -406,7 +408,10 @@ fn parse_fn(
             nested = nested.saturating_sub(1);
         } else if angle == 0 && nested == 0 && tok.is_punct(';') {
             // Bodiless (trait method declaration).
-            let span = Span { start: fn_idx, end: i + 1 };
+            let span = Span {
+                start: fn_idx,
+                end: i + 1,
+            };
             let body = Span { start: i, end: i };
             return Some((
                 FnItem {
@@ -423,8 +428,14 @@ fn parse_fn(
             ));
         } else if angle == 0 && nested == 0 && tok.is_punct('{') {
             let close = matching(tokens, i, '{', '}')?;
-            let span = Span { start: fn_idx, end: close + 1 };
-            let body = Span { start: i + 1, end: close };
+            let span = Span {
+                start: fn_idx,
+                end: close + 1,
+            };
+            let body = Span {
+                start: i + 1,
+                end: close,
+            };
             let calls = extract_calls(tokens, body);
             return Some((
                 FnItem {
@@ -455,8 +466,7 @@ fn parse_params(tokens: &[Token], start: usize, end: usize) -> Vec<(String, Vec<
     let mut depth = 0usize;
     while i <= end {
         let at_end = i == end;
-        let splits = at_end
-            || (depth == 0 && tokens[i].is_punct(','));
+        let splits = at_end || (depth == 0 && tokens[i].is_punct(','));
         if !at_end {
             if tokens[i].is_punct('(') || tokens[i].is_punct('[') || tokens[i].is_punct('<') {
                 depth += 1;
@@ -546,7 +556,11 @@ fn extract_calls(tokens: &[Token], body: Span) -> Vec<CallSite> {
 /// calls, walks the receiver chain backwards.
 fn classify_call(tokens: &[Token], body: Span, idx: usize) -> (Callee, Option<Receiver>) {
     let name = tokens[idx].text.clone();
-    let prev = |i: usize| i.checked_sub(1).filter(|p| *p >= body.start).map(|p| &tokens[p]);
+    let prev = |i: usize| {
+        i.checked_sub(1)
+            .filter(|p| *p >= body.start)
+            .map(|p| &tokens[p])
+    };
 
     if prev(idx).is_some_and(|p| p.is_punct('.')) {
         // Method call: walk `ident . ident . … .` backwards.
@@ -617,14 +631,26 @@ fn parse_struct(tokens: &[Token], struct_idx: usize) -> Option<(StructItem, usiz
     // clause we don't need.
     if tokens.get(i).is_some_and(|t| t.is_punct('(')) {
         let close = matching(tokens, i, '(', ')')?;
-        return Some((StructItem { name, fields: Vec::new() }, close + 1));
+        return Some((
+            StructItem {
+                name,
+                fields: Vec::new(),
+            },
+            close + 1,
+        ));
     }
     // Scan past a possible where clause to the body or `;`.
     while i < tokens.len() && !tokens[i].is_punct('{') && !tokens[i].is_punct(';') {
         i += 1;
     }
     if !tokens.get(i).is_some_and(|t| t.is_punct('{')) {
-        return Some((StructItem { name, fields: Vec::new() }, i + 1));
+        return Some((
+            StructItem {
+                name,
+                fields: Vec::new(),
+            },
+            i + 1,
+        ));
     }
     let close = matching(tokens, i, '{', '}')?;
     let fields = parse_params(tokens, i + 1, close)
@@ -642,10 +668,9 @@ fn parse_use(tokens: &[Token], use_idx: usize) -> (UseItem, usize) {
     let mut i = use_idx + 1;
     while i < tokens.len() && !tokens[i].is_punct(';') {
         if tokens[i].is_ident("as") {
-            if let (Some(orig), Some(alias)) = (
-                i.checked_sub(1).map(|p| &tokens[p]),
-                tokens.get(i + 1),
-            ) {
+            if let (Some(orig), Some(alias)) =
+                (i.checked_sub(1).map(|p| &tokens[p]), tokens.get(i + 1))
+            {
                 if orig.kind == TokenKind::Ident && alias.kind == TokenKind::Ident {
                     aliases.push((orig.text.clone(), alias.text.clone()));
                 }
@@ -669,7 +694,10 @@ impl FileItems {
         let n = self.token_count;
         for f in &self.fns {
             if f.span.start > f.span.end || f.span.end > n {
-                return Err(format!("fn {}: span {:?} out of bounds (len {n})", f.name, f.span));
+                return Err(format!(
+                    "fn {}: span {:?} out of bounds (len {n})",
+                    f.name, f.span
+                ));
             }
             if !(f.span.contains(&f.body) || (f.body.start == f.body.end && f.body.end <= n)) {
                 return Err(format!(
@@ -691,7 +719,10 @@ impl FileItems {
         }
         for l in &self.literals {
             if l.token >= n {
-                return Err(format!("literal {}: token {} out of bounds", l.name, l.token));
+                return Err(format!(
+                    "literal {}: token {} out of bounds",
+                    l.name, l.token
+                ));
             }
         }
         Ok(())
@@ -727,7 +758,10 @@ mod tests {
         assert_eq!(names, vec!["free", "Ctl::write", "Ctl::fmt"]);
         assert_eq!(items.structs.len(), 1);
         assert_eq!(items.structs[0].name, "Ctl");
-        assert_eq!(items.structs[0].fields[0], ("nvm".into(), vec!["NvmDevice".into()]));
+        assert_eq!(
+            items.structs[0].fields[0],
+            ("nvm".into(), vec!["NvmDevice".into()])
+        );
     }
 
     #[test]
@@ -744,14 +778,8 @@ mod tests {
         ";
         let items = parse_src(src);
         let calls = &items.fns[0].calls;
-        assert_eq!(
-            calls[0].callee,
-            Callee::Method("poke_line".into())
-        );
-        assert_eq!(
-            calls[0].receiver,
-            Some(Receiver::Chain(vec!["nvm".into()]))
-        );
+        assert_eq!(calls[0].callee, Callee::Method("poke_line".into()));
+        assert_eq!(calls[0].receiver, Some(Receiver::Chain(vec!["nvm".into()])));
         assert_eq!(
             calls[1].receiver,
             Some(Receiver::Chain(vec!["self".into(), "meta".into()]))
@@ -775,7 +803,10 @@ mod tests {
         let items = parse_src(src);
         let params = &items.fns[0].params;
         assert_eq!(params[0], ("nvm".into(), vec!["NvmDevice".into()]));
-        assert_eq!(params[1], ("pair".into(), vec!["u32".into(), "Key128".into()]));
+        assert_eq!(
+            params[1],
+            ("pair".into(), vec!["u32".into(), "Key128".into()])
+        );
         assert_eq!(params[2], ("n".into(), vec!["usize".into()]));
     }
 
@@ -825,7 +856,10 @@ mod tests {
     fn use_aliases_are_captured() {
         let src = "use fsencr_nvm::{NvmDevice as RawDev, Storage};";
         let items = parse_src(src);
-        assert_eq!(items.uses[0].aliases, vec![("NvmDevice".into(), "RawDev".into())]);
+        assert_eq!(
+            items.uses[0].aliases,
+            vec![("NvmDevice".into(), "RawDev".into())]
+        );
         assert!(items.uses[0].idents.iter().any(|i| i == "Storage"));
     }
 

@@ -80,9 +80,27 @@ pub fn check() -> Vec<Finding> {
 fn check_constants(f: &mut Vec<Finding>) {
     expect_eq(f, "constants", "metadata line bytes", LINE_BYTES, 64);
     expect_eq(f, "constants", "page bytes", PAGE_BYTES, 4096);
-    expect_eq(f, "constants", "counter bytes per page (MECB + FECB)", META_PER_PAGE, 128);
-    expect_eq(f, "constants", "minors per counter block", MINORS_PER_BLOCK, 64);
-    expect_eq(f, "constants", "7-bit minor limit", u32::from(MINOR_LIMIT), 128);
+    expect_eq(
+        f,
+        "constants",
+        "counter bytes per page (MECB + FECB)",
+        META_PER_PAGE,
+        128,
+    );
+    expect_eq(
+        f,
+        "constants",
+        "minors per counter block",
+        MINORS_PER_BLOCK,
+        64,
+    );
+    expect_eq(
+        f,
+        "constants",
+        "7-bit minor limit",
+        u32::from(MINOR_LIMIT),
+        128,
+    );
     expect_eq(f, "constants", "18-bit Group ID limit", GID_LIMIT, 1 << 18);
     expect_eq(f, "constants", "14-bit File ID limit", FID_LIMIT, 1 << 14);
 }
@@ -98,7 +116,13 @@ fn check_mecb(f: &mut Vec<Finding>) {
         bytes[..8].to_vec(),
         0x0123_4567_89AB_CDEFu64.to_le_bytes().to_vec(),
     );
-    expect_eq(f, "mecb", "round-trip", CounterBlock::from_bytes(PadDomain::Memory, &bytes), b);
+    expect_eq(
+        f,
+        "mecb",
+        "round-trip",
+        CounterBlock::from_bytes(PadDomain::Memory, &bytes),
+        b,
+    );
     // 64 x 7-bit minors must occupy bytes 8..64 exactly: all-maxed
     // minors saturate all 448 packed bits.
     let mut full = CounterBlock::new(PadDomain::Memory);
@@ -135,10 +159,34 @@ fn check_fecb(f: &mut Vec<Finding>) {
         0xDEAD_BEEFu32.to_le_bytes().to_vec(),
     );
     let back = CounterBlock::from_bytes(PadDomain::File, &bytes);
-    expect_eq(f, "fecb", "Group ID survives the round-trip", back.gid(), gid);
-    expect_eq(f, "fecb", "File ID survives the round-trip", back.fid(), fid);
-    expect_eq(f, "fecb", "major survives the round-trip", back.major(), 0xDEAD_BEEF);
-    expect_eq(f, "fecb", "minor survives the round-trip", back.minor(17), 99);
+    expect_eq(
+        f,
+        "fecb",
+        "Group ID survives the round-trip",
+        back.gid(),
+        gid,
+    );
+    expect_eq(
+        f,
+        "fecb",
+        "File ID survives the round-trip",
+        back.fid(),
+        fid,
+    );
+    expect_eq(
+        f,
+        "fecb",
+        "major survives the round-trip",
+        back.major(),
+        0xDEAD_BEEF,
+    );
+    expect_eq(
+        f,
+        "fecb",
+        "minor survives the round-trip",
+        back.minor(17),
+        99,
+    );
     // 18 + 14 = 32: the widest IDs must not bleed into the major field.
     expect_eq(
         f,
@@ -153,7 +201,13 @@ fn check_region_map(f: &mut Vec<Finding>) {
     let pages = 16u64;
     let ott_bytes = 512u64;
     let layout = MetadataLayout::new(pages * PAGE_BYTES as u64, ott_bytes);
-    expect_eq(f, "regions", "counters start right after data", layout.meta_base(), pages * PAGE_BYTES as u64);
+    expect_eq(
+        f,
+        "regions",
+        "counters start right after data",
+        layout.meta_base(),
+        pages * PAGE_BYTES as u64,
+    );
     expect_eq(
         f,
         "regions",
@@ -203,20 +257,50 @@ fn check_merkle(f: &mut Vec<Finding>) {
     // 16 pages -> 32 counter lines + 8 OTT lines = 40 leaves; an 8-ary
     // tree needs ceil(40/8) = 5 level-0 nodes and one root above them.
     let layout = MetadataLayout::new(16 * PAGE_BYTES as u64, 512);
-    expect_eq(f, "merkle", "levels over 40 leaves (8-ary)", layout.merkle_levels(), 2);
+    expect_eq(
+        f,
+        "merkle",
+        "levels over 40 leaves (8-ary)",
+        layout.merkle_levels(),
+        2,
+    );
     let leaf = 9u64;
     let path = layout.path_of_leaf(leaf);
     expect_eq(f, "merkle", "path length equals level count", path.len(), 2);
     if let Some(&(level, node, slot)) = path.first() {
-        expect_eq(f, "merkle", "level-0 hop of leaf 9 is node leaf/8", (level, node), (0, 1));
-        expect_eq(f, "merkle", "slot of leaf 9 in its parent is leaf%8", slot, 1);
+        expect_eq(
+            f,
+            "merkle",
+            "level-0 hop of leaf 9 is node leaf/8",
+            (level, node),
+            (0, 1),
+        );
+        expect_eq(
+            f,
+            "merkle",
+            "slot of leaf 9 in its parent is leaf%8",
+            slot,
+            1,
+        );
     }
     if let Some(&(level, node, _)) = path.last() {
-        expect_eq(f, "merkle", "path ends at the single root", (level, node), (1, 0));
+        expect_eq(
+            f,
+            "merkle",
+            "path ends at the single root",
+            (level, node),
+            (1, 0),
+        );
     }
     // node_addr/node_coords must be inverses.
     let addr = layout.node_addr(0, 4);
-    expect_eq(f, "merkle", "node_coords inverts node_addr", layout.node_coords(addr), Some((0, 4)));
+    expect_eq(
+        f,
+        "merkle",
+        "node_coords inverts node_addr",
+        layout.node_coords(addr),
+        Some((0, 4)),
+    );
 }
 
 fn check_paper_scale(f: &mut Vec<Finding>) {
@@ -240,12 +324,36 @@ fn check_paper_scale(f: &mut Vec<Finding>) {
 fn check_security_config(f: &mut Vec<Finding>) {
     let cfg = SecurityConfig::default();
     expect_eq(f, "config", "OTT capacity (8 x 128)", cfg.ott_entries, 1024);
-    expect_eq(f, "config", "OTT lookup latency cycles", cfg.ott_latency_cycles, 20);
-    expect_eq(f, "config", "Osiris stop-loss period", cfg.osiris_stop_loss, 4);
+    expect_eq(
+        f,
+        "config",
+        "OTT lookup latency cycles",
+        cfg.ott_latency_cycles,
+        20,
+    );
+    expect_eq(
+        f,
+        "config",
+        "Osiris stop-loss period",
+        cfg.osiris_stop_loss,
+        4,
+    );
     expect_eq(f, "config", "MAC latency cycles", cfg.mac_cycles, 40);
     expect_eq(f, "config", "AES pad latency ns", cfg.aes_ns, 40);
-    expect_eq(f, "config", "metadata cache bytes (512 KiB)", cfg.metadata_cache.size_bytes, 512 << 10);
-    expect_eq(f, "config", "metadata cache ways", cfg.metadata_cache.ways, 8);
+    expect_eq(
+        f,
+        "config",
+        "metadata cache bytes (512 KiB)",
+        cfg.metadata_cache.size_bytes,
+        512 << 10,
+    );
+    expect_eq(
+        f,
+        "config",
+        "metadata cache ways",
+        cfg.metadata_cache.ways,
+        8,
+    );
 }
 
 fn check_spill_format(f: &mut Vec<Finding>) {
@@ -271,7 +379,12 @@ fn check_spill_format(f: &mut Vec<Finding>) {
     let (gid, fid) = (3u32, 5u32);
     let file_key = Key128::from_seed(7);
     let Ok(t) = spill.insert(&mut meta, &mut nvm, Cycle::ZERO, gid, fid, &file_key) else {
-        expect(f, "spill", "insert into an empty spill region succeeds", false);
+        expect(
+            f,
+            "spill",
+            "insert into an empty spill region succeeds",
+            false,
+        );
         return;
     };
     meta.flush(&mut nvm, t);
@@ -281,7 +394,12 @@ fn check_spill_format(f: &mut Vec<Finding>) {
     for line in 0..(ott_bytes / LINE_BYTES as u64) {
         let addr = LineAddr::new(base + line * LINE_BYTES as u64);
         let Ok((bytes, acc)) = meta.read_block(&mut nvm, now, addr) else {
-            expect(f, "spill", "spill lines verify against the Merkle tree", false);
+            expect(
+                f,
+                "spill",
+                "spill lines verify against the Merkle tree",
+                false,
+            );
             return;
         };
         now = acc.done;
@@ -291,7 +409,13 @@ fn check_spill_format(f: &mut Vec<Finding>) {
             }
         }
     }
-    expect_eq(f, "spill", "exactly one occupied slot after one insert", occupied.len(), 1);
+    expect_eq(
+        f,
+        "spill",
+        "exactly one occupied slot after one insert",
+        occupied.len(),
+        1,
+    );
     let Some(&(bytes, off)) = occupied.first() else {
         return;
     };
@@ -320,7 +444,13 @@ fn check_spill_format(f: &mut Vec<Finding>) {
     // different one.
     match spill.lookup(&mut meta, &mut nvm, now, gid, fid) {
         Ok((found, done)) => {
-            expect_eq(f, "spill", "lookup recovers the inserted key", found, Some(file_key));
+            expect_eq(
+                f,
+                "spill",
+                "lookup recovers the inserted key",
+                found,
+                Some(file_key),
+            );
             now = done;
         }
         Err(_) => expect(f, "spill", "lookup succeeds after insert", false),
@@ -338,7 +468,13 @@ fn check_spill_format(f: &mut Vec<Finding>) {
     // Raw media sanity: the stored line must be in the OTT region of the
     // physical device, not aliased over data pages.
     let media = nvm.peek_line(PhysAddr::new(base));
-    expect_eq(f, "spill", "spill line is materialized on media", media.len(), LINE_BYTES);
+    expect_eq(
+        f,
+        "spill",
+        "spill line is materialized on media",
+        media.len(),
+        LINE_BYTES,
+    );
 }
 
 fn check_coverage_datapath(f: &mut Vec<Finding>) {
@@ -388,7 +524,12 @@ fn check_coverage_datapath(f: &mut Vec<Finding>) {
     match meta.persist_blocks(&mut nvm, t, &addrs) {
         Ok(done) => t = done,
         Err(_) => {
-            expect(f, "coverage", "persist_blocks verifies every counter line", false);
+            expect(
+                f,
+                "coverage",
+                "persist_blocks verifies every counter line",
+                false,
+            );
             return;
         }
     }
@@ -421,7 +562,12 @@ fn check_coverage_datapath(f: &mut Vec<Finding>) {
             spill_leaves += 1;
         }
     }
-    expect(f, "coverage", "sweep includes OTT-spill leaves", spill_leaves > 0);
+    expect(
+        f,
+        "coverage",
+        "sweep includes OTT-spill leaves",
+        spill_leaves > 0,
+    );
     for level in 0..meta.layout().merkle_levels() {
         for idx in 0..meta.layout().nodes_at(level) {
             let node = meta.layout().node_addr(level, idx);

@@ -218,9 +218,7 @@ pub fn lex(src: &str) -> Vec<Token> {
             while i < len && (is_ident_continue(chars[i])) {
                 i += 1;
             }
-            if at(i) == Some('.')
-                && at(i + 1).is_some_and(|d| d.is_ascii_digit())
-            {
+            if at(i) == Some('.') && at(i + 1).is_some_and(|d| d.is_ascii_digit()) {
                 i += 1;
                 while i < len && is_ident_continue(chars[i]) {
                     i += 1;
@@ -274,11 +272,7 @@ mod tests {
     #[test]
     fn lifetimes_are_not_identifiers() {
         let ids = idents("fn f<'unwrap>(x: &'unwrap str) {}");
-        assert_eq!(
-            ids.iter().filter(|t| *t == "unwrap").count(),
-            0,
-            "{ids:?}"
-        );
+        assert_eq!(ids.iter().filter(|t| *t == "unwrap").count(), 0, "{ids:?}");
     }
 
     #[test]

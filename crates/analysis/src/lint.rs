@@ -58,7 +58,10 @@ pub fn lint_tree(root: &Path, allowlist_text: &str, allowlist_path: &str) -> Lin
     findings.extend(allow.unused_findings(allowlist_path));
     findings.sort();
     findings.dedup();
-    LintReport { findings, suppressed }
+    LintReport {
+        findings,
+        suppressed,
+    }
 }
 
 /// Like [`lint_tree`] but runs against a caller-owned [`Allowlist`] and
@@ -245,7 +248,10 @@ mod tests {
              hot-alloc crates/secmem/src/ecc.rs Vec::new -- audited\n\
              hot-alloc crates/secmem/src/ecc.rs never-fires -- stale\n",
         );
-        let hit = lint_file("crates/secmem/src/ecc.rs", "fn f() { let v: Vec<u8> = Vec::new(); }");
+        let hit = lint_file(
+            "crates/secmem/src/ecc.rs",
+            "fn f() { let v: Vec<u8> = Vec::new(); }",
+        );
         assert_eq!(hit.len(), 1);
         assert!(allow.suppresses(&hit[0]));
         let unused = allow.unused_findings("allowlist.txt");

@@ -53,7 +53,9 @@ const FRAGMENTS: [&str; 32] = [
 fn assert_well_formed(src: &str) -> Result<(), TestCaseError> {
     let parsed = items::parse(src);
     if let Err(msg) = parsed.validate() {
-        return Err(TestCaseError::fail(format!("invalid items for {src:?}: {msg}")));
+        return Err(TestCaseError::fail(format!(
+            "invalid items for {src:?}: {msg}"
+        )));
     }
     // Determinism: the same source parses to the same item skeleton.
     let again = items::parse(src);

@@ -71,7 +71,12 @@ fn fixtures_trip_the_confinement_pass() {
         "{}",
         render(&report.findings)
     );
-    assert_eq!(count("confinement-reach"), 1, "{}", render(&report.findings));
+    assert_eq!(
+        count("confinement-reach"),
+        1,
+        "{}",
+        render(&report.findings)
+    );
     assert_eq!(count("pad-site"), 3, "{}", render(&report.findings));
     assert_eq!(report.findings.len(), 5, "{}", render(&report.findings));
 
@@ -90,8 +95,7 @@ fn fixtures_trip_the_confinement_pass() {
 fn confinement_findings_are_allowlistable_and_stop_reach() {
     // Auditing the direct edge also un-taints the wrapper: only the
     // pad-site findings remain.
-    let allow =
-        "plaintext-confinement crates/fsencr/src/leak.rs dump_plain -- fixture audit\n";
+    let allow = "plaintext-confinement crates/fsencr/src/leak.rs dump_plain -- fixture audit\n";
     let report = confine::check_tree(&fixture_root(), allow, "allowlist.txt");
     assert_eq!(report.suppressed, 1);
     assert!(

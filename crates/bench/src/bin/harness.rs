@@ -91,7 +91,10 @@ fn write_or_exit(tag: &str, path: &str, contents: impl AsRef<[u8]>) {
 fn params() {
     let cfg = MachineConfig::paper_defaults();
     println!("\n=== Table III: simulation parameters ===");
-    println!("CPU: {} cores @ 1000 MHz, out-of-order x86-64 (modelled request-level)", cfg.cpu.cores);
+    println!(
+        "CPU: {} cores @ 1000 MHz, out-of-order x86-64 (modelled request-level)",
+        cfg.cpu.cores
+    );
     for (name, c) in [("L1", cfg.cpu.l1), ("L2", cfg.cpu.l2), ("L3", cfg.cpu.l3)] {
         println!(
             "{name}: {} KiB, {}-way, {}B lines, {} cycles",
@@ -141,18 +144,42 @@ fn table1() {
 fn list() {
     println!("\n=== Table II: benchmark descriptions ===");
     let rows = [
-        ("DAX-1", "reads 1 byte after each 16 bytes of a persistent DAX file"),
-        ("DAX-2", "reads 1 byte after each 128 bytes of a persistent DAX file"),
-        ("DAX-3", "initialises two 16 B arrays at two locations and swaps them"),
-        ("DAX-4", "initialises two 128 B arrays at two locations and swaps them"),
-        ("Fillseq-S/L", "btree loads values (64 B / 4 KiB) in sequential key order"),
+        (
+            "DAX-1",
+            "reads 1 byte after each 16 bytes of a persistent DAX file",
+        ),
+        (
+            "DAX-2",
+            "reads 1 byte after each 128 bytes of a persistent DAX file",
+        ),
+        (
+            "DAX-3",
+            "initialises two 16 B arrays at two locations and swaps them",
+        ),
+        (
+            "DAX-4",
+            "initialises two 128 B arrays at two locations and swaps them",
+        ),
+        (
+            "Fillseq-S/L",
+            "btree loads values (64 B / 4 KiB) in sequential key order",
+        ),
         ("Fillrandom-S/L", "btree loads values in random key order"),
         ("Overwrite-S/L", "btree replaces values in random key order"),
         ("Readrandom-S/L", "btree reads values in random key order"),
-        ("Readseq-S/L", "btree reads values via an in-order leaf scan"),
-        ("YCSB", "zipfian 50/50 read/update over a persistent hashmap, 2 workers"),
+        (
+            "Readseq-S/L",
+            "btree reads values via an in-order leaf scan",
+        ),
+        (
+            "YCSB",
+            "zipfian 50/50 read/update over a persistent hashmap, 2 workers",
+        ),
         ("Hashmap", "insert/lookup mix, 128 B records, 2 threads"),
-        ("CTree", "insert/lookup mix on a persistent binary tree, 128 B, 2 threads"),
+        (
+            "CTree",
+            "insert/lookup mix on a persistent binary tree, 128 B, 2 threads",
+        ),
     ];
     for (name, desc) in rows {
         println!("{name:16} {desc}");
@@ -237,7 +264,13 @@ fn reference_setup(
     const PAGE: u64 = 4096;
     let mut m = Machine::new(opts, mode);
     // The file name is part of the saved image: keep it stable.
-    let h = m.create(UserId::new(1), GroupId::new(1), "epochs.bin", Mode::PRIVATE, Some("pw"))?;
+    let h = m.create(
+        UserId::new(1),
+        GroupId::new(1),
+        "epochs.bin",
+        Mode::PRIVATE,
+        Some("pw"),
+    )?;
     let map = m.mmap(&h)?;
     let mut rng = SplitMix64::new(seed ^ 0xEF0C);
     let mut page = vec![0u8; PAGE as usize];
@@ -264,7 +297,11 @@ fn snapshot_cmd(args: &[String]) {
         .get(1)
         .filter(|a| !a.starts_with("--"))
         .map_or("MACHINE.snap", String::as_str);
-    let rest = if args.get(1).is_some_and(|a| !a.starts_with("--")) { &args[2..] } else { &args[1..] };
+    let rest = if args.get(1).is_some_and(|a| !a.starts_with("--")) {
+        &args[2..]
+    } else {
+        &args[1..]
+    };
     let mut seed: u64 = 0x57AB;
     let mut pages: u64 = 128;
     let mut mode = SecurityMode::FsEncr;
@@ -326,7 +363,10 @@ fn snapshot_cmd(args: &[String]) {
                         sections.len()
                     );
                     for s in &sections {
-                        println!("  {:<24} {:>12} B  digest {:016x}", s.name, s.payload_len, s.digest);
+                        println!(
+                            "  {:<24} {:>12} B  digest {:016x}",
+                            s.name, s.payload_len, s.digest
+                        );
                     }
                 }
                 Err(e) => {
@@ -345,7 +385,9 @@ fn snapshot_cmd(args: &[String]) {
 fn profile(fig: &str, scale: f64) {
     let Some(report) = exp::profile::profile(fig, scale, exp::profile::DEFAULT_SPAN_CAPACITY)
     else {
-        eprintln!("[profile] `{fig}` has no profilable cell matrix (try fig3, fig8-10, fig11, fig12-14)");
+        eprintln!(
+            "[profile] `{fig}` has no profilable cell matrix (try fig3, fig8-10, fig11, fig12-14)"
+        );
         std::process::exit(2);
     };
     print!("{}", report.render_text());

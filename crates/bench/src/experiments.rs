@@ -44,16 +44,15 @@ fn dax_file_bytes(scale: f64) -> u64 {
 
 /// Aborts the figure a failed cell belongs to: the figure has no value
 /// for that cell, so it stops the way a failed assertion does.
-#[expect(clippy::panic, reason = "a figure with a failed cell has nothing to render")]
+#[expect(
+    clippy::panic,
+    reason = "a figure with a failed cell has nothing to render"
+)]
 pub(crate) fn cell_failed(label: &str, mode: SecurityMode, e: MachineError) -> ! {
     panic!("{label} under {mode}: {e}")
 }
 
-fn run_with(
-    opts: MachineOpts,
-    mode: SecurityMode,
-    w: &mut dyn Workload,
-) -> StatsSnapshot {
+fn run_with(opts: MachineOpts, mode: SecurityMode, w: &mut dyn Workload) -> StatsSnapshot {
     run_workload(opts, mode, w)
         .unwrap_or_else(|e| cell_failed(&w.name(), mode, e))
         .stats
@@ -126,7 +125,8 @@ fn daxmicro_factories(scale: f64) -> Vec<(String, Factory)> {
     vec![
         (
             "DAX-1".to_string(),
-            Box::new(move || Box::new(DaxStride::new(16, file, reads)) as Box<dyn Workload>) as Factory,
+            Box::new(move || Box::new(DaxStride::new(16, file, reads)) as Box<dyn Workload>)
+                as Factory,
         ),
         (
             "DAX-2".to_string(),
@@ -343,7 +343,9 @@ pub fn fig15(scale: f64) -> Figure {
         ),
         (
             "Hashmap".to_string(),
-            Arc::new(Box::new(move || Box::new(HashmapBench::new(n_ops, 2)) as Box<dyn Workload>)),
+            Arc::new(Box::new(move || {
+                Box::new(HashmapBench::new(n_ops, 2)) as Box<dyn Workload>
+            })),
         ),
         (
             "DAX-2".to_string(),
@@ -417,7 +419,11 @@ fn secret_machine(
 pub fn table1() -> Result<Figure, MachineError> {
     let mut fig = Figure::new(
         "Table I: vulnerability (1 = secret exposed)",
-        vec!["System A".to_string(), "System B".to_string(), "System C".to_string()],
+        vec![
+            "System A".to_string(),
+            "System B".to_string(),
+            "System C".to_string(),
+        ],
     );
     fig.summarize = false;
 
@@ -474,8 +480,9 @@ pub fn ablation_ott(scale: f64) -> Figure {
         vec!["slowdown".to_string()],
     );
     let n = scaled(8 * 1024, scale);
-    let factory: Arc<Factory> =
-        Arc::new(Box::new(move || Box::new(Ycsb::new(n, n, 2)) as Box<dyn Workload>));
+    let factory: Arc<Factory> = Arc::new(Box::new(move || {
+        Box::new(Ycsb::new(n, n, 2)) as Box<dyn Workload>
+    }));
     let latencies = [1u64, 20, 100, 400];
     let mut cells = vec![ProfileCellSpec {
         label: "YCSB/baseline".to_string(),
@@ -484,7 +491,9 @@ pub fn ablation_ott(scale: f64) -> Figure {
         factory: Arc::clone(&factory),
     }];
     for lat in latencies {
-        let opts = MachineOpts::preset(Preset::Paper).ott_latency_cycles(lat).build();
+        let opts = MachineOpts::preset(Preset::Paper)
+            .ott_latency_cycles(lat)
+            .build();
         cells.push(ProfileCellSpec {
             label: format!("YCSB/ott-latency-{lat}"),
             opts,
@@ -522,7 +531,9 @@ pub fn ablation_osiris(scale: f64) -> Figure {
         factory: Arc::clone(&factory),
     }];
     for stop_loss in stop_losses {
-        let opts = MachineOpts::preset(Preset::Paper).osiris_stop_loss(stop_loss).build();
+        let opts = MachineOpts::preset(Preset::Paper)
+            .osiris_stop_loss(stop_loss)
+            .build();
         cells.push(ProfileCellSpec {
             label: format!("Overwrite-S/stop-loss-{stop_loss}"),
             opts,
@@ -617,12 +628,19 @@ pub fn ablation_direct(scale: f64) -> Figure {
         (
             "Readrandom-S".to_string(),
             Arc::new(Box::new(move || {
-                Box::new(PmemKv::new(DbBench::ReadRandom, 64, scaled(32768, scale), scaled(16384, scale), 2))
-                    as Box<dyn Workload>
+                Box::new(PmemKv::new(
+                    DbBench::ReadRandom,
+                    64,
+                    scaled(32768, scale),
+                    scaled(16384, scale),
+                    2,
+                )) as Box<dyn Workload>
             })),
         ),
     ];
-    let direct_opts = MachineOpts::preset(Preset::Paper).direct_encryption(true).build();
+    let direct_opts = MachineOpts::preset(Preset::Paper)
+        .direct_encryption(true)
+        .build();
     let mut cells = Vec::new();
     for (name, factory) in &factories {
         cells.push(ProfileCellSpec {

@@ -247,7 +247,13 @@ fn at(off: u64) -> usize {
 fn setup_base(seed: u64) -> (Machine, fsencr::machine::MapId, Vec<u8>) {
     let mut m = Machine::new(MachineOpts::small_test(), SecurityMode::FsEncr);
     let h = m
-        .create(UserId::new(1), GroupId::new(1), "camp.bin", Mode::PRIVATE, Some("pw"))
+        .create(
+            UserId::new(1),
+            GroupId::new(1),
+            "camp.bin",
+            Mode::PRIVATE,
+            Some("pw"),
+        )
         .expect("campaign file creates");
     let map = m.mmap(&h).expect("campaign file maps");
     let mut shadow = vec![0u8; at(FILE_BYTES)];
@@ -302,7 +308,9 @@ fn run_scenario(
                 &b.snapshot,
             )
             .expect("campaign base snapshot restores");
-            let map = m.mapping_of("camp.bin").expect("campaign file is mapped in the base");
+            let map = m
+                .mapping_of("camp.bin")
+                .expect("campaign file is mapped in the base");
             (m, map, b.shadow.clone())
         }
         None => setup_base(seed),
@@ -325,7 +333,9 @@ fn run_scenario(
     // the whole span honestly leaves coverage until a later successful
     // write + persist re-anchors each line.
     let mut indeterminate: BTreeSet<u64> = BTreeSet::new();
-    let mut rng = XorShift64::new(seed).derive(scenario.wrapping_add(1)).derive(0x0505);
+    let mut rng = XorShift64::new(seed)
+        .derive(scenario.wrapping_add(1))
+        .derive(0x0505);
 
     fn mark_indeterminate(indeterminate: &mut BTreeSet<u64>, off: u64, len: u64) {
         for line in off / 64..(off + len) / 64 {
@@ -508,7 +518,11 @@ mod tests {
     fn default_campaign_detects_everything_it_corrupts() {
         let spec: CampaignSpec = "scenarios=2,ops=24".parse().unwrap();
         let report = run_campaign(7, &spec);
-        assert_eq!(report.undetected_in_coverage(), 0, "silent corruption escaped");
+        assert_eq!(
+            report.undetected_in_coverage(),
+            0,
+            "silent corruption escaped"
+        );
         assert!(report.applied_faults() > 0, "campaign injected nothing");
     }
 
@@ -530,6 +544,9 @@ mod tests {
         let spec: CampaignSpec = "scenarios=3,ops=16".parse().unwrap();
         let warm = run_campaign(42, &spec).to_json();
         let cold = run_campaign_cold(42, &spec).to_json();
-        assert_eq!(warm, cold, "snapshot-seeded campaign diverged from cold setup");
+        assert_eq!(
+            warm, cold,
+            "snapshot-seeded campaign diverged from cold setup"
+        );
     }
 }

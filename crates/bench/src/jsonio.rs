@@ -142,9 +142,7 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, Stri
 
 fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
-    while *pos < b.len()
-        && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
+    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
         *pos += 1;
     }
     if *pos == start {
@@ -152,7 +150,8 @@ fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
     let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
     // Validate: must parse as f64 at minimum.
-    text.parse::<f64>().map_err(|e| format!("bad number {text:?}: {e}"))?;
+    text.parse::<f64>()
+        .map_err(|e| format!("bad number {text:?}: {e}"))?;
     Ok(Json::Num(text.to_string()))
 }
 
@@ -264,10 +263,8 @@ mod tests {
 
     #[test]
     fn parses_nested_structures() {
-        let j = Json::parse(
-            r#"{"a": [1, 2.5, -3e2], "b": {"c": "x\"y", "d": true}, "e": null}"#,
-        )
-        .unwrap();
+        let j = Json::parse(r#"{"a": [1, 2.5, -3e2], "b": {"c": "x\"y", "d": true}, "e": null}"#)
+            .unwrap();
         assert_eq!(j.get("a").unwrap().as_arr().unwrap().len(), 3);
         assert_eq!(j.get("b").unwrap().get("c").unwrap().as_str(), Some("x\"y"));
         assert_eq!(j.get("b").unwrap().get("d"), Some(&Json::Bool(true)));

@@ -147,7 +147,10 @@ impl ProfileReport {
             ));
             out.push_str(&format!(
                 "  merkle: {} climbs, {} levels walked, {} parent bumps; osiris persists {}\n",
-                w.meta_verify_climbs, w.meta_verify_levels, w.meta_update_bumps, w.meta_osiris_persists
+                w.meta_verify_climbs,
+                w.meta_verify_levels,
+                w.meta_update_bumps,
+                w.meta_osiris_persists
             ));
             out.push_str("  attribution:\n");
             for (name, v) in cell.breakdown() {
@@ -325,7 +328,10 @@ mod tests {
             trace.contains("\"name\": \"shred\", \"cat\": \"machine\", \"ph\": \"X\", \"pid\": 1, \"tid\": 1, \"ts\": 17, \"dur\": 0, \"args\": {\"arg\": 3}"),
             "{trace}"
         );
-        assert!(trace.contains("\"name\": \"read_line\", \"cat\": \"ctrl\""), "{trace}");
+        assert!(
+            trace.contains("\"name\": \"read_line\", \"cat\": \"ctrl\""),
+            "{trace}"
+        );
         assert!(report.to_json().contains("\"spans_recorded\": 2"));
         assert!(report.to_json().contains("\"trace_events\": 1"));
         assert!(report.render_text().contains("machine trace events: 1"));

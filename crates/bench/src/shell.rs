@@ -147,7 +147,11 @@ impl Shell {
                     "created {name} ({}, {}, {})",
                     h.ino,
                     h.group,
-                    if h.fek.is_some() { "encrypted" } else { "plain" }
+                    if h.fek.is_some() {
+                        "encrypted"
+                    } else {
+                        "plain"
+                    }
                 )
             }
             ("open", [name, uid, rest @ ..]) => {
@@ -204,13 +208,17 @@ impl Shell {
             }
             ("msync", [name]) => {
                 let (_, map) = self.handle_of(name)?;
-                self.machine.msync(0, map, 0, 0).map_err(|e| e.to_string())?;
+                self.machine
+                    .msync(0, map, 0, 0)
+                    .map_err(|e| e.to_string())?;
                 "synced".to_string()
             }
             ("chmod", [name, mode, uid]) => {
                 let user = parse_uid(uid)?;
                 let mode = parse_mode(mode)?;
-                self.machine.chmod(user, name, mode).map_err(|e| e.to_string())?;
+                self.machine
+                    .chmod(user, name, mode)
+                    .map_err(|e| e.to_string())?;
                 format!("{name} -> {mode}")
             }
             ("unlink", [name, uid]) => {
@@ -408,7 +416,10 @@ mod tests {
         let ls = out(&mut sh, "ls");
         assert!(ls.contains("a") && ls.contains("b"));
         let stat = out(&mut sh, "stat a");
-        assert!(stat.contains("mode=640") && stat.contains("encrypted=true"), "{stat}");
+        assert!(
+            stat.contains("mode=640") && stat.contains("encrypted=true"),
+            "{stat}"
+        );
         assert!(out(&mut sh, "stats").contains("cycles="));
         assert_eq!(out(&mut sh, "mode"), "fsencr");
     }
@@ -431,20 +442,32 @@ mod tests {
     fn out_of_range_numbers_are_error_lines() {
         let mut sh = shell();
         let err = out(&mut sh, "create f 1 999999 600");
-        assert!(err.starts_with("error:") && err.contains("18 bits"), "{err}");
+        assert!(
+            err.starts_with("error:") && err.contains("18 bits"),
+            "{err}"
+        );
         let err = out(&mut sh, "create f 1 1 7777");
         assert!(err.starts_with("error:") && err.contains("0o777"), "{err}");
         // 2^32 + 1 and 2^32 must not wrap to uid 1 and group 0.
         let err = out(&mut sh, "create f 4294967297 1 600");
-        assert!(err.starts_with("error:") && err.contains("32 bits"), "{err}");
+        assert!(
+            err.starts_with("error:") && err.contains("32 bits"),
+            "{err}"
+        );
         let err = out(&mut sh, "create f 1 4294967296 600");
-        assert!(err.starts_with("error:") && err.contains("18 bits"), "{err}");
+        assert!(
+            err.starts_with("error:") && err.contains("18 bits"),
+            "{err}"
+        );
         assert_eq!(out(&mut sh, "ls"), "", "no file was created");
         out(&mut sh, "create f 1 1 600 pw");
         let err = out(&mut sh, "chmod f 1000 1");
         assert!(err.starts_with("error:") && err.contains("0o777"), "{err}");
         let err = out(&mut sh, "unlink f 4294967297");
-        assert!(err.starts_with("error:") && err.contains("32 bits"), "{err}");
+        assert!(
+            err.starts_with("error:") && err.contains("32 bits"),
+            "{err}"
+        );
         assert!(out(&mut sh, "stat f").contains("mode=600"));
     }
 
@@ -461,7 +484,10 @@ mod tests {
             "persist f 0 1099511627776",
         ] {
             let err = out(&mut sh, cmd);
-            assert!(err.starts_with("error:") && err.contains("beyond"), "{cmd}: {err}");
+            assert!(
+                err.starts_with("error:") && err.contains("beyond"),
+                "{cmd}: {err}"
+            );
         }
         assert!(out(&mut sh, "write f 0 hi").contains("wrote 2"));
         assert_eq!(out(&mut sh, "read f 0 2"), "hi");
@@ -501,7 +527,10 @@ mod tests {
             let created = out(&mut sh, &format!("create {i:0>244} 1 1 600"));
             assert!(created.starts_with("created"), "{created}");
         }
-        assert_eq!(out(&mut sh, "flush"), "error: no space left in persistent region");
+        assert_eq!(
+            out(&mut sh, "flush"),
+            "error: no space left in persistent region"
+        );
         assert!(out(&mut sh, "ls").contains(&format!("{:0>244}", 999)));
     }
 

@@ -17,8 +17,8 @@ use proptest::prelude::*;
 
 use fsencr::snapshot::StatsSnapshot;
 use fsencr::{Machine, MachineOpts, SecurityMode};
-use fsencr_bench::pool::{self, Schedule};
 use fsencr_bench::faultcamp;
+use fsencr_bench::pool::{self, Schedule};
 use fsencr_faults::{CampaignSpec, FaultPlan};
 use fsencr_fs::{GroupId, Mode, UserId};
 
@@ -30,11 +30,19 @@ fn report_is_byte_identical_across_jobs_and_schedules() {
 
     let reference = faultcamp::run_campaign(42, &spec).to_json();
     for jobs in [1, 4] {
-        for sched in [Schedule::Fifo, Schedule::Lifo, Schedule::EvenOdd, Schedule::Stagger] {
+        for sched in [
+            Schedule::Fifo,
+            Schedule::Lifo,
+            Schedule::EvenOdd,
+            Schedule::Stagger,
+        ] {
             pool::set_jobs(jobs);
             pool::set_schedule(sched);
             let got = faultcamp::run_campaign(42, &spec).to_json();
-            assert_eq!(got, reference, "report diverged at jobs={jobs} sched={sched:?}");
+            assert_eq!(
+                got, reference,
+                "report diverged at jobs={jobs} sched={sched:?}"
+            );
         }
     }
 
@@ -55,7 +63,13 @@ fn different_seeds_give_different_reports() {
 fn drive(m: &mut Machine) -> (StatsSnapshot, Vec<u8>) {
     let user = UserId::new(1);
     let h = m
-        .create(user, GroupId::new(1), "neutral.bin", Mode::PRIVATE, Some("pw"))
+        .create(
+            user,
+            GroupId::new(1),
+            "neutral.bin",
+            Mode::PRIVATE,
+            Some("pw"),
+        )
         .unwrap();
     let map = m.mmap(&h).unwrap();
     for i in 0u64..16 {
@@ -78,7 +92,10 @@ fn empty_or_disarmed_injector_is_invisible() {
     let mut empty = Machine::new(MachineOpts::small_test(), SecurityMode::FsEncr);
     empty.fault_plane().arm(FaultPlan::empty());
     let (snap_empty, data_empty) = drive(&mut empty);
-    assert!(empty.fault_plane().disarm().is_empty(), "empty plan applied a fault");
+    assert!(
+        empty.fault_plane().disarm().is_empty(),
+        "empty plan applied a fault"
+    );
 
     // Armed and disarmed again before any traffic.
     let mut cycled = Machine::new(MachineOpts::small_test(), SecurityMode::FsEncr);
@@ -87,9 +104,18 @@ fn empty_or_disarmed_injector_is_invisible() {
     let (snap_cycled, data_cycled) = drive(&mut cycled);
 
     assert_eq!(data_base, data_empty, "empty injector changed data bytes");
-    assert_eq!(data_base, data_cycled, "disarmed injector changed data bytes");
-    assert_eq!(snap_base, snap_empty, "empty injector changed simulated stats");
-    assert_eq!(snap_base, snap_cycled, "disarmed injector changed simulated stats");
+    assert_eq!(
+        data_base, data_cycled,
+        "disarmed injector changed data bytes"
+    );
+    assert_eq!(
+        snap_base, snap_empty,
+        "empty injector changed simulated stats"
+    );
+    assert_eq!(
+        snap_base, snap_cycled,
+        "disarmed injector changed simulated stats"
+    );
 }
 
 proptest! {

@@ -73,7 +73,8 @@ fn rekey_and_crash_recovery_replay_clean_under_armed_oracles() {
     // their media copies and every fresh pad lands in the ledger.
     for round in 0..12u8 {
         for line in 0..8u64 {
-            m.write(0, map, line * 64, &[round ^ line as u8; 64]).unwrap();
+            m.write(0, map, line * 64, &[round ^ line as u8; 64])
+                .unwrap();
         }
         m.persist(0, map, 0, 8 * 64).unwrap();
     }

@@ -71,16 +71,25 @@ fn observer_metrics_are_cycle_sums_only() {
             .expect("figure must run the mode");
         profile_workload(spec.opts, spec.mode, (spec.factory)().as_mut(), 1 << 12).unwrap()
     };
-    for (fig, mode) in [("fig8-10", SecurityMode::FsEncr), ("fig11", SecurityMode::Software)] {
+    for (fig, mode) in [
+        ("fig8-10", SecurityMode::FsEncr),
+        ("fig11", SecurityMode::Software),
+    ] {
         let run = cell(fig, mode);
         let keys: Vec<_> = run.observer.metrics().map(|(k, _)| k).collect();
         assert!(!keys.is_empty(), "{fig} {mode}: nothing attributed");
         for k in keys {
-            assert!(k.ends_with("_cycles"), "{fig} {mode}: count key {k:?} in the observer");
+            assert!(
+                k.ends_with("_cycles"),
+                "{fig} {mode}: count key {k:?} in the observer"
+            );
         }
         let w = &run.result.stats;
         assert!(w.nvm_row_hits + w.nvm_row_misses > 0, "{fig} {mode}: {w:?}");
-        assert!(run.observer.metric("ctrl/write/total_cycles") > 0, "{fig} {mode}");
+        assert!(
+            run.observer.metric("ctrl/write/total_cycles") > 0,
+            "{fig} {mode}"
+        );
     }
 }
 
@@ -102,7 +111,13 @@ fn snapshot_counters_are_internally_consistent() {
     // invariants they witnessed are stated directly on the snapshot.
     let mut m = Machine::new(MachineOpts::small_test(), SecurityMode::FsEncr);
     let h = m
-        .create(UserId::new(1), GroupId::new(1), "pin", Mode::PRIVATE, Some("pw"))
+        .create(
+            UserId::new(1),
+            GroupId::new(1),
+            "pin",
+            Mode::PRIVATE,
+            Some("pw"),
+        )
         .unwrap();
     let map = m.mmap(&h).unwrap();
     for i in 0..96u64 {
@@ -123,7 +138,10 @@ fn snapshot_counters_are_internally_consistent() {
     assert!(s.file_accesses > 0);
     assert!(s.cycles > 0);
     // Per-structure leaf counters partition the coarse totals.
-    assert_eq!(s.meta_leaf_hits, s.meta_mecb_hits + s.meta_fecb_hits + s.meta_spill_hits);
+    assert_eq!(
+        s.meta_leaf_hits,
+        s.meta_mecb_hits + s.meta_fecb_hits + s.meta_spill_hits
+    );
     assert_eq!(
         s.meta_leaf_misses,
         s.meta_mecb_misses + s.meta_fecb_misses + s.meta_spill_misses
@@ -151,6 +169,10 @@ fn snapshot_counters_are_internally_consistent() {
     m2.persist(0, map, 0, 64).unwrap();
     m2.sync_cores();
     let d = m2.measurement_snapshot();
-    assert!(d.writes >= 1 && d.writes < 16, "window isolates the tail: {}", d.writes);
+    assert!(
+        d.writes >= 1 && d.writes < 16,
+        "window isolates the tail: {}",
+        d.writes
+    );
     assert!(d.cycles > 0 && d.cycles < m2.snapshot().cycles);
 }

@@ -241,20 +241,29 @@ impl Hierarchy {
         for l1 in &mut self.l1 {
             if let Some(ev) = l1.invalidate(addr) {
                 if ev.dirty {
-                    dirty_copy = Some(CacheLine { addr, data: ev.data });
+                    dirty_copy = Some(CacheLine {
+                        addr,
+                        data: ev.data,
+                    });
                 }
             }
         }
         for l2 in &mut self.l2 {
             if let Some(ev) = l2.invalidate(addr) {
                 if ev.dirty {
-                    dirty_copy = Some(CacheLine { addr, data: ev.data });
+                    dirty_copy = Some(CacheLine {
+                        addr,
+                        data: ev.data,
+                    });
                 }
             }
         }
         if let Some(ev) = self.l3.invalidate(addr) {
             if ev.dirty {
-                dirty_copy = Some(CacheLine { addr, data: ev.data });
+                dirty_copy = Some(CacheLine {
+                    addr,
+                    data: ev.data,
+                });
             }
         }
         dirty_copy

@@ -128,13 +128,21 @@ impl Cache {
     /// the simulated replacement behaviour they are checking.
     pub fn peek(&self, addr: LineAddr) -> Option<&[u8; LINE_BYTES]> {
         let (set, tag) = self.index_of(addr);
-        self.sets[set].iter().find(|e| e.tag == tag).map(|e| &e.data)
+        self.sets[set]
+            .iter()
+            .find(|e| e.tag == tag)
+            .map(|e| &e.data)
     }
 
     /// Inserts (or overwrites) a line, returning the victim if one had to
     /// be evicted. Does not touch hit/miss statistics, but counts fills
     /// and evictions.
-    pub fn insert(&mut self, addr: LineAddr, data: [u8; LINE_BYTES], dirty: bool) -> Option<Eviction> {
+    pub fn insert(
+        &mut self,
+        addr: LineAddr,
+        data: [u8; LINE_BYTES],
+        dirty: bool,
+    ) -> Option<Eviction> {
         let (set, tag) = self.index_of(addr);
         self.stamp += 1;
         let stamp = self.stamp;

@@ -95,12 +95,8 @@ fn compute_sboxes() -> ([u8; 256], [u8; 256]) {
     for x in 0..=255u8 {
         let i = inv[usize::from(x)];
         // Affine transform: b ^ rotl(b,1) ^ rotl(b,2) ^ rotl(b,3) ^ rotl(b,4) ^ 0x63
-        let s = i
-            ^ i.rotate_left(1)
-            ^ i.rotate_left(2)
-            ^ i.rotate_left(3)
-            ^ i.rotate_left(4)
-            ^ 0x63;
+        let s =
+            i ^ i.rotate_left(1) ^ i.rotate_left(2) ^ i.rotate_left(3) ^ i.rotate_left(4) ^ 0x63;
         sbox[usize::from(x)] = s;
         inv_sbox[usize::from(s)] = x;
     }
@@ -152,7 +148,12 @@ fn compute_tables() -> Tables {
             td[j][x] = d;
         }
     }
-    Tables { te, td, sbox, inv_sbox }
+    Tables {
+        te,
+        td,
+        sbox,
+        inv_sbox,
+    }
 }
 
 fn tables() -> &'static Tables {
@@ -206,7 +207,10 @@ impl Aes128 {
             }
         }
         let dec_words = pack_words(&dec_keys);
-        Aes128 { enc_words, dec_words }
+        Aes128 {
+            enc_words,
+            dec_words,
+        }
     }
 
     /// Encrypts one 16-byte block (T-table fast path).
@@ -215,7 +219,12 @@ impl Aes128 {
         let rk = &self.enc_words;
         let mut s = [0u32; 4];
         for (c, sc) in s.iter_mut().enumerate() {
-            let b = [block[4 * c], block[4 * c + 1], block[4 * c + 2], block[4 * c + 3]];
+            let b = [
+                block[4 * c],
+                block[4 * c + 1],
+                block[4 * c + 2],
+                block[4 * c + 3],
+            ];
             *sc = u32::from_be_bytes(b) ^ rk[c];
         }
         for round in 1..ROUNDS {
@@ -328,7 +337,12 @@ impl Aes128 {
         let rk = &self.dec_words;
         let mut s = [0u32; 4];
         for (c, sc) in s.iter_mut().enumerate() {
-            let b = [block[4 * c], block[4 * c + 1], block[4 * c + 2], block[4 * c + 3]];
+            let b = [
+                block[4 * c],
+                block[4 * c + 1],
+                block[4 * c + 2],
+                block[4 * c + 3],
+            ];
             *sc = u32::from_be_bytes(b) ^ rk[c];
         }
         for round in 1..ROUNDS {
@@ -385,9 +399,21 @@ fn b3(w: u32) -> usize {
 fn te_round(t: &Tables, rk: &[u32; RK_WORDS], base: usize, s: [u32; 4]) -> [u32; 4] {
     [
         t.te[0][b0(s[0])] ^ t.te[1][b1(s[1])] ^ t.te[2][b2(s[2])] ^ t.te[3][b3(s[3])] ^ rk[base],
-        t.te[0][b0(s[1])] ^ t.te[1][b1(s[2])] ^ t.te[2][b2(s[3])] ^ t.te[3][b3(s[0])] ^ rk[base + 1],
-        t.te[0][b0(s[2])] ^ t.te[1][b1(s[3])] ^ t.te[2][b2(s[0])] ^ t.te[3][b3(s[1])] ^ rk[base + 2],
-        t.te[0][b0(s[3])] ^ t.te[1][b1(s[0])] ^ t.te[2][b2(s[1])] ^ t.te[3][b3(s[2])] ^ rk[base + 3],
+        t.te[0][b0(s[1])]
+            ^ t.te[1][b1(s[2])]
+            ^ t.te[2][b2(s[3])]
+            ^ t.te[3][b3(s[0])]
+            ^ rk[base + 1],
+        t.te[0][b0(s[2])]
+            ^ t.te[1][b1(s[3])]
+            ^ t.te[2][b2(s[0])]
+            ^ t.te[3][b3(s[1])]
+            ^ rk[base + 2],
+        t.te[0][b0(s[3])]
+            ^ t.te[1][b1(s[0])]
+            ^ t.te[2][b2(s[1])]
+            ^ t.te[3][b3(s[2])]
+            ^ rk[base + 3],
     ]
 }
 
@@ -422,7 +448,8 @@ fn pack_words(keys: &[[u8; 16]; ROUNDS + 1]) -> [u32; RK_WORDS] {
 fn inv_mix_columns(s: &mut [u8; 16]) {
     for c in 0..4 {
         let col = [s[4 * c], s[4 * c + 1], s[4 * c + 2], s[4 * c + 3]];
-        s[4 * c] = gmul(col[0], 0x0e) ^ gmul(col[1], 0x0b) ^ gmul(col[2], 0x0d) ^ gmul(col[3], 0x09);
+        s[4 * c] =
+            gmul(col[0], 0x0e) ^ gmul(col[1], 0x0b) ^ gmul(col[2], 0x0d) ^ gmul(col[3], 0x09);
         s[4 * c + 1] =
             gmul(col[0], 0x09) ^ gmul(col[1], 0x0e) ^ gmul(col[2], 0x0b) ^ gmul(col[3], 0x0d);
         s[4 * c + 2] =
@@ -636,15 +663,13 @@ mod tests {
                 let mut col = [0u8; 16];
                 col[j] = t.sbox[x];
                 mix_columns(&mut col);
-                let expect =
-                    u32::from_be_bytes([col[0], col[1], col[2], col[3]]);
+                let expect = u32::from_be_bytes([col[0], col[1], col[2], col[3]]);
                 assert_eq!(t.te[j][x], expect, "te[{j}][{x:#x}]");
 
                 let mut icol = [0u8; 16];
                 icol[j] = t.inv_sbox[x];
                 inv_mix_columns(&mut icol);
-                let iexpect =
-                    u32::from_be_bytes([icol[0], icol[1], icol[2], icol[3]]);
+                let iexpect = u32::from_be_bytes([icol[0], icol[1], icol[2], icol[3]]);
                 assert_eq!(t.td[j][x], iexpect, "td[{j}][{x:#x}]");
             }
         }
@@ -659,7 +684,9 @@ mod tests {
                 // value (lane bits clear).
                 let mut iv = [0u8; 16];
                 for (j, b) in iv.iter_mut().enumerate() {
-                    *b = (step as u8).wrapping_mul(71).wrapping_add((j as u8).wrapping_mul(29));
+                    *b = (step as u8)
+                        .wrapping_mul(71)
+                        .wrapping_add((j as u8).wrapping_mul(29));
                 }
                 iv[6] &= 0x3f;
                 let lanes = aes.encrypt_ctr_lanes(iv);

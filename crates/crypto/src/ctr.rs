@@ -179,11 +179,20 @@ mod tests {
         let base = sample();
         let base_iv = base.iv_for_lane(0);
         let variants = [
-            PadInput { page_id: base.page_id + 1, ..base },
-            PadInput { block_in_page: 18, ..base },
+            PadInput {
+                page_id: base.page_id + 1,
+                ..base
+            },
+            PadInput {
+                block_in_page: 18,
+                ..base
+            },
             PadInput { major: 100, ..base },
             PadInput { minor: 6, ..base },
-            PadInput { domain: PadDomain::File, ..base },
+            PadInput {
+                domain: PadDomain::File,
+                ..base
+            },
         ];
         for v in variants {
             assert_ne!(v.iv_for_lane(0), base_iv, "{v:?} collided");
@@ -196,14 +205,21 @@ mod tests {
         // block 1 lane 0 vs block 1+64? impossible (block<64). But lane bits
         // occupy the top of byte 6; make sure block 63 lane 0 differs from
         // block 63 lane 1.
-        let a = PadInput { block_in_page: 63, ..sample() };
+        let a = PadInput {
+            block_in_page: 63,
+            ..sample()
+        };
         assert_ne!(a.iv_for_lane(0)[6], a.iv_for_lane(1)[6]);
     }
 
     #[test]
     #[should_panic(expected = "block_in_page out of range")]
     fn oversized_block_panics() {
-        PadInput { block_in_page: 64, ..sample() }.iv_for_lane(0);
+        PadInput {
+            block_in_page: 64,
+            ..sample()
+        }
+        .iv_for_lane(0);
     }
 
     #[test]
@@ -231,7 +247,13 @@ mod tests {
     fn pads_differ_between_domains() {
         let key = Key128::from_seed(3);
         let mem = line_pad(&key, &sample());
-        let file = line_pad(&key, &PadInput { domain: PadDomain::File, ..sample() });
+        let file = line_pad(
+            &key,
+            &PadInput {
+                domain: PadDomain::File,
+                ..sample()
+            },
+        );
         assert_ne!(mem, file);
     }
 
@@ -239,7 +261,13 @@ mod tests {
     fn pads_differ_between_minors() {
         let key = Key128::from_seed(3);
         let a = line_pad(&key, &sample());
-        let b = line_pad(&key, &PadInput { minor: 6, ..sample() });
+        let b = line_pad(
+            &key,
+            &PadInput {
+                minor: 6,
+                ..sample()
+            },
+        );
         assert_ne!(a, b);
         // and every 16-byte lane differs, not just one
         for lane in 0..4 {
@@ -262,7 +290,10 @@ mod tests {
         line_pad_into(&aes, &sample(), &mut buf);
         assert_eq!(buf, line_pad_with(&aes, &sample()));
         // Reuse must fully overwrite the previous contents.
-        let other = PadInput { minor: 6, ..sample() };
+        let other = PadInput {
+            minor: 6,
+            ..sample()
+        };
         line_pad_into(&aes, &other, &mut buf);
         assert_eq!(buf, line_pad_with(&aes, &other));
     }

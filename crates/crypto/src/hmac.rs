@@ -90,7 +90,10 @@ mod tests {
     fn rfc4231_case6_long_key() {
         // 131-byte key forces the hash-the-key path.
         let key = [0xaau8; 131];
-        let tag = hmac_sha256(&key, b"Test Using Larger Than Block-Size Key - Hash Key First");
+        let tag = hmac_sha256(
+            &key,
+            b"Test Using Larger Than Block-Size Key - Hash Key First",
+        );
         assert_eq!(
             tag,
             hex32("60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54")

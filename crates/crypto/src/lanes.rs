@@ -39,7 +39,10 @@ fn round4(st: &mut [Lanes; 8], kw: Lanes) {
         let e = st[4][l];
         let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
         let ch = (e & st[5][l]) ^ ((!e) & st[6][l]);
-        t1[l] = st[7][l].wrapping_add(s1).wrapping_add(ch).wrapping_add(kw[l]);
+        t1[l] = st[7][l]
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(kw[l]);
         let a = st[0][l];
         let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
         let maj = (a & st[1][l]) ^ (a & st[2][l]) ^ (st[1][l] & st[2][l]);
@@ -179,7 +182,9 @@ mod tests {
         for _ in 0..64 {
             let mut line = [0u8; 64];
             for chunk in line.chunks_exact_mut(8) {
-                x = x.wrapping_mul(0xd129_42dc_4cbb_3d4d).wrapping_add(0xb504_f333);
+                x = x
+                    .wrapping_mul(0xd129_42dc_4cbb_3d4d)
+                    .wrapping_add(0xb504_f333);
                 chunk.copy_from_slice(&x.to_le_bytes());
             }
             lines.push(line);

@@ -38,18 +38,20 @@ pub mod aes;
 pub mod ctr;
 pub mod hmac;
 pub mod kdf;
-pub mod lanes;
 pub mod key;
+pub mod lanes;
 pub mod oracle;
 pub mod schedule;
 pub mod sha256;
 
 pub use aes::Aes128;
-pub use ctr::{ctr_pads_n, line_pad, line_pad_into, line_pad_with, xor_in_place, PadDomain, PadInput};
+pub use ctr::{
+    ctr_pads_n, line_pad, line_pad_into, line_pad_with, xor_in_place, PadDomain, PadInput,
+};
 pub use hmac::hmac_sha256;
 pub use kdf::{pbkdf2_hmac_sha256, KeyWrap};
 pub use key::Key128;
+pub use lanes::{digest8_lines4, sha256_lines4};
 pub use oracle::{PadLedger, PadReuse};
 pub use schedule::ScheduleCache;
-pub use lanes::{digest8_lines4, sha256_lines4};
 pub use sha256::{digest8_line, sha256, sha256_line, Sha256};

@@ -43,7 +43,9 @@ impl ScheduleCache {
     /// Returns the expanded schedule for `key`, expanding and caching it
     /// on first use.
     pub fn get(&mut self, key: &Key128) -> &Aes128 {
-        self.schedules.entry(*key).or_insert_with(|| Aes128::new(key))
+        self.schedules
+            .entry(*key)
+            .or_insert_with(|| Aes128::new(key))
     }
 }
 
@@ -58,9 +60,15 @@ mod tests {
             let key = Key128::from_bytes([seed; 16]);
             let fresh = Aes128::new(&key);
             let block = [seed.wrapping_mul(3); 16];
-            assert_eq!(cache.get(&key).encrypt_block(block), fresh.encrypt_block(block));
+            assert_eq!(
+                cache.get(&key).encrypt_block(block),
+                fresh.encrypt_block(block)
+            );
             // Second lookup must serve the same schedule.
-            assert_eq!(cache.get(&key).encrypt_block(block), fresh.encrypt_block(block));
+            assert_eq!(
+                cache.get(&key).encrypt_block(block),
+                fresh.encrypt_block(block)
+            );
         }
     }
 }

@@ -398,7 +398,9 @@ mod tests {
         // Deterministic pseudo-random lines plus structured edge cases.
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = move || {
-            x = x.wrapping_mul(0xd129_42dc_4cbb_3d4d).wrapping_add(0xb504_f333);
+            x = x
+                .wrapping_mul(0xd129_42dc_4cbb_3d4d)
+                .wrapping_add(0xb504_f333);
             x
         };
         let mut lines: Vec<[u8; 64]> = vec![[0u8; 64], [0xff; 64], [0x80; 64]];

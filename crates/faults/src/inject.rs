@@ -40,7 +40,11 @@ impl StuckMask {
             return false;
         };
         let mask = 1u8 << (self.bit & 0x7);
-        let forced = if self.value { *slot | mask } else { *slot & !mask };
+        let forced = if self.value {
+            *slot | mask
+        } else {
+            *slot & !mask
+        };
         let changed = forced != *slot;
         *slot = forced;
         changed
@@ -382,7 +386,10 @@ mod tests {
         assert!(!inj.on_read(128, &mut line));
         let ev = inj.events();
         assert_eq!(ev.len(), 1);
-        assert_eq!((ev[0].kind, ev[0].line, ev[0].index), (FaultKind::BitRot, 128, 2));
+        assert_eq!(
+            (ev[0].kind, ev[0].line, ev[0].index),
+            (FaultKind::BitRot, 128, 2)
+        );
     }
 
     #[test]
@@ -425,7 +432,10 @@ mod tests {
         assert_eq!(dropped, 2);
         let ev = inj.events();
         assert_eq!(ev.len(), 1);
-        assert_eq!((ev[0].kind, ev[0].detail, ev[0].changed), (FaultKind::TornWrite, 2, true));
+        assert_eq!(
+            (ev[0].kind, ev[0].detail, ev[0].changed),
+            (FaultKind::TornWrite, 2, true)
+        );
         // Next region is untouched.
         inj.begin_region(4);
         assert!(!inj.on_write(0, &mut line).suppress);

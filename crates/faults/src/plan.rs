@@ -388,7 +388,10 @@ mod tests {
         for &c in &plan.cuts {
             assert!(c < 50);
         }
-        assert!(plan.rot.windows(2).all(|w| w[0].read_index <= w[1].read_index));
+        assert!(plan
+            .rot
+            .windows(2)
+            .all(|w| w[0].read_index <= w[1].read_index));
         assert!(!plan.is_empty());
         assert!(FaultPlan::empty().is_empty());
     }

@@ -169,7 +169,12 @@ impl DaxFs {
                 let fek = self.generate_fek();
                 let kek = Keyring::kek_for(pw, owner);
                 let wrapped = fsencr_crypto::KeyWrap::wrap(&kek, &fek);
-                (Some(FileCrypto { wrapped_fek: wrapped }), Some(fek))
+                (
+                    Some(FileCrypto {
+                        wrapped_fek: wrapped,
+                    }),
+                    Some(fek),
+                )
             }
             None => (None, None),
         };
@@ -277,10 +282,7 @@ impl DaxFs {
     ///
     /// [`FsError::NoSpace`] when the persistent region is full.
     pub fn ensure_page(&mut self, ino: Ino, page_idx: usize) -> Result<PageFault, FsError> {
-        let inode = self
-            .inodes
-            .get_mut(&ino.get())
-            .ok_or(FsError::NotFound)?;
+        let inode = self.inodes.get_mut(&ino.get()).ok_or(FsError::NotFound)?;
         if let Some(frame) = inode.page(page_idx) {
             return Ok(PageFault {
                 frame,
@@ -397,7 +399,9 @@ impl DaxFs {
             .ok_or(FsError::BadPassphrase)?;
         let kek = Keyring::kek_for(new_passphrase, inode.owner());
         let wrapped = fsencr_crypto::KeyWrap::wrap(&kek, &new_fek);
-        inode.set_crypto(Some(FileCrypto { wrapped_fek: wrapped }));
+        inode.set_crypto(Some(FileCrypto {
+            wrapped_fek: wrapped,
+        }));
         Ok((old_fek, new_fek))
     }
 
@@ -438,7 +442,6 @@ impl DaxFs {
         self.names.iter().map(|(n, i)| (n.as_str(), Ino::new(*i)))
     }
 }
-
 
 /// Marks a hole in an encoded page-slot list.
 const HOLE: u64 = u64::MAX;
@@ -613,9 +616,13 @@ mod tests {
     #[test]
     fn create_open_plain_file() {
         let mut fs = fs();
-        let h = fs.create(ALICE, STAFF, "notes.txt", Mode::GROUP_RW, None).unwrap();
+        let h = fs
+            .create(ALICE, STAFF, "notes.txt", Mode::GROUP_RW, None)
+            .unwrap();
         assert!(h.fek.is_none());
-        let o = fs.open(BOB, &[STAFF], "notes.txt", AccessKind::Write, None).unwrap();
+        let o = fs
+            .open(BOB, &[STAFF], "notes.txt", AccessKind::Write, None)
+            .unwrap();
         assert_eq!(o.ino, h.ino);
         assert_eq!(fs.file_count(), 1);
     }
@@ -625,11 +632,13 @@ mod tests {
         let mut fs = fs();
         fs.create(ALICE, STAFF, "a", Mode::PRIVATE, None).unwrap();
         assert_eq!(
-            fs.create(ALICE, STAFF, "a", Mode::PRIVATE, None).unwrap_err(),
+            fs.create(ALICE, STAFF, "a", Mode::PRIVATE, None)
+                .unwrap_err(),
             FsError::AlreadyExists
         );
         assert_eq!(
-            fs.create(ALICE, STAFF, "", Mode::PRIVATE, None).unwrap_err(),
+            fs.create(ALICE, STAFF, "", Mode::PRIVATE, None)
+                .unwrap_err(),
             FsError::InvalidArgument("empty file name")
         );
     }
@@ -637,16 +646,22 @@ mod tests {
     #[test]
     fn permission_matrix_enforced() {
         let mut fs = fs();
-        fs.create(ALICE, STAFF, "secret", Mode::PRIVATE, None).unwrap();
+        fs.create(ALICE, STAFF, "secret", Mode::PRIVATE, None)
+            .unwrap();
         // group member cannot open 0600
         assert_eq!(
-            fs.open(BOB, &[STAFF], "secret", AccessKind::Read, None).unwrap_err(),
+            fs.open(BOB, &[STAFF], "secret", AccessKind::Read, None)
+                .unwrap_err(),
             FsError::PermissionDenied
         );
         // owner can
-        assert!(fs.open(ALICE, &[], "secret", AccessKind::Write, None).is_ok());
+        assert!(fs
+            .open(ALICE, &[], "secret", AccessKind::Write, None)
+            .is_ok());
         // root bypasses mode bits
-        assert!(fs.open(UserId::ROOT, &[], "secret", AccessKind::Read, None).is_ok());
+        assert!(fs
+            .open(UserId::ROOT, &[], "secret", AccessKind::Read, None)
+            .is_ok());
     }
 
     #[test]
@@ -658,7 +673,8 @@ mod tests {
         let fek = h.fek.unwrap();
 
         assert_eq!(
-            fs.open(BOB, &[STAFF], "vault", AccessKind::Read, None).unwrap_err(),
+            fs.open(BOB, &[STAFF], "vault", AccessKind::Read, None)
+                .unwrap_err(),
             FsError::PassphraseRequired
         );
         assert_eq!(
@@ -677,10 +693,12 @@ mod tests {
         // The paper's scenario: mode opens up by accident, but the key
         // check still guards the data.
         let mut fs = fs();
-        fs.create(ALICE, STAFF, "vault", Mode::PRIVATE, Some("pw")).unwrap();
+        fs.create(ALICE, STAFF, "vault", Mode::PRIVATE, Some("pw"))
+            .unwrap();
         fs.chmod(ALICE, "vault", Mode::WIDE_OPEN).unwrap();
         assert_eq!(
-            fs.open(BOB, &[], "vault", AccessKind::Read, Some("wrong")).unwrap_err(),
+            fs.open(BOB, &[], "vault", AccessKind::Read, Some("wrong"))
+                .unwrap_err(),
             FsError::BadPassphrase
         );
     }
@@ -704,7 +722,9 @@ mod tests {
     #[test]
     fn page_fault_allocates_once() {
         let mut fs = fs();
-        let h = fs.create(ALICE, STAFF, "data", Mode::PRIVATE, Some("pw")).unwrap();
+        let h = fs
+            .create(ALICE, STAFF, "data", Mode::PRIVATE, Some("pw"))
+            .unwrap();
         let f1 = fs.ensure_page(h.ino, 0).unwrap();
         assert!(f1.newly_allocated);
         assert!(f1.df, "encrypted file pages carry the DF-bit");
@@ -718,7 +738,9 @@ mod tests {
     #[test]
     fn plain_file_pages_have_no_df_bit() {
         let mut fs = fs();
-        let h = fs.create(ALICE, STAFF, "plain", Mode::PRIVATE, None).unwrap();
+        let h = fs
+            .create(ALICE, STAFF, "plain", Mode::PRIVATE, None)
+            .unwrap();
         let f = fs.ensure_page(h.ino, 0).unwrap();
         assert!(!f.df);
     }
@@ -736,7 +758,9 @@ mod tests {
     #[test]
     fn unlink_frees_frames_and_reuses_ino() {
         let mut fs = fs();
-        let h = fs.create(ALICE, STAFF, "tmp", Mode::PRIVATE, Some("pw")).unwrap();
+        let h = fs
+            .create(ALICE, STAFF, "tmp", Mode::PRIVATE, Some("pw"))
+            .unwrap();
         fs.ensure_page(h.ino, 0).unwrap();
         fs.ensure_page(h.ino, 1).unwrap();
         let before_free = fs.free_pages();
@@ -746,7 +770,9 @@ mod tests {
         assert_eq!(un.ino, h.ino);
         assert_eq!(fs.free_pages(), before_free + 2);
         // ino is recycled
-        let h2 = fs.create(ALICE, STAFF, "tmp2", Mode::PRIVATE, None).unwrap();
+        let h2 = fs
+            .create(ALICE, STAFF, "tmp2", Mode::PRIVATE, None)
+            .unwrap();
         assert_eq!(h2.ino, h.ino);
     }
 
@@ -762,14 +788,19 @@ mod tests {
     #[test]
     fn rekey_returns_old_and_new() {
         let mut fs = fs();
-        let h = fs.create(ALICE, STAFF, "v", Mode::PRIVATE, Some("old")).unwrap();
+        let h = fs
+            .create(ALICE, STAFF, "v", Mode::PRIVATE, Some("old"))
+            .unwrap();
         let (old_fek, new_fek) = fs.rekey(ALICE, "v", "old", "new").unwrap();
         assert_eq!(Some(old_fek), h.fek);
         assert_ne!(old_fek, new_fek);
         // new passphrase opens, old does not
-        assert!(fs.open(ALICE, &[], "v", AccessKind::Read, Some("new")).is_ok());
+        assert!(fs
+            .open(ALICE, &[], "v", AccessKind::Read, Some("new"))
+            .is_ok());
         assert_eq!(
-            fs.open(ALICE, &[], "v", AccessKind::Read, Some("old")).unwrap_err(),
+            fs.open(ALICE, &[], "v", AccessKind::Read, Some("old"))
+                .unwrap_err(),
             FsError::BadPassphrase
         );
         // wrong old passphrase fails
@@ -792,7 +823,11 @@ mod tests {
     #[test]
     fn feks_are_unique_and_seed_deterministic() {
         let feks = |fs: &mut DaxFs| {
-            ["x", "y"].map(|n| fs.create(ALICE, STAFF, n, Mode::PRIVATE, Some("pw")).unwrap().fek)
+            ["x", "y"].map(|n| {
+                fs.create(ALICE, STAFF, n, Mode::PRIVATE, Some("pw"))
+                    .unwrap()
+                    .fek
+            })
         };
         let first = feks(&mut fs());
         assert_ne!(first[0], first[1]);
@@ -818,10 +853,20 @@ mod image_tests {
 
     fn populated() -> DaxFs {
         let mut fs = DaxFs::format(1000, 32, 7);
-        let h1 = fs.create(ALICE, STAFF, "enc", Mode::PRIVATE, Some("pw")).unwrap();
+        let h1 = fs
+            .create(ALICE, STAFF, "enc", Mode::PRIVATE, Some("pw"))
+            .unwrap();
         fs.ensure_page(h1.ino, 0).unwrap();
         fs.ensure_page(h1.ino, 2).unwrap(); // hole at index 1
-        let h2 = fs.create(UserId::new(2), GroupId::new(11), "plain", Mode::GROUP_RW, None).unwrap();
+        let h2 = fs
+            .create(
+                UserId::new(2),
+                GroupId::new(11),
+                "plain",
+                Mode::GROUP_RW,
+                None,
+            )
+            .unwrap();
         fs.ensure_page(h2.ino, 0).unwrap();
         // delete a file to exercise free lists
         let h3 = fs.create(ALICE, STAFF, "tmp", Mode::PRIVATE, None).unwrap();
@@ -842,21 +887,31 @@ mod image_tests {
         assert_eq!(back.free_pages(), fs.free_pages());
         assert_eq!(back.stat("enc").unwrap().page(1), None, "hole preserved");
         // The wrapped key still unwraps with the right passphrase.
-        let h = back.open(ALICE, &[STAFF], "enc", AccessKind::Read, Some("pw")).unwrap();
+        let h = back
+            .open(ALICE, &[STAFF], "enc", AccessKind::Read, Some("pw"))
+            .unwrap();
         assert!(h.fek.is_some());
-        assert!(back.open(ALICE, &[STAFF], "enc", AccessKind::Read, Some("no")).is_err());
+        assert!(back
+            .open(ALICE, &[STAFF], "enc", AccessKind::Read, Some("no"))
+            .is_err());
     }
 
     #[test]
     fn restored_fs_never_reissues_feks() {
         let mut fs = populated();
         let mut back = DaxFs::from_image(&fs.image()).unwrap();
-        let next_orig = fs.create(ALICE, STAFF, "n1", Mode::PRIVATE, Some("x")).unwrap();
-        let next_back = back.create(ALICE, STAFF, "n1", Mode::PRIVATE, Some("x")).unwrap();
+        let next_orig = fs
+            .create(ALICE, STAFF, "n1", Mode::PRIVATE, Some("x"))
+            .unwrap();
+        let next_back = back
+            .create(ALICE, STAFF, "n1", Mode::PRIVATE, Some("x"))
+            .unwrap();
         assert_eq!(next_orig.fek, next_back.fek, "rng state must be preserved");
         assert_eq!(next_orig.ino, next_back.ino, "free inode list preserved");
         // And the new key differs from every existing file's key.
-        let h = back.open(ALICE, &[STAFF], "enc", AccessKind::Read, Some("pw")).unwrap();
+        let h = back
+            .open(ALICE, &[STAFF], "enc", AccessKind::Read, Some("pw"))
+            .unwrap();
         assert_ne!(next_back.fek, h.fek);
     }
 
@@ -868,7 +923,9 @@ mod image_tests {
             .list()
             .flat_map(|(_, i)| back.inode(i).unwrap().mapped_pages().map(|p| p.get()))
             .collect();
-        let h = back.create(ALICE, STAFF, "new", Mode::PRIVATE, None).unwrap();
+        let h = back
+            .create(ALICE, STAFF, "new", Mode::PRIVATE, None)
+            .unwrap();
         let pf = back.ensure_page(h.ino, 0).unwrap();
         assert!(!used.contains(&pf.frame.get()), "fresh frame collided");
     }
@@ -876,9 +933,13 @@ mod image_tests {
     #[test]
     fn long_names_round_trip_whole() {
         let mut fs = DaxFs::format(0, 4, 1);
-        fs.create(ALICE, STAFF, &"n".repeat(70_000), Mode::PRIVATE, None).unwrap();
+        fs.create(ALICE, STAFF, &"n".repeat(70_000), Mode::PRIVATE, None)
+            .unwrap();
         let back = DaxFs::from_image(&fs.image()).unwrap();
-        assert_eq!(back.list().map(|(n, _)| n.len()).collect::<Vec<_>>(), [70_000]);
+        assert_eq!(
+            back.list().map(|(n, _)| n.len()).collect::<Vec<_>>(),
+            [70_000]
+        );
     }
 
     #[test]
@@ -889,7 +950,10 @@ mod image_tests {
             let mut evil = bytes.clone();
             evil[i] ^= 0x10;
             assert!(DaxFs::from_image(&evil).is_err(), "flip at byte {i}");
-            assert!(DaxFs::from_image(&bytes[..i]).is_err(), "prefix of {i} bytes");
+            assert!(
+                DaxFs::from_image(&bytes[..i]).is_err(),
+                "prefix of {i} bytes"
+            );
         }
     }
 
@@ -915,7 +979,9 @@ mod image_tests {
         enc.put_u64(files.len() as u64);
         for &(name, ino, group, mode, slots) in files {
             enc.put_str(name);
-            [ino, ALICE.get(), group, mode].iter().for_each(|&w| enc.put_u32(w));
+            [ino, ALICE.get(), group, mode]
+                .iter()
+                .for_each(|&w| enc.put_u32(w));
             enc.put_u64(0);
             enc.put_bool(false);
             enc.put_u64(slots.len() as u64);
@@ -936,8 +1002,14 @@ mod image_tests {
         let cases = [
             ("allocator region", raw(&[0, 4, 5, 0], 1, &[], &[])),
             ("allocator region", raw(&[u64::MAX, 2, 0, 0], 1, &[], &[])),
-            ("allocator free list", raw(&[10, 8, 4, 2, 12, 12], 1, &[], &[])),
-            ("allocator free list", raw(&[10, 8, 4, 2, 11, 12], 1, &[], &[])),
+            (
+                "allocator free list",
+                raw(&[10, 8, 4, 2, 12, 12], 1, &[], &[]),
+            ),
+            (
+                "allocator free list",
+                raw(&[10, 8, 4, 2, 11, 12], 1, &[], &[]),
+            ),
             ("allocator free list", raw(&[10, 8, 4, 1, 14], 1, &[], &[])),
             ("allocator free list", raw(&[10, 8, 4, 1, 9], 1, &[], &[])),
             ("inode high-water mark", raw(ALLOC, 0, &[], &[])),
@@ -946,20 +1018,54 @@ mod image_tests {
             ("free inode", raw(ALLOC, 3, &[3], &[])),
             ("free inode", raw(ALLOC, 3, &[2, 2], &[])),
             ("inode number", raw(ALLOC, 3, &[1], &[a])),
-            ("inode number", raw(ALLOC, 3, &[], &[a, ("b", 1, 1, 0o600, &[])])),
-            ("inode number", raw(ALLOC, 3, &[], &[("b", 0, 1, 0o600, &[])])),
-            ("inode number", raw(ALLOC, 3, &[], &[("b", 3, 1, 0o600, &[])])),
-            ("inode number", raw(ALLOC, limit, &[], &[("b", limit, 1, 0o600, &[])])),
-            ("duplicate file name", raw(ALLOC, 3, &[], &[a, ("a", 2, 1, 0o600, &[])])),
-            ("group", raw(ALLOC, 3, &[], &[("b", 1, GroupId::MAX + 1, 0o600, &[])])),
+            (
+                "inode number",
+                raw(ALLOC, 3, &[], &[a, ("b", 1, 1, 0o600, &[])]),
+            ),
+            (
+                "inode number",
+                raw(ALLOC, 3, &[], &[("b", 0, 1, 0o600, &[])]),
+            ),
+            (
+                "inode number",
+                raw(ALLOC, 3, &[], &[("b", 3, 1, 0o600, &[])]),
+            ),
+            (
+                "inode number",
+                raw(ALLOC, limit, &[], &[("b", limit, 1, 0o600, &[])]),
+            ),
+            (
+                "duplicate file name",
+                raw(ALLOC, 3, &[], &[a, ("a", 2, 1, 0o600, &[])]),
+            ),
+            (
+                "group",
+                raw(ALLOC, 3, &[], &[("b", 1, GroupId::MAX + 1, 0o600, &[])]),
+            ),
             ("mode", raw(ALLOC, 3, &[], &[("b", 1, 1, 0o1000, &[])])),
-            ("mapped frame", raw(ALLOC, 3, &[], &[("b", 1, 1, 0o600, &[103])])),
-            ("mapped frame", raw(ALLOC, 3, &[], &[("b", 1, 1, 0o600, &[104])])),
-            ("mapped frame", raw(ALLOC, 3, &[], &[("b", 1, 1, 0o600, &[99])])),
-            ("mapped frame", raw(ALLOC, 3, &[], &[a, ("b", 2, 1, 0o600, &[101])])),
+            (
+                "mapped frame",
+                raw(ALLOC, 3, &[], &[("b", 1, 1, 0o600, &[103])]),
+            ),
+            (
+                "mapped frame",
+                raw(ALLOC, 3, &[], &[("b", 1, 1, 0o600, &[104])]),
+            ),
+            (
+                "mapped frame",
+                raw(ALLOC, 3, &[], &[("b", 1, 1, 0o600, &[99])]),
+            ),
+            (
+                "mapped frame",
+                raw(ALLOC, 3, &[], &[a, ("b", 2, 1, 0o600, &[101])]),
+            ),
         ];
         for (what, bytes) in cases {
-            assert_eq!(DaxFs::from_image(&bytes).map(drop), Err(SnapError::Corrupt(what)), "{what}");
+            assert_eq!(
+                DaxFs::from_image(&bytes).map(drop),
+                Err(SnapError::Corrupt(what)),
+                "{what}"
+            );
         }
     }
 }

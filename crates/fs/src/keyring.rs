@@ -112,7 +112,12 @@ impl Keyring {
     /// Unwraps with an explicitly supplied passphrase (open-time prompt,
     /// as in the paper's accidental-`chmod` defence). Returns `None` when
     /// the passphrase is wrong.
-    pub fn unwrap_with(&self, passphrase: &str, owner: UserId, wrapped: &KeyWrap) -> Option<Key128> {
+    pub fn unwrap_with(
+        &self,
+        passphrase: &str,
+        owner: UserId,
+        wrapped: &KeyWrap,
+    ) -> Option<Key128> {
         let kek = kdf::derive_kek(passphrase, &Self::salt_for(owner), KDF_ITERATIONS);
         wrapped.unwrap_key(&kek)
     }

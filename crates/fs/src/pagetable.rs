@@ -123,8 +123,20 @@ mod tests {
     #[test]
     fn translate_applies_df_bit_only_when_set() {
         let mut pt = PageTable::new();
-        pt.map(1, Pte { frame: PageId::new(7), df: false });
-        pt.map(2, Pte { frame: PageId::new(8), df: true });
+        pt.map(
+            1,
+            Pte {
+                frame: PageId::new(7),
+                df: false,
+            },
+        );
+        pt.map(
+            2,
+            Pte {
+                frame: PageId::new(8),
+                df: true,
+            },
+        );
         let plain = pt.translate(4096 + 5).unwrap();
         assert!(!plain.df());
         assert_eq!(plain.get(), 7 * 4096 + 5);
@@ -136,9 +148,27 @@ mod tests {
     #[test]
     fn unmap_by_frame() {
         let mut pt = PageTable::new();
-        pt.map(1, Pte { frame: PageId::new(7), df: false });
-        pt.map(2, Pte { frame: PageId::new(7), df: false });
-        pt.map(3, Pte { frame: PageId::new(9), df: false });
+        pt.map(
+            1,
+            Pte {
+                frame: PageId::new(7),
+                df: false,
+            },
+        );
+        pt.map(
+            2,
+            Pte {
+                frame: PageId::new(7),
+                df: false,
+            },
+        );
+        pt.map(
+            3,
+            Pte {
+                frame: PageId::new(9),
+                df: false,
+            },
+        );
         assert_eq!(pt.unmap_frame(PageId::new(7)), 2);
         assert_eq!(pt.unmap_frame(PageId::new(7)), 0);
         assert_eq!(pt.pte(3).map(|p| p.frame), Some(PageId::new(9)));
@@ -147,7 +177,10 @@ mod tests {
     #[test]
     fn pte_lookup() {
         let mut pt = PageTable::new();
-        let pte = Pte { frame: PageId::new(3), df: true };
+        let pte = Pte {
+            frame: PageId::new(3),
+            df: true,
+        };
         pt.map(9, pte);
         assert_eq!(pt.pte(9), Some(pte));
         assert_eq!(pt.pte(10), None);

@@ -140,7 +140,11 @@ impl PageCacheModel {
         }
         let mut evicted = None;
         if self.resident.len() >= self.capacity {
-            let victim = self.resident.iter().min_by_key(|(_, e)| e.stamp).map(|(&k, _)| k);
+            let victim = self
+                .resident
+                .iter()
+                .min_by_key(|(_, e)| e.stamp)
+                .map(|(&k, _)| k);
             if let Some(((v_ino, v_page), e)) = victim.and_then(|k| self.resident.remove_entry(&k))
             {
                 self.free.push(e.frame);
@@ -306,7 +310,7 @@ mod tests {
         let f = Ino::new(1);
         pc.touch(f, 0, true, &mut alloc).unwrap(); // dirty, frame 0x1000
         pc.touch(f, 1, false, &mut alloc).unwrap(); // clean, frame 0x2000
-        // touching page 0 keeps it hot; page 1 is the LRU victim
+                                                    // touching page 0 keeps it hot; page 1 is the LRU victim
         pc.touch(f, 0, false, &mut alloc).unwrap();
         let out = pc.touch(f, 2, false, &mut alloc).unwrap();
         assert!(out.fill);
@@ -352,7 +356,11 @@ mod tests {
         assert!(pc.clean_file(a).is_empty(), "clean pages stay resident");
         pc.touch(a, 1, true, &mut alloc).unwrap();
         let flushed = pc.flush_file(a);
-        assert_eq!(flushed, vec![(1, 0x2000)], "only dirty pages are written back");
+        assert_eq!(
+            flushed,
+            vec![(1, 0x2000)],
+            "only dirty pages are written back"
+        );
         assert_eq!(pc.frame(a, 2), None, "clean pages leave too");
         assert_eq!(pc.frame(b, 0), Some(0x4000));
         // Released in page order, reused last-released-first.

@@ -124,7 +124,9 @@ impl MemoryController {
             let mut data = cipher;
             self.xor_pad(&mut data, page, block, old, file_key, false);
             self.xor_pad(&mut data, page, block, new, file_key, false);
-            t = self.nvm.write_line(t_read, PhysAddr::new(line.get()), &data);
+            t = self
+                .nvm
+                .write_line(t_read, PhysAddr::new(line.get()), &data);
         }
         t
     }

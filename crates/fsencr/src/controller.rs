@@ -74,7 +74,10 @@ impl std::fmt::Display for IntegrityError {
         match self {
             IntegrityError::Tamper(e) => write!(f, "{e}"),
             IntegrityError::Quarantined { line } => {
-                write!(f, "line {line:#x} is quarantined after an integrity failure")
+                write!(
+                    f,
+                    "line {line:#x} is quarantined after an integrity failure"
+                )
             }
         }
     }
@@ -356,7 +359,9 @@ impl MemoryController {
     /// True while an armed injector has cut power: device writes are
     /// being dropped and the machine should crash-recover.
     pub fn power_lost(&self) -> bool {
-        self.nvm.fault_injector().is_some_and(FaultInjector::power_lost)
+        self.nvm
+            .fault_injector()
+            .is_some_and(FaultInjector::power_lost)
     }
 
     /// Restores power after a cut. The caller is expected to `crash()`
@@ -521,7 +526,12 @@ impl MemoryController {
         };
         if fresh {
             let issue = self.pad_ledger.record(&key, &input, data);
-            assert!(issue.is_ok(), "{:?}-pad oracle: {:?}", input.domain, issue.err());
+            assert!(
+                issue.is_ok(),
+                "{:?}-pad oracle: {:?}",
+                input.domain,
+                issue.err()
+            );
         }
         ctr::line_pad_into(aes, &input, &mut self.pad_scratch);
         ctr::xor_in_place(data, &self.pad_scratch);
@@ -546,12 +556,7 @@ impl MemoryController {
 
     /// Resolves the file key for `(gid, fid)`: OTT first, spill on miss
     /// (with OTT refill, possibly spilling the OTT's own victim).
-    fn resolve_key(
-        &mut self,
-        now: Cycle,
-        gid: u32,
-        fid: u32,
-    ) -> Result<(Key128, Cycle), MemError> {
+    fn resolve_key(&mut self, now: Cycle, gid: u32, fid: u32) -> Result<(Key128, Cycle), MemError> {
         let mut t = now + self.ott.latency_cycles();
         if let Some(key) = self.ott.lookup(gid, fid) {
             self.obs.add("ott/hit_cycles", t.since(now).get());
@@ -590,7 +595,10 @@ impl MemoryController {
     ) -> Result<([u8; LINE_BYTES], Cycle), MemError> {
         self.nvm.check_addr(addr)?;
         if !self.quarantine.is_empty() && self.quarantine.contains(&addr.line().get()) {
-            return Err(IntegrityError::Quarantined { line: addr.line().get() }.into());
+            return Err(IntegrityError::Quarantined {
+                line: addr.line().get(),
+            }
+            .into());
         }
         let res = self.read_line_inner(now, addr);
         if self.auto_quarantine {
@@ -612,9 +620,12 @@ impl MemoryController {
         let (cipher, t_data) = self.nvm.read_line(now, addr);
         if self.mode == CtrlMode::Unencrypted {
             self.stats.read_latency.record(t_data.since(now).get());
-            self.obs.add("ctrl/read/total_cycles", t_data.since(now).get());
-            self.obs.add("ctrl/read/data_cycles", t_data.since(now).get());
-            self.obs.span("ctrl", "read_line", now.get(), t_data.get(), addr.get());
+            self.obs
+                .add("ctrl/read/total_cycles", t_data.since(now).get());
+            self.obs
+                .add("ctrl/read/data_cycles", t_data.since(now).get());
+            self.obs
+                .span("ctrl", "read_line", now.get(), t_data.get(), addr.get());
             return Ok((cipher, t_data));
         }
         if !self.meta.layout().is_data(line) {
@@ -629,7 +640,8 @@ impl MemoryController {
         // the direct-encryption ablation decrypts only after both the data
         // and the counter are available.
         let t_pad_mem = macc.done + self.aes_cycles;
-        self.obs.add("ctrl/read/mecb_wait_cycles", macc.done.since(now).get());
+        self.obs
+            .add("ctrl/read/mecb_wait_cycles", macc.done.since(now).get());
         self.obs.add("ctrl/read/pad_gen_cycles", self.aes_cycles);
 
         let mut plain = cipher;
@@ -644,8 +656,10 @@ impl MemoryController {
             self.stats.file_accesses.incr();
             let (fecb, _, facc) = self.read_counters(now, page, PadDomain::File)?;
             let (key, t_key) = self.resolve_key(facc.done, fecb.gid(), fecb.fid())?;
-            self.obs.add("ctrl/read/fecb_wait_cycles", facc.done.since(now).get());
-            self.obs.add("ctrl/read/key_wait_cycles", t_key.since(facc.done).get());
+            self.obs
+                .add("ctrl/read/fecb_wait_cycles", facc.done.since(now).get());
+            self.obs
+                .add("ctrl/read/key_wait_cycles", t_key.since(facc.done).get());
             self.obs.add("ctrl/read/pad_gen_cycles", self.aes_cycles);
             self.xor_pad(&mut plain, page, block, &fecb, Some(key), false);
             done = if self.direct_encryption {
@@ -656,11 +670,16 @@ impl MemoryController {
         }
         let done = done + 1; // final XOR
         self.stats.read_latency.record(done.since(now).get());
-        self.obs.add("ctrl/read/total_cycles", done.since(now).get());
-        self.obs.add("ctrl/read/data_cycles", t_data.since(now).get());
         self.obs
-            .add("ctrl/read/pad_exposed_cycles", done.get().saturating_sub(t_data.get()));
-        self.obs.span("ctrl", "read_line", now.get(), done.get(), addr.get());
+            .add("ctrl/read/total_cycles", done.since(now).get());
+        self.obs
+            .add("ctrl/read/data_cycles", t_data.since(now).get());
+        self.obs.add(
+            "ctrl/read/pad_exposed_cycles",
+            done.get().saturating_sub(t_data.get()),
+        );
+        self.obs
+            .span("ctrl", "read_line", now.get(), done.get(), addr.get());
         Ok((plain, done))
     }
 
@@ -708,8 +727,10 @@ impl MemoryController {
         self.stats.writes.incr();
         if self.mode == CtrlMode::Unencrypted {
             let t_end = self.nvm.write_line(now, addr, plaintext);
-            self.obs.add("ctrl/write/total_cycles", t_end.since(now).get());
-            self.obs.span("ctrl", "write_line", now.get(), t_end.get(), addr.get());
+            self.obs
+                .add("ctrl/write/total_cycles", t_end.since(now).get());
+            self.obs
+                .span("ctrl", "write_line", now.get(), t_end.get(), addr.get());
             return Ok(t_end);
         }
         if !self.meta.layout().is_data(line) {
@@ -722,7 +743,8 @@ impl MemoryController {
         let (mut mecb, mecb_addr, macc) = self.read_counters(now, page, PadDomain::Memory)?;
         let m_done = self.advance_counter(macc.done, page, block, mecb_addr, &mut mecb, None)?;
         let mut t_pads = m_done + self.aes_cycles;
-        self.obs.add("ctrl/write/mecb_wait_cycles", m_done.since(now).get());
+        self.obs
+            .add("ctrl/write/mecb_wait_cycles", m_done.since(now).get());
         self.obs.add("ctrl/write/pad_gen_cycles", self.aes_cycles);
 
         let mut cipher = *plaintext;
@@ -732,18 +754,23 @@ impl MemoryController {
             self.stats.file_accesses.incr();
             let (mut fecb, fecb_addr, facc) = self.read_counters(now, page, PadDomain::File)?;
             let (key, t_key) = self.resolve_key(facc.done, fecb.gid(), fecb.fid())?;
-            self.obs.add("ctrl/write/key_wait_cycles", t_key.since(facc.done).get());
-            let f_done = self.advance_counter(t_key, page, block, fecb_addr, &mut fecb, Some(key))?;
+            self.obs
+                .add("ctrl/write/key_wait_cycles", t_key.since(facc.done).get());
+            let f_done =
+                self.advance_counter(t_key, page, block, fecb_addr, &mut fecb, Some(key))?;
             self.xor_pad(&mut cipher, page, block, &fecb, Some(key), true);
             t_pads = t_pads.max(f_done + self.aes_cycles);
             self.obs.add("ctrl/write/pad_gen_cycles", self.aes_cycles);
         }
 
         self.ecc.record(line, plaintext);
-        self.obs.add("ctrl/write/pad_wait_cycles", t_pads.since(now).get());
+        self.obs
+            .add("ctrl/write/pad_wait_cycles", t_pads.since(now).get());
         let t_end = self.nvm.write_line(t_pads + 1, addr, &cipher);
-        self.obs.add("ctrl/write/total_cycles", t_end.since(now).get());
-        self.obs.span("ctrl", "write_line", now.get(), t_end.get(), addr.get());
+        self.obs
+            .add("ctrl/write/total_cycles", t_end.since(now).get());
+        self.obs
+            .span("ctrl", "write_line", now.get(), t_end.get(), addr.get());
         Ok(t_end)
     }
 
@@ -771,7 +798,8 @@ impl MemoryController {
         let mut t = now;
         let overflowed = counters.increment(block as usize);
         if overflowed {
-            self.meta.write_block(&mut self.nvm, t, addr, counters.to_bytes())?;
+            self.meta
+                .write_block(&mut self.nvm, t, addr, counters.to_bytes())?;
             t = self.meta.persist_block(&mut self.nvm, t, addr)?;
             let old = *counters;
             counters.carry_major();
@@ -779,7 +807,9 @@ impl MemoryController {
             t = self.repad_page(t, page, file_key, &old, counters) + self.aes_cycles;
             counters.increment(block as usize);
         }
-        let acc = self.meta.write_block(&mut self.nvm, t, addr, counters.to_bytes())?;
+        let acc = self
+            .meta
+            .write_block(&mut self.nvm, t, addr, counters.to_bytes())?;
         if overflowed {
             self.meta.persist_block(&mut self.nvm, acc.done, addr)?;
         }
@@ -845,7 +875,9 @@ impl MemoryController {
         // The identity stamp must be durable: post-crash recovery decides
         // "is this a file page?" from the on-media FECB. Page faults are
         // rare, so the write-through is cheap.
-        let t = self.meta.persist_block(&mut self.nvm, acc.done, fecb_addr)?;
+        let t = self
+            .meta
+            .persist_block(&mut self.nvm, acc.done, fecb_addr)?;
         self.file_pages.insert(page.get());
         Ok(t)
     }
@@ -923,16 +955,26 @@ impl MemoryController {
         let layout = self.meta.shared_layout();
         for lines in tagged.chunk_by(|a, b| a.page() == b.page()) {
             let page = lines[0].page();
-            let mecb_raw = self.nvm.peek_line(PhysAddr::new(layout.mecb_addr(page).get()));
+            let mecb_raw = self
+                .nvm
+                .peek_line(PhysAddr::new(layout.mecb_addr(page).get()));
             let mecb = CounterBlock::from_bytes(PadDomain::Memory, &mecb_raw);
-            let fecb_raw = self.nvm.peek_line(PhysAddr::new(layout.fecb_addr(page).get()));
+            let fecb_raw = self
+                .nvm
+                .peek_line(PhysAddr::new(layout.fecb_addr(page).get()));
             let fecb = CounterBlock::from_bytes(PadDomain::File, &fecb_raw);
             let is_file = fecb.is_owned();
             let key = if is_file {
                 self.file_pages.insert(page.get());
                 self.ott.lookup(fecb.gid(), fecb.fid()).or_else(|| {
                     self.spill
-                        .lookup(&mut self.meta, &mut self.nvm, Cycle::ZERO, fecb.gid(), fecb.fid())
+                        .lookup(
+                            &mut self.meta,
+                            &mut self.nvm,
+                            Cycle::ZERO,
+                            fecb.gid(),
+                            fecb.fid(),
+                        )
                         .ok()
                         .and_then(|(k, _)| k)
                 })
@@ -969,7 +1011,15 @@ impl MemoryController {
                             self.xor_pad(&mut plain, page, block, &file, Some(k), false);
                         }
                         if self.ecc.check(line, &plain) {
-                            found = Some((Found { line, plain, mem, file }, dm + df));
+                            found = Some((
+                                Found {
+                                    line,
+                                    plain,
+                                    mem,
+                                    file,
+                                },
+                                dm + df,
+                            ));
                             break 'search;
                         }
                     }
@@ -1023,11 +1073,15 @@ impl MemoryController {
                 }
             }
             if final_mecb != mecb || final_fecb != fecb {
-                self.nvm
-                    .poke_line(PhysAddr::new(layout.mecb_addr(page).get()), &final_mecb.to_bytes());
+                self.nvm.poke_line(
+                    PhysAddr::new(layout.mecb_addr(page).get()),
+                    &final_mecb.to_bytes(),
+                );
                 if is_file {
-                    self.nvm
-                        .poke_line(PhysAddr::new(layout.fecb_addr(page).get()), &final_fecb.to_bytes());
+                    self.nvm.poke_line(
+                        PhysAddr::new(layout.fecb_addr(page).get()),
+                        &final_fecb.to_bytes(),
+                    );
                 }
             }
         }
@@ -1128,7 +1182,9 @@ impl MemoryController {
                 continue;
             }
             let page = PageId::new(frame);
-            let fecb_raw = ctrl.nvm.peek_line(PhysAddr::new(layout.fecb_addr(page).get()));
+            let fecb_raw = ctrl
+                .nvm
+                .peek_line(PhysAddr::new(layout.fecb_addr(page).get()));
             if CounterBlock::from_bytes(PadDomain::File, &fecb_raw).is_owned() {
                 ctrl.file_pages.insert(frame);
             }
@@ -1236,8 +1292,8 @@ impl MemoryController {
         let block = usize::from(block);
         let mut carried = *stored;
         carried.carry_major();
-        let last = u8::try_from(self.meta.stop_loss())
-            .map_or(MINOR_LIMIT - 1, |s| s.min(MINOR_LIMIT - 1));
+        let last =
+            u8::try_from(self.meta.stop_loss()).map_or(MINOR_LIMIT - 1, |s| s.min(MINOR_LIMIT - 1));
         let mut out = Vec::with_capacity(2 * (usize::from(last) + 1));
         for d in 0..=last {
             // Both terms are below MINOR_LIMIT, so the sum fits a u8.

@@ -59,7 +59,7 @@ pub mod tlb;
 
 pub use controller::{CtrlStats, IntegrityError, MemError, MemoryController, ModuleEnvelope};
 pub use machine::{Machine, MachineOpts, MapId, Preset, SecurityMode};
+pub use ott::{OpenTunnelTable, OttStats};
 pub use plane::{FaultPlane, InspectPlane, ModuleFault, ModuleInspect};
 pub use snapshot::StatsSnapshot;
-pub use ott::{OpenTunnelTable, OttStats};
 pub use spill::OttSpill;

@@ -29,8 +29,8 @@ use std::ops::Range;
 use fsencr_cache::{CacheLine, Hierarchy};
 use fsencr_crypto::{ctr, Key128, PadDomain, PadInput};
 use fsencr_fs::{
-    AccessKind, DaxFs, FileHandle, FsError, GroupId, Ino, Mode, PageCacheModel, PageTable,
-    Pte, SoftEncrConfig, UserId,
+    AccessKind, DaxFs, FileHandle, FsError, GroupId, Ino, Mode, PageCacheModel, PageTable, Pte,
+    SoftEncrConfig, UserId,
 };
 use fsencr_nvm::{LineAddr, PageId, PhysAddr, LINE_BYTES, PAGE_BYTES};
 use fsencr_secmem::MetadataLayout;
@@ -325,7 +325,10 @@ const MAP_BASE: u64 = 1 << 40;
 fn fs_region(opts: &MachineOpts) -> (u64, u64) {
     let (general, pmem) = (opts.general_bytes, opts.pmem_bytes);
     let page = PAGE_BYTES as u64;
-    (general / page + FS_META_PAGES, (pmem / page).saturating_sub(FS_META_PAGES))
+    (
+        general / page + FS_META_PAGES,
+        (pmem / page).saturating_sub(FS_META_PAGES),
+    )
 }
 
 /// The controller's mode and metadata layout for a machine in `mode`:
@@ -338,7 +341,10 @@ fn ctrl_prelude(opts: &MachineOpts, mode: SecurityMode) -> (CtrlMode, MetadataLa
         CtrlMode::Encrypted
     };
     let data_bytes = opts.general_bytes + opts.pmem_bytes;
-    (ctrl_mode, MetadataLayout::new(data_bytes, opts.ott_spill_bytes))
+    (
+        ctrl_mode,
+        MetadataLayout::new(data_bytes, opts.ott_spill_bytes),
+    )
 }
 
 /// Splits the `len` bytes at `start` at `UNIT`-byte boundaries, yielding
@@ -391,7 +397,6 @@ impl TransferredModule {
     pub fn fault_plane(&mut self) -> crate::plane::ModuleFault<'_> {
         crate::plane::ModuleFault::new(&mut self.nvm)
     }
-
 }
 
 /// The simulated system: cores, caches, controller, NVM, filesystem.
@@ -862,7 +867,9 @@ impl Machine {
     /// on the observer, so it shares one timeline with the datapath
     /// spans. Costs one branch while the observer is disabled.
     fn event(&mut self, name: &'static str, at: Cycle, arg: u64) {
-        self.ctrl.obs_mut().span("machine", name, at.get(), at.get(), arg);
+        self.ctrl
+            .obs_mut()
+            .span("machine", name, at.get(), at.get(), arg);
     }
 
     // ------------------------------------------------------------------
@@ -917,11 +924,18 @@ impl Machine {
         if self.mode == SecurityMode::FsEncr {
             if let Some(fek) = handle.fek {
                 let at = self.clocks[0];
-                self.event("key_install", at, file_tag(handle.group.get(), handle.ino.get()));
+                self.event(
+                    "key_install",
+                    at,
+                    file_tag(handle.group.get(), handle.ino.get()),
+                );
                 self.clocks[0] += MMIO_CYCLES;
-                let done =
-                    self.ctrl
-                        .install_key(self.clocks[0], handle.group.get(), handle.ino.get(), fek)?;
+                let done = self.ctrl.install_key(
+                    self.clocks[0],
+                    handle.group.get(),
+                    handle.ino.get(),
+                    fek,
+                )?;
                 self.clocks[0] = done;
             }
         }
@@ -1138,7 +1152,13 @@ impl Machine {
     /// Physical base of the frame backing `page` of a mapping: its
     /// page-cache frame (filled on a miss) or its DAX frame (faulted in
     /// on first touch).
-    fn page_base(&mut self, core: usize, m: &Mapping, page: usize, write: bool) -> Result<u64, MachineError> {
+    fn page_base(
+        &mut self,
+        core: usize,
+        m: &Mapping,
+        page: usize,
+        write: bool,
+    ) -> Result<u64, MachineError> {
         if self.page_cached(m) {
             self.sw_touch(core, m, page, write)
         } else {
@@ -1153,7 +1173,9 @@ impl Machine {
             self.page_cache.frame(m.ino, page)
         } else {
             let vpn = m.base / PAGE_BYTES as u64 + page as u64;
-            self.pt.pte(vpn).map(|pte| pte.frame.get() * PAGE_BYTES as u64)
+            self.pt
+                .pte(vpn)
+                .map(|pte| pte.frame.get() * PAGE_BYTES as u64)
         }
     }
 
@@ -1190,8 +1212,20 @@ impl Machine {
             )?;
             self.clocks[core] = done;
         }
-        self.pt.map(vpn, Pte { frame: pf.frame, df });
-        self.tlbs[core].insert(vpn, Pte { frame: pf.frame, df });
+        self.pt.map(
+            vpn,
+            Pte {
+                frame: pf.frame,
+                df,
+            },
+        );
+        self.tlbs[core].insert(
+            vpn,
+            Pte {
+                frame: pf.frame,
+                df,
+            },
+        );
         let at = self.clocks[core];
         self.event("page_fault", at, pf.frame.get());
         if pf.newly_allocated {
@@ -1219,7 +1253,8 @@ impl Machine {
     /// Hands one dirty line evicted or cleaned from the hierarchy to the
     /// controller at `at`. Returns the write's completion time.
     fn write_back(&mut self, at: Cycle, wb: &CacheLine) -> Result<Cycle, MemError> {
-        self.ctrl.write_line(at, PhysAddr::new(wb.addr.get()), &wb.data)
+        self.ctrl
+            .write_line(at, PhysAddr::new(wb.addr.get()), &wb.data)
     }
 
     /// Loads one line through the hierarchy, fetching from the controller
@@ -1247,7 +1282,12 @@ impl Machine {
 
     /// Stores one full line through the hierarchy (write-allocate, no
     /// fetch). Write-backs are posted.
-    fn store_line(&mut self, core: usize, line: LineAddr, data: [u8; LINE_BYTES]) -> Result<(), MemError> {
+    fn store_line(
+        &mut self,
+        core: usize,
+        line: LineAddr,
+        data: [u8; LINE_BYTES],
+    ) -> Result<(), MemError> {
         let (_hit, latency, wbs) = self.hier.store(core, line, data);
         self.clocks[core] += latency;
         let now = self.clocks[core];
@@ -1397,7 +1437,13 @@ impl Machine {
     ///
     /// Mapping or memory-path failures;
     /// [`MachineError::OutOfBounds`] when the range leaves the mapping.
-    pub fn msync(&mut self, core: usize, map: MapId, offset: u64, len: u64) -> Result<(), MachineError> {
+    pub fn msync(
+        &mut self,
+        core: usize,
+        map: MapId,
+        offset: u64,
+        len: u64,
+    ) -> Result<(), MachineError> {
         let m = self.mapped_range(map, offset, len)?;
         if !self.page_cached(&m) {
             return self.persist(core, map, offset, len);
@@ -1428,7 +1474,12 @@ impl Machine {
     /// # Errors
     ///
     /// Memory-path failures.
-    pub fn heap_read(&mut self, core: usize, addr: u64, buf: &mut [u8]) -> Result<(), MachineError> {
+    pub fn heap_read(
+        &mut self,
+        core: usize,
+        addr: u64,
+        buf: &mut [u8],
+    ) -> Result<(), MachineError> {
         Ok(self.read_bytes(core, addr, buf)?)
     }
 
@@ -1479,11 +1530,15 @@ impl Machine {
         pc_base: u64,
         write_back: bool,
     ) -> Result<(), MachineError> {
-        let fek = m
-            .fek
-            .ok_or(MachineError::Unsupported("software crypto on an unencrypted file"))?;
+        let fek = m.fek.ok_or(MachineError::Unsupported(
+            "software crypto on an unencrypted file",
+        ))?;
         let file_base = frame.get() * PAGE_BYTES as u64;
-        let (src, dst) = if write_back { (pc_base, file_base) } else { (file_base, pc_base) };
+        let (src, dst) = if write_back {
+            (pc_base, file_base)
+        } else {
+            (file_base, pc_base)
+        };
         let t0 = self.clocks[core];
         for (blk, off) in (0u8..).zip((0..PAGE_BYTES as u64).step_by(LINE_BYTES)) {
             let mut data = self.load_line(core, LineAddr::new(src + off))?;
@@ -1519,7 +1574,13 @@ impl Machine {
 
     /// The page-cache frame of `page`: a miss writes a dirty victim back
     /// and fills the page from its DAX frame.
-    fn sw_touch(&mut self, core: usize, m: &Mapping, page: usize, write: bool) -> Result<u64, MachineError> {
+    fn sw_touch(
+        &mut self,
+        core: usize,
+        m: &Mapping,
+        page: usize,
+        write: bool,
+    ) -> Result<u64, MachineError> {
         // A miss with no released frame bump-allocates general memory.
         let outcome = self
             .page_cache
@@ -1563,7 +1624,8 @@ impl Machine {
         self.advance(core, JOURNAL_CYCLES);
         let ring_base = self.fs_meta_base() + FS_IMAGE_PAGES * PAGE_BYTES as u64;
         let ring_lines = (FS_META_PAGES - FS_IMAGE_PAGES) * (PAGE_BYTES / LINE_BYTES) as u64;
-        let line = LineAddr::new(ring_base + (self.journal_cursor % ring_lines) * LINE_BYTES as u64);
+        let line =
+            LineAddr::new(ring_base + (self.journal_cursor % ring_lines) * LINE_BYTES as u64);
         self.journal_cursor += 1;
         let at = self.elapsed();
         self.event("journal", at, u64::from(op));

@@ -37,7 +37,12 @@ pub fn media_contains(machine: &Machine, needle: &[u8]) -> bool {
 /// file keys): decrypts every data line using the on-media counters —
 /// exactly what booting a different OS achieves once the memory key is
 /// broken — and scans for `needle`.
-pub fn attacker_decrypts(machine: &Machine, mem_key: &Key128, file_keys: &[Key128], needle: &[u8]) -> bool {
+pub fn attacker_decrypts(
+    machine: &Machine,
+    mem_key: &Key128,
+    file_keys: &[Key128],
+    needle: &[u8],
+) -> bool {
     assert!(!needle.is_empty() && needle.len() <= PAGE_BYTES);
     let ctrl = machine.controller();
     let storage = ctrl.nvm().storage();
@@ -64,7 +69,10 @@ pub fn attacker_decrypts(machine: &Machine, mem_key: &Key128, file_keys: &[Key12
         // Strips one engine's pads from every line of the page.
         let strip = |bytes: &mut [u8; PAGE_BYTES], aes: &Aes128, counters: &CounterBlock| {
             for (blk, line) in (0u8..).zip(bytes.chunks_exact_mut(LINE_BYTES)) {
-                ctr::xor_in_place(line, &ctr::line_pad_with(aes, &counters.pad_input(page, blk)));
+                ctr::xor_in_place(
+                    line,
+                    &ctr::line_pad_with(aes, &counters.pad_input(page, blk)),
+                );
             }
         };
         let leaks = |bytes: &[u8; PAGE_BYTES]| bytes.windows(needle.len()).any(|w| w == needle);
@@ -113,7 +121,10 @@ mod tests {
     #[test]
     fn unencrypted_media_leaks_plaintext() {
         let (m, _) = machine_with_secret(SecurityMode::Unencrypted);
-        assert!(media_contains(&m, SECRET), "plain DAX leaves plaintext on media");
+        assert!(
+            media_contains(&m, SECRET),
+            "plain DAX leaves plaintext on media"
+        );
     }
 
     #[test]

@@ -97,8 +97,16 @@ impl OttSpill {
     /// Panics unless the region is line-aligned and non-empty.
     pub fn new(base: u64, bytes: u64, ott_key: &Key128) -> Self {
         assert!(bytes > 0, "spill region must be non-empty");
-        assert_eq!(bytes % LINE_BYTES as u64, 0, "spill region must be line-aligned");
-        assert_eq!(base % LINE_BYTES as u64, 0, "spill base must be line-aligned");
+        assert_eq!(
+            bytes % LINE_BYTES as u64,
+            0,
+            "spill region must be line-aligned"
+        );
+        assert_eq!(
+            base % LINE_BYTES as u64,
+            0,
+            "spill base must be line-aligned"
+        );
         OttSpill {
             base,
             slots: bytes / LINE_BYTES as u64 * SLOTS_PER_LINE,
@@ -290,9 +298,13 @@ mod tests {
         spill
             .insert(&mut meta, &mut nvm, Cycle::ZERO, 3, 5, &key)
             .unwrap();
-        let (found, _) = spill.lookup(&mut meta, &mut nvm, Cycle::ZERO, 3, 5).unwrap();
+        let (found, _) = spill
+            .lookup(&mut meta, &mut nvm, Cycle::ZERO, 3, 5)
+            .unwrap();
         assert_eq!(found, Some(key));
-        let (missing, _) = spill.lookup(&mut meta, &mut nvm, Cycle::ZERO, 3, 6).unwrap();
+        let (missing, _) = spill
+            .lookup(&mut meta, &mut nvm, Cycle::ZERO, 3, 6)
+            .unwrap();
         assert_eq!(missing, None);
     }
 
@@ -300,12 +312,28 @@ mod tests {
     fn update_replaces_key() {
         let (spill, mut meta, mut nvm) = setup();
         spill
-            .insert(&mut meta, &mut nvm, Cycle::ZERO, 1, 1, &Key128::from_seed(1))
+            .insert(
+                &mut meta,
+                &mut nvm,
+                Cycle::ZERO,
+                1,
+                1,
+                &Key128::from_seed(1),
+            )
             .unwrap();
         spill
-            .insert(&mut meta, &mut nvm, Cycle::ZERO, 1, 1, &Key128::from_seed(2))
+            .insert(
+                &mut meta,
+                &mut nvm,
+                Cycle::ZERO,
+                1,
+                1,
+                &Key128::from_seed(2),
+            )
             .unwrap();
-        let (found, _) = spill.lookup(&mut meta, &mut nvm, Cycle::ZERO, 1, 1).unwrap();
+        let (found, _) = spill
+            .lookup(&mut meta, &mut nvm, Cycle::ZERO, 1, 1)
+            .unwrap();
         assert_eq!(found, Some(Key128::from_seed(2)));
     }
 
@@ -315,23 +343,45 @@ mod tests {
         // Insert enough entries that some collide and chain.
         for fid in 0..10u32 {
             spill
-                .insert(&mut meta, &mut nvm, Cycle::ZERO, 1, fid, &Key128::from_seed(fid as u64))
+                .insert(
+                    &mut meta,
+                    &mut nvm,
+                    Cycle::ZERO,
+                    1,
+                    fid,
+                    &Key128::from_seed(fid as u64),
+                )
                 .unwrap();
         }
-        let (removed, _) = spill.remove(&mut meta, &mut nvm, Cycle::ZERO, 1, 4).unwrap();
+        let (removed, _) = spill
+            .remove(&mut meta, &mut nvm, Cycle::ZERO, 1, 4)
+            .unwrap();
         assert!(removed);
         // Every other entry must still be findable (tombstone, not hole).
         for fid in (0..10u32).filter(|f| *f != 4) {
-            let (found, _) = spill.lookup(&mut meta, &mut nvm, Cycle::ZERO, 1, fid).unwrap();
+            let (found, _) = spill
+                .lookup(&mut meta, &mut nvm, Cycle::ZERO, 1, fid)
+                .unwrap();
             assert_eq!(found, Some(Key128::from_seed(fid as u64)), "fid {fid}");
         }
-        let (gone, _) = spill.lookup(&mut meta, &mut nvm, Cycle::ZERO, 1, 4).unwrap();
+        let (gone, _) = spill
+            .lookup(&mut meta, &mut nvm, Cycle::ZERO, 1, 4)
+            .unwrap();
         assert_eq!(gone, None);
         // Tombstone is reusable.
         spill
-            .insert(&mut meta, &mut nvm, Cycle::ZERO, 1, 4, &Key128::from_seed(99))
+            .insert(
+                &mut meta,
+                &mut nvm,
+                Cycle::ZERO,
+                1,
+                4,
+                &Key128::from_seed(99),
+            )
             .unwrap();
-        let (back, _) = spill.lookup(&mut meta, &mut nvm, Cycle::ZERO, 1, 4).unwrap();
+        let (back, _) = spill
+            .lookup(&mut meta, &mut nvm, Cycle::ZERO, 1, 4)
+            .unwrap();
         assert_eq!(back, Some(Key128::from_seed(99)));
     }
 
@@ -341,11 +391,25 @@ mod tests {
         assert_eq!(spill.capacity(), 16);
         for fid in 0..16u32 {
             spill
-                .insert(&mut meta, &mut nvm, Cycle::ZERO, 0, fid, &Key128::from_seed(1))
+                .insert(
+                    &mut meta,
+                    &mut nvm,
+                    Cycle::ZERO,
+                    0,
+                    fid,
+                    &Key128::from_seed(1),
+                )
                 .unwrap();
         }
         let err = spill
-            .insert(&mut meta, &mut nvm, Cycle::ZERO, 0, 99, &Key128::from_seed(1))
+            .insert(
+                &mut meta,
+                &mut nvm,
+                Cycle::ZERO,
+                0,
+                99,
+                &Key128::from_seed(1),
+            )
             .unwrap_err();
         assert_eq!(err, SpillError::Full);
     }
@@ -367,7 +431,9 @@ mod tests {
             }
         }
         // But it is recoverable through the controller path.
-        let (found, _) = spill.lookup(&mut meta, &mut nvm, Cycle::ZERO, 2, 2).unwrap();
+        let (found, _) = spill
+            .lookup(&mut meta, &mut nvm, Cycle::ZERO, 2, 2)
+            .unwrap();
         assert_eq!(found, Some(key));
     }
 
@@ -375,7 +441,14 @@ mod tests {
     fn costs_time() {
         let (spill, mut meta, mut nvm) = setup();
         let done = spill
-            .insert(&mut meta, &mut nvm, Cycle::ZERO, 1, 1, &Key128::from_seed(1))
+            .insert(
+                &mut meta,
+                &mut nvm,
+                Cycle::ZERO,
+                1,
+                1,
+                &Key128::from_seed(1),
+            )
             .unwrap();
         assert!(done > Cycle::ZERO);
     }

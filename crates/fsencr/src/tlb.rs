@@ -226,7 +226,13 @@ mod tests {
     #[test]
     fn df_bit_travels_with_the_translation() {
         let mut tlb = Tlb::new(2);
-        tlb.insert(7, Pte { frame: PageId::new(3), df: true });
+        tlb.insert(
+            7,
+            Pte {
+                frame: PageId::new(3),
+                df: true,
+            },
+        );
         assert!(tlb.lookup(7).is_some_and(|p| p.df));
     }
 

@@ -42,7 +42,9 @@ fn write_read_roundtrip_every_mode() {
 fn unencrypted_plain_files_work_in_every_mode() {
     for mode in all_modes() {
         let mut m = machine(mode);
-        let h = m.create(ALICE, STAFF, "plain", Mode::PRIVATE, None).unwrap();
+        let h = m
+            .create(ALICE, STAFF, "plain", Mode::PRIVATE, None)
+            .unwrap();
         let map = m.mmap(&h).unwrap();
         m.write(0, map, 0, b"plain data").unwrap();
         let mut buf = [0u8; 10];
@@ -55,7 +57,9 @@ fn unencrypted_plain_files_work_in_every_mode() {
 fn reads_see_writes_across_cache_pressure() {
     // Write far more data than the hierarchy holds, then verify all.
     let mut m = machine(SecurityMode::FsEncr);
-    let h = m.create(ALICE, STAFF, "big", Mode::PRIVATE, Some("pw")).unwrap();
+    let h = m
+        .create(ALICE, STAFF, "big", Mode::PRIVATE, Some("pw"))
+        .unwrap();
     let map = m.mmap(&h).unwrap();
     let page = vec![0xabu8; PAGE_BYTES];
     for p in 0..64u64 {
@@ -78,7 +82,9 @@ fn time_advances_and_modes_rank_sensibly() {
     let mut cycles = std::collections::HashMap::new();
     for mode in all_modes() {
         let mut m = machine(mode);
-        let h = m.create(ALICE, STAFF, "w", Mode::PRIVATE, Some("pw")).unwrap();
+        let h = m
+            .create(ALICE, STAFF, "w", Mode::PRIVATE, Some("pw"))
+            .unwrap();
         let map = m.mmap(&h).unwrap();
         m.begin_measurement();
         let val = [7u8; 256];
@@ -113,7 +119,9 @@ fn striding(i: u64) -> u64 {
 #[test]
 fn persist_survives_crash_with_recovery() {
     let mut m = machine(SecurityMode::FsEncr);
-    let h = m.create(ALICE, STAFF, "db", Mode::PRIVATE, Some("pw")).unwrap();
+    let h = m
+        .create(ALICE, STAFF, "db", Mode::PRIVATE, Some("pw"))
+        .unwrap();
     let map = m.mmap(&h).unwrap();
     m.write(0, map, 0, b"committed-record").unwrap();
     m.persist(0, map, 0, 16).unwrap();
@@ -137,7 +145,9 @@ fn osiris_repairs_unpersisted_counter_updates() {
     // Hammer the same line with persists so the cached counters run ahead
     // of their media copies, then crash: recovery must repair via ECC.
     let mut m = machine(SecurityMode::FsEncr);
-    let h = m.create(ALICE, STAFF, "hot", Mode::PRIVATE, Some("pw")).unwrap();
+    let h = m
+        .create(ALICE, STAFF, "hot", Mode::PRIVATE, Some("pw"))
+        .unwrap();
     let map = m.mmap(&h).unwrap();
     for i in 0..13u8 {
         m.write(0, map, 0, &[i; 64]).unwrap();
@@ -158,7 +168,9 @@ fn osiris_repairs_unpersisted_counter_updates() {
 #[test]
 fn unpersisted_data_is_lost_on_crash() {
     let mut m = machine(SecurityMode::FsEncr);
-    let h = m.create(ALICE, STAFF, "v", Mode::PRIVATE, Some("pw")).unwrap();
+    let h = m
+        .create(ALICE, STAFF, "v", Mode::PRIVATE, Some("pw"))
+        .unwrap();
     let map = m.mmap(&h).unwrap();
     m.write(0, map, 0, b"persisted!").unwrap();
     m.persist(0, map, 0, 10).unwrap();
@@ -180,7 +192,9 @@ fn unpersisted_data_is_lost_on_crash() {
 #[test]
 fn media_tampering_is_detected_on_read() {
     let mut m = machine(SecurityMode::FsEncr);
-    let h = m.create(ALICE, STAFF, "t", Mode::PRIVATE, Some("pw")).unwrap();
+    let h = m
+        .create(ALICE, STAFF, "t", Mode::PRIVATE, Some("pw"))
+        .unwrap();
     let map = m.mmap(&h).unwrap();
     m.write(0, map, 0, b"important").unwrap();
     m.persist(0, map, 0, 9).unwrap();
@@ -200,14 +214,19 @@ fn media_tampering_is_detected_on_read() {
     let map = m.mmap(&h).unwrap();
     let mut buf = [0u8; 9];
     let err = m.read(0, map, 0, &mut buf).unwrap_err();
-    assert!(matches!(err, fsencr::machine::MachineError::Mem(_)), "{err}");
+    assert!(
+        matches!(err, fsencr::machine::MachineError::Mem(_)),
+        "{err}"
+    );
 }
 
 #[test]
 fn unlink_shreds_content() {
     let mut m = machine(SecurityMode::FsEncr);
     let secret = b"SHRED-ME-SECRET-CONTENT-123456";
-    let h = m.create(ALICE, STAFF, "tmp", Mode::PRIVATE, Some("pw")).unwrap();
+    let h = m
+        .create(ALICE, STAFF, "tmp", Mode::PRIVATE, Some("pw"))
+        .unwrap();
     let map = m.mmap(&h).unwrap();
     m.write(0, map, 0, secret).unwrap();
     m.persist(0, map, 0, secret.len() as u64).unwrap();
@@ -218,7 +237,9 @@ fn unlink_shreds_content() {
     // Old ciphertext may remain physically, but no decryption path exists:
     // create a new file reusing the frame and verify the old plaintext is
     // not recoverable through any read.
-    let h2 = m.create(ALICE, STAFF, "new", Mode::PRIVATE, Some("pw2")).unwrap();
+    let h2 = m
+        .create(ALICE, STAFF, "new", Mode::PRIVATE, Some("pw2"))
+        .unwrap();
     let map2 = m.mmap(&h2).unwrap();
     let mut probe = vec![0u8; PAGE_BYTES];
     m.read(0, map2, 0, &mut probe).unwrap();
@@ -234,7 +255,9 @@ fn unlink_shreds_content() {
 #[test]
 fn boot_lockout_garbles_file_reads() {
     let mut m = machine(SecurityMode::FsEncr);
-    let h = m.create(ALICE, STAFF, "locked", Mode::PRIVATE, Some("pw")).unwrap();
+    let h = m
+        .create(ALICE, STAFF, "locked", Mode::PRIVATE, Some("pw"))
+        .unwrap();
     let map = m.mmap(&h).unwrap();
     m.write(0, map, 0, b"admin-only-data!").unwrap();
     m.persist(0, map, 0, 16).unwrap();
@@ -249,7 +272,11 @@ fn boot_lockout_garbles_file_reads() {
     let line = fsencr_nvm::PhysAddr::new(frame.get() * PAGE_BYTES as u64);
     let t = m.elapsed();
     let (garbled, _) = m.fault_plane().controller_mut().read_line(t, line).unwrap();
-    assert_ne!(&garbled[..16], b"admin-only-data!", "lockout must hide plaintext");
+    assert_ne!(
+        &garbled[..16],
+        b"admin-only-data!",
+        "lockout must hide plaintext"
+    );
 
     // Successful re-authentication restores access.
     m.unlock_file_engine();
@@ -265,7 +292,9 @@ fn boot_lockout_garbles_file_reads() {
 #[test]
 fn rekey_preserves_data_and_changes_media() {
     let mut m = machine(SecurityMode::FsEncr);
-    let h = m.create(ALICE, STAFF, "r", Mode::PRIVATE, Some("old-pw")).unwrap();
+    let h = m
+        .create(ALICE, STAFF, "r", Mode::PRIVATE, Some("old-pw"))
+        .unwrap();
     let map = m.mmap(&h).unwrap();
     m.write(0, map, 0, b"rotate me").unwrap();
     m.persist(0, map, 0, 9).unwrap();
@@ -302,7 +331,9 @@ fn rekey_preserves_data_and_changes_media() {
 #[test]
 fn software_mode_page_cache_behaves() {
     let mut m = machine(SecurityMode::Software);
-    let h = m.create(ALICE, STAFF, "sw", Mode::PRIVATE, Some("pw")).unwrap();
+    let h = m
+        .create(ALICE, STAFF, "sw", Mode::PRIVATE, Some("pw"))
+        .unwrap();
     let map = m.mmap(&h).unwrap();
     // touch more pages than the page cache holds to force evictions
     let pages = m.opts().softencr.page_cache_pages + 8;
@@ -322,7 +353,9 @@ fn software_mode_page_cache_behaves() {
 fn software_mode_hides_plaintext_on_media_after_sync() {
     let mut m = machine(SecurityMode::Software);
     let secret = b"SOFTWARE-ENCRYPTED-SECRET-42";
-    let h = m.create(ALICE, STAFF, "sw2", Mode::PRIVATE, Some("pw")).unwrap();
+    let h = m
+        .create(ALICE, STAFF, "sw2", Mode::PRIVATE, Some("pw"))
+        .unwrap();
     let map = m.mmap(&h).unwrap();
     m.write(0, map, 0, secret).unwrap();
     m.persist(0, map, 0, 0).unwrap();
@@ -337,20 +370,34 @@ fn out_of_bounds_and_bad_map_rejected() {
     const MAP_BYTES: u64 = 1 << 30; // every mapping spans 1 GiB
     for mode in all_modes() {
         let mut m = machine(mode);
-        let h = m.create(ALICE, STAFF, "b", Mode::PRIVATE, Some("pw")).unwrap();
+        let h = m
+            .create(ALICE, STAFF, "b", Mode::PRIVATE, Some("pw"))
+            .unwrap();
         let map = m.mmap(&h).unwrap();
         let next = m.mmap(&h).unwrap();
         m.write(0, next, 0, b"next").unwrap();
-        assert_eq!(m.write(0, map, u64::MAX - 10, b"xx"), Err(OutOfBounds), "{mode}");
+        assert_eq!(
+            m.write(0, map, u64::MAX - 10, b"xx"),
+            Err(OutOfBounds),
+            "{mode}"
+        );
         // `offset + len` wraps past u64::MAX: no page 2^52 is faulted in.
         assert_eq!(m.write(0, map, u64::MAX, b"hi"), Err(OutOfBounds), "{mode}");
         let mut buf = [0u8; 2];
-        assert_eq!(m.read(0, map, u64::MAX, &mut buf), Err(OutOfBounds), "{mode}");
+        assert_eq!(
+            m.read(0, map, u64::MAX, &mut buf),
+            Err(OutOfBounds),
+            "{mode}"
+        );
         assert_eq!(m.persist(0, map, u64::MAX, 2), Err(OutOfBounds), "{mode}");
         // A range past the mapping is refused before a line is walked,
         // and never reaches the next mapping's pages.
         assert_eq!(m.persist(0, map, 0, 1 << 40), Err(OutOfBounds), "{mode}");
-        assert_eq!(m.persist(0, map, MAP_BYTES - 64, 128), Err(OutOfBounds), "{mode}");
+        assert_eq!(
+            m.persist(0, map, MAP_BYTES - 64, 128),
+            Err(OutOfBounds),
+            "{mode}"
+        );
         m.persist(0, map, MAP_BYTES - 1, 1).unwrap();
         m.read(0, next, 0, &mut buf).unwrap();
         assert_eq!(&buf, b"ne", "{mode}");
@@ -362,7 +409,8 @@ fn out_of_bounds_and_bad_map_rejected() {
 #[test]
 fn permissions_flow_through_machine() {
     let mut m = machine(SecurityMode::FsEncr);
-    m.create(ALICE, STAFF, "priv", Mode::PRIVATE, Some("pw")).unwrap();
+    m.create(ALICE, STAFF, "priv", Mode::PRIVATE, Some("pw"))
+        .unwrap();
     assert!(matches!(
         m.open(BOB, &[STAFF], "priv", AccessKind::Read, Some("pw")),
         Err(fsencr::machine::MachineError::Fs(FsError::PermissionDenied))
@@ -382,7 +430,9 @@ fn permissions_flow_through_machine() {
 #[test]
 fn multicore_threads_share_files_correctly() {
     let mut m = machine(SecurityMode::FsEncr);
-    let h = m.create(ALICE, STAFF, "shared", Mode::PRIVATE, Some("pw")).unwrap();
+    let h = m
+        .create(ALICE, STAFF, "shared", Mode::PRIVATE, Some("pw"))
+        .unwrap();
     let map = m.mmap(&h).unwrap();
     // Core 0 writes, core 1 reads (snoop path).
     m.write(0, map, 0, b"from-core-0").unwrap();
@@ -406,7 +456,9 @@ fn multicore_threads_share_files_correctly() {
 #[test]
 fn measurement_counters_move() {
     let mut m = machine(SecurityMode::FsEncr);
-    let h = m.create(ALICE, STAFF, "stats", Mode::PRIVATE, Some("pw")).unwrap();
+    let h = m
+        .create(ALICE, STAFF, "stats", Mode::PRIVATE, Some("pw"))
+        .unwrap();
     let map = m.mmap(&h).unwrap();
     m.begin_measurement();
     for i in 0..32u64 {
@@ -434,12 +486,16 @@ fn heap_roundtrip() {
 #[test]
 fn read_only_mappings_reject_writes() {
     let mut m = machine(SecurityMode::FsEncr);
-    let h = m.create(ALICE, STAFF, "ro", Mode::GROUP_RW, Some("pw")).unwrap();
+    let h = m
+        .create(ALICE, STAFF, "ro", Mode::GROUP_RW, Some("pw"))
+        .unwrap();
     let map = m.mmap(&h).unwrap();
     m.write(0, map, 0, b"initial").unwrap();
     m.persist(0, map, 0, 7).unwrap();
 
-    let ro = m.open(ALICE, &[STAFF], "ro", AccessKind::Read, Some("pw")).unwrap();
+    let ro = m
+        .open(ALICE, &[STAFF], "ro", AccessKind::Read, Some("pw"))
+        .unwrap();
     assert!(!ro.writable);
     let ro_map = m.mmap(&ro).unwrap();
     let mut buf = [0u8; 7];
@@ -455,7 +511,9 @@ fn read_only_mappings_reject_writes() {
 #[test]
 fn rename_keeps_content_and_keys() {
     let mut m = machine(SecurityMode::FsEncr);
-    let h = m.create(ALICE, STAFF, "old-name", Mode::PRIVATE, Some("pw")).unwrap();
+    let h = m
+        .create(ALICE, STAFF, "old-name", Mode::PRIVATE, Some("pw"))
+        .unwrap();
     let map = m.mmap(&h).unwrap();
     m.write(0, map, 0, b"renamed payload").unwrap();
     m.persist(0, map, 0, 15).unwrap();
@@ -467,10 +525,13 @@ fn rename_keeps_content_and_keys() {
     m.read(0, map, 0, &mut buf).unwrap();
     assert_eq!(&buf, b"renamed payload");
     // ...and the new name opens with the same key.
-    let h2 = m.open(ALICE, &[STAFF], "new-name", AccessKind::Read, Some("pw")).unwrap();
+    let h2 = m
+        .open(ALICE, &[STAFF], "new-name", AccessKind::Read, Some("pw"))
+        .unwrap();
     assert_eq!(h2.fek, h.fek);
     // Renaming onto an existing name is rejected.
-    m.create(ALICE, STAFF, "third", Mode::PRIVATE, None).unwrap();
+    m.create(ALICE, STAFF, "third", Mode::PRIVATE, None)
+        .unwrap();
     assert!(m.rename(ALICE, "new-name", "third").is_err());
     // Only the owner may rename.
     assert!(m.rename(BOB, "new-name", "stolen").is_err());
@@ -480,7 +541,9 @@ fn rename_keeps_content_and_keys() {
 fn machine_events_record_lifecycle_in_order() {
     let mut m = machine(SecurityMode::FsEncr);
     m.enable_observer(1 << 12);
-    let h = m.create(ALICE, STAFF, "traced", Mode::PRIVATE, Some("pw")).unwrap();
+    let h = m
+        .create(ALICE, STAFF, "traced", Mode::PRIVATE, Some("pw"))
+        .unwrap();
     let map = m.mmap(&h).unwrap();
     m.write(0, map, 0, b"x").unwrap();
     m.persist(0, map, 0, 1).unwrap();
@@ -490,7 +553,12 @@ fn machine_events_record_lifecycle_in_order() {
     let report = m.recover();
 
     assert_eq!(m.observer().spans_dropped(), 0);
-    let events: Vec<_> = m.observer().spans().filter(|s| s.cat == "machine").copied().collect();
+    let events: Vec<_> = m
+        .observer()
+        .spans()
+        .filter(|s| s.cat == "machine")
+        .copied()
+        .collect();
     let pos = |name: &str| events.iter().position(|e| e.name == name);
     let install = pos("key_install").expect("install");
     let fault = pos("page_fault").expect("fault");

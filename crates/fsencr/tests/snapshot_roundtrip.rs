@@ -26,7 +26,9 @@ fn build(mode: SecurityMode) -> (Machine, MapId, MapId) {
     let enc = m
         .create(ALICE, STAFF, "enc", Mode::PRIVATE, Some("pw"))
         .unwrap();
-    let plain = m.create(ALICE, STAFF, "plain", Mode::PRIVATE, None).unwrap();
+    let plain = m
+        .create(ALICE, STAFF, "plain", Mode::PRIVATE, None)
+        .unwrap();
     let enc_map = m.mmap(&enc).unwrap();
     let plain_map = m.mmap(&plain).unwrap();
     (m, enc_map, plain_map)
@@ -66,7 +68,10 @@ fn drive_pair(
         3 | 4 => {
             let mut got_a = vec![0u8; len];
             let mut got_b = vec![0u8; len];
-            prop_assert_eq!(a.read(0, am, off, &mut got_a), b.read(0, bm, off, &mut got_b));
+            prop_assert_eq!(
+                a.read(0, am, off, &mut got_a),
+                b.read(0, bm, off, &mut got_b)
+            );
             prop_assert_eq!(&got_a, &got_b);
         }
         5 | 6 => {
@@ -267,7 +272,8 @@ fn software_mode_round_trips() {
 /// files with holes, plus a free inode and free frames from an unlink.
 fn fs_payload() -> Vec<u8> {
     let (mut m, enc_map, plain_map) = build(SecurityMode::FsEncr);
-    m.write(0, enc_map, 3 * PAGE_BYTES as u64, b"fourth").unwrap();
+    m.write(0, enc_map, 3 * PAGE_BYTES as u64, b"fourth")
+        .unwrap();
     m.write(0, plain_map, PAGE_BYTES as u64, b"second").unwrap();
     let tmp = m.create(ALICE, STAFF, "tmp", Mode::PRIVATE, None).unwrap();
     let tmp_map = m.mmap(&tmp).unwrap();
@@ -317,7 +323,9 @@ proptest! {
 fn two_file_image(mode: SecurityMode) -> Vec<u8> {
     let mut m = Machine::new(MachineOpts::small_test(), mode);
     for (name, tag) in [("a", 0xa5u8), ("b", 0x5a)] {
-        let h = m.create(ALICE, STAFF, name, Mode::PRIVATE, Some("pw")).unwrap();
+        let h = m
+            .create(ALICE, STAFF, name, Mode::PRIVATE, Some("pw"))
+            .unwrap();
         let map = m.mmap(&h).unwrap();
         m.write(0, map, 100, &[tag; 2 * PAGE_BYTES]).unwrap();
         m.persist(0, map, 0, 3 * PAGE_BYTES as u64).unwrap();
@@ -345,7 +353,10 @@ fn frames(bytes: &[u8]) -> Vec<(Range<usize>, Range<usize>)> {
 fn rechain(bytes: &mut [u8], frames: &[(Range<usize>, Range<usize>)]) {
     let mut chain = fnv1a64_once(&[]);
     for (name, payload) in frames {
-        chain = fnv1a64(fnv1a64(chain, &bytes[name.clone()]), &bytes[payload.clone()]);
+        chain = fnv1a64(
+            fnv1a64(chain, &bytes[name.clone()]),
+            &bytes[payload.clone()],
+        );
         bytes[payload.end..payload.end + 8].copy_from_slice(&chain.to_le_bytes());
     }
 }
@@ -430,11 +441,31 @@ fn hostile_collection_counts_are_typed_errors() {
     let ctrl_layout = layout.clone();
     let no_prefix = || -> Prefix { Box::new(|_| {}) };
     let table: Vec<(&str, Prefix, Load)> = vec![
-        ("storage", no_prefix(), Box::new(|d| Storage::snap_load(d).map(drop))),
-        ("wear", no_prefix(), Box::new(|d| WearTracker::snap_load(d).map(drop))),
-        ("pagetable", no_prefix(), Box::new(|d| PageTable::snap_load(d).map(drop))),
-        ("keyring", no_prefix(), Box::new(|d| Keyring::default().snap_load(d))),
-        ("ecc", no_prefix(), Box::new(|d| EccStore::snap_load(d).map(drop))),
+        (
+            "storage",
+            no_prefix(),
+            Box::new(|d| Storage::snap_load(d).map(drop)),
+        ),
+        (
+            "wear",
+            no_prefix(),
+            Box::new(|d| WearTracker::snap_load(d).map(drop)),
+        ),
+        (
+            "pagetable",
+            no_prefix(),
+            Box::new(|d| PageTable::snap_load(d).map(drop)),
+        ),
+        (
+            "keyring",
+            no_prefix(),
+            Box::new(|d| Keyring::default().snap_load(d)),
+        ),
+        (
+            "ecc",
+            no_prefix(),
+            Box::new(|d| EccStore::snap_load(d).map(drop)),
+        ),
         (
             "controller file pages",
             Box::new(move |e| {
@@ -445,8 +476,14 @@ fn hostile_collection_counts_are_typed_errors() {
                 OpenTunnelTable::new(cfg.ott_entries, cfg.ott_latency_cycles).snap_save(e);
             }),
             Box::new(move |d| {
-                MemoryController::snap_load(CtrlMode::Encrypted, ctrl_layout.clone(), &cfg, nvm_cfg, d)
-                    .map(drop)
+                MemoryController::snap_load(
+                    CtrlMode::Encrypted,
+                    ctrl_layout.clone(),
+                    &cfg,
+                    nvm_cfg,
+                    d,
+                )
+                .map(drop)
             }),
         ),
     ];
@@ -467,13 +504,22 @@ fn hostile_collection_counts_are_typed_errors() {
             e.put_bool(false);
         },
     ];
-    let fs_rows = ["fs free frames", "fs free inodes", "fs files", "fs page slots"]
-        .into_iter()
-        .enumerate()
-        .map(|(k, name)| -> (&str, Prefix, Load) {
-            let prefix = move |e: &mut Enc| stages[..=k].iter().for_each(|stage| stage(e));
-            (name, Box::new(prefix), Box::new(|d| DaxFs::snap_load(d).map(drop)))
-        });
+    let fs_rows = [
+        "fs free frames",
+        "fs free inodes",
+        "fs files",
+        "fs page slots",
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(k, name)| -> (&str, Prefix, Load) {
+        let prefix = move |e: &mut Enc| stages[..=k].iter().for_each(|stage| stage(e));
+        (
+            name,
+            Box::new(prefix),
+            Box::new(|d| DaxFs::snap_load(d).map(drop)),
+        )
+    });
     for (name, prefix, load) in table.into_iter().chain(fs_rows) {
         let mut enc = Enc::new();
         enc.begin_section("hostile");

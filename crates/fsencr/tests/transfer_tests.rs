@@ -19,7 +19,9 @@ fn machine() -> Machine {
 #[test]
 fn copy_file_preserves_content_under_new_key() {
     let mut m = machine();
-    let src = m.create(ALICE, STAFF, "orig", Mode::PRIVATE, Some("src-pw")).unwrap();
+    let src = m
+        .create(ALICE, STAFF, "orig", Mode::PRIVATE, Some("src-pw"))
+        .unwrap();
     let map = m.mmap(&src).unwrap();
     let payload: Vec<u8> = (0..9000u32).map(|i| (i % 251) as u8).collect();
     m.write(0, map, 0, &payload).unwrap();
@@ -27,7 +29,15 @@ fn copy_file_preserves_content_under_new_key() {
     m.munmap(0, map).unwrap();
 
     let dst = m
-        .copy_file(0, ALICE, &[STAFF], "orig", "copy", Some("src-pw"), Some("dst-pw"))
+        .copy_file(
+            0,
+            ALICE,
+            &[STAFF],
+            "orig",
+            "copy",
+            Some("src-pw"),
+            Some("dst-pw"),
+        )
         .unwrap();
     assert_ne!(dst.fek, src.fek, "the copy gets its own key");
 
@@ -41,19 +51,29 @@ fn copy_file_preserves_content_under_new_key() {
     m.shutdown_flush().unwrap();
     let src_frame = m.fs().stat("orig").unwrap().page(0).unwrap();
     let dst_frame = m.fs().stat("copy").unwrap().page(0).unwrap();
-    let a = m.controller().nvm().peek_line(fsencr_nvm::PhysAddr::new(src_frame.get() * PAGE_BYTES as u64));
-    let b = m.controller().nvm().peek_line(fsencr_nvm::PhysAddr::new(dst_frame.get() * PAGE_BYTES as u64));
+    let a = m.controller().nvm().peek_line(fsencr_nvm::PhysAddr::new(
+        src_frame.get() * PAGE_BYTES as u64,
+    ));
+    let b = m.controller().nvm().peek_line(fsencr_nvm::PhysAddr::new(
+        dst_frame.get() * PAGE_BYTES as u64,
+    ));
     assert_ne!(a, b, "same plaintext must encrypt differently per file");
 
     // Opening the copy requires the copy's passphrase, not the source's.
-    assert!(m.open(ALICE, &[STAFF], "copy", AccessKind::Read, Some("src-pw")).is_err());
-    assert!(m.open(ALICE, &[STAFF], "copy", AccessKind::Read, Some("dst-pw")).is_ok());
+    assert!(m
+        .open(ALICE, &[STAFF], "copy", AccessKind::Read, Some("src-pw"))
+        .is_err());
+    assert!(m
+        .open(ALICE, &[STAFF], "copy", AccessKind::Read, Some("dst-pw"))
+        .is_ok());
 }
 
 #[test]
 fn module_transfer_to_new_machine() {
     let mut m = machine();
-    let h = m.create(ALICE, STAFF, "portable", Mode::PRIVATE, Some("pw")).unwrap();
+    let h = m
+        .create(ALICE, STAFF, "portable", Mode::PRIVATE, Some("pw"))
+        .unwrap();
     let map = m.mmap(&h).unwrap();
     m.write(0, map, 0, b"travels with the DIMM").unwrap();
     m.persist(0, map, 0, 21).unwrap();
@@ -80,7 +100,9 @@ fn module_transfer_to_new_machine() {
 #[test]
 fn tampered_module_is_rejected_at_import() {
     let mut m = machine();
-    let h = m.create(ALICE, STAFF, "f", Mode::PRIVATE, Some("pw")).unwrap();
+    let h = m
+        .create(ALICE, STAFF, "f", Mode::PRIVATE, Some("pw"))
+        .unwrap();
     let map = m.mmap(&h).unwrap();
     m.write(0, map, 0, b"payload").unwrap();
     m.persist(0, map, 0, 7).unwrap();
@@ -101,7 +123,9 @@ fn tampered_module_is_rejected_at_import() {
 fn transferred_module_stays_ciphertext_in_transit() {
     let mut m = machine();
     let secret = b"IN-TRANSIT-SECRET-PAYLOAD";
-    let h = m.create(ALICE, STAFF, "s", Mode::PRIVATE, Some("pw")).unwrap();
+    let h = m
+        .create(ALICE, STAFF, "s", Mode::PRIVATE, Some("pw"))
+        .unwrap();
     let map = m.mmap(&h).unwrap();
     m.write(0, map, 0, secret).unwrap();
     m.persist(0, map, 0, secret.len() as u64).unwrap();
@@ -115,7 +139,9 @@ fn transferred_module_stays_ciphertext_in_transit() {
 #[test]
 fn minor_counter_overflow_reencrypts_page_transparently() {
     let mut m = machine();
-    let h = m.create(ALICE, STAFF, "hot", Mode::PRIVATE, Some("pw")).unwrap();
+    let h = m
+        .create(ALICE, STAFF, "hot", Mode::PRIVATE, Some("pw"))
+        .unwrap();
     let map = m.mmap(&h).unwrap();
     // Two distinct lines on the same page: one is hammered past the 7-bit
     // minor limit, the other must survive the page re-encryption.
@@ -140,7 +166,9 @@ fn minor_counter_overflow_reencrypts_page_transparently() {
 #[test]
 fn overflow_survives_crash_recovery() {
     let mut m = machine();
-    let h = m.create(ALICE, STAFF, "o", Mode::PRIVATE, Some("pw")).unwrap();
+    let h = m
+        .create(ALICE, STAFF, "o", Mode::PRIVATE, Some("pw"))
+        .unwrap();
     let map = m.mmap(&h).unwrap();
     for i in 0..200u32 {
         m.write(0, map, 0, &i.to_le_bytes()).unwrap();
@@ -149,7 +177,9 @@ fn overflow_survives_crash_recovery() {
     m.crash();
     let report = m.recover();
     assert_eq!(report.unrecoverable, 0, "{report:?}");
-    let h = m.open(ALICE, &[STAFF], "o", AccessKind::Read, Some("pw")).unwrap();
+    let h = m
+        .open(ALICE, &[STAFF], "o", AccessKind::Read, Some("pw"))
+        .unwrap();
     let map = m.mmap(&h).unwrap();
     let mut buf = [0u8; 4];
     m.read(0, map, 0, &mut buf).unwrap();
@@ -162,7 +192,9 @@ fn shredding_writes_no_data_lines() {
     // counter reset costs ~zero data-page writes, versus the DoD 5220.22-M
     // multi-pass overwrite. The wear tracker proves it.
     let mut m = machine();
-    let h = m.create(ALICE, STAFF, "doomed", Mode::PRIVATE, Some("pw")).unwrap();
+    let h = m
+        .create(ALICE, STAFF, "doomed", Mode::PRIVATE, Some("pw"))
+        .unwrap();
     let map = m.mmap(&h).unwrap();
     m.write(0, map, 0, &[0xAAu8; PAGE_BYTES]).unwrap();
     m.persist(0, map, 0, PAGE_BYTES as u64).unwrap();
@@ -180,7 +212,9 @@ fn shredding_writes_no_data_lines() {
 #[test]
 fn wear_is_spread_across_metadata_and_data() {
     let mut m = machine();
-    let h = m.create(ALICE, STAFF, "w", Mode::PRIVATE, Some("pw")).unwrap();
+    let h = m
+        .create(ALICE, STAFF, "w", Mode::PRIVATE, Some("pw"))
+        .unwrap();
     let map = m.mmap(&h).unwrap();
     for i in 0..64u64 {
         m.write(0, map, i * 64, &[i as u8; 64]).unwrap();
@@ -197,7 +231,9 @@ fn fs_image_round_trips_through_media_after_crash() {
     // The on-media filesystem image is self-contained: a machine can
     // remount purely from the DIMM after losing all kernel state.
     let mut m = machine();
-    let h = m.create(ALICE, STAFF, "remount-me", Mode::GROUP_RW, Some("pw")).unwrap();
+    let h = m
+        .create(ALICE, STAFF, "remount-me", Mode::GROUP_RW, Some("pw"))
+        .unwrap();
     let map = m.mmap(&h).unwrap();
     m.write(0, map, 0, b"image-backed").unwrap();
     m.persist(0, map, 0, 12).unwrap();
@@ -208,7 +244,9 @@ fn fs_image_round_trips_through_media_after_crash() {
     m.recover();
     // Blow away the in-memory filesystem entirely, then mount from media.
     m.mount_fs(0).unwrap();
-    let h = m.open(ALICE, &[STAFF], "remount-me", AccessKind::Read, Some("pw")).unwrap();
+    let h = m
+        .open(ALICE, &[STAFF], "remount-me", AccessKind::Read, Some("pw"))
+        .unwrap();
     let map = m.mmap(&h).unwrap();
     let mut buf = [0u8; 12];
     m.read(0, map, 0, &mut buf).unwrap();
@@ -225,13 +263,17 @@ fn mount_without_an_image_errors() {
 #[test]
 fn torn_fs_image_fails_its_digest() {
     let mut m = machine();
-    m.create(ALICE, STAFF, "f", Mode::PRIVATE, Some("pw")).unwrap();
+    m.create(ALICE, STAFF, "f", Mode::PRIVATE, Some("pw"))
+        .unwrap();
     m.sync_fs(0).unwrap();
     // A sync cut short: part of the image never reached the media.
     let image = m.opts().general_bytes + 64;
     m.heap_write(0, image + 40, &[0u8; 32]).unwrap();
     let err = m.mount_fs(0).unwrap_err();
-    assert!(matches!(err, MachineError::Image(SnapError::BadDigest)), "{err}");
+    assert!(
+        matches!(err, MachineError::Image(SnapError::BadDigest)),
+        "{err}"
+    );
 }
 
 #[test]
@@ -254,7 +296,9 @@ fn crash_immediately_after_overflow_recovers_whole_page() {
     // after must leave every line recoverable (two-phase persist + the
     // major+1 candidates in recovery).
     let mut m = machine();
-    let h = m.create(ALICE, STAFF, "ovf", Mode::PRIVATE, Some("pw")).unwrap();
+    let h = m
+        .create(ALICE, STAFF, "ovf", Mode::PRIVATE, Some("pw"))
+        .unwrap();
     let map = m.mmap(&h).unwrap();
     m.write(0, map, 128, b"innocent bystander").unwrap();
     m.persist(0, map, 128, 18).unwrap();
@@ -269,7 +313,9 @@ fn crash_immediately_after_overflow_recovers_whole_page() {
     m.crash();
     let report = m.recover();
     assert_eq!(report.unrecoverable, 0, "{report:?}");
-    let h = m.open(ALICE, &[STAFF], "ovf", AccessKind::Write, Some("pw")).unwrap();
+    let h = m
+        .open(ALICE, &[STAFF], "ovf", AccessKind::Write, Some("pw"))
+        .unwrap();
     let map = m.mmap(&h).unwrap();
     let mut buf = [0u8; 4];
     m.read(0, map, 0, &mut buf).unwrap();

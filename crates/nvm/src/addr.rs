@@ -172,7 +172,8 @@ impl PageId {
     /// Iterator over the 64 line addresses inside this page.
     pub fn lines(self) -> impl Iterator<Item = LineAddr> {
         let base = self.0 * PAGE_BYTES as u64;
-        (0..(PAGE_BYTES / LINE_BYTES) as u64).map(move |i| LineAddr::new(base + i * LINE_BYTES as u64))
+        (0..(PAGE_BYTES / LINE_BYTES) as u64)
+            .map(move |i| LineAddr::new(base + i * LINE_BYTES as u64))
     }
 }
 

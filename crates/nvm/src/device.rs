@@ -333,15 +333,19 @@ mod tests {
 
     #[test]
     fn armed_injector_applies_rot_and_suppression_but_not_peeks() {
-        use fsencr_faults::{FaultInjector, FaultPlan};
         use fsencr_faults::plan::RotEvent;
+        use fsencr_faults::{FaultInjector, FaultPlan};
 
         let mut nvm = device();
         let addr = PhysAddr::new(4096);
         nvm.write_line(Cycle::ZERO, addr, &[0u8; LINE_BYTES]);
 
         let mut plan = FaultPlan::empty();
-        plan.rot.push(RotEvent { read_index: 0, byte: 0, bit: 0 });
+        plan.rot.push(RotEvent {
+            read_index: 0,
+            byte: 0,
+            bit: 0,
+        });
         plan.cuts.push(0);
         nvm.set_fault_injector(Some(FaultInjector::new(plan)));
 
@@ -381,7 +385,11 @@ mod tests {
         let addr = PhysAddr::new(8192);
         nvm.storage_mut().stuck_cells_mut().add(
             addr.line().get(),
-            StuckMask { byte: 3, bit: 0, value: true },
+            StuckMask {
+                byte: 3,
+                bit: 0,
+                value: true,
+            },
         );
         nvm.poke_line(addr, &[0u8; LINE_BYTES]);
         assert_eq!(nvm.peek_line(addr)[3], 1);

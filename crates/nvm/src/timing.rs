@@ -98,8 +98,8 @@ impl BankTiming {
         let rank = (v % self.cfg.ranks_per_channel as u64) as usize;
         v /= self.cfg.ranks_per_channel as u64;
         let row = v;
-        let bank = (channel * self.cfg.ranks_per_channel + rank) * self.cfg.banks_per_rank
-            + bank_in_rank;
+        let bank =
+            (channel * self.cfg.ranks_per_channel + rank) * self.cfg.banks_per_rank + bank_in_rank;
         BankCoord { bank, row }
     }
 
@@ -156,7 +156,9 @@ impl BankTiming {
 
         // The requester sees the service latency; the bank stays busy for
         // any write-recovery tail beyond that.
-        let done = bank.server.serve(now, Cycle::from_ns(service_ns + extra_occupancy));
+        let done = bank
+            .server
+            .serve(now, Cycle::from_ns(service_ns + extra_occupancy));
         if bank.closed_mode {
             // Closed-page mode: precharge immediately after the access. The
             // array commit of a dirty buffer is covered by the tWR tail.

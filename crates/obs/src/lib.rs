@@ -282,7 +282,11 @@ mod tests {
         let rows: Vec<_> = obs.metrics().collect();
         assert_eq!(
             rows,
-            vec![("a/first_cycles", 2), ("m/full_cycles", u64::MAX), ("z/last_cycles", 1)]
+            vec![
+                ("a/first_cycles", 2),
+                ("m/full_cycles", u64::MAX),
+                ("z/last_cycles", 1)
+            ]
         );
     }
 
@@ -361,6 +365,9 @@ mod tests {
     fn empty_exports_are_well_formed() {
         let mut obs = Observer::disabled();
         obs.enable(0);
-        assert_eq!(obs.to_json(), "{\n  \"metrics\": {},\n  \"spans_recorded\": 0,\n  \"spans_dropped\": 0\n}\n");
+        assert_eq!(
+            obs.to_json(),
+            "{\n  \"metrics\": {},\n  \"spans_recorded\": 0,\n  \"spans_dropped\": 0\n}\n"
+        );
     }
 }

@@ -349,13 +349,19 @@ pub mod collection {
     impl From<Range<usize>> for SizeRange {
         fn from(r: Range<usize>) -> Self {
             assert!(r.end > r.start, "empty size range");
-            SizeRange { min: r.start, max_exclusive: r.end }
+            SizeRange {
+                min: r.start,
+                max_exclusive: r.end,
+            }
         }
     }
 
     impl From<usize> for SizeRange {
         fn from(n: usize) -> Self {
-            SizeRange { min: n, max_exclusive: n + 1 }
+            SizeRange {
+                min: n,
+                max_exclusive: n + 1,
+            }
         }
     }
 
@@ -380,7 +386,10 @@ pub mod collection {
 
     /// `vec(strategy, 1..200)` or `vec(strategy, 64)`.
     pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-        VecStrategy { element, size: size.into() }
+        VecStrategy {
+            element,
+            size: size.into(),
+        }
     }
 }
 
@@ -400,9 +409,9 @@ where
         .and_then(|v| v.parse().ok())
         .unwrap_or(0xF5EC_2026_0000_0000u64);
     // Per-test-name offset so sibling tests explore different streams.
-    let seed = name
-        .bytes()
-        .fold(base, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3));
+    let seed = name.bytes().fold(base, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    });
     let mut rng = TestRng::new(seed);
     let mut accepted = 0u32;
     let mut rejects = 0u32;
@@ -547,8 +556,8 @@ macro_rules! prop_oneof {
 /// The glob-import surface mirroring `proptest::prelude::*`.
 pub mod prelude {
     pub use crate::{
-        any, prop, prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof,
-        proptest, Arbitrary, BoxedStrategy, Just, ProptestConfig, Strategy, TestCaseError,
+        any, prop, prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
+        Arbitrary, BoxedStrategy, Just, ProptestConfig, Strategy, TestCaseError,
     };
 }
 

@@ -196,7 +196,10 @@ impl CounterBlock {
     /// Panics on a memory block, or if `gid` exceeds 18 bits or `fid`
     /// exceeds 14 bits.
     pub fn stamp(&mut self, gid: u32, fid: u32) {
-        assert!(self.domain == PadDomain::File, "only a file block has an owner");
+        assert!(
+            self.domain == PadDomain::File,
+            "only a file block has an owner"
+        );
         assert!(gid < GID_LIMIT, "group ID exceeds 18 bits");
         assert!(fid < FID_LIMIT, "file ID exceeds 14 bits");
         self.gid = gid;
@@ -289,7 +292,11 @@ mod tests {
         pack_minors(minors, &mut packed);
         assert_eq!(packed, pack_minors_bitwise(minors), "pack {what}");
         assert_eq!(unpack_minors(&packed), *minors, "round trip {what}");
-        assert_eq!(unpack_minors(&packed), unpack_minors_bitwise(&packed), "unpack {what}");
+        assert_eq!(
+            unpack_minors(&packed),
+            unpack_minors_bitwise(&packed),
+            "unpack {what}"
+        );
     }
 
     #[test]
@@ -324,7 +331,11 @@ mod tests {
             for b in bytes.iter_mut() {
                 *b = next() as u8;
             }
-            assert_eq!(unpack_minors(&bytes), unpack_minors_bitwise(&bytes), "round {round}");
+            assert_eq!(
+                unpack_minors(&bytes),
+                unpack_minors_bitwise(&bytes),
+                "round {round}"
+            );
         }
     }
 

@@ -67,7 +67,8 @@ impl EccStore {
     /// Records the check for a line being written with `plaintext`; the
     /// last write to a line wins.
     pub fn record(&mut self, line: LineAddr, plaintext: &[u8; 64]) {
-        self.tags.insert(line.get(), line_check(line.get(), plaintext));
+        self.tags
+            .insert(line.get(), line_check(line.get(), plaintext));
     }
 
     /// Checks a candidate plaintext against the stored check. Lines that
@@ -169,7 +170,11 @@ mod tests {
         for line in LINES {
             for plain in plains {
                 let want = reference.plains.get(&line) == Some(plain);
-                assert_eq!(ecc.check(LineAddr::new(line), plain), want, "{what}: check {line}");
+                assert_eq!(
+                    ecc.check(LineAddr::new(line), plain),
+                    want,
+                    "{what}: check {line}"
+                );
             }
         }
         assert_eq!(snap_bytes(ecc), reference.snap_bytes(), "{what}: snap_save");
@@ -203,13 +208,20 @@ mod tests {
                         ecc.clear(LineAddr::new(line));
                         reference.plains.remove(&line);
                     }
-                    _ => assert_matches(&ecc.clone(), &reference, &plains, &format!("{what} clone")),
+                    _ => {
+                        assert_matches(&ecc.clone(), &reference, &plains, &format!("{what} clone"))
+                    }
                 }
                 assert_matches(&ecc, &reference, &plains, &what);
             }
             let image = snap_bytes(&ecc);
             let loaded = reload(&image);
-            assert_matches(&loaded, &reference, &plains, &format!("seed {seed} reloaded"));
+            assert_matches(
+                &loaded,
+                &reference,
+                &plains,
+                &format!("seed {seed} reloaded"),
+            );
             assert_eq!(snap_bytes(&loaded), image, "seed {seed}: reload round trip");
         }
     }
@@ -218,7 +230,9 @@ mod tests {
     fn every_single_bit_flip_changes_the_check() {
         let mut x: u64 = 0x243f_6a88_85a3_08d3;
         let mut next = move || {
-            x = x.wrapping_mul(0xd129_42dc_4cbb_3d4d).wrapping_add(0xb504_f333);
+            x = x
+                .wrapping_mul(0xd129_42dc_4cbb_3d4d)
+                .wrapping_add(0xb504_f333);
             x
         };
         for _ in 0..16 {
@@ -234,7 +248,11 @@ mod tests {
                 assert_ne!(line_check(addr, &flipped), base, "line bit {bit}");
             }
             for bit in 0..64 {
-                assert_ne!(line_check(addr ^ (1 << bit), &line), base, "address bit {bit}");
+                assert_ne!(
+                    line_check(addr ^ (1 << bit), &line),
+                    base,
+                    "address bit {bit}"
+                );
             }
         }
     }

@@ -73,8 +73,16 @@ impl MetadataLayout {
     /// `ott_bytes` is line-aligned.
     pub fn new(data_bytes: u64, ott_bytes: u64) -> Self {
         assert!(data_bytes > 0, "need at least one data page");
-        assert_eq!(data_bytes % PAGE_BYTES as u64, 0, "data must be page-aligned");
-        assert_eq!(ott_bytes % LINE_BYTES as u64, 0, "OTT region must be line-aligned");
+        assert_eq!(
+            data_bytes % PAGE_BYTES as u64,
+            0,
+            "data must be page-aligned"
+        );
+        assert_eq!(
+            ott_bytes % LINE_BYTES as u64,
+            0,
+            "OTT region must be line-aligned"
+        );
 
         let pages = data_bytes / PAGE_BYTES as u64;
         let meta_base = data_bytes;

@@ -80,7 +80,11 @@ pub struct TamperError {
 impl fmt::Display for TamperError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.level == usize::MAX {
-            write!(f, "integrity violation at {:?}: root digest mismatch", self.addr)
+            write!(
+                f,
+                "integrity violation at {:?}: root digest mismatch",
+                self.addr
+            )
         } else {
             write!(
                 f,
@@ -257,7 +261,11 @@ impl MetadataSystem {
         let top = self.layout.merkle_levels() - 1;
         let (mut expected, mut level, mut child) = if self.layout.is_metadata(addr) {
             let bytes = nvm.peek_line(addr.into_phys());
-            (self.line_digest(&bytes), 0usize, self.layout.leaf_index(addr))
+            (
+                self.line_digest(&bytes),
+                0usize,
+                self.layout.leaf_index(addr),
+            )
         } else if let Some((lvl, idx)) = self.layout.node_coords(addr) {
             let node = self.interpret_node(lvl, nvm.peek_line(addr.into_phys()));
             let digest = if node == self.canon_nodes[lvl] {
@@ -269,14 +277,20 @@ impl MetadataSystem {
                 return if digest == self.root {
                     Ok(())
                 } else {
-                    Err(TamperError { addr, level: usize::MAX })
+                    Err(TamperError {
+                        addr,
+                        level: usize::MAX,
+                    })
                 };
             }
             (digest, lvl + 1, idx)
         } else {
             // Data lines are pad-protected, not tree-covered; nothing to
             // check. Persist paths never pass one here.
-            debug_assert!(self.layout.is_data(addr), "{addr:?} outside the device layout");
+            debug_assert!(
+                self.layout.is_data(addr),
+                "{addr:?} outside the device layout"
+            );
             return Ok(());
         };
         loop {
@@ -303,7 +317,10 @@ impl MetadataSystem {
                 return if expected == self.root {
                     Ok(())
                 } else {
-                    Err(TamperError { addr, level: usize::MAX })
+                    Err(TamperError {
+                        addr,
+                        level: usize::MAX,
+                    })
                 };
             }
             level += 1;
@@ -389,9 +406,19 @@ impl MetadataSystem {
         let kind = self.layout.kind_of(addr);
         let s = &mut self.stats;
         let (total, mecb, fecb, spill) = if hit {
-            (&mut s.leaf_hits, &mut s.mecb_hits, &mut s.fecb_hits, &mut s.spill_hits)
+            (
+                &mut s.leaf_hits,
+                &mut s.mecb_hits,
+                &mut s.fecb_hits,
+                &mut s.spill_hits,
+            )
         } else {
-            (&mut s.leaf_misses, &mut s.mecb_misses, &mut s.fecb_misses, &mut s.spill_misses)
+            (
+                &mut s.leaf_misses,
+                &mut s.mecb_misses,
+                &mut s.fecb_misses,
+                &mut s.spill_misses,
+            )
         };
         total.incr();
         match kind {
@@ -506,7 +533,11 @@ impl MetadataSystem {
                 self.stats.node_fetches.incr();
                 self.stats.node_misses.incr();
                 let canonical_zero = raw == [0u8; LINE_BYTES];
-                let node = if canonical_zero { self.canon_nodes[level] } else { raw };
+                let node = if canonical_zero {
+                    self.canon_nodes[level]
+                } else {
+                    raw
+                };
                 if Self::slot_of(&node, slot) != expected {
                     break 'climb Err(TamperError { addr, level });
                 }
@@ -518,7 +549,10 @@ impl MetadataSystem {
                 fetched.push((node_addr, node));
                 if level == top_level {
                     if expected != self.root {
-                        break 'climb Err(TamperError { addr, level: usize::MAX });
+                        break 'climb Err(TamperError {
+                            addr,
+                            level: usize::MAX,
+                        });
                     }
                     break 'climb Ok(());
                 }
@@ -770,7 +804,12 @@ impl MetadataSystem {
         Ok(self.drain_queue(nvm, t, queue))
     }
 
-    fn drain_queue(&mut self, nvm: &mut NvmDevice, mut t: Cycle, queue: &mut VecDeque<Eviction>) -> Cycle {
+    fn drain_queue(
+        &mut self,
+        nvm: &mut NvmDevice,
+        mut t: Cycle,
+        queue: &mut VecDeque<Eviction>,
+    ) -> Cycle {
         let mut guard = 0;
         while let Some(ev) = queue.pop_front() {
             guard += 1;
@@ -882,9 +921,7 @@ impl MetadataSystem {
         let predicted: Vec<u64> = skip
             .iter()
             .copied()
-            .filter(|&a| {
-                a % LINE_BYTES as u64 == 0 && self.layout.is_metadata(LineAddr::new(a))
-            })
+            .filter(|&a| a % LINE_BYTES as u64 == 0 && self.layout.is_metadata(LineAddr::new(a)))
             .collect();
         assert_eq!(
             repaired, predicted,
@@ -989,10 +1026,7 @@ impl MetadataSystem {
                             let quad = [work[j], work[j + 1], work[j + 2], work[j + 3]];
                             let nodes4 = quad.map(|i| built[i].0.unwrap_or(canon_node));
                             let d = fsencr_crypto::digest8_lines4([
-                                &nodes4[0],
-                                &nodes4[1],
-                                &nodes4[2],
-                                &nodes4[3],
+                                &nodes4[0], &nodes4[1], &nodes4[2], &nodes4[3],
                             ]);
                             for (lane, digest) in d.iter().enumerate() {
                                 built[quad[lane]].1 = *digest;
@@ -1169,7 +1203,10 @@ mod tests {
         // second read hits the cache
         let (_, acc2) = sys.read_block(&mut nvm, acc.done, addr).unwrap();
         let after_hit = counts(&sys);
-        assert_eq!((after_hit.0 - after_miss.0, after_hit.1 - after_miss.1), (1, 0));
+        assert_eq!(
+            (after_hit.0 - after_miss.0, after_hit.1 - after_miss.1),
+            (1, 0)
+        );
         assert!(acc2.done > acc.done);
     }
 
@@ -1189,9 +1226,7 @@ mod tests {
         let addr = sys.layout().mecb_addr(PageId::new(1));
         let mut t = Cycle::ZERO;
         for i in 0..4u8 {
-            let acc = sys
-                .write_block(&mut nvm, t, addr, [i + 1; 64])
-                .unwrap();
+            let acc = sys.write_block(&mut nvm, t, addr, [i + 1; 64]).unwrap();
             t = acc.done;
         }
         assert_eq!(sys.stats().osiris_persists.get(), 1);
@@ -1210,8 +1245,14 @@ mod tests {
             for p in 0..4u64 {
                 let mecb = sys.layout().mecb_addr(PageId::new(p));
                 let fecb = sys.layout().fecb_addr(PageId::new(p));
-                t = sys.write_block(&mut nvm, t, mecb, [p as u8 + 1; 64]).unwrap().done;
-                t = sys.write_block(&mut nvm, t, fecb, [p as u8 + 9; 64]).unwrap().done;
+                t = sys
+                    .write_block(&mut nvm, t, mecb, [p as u8 + 1; 64])
+                    .unwrap()
+                    .done;
+                t = sys
+                    .write_block(&mut nvm, t, fecb, [p as u8 + 9; 64])
+                    .unwrap()
+                    .done;
             }
             (sys, nvm, t)
         };
@@ -1234,7 +1275,10 @@ mod tests {
         assert_eq!(t_region, t_serial);
         assert_eq!(region.root(), serial.root());
         for &addr in &addrs {
-            assert_eq!(nvm_b.peek_line(addr.into_phys()), nvm_s.peek_line(addr.into_phys()));
+            assert_eq!(
+                nvm_b.peek_line(addr.into_phys()),
+                nvm_s.peek_line(addr.into_phys())
+            );
         }
         assert_eq!(region.stats(), serial.stats());
         assert_eq!(nvm_b.stats().reads.get(), nvm_s.stats().reads.get());
@@ -1254,8 +1298,14 @@ mod tests {
             for p in 0..6u64 {
                 let mecb = sys.layout().mecb_addr(PageId::new(p));
                 let fecb = sys.layout().fecb_addr(PageId::new(p));
-                t = sys.write_block(&mut nvm, t, mecb, [p as u8 + 1; 64]).unwrap().done;
-                t = sys.write_block(&mut nvm, t, fecb, [p as u8 + 31; 64]).unwrap().done;
+                t = sys
+                    .write_block(&mut nvm, t, mecb, [p as u8 + 1; 64])
+                    .unwrap()
+                    .done;
+                t = sys
+                    .write_block(&mut nvm, t, fecb, [p as u8 + 31; 64])
+                    .unwrap()
+                    .done;
             }
             (sys, nvm, t)
         };
@@ -1317,7 +1367,10 @@ mod tests {
         let mut t = Cycle::ZERO;
         for p in 0..5u64 {
             let mecb = sys.layout().mecb_addr(PageId::new(p));
-            t = sys.write_block(&mut nvm, t, mecb, [p as u8 + 7; 64]).unwrap().done;
+            t = sys
+                .write_block(&mut nvm, t, mecb, [p as u8 + 7; 64])
+                .unwrap()
+                .done;
         }
 
         let mut enc = fsencr_snapshot::Enc::new();
@@ -1335,8 +1388,7 @@ mod tests {
         let mut restored = MetadataSystem::snap_load(layout, &small_cfg(), &mut dec).unwrap();
         dec.end_section().unwrap();
         dec.begin_section("nvm").unwrap();
-        let mut restored_nvm =
-            NvmDevice::snap_load(NvmConfig::default(), &mut dec).unwrap();
+        let mut restored_nvm = NvmDevice::snap_load(NvmConfig::default(), &mut dec).unwrap();
         dec.end_section().unwrap();
         dec.finish().unwrap();
 
@@ -1345,7 +1397,9 @@ mod tests {
         let mut t2 = t;
         for p in 0..5u64 {
             let fecb = sys.layout().fecb_addr(PageId::new(p));
-            let a = sys.write_block(&mut nvm, t, fecb, [p as u8 + 77; 64]).unwrap();
+            let a = sys
+                .write_block(&mut nvm, t, fecb, [p as u8 + 77; 64])
+                .unwrap();
             let b = restored
                 .write_block(&mut restored_nvm, t2, fecb, [p as u8 + 77; 64])
                 .unwrap();
@@ -1374,8 +1428,14 @@ mod tests {
         for p in 0..8u64 {
             let mecb = sys.layout().mecb_addr(PageId::new(p));
             let fecb = sys.layout().fecb_addr(PageId::new(p));
-            t = sys.write_block(&mut nvm, t, mecb, [p as u8 + 1; 64]).unwrap().done;
-            t = sys.write_block(&mut nvm, t, fecb, [p as u8 + 101; 64]).unwrap().done;
+            t = sys
+                .write_block(&mut nvm, t, mecb, [p as u8 + 1; 64])
+                .unwrap()
+                .done;
+            t = sys
+                .write_block(&mut nvm, t, fecb, [p as u8 + 101; 64])
+                .unwrap()
+                .done;
         }
         sys.flush(&mut nvm, t);
         sys.crash();
@@ -1397,7 +1457,9 @@ mod tests {
         // bit-identical.
         let (mut region, mut nvm_b, addrs) = cold_populated();
         let (mut serial, mut nvm_s, _) = cold_populated();
-        let t_region = region.verify_lines(&mut nvm_b, Cycle::ZERO, &addrs).unwrap();
+        let t_region = region
+            .verify_lines(&mut nvm_b, Cycle::ZERO, &addrs)
+            .unwrap();
         let mut t_serial = Cycle::ZERO;
         for &addr in &addrs {
             let (_, acc) = serial.read_block(&mut nvm_s, t_serial, addr).unwrap();
@@ -1422,7 +1484,9 @@ mod tests {
         evil[13] ^= 0x40;
         nvm_b.poke_line(victim.into_phys(), &evil);
         nvm_s.poke_line(victim.into_phys(), &evil);
-        let be = region.verify_lines(&mut nvm_b, Cycle::ZERO, &addrs).unwrap_err();
+        let be = region
+            .verify_lines(&mut nvm_b, Cycle::ZERO, &addrs)
+            .unwrap_err();
         let mut serr = None;
         let mut t = Cycle::ZERO;
         for &addr in &addrs {
@@ -1448,7 +1512,10 @@ mod tests {
             let mut t = Cycle::ZERO;
             for p in 0..12u64 {
                 let mecb = sys.layout().mecb_addr(PageId::new(p));
-                t = sys.write_block(&mut nvm, t, mecb, [p as u8 + 3; 64]).unwrap().done;
+                t = sys
+                    .write_block(&mut nvm, t, mecb, [p as u8 + 3; 64])
+                    .unwrap()
+                    .done;
             }
             sys.flush(&mut nvm, t);
             sys.crash();
@@ -1456,7 +1523,9 @@ mod tests {
         };
         let skip: BTreeSet<u64> = {
             let (sys, _) = build();
-            [sys.layout().mecb_addr(PageId::new(7)).get()].into_iter().collect()
+            [sys.layout().mecb_addr(PageId::new(7)).get()]
+                .into_iter()
+                .collect()
         };
         pool::set_jobs(1);
         pool::set_schedule(pool::Schedule::Fifo);
@@ -1504,7 +1573,8 @@ mod tests {
     fn dirty_data_survives_flush_and_cold_restart() {
         let (mut sys, mut nvm) = small_setup();
         let addr = sys.layout().mecb_addr(PageId::new(2));
-        sys.write_block(&mut nvm, Cycle::ZERO, addr, [7u8; 64]).unwrap();
+        sys.write_block(&mut nvm, Cycle::ZERO, addr, [7u8; 64])
+            .unwrap();
         sys.flush(&mut nvm, Cycle::ZERO);
         // Simulate restart with preserved root.
         sys.crash();
@@ -1516,7 +1586,8 @@ mod tests {
     fn tamper_with_counter_is_detected_after_flush() {
         let (mut sys, mut nvm) = small_setup();
         let addr = sys.layout().mecb_addr(PageId::new(5));
-        sys.write_block(&mut nvm, Cycle::ZERO, addr, [9u8; 64]).unwrap();
+        sys.write_block(&mut nvm, Cycle::ZERO, addr, [9u8; 64])
+            .unwrap();
         sys.flush(&mut nvm, Cycle::ZERO);
         sys.crash(); // drop the cached (trusted) copies
 
@@ -1533,7 +1604,8 @@ mod tests {
     fn tamper_with_tree_node_is_detected() {
         let (mut sys, mut nvm) = small_setup();
         let addr = sys.layout().mecb_addr(PageId::new(6));
-        sys.write_block(&mut nvm, Cycle::ZERO, addr, [1u8; 64]).unwrap();
+        sys.write_block(&mut nvm, Cycle::ZERO, addr, [1u8; 64])
+            .unwrap();
         sys.flush(&mut nvm, Cycle::ZERO);
         sys.crash();
 
@@ -1551,11 +1623,13 @@ mod tests {
     fn replay_of_old_counter_is_detected() {
         let (mut sys, mut nvm) = small_setup();
         let addr = sys.layout().mecb_addr(PageId::new(7));
-        sys.write_block(&mut nvm, Cycle::ZERO, addr, [1u8; 64]).unwrap();
+        sys.write_block(&mut nvm, Cycle::ZERO, addr, [1u8; 64])
+            .unwrap();
         sys.flush(&mut nvm, Cycle::ZERO);
         let old = nvm.peek_line(addr.into_phys());
 
-        sys.write_block(&mut nvm, Cycle::ZERO, addr, [2u8; 64]).unwrap();
+        sys.write_block(&mut nvm, Cycle::ZERO, addr, [2u8; 64])
+            .unwrap();
         sys.flush(&mut nvm, Cycle::ZERO);
         sys.crash();
 
@@ -1571,10 +1645,14 @@ mod tests {
         // it yields a self-consistent tree.
         let (mut sys, mut nvm) = small_setup();
         let addr = sys.layout().fecb_addr(PageId::new(1));
-        sys.write_block(&mut nvm, Cycle::ZERO, addr, [3u8; 64]).unwrap();
+        sys.write_block(&mut nvm, Cycle::ZERO, addr, [3u8; 64])
+            .unwrap();
         sys.flush(&mut nvm, Cycle::ZERO);
         sys.crash();
-        assert!(sys.rebuild(&mut nvm).is_empty(), "plain rebuild repairs nothing");
+        assert!(
+            sys.rebuild(&mut nvm).is_empty(),
+            "plain rebuild repairs nothing"
+        );
         let (bytes, _) = sys.read_block(&mut nvm, Cycle::ZERO, addr).unwrap();
         assert_eq!(bytes, [3u8; 64]);
     }
@@ -1585,7 +1663,10 @@ mod tests {
         let mut t = Cycle::ZERO;
         for p in 0..10u64 {
             let mecb = sys.layout().mecb_addr(PageId::new(p));
-            t = sys.write_block(&mut nvm, t, mecb, [p as u8 + 1; 64]).unwrap().done;
+            t = sys
+                .write_block(&mut nvm, t, mecb, [p as u8 + 1; 64])
+                .unwrap()
+                .done;
         }
         sys.flush(&mut nvm, t);
         sys.crash();
@@ -1635,7 +1716,9 @@ mod tests {
         let mut t = Cycle::ZERO;
         for p in 0..64u64 {
             let addr = sys.layout().mecb_addr(PageId::new(p));
-            let acc = sys.write_block(&mut nvm, t, addr, [p as u8 + 1; 64]).unwrap();
+            let acc = sys
+                .write_block(&mut nvm, t, addr, [p as u8 + 1; 64])
+                .unwrap();
             t = acc.done;
         }
         // Re-read everything; all must verify and carry the right data.
@@ -1645,7 +1728,10 @@ mod tests {
             t = acc.done;
             assert_eq!(bytes, [p as u8 + 1; 64], "page {p}");
         }
-        assert!(sys.stats().evict_writebacks.get() > 0, "pressure must evict");
+        assert!(
+            sys.stats().evict_writebacks.get() > 0,
+            "pressure must evict"
+        );
     }
 
     #[test]
@@ -1676,17 +1762,32 @@ mod tests {
         // Mixed MECB/FECB traffic with flush + crash in the middle.
         for p in 0..32u64 {
             let page = PageId::new(p);
-            t = sys.write_block(&mut nvm, t, sys.layout().mecb_addr(page), [p as u8; 64]).unwrap().done;
-            t = sys.write_block(&mut nvm, t, sys.layout().fecb_addr(page), [p as u8 + 100; 64]).unwrap().done;
+            t = sys
+                .write_block(&mut nvm, t, sys.layout().mecb_addr(page), [p as u8; 64])
+                .unwrap()
+                .done;
+            t = sys
+                .write_block(
+                    &mut nvm,
+                    t,
+                    sys.layout().fecb_addr(page),
+                    [p as u8 + 100; 64],
+                )
+                .unwrap()
+                .done;
         }
         t = sys.flush(&mut nvm, t);
         sys.crash();
         for p in 0..32u64 {
             let page = PageId::new(p);
-            let (m, acc) = sys.read_block(&mut nvm, t, sys.layout().mecb_addr(page)).unwrap();
+            let (m, acc) = sys
+                .read_block(&mut nvm, t, sys.layout().mecb_addr(page))
+                .unwrap();
             t = acc.done;
             assert_eq!(m, [p as u8; 64]);
-            let (f, acc) = sys.read_block(&mut nvm, t, sys.layout().fecb_addr(page)).unwrap();
+            let (f, acc) = sys
+                .read_block(&mut nvm, t, sys.layout().fecb_addr(page))
+                .unwrap();
             t = acc.done;
             assert_eq!(f, [p as u8 + 100; 64]);
         }
@@ -1708,7 +1809,8 @@ mod tests {
         // bump_parent re-publishes the same leaf digest.
         let (mut sys, mut nvm) = small_setup();
         let addr = sys.layout().fecb_addr(PageId::new(2));
-        sys.write_block(&mut nvm, Cycle::ZERO, addr, [0x5au8; 64]).unwrap();
+        sys.write_block(&mut nvm, Cycle::ZERO, addr, [0x5au8; 64])
+            .unwrap();
         let t = sys.persist_block(&mut nvm, Cycle::ZERO, addr).unwrap();
         let t = sys.persist_block(&mut nvm, t, addr).unwrap();
         sys.flush(&mut nvm, t);
@@ -1731,7 +1833,10 @@ mod tests {
             let addr = on.layout().mecb_addr(PageId::new(p));
             let data = [p as u8 + 1; 64];
             t_on = on.write_block(&mut nvm_on, t_on, addr, data).unwrap().done;
-            t_off = off.write_block(&mut nvm_off, t_off, addr, data).unwrap().done;
+            t_off = off
+                .write_block(&mut nvm_off, t_off, addr, data)
+                .unwrap()
+                .done;
             assert_eq!(t_on, t_off, "page {p}");
         }
         let addr = on.layout().fecb_addr(PageId::new(0));
@@ -1756,7 +1861,8 @@ mod tests {
         let (mut sys, mut nvm) = small_setup();
         sys.set_coverage_oracle(true);
         let addr = sys.layout().mecb_addr(PageId::new(4));
-        sys.write_block(&mut nvm, Cycle::ZERO, addr, [0x33u8; 64]).unwrap();
+        sys.write_block(&mut nvm, Cycle::ZERO, addr, [0x33u8; 64])
+            .unwrap();
         let t = sys.persist_block(&mut nvm, Cycle::ZERO, addr).unwrap();
         // Dirty-in-cache sibling: its *media* image (still zero) must
         // also be covered — the invariant speaks about NVM content.
@@ -1797,9 +1903,15 @@ mod tests {
         let mut t = Cycle::ZERO;
         for p in 0..64u64 {
             let addr = sys.layout().mecb_addr(PageId::new(p));
-            t = sys.write_block(&mut nvm, t, addr, [p as u8 + 1; 64]).unwrap().done;
+            t = sys
+                .write_block(&mut nvm, t, addr, [p as u8 + 1; 64])
+                .unwrap()
+                .done;
         }
-        assert!(sys.stats().evict_writebacks.get() > 0, "pressure must evict");
+        assert!(
+            sys.stats().evict_writebacks.get() > 0,
+            "pressure must evict"
+        );
         t = sys.flush(&mut nvm, t);
         sys.crash();
         sys.rebuild(&mut nvm);
@@ -1815,13 +1927,25 @@ mod tests {
         let mut t = Cycle::ZERO;
         for p in 0..8u64 {
             let page = PageId::new(p);
-            t = sys.read_block(&mut nvm, t, sys.layout().mecb_addr(page)).unwrap().1.done;
-            t = sys.read_block(&mut nvm, t, sys.layout().fecb_addr(page)).unwrap().1.done;
+            t = sys
+                .read_block(&mut nvm, t, sys.layout().mecb_addr(page))
+                .unwrap()
+                .1
+                .done;
+            t = sys
+                .read_block(&mut nvm, t, sys.layout().fecb_addr(page))
+                .unwrap()
+                .1
+                .done;
         }
         // Cache-resident re-reads.
         for p in 0..8u64 {
             let page = PageId::new(p);
-            t = sys.read_block(&mut nvm, t, sys.layout().mecb_addr(page)).unwrap().1.done;
+            t = sys
+                .read_block(&mut nvm, t, sys.layout().mecb_addr(page))
+                .unwrap()
+                .1
+                .done;
         }
         let s = sys.stats();
         assert_eq!(s.mecb_misses.get(), 8);

@@ -119,14 +119,36 @@ proptest! {
 #[test]
 fn regression_install_must_not_clobber_fresher_cached_nodes() {
     let ops: Vec<(u64, u8, bool)> = vec![
-        (12, 35, false), (0, 172, false), (2, 253, true), (22, 18, false),
-        (22, 54, true), (17, 44, false), (12, 100, true), (12, 48, false),
-        (14, 89, false), (9, 207, true), (16, 28, true), (7, 81, false),
-        (22, 129, false), (3, 115, false), (1, 248, false), (10, 207, true),
-        (15, 226, false), (0, 65, false), (11, 252, true), (21, 138, true),
-        (3, 172, false), (13, 248, true), (8, 168, false), (3, 146, false),
-        (16, 149, true), (3, 235, true), (8, 88, true), (2, 219, true),
-        (5, 237, true), (20, 145, false),
+        (12, 35, false),
+        (0, 172, false),
+        (2, 253, true),
+        (22, 18, false),
+        (22, 54, true),
+        (17, 44, false),
+        (12, 100, true),
+        (12, 48, false),
+        (14, 89, false),
+        (9, 207, true),
+        (16, 28, true),
+        (7, 81, false),
+        (22, 129, false),
+        (3, 115, false),
+        (1, 248, false),
+        (10, 207, true),
+        (15, 226, false),
+        (0, 65, false),
+        (11, 252, true),
+        (21, 138, true),
+        (3, 172, false),
+        (13, 248, true),
+        (8, 168, false),
+        (3, 146, false),
+        (16, 149, true),
+        (3, 235, true),
+        (8, 88, true),
+        (2, 219, true),
+        (5, 237, true),
+        (20, 145, false),
     ];
     let crash_points = [false, true, false, false, true, true, true];
 

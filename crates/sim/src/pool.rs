@@ -196,7 +196,12 @@ mod tests {
         let _guard = JOBS_LOCK.lock().unwrap();
         set_jobs(4);
         let want: Vec<usize> = (0..33).map(|i| i * 7).collect();
-        for sched in [Schedule::Fifo, Schedule::Lifo, Schedule::EvenOdd, Schedule::Stagger] {
+        for sched in [
+            Schedule::Fifo,
+            Schedule::Lifo,
+            Schedule::EvenOdd,
+            Schedule::Stagger,
+        ] {
             set_schedule(sched);
             let got = run_tasks((0..33).map(|i| move || i * 7).collect::<Vec<_>>());
             assert_eq!(got, want, "{sched:?}");

@@ -101,7 +101,10 @@ mod tests {
         let d1 = r.serve(Cycle::ZERO, Cycle::new(10));
         let d2 = r.serve(Cycle::ZERO, Cycle::new(10));
         let d3 = r.serve(Cycle::ZERO, Cycle::new(10));
-        assert_eq!((d1, d2, d3), (Cycle::new(10), Cycle::new(20), Cycle::new(30)));
+        assert_eq!(
+            (d1, d2, d3),
+            (Cycle::new(10), Cycle::new(20), Cycle::new(30))
+        );
     }
 
     #[test]

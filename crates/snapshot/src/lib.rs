@@ -422,7 +422,9 @@ pub fn describe(buf: &[u8]) -> Result<Vec<SectionInfo>, SnapError> {
         let payload = buf.get(pos..payload_end).ok_or(SnapError::Truncated)?;
         chain = fnv1a64(chain, payload);
         let digest_end = payload_end.checked_add(8).ok_or(SnapError::Truncated)?;
-        let digest_bytes = buf.get(payload_end..digest_end).ok_or(SnapError::Truncated)?;
+        let digest_bytes = buf
+            .get(payload_end..digest_end)
+            .ok_or(SnapError::Truncated)?;
         let stored = u64::from_le_bytes(arr8(digest_bytes));
         if stored != chain {
             return Err(SnapError::BadDigest);
@@ -430,7 +432,11 @@ pub fn describe(buf: &[u8]) -> Result<Vec<SectionInfo>, SnapError> {
         let name = core::str::from_utf8(name_bytes)
             .map_err(|_| SnapError::Corrupt("section name"))?
             .to_string();
-        out.push(SectionInfo { name, payload_len, digest: stored });
+        out.push(SectionInfo {
+            name,
+            payload_len,
+            digest: stored,
+        });
         pos = digest_end;
     }
     Ok(out)

@@ -180,7 +180,13 @@ mod tests {
             "touch".to_string()
         }
         fn setup(&mut self, m: &mut Machine) -> Result<(), MachineError> {
-            let h = m.create(UserId::new(1), GroupId::new(1), "touch", Mode::PRIVATE, Some("pw"))?;
+            let h = m.create(
+                UserId::new(1),
+                GroupId::new(1),
+                "touch",
+                Mode::PRIVATE,
+                Some("pw"),
+            )?;
             let map = m.mmap(&h)?;
             m.write(0, map, 0, &vec![1u8; self.bytes as usize])?;
             m.persist(0, map, 0, self.bytes)?;
@@ -205,12 +211,7 @@ mod tests {
     #[test]
     fn run_workload_measures_only_the_run_phase() {
         let mut w = Touch { bytes: 8192 };
-        let res = run_workload(
-            MachineOpts::small_test(),
-            SecurityMode::FsEncr,
-            &mut w,
-        )
-        .unwrap();
+        let res = run_workload(MachineOpts::small_test(), SecurityMode::FsEncr, &mut w).unwrap();
         assert_eq!(res.workload, "touch");
         assert!(res.stats.cycles > 0);
         // Setup's 128 persisted data lines landed before the measurement
@@ -229,13 +230,21 @@ mod tests {
         let mut per_thread = vec![0usize; 2];
         interleave(&mut m, 2, 50, |m, t, i| {
             per_thread[t] += 1;
-            m.write(t, map, (t as u64 * 64 + i as u64) * 4096 % (1 << 20), &[t as u8; 32])
+            m.write(
+                t,
+                map,
+                (t as u64 * 64 + i as u64) * 4096 % (1 << 20),
+                &[t as u8; 32],
+            )
         })
         .unwrap();
         assert_eq!(per_thread, vec![50, 50]);
         // Clocks should be within one op of each other.
         let a = m.now(0).get() as f64;
         let b = m.now(1).get() as f64;
-        assert!((a - b).abs() / a.max(b) < 0.5, "clocks diverged: {a} vs {b}");
+        assert!(
+            (a - b).abs() / a.max(b) < 0.5,
+            "clocks diverged: {a} vs {b}"
+        );
     }
 }

@@ -88,7 +88,13 @@ impl BTreeKv {
         self.map
     }
 
-    fn alloc(&self, m: &mut Machine, core: usize, bytes: u64, align: u64) -> Result<u64, MachineError> {
+    fn alloc(
+        &self,
+        m: &mut Machine,
+        core: usize,
+        bytes: u64,
+        align: u64,
+    ) -> Result<u64, MachineError> {
         let next = io::read_u64(m, core, self.map, HDR_ALLOC)?;
         let base = next.div_ceil(align) * align;
         io::write_u64(m, core, self.map, HDR_ALLOC, base + bytes)?;
@@ -117,19 +123,48 @@ impl BTreeKv {
         io::read_u16(m, core, self.map, node + 2)
     }
 
-    fn set_count(&self, m: &mut Machine, core: usize, node: u64, count: u16) -> Result<(), MachineError> {
+    fn set_count(
+        &self,
+        m: &mut Machine,
+        core: usize,
+        node: u64,
+        count: u16,
+    ) -> Result<(), MachineError> {
         io::write_u16(m, core, self.map, node + 2, count)
     }
 
-    fn leaf_key(&self, m: &mut Machine, core: usize, node: u64, idx: u16) -> Result<u64, MachineError> {
-        io::read_u64(m, core, self.map, node + ENTRIES_OFF + idx as u64 * ENTRY_BYTES)
+    fn leaf_key(
+        &self,
+        m: &mut Machine,
+        core: usize,
+        node: u64,
+        idx: u16,
+    ) -> Result<u64, MachineError> {
+        io::read_u64(
+            m,
+            core,
+            self.map,
+            node + ENTRIES_OFF + idx as u64 * ENTRY_BYTES,
+        )
     }
 
-    fn int_key(&self, m: &mut Machine, core: usize, node: u64, idx: u16) -> Result<u64, MachineError> {
+    fn int_key(
+        &self,
+        m: &mut Machine,
+        core: usize,
+        node: u64,
+        idx: u16,
+    ) -> Result<u64, MachineError> {
         io::read_u64(m, core, self.map, node + KEYS_OFF + idx as u64 * 8)
     }
 
-    fn child(&self, m: &mut Machine, core: usize, node: u64, idx: u16) -> Result<u64, MachineError> {
+    fn child(
+        &self,
+        m: &mut Machine,
+        core: usize,
+        node: u64,
+        idx: u16,
+    ) -> Result<u64, MachineError> {
         io::read_u64(m, core, self.map, node + CHILDREN_OFF + idx as u64 * 8)
     }
 
@@ -198,7 +233,12 @@ impl BTreeKv {
             let moved = count - keep;
             // Copy upper half to the sibling.
             let mut buf = vec![0u8; moved as usize * ENTRY_BYTES as usize];
-            m.read(core, self.map, child + ENTRIES_OFF + keep as u64 * ENTRY_BYTES, &mut buf)?;
+            m.read(
+                core,
+                self.map,
+                child + ENTRIES_OFF + keep as u64 * ENTRY_BYTES,
+                &mut buf,
+            )?;
             let mut hdr = [0u8; 16];
             hdr[0] = TAG_LEAF;
             hdr[2..4].copy_from_slice(&moved.to_le_bytes());
@@ -220,7 +260,12 @@ impl BTreeKv {
             // keys (mid+1..count) -> sibling keys 0.., children
             // (mid+1..=count) -> sibling children 0..
             let mut keys = vec![0u8; moved_keys as usize * 8];
-            m.read(core, self.map, child + KEYS_OFF + (mid as u64 + 1) * 8, &mut keys)?;
+            m.read(
+                core,
+                self.map,
+                child + KEYS_OFF + (mid as u64 + 1) * 8,
+                &mut keys,
+            )?;
             let mut children = vec![0u8; (moved_keys as usize + 1) * 8];
             m.read(
                 core,
@@ -246,7 +291,12 @@ impl BTreeKv {
         if tail_keys > 0 {
             let mut buf = vec![0u8; tail_keys];
             m.read(core, self.map, parent + KEYS_OFF + idx as u64 * 8, &mut buf)?;
-            m.write(core, self.map, parent + KEYS_OFF + (idx as u64 + 1) * 8, &buf)?;
+            m.write(
+                core,
+                self.map,
+                parent + KEYS_OFF + (idx as u64 + 1) * 8,
+                &buf,
+            )?;
         }
         let tail_children = (pcount - idx) as usize * 8;
         if tail_children > 0 {
@@ -264,7 +314,13 @@ impl BTreeKv {
                 &buf,
             )?;
         }
-        io::write_u64(m, core, self.map, parent + KEYS_OFF + idx as u64 * 8, separator)?;
+        io::write_u64(
+            m,
+            core,
+            self.map,
+            parent + KEYS_OFF + idx as u64 * 8,
+            separator,
+        )?;
         io::write_u64(
             m,
             core,
@@ -367,7 +423,12 @@ impl BTreeKv {
                 let tail = (count - idx) as usize * ENTRY_BYTES as usize;
                 if tail > 0 {
                     let mut buf = vec![0u8; tail];
-                    m.read(core, self.map, node + ENTRIES_OFF + idx as u64 * ENTRY_BYTES, &mut buf)?;
+                    m.read(
+                        core,
+                        self.map,
+                        node + ENTRIES_OFF + idx as u64 * ENTRY_BYTES,
+                        &mut buf,
+                    )?;
                     m.write(
                         core,
                         self.map,
@@ -379,7 +440,12 @@ impl BTreeKv {
                 entry[..8].copy_from_slice(&key.to_le_bytes());
                 entry[8..16].copy_from_slice(&vptr.to_le_bytes());
                 entry[16..20].copy_from_slice(&(value.len() as u32).to_le_bytes());
-                m.write(core, self.map, node + ENTRIES_OFF + idx as u64 * ENTRY_BYTES, &entry)?;
+                m.write(
+                    core,
+                    self.map,
+                    node + ENTRIES_OFF + idx as u64 * ENTRY_BYTES,
+                    &entry,
+                )?;
                 self.set_count(m, core, node, count + 1)?;
                 // Persist only what changed: the shifted tail plus header.
                 let touched_base = node + ENTRIES_OFF + idx as u64 * ENTRY_BYTES;
@@ -421,7 +487,12 @@ impl BTreeKv {
                         node + ENTRIES_OFF + (idx as u64 + 1) * ENTRY_BYTES,
                         &mut buf,
                     )?;
-                    m.write(core, self.map, node + ENTRIES_OFF + idx as u64 * ENTRY_BYTES, &buf)?;
+                    m.write(
+                        core,
+                        self.map,
+                        node + ENTRIES_OFF + idx as u64 * ENTRY_BYTES,
+                        &buf,
+                    )?;
                 }
                 self.set_count(m, core, node, count - 1)?;
                 let touched = node + ENTRIES_OFF + idx as u64 * ENTRY_BYTES;
@@ -520,7 +591,13 @@ mod tests {
         opts.pmem_bytes = 8 << 20;
         let mut m = Machine::new(opts, mode);
         let h = m
-            .create(UserId::new(1), GroupId::new(1), "kv.db", Mode::PRIVATE, Some("pw"))
+            .create(
+                UserId::new(1),
+                GroupId::new(1),
+                "kv.db",
+                Mode::PRIVATE,
+                Some("pw"),
+            )
             .unwrap();
         let map = m.mmap(&h).unwrap();
         let tree = BTreeKv::create(&mut m, 0, map).unwrap();
@@ -591,10 +668,12 @@ mod tests {
             tree.put(&mut m, 0, k, b"v").unwrap();
         }
         let mut seen = Vec::new();
-        let visited = tree.scan(&mut m, 0, |k, v| {
-            assert_eq!(v, b"v");
-            seen.push(k);
-        }).unwrap();
+        let visited = tree
+            .scan(&mut m, 0, |k, v| {
+                assert_eq!(v, b"v");
+                seen.push(k);
+            })
+            .unwrap();
         assert_eq!(visited as usize, keys.len());
         assert_eq!(seen, keys);
     }
@@ -621,7 +700,13 @@ mod tests {
         let r = m.recover();
         assert_eq!(r.unrecoverable, 0, "{r:?}");
         let h = m
-            .open(UserId::new(1), &[GroupId::new(1)], "kv.db", fsencr_fs::AccessKind::Read, Some("pw"))
+            .open(
+                UserId::new(1),
+                &[GroupId::new(1)],
+                "kv.db",
+                fsencr_fs::AccessKind::Read,
+                Some("pw"),
+            )
             .unwrap();
         let map = m.mmap(&h).unwrap();
         let tree = BTreeKv::open(&mut m, 0, map).unwrap();
@@ -645,7 +730,13 @@ mod delete_tests {
         opts.pmem_bytes = 8 << 20;
         let mut m = Machine::new(opts, SecurityMode::FsEncr);
         let h = m
-            .create(UserId::new(1), GroupId::new(1), "del.db", Mode::PRIVATE, Some("pw"))
+            .create(
+                UserId::new(1),
+                GroupId::new(1),
+                "del.db",
+                Mode::PRIVATE,
+                Some("pw"),
+            )
             .unwrap();
         let map = m.mmap(&h).unwrap();
         let tree = BTreeKv::create(&mut m, 0, map).unwrap();
@@ -721,13 +812,23 @@ mod delete_tests {
         m.crash();
         assert_eq!(m.recover().unrecoverable, 0);
         let h = m
-            .open(UserId::new(1), &[GroupId::new(1)], "del.db", fsencr_fs::AccessKind::Read, Some("pw"))
+            .open(
+                UserId::new(1),
+                &[GroupId::new(1)],
+                "del.db",
+                fsencr_fs::AccessKind::Read,
+                Some("pw"),
+            )
             .unwrap();
         let map = m.mmap(&h).unwrap();
         let tree = BTreeKv::open(&mut m, 0, map).unwrap();
         let mut buf = Vec::new();
         for k in 0..50u64 {
-            assert_eq!(tree.get(&mut m, 0, k, &mut buf).unwrap(), k >= 25, "key {k}");
+            assert_eq!(
+                tree.get(&mut m, 0, k, &mut buf).unwrap(),
+                k >= 25,
+                "key {k}"
+            );
         }
     }
 }

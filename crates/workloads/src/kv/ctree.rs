@@ -189,7 +189,13 @@ mod tests {
         opts.pmem_bytes = 4 << 20;
         let mut m = Machine::new(opts, SecurityMode::FsEncr);
         let h = m
-            .create(UserId::new(1), GroupId::new(1), "ctree.db", Mode::PRIVATE, Some("pw"))
+            .create(
+                UserId::new(1),
+                GroupId::new(1),
+                "ctree.db",
+                Mode::PRIVATE,
+                Some("pw"),
+            )
             .unwrap();
         let map = m.mmap(&h).unwrap();
         let kv = CtreeKv::create(&mut m, 0, map, 128).unwrap();

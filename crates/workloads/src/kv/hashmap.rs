@@ -78,7 +78,11 @@ impl HashKv {
     ///
     /// Panics on a bad magic number.
     pub fn open(m: &mut Machine, core: usize, map: MapId) -> Result<Self, MachineError> {
-        assert_eq!(io::read_u64(m, core, map, HDR_MAGIC)?, MAGIC_V, "not a hashmap file");
+        assert_eq!(
+            io::read_u64(m, core, map, HDR_MAGIC)?,
+            MAGIC_V,
+            "not a hashmap file"
+        );
         let capacity = io::read_u64(m, core, map, HDR_CAP)?;
         let value_size = io::read_u64(m, core, map, HDR_VSIZE)?;
         Ok(HashKv {
@@ -230,7 +234,13 @@ mod tests {
         opts.pmem_bytes = 4 << 20;
         let mut m = Machine::new(opts, SecurityMode::FsEncr);
         let h = m
-            .create(UserId::new(1), GroupId::new(1), "hash.db", Mode::PRIVATE, Some("pw"))
+            .create(
+                UserId::new(1),
+                GroupId::new(1),
+                "hash.db",
+                Mode::PRIVATE,
+                Some("pw"),
+            )
             .unwrap();
         let map = m.mmap(&h).unwrap();
         let kv = HashKv::create(&mut m, 0, map, 1024, 128).unwrap();
@@ -304,7 +314,13 @@ mod remove_tests {
         opts.pmem_bytes = 4 << 20;
         let mut m = Machine::new(opts, SecurityMode::FsEncr);
         let h = m
-            .create(UserId::new(1), GroupId::new(1), "rm.db", Mode::PRIVATE, Some("pw"))
+            .create(
+                UserId::new(1),
+                GroupId::new(1),
+                "rm.db",
+                Mode::PRIVATE,
+                Some("pw"),
+            )
             .unwrap();
         let map = m.mmap(&h).unwrap();
         let kv = HashKv::create(&mut m, 0, map, 64, 64).unwrap();

@@ -124,11 +124,12 @@ impl Workload for PmemKv {
     fn configure(&self, mut opts: MachineOpts) -> MachineOpts {
         // Room for shards: keys * (value + entry + node amortisation) * 2,
         // with slack for splits and the value log.
-        let per_thread = self.keys_per_thread
-            * (self.value_bytes as u64 + 64)
+        let per_thread = self.keys_per_thread * (self.value_bytes as u64 + 64)
             + (self.ops_per_thread * self.value_bytes as u64)
             + (4 << 20);
-        opts.pmem_bytes = (per_thread * self.threads as u64).next_power_of_two().max(32 << 20);
+        opts.pmem_bytes = (per_thread * self.threads as u64)
+            .next_power_of_two()
+            .max(32 << 20);
         opts
     }
 
@@ -143,7 +144,13 @@ impl Workload for PmemKv {
             + self.ops_per_thread * self.value_bytes as u64
             + (1 << 20);
         for t in 0..self.threads {
-            let h = m.create(user, group, &format!("pmemkv-{t}.db"), Mode::PRIVATE, Some("bench"))?;
+            let h = m.create(
+                user,
+                group,
+                &format!("pmemkv-{t}.db"),
+                Mode::PRIVATE,
+                Some("bench"),
+            )?;
             let map = m.mmap(&h)?;
             prefault(m, t, map, pool_bytes)?;
             self.trees.push(BTreeKv::create(m, t, map)?);
@@ -172,7 +179,9 @@ impl Workload for PmemKv {
                 })
             }
             DbBench::FillRandom => {
-                let order: Vec<Vec<u64>> = (0..self.threads).map(|t| self.shuffled_indices(t)).collect();
+                let order: Vec<Vec<u64>> = (0..self.threads)
+                    .map(|t| self.shuffled_indices(t))
+                    .collect();
                 let ops = self.ops_per_thread.min(self.keys_per_thread);
                 interleave(m, self.threads, ops as usize, |m, t, i| {
                     m.advance(t, OP_COMPUTE_CYCLES);
@@ -181,7 +190,9 @@ impl Workload for PmemKv {
                 })
             }
             DbBench::Overwrite => {
-                let order: Vec<Vec<u64>> = (0..self.threads).map(|t| self.shuffled_indices(t)).collect();
+                let order: Vec<Vec<u64>> = (0..self.threads)
+                    .map(|t| self.shuffled_indices(t))
+                    .collect();
                 interleave(m, self.threads, self.ops_per_thread as usize, |m, t, i| {
                     m.advance(t, OP_COMPUTE_CYCLES);
                     let key = Self::key_of(t, order[t][i % order[t].len()]);
@@ -189,8 +200,9 @@ impl Workload for PmemKv {
                 })
             }
             DbBench::ReadRandom => {
-                let mut rngs: Vec<SplitMix64> =
-                    (0..self.threads).map(|t| SplitMix64::new(77 + t as u64)).collect();
+                let mut rngs: Vec<SplitMix64> = (0..self.threads)
+                    .map(|t| SplitMix64::new(77 + t as u64))
+                    .collect();
                 let mut buf = Vec::new();
                 interleave(m, self.threads, self.ops_per_thread as usize, |m, t, _| {
                     m.advance(t, OP_COMPUTE_CYCLES);
@@ -201,7 +213,9 @@ impl Workload for PmemKv {
                 })
             }
             DbBench::DeleteRandom => {
-                let order: Vec<Vec<u64>> = (0..self.threads).map(|t| self.shuffled_indices(t)).collect();
+                let order: Vec<Vec<u64>> = (0..self.threads)
+                    .map(|t| self.shuffled_indices(t))
+                    .collect();
                 let ops = self.ops_per_thread.min(self.keys_per_thread);
                 interleave(m, self.threads, ops as usize, |m, t, i| {
                     m.advance(t, OP_COMPUTE_CYCLES);
@@ -256,15 +270,28 @@ mod tests {
     #[test]
     fn names_match_table_ii() {
         assert_eq!(tiny(DbBench::FillSeq).name(), "Fillseq-S");
-        assert_eq!(PmemKv::new(DbBench::ReadRandom, 4096, 8, 8, 2).name(), "Readrandom-L");
+        assert_eq!(
+            PmemKv::new(DbBench::ReadRandom, 4096, 8, 8, 2).name(),
+            "Readrandom-L"
+        );
     }
 
     #[test]
     fn write_benches_write_more_than_read_benches() {
         let mut fill = tiny(DbBench::FillRandom);
         let mut read = tiny(DbBench::ReadRandom);
-        let w = run_workload(MachineOpts::small_test(), SecurityMode::MemoryOnly, &mut fill).unwrap();
-        let r = run_workload(MachineOpts::small_test(), SecurityMode::MemoryOnly, &mut read).unwrap();
+        let w = run_workload(
+            MachineOpts::small_test(),
+            SecurityMode::MemoryOnly,
+            &mut fill,
+        )
+        .unwrap();
+        let r = run_workload(
+            MachineOpts::small_test(),
+            SecurityMode::MemoryOnly,
+            &mut read,
+        )
+        .unwrap();
         assert!(
             w.stats.nvm_writes > r.stats.nvm_writes * 2,
             "fill={} read={}",

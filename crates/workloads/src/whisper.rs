@@ -93,8 +93,9 @@ impl Workload for Ycsb {
         let mut zipfs: Vec<Zipfian> = (0..self.workers)
             .map(|w| Zipfian::new(self.records_per_worker, 0.99, 42 + w as u64))
             .collect();
-        let mut coins: Vec<SplitMix64> =
-            (0..self.workers).map(|w| SplitMix64::new(7 + w as u64)).collect();
+        let mut coins: Vec<SplitMix64> = (0..self.workers)
+            .map(|w| SplitMix64::new(7 + w as u64))
+            .collect();
         let mut buf = Vec::new();
         interleave(m, self.workers, self.ops_per_worker as usize, |m, w, _| {
             m.advance(w, YCSB_COMPUTE_CYCLES);
@@ -165,15 +166,17 @@ impl Workload for HashmapBench {
             let map = m.mmap(&h)?;
             let slots = (self.ops_per_thread * 2).next_power_of_two();
             prefault(m, t, map, 4096 + slots * 192)?;
-            self.tables.push(HashKv::create(m, t, map, slots, VALUE_BYTES as u64)?);
+            self.tables
+                .push(HashKv::create(m, t, map, slots, VALUE_BYTES as u64)?);
         }
         Ok(())
     }
 
     fn run(&mut self, m: &mut Machine) -> Result<(), MachineError> {
         let tables = self.tables.clone();
-        let mut rngs: Vec<SplitMix64> =
-            (0..self.threads).map(|t| SplitMix64::new(31 + t as u64)).collect();
+        let mut rngs: Vec<SplitMix64> = (0..self.threads)
+            .map(|t| SplitMix64::new(31 + t as u64))
+            .collect();
         let mut inserted = vec![0u64; self.threads];
         let mut buf = Vec::new();
         interleave(m, self.threads, self.ops_per_thread as usize, |m, t, _| {
@@ -244,15 +247,17 @@ impl Workload for CtreeBench {
             )?;
             let map = m.mmap(&h)?;
             prefault(m, t, map, 4096 + self.ops_per_thread * 192 * 2)?;
-            self.trees.push(CtreeKv::create(m, t, map, VALUE_BYTES as u64)?);
+            self.trees
+                .push(CtreeKv::create(m, t, map, VALUE_BYTES as u64)?);
         }
         Ok(())
     }
 
     fn run(&mut self, m: &mut Machine) -> Result<(), MachineError> {
         let trees = self.trees.clone();
-        let mut rngs: Vec<SplitMix64> =
-            (0..self.threads).map(|t| SplitMix64::new(53 + t as u64)).collect();
+        let mut rngs: Vec<SplitMix64> = (0..self.threads)
+            .map(|t| SplitMix64::new(53 + t as u64))
+            .collect();
         let mut keys: Vec<Vec<u64>> = vec![Vec::new(); self.threads];
         let mut buf = Vec::new();
         interleave(m, self.threads, self.ops_per_thread as usize, |m, t, _| {
@@ -301,9 +306,15 @@ mod tests {
     #[test]
     fn ycsb_software_mode_is_much_slower() {
         let mut w1 = Ycsb::new(128, 128, 2);
-        let dax = run_workload(MachineOpts::small_test(), SecurityMode::Unencrypted, &mut w1).unwrap();
+        let dax = run_workload(
+            MachineOpts::small_test(),
+            SecurityMode::Unencrypted,
+            &mut w1,
+        )
+        .unwrap();
         let mut w2 = Ycsb::new(128, 128, 2);
-        let soft = run_workload(MachineOpts::small_test(), SecurityMode::Software, &mut w2).unwrap();
+        let soft =
+            run_workload(MachineOpts::small_test(), SecurityMode::Software, &mut w2).unwrap();
         assert!(
             soft.stats.cycles > dax.stats.cycles * 2,
             "software {} vs dax {}",

@@ -117,7 +117,10 @@ mod tests {
             .max_by_key(|(_, c)| **c)
             .map(|(i, _)| i)
             .unwrap();
-        assert!(max_idx < 5, "hottest key should be near rank 0, got {max_idx}");
+        assert!(
+            max_idx < 5,
+            "hottest key should be near rank 0, got {max_idx}"
+        );
     }
 
     #[test]

@@ -32,7 +32,9 @@ fn kv_ops() -> impl Strategy<Value = Vec<KvOp>> {
 }
 
 fn value_for(key: u64, len: usize) -> Vec<u8> {
-    (0..len).map(|i| (key as u8).wrapping_add(i as u8)).collect()
+    (0..len)
+        .map(|i| (key as u8).wrapping_add(i as u8))
+        .collect()
 }
 
 proptest! {

@@ -16,7 +16,13 @@ fn build(mode: SecurityMode) -> Machine {
     let mut m = Machine::new(MachineOpts::small_test(), mode);
     let alice = UserId::new(1);
     let h = m
-        .create(alice, GroupId::new(1), "hr.doc", Mode::PRIVATE, Some("alice-pw"))
+        .create(
+            alice,
+            GroupId::new(1),
+            "hr.doc",
+            Mode::PRIVATE,
+            Some("alice-pw"),
+        )
         .expect("create");
     let map = m.mmap(&h).expect("mmap");
     m.write(0, map, 0, SECRET).expect("write");
@@ -27,7 +33,11 @@ fn build(mode: SecurityMode) -> Machine {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== Attacker X: steals the DIMM, scans it raw ==");
-    for mode in [SecurityMode::Unencrypted, SecurityMode::MemoryOnly, SecurityMode::FsEncr] {
+    for mode in [
+        SecurityMode::Unencrypted,
+        SecurityMode::MemoryOnly,
+        SecurityMode::FsEncr,
+    ] {
         let m = build(mode);
         let leaked = security::media_contains(&m, SECRET);
         println!("  {mode:<20} secret on media: {leaked}");
@@ -64,7 +74,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let line = fsencr_nvm::PhysAddr::new(frame.get() * PAGE_BYTES as u64);
     let t = m.elapsed();
     let (bytes, _) = m.fault_plane().controller_mut().read_line(t, line)?;
-    let visible = bytes.windows(SECRET.len().min(16)).any(|w| w == &SECRET[..16]);
+    let visible = bytes
+        .windows(SECRET.len().min(16))
+        .any(|w| w == &SECRET[..16]);
     println!("  file engine locked; physical reads show plaintext: {visible}");
     assert!(!visible);
 

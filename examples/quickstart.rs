@@ -21,7 +21,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Create an encrypted file. The kernel derives the key-encryption key
     // from the passphrase, generates a fresh file key, wraps it into the
     // inode and installs it in the controller's Open Tunnel Table.
-    let handle = m.create(alice, staff, "diary.txt", Mode::PRIVATE, Some("correct horse"))?;
+    let handle = m.create(
+        alice,
+        staff,
+        "diary.txt",
+        Mode::PRIVATE,
+        Some("correct horse"),
+    )?;
     println!("created ino {} (group {})", handle.ino, handle.group);
 
     // Map it DAX-style and access it with plain loads/stores.
@@ -44,9 +50,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Re-opening needs the passphrase even for the owner (paper,
     // Section VI: this is the defence against accidental chmod 777).
     assert!(m
-        .open(alice, &[staff], "diary.txt", AccessKind::Read, Some("wrong"))
+        .open(
+            alice,
+            &[staff],
+            "diary.txt",
+            AccessKind::Read,
+            Some("wrong")
+        )
         .is_err());
-    let again = m.open(alice, &[staff], "diary.txt", AccessKind::Read, Some("correct horse"))?;
+    let again = m.open(
+        alice,
+        &[staff],
+        "diary.txt",
+        AccessKind::Read,
+        Some("correct horse"),
+    )?;
     assert_eq!(again.fek, handle.fek);
     println!("passphrase gate: OK");
 

@@ -1,7 +1,7 @@
 //! Crash-consistency matrix: crash points x security modes x workloads.
 
 use fsencr::controller::MemError;
-use fsencr::machine::{MapId, Machine, MachineError, MachineOpts, Preset, SecurityMode};
+use fsencr::machine::{Machine, MachineError, MachineOpts, MapId, Preset, SecurityMode};
 use fsencr_fs::{AccessKind, GroupId, Mode, UserId};
 use fsencr_workloads::kv::BTreeKv;
 
@@ -18,10 +18,16 @@ fn machine(mode: SecurityMode) -> Machine {
 /// must survive, in every DAX security mode.
 #[test]
 fn btree_survives_crashes_at_many_points() {
-    for mode in [SecurityMode::Unencrypted, SecurityMode::MemoryOnly, SecurityMode::FsEncr] {
+    for mode in [
+        SecurityMode::Unencrypted,
+        SecurityMode::MemoryOnly,
+        SecurityMode::FsEncr,
+    ] {
         for crash_at in [1u64, 7, 33, 130] {
             let mut m = machine(mode);
-            let h = m.create(USER, GROUP, "db", Mode::PRIVATE, Some("pw")).unwrap();
+            let h = m
+                .create(USER, GROUP, "db", Mode::PRIVATE, Some("pw"))
+                .unwrap();
             let map = m.mmap(&h).unwrap();
             let tree = BTreeKv::create(&mut m, 0, map).unwrap();
             for k in 0..crash_at {
@@ -29,9 +35,14 @@ fn btree_survives_crashes_at_many_points() {
             }
             m.crash();
             let report = m.recover();
-            assert_eq!(report.unrecoverable, 0, "{mode} crash@{crash_at}: {report:?}");
+            assert_eq!(
+                report.unrecoverable, 0,
+                "{mode} crash@{crash_at}: {report:?}"
+            );
 
-            let h = m.open(USER, &[GROUP], "db", AccessKind::Read, Some("pw")).unwrap();
+            let h = m
+                .open(USER, &[GROUP], "db", AccessKind::Read, Some("pw"))
+                .unwrap();
             let map = m.mmap(&h).unwrap();
             let tree = BTreeKv::open(&mut m, 0, map).unwrap();
             let mut buf = Vec::new();
@@ -50,24 +61,32 @@ fn btree_survives_crashes_at_many_points() {
 #[test]
 fn repeated_crash_cycles() {
     let mut m = machine(SecurityMode::FsEncr);
-    let h = m.create(USER, GROUP, "cyc", Mode::PRIVATE, Some("pw")).unwrap();
+    let h = m
+        .create(USER, GROUP, "cyc", Mode::PRIVATE, Some("pw"))
+        .unwrap();
     let mut map = m.mmap(&h).unwrap();
     let mut tree = BTreeKv::create(&mut m, 0, map).unwrap();
     let mut next_key = 0u64;
     for cycle in 0..5 {
         for _ in 0..20 {
-            tree.put(&mut m, 0, next_key, &next_key.to_le_bytes()).unwrap();
+            tree.put(&mut m, 0, next_key, &next_key.to_le_bytes())
+                .unwrap();
             next_key += 1;
         }
         m.crash();
         let report = m.recover();
         assert_eq!(report.unrecoverable, 0, "cycle {cycle}: {report:?}");
-        let h = m.open(USER, &[GROUP], "cyc", AccessKind::Write, Some("pw")).unwrap();
+        let h = m
+            .open(USER, &[GROUP], "cyc", AccessKind::Write, Some("pw"))
+            .unwrap();
         map = m.mmap(&h).unwrap();
         tree = BTreeKv::open(&mut m, 0, map).unwrap();
         let mut buf = Vec::new();
         for k in 0..next_key {
-            assert!(tree.get(&mut m, 0, k, &mut buf).unwrap(), "cycle {cycle} key {k}");
+            assert!(
+                tree.get(&mut m, 0, k, &mut buf).unwrap(),
+                "cycle {cycle} key {k}"
+            );
         }
     }
     assert_eq!(next_key, 100);
@@ -85,16 +104,21 @@ fn writes_after_recovery_remain_consistent() {
             .osiris_stop_loss(stop_loss)
             .build();
         let mut m = Machine::new(opts, SecurityMode::FsEncr);
-        let h = m.create(USER, GROUP, "f", Mode::PRIVATE, Some("pw")).unwrap();
+        let h = m
+            .create(USER, GROUP, "f", Mode::PRIVATE, Some("pw"))
+            .unwrap();
         let mut map = m.mmap(&h).unwrap();
         for round in 0..3u8 {
             for i in 0..10u64 {
-                m.write(0, map, i * 64, &[round * 16 + i as u8; 64]).unwrap();
+                m.write(0, map, i * 64, &[round * 16 + i as u8; 64])
+                    .unwrap();
                 m.persist(0, map, i * 64, 64).unwrap();
             }
             m.crash();
             assert_eq!(m.recover().unrecoverable, 0, "stop-loss {stop_loss}");
-            let h = m.open(USER, &[GROUP], "f", AccessKind::Write, Some("pw")).unwrap();
+            let h = m
+                .open(USER, &[GROUP], "f", AccessKind::Write, Some("pw"))
+                .unwrap();
             map = m.mmap(&h).unwrap();
             let mut buf = [0u8; 64];
             for i in 0..10u64 {
@@ -140,7 +164,9 @@ fn unencrypted_recovery_reports_empty() {
 #[test]
 fn reset_counter_block_fences_its_page() {
     let mut m = machine(SecurityMode::FsEncr);
-    let h = m.create(USER, GROUP, "q", Mode::PRIVATE, Some("pw")).unwrap();
+    let h = m
+        .create(USER, GROUP, "q", Mode::PRIVATE, Some("pw"))
+        .unwrap();
     let map = m.mmap(&h).unwrap();
     m.write(0, map, 0, &[0x5a; 4096]).unwrap();
     m.persist(0, map, 0, 4096).unwrap();
@@ -152,7 +178,9 @@ fn reset_counter_block_fences_its_page() {
     assert_eq!(report.metadata_reset, 1, "{report:?}");
     assert_eq!(report.quarantined, 64, "{report:?}");
 
-    let h = m.open(USER, &[GROUP], "q", AccessKind::Read, Some("pw")).unwrap();
+    let h = m
+        .open(USER, &[GROUP], "q", AccessKind::Read, Some("pw"))
+        .unwrap();
     let map = m.mmap(&h).unwrap();
     let mut buf = [0u8; 64];
     for line in 0..64u64 {
@@ -175,7 +203,9 @@ fn ecc_line(n: u64) -> [u8; 64] {
 /// the file's mapping.
 fn persist_lines(lines: u64) -> (Machine, MapId) {
     let mut m = machine(SecurityMode::FsEncr);
-    let h = m.create(USER, GROUP, "ecc", Mode::PRIVATE, Some("pw")).unwrap();
+    let h = m
+        .create(USER, GROUP, "ecc", Mode::PRIVATE, Some("pw"))
+        .unwrap();
     let map = m.mmap(&h).unwrap();
     for n in 0..lines {
         m.write(0, map, n * 64, &ecc_line(n)).unwrap();
@@ -185,7 +215,9 @@ fn persist_lines(lines: u64) -> (Machine, MapId) {
 }
 
 fn assert_lines_read_back(m: &mut Machine, lines: u64, what: &str) {
-    let h = m.open(USER, &[GROUP], "ecc", AccessKind::Read, Some("pw")).unwrap();
+    let h = m
+        .open(USER, &[GROUP], "ecc", AccessKind::Read, Some("pw"))
+        .unwrap();
     let map = m.mmap(&h).unwrap();
     let mut buf = [0u8; 64];
     for n in 0..lines {
@@ -227,7 +259,10 @@ fn ecc_tags_survive_power_cut_snapshot_and_export() {
         let mut imported = Machine::import_module(&envelope, module).unwrap();
         imported.crash();
         let report = imported.recover();
-        assert_eq!(report.unrecoverable, 0, "{lines} lines, imported: {report:?}");
+        assert_eq!(
+            report.unrecoverable, 0,
+            "{lines} lines, imported: {report:?}"
+        );
         assert_lines_read_back(&mut imported, lines, &format!("{lines} lines, imported"));
     }
 }
@@ -239,7 +274,9 @@ fn recovery_is_deterministic() {
     let run = || {
         let mut m = Machine::new(MachineOpts::small_test(), SecurityMode::FsEncr);
         for f in 0..4u8 {
-            let h = m.create(USER, GROUP, &format!("f{f}"), Mode::PRIVATE, Some("pw")).unwrap();
+            let h = m
+                .create(USER, GROUP, &format!("f{f}"), Mode::PRIVATE, Some("pw"))
+                .unwrap();
             let map = m.mmap(&h).unwrap();
             for page in 0..4u8 {
                 let off = u64::from(page) * 4096;
@@ -254,7 +291,10 @@ fn recovery_is_deterministic() {
     };
     let first = run();
     for attempt in 1..16 {
-        assert!(run() == first, "run {attempt} recovered to a different state");
+        assert!(
+            run() == first,
+            "run {attempt} recovered to a different state"
+        );
     }
 }
 
@@ -267,7 +307,9 @@ fn recovery_is_deterministic() {
 #[test]
 fn one_engine_overflow_survives_crash() {
     let mut m = machine(SecurityMode::FsEncr);
-    let h = m.create(USER, GROUP, "ovf", Mode::PRIVATE, Some("pw")).unwrap();
+    let h = m
+        .create(USER, GROUP, "ovf", Mode::PRIVATE, Some("pw"))
+        .unwrap();
     let mut map = m.mmap(&h).unwrap();
     let bystander = [0xb7u8; 64];
     m.write(0, map, 64, &bystander).unwrap();
@@ -299,7 +341,9 @@ fn one_engine_overflow_survives_crash() {
         m.crash();
         let report = m.recover();
         assert_eq!(report.unrecoverable, 0, "{engine}: {report:?}");
-        let h = m.open(USER, &[GROUP], "ovf", AccessKind::Write, Some("pw")).unwrap();
+        let h = m
+            .open(USER, &[GROUP], "ovf", AccessKind::Write, Some("pw"))
+            .unwrap();
         map = m.mmap(&h).unwrap();
         let mut buf = [0u8; 64];
         m.read(0, map, 0, &mut buf).unwrap();

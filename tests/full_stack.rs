@@ -21,9 +21,15 @@ fn multiple_files_users_and_engines_coexist() {
     let mut m = machine();
 
     // Alice: a B+Tree store. Bob: a hashmap. Shared: a plain group file.
-    let ha = m.create(ALICE, STAFF, "alice.db", Mode::PRIVATE, Some("a-pw")).unwrap();
-    let hb = m.create(BOB, STAFF, "bob.db", Mode::PRIVATE, Some("b-pw")).unwrap();
-    let hs = m.create(ALICE, STAFF, "shared.log", Mode::GROUP_RW, None).unwrap();
+    let ha = m
+        .create(ALICE, STAFF, "alice.db", Mode::PRIVATE, Some("a-pw"))
+        .unwrap();
+    let hb = m
+        .create(BOB, STAFF, "bob.db", Mode::PRIVATE, Some("b-pw"))
+        .unwrap();
+    let hs = m
+        .create(ALICE, STAFF, "shared.log", Mode::GROUP_RW, None)
+        .unwrap();
 
     let map_a = m.mmap(&ha).unwrap();
     let map_b = m.mmap(&hb).unwrap();
@@ -46,8 +52,12 @@ fn multiple_files_users_and_engines_coexist() {
     }
 
     // Bob can open the group file but not Alice's encrypted store.
-    assert!(m.open(BOB, &[STAFF], "shared.log", AccessKind::Read, None).is_ok());
-    assert!(m.open(BOB, &[STAFF], "alice.db", AccessKind::Read, Some("b-pw")).is_err());
+    assert!(m
+        .open(BOB, &[STAFF], "shared.log", AccessKind::Read, None)
+        .is_ok());
+    assert!(m
+        .open(BOB, &[STAFF], "alice.db", AccessKind::Read, Some("b-pw"))
+        .is_err());
 
     // Even the non-passphrase file is covered by the general memory
     // encryption layer, so no plaintext reaches the raw media.
@@ -67,10 +77,17 @@ fn keys_survive_ott_pressure_through_spill() {
     let mut maps = Vec::new();
     for i in 0..12 {
         let h = m
-            .create(ALICE, STAFF, &format!("file-{i}"), Mode::PRIVATE, Some("pw"))
+            .create(
+                ALICE,
+                STAFF,
+                &format!("file-{i}"),
+                Mode::PRIVATE,
+                Some("pw"),
+            )
             .unwrap();
         let map = m.mmap(&h).unwrap();
-        m.write(0, map, 0, format!("content-{i}").as_bytes()).unwrap();
+        m.write(0, map, 0, format!("content-{i}").as_bytes())
+            .unwrap();
         m.persist(0, map, 0, 16).unwrap();
         maps.push(map);
     }
@@ -78,30 +95,52 @@ fn keys_survive_ott_pressure_through_spill() {
     for (i, map) in maps.iter().enumerate() {
         let mut buf = vec![0u8; 16];
         m.read(0, *map, 0, &mut buf).unwrap();
-        assert!(buf.starts_with(format!("content-{i}").as_bytes()), "file {i}");
+        assert!(
+            buf.starts_with(format!("content-{i}").as_bytes()),
+            "file {i}"
+        );
     }
     let s = m.snapshot();
-    assert!(s.ott_evictions >= 8, "OTT must have spilled: {} evictions", s.ott_evictions);
+    assert!(
+        s.ott_evictions >= 8,
+        "OTT must have spilled: {} evictions",
+        s.ott_evictions
+    );
 }
 
 #[test]
 fn ctree_and_btree_survive_crash_together() {
     let mut m = machine();
-    let h1 = m.create(ALICE, STAFF, "t1", Mode::PRIVATE, Some("pw")).unwrap();
-    let h2 = m.create(ALICE, STAFF, "t2", Mode::PRIVATE, Some("pw")).unwrap();
+    let h1 = m
+        .create(ALICE, STAFF, "t1", Mode::PRIVATE, Some("pw"))
+        .unwrap();
+    let h2 = m
+        .create(ALICE, STAFF, "t2", Mode::PRIVATE, Some("pw"))
+        .unwrap();
     let m1 = m.mmap(&h1).unwrap();
     let m2 = m.mmap(&h2).unwrap();
     let btree = BTreeKv::create(&mut m, 0, m1).unwrap();
     let ctree = CtreeKv::create(&mut m, 1, m2, 64).unwrap();
     for k in 1..100u64 {
         btree.put(&mut m, 0, k, &[k as u8; 32]).unwrap();
-        ctree.put(&mut m, 1, k.wrapping_mul(0x9E3779B97F4A7C15), &[k as u8; 64]).unwrap();
+        ctree
+            .put(
+                &mut m,
+                1,
+                k.wrapping_mul(0x9E3779B97F4A7C15),
+                &[k as u8; 64],
+            )
+            .unwrap();
     }
     m.crash();
     assert_eq!(m.recover().unrecoverable, 0);
 
-    let h1 = m.open(ALICE, &[STAFF], "t1", AccessKind::Read, Some("pw")).unwrap();
-    let h2 = m.open(ALICE, &[STAFF], "t2", AccessKind::Read, Some("pw")).unwrap();
+    let h1 = m
+        .open(ALICE, &[STAFF], "t1", AccessKind::Read, Some("pw"))
+        .unwrap();
+    let h2 = m
+        .open(ALICE, &[STAFF], "t2", AccessKind::Read, Some("pw"))
+        .unwrap();
     let m1 = m.mmap(&h1).unwrap();
     let m2 = m.mmap(&h2).unwrap();
     let btree = BTreeKv::open(&mut m, 0, m1).unwrap();
@@ -111,7 +150,9 @@ fn ctree_and_btree_survive_crash_together() {
         assert!(btree.get(&mut m, 0, k, &mut buf).unwrap(), "btree key {k}");
         assert_eq!(buf, [k as u8; 32]);
         assert!(
-            ctree.get(&mut m, 1, k.wrapping_mul(0x9E3779B97F4A7C15), &mut buf).unwrap(),
+            ctree
+                .get(&mut m, 1, k.wrapping_mul(0x9E3779B97F4A7C15), &mut buf)
+                .unwrap(),
             "ctree key {k}"
         );
     }
@@ -120,8 +161,12 @@ fn ctree_and_btree_survive_crash_together() {
 #[test]
 fn deleting_one_file_leaves_others_intact() {
     let mut m = machine();
-    let keep = m.create(ALICE, STAFF, "keep", Mode::PRIVATE, Some("pw")).unwrap();
-    let kill = m.create(ALICE, STAFF, "kill", Mode::PRIVATE, Some("pw")).unwrap();
+    let keep = m
+        .create(ALICE, STAFF, "keep", Mode::PRIVATE, Some("pw"))
+        .unwrap();
+    let kill = m
+        .create(ALICE, STAFF, "kill", Mode::PRIVATE, Some("pw"))
+        .unwrap();
     let mk = m.mmap(&keep).unwrap();
     let mx = m.mmap(&kill).unwrap();
     m.write(0, mk, 0, b"keep me around").unwrap();
@@ -142,7 +187,9 @@ fn deleting_one_file_leaves_others_intact() {
 #[test]
 fn stats_expose_the_defence_in_depth_structure() {
     let mut m = machine();
-    let h = m.create(ALICE, STAFF, "f", Mode::PRIVATE, Some("pw")).unwrap();
+    let h = m
+        .create(ALICE, STAFF, "f", Mode::PRIVATE, Some("pw"))
+        .unwrap();
     let map = m.mmap(&h).unwrap();
     m.begin_measurement();
     for i in 0..64u64 {

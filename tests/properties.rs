@@ -17,10 +17,22 @@ const FILE_BYTES: u64 = 64 * 1024;
 
 #[derive(Debug, Clone)]
 enum Op {
-    Write { offset: u64, data: Vec<u8> },
-    Read { offset: u64, len: usize },
-    Persist { offset: u64, len: u64 },
-    Msync { offset: u64, len: u64 },
+    Write {
+        offset: u64,
+        data: Vec<u8>,
+    },
+    Read {
+        offset: u64,
+        len: usize,
+    },
+    Persist {
+        offset: u64,
+        len: u64,
+    },
+    Msync {
+        offset: u64,
+        len: u64,
+    },
     /// `munmap` then `mmap` of the same handle.
     Remap,
     CrashRecover,
@@ -70,7 +82,8 @@ fn check_mode(mode: SecurityMode, ops: &[Op]) {
                 // Persist immediately so the durable image tracks the
                 // model deterministically (the machine-level lost-write
                 // behaviour is covered by dedicated tests).
-                m.persist(0, map, *offset, data.len() as u64).expect("persist");
+                m.persist(0, map, *offset, data.len() as u64)
+                    .expect("persist");
                 durable[*offset as usize..*offset as usize + data.len()].copy_from_slice(data);
             }
             Op::Read { offset, len } => {
@@ -103,7 +116,13 @@ fn check_mode(mode: SecurityMode, ops: &[Op]) {
                 let report = m.recover();
                 assert_eq!(report.unrecoverable, 0, "{mode}: {report:?}");
                 h = m
-                    .open(user, &[group], "prop.bin", fsencr_fs::AccessKind::Write, Some("pw"))
+                    .open(
+                        user,
+                        &[group],
+                        "prop.bin",
+                        fsencr_fs::AccessKind::Write,
+                        Some("pw"),
+                    )
                     .expect("reopen");
                 map = m.mmap(&h).expect("remap");
                 model.copy_from_slice(&durable);

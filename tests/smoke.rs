@@ -21,18 +21,32 @@ const PAGE: u64 = 4096;
 fn persisted_file_machine(pages: u64) -> Machine {
     let mut m = Machine::new(MachineOpts::small_test(), SecurityMode::FsEncr);
     let h = m
-        .create(UserId::new(1), GroupId::new(1), "smoke.bin", Mode::PRIVATE, Some("pw"))
+        .create(
+            UserId::new(1),
+            GroupId::new(1),
+            "smoke.bin",
+            Mode::PRIVATE,
+            Some("pw"),
+        )
         .expect("create");
     let map = m.mmap(&h).expect("mmap");
     for p in 0..pages {
-        let page: Vec<u8> = (0..PAGE).map(|i| (i ^ p.wrapping_mul(0x9E)) as u8).collect();
+        let page: Vec<u8> = (0..PAGE)
+            .map(|i| (i ^ p.wrapping_mul(0x9E)) as u8)
+            .collect();
         m.write(0, map, p * PAGE, &page).expect("write");
         m.persist(0, map, p * PAGE, PAGE).expect("persist");
     }
     m
 }
 
-fn render(figs: (impl std::fmt::Display, impl std::fmt::Display, impl std::fmt::Display)) -> String {
+fn render(
+    figs: (
+        impl std::fmt::Display,
+        impl std::fmt::Display,
+        impl std::fmt::Display,
+    ),
+) -> String {
     format!("{}{}{}", figs.0, figs.1, figs.2)
 }
 
@@ -40,7 +54,11 @@ fn render(figs: (impl std::fmt::Display, impl std::fmt::Display, impl std::fmt::
 fn headline_claims_hold_at_small_scale() {
     let spec = "scenarios=2,ops=48".parse().expect("campaign spec");
     let report = run_campaign(42, &spec);
-    assert_eq!(report.undetected_in_coverage(), 0, "silent corruption escaped");
+    assert_eq!(
+        report.undetected_in_coverage(),
+        0,
+        "silent corruption escaped"
+    );
     assert_eq!(
         report.to_json(),
         run_campaign_cold(42, &spec).to_json(),
