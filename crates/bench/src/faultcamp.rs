@@ -42,6 +42,15 @@
 //! suite) makes the restored machine bit-identical to the one that ran
 //! setup in-process — [`campaign_matches_cold_setup`] in the test module
 //! pins the resulting report bytes to the cold path's.
+//!
+//! A scenario's machine costs what it holds, not what the 8-core cache
+//! hierarchy could hold: cache sets allocate their ways on first fill,
+//! and cache images list resident sets only, so restoring the base image
+//! (about 61 KB for seed 7) and dropping the machine afterwards scale
+//! with the lines setup touched. Recovery's candidate search strips each
+//! memory-layer pad once per counter candidate. What remains per
+//! scenario is the simulated work: the ops, the injected faults, the
+//! crash recovery and the audit.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -548,5 +557,13 @@ mod tests {
             warm, cold,
             "snapshot-seeded campaign diverged from cold setup"
         );
+    }
+
+    #[test]
+    fn base_image_holds_only_resident_cache_sets() {
+        // Caches encode resident sets only, so the image tracks what
+        // setup touched, not the 8-core hierarchy's capacity.
+        let bytes = campaign_base(7).snapshot.len();
+        assert!(bytes < 75_000, "campaign base image is {bytes} B");
     }
 }

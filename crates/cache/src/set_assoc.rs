@@ -48,7 +48,9 @@ pub struct Cache {
 }
 
 impl Cache {
-    /// Creates an empty cache with the given geometry.
+    /// Creates an empty cache with the given geometry. A set allocates
+    /// its ways on first fill, so an empty cache costs one header per
+    /// set, whatever its associativity.
     ///
     /// # Panics
     ///
@@ -60,7 +62,7 @@ impl Cache {
         let sets = cfg.sets();
         Cache {
             cfg,
-            sets: (0..sets).map(|_| Vec::with_capacity(cfg.ways)).collect(),
+            sets: (0..sets).map(|_| Vec::new()).collect(),
             stamp: 0,
             stats: CacheStats::default(),
         }
@@ -253,13 +255,17 @@ impl Cache {
         self.sets.iter().map(|s| s.len()).sum()
     }
 
-    /// Serializes the full cache state. Way order within each set is
-    /// preserved verbatim: `insert` evicts via `swap_remove`, so the
-    /// in-memory entry order is behavioral and must survive a restore
-    /// bit-for-bit.
+    /// Serializes the full cache state: the set count, then only the
+    /// resident sets, in ascending index order, each as `(index, len,
+    /// entries)`. Way order within each set is preserved verbatim:
+    /// `insert` evicts via `swap_remove`, so the in-memory entry order
+    /// is behavioral and must survive a restore bit-for-bit.
     pub fn snap_save(&self, enc: &mut fsencr_snapshot::Enc) {
         enc.put_u64(self.sets.len() as u64);
-        for set in &self.sets {
+        let resident = self.sets.iter().filter(|s| !s.is_empty()).count();
+        enc.put_u64(resident as u64);
+        for (idx, set) in self.sets.iter().enumerate().filter(|(_, s)| !s.is_empty()) {
+            enc.put_u64(idx as u64);
             enc.put_u64(set.len() as u64);
             for entry in set {
                 enc.put_u64(entry.tag);
@@ -276,22 +282,42 @@ impl Cache {
     }
 
     /// Restores a cache with geometry `cfg` from [`Cache::snap_save`]
-    /// bytes. The set count must match the configuration.
+    /// bytes. The set count must match the configuration; a listed set
+    /// must be non-empty, within its ways, and follow the previous
+    /// listed index. Only the decoded ways are allocated.
     pub fn snap_load(
         cfg: CacheConfig,
         dec: &mut fsencr_snapshot::Dec<'_>,
     ) -> Result<Cache, fsencr_snapshot::SnapError> {
+        use fsencr_snapshot::SnapError;
+        /// Bytes of one encoded entry: tag, data, dirty flag, LRU stamp.
+        const ENTRY_BYTES: usize = 8 + LINE_BYTES + 1 + 8;
+
         let num_sets = dec.get_len()?;
         if num_sets != cfg.sets() {
-            return Err(fsencr_snapshot::SnapError::StateMismatch);
+            return Err(SnapError::StateMismatch);
         }
-        let mut sets = Vec::with_capacity(num_sets);
-        for _ in 0..num_sets {
-            let ways = dec.get_len()?;
-            if ways > cfg.ways {
-                return Err(fsencr_snapshot::SnapError::Corrupt("set overfull"));
+        let mut cache = Cache::new(cfg);
+        let resident = dec.get_count(8 + 8 + ENTRY_BYTES)?;
+        let mut next = 0;
+        for _ in 0..resident {
+            let idx = dec.get_len()?;
+            if idx >= num_sets {
+                return Err(SnapError::Corrupt("set index"));
             }
-            let mut set = Vec::with_capacity(cfg.ways);
+            if idx < next {
+                return Err(SnapError::Corrupt("set order"));
+            }
+            next = idx + 1;
+            let ways = dec.get_len()?;
+            if ways == 0 {
+                return Err(SnapError::Corrupt("empty set"));
+            }
+            if ways > cfg.ways {
+                return Err(SnapError::Corrupt("set overfull"));
+            }
+            let set = &mut cache.sets[idx];
+            set.reserve_exact(ways);
             for _ in 0..ways {
                 let tag = dec.get_u64()?;
                 let mut data = [0u8; LINE_BYTES];
@@ -305,20 +331,13 @@ impl Cache {
                     lru,
                 });
             }
-            sets.push(set);
         }
-        let stamp = dec.get_u64()?;
-        let mut stats = CacheStats::default();
-        stats.hits.add(dec.get_u64()?);
-        stats.misses.add(dec.get_u64()?);
-        stats.fills.add(dec.get_u64()?);
-        stats.evictions.add(dec.get_u64()?);
-        Ok(Cache {
-            cfg,
-            sets,
-            stamp,
-            stats,
-        })
+        cache.stamp = dec.get_u64()?;
+        cache.stats.hits.add(dec.get_u64()?);
+        cache.stats.misses.add(dec.get_u64()?);
+        cache.stats.fills.add(dec.get_u64()?);
+        cache.stats.evictions.add(dec.get_u64()?);
+        Ok(cache)
     }
 }
 

@@ -1003,9 +1003,12 @@ impl MemoryController {
                 };
                 let mut found = None;
                 'search: for &(mem, dm) in &mem_cands {
+                    // The memory layer is outermost: strip it once per
+                    // memory candidate, not once per (memory, file) pair.
+                    let mut mem_plain = cipher;
+                    self.xor_pad(&mut mem_plain, page, block, &mem, None, false);
                     for &(file, df) in &file_cands {
-                        let mut plain = cipher;
-                        self.xor_pad(&mut plain, page, block, &mem, None, false);
+                        let mut plain = mem_plain;
                         if is_file {
                             let Some(k) = key else { continue };
                             self.xor_pad(&mut plain, page, block, &file, Some(k), false);

@@ -20,8 +20,10 @@
 //! * `prop_oneof![w => strat, ..]`, `.prop_map(..)`, `.boxed()`
 //! * `prop_assert!`, `prop_assert_eq!`, `prop_assert_ne!`, `prop_assume!`
 //!
-//! Environment knobs: `PROPTEST_CASES` overrides the default case count,
-//! `PROPTEST_SEED` pins the base seed for reproduction.
+//! Environment knobs: `PROPTEST_CASES` overrides every test's case count,
+//! including one set by `cases:` in a `proptest_config` (see
+//! [`effective_cases`]); `PROPTEST_SEED` pins the base seed for
+//! reproduction.
 
 use std::fmt::Debug;
 use std::ops::Range;
@@ -96,15 +98,18 @@ pub struct ProptestConfig {
 
 impl Default for ProptestConfig {
     fn default() -> Self {
-        let cases = std::env::var("PROPTEST_CASES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(64);
         ProptestConfig {
-            cases,
+            cases: 64,
             max_global_rejects: 4096,
         }
     }
+}
+
+/// The number of cases a run accepts: `env` (the `PROPTEST_CASES`
+/// value, if set) when it parses as a count, else `config.cases`.
+pub fn effective_cases(config: &ProptestConfig, env: Option<&str>) -> u32 {
+    env.and_then(|v| v.trim().parse().ok())
+        .unwrap_or(config.cases)
 }
 
 /// A source of pseudo-random values of one type.
@@ -398,8 +403,9 @@ pub mod prop {
     pub use crate::collection;
 }
 
-/// Drives one `proptest!`-generated test: samples until `config.cases`
-/// cases are accepted, panicking with the seed and inputs on failure.
+/// Drives one `proptest!`-generated test: samples until
+/// [`effective_cases`] cases are accepted, panicking with the seed and
+/// inputs on failure.
 pub fn run_proptest<F>(config: ProptestConfig, name: &str, mut case: F)
 where
     F: FnMut(&mut TestRng, &mut Vec<String>) -> Result<(), TestCaseError>,
@@ -412,10 +418,11 @@ where
     let seed = name.bytes().fold(base, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
     });
+    let cases = effective_cases(&config, std::env::var("PROPTEST_CASES").ok().as_deref());
     let mut rng = TestRng::new(seed);
     let mut accepted = 0u32;
     let mut rejects = 0u32;
-    while accepted < config.cases {
+    while accepted < cases {
         let mut inputs = Vec::new();
         match case(&mut rng, &mut inputs) {
             Ok(()) => {
@@ -565,6 +572,23 @@ pub mod prelude {
 mod tests {
     use super::prelude::*;
     use super::TestRng;
+
+    #[test]
+    fn env_case_count_overrides_the_config_literal() {
+        use super::effective_cases;
+        let literal = ProptestConfig {
+            cases: 10,
+            ..ProptestConfig::default()
+        };
+        assert_eq!(effective_cases(&literal, None), 10);
+        assert_eq!(effective_cases(&literal, Some("300")), 300);
+        assert_eq!(effective_cases(&literal, Some(" 7 ")), 7);
+        assert_eq!(effective_cases(&ProptestConfig::default(), Some("5")), 5);
+        // An unparsable value leaves the configured count in force.
+        assert_eq!(effective_cases(&literal, Some("many")), 10);
+        assert_eq!(effective_cases(&literal, Some("")), 10);
+        assert_eq!(effective_cases(&literal, Some("-1")), 10);
+    }
 
     #[test]
     fn ranges_stay_in_bounds() {

@@ -22,6 +22,10 @@ finish() {
     echo "    [section '$section_label' took $(( now - t_section ))s; total $(( now - t_start ))s]"
 }
 
+begin "cargo fmt --all -- --check"
+cargo fmt --all -- --check
+finish
+
 begin "cargo build --release --workspace"
 cargo build --release --workspace
 finish
