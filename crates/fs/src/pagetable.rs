@@ -5,9 +5,7 @@
 //! address in the PTE (`(1UL << 51) | pfn`). Every subsequent access to
 //! that page carries the DF-bit down to the memory controller for free.
 
-use std::collections::HashMap;
-
-use fsencr_nvm::{PageId, PhysAddr, PAGE_BYTES};
+use fsencr_nvm::{AddrMap, PageId, PhysAddr, PAGE_BYTES};
 
 /// A page-table entry: physical frame plus the DF (DAX-file) bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,7 +33,7 @@ pub struct Pte {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PageTable {
-    entries: HashMap<u64, Pte>,
+    entries: AddrMap<Pte>,
 }
 
 impl PageTable {
@@ -97,7 +95,7 @@ impl PageTable {
         dec: &mut fsencr_snapshot::Dec<'_>,
     ) -> Result<PageTable, fsencr_snapshot::SnapError> {
         let n = dec.get_count(17)?;
-        let mut entries = HashMap::with_capacity(n);
+        let mut entries = AddrMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let vpn = dec.get_u64()?;
             let pte = Pte {

@@ -14,7 +14,7 @@
 //! 3. **VFS stacking** — each read/write system call traverses the
 //!    syscall boundary plus the stacked-filesystem layers.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use crate::inode::Ino;
 
@@ -72,7 +72,8 @@ pub struct PageCacheOutcome {
 /// LRU page cache tracking `(file, page)` residency, dirtiness and the
 /// DRAM frame behind each resident page. Released frames go on a free
 /// list and are reused last-released-first before any new frame is
-/// allocated.
+/// allocated. Dirty pages are indexed in `(file, page)` order, so a
+/// write-back visits only its own file's dirty pages.
 ///
 /// # Examples
 ///
@@ -90,6 +91,8 @@ pub struct PageCacheOutcome {
 pub struct PageCacheModel {
     capacity: usize,
     resident: HashMap<(Ino, usize), Entry>,
+    /// The resident pages that are dirty.
+    dirty: BTreeSet<(Ino, usize)>,
     free: Vec<u64>,
     stamp: u64,
 }
@@ -97,7 +100,6 @@ pub struct PageCacheModel {
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     stamp: u64,
-    dirty: bool,
     frame: u64,
 }
 
@@ -112,6 +114,7 @@ impl PageCacheModel {
         PageCacheModel {
             capacity,
             resident: HashMap::new(),
+            dirty: BTreeSet::new(),
             free: Vec::new(),
             stamp: 0,
         }
@@ -131,7 +134,9 @@ impl PageCacheModel {
         self.stamp += 1;
         if let Some(e) = self.resident.get_mut(&(ino, page)) {
             e.stamp = self.stamp;
-            e.dirty |= write;
+            if write {
+                self.dirty.insert((ino, page));
+            }
             return Some(PageCacheOutcome {
                 fill: false,
                 frame: e.frame,
@@ -148,7 +153,8 @@ impl PageCacheModel {
             if let Some(((v_ino, v_page), e)) = victim.and_then(|k| self.resident.remove_entry(&k))
             {
                 self.free.push(e.frame);
-                evicted = Some((v_ino, v_page, e.dirty, e.frame));
+                let dirty = self.dirty.remove(&(v_ino, v_page));
+                evicted = Some((v_ino, v_page, dirty, e.frame));
             }
         }
         // An eviction frees a frame, so `alloc_frame` runs only when
@@ -158,10 +164,12 @@ impl PageCacheModel {
             (ino, page),
             Entry {
                 stamp: self.stamp,
-                dirty: write,
                 frame,
             },
         );
+        if write {
+            self.dirty.insert((ino, page));
+        }
         Some(PageCacheOutcome {
             fill: true,
             frame,
@@ -180,37 +188,43 @@ impl PageCacheModel {
     /// frames are released in page order; their contents stay readable
     /// until the next miss reuses them.
     pub fn flush_file(&mut self, ino: Ino) -> Vec<(usize, u64)> {
-        let mut pages: Vec<(usize, bool, u64)> = self
+        let mut pages: Vec<(usize, u64)> = self
             .resident
             .iter()
             .filter(|((i, _), _)| *i == ino)
-            .map(|(&(_, p), e)| (p, e.dirty, e.frame))
+            .map(|(&(_, p), e)| (p, e.frame))
             .collect();
         pages.sort_unstable();
-        for &(page, _, frame) in &pages {
+        for &(page, frame) in &pages {
             self.resident.remove(&(ino, page));
             self.free.push(frame);
         }
+        let dirty = self.take_dirty(ino);
+        pages.retain(|(page, _)| dirty.binary_search(page).is_ok());
         pages
-            .into_iter()
-            .filter_map(|(page, dirty, frame)| dirty.then_some((page, frame)))
-            .collect()
     }
 
     /// `fsync` semantics: returns the dirty pages of `ino` as
     /// `(page, frame)` in page order and marks them clean, keeping them
     /// resident.
     pub fn clean_file(&mut self, ino: Ino) -> Vec<(usize, u64)> {
-        let mut pages: Vec<(usize, u64)> = self
-            .resident
-            .iter_mut()
-            .filter(|((i, _), e)| *i == ino && e.dirty)
-            .map(|(&(_, p), e)| {
-                e.dirty = false;
-                (p, e.frame)
-            })
+        self.take_dirty(ino)
+            .into_iter()
+            .filter_map(|page| Some((page, self.resident.get(&(ino, page))?.frame)))
+            .collect()
+    }
+
+    /// Removes `ino`'s pages from the dirty index, returning them in
+    /// page order.
+    fn take_dirty(&mut self, ino: Ino) -> Vec<usize> {
+        let pages: Vec<usize> = self
+            .dirty
+            .range((ino, 0)..=(ino, usize::MAX))
+            .map(|&(_, page)| page)
             .collect();
-        pages.sort_unstable();
+        for &page in &pages {
+            self.dirty.remove(&(ino, page));
+        }
         pages
     }
 
@@ -228,7 +242,7 @@ impl PageCacheModel {
             enc.put_u32(ino.get());
             enc.put_u64(page as u64);
             enc.put_u64(e.stamp);
-            enc.put_bool(e.dirty);
+            enc.put_bool(self.dirty.contains(&(ino, page)));
             enc.put_u64(e.frame);
         }
         enc.put_u64(self.free.len() as u64);
@@ -254,15 +268,18 @@ impl PageCacheModel {
             return Err(SnapError::StateMismatch);
         }
         let mut resident = HashMap::with_capacity(n);
+        let mut dirty = BTreeSet::new();
         for _ in 0..n {
             let ino = Ino::try_new(dec.get_u32()?).ok_or(SnapError::Corrupt("page cache inode"))?;
             let page = dec.get_len()?;
-            let entry = Entry {
-                stamp: dec.get_u64()?,
-                dirty: dec.get_bool()?,
-                frame: dec.get_u64()?,
-            };
-            resident.insert((ino, page), entry);
+            let stamp = dec.get_u64()?;
+            if dec.get_bool()? {
+                dirty.insert((ino, page));
+            } else {
+                dirty.remove(&(ino, page));
+            }
+            let frame = dec.get_u64()?;
+            resident.insert((ino, page), Entry { stamp, frame });
         }
         let n = dec.get_count(8)?;
         let mut free = Vec::with_capacity(n);
@@ -272,6 +289,7 @@ impl PageCacheModel {
         Ok(PageCacheModel {
             capacity,
             resident,
+            dirty,
             free,
             stamp,
         })
@@ -367,6 +385,35 @@ mod tests {
         for (page, frame) in [(1, 0x1000), (2, 0x3000), (3, 0x2000), (4, 0x5000)] {
             assert_eq!(pc.touch(b, page, false, &mut alloc).unwrap().frame, frame);
         }
+    }
+
+    #[test]
+    fn dirty_index_follows_clean_evict_and_reload() {
+        let mut pc = PageCacheModel::new(3);
+        let mut alloc = frames();
+        let (a, b, c) = (Ino::new(1), Ino::new(2), Ino::new(3));
+        pc.touch(b, 4, true, &mut alloc).unwrap(); // 0x1000
+        pc.touch(a, 9, true, &mut alloc).unwrap(); // 0x2000
+        pc.touch(c, 0, true, &mut alloc).unwrap(); // 0x3000
+        assert_eq!(pc.clean_file(b), vec![(4, 0x1000)]);
+        // Evicting a's dirty page reports it dirty and drops the mark:
+        // refilled, it is clean.
+        pc.touch(b, 4, false, &mut alloc).unwrap();
+        pc.touch(c, 0, false, &mut alloc).unwrap();
+        let out = pc.touch(b, 5, false, &mut alloc).unwrap();
+        assert_eq!(out.evicted, Some((a, 9, true, 0x2000)));
+        pc.touch(a, 9, false, &mut alloc).unwrap();
+        assert!(pc.clean_file(a).is_empty());
+        let mut enc = fsencr_snapshot::Enc::new();
+        enc.begin_section("pc");
+        pc.snap_save(&mut enc);
+        enc.end_section();
+        let image = enc.finish();
+        let mut dec = fsencr_snapshot::Dec::new(&image).unwrap();
+        dec.begin_section("pc").unwrap();
+        let mut loaded = PageCacheModel::snap_load(3, &mut dec).unwrap();
+        assert_eq!(loaded.clean_file(c), vec![(0, 0x3000)]);
+        assert!(loaded.clean_file(a).is_empty() && loaded.clean_file(b).is_empty());
     }
 
     #[test]

@@ -29,11 +29,11 @@
 //! engine. The PTE-level DF-bit is still modelled in `fsencr_fs` for
 //! fidelity.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 use fsencr_crypto::{ctr, Aes128, Key128, PadDomain, PadLedger, ScheduleCache};
 use fsencr_faults::{FaultEvent, FaultInjector, FaultPlan};
-use fsencr_nvm::{LineAddr, NvmDevice, NvmError, PageId, PhysAddr, LINE_BYTES};
+use fsencr_nvm::{AddrSet, LineAddr, NvmDevice, NvmError, PageId, PhysAddr, LINE_BYTES};
 use fsencr_obs::Observer;
 use fsencr_secmem::{
     CounterBlock, EccStore, MetaAccess, MetadataLayout, MetadataSystem, TamperError, MINOR_LIMIT,
@@ -230,7 +230,7 @@ pub struct MemoryController {
     /// Expanded AES schedules for file keys, one expansion per key.
     schedules: ScheduleCache,
     /// Frames currently designated as encrypted DAX file pages.
-    file_pages: HashSet<u64>,
+    file_pages: AddrSet,
     /// FsEncr lock-out after failed boot authentication (Section VI).
     locked: bool,
     aes_cycles: u64,
@@ -295,7 +295,7 @@ impl MemoryController {
             mem_key,
             ott_key,
             schedules: ScheduleCache::new(),
-            file_pages: HashSet::new(),
+            file_pages: AddrSet::default(),
             locked: false,
             aes_cycles: cfg.aes_ns,
             direct_encryption: cfg.direct_encryption,
@@ -916,9 +916,7 @@ impl MemoryController {
                 .done;
         }
         self.file_pages.remove(&page.get());
-        for line in page.lines() {
-            self.ecc.clear(line);
-        }
+        self.ecc.clear_page(page);
         Ok(t)
     }
 
@@ -949,12 +947,11 @@ impl MemoryController {
         // Visit the ECC-tagged data lines in address order, so pages go
         // in ascending order: each OTT lookup below refreshes an LRU
         // stamp, and identical machines must recover to identical states.
+        // The data region is page-aligned, so whole pages leave it.
         let data_bytes = self.meta.layout().data_bytes();
-        let mut tagged: Vec<LineAddr> = self.ecc.lines().filter(|l| l.get() < data_bytes).collect();
-        tagged.sort_by_key(|l| l.get());
         let layout = self.meta.shared_layout();
-        for lines in tagged.chunk_by(|a, b| a.page() == b.page()) {
-            let page = lines[0].page();
+        let tagged = self.ecc.pages();
+        for (page, lines) in tagged.take_while(|(page, _)| page.base().get() < data_bytes) {
             let mecb_raw = self
                 .nvm
                 .peek_line(PhysAddr::new(layout.mecb_addr(page).get()));
@@ -992,7 +989,7 @@ impl MemoryController {
                 file: CounterBlock,
             }
             let mut finds: Vec<Found> = Vec::new();
-            for &line in lines {
+            for line in lines {
                 let block = line.block_in_page();
                 let cipher = self.nvm.peek_line(PhysAddr::new(line.get()));
                 let mem_cands = self.candidates(&mecb, block);
@@ -1265,7 +1262,7 @@ impl MemoryController {
         ctrl.ecc = EccStore::snap_load(dec)?;
         ctrl.ott = OpenTunnelTable::snap_load(cfg.ott_entries, dec)?;
         let n = dec.get_count(8)?;
-        ctrl.file_pages = HashSet::with_capacity(n);
+        ctrl.file_pages = AddrSet::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             ctrl.file_pages.insert(dec.get_u64()?);
         }
@@ -1337,4 +1334,65 @@ fn settle(
         fin.set(fin.major(), block, minor);
     }
     fin
+}
+
+#[cfg(test)]
+mod tests {
+    use fsencr_sim::config::NvmConfig;
+
+    use super::*;
+
+    const GID: u32 = 1;
+
+    /// Recovery visits the tagged pages in ascending address order, not
+    /// in the order their lines were written. Each file page's OTT
+    /// lookup refreshes its key's LRU stamp, so the visit order decides
+    /// which key a full table evicts next.
+    #[test]
+    fn recovery_visits_pages_in_ascending_order() {
+        let cfg = SecurityConfig {
+            ott_entries: 3,
+            ..SecurityConfig::default()
+        };
+        let mut ctrl = MemoryController::new(
+            CtrlMode::Encrypted,
+            MetadataLayout::new(16 * 4096, 8192),
+            &cfg,
+            Key128::from_seed(1),
+            Key128::from_seed(2),
+            NvmDevice::new(NvmConfig::default()),
+        );
+        let mut t = Cycle::ZERO;
+        for fid in 1..=3 {
+            t = ctrl
+                .install_key(t, GID, fid, Key128::from_seed(0xF0 + u64::from(fid)))
+                .unwrap();
+        }
+        // Page 2 belongs to file 3, page 5 to file 1, page 9 to file 2.
+        for (page, fid) in [(2, 3), (5, 1), (9, 2)] {
+            t = ctrl
+                .stamp_file_page(t, PageId::new(page), GID, fid)
+                .unwrap();
+        }
+        // Lines are written out of order, across pages and within each.
+        for (page, block) in [(9u64, 40u8), (2, 63), (5, 1), (9, 3), (2, 0), (5, 62)] {
+            let addr = PhysAddr::new(page * 4096 + u64::from(block) * 64);
+            t = ctrl.write_line(t, addr, &[block; LINE_BYTES]).unwrap();
+        }
+        ctrl.flush(t);
+        ctrl.crash();
+        let report = ctrl.recover();
+        assert_eq!(
+            (report.clean + report.repaired, report.unrecoverable),
+            (6, 0)
+        );
+        // Pages 2, 5, 9 in that order leave file 3 least recently used,
+        // then file 1, then file 2.
+        for (fid, victim) in [(4, 3), (5, 1), (6, 2)] {
+            t = ctrl
+                .install_key(t, GID, fid, Key128::from_seed(0xF0 + u64::from(fid)))
+                .unwrap();
+            assert_eq!(ctrl.ott.lookup(GID, victim), None, "installing file {fid}");
+        }
+    }
 }

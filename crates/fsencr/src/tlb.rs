@@ -7,9 +7,8 @@
 //! after the first fault, file accesses are *just* translations + loads,
 //! so the walk cost belongs in the model.
 
-use std::collections::HashMap;
-
 use fsencr_fs::Pte;
+use fsencr_nvm::AddrMap;
 use fsencr_sim::Counter;
 
 /// Cycles charged for a TLB miss (the page-table walk; most walk levels
@@ -45,7 +44,7 @@ pub struct TlbStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Tlb {
-    entries: HashMap<u64, (Pte, u64)>,
+    entries: AddrMap<(Pte, u64)>,
     capacity: usize,
     stamp: u64,
     stats: TlbStats,
@@ -60,7 +59,7 @@ impl Tlb {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "TLB needs at least one entry");
         Tlb {
-            entries: HashMap::with_capacity(capacity),
+            entries: AddrMap::with_capacity_and_hasher(capacity, Default::default()),
             capacity,
             stamp: 0,
             stats: TlbStats::default(),
@@ -146,7 +145,7 @@ impl Tlb {
         if n > capacity {
             return Err(fsencr_snapshot::SnapError::StateMismatch);
         }
-        let mut entries = HashMap::with_capacity(capacity);
+        let mut entries = AddrMap::with_capacity_and_hasher(capacity, Default::default());
         for _ in 0..n {
             let vpn = dec.get_u64()?;
             let pte = Pte {

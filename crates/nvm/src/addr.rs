@@ -7,7 +7,9 @@
 //! request through the file encryption engine and strips it before the
 //! request reaches the DIMM.
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Cache-line size in bytes (64 B everywhere in Table III).
 pub const LINE_BYTES: usize = 64;
@@ -183,6 +185,56 @@ impl fmt::Debug for PageId {
     }
 }
 
+/// The fixed hasher behind [`AddrMap`] and [`AddrSet`]: one multiply
+/// by the 64-bit golden ratio and one xor-shift per `u64`, so both the
+/// bucket bits (low) and the tag bits (high) of a page number or a
+/// 64-byte-aligned line address are mixed.
+///
+/// It is unkeyed on purpose. Every key is a frame, line or virtual page
+/// number that the simulator itself produced, or one read from a
+/// snapshot image whose collection counts are bounded by its size and
+/// whose bad fields fail typed, so there is no untrusted key stream to
+/// defend against HashDoS; in exchange, iteration order is the same in
+/// every process.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut le = [0u8; 8];
+            le[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(le));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        let h = (self.0 ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 29);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by a raw address number (frame, line or virtual page)
+/// under the fixed [`AddrHasher`].
+///
+/// # Examples
+///
+/// ```
+/// use fsencr_nvm::AddrMap;
+///
+/// let mut pages: AddrMap<u32> = AddrMap::default();
+/// pages.insert(7, 1);
+/// assert_eq!(pages.get(&7), Some(&1));
+/// ```
+pub type AddrMap<V> = HashMap<u64, V, BuildHasherDefault<AddrHasher>>;
+
+/// A set of raw address numbers under the fixed [`AddrHasher`].
+pub type AddrSet = HashSet<u64, BuildHasherDefault<AddrHasher>>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,5 +307,27 @@ mod tests {
         let a = PhysAddr::new(0x1000).with_df().offset(4);
         assert!(a.df());
         assert_eq!(a.strip_df().get(), 0x1004);
+    }
+
+    #[test]
+    fn addr_hasher_is_unkeyed_and_mixes_aligned_addresses() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<AddrHasher>::default();
+        let again = BuildHasherDefault::<AddrHasher>::default();
+        let mut buckets = HashSet::new();
+        for i in 0..4096u64 {
+            let line = i * LINE_BYTES as u64;
+            assert_eq!(build.hash_one(line), again.hash_one(line));
+            buckets.insert(build.hash_one(line) & 4095);
+        }
+        // Line addresses share their low six bits; the bucket bits must
+        // not. A uniform hash fills about 63% of 4096 buckets.
+        assert!(buckets.len() > 2400, "{} buckets", buckets.len());
+        let mut set = AddrSet::default();
+        set.extend([3, 1, 2]);
+        let order: Vec<u64> = set.iter().copied().collect();
+        let mut twin = AddrSet::default();
+        twin.extend([3, 1, 2]);
+        assert_eq!(twin.iter().copied().collect::<Vec<u64>>(), order);
     }
 }

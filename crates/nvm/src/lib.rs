@@ -41,7 +41,9 @@ pub mod storage;
 pub mod timing;
 pub mod wear;
 
-pub use addr::{LineAddr, PageId, PhysAddr, DF_BIT, LINE_BYTES, PAGE_BYTES};
+pub use addr::{
+    AddrHasher, AddrMap, AddrSet, LineAddr, PageId, PhysAddr, DF_BIT, LINE_BYTES, PAGE_BYTES,
+};
 pub use device::{NvmDevice, NvmStats};
 pub use error::NvmError;
 pub use storage::Storage;

@@ -9,13 +9,14 @@
 //! Line traffic is heavily page-local (64 consecutive lines share a 4 KiB
 //! frame), so the store keeps the most recently accessed frame *out* of
 //! the page map in a one-entry memo: a run of line accesses to one page
-//! pays a single `HashMap` probe instead of one per 64-byte line.
-
-use std::collections::HashMap;
+//! pays a single map probe instead of one per 64-byte line. The page
+//! map is an [`AddrMap`] keyed by frame number, so a probe costs one
+//! multiply rather than a SipHash round, and its iteration order (e.g.
+//! [`Storage::frames`]) is the same in every process.
 
 use fsencr_faults::StuckCells;
 
-use crate::addr::{LineAddr, PageId, PhysAddr, LINE_BYTES, PAGE_BYTES, PAGE_MASK};
+use crate::addr::{AddrMap, LineAddr, PageId, PhysAddr, LINE_BYTES, PAGE_BYTES, PAGE_MASK};
 
 /// Sparse page-granular byte store.
 ///
@@ -32,7 +33,7 @@ use crate::addr::{LineAddr, PageId, PhysAddr, LINE_BYTES, PAGE_BYTES, PAGE_MASK}
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct Storage {
-    pages: HashMap<u64, Box<[u8; PAGE_BYTES]>>,
+    pages: AddrMap<Box<[u8; PAGE_BYTES]>>,
     /// Most recently accessed resident frame, held out of `pages`. A
     /// frame lives in exactly one of the two places, so every accessor
     /// checks the memo before (or instead of) probing the map.
@@ -243,7 +244,7 @@ impl Storage {
         dec: &mut fsencr_snapshot::Dec<'_>,
     ) -> Result<Storage, fsencr_snapshot::SnapError> {
         let n = dec.get_count(8 + PAGE_BYTES)?;
-        let mut pages = HashMap::with_capacity(n);
+        let mut pages = AddrMap::with_capacity_and_hasher(n, Default::default());
         let mut prev: Option<u64> = None;
         for _ in 0..n {
             let frame = dec.get_u64()?;

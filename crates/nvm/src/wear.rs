@@ -8,9 +8,9 @@
 //! nothing to the data pages, and that hot-line traffic stays far from the
 //! endurance bound.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
 
-use crate::addr::{LineAddr, PageId};
+use crate::addr::{AddrMap, LineAddr, PageId};
 
 /// Conservative per-cell write endurance for PCM (Lee et al., ISCA'09).
 pub const PCM_ENDURANCE_WRITES: u64 = 100_000_000;
@@ -29,7 +29,7 @@ pub const PCM_ENDURANCE_WRITES: u64 = 100_000_000;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct WearTracker {
-    per_page: HashMap<u64, u64>,
+    per_page: AddrMap<u64>,
     total: u64,
 }
 
@@ -55,11 +55,12 @@ impl WearTracker {
         self.per_page.get(&page.get()).copied().unwrap_or(0)
     }
 
-    /// The most-written page and its count, if any writes occurred.
+    /// The most-written page and its count, if any writes occurred;
+    /// the lowest such page when several tie.
     pub fn hottest_page(&self) -> Option<(PageId, u64)> {
         self.per_page
             .iter()
-            .max_by_key(|(_, c)| **c)
+            .max_by_key(|&(&p, &c)| (c, Reverse(p)))
             .map(|(p, c)| (PageId::new(*p), *c))
     }
 
@@ -99,7 +100,7 @@ impl WearTracker {
         dec: &mut fsencr_snapshot::Dec<'_>,
     ) -> Result<WearTracker, fsencr_snapshot::SnapError> {
         let n = dec.get_count(16)?;
-        let mut per_page = HashMap::with_capacity(n);
+        let mut per_page = AddrMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let page = dec.get_u64()?;
             let count = dec.get_u64()?;
@@ -127,6 +128,22 @@ mod tests {
         assert_eq!(w.page_writes(PageId::new(2)), 0);
         assert_eq!(w.pages_touched(), 2);
         assert_eq!(w.hottest_page(), Some((PageId::new(0), 10)));
+    }
+
+    #[test]
+    fn hottest_page_ties_go_to_the_lowest_page() {
+        // Many pairs, so that in some the lower page iterates first and
+        // in others last, whatever the map's order.
+        for lo in 0..8u64 {
+            for hi in lo + 1..9 {
+                let mut w = WearTracker::new();
+                for page in [hi, lo, hi, lo] {
+                    w.record(LineAddr::new(page * 4096));
+                }
+                w.record(LineAddr::new(20 * 4096));
+                assert_eq!(w.hottest_page(), Some((PageId::new(lo), 2)), "{lo} vs {hi}");
+            }
+        }
     }
 
     #[test]

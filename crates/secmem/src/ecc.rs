@@ -15,9 +15,10 @@
 //! attacker plane (`ModuleInspect`, `ModuleFault`, `FaultPlane`) reaches
 //! the store. Keep it that way: exposing the lane would leak plaintext.
 
-use std::collections::HashMap;
+use fsencr_nvm::{AddrMap, LineAddr, PageId};
 
-use fsencr_nvm::LineAddr;
+/// 64-byte lines per 4 KiB page: one presence bit each.
+const LINES_PER_PAGE: usize = fsencr_nvm::PAGE_BYTES / fsencr_nvm::LINE_BYTES;
 
 /// The Osiris check of `plaintext` at `addr`. Seeded with the address,
 /// each little-endian word folds in as `h = rotl((h ^ word) · K, 31)`,
@@ -39,7 +40,35 @@ fn line_check(addr: u64, plaintext: &[u8; 64]) -> u64 {
     h ^ (h >> 33)
 }
 
+/// The ECC lanes of one 4 KiB page: bit `i` of `present` says line `i`
+/// has a check, and `checks[i]` holds it.
+#[derive(Debug, Clone)]
+struct PageChecks {
+    present: u64,
+    checks: [u64; LINES_PER_PAGE],
+}
+
+impl PageChecks {
+    const EMPTY: PageChecks = PageChecks {
+        present: 0,
+        checks: [0; LINES_PER_PAGE],
+    };
+}
+
+/// The lines of `page` whose bit is set in `present`, ascending.
+fn present_lines(page: PageId, present: u64) -> impl Iterator<Item = LineAddr> {
+    page.lines()
+        .enumerate()
+        .filter(move |(i, _)| present >> i & 1 == 1)
+        .map(|(_, line)| line)
+}
+
 /// Per-line ECC checks over plaintext, the Osiris recovery oracle.
+///
+/// The checks are grouped by page, one record per 4 KiB page that has
+/// any, the way line writes arrive (a page fill is 64 consecutive
+/// lines): a run of writes to one page touches one small record, and
+/// shredding a page drops it whole.
 ///
 /// # Examples
 ///
@@ -55,7 +84,7 @@ fn line_check(addr: u64, plaintext: &[u8; 64]) -> u64 {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct EccStore {
-    tags: HashMap<u64, u64>,
+    pages: AddrMap<Box<PageChecks>>,
 }
 
 impl EccStore {
@@ -67,54 +96,114 @@ impl EccStore {
     /// Records the check for a line being written with `plaintext`; the
     /// last write to a line wins.
     pub fn record(&mut self, line: LineAddr, plaintext: &[u8; 64]) {
-        self.tags
-            .insert(line.get(), line_check(line.get(), plaintext));
+        self.put(line, line_check(line.get(), plaintext));
+    }
+
+    fn put(&mut self, line: LineAddr, check: u64) {
+        let page = self
+            .pages
+            .entry(line.page().get())
+            .or_insert_with(|| Box::new(PageChecks::EMPTY));
+        let i = line.block_in_page();
+        page.present |= 1 << i;
+        page.checks[usize::from(i)] = check;
     }
 
     /// Checks a candidate plaintext against the stored check. Lines that
     /// were never written have none and fail.
     pub fn check(&self, line: LineAddr, plaintext: &[u8; 64]) -> bool {
-        self.tags.get(&line.get()) == Some(&line_check(line.get(), plaintext))
+        let i = line.block_in_page();
+        self.pages.get(&line.page().get()).is_some_and(|page| {
+            page.present >> i & 1 == 1
+                && page.checks[usize::from(i)] == line_check(line.get(), plaintext)
+        })
     }
 
-    /// Drops the check (page shredding).
+    /// Drops one line's check.
     pub fn clear(&mut self, line: LineAddr) {
-        self.tags.remove(&line.get());
+        let key = line.page().get();
+        if let Some(page) = self.pages.get_mut(&key) {
+            page.present &= !(1 << line.block_in_page());
+            if page.present == 0 {
+                self.pages.remove(&key);
+            }
+        }
     }
 
-    /// Iterates every recorded line (recovery walks this instead of the
-    /// whole address space).
+    /// Drops every check of `page` (page shredding).
+    pub fn clear_page(&mut self, page: PageId) {
+        self.pages.remove(&page.get());
+    }
+
+    /// Iterates every recorded line, in no particular order.
     pub fn lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        self.tags.keys().copied().map(LineAddr::new)
+        self.pages
+            .iter()
+            .flat_map(|(&page, checks)| present_lines(PageId::new(page), checks.present))
     }
 
-    /// Serializes every check in sorted line order.
+    /// Every page with a recorded line, in ascending order, each with
+    /// its recorded lines in ascending order. Recovery walks this
+    /// instead of the whole address space.
+    pub fn pages(&self) -> impl Iterator<Item = (PageId, impl Iterator<Item = LineAddr>)> {
+        let mut pages: Vec<(u64, u64)> = self
+            .pages
+            .iter()
+            .map(|(&page, checks)| (page, checks.present))
+            .collect();
+        pages.sort_unstable();
+        pages.into_iter().map(|(page, present)| {
+            let page = PageId::new(page);
+            (page, present_lines(page, present))
+        })
+    }
+
+    /// Serializes every check in ascending line order: the count, then
+    /// `(line, check)` pairs.
     pub fn snap_save(&self, enc: &mut fsencr_snapshot::Enc) {
-        let mut entries: Vec<(u64, u64)> = self.tags.iter().map(|(k, v)| (*k, *v)).collect();
-        entries.sort_unstable();
-        enc.put_u64(entries.len() as u64);
-        for (line, tag) in entries {
-            enc.put_u64(line);
-            enc.put_u64(tag);
+        let mut pages: Vec<_> = self.pages.iter().collect();
+        pages.sort_unstable_by_key(|(&page, _)| page);
+        let count: u64 = pages
+            .iter()
+            .map(|(_, c)| u64::from(c.present.count_ones()))
+            .sum();
+        enc.put_u64(count);
+        for (&page, c) in pages {
+            for line in present_lines(PageId::new(page), c.present) {
+                enc.put_u64(line.get());
+                enc.put_u64(c.checks[usize::from(line.block_in_page())]);
+            }
         }
     }
 
     /// Restores a store from [`EccStore::snap_save`] bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`fsencr_snapshot::SnapError::Corrupt`] for a line address that
+    /// is not 64-byte aligned or carries the DF-bit; the usual decode
+    /// errors for truncated bytes.
     pub fn snap_load(
         dec: &mut fsencr_snapshot::Dec<'_>,
     ) -> Result<EccStore, fsencr_snapshot::SnapError> {
         let n = dec.get_count(16)?;
-        let mut tags = HashMap::with_capacity(n);
+        let mut store = EccStore::new();
         for _ in 0..n {
-            let line = dec.get_u64()?;
-            tags.insert(line, dec.get_u64()?);
+            let raw = dec.get_u64()?;
+            let line = LineAddr::new(raw);
+            if line.get() != raw {
+                return Err(fsencr_snapshot::SnapError::Corrupt("ecc line"));
+            }
+            store.put(line, dec.get_u64()?);
         }
-        Ok(EccStore { tags })
+        Ok(store)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     fn snap_bytes(ecc: &EccStore) -> Vec<u8> {
@@ -137,17 +226,15 @@ mod tests {
     /// plaintext: `check` is plaintext equality.
     #[derive(Default)]
     struct Reference {
-        plains: HashMap<u64, [u8; 64]>,
+        plains: BTreeMap<u64, [u8; 64]>,
     }
 
     impl Reference {
         fn snap_bytes(&self) -> Vec<u8> {
-            let mut entries: Vec<_> = self.plains.iter().collect();
-            entries.sort_unstable_by_key(|(line, _)| **line);
             let mut enc = fsencr_snapshot::Enc::new();
             enc.begin_section("ecc");
-            enc.put_u64(entries.len() as u64);
-            for (line, plain) in entries {
+            enc.put_u64(self.plains.len() as u64);
+            for (line, plain) in &self.plains {
                 enc.put_u64(*line);
                 enc.put_u64(line_check(*line, plain));
             }
@@ -156,17 +243,31 @@ mod tests {
         }
     }
 
-    /// Line addresses up to the highest one a `LineAddr` can hold.
-    const LINES: [u64; 6] = [0, 64, 128, 4096, 1 << 38, !(fsencr_nvm::DF_BIT | 63)];
+    /// The highest line a `LineAddr` can hold.
+    const TOP: u64 = !(fsencr_nvm::DF_BIT | 63);
+
+    /// Line addresses across page edges: the first three and the last
+    /// line of page 0 (4032), the first and last of page 1 (4096,
+    /// 8128), a high page, and the two top lines of the highest page.
+    const LINES: [u64; 9] = [0, 64, 128, 4032, 4096, 8128, 1 << 38, TOP - 64, TOP];
 
     /// Compares `lines`, `snap_save` and every `(line, plaintext)` check,
     /// unwritten and relocated lines included.
     fn assert_matches(ecc: &EccStore, reference: &Reference, plains: &[[u8; 64]], what: &str) {
         let mut lines: Vec<u64> = ecc.lines().map(|l| l.get()).collect();
         lines.sort_unstable();
-        let mut want: Vec<u64> = reference.plains.keys().copied().collect();
-        want.sort_unstable();
+        let want: Vec<u64> = reference.plains.keys().copied().collect();
         assert_eq!(lines, want, "{what}: lines");
+        let walked: Vec<u64> = ecc
+            .pages()
+            .flat_map(|(page, lines)| {
+                lines.map(move |l| {
+                    assert_eq!(l.page(), page, "{what}: line outside its page");
+                    l.get()
+                })
+            })
+            .collect();
+        assert_eq!(walked, want, "{what}: pages in ascending order");
         for line in LINES {
             for plain in plains {
                 let want = reference.plains.get(&line) == Some(plain);
@@ -178,6 +279,24 @@ mod tests {
             }
         }
         assert_eq!(snap_bytes(ecc), reference.snap_bytes(), "{what}: snap_save");
+    }
+
+    /// After a clear, a clone and a reloaded image must agree with the
+    /// reference as well: an emptied page leaves no trace in either.
+    fn assert_cleared(ecc: &EccStore, reference: &Reference, plains: &[[u8; 64]], what: &str) {
+        assert_matches(
+            &ecc.clone(),
+            reference,
+            plains,
+            &format!("{what} cleared clone"),
+        );
+        let reloaded = reload(&snap_bytes(ecc));
+        assert_matches(
+            &reloaded,
+            reference,
+            plains,
+            &format!("{what} cleared reload"),
+        );
     }
 
     #[test]
@@ -199,7 +318,7 @@ mod tests {
                 let line = LINES[next(LINES.len())];
                 let plain = &plains[next(plains.len())];
                 let what = format!("seed {seed} step {step}");
-                match next(7) {
+                match next(8) {
                     0..=4 => {
                         ecc.record(LineAddr::new(line), plain);
                         reference.plains.insert(line, *plain);
@@ -207,6 +326,15 @@ mod tests {
                     5 => {
                         ecc.clear(LineAddr::new(line));
                         reference.plains.remove(&line);
+                        assert_cleared(&ecc, &reference, &plains, &what);
+                    }
+                    6 => {
+                        let page = LineAddr::new(line).page();
+                        ecc.clear_page(page);
+                        reference
+                            .plains
+                            .retain(|&l, _| LineAddr::new(l).page() != page);
+                        assert_cleared(&ecc, &reference, &plains, &what);
                     }
                     _ => {
                         assert_matches(&ecc.clone(), &reference, &plains, &format!("{what} clone"))
@@ -223,6 +351,26 @@ mod tests {
                 &format!("seed {seed} reloaded"),
             );
             assert_eq!(snap_bytes(&loaded), image, "seed {seed}: reload round trip");
+        }
+    }
+
+    #[test]
+    fn unaligned_or_tagged_lines_in_an_image_fail_typed() {
+        for raw in [65, 4096 | fsencr_nvm::DF_BIT] {
+            let mut enc = fsencr_snapshot::Enc::new();
+            enc.begin_section("ecc");
+            enc.put_u64(1);
+            enc.put_u64(raw);
+            enc.put_u64(0);
+            enc.end_section();
+            let image = enc.finish();
+            let mut dec = fsencr_snapshot::Dec::new(&image).unwrap();
+            dec.begin_section("ecc").unwrap();
+            assert_eq!(
+                EccStore::snap_load(&mut dec).err(),
+                Some(fsencr_snapshot::SnapError::Corrupt("ecc line")),
+                "line {raw:#x}"
+            );
         }
     }
 

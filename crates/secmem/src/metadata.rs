@@ -61,7 +61,7 @@ use std::fmt;
 
 use fsencr_cache::{Cache, Eviction};
 use fsencr_crypto::digest8_line;
-use fsencr_nvm::{LineAddr, NvmDevice, LINE_BYTES};
+use fsencr_nvm::{AddrMap, LineAddr, NvmDevice, LINE_BYTES};
 use fsencr_sim::config::{CacheConfig, SecurityConfig};
 use fsencr_sim::{Counter, Cycle};
 
@@ -174,7 +174,7 @@ pub struct MetadataSystem {
     canon_digests: Vec<[u8; 8]>,
     zero_leaf_digest: [u8; 8],
     /// Unpersisted-update counts per cached dirty leaf (Osiris).
-    pending: std::collections::HashMap<u64, u32>,
+    pending: AddrMap<u32>,
     stop_loss: u32,
     mac_cycles: u64,
     stats: MetaStats,
@@ -221,7 +221,7 @@ impl MetadataSystem {
             canon_nodes,
             canon_digests,
             zero_leaf_digest,
-            pending: std::collections::HashMap::new(),
+            pending: AddrMap::default(),
             stop_loss: cfg.osiris_stop_loss.max(1),
             mac_cycles: cfg.mac_cycles,
             stats: MetaStats::default(),

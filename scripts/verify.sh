@@ -71,7 +71,7 @@ fi
 rm -rf "$faults_dir"
 finish
 
-begin "snapshot save -> info -> load CLI round trip"
+begin "snapshot save -> info -> load CLI round trip; two processes save identical images"
 snap_dir="$(mktemp -d)"
 (
     cd "$snap_dir"
@@ -80,6 +80,16 @@ snap_dir="$(mktemp -d)"
     "$OLDPWD/target/release/harness" snapshot save MACHINE.snap
     "$OLDPWD/target/release/harness" snapshot info MACHINE.snap >/dev/null
     "$OLDPWD/target/release/harness" snapshot load MACHINE.snap >/dev/null
+    # A second process must write the same bytes: no section may depend
+    # on per-process state such as a randomly keyed hash map's order.
+    "$OLDPWD/target/release/harness" snapshot save MACHINE2.snap
+    if ! cmp -s MACHINE.snap MACHINE2.snap; then
+        echo "FAIL: snapshot images differ between two harness processes" >&2
+        "$OLDPWD/target/release/harness" snapshot info MACHINE.snap >info1.txt
+        "$OLDPWD/target/release/harness" snapshot info MACHINE2.snap >info2.txt
+        diff info1.txt info2.txt >&2 || true
+        exit 1
+    fi
 )
 rm -rf "$snap_dir"
 finish
