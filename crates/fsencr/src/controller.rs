@@ -998,17 +998,25 @@ impl MemoryController {
                 } else {
                     vec![(fecb, 0)]
                 };
+                // A file pad does not depend on the memory candidate, so
+                // each one is computed at most once per line, on first use.
+                let mut file_pads: Vec<Option<[u8; LINE_BYTES]>> = vec![None; file_cands.len()];
                 let mut found = None;
                 'search: for &(mem, dm) in &mem_cands {
                     // The memory layer is outermost: strip it once per
                     // memory candidate, not once per (memory, file) pair.
                     let mut mem_plain = cipher;
                     self.xor_pad(&mut mem_plain, page, block, &mem, None, false);
-                    for &(file, df) in &file_cands {
+                    for (&(file, df), pad) in file_cands.iter().zip(&mut file_pads) {
                         let mut plain = mem_plain;
                         if is_file {
                             let Some(k) = key else { continue };
-                            self.xor_pad(&mut plain, page, block, &file, Some(k), false);
+                            let pad = pad.get_or_insert_with(|| {
+                                let mut p = [0u8; LINE_BYTES];
+                                self.xor_pad(&mut p, page, block, &file, Some(k), false);
+                                p
+                            });
+                            ctr::xor_in_place(&mut plain, pad);
                         }
                         if self.ecc.check(line, &plain) {
                             found = Some((

@@ -119,27 +119,9 @@ impl EccStore {
         })
     }
 
-    /// Drops one line's check.
-    pub fn clear(&mut self, line: LineAddr) {
-        let key = line.page().get();
-        if let Some(page) = self.pages.get_mut(&key) {
-            page.present &= !(1 << line.block_in_page());
-            if page.present == 0 {
-                self.pages.remove(&key);
-            }
-        }
-    }
-
     /// Drops every check of `page` (page shredding).
     pub fn clear_page(&mut self, page: PageId) {
         self.pages.remove(&page.get());
-    }
-
-    /// Iterates every recorded line, in no particular order.
-    pub fn lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        self.pages
-            .iter()
-            .flat_map(|(&page, checks)| present_lines(PageId::new(page), checks.present))
     }
 
     /// Every page with a recorded line, in ascending order, each with
@@ -251,23 +233,26 @@ mod tests {
     /// 8128), a high page, and the two top lines of the highest page.
     const LINES: [u64; 9] = [0, 64, 128, 4032, 4096, 8128, 1 << 38, TOP - 64, TOP];
 
-    /// Compares `lines`, `snap_save` and every `(line, plaintext)` check,
+    /// Compares `pages`, `snap_save` and every `(line, plaintext)` check,
     /// unwritten and relocated lines included.
     fn assert_matches(ecc: &EccStore, reference: &Reference, plains: &[[u8; 64]], what: &str) {
-        let mut lines: Vec<u64> = ecc.lines().map(|l| l.get()).collect();
-        lines.sort_unstable();
+        let mut pages = Vec::new();
+        let mut walked = Vec::new();
+        for (page, lines) in ecc.pages() {
+            pages.push(page.get());
+            for l in lines {
+                assert_eq!(l.page(), page, "{what}: line outside its page");
+                walked.push(l.get());
+            }
+        }
         let want: Vec<u64> = reference.plains.keys().copied().collect();
-        assert_eq!(lines, want, "{what}: lines");
-        let walked: Vec<u64> = ecc
-            .pages()
-            .flat_map(|(page, lines)| {
-                lines.map(move |l| {
-                    assert_eq!(l.page(), page, "{what}: line outside its page");
-                    l.get()
-                })
-            })
+        assert_eq!(walked, want, "{what}: lines in ascending order");
+        let mut want_pages: Vec<u64> = want
+            .iter()
+            .map(|&l| LineAddr::new(l).page().get())
             .collect();
-        assert_eq!(walked, want, "{what}: pages in ascending order");
+        want_pages.dedup();
+        assert_eq!(pages, want_pages, "{what}: pages in ascending order");
         for line in LINES {
             for plain in plains {
                 let want = reference.plains.get(&line) == Some(plain);
@@ -281,7 +266,7 @@ mod tests {
         assert_eq!(snap_bytes(ecc), reference.snap_bytes(), "{what}: snap_save");
     }
 
-    /// After a clear, a clone and a reloaded image must agree with the
+    /// After a page clear, a clone and a reloaded image must agree with the
     /// reference as well: an emptied page leaves no trace in either.
     fn assert_cleared(ecc: &EccStore, reference: &Reference, plains: &[[u8; 64]], what: &str) {
         assert_matches(
@@ -323,12 +308,7 @@ mod tests {
                         ecc.record(LineAddr::new(line), plain);
                         reference.plains.insert(line, *plain);
                     }
-                    5 => {
-                        ecc.clear(LineAddr::new(line));
-                        reference.plains.remove(&line);
-                        assert_cleared(&ecc, &reference, &plains, &what);
-                    }
-                    6 => {
+                    5 | 6 => {
                         let page = LineAddr::new(line).page();
                         ecc.clear_page(page);
                         reference

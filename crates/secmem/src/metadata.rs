@@ -50,8 +50,7 @@
 //!   [`digest8_line`]. Nothing is memoized, so no digest can outlive the
 //!   bytes it describes;
 //! * the post-crash rebuild sweeps the tree four lines at a time through
-//!   the interleaved [`digest8_lines4`](fsencr_crypto::digest8_lines4)
-//!   kernel, fanned out over the scoped worker pool;
+//!   the interleaved [`digest8_lines4`] kernel, on the calling thread;
 //! * verification climbs, eviction cascades and flushes run out of
 //!   reusable scratch buffers owned by the system instead of per-call
 //!   `Vec`s (audited by the `hot-alloc` lint rule).
@@ -60,7 +59,7 @@ use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 
 use fsencr_cache::{Cache, Eviction};
-use fsencr_crypto::digest8_line;
+use fsencr_crypto::{digest8_line, digest8_lines4};
 use fsencr_nvm::{AddrMap, LineAddr, NvmDevice, LINE_BYTES};
 use fsencr_sim::config::{CacheConfig, SecurityConfig};
 use fsencr_sim::{Counter, Cycle};
@@ -884,14 +883,13 @@ impl MetadataSystem {
     /// that are not metadata leaf addresses (e.g. quarantined data
     /// lines) are simply ignored.
     ///
-    /// The rebuild is parallel but deterministic: the leaf span is
-    /// partitioned into fixed-size per-worker subranges drained by the
-    /// scoped [`pool`](fsencr_sim::pool), and every digest is a pure
-    /// function of settled media content (quarantined leaves are zeroed
-    /// *before* the sweep), so the result is byte-identical at any
-    /// worker count and under every [`pool::Schedule`](fsencr_sim::pool::Schedule)
-    /// policy. Media pokes stay on the calling thread, merged in tree
-    /// order after each level's digests are in.
+    /// The rebuild is serial, on the calling thread. Recovery calls it,
+    /// and a fault campaign runs each recovery inside a pool worker
+    /// already, so fanning it out would spawn and join fresh threads on
+    /// every recovery; a paper-scale rebuild takes milliseconds on one
+    /// thread. Quarantined leaves are zeroed *before* the sweep, then the
+    /// leaves and each tree level are digested in ascending order, and
+    /// every non-canonical node is poked in ascending order.
     ///
     /// Returns the leaf addresses actually reset, in ascending order —
     /// asserted inside to be *exactly* the skip entries that name
@@ -901,9 +899,8 @@ impl MetadataSystem {
     /// it.
     pub fn rebuild_skipping(&mut self, nvm: &mut NvmDevice, skip: &BTreeSet<u64>) -> Vec<u64> {
         let leaves = self.layout.leaves().collect::<Vec<_>>();
-        // Serial pre-pass: settle the media image the parallel sweep
-        // reads — quarantined leaves are reset to zero first, exactly
-        // where the old serial loop poked them.
+        // Pre-pass: settle the media image the sweep reads —
+        // quarantined leaves are reset to zero first.
         let mut repaired = Vec::with_capacity(skip.len());
         if !skip.is_empty() {
             for l in &leaves {
@@ -934,50 +931,28 @@ impl MetadataSystem {
             );
         }
 
-        // Leaf sweep: fixed-size chunks over the shared (now read-only)
-        // device, results merged in submission order. Non-zero leaves
-        // hash four at a time through the interleaved lane kernel.
+        // Leaf sweep, in fixed-size chunks so the line buffer stays
+        // small: zero leaves take the precomputed digest, non-zero
+        // leaves hash four at a time through the interleaved lane kernel.
         let zero_leaf = self.zero_leaf_digest;
-        let device: &NvmDevice = nvm;
         const CHUNK: usize = 256;
-        let tasks: Vec<_> = leaves
-            .chunks(CHUNK)
-            .map(|chunk| {
-                move || {
-                    let mut contents = Vec::with_capacity(chunk.len());
-                    let mut work = Vec::with_capacity(chunk.len());
-                    let mut out = vec![zero_leaf; chunk.len()];
-                    for (i, l) in chunk.iter().enumerate() {
-                        let bytes = device.peek_line(l.into_phys());
-                        if bytes != [0u8; LINE_BYTES] {
-                            work.push(i);
-                        }
-                        contents.push(bytes);
-                    }
-                    let mut j = 0;
-                    while j + 4 <= work.len() {
-                        let d = fsencr_crypto::digest8_lines4([
-                            &contents[work[j]],
-                            &contents[work[j + 1]],
-                            &contents[work[j + 2]],
-                            &contents[work[j + 3]],
-                        ]);
-                        for (lane, digest) in d.iter().enumerate() {
-                            out[work[j + lane]] = *digest;
-                        }
-                        j += 4;
-                    }
-                    for &i in &work[j..] {
-                        out[i] = digest8_line(&contents[i]);
-                    }
-                    out
+        let mut lines: Vec<[u8; LINE_BYTES]> = Vec::with_capacity(CHUNK);
+        let mut work: Vec<usize> = Vec::with_capacity(CHUNK);
+        let mut digests: Vec<[u8; 8]> = Vec::with_capacity(leaves.len());
+        for chunk in leaves.chunks(CHUNK) {
+            lines.clear();
+            work.clear();
+            for l in chunk {
+                let bytes = nvm.peek_line(l.into_phys());
+                if bytes != [0u8; LINE_BYTES] {
+                    work.push(lines.len());
                 }
-            })
-            .collect();
-        let mut digests: Vec<[u8; 8]> = fsencr_sim::pool::run_tasks(tasks)
-            .into_iter()
-            .flatten()
-            .collect();
+                lines.push(bytes);
+            }
+            let base = digests.len();
+            digests.resize(base + lines.len(), zero_leaf);
+            digest_lanes(&lines, &work, &mut digests[base..]);
+        }
 
         for level in 0..self.layout.merkle_levels() {
             let nodes = self.layout.nodes_at(level);
@@ -988,72 +963,36 @@ impl MetadataSystem {
             } else {
                 self.canon_digests[level - 1]
             };
-            // Node contents and digests are pure functions of the child
-            // digests, so this level fans out the same way; only the
-            // media pokes below stay serial, in ascending node order —
-            // the exact pokes (and poke order) of the old serial loop.
-            let child_digests: &[[u8; 8]] = &digests;
-            let node_tasks: Vec<_> = (0..nodes)
-                .step_by(CHUNK)
-                .map(|start| {
-                    let end = (start + CHUNK as u64).min(nodes);
-                    move || {
-                        let mut built = Vec::with_capacity(CHUNK);
-                        let mut work = Vec::with_capacity(CHUNK);
-                        for idx in start..end {
-                            let mut node = canon_node;
-                            let mut canonical = true;
-                            for slot in 0..8usize {
-                                let child = idx * 8 + slot as u64;
-                                if let Some(&d) = usize::try_from(child)
-                                    .ok()
-                                    .and_then(|c| child_digests.get(c))
-                                {
-                                    Self::set_slot(&mut node, slot, d);
-                                    if d != canon_child {
-                                        canonical = false;
-                                    }
-                                }
-                            }
-                            let i = built.len();
-                            built.push(((!canonical).then_some(node), canon_level));
-                            if !canonical {
-                                work.push(i);
+            let mut next = Vec::with_capacity(usize::try_from(nodes).unwrap_or(0));
+            for start in (0..nodes).step_by(CHUNK) {
+                let end = (start + CHUNK as u64).min(nodes);
+                lines.clear();
+                work.clear();
+                for idx in start..end {
+                    let mut node = canon_node;
+                    let mut canonical = true;
+                    for slot in 0..8usize {
+                        let child = idx * 8 + slot as u64;
+                        if let Some(&d) = usize::try_from(child).ok().and_then(|c| digests.get(c)) {
+                            Self::set_slot(&mut node, slot, d);
+                            if d != canon_child {
+                                canonical = false;
                             }
                         }
-                        let mut j = 0;
-                        while j + 4 <= work.len() {
-                            let quad = [work[j], work[j + 1], work[j + 2], work[j + 3]];
-                            let nodes4 = quad.map(|i| built[i].0.unwrap_or(canon_node));
-                            let d = fsencr_crypto::digest8_lines4([
-                                &nodes4[0], &nodes4[1], &nodes4[2], &nodes4[3],
-                            ]);
-                            for (lane, digest) in d.iter().enumerate() {
-                                built[quad[lane]].1 = *digest;
-                            }
-                            j += 4;
-                        }
-                        for &i in &work[j..] {
-                            if let (Some(node), d) = &mut built[i] {
-                                *d = digest8_line(node);
-                            }
-                        }
-                        // Canonical nodes keep `None`: the merge leaves
-                        // untouched subtrees as zeroes on media.
-                        built
                     }
-                })
-                .collect();
-            let results = fsencr_sim::pool::run_tasks(node_tasks);
-            let mut next = Vec::with_capacity(results.iter().map(Vec::len).sum());
-            let mut idx = 0u64;
-            for built in results {
-                for (node, d) in built {
-                    if let Some(node) = node {
-                        nvm.poke_line(self.layout.node_addr(level, idx).into_phys(), &node);
+                    if !canonical {
+                        work.push(lines.len());
                     }
-                    next.push(d);
-                    idx += 1;
+                    lines.push(node);
+                }
+                let base = next.len();
+                next.resize(base + lines.len(), canon_level);
+                digest_lanes(&lines, &work, &mut next[base..]);
+                // Canonical nodes are not poked: untouched subtrees stay
+                // zeroes on media. The rest go out in ascending order.
+                for &i in &work {
+                    let addr = self.layout.node_addr(level, start + i as u64);
+                    nvm.poke_line(addr.into_phys(), &lines[i]);
                 }
             }
             digests = next;
@@ -1158,6 +1097,21 @@ trait IntoPhys {
 impl IntoPhys for LineAddr {
     fn into_phys(self) -> fsencr_nvm::PhysAddr {
         fsencr_nvm::PhysAddr::new(self.get())
+    }
+}
+
+/// Writes the digest of `lines[i]` to `out[i]` for every `i` in `work`,
+/// four lines at a time through the interleaved lane kernel.
+fn digest_lanes(lines: &[[u8; LINE_BYTES]], work: &[usize], out: &mut [[u8; 8]]) {
+    let mut quads = work.chunks_exact(4);
+    for q in &mut quads {
+        let d = digest8_lines4([&lines[q[0]], &lines[q[1]], &lines[q[2]], &lines[q[3]]]);
+        for (&i, digest) in q.iter().zip(d) {
+            out[i] = digest;
+        }
+    }
+    for &i in quads.remainder() {
+        out[i] = digest8_line(&lines[i]);
     }
 }
 
@@ -1415,10 +1369,6 @@ mod tests {
         assert_eq!(nvm.stats().writes.get(), restored_nvm.stats().writes.get());
     }
 
-    /// `set_jobs`/`set_schedule` are process-global; rebuild-determinism
-    /// tests that move them off the defaults serialize behind this lock.
-    static POOL_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     /// Writes a few pages of counters, flushes, and crashes, leaving a
     /// cold cache over a populated tree — the worst case for verify
     /// climbs.
@@ -1502,11 +1452,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_rebuild_is_deterministic_across_jobs_and_schedules() {
-        use fsencr_sim::pool;
-        let _guard = POOL_LOCK.lock().unwrap();
-        // Reference: fully serial rebuild (jobs = 1 runs inline on the
-        // calling thread), with a quarantined leaf in the skip set.
+    fn rebuild_skipping_matches_a_rebuild_over_the_zeroed_leaf() {
+        // Twelve non-zero leaves, one of them quarantined: the sweep
+        // hashes both full four-lane batches and a remainder.
         let build = || {
             let (mut sys, mut nvm) = small_setup();
             let mut t = Cycle::ZERO;
@@ -1521,23 +1469,6 @@ mod tests {
             sys.crash();
             (sys, nvm)
         };
-        let skip: BTreeSet<u64> = {
-            let (sys, _) = build();
-            [sys.layout().mecb_addr(PageId::new(7)).get()]
-                .into_iter()
-                .collect()
-        };
-        pool::set_jobs(1);
-        pool::set_schedule(pool::Schedule::Fifo);
-        let (mut ref_sys, mut ref_nvm) = build();
-        let repaired = ref_sys.rebuild_skipping(&mut ref_nvm, &skip);
-        assert_eq!(
-            repaired,
-            skip.iter().copied().collect::<Vec<_>>(),
-            "rebuild must repair exactly the skip-set leaves"
-        );
-        let want_root = ref_sys.root();
-
         let node_lines = |sys: &MetadataSystem, nvm: &NvmDevice| -> Vec<[u8; 64]> {
             let mut lines = Vec::with_capacity(64);
             for level in 0..sys.layout().merkle_levels() {
@@ -1547,26 +1478,29 @@ mod tests {
             }
             lines
         };
-        let want_nodes = node_lines(&ref_sys, &ref_nvm);
 
-        for jobs in [1usize, 2, 4] {
-            for sched in [
-                pool::Schedule::Fifo,
-                pool::Schedule::Lifo,
-                pool::Schedule::EvenOdd,
-                pool::Schedule::Stagger,
-            ] {
-                pool::set_jobs(jobs);
-                pool::set_schedule(sched);
-                let (mut sys, mut nvm) = build();
-                let got = sys.rebuild_skipping(&mut nvm, &skip);
-                assert_eq!(got, repaired, "jobs={jobs} {sched:?}");
-                assert_eq!(sys.root(), want_root, "jobs={jobs} {sched:?}");
-                assert_eq!(node_lines(&sys, &nvm), want_nodes, "jobs={jobs} {sched:?}");
-            }
-        }
-        pool::set_schedule(pool::Schedule::Fifo);
-        pool::set_jobs(0);
+        // Without a skip set the rebuild reproduces the live root.
+        let (mut sys, mut nvm) = build();
+        let live_root = sys.root();
+        assert!(sys.rebuild(&mut nvm).is_empty());
+        assert_eq!(sys.root(), live_root);
+
+        let (mut sys, mut nvm) = build();
+        let leaf = sys.layout().mecb_addr(PageId::new(7));
+        let skip: BTreeSet<u64> = [leaf.get()].into_iter().collect();
+        let repaired = sys.rebuild_skipping(&mut nvm, &skip);
+        assert_eq!(
+            repaired,
+            vec![leaf.get()],
+            "rebuild must repair exactly the skip-set leaves"
+        );
+
+        let (mut ref_sys, mut ref_nvm) = build();
+        ref_nvm.poke_line(leaf.into_phys(), &[0u8; 64]);
+        assert!(ref_sys.rebuild(&mut ref_nvm).is_empty());
+        assert_ne!(ref_sys.root(), live_root);
+        assert_eq!(sys.root(), ref_sys.root());
+        assert_eq!(node_lines(&sys, &nvm), node_lines(&ref_sys, &ref_nvm));
     }
 
     #[test]

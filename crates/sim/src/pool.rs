@@ -11,6 +11,11 @@
 //! The worker count is [`set_jobs`] (the harness's `--jobs N` flag) when
 //! set, else [`std::thread::available_parallelism`]. `1` forces fully
 //! serial execution on the calling thread.
+//!
+//! [`run_tasks`] is for top-level fan-out only (figure cells, campaign
+//! scenarios). Each call spawns and joins `jobs()` new threads, so a
+//! call from inside a task would start threads on every invocation and
+//! oversubscribe the host; work nested in a task runs serially.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};

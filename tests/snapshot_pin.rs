@@ -11,7 +11,7 @@
 
 use fsencr::machine::MachineError;
 use fsencr::{Machine, MachineOpts, SecurityMode};
-use fsencr_fs::{GroupId, Mode, UserId};
+use fsencr_fs::{AccessKind, GroupId, Mode, UserId};
 use fsencr_snapshot::fnv1a64_once;
 
 const PAGE: u64 = 4096;
@@ -48,6 +48,72 @@ fn scripted_machine(mode: SecurityMode) -> Machine {
     }
     m.unlink(USER, "gone.bin").expect("unlink");
     m
+}
+
+/// FNV-1a-64 of `recovered_machine().save_snapshot()`.
+const RECOVERED_PIN: u64 = 0xf9cf_17a7_a381_220c;
+
+/// Line contents of the `n`-th write to `line` in [`recovered_machine`].
+fn line_bytes(line: u64, n: u64) -> [u8; 64] {
+    std::array::from_fn(|i| (i as u64 ^ line.wrapping_mul(0x3B) ^ n.wrapping_mul(0x5D)) as u8)
+}
+
+/// Writes in [`recovered_machine`]: `(line, times)`, each write
+/// persisted on its own.
+const RECOVERY_WRITES: [(u64, u64); 4] = [(0, 6), (67, 5), (130, 1), (131, 4)];
+
+/// A FsEncr file whose lines were persisted up to six times at the
+/// default Osiris stop-loss of 4, then a power cut and recovery. Line 0
+/// leaves both its MECB and FECB minors two updates ahead of media, so
+/// recovery repairs both engines' counters on media before the image
+/// is taken.
+fn recovered_machine() -> Machine {
+    let mut m = Machine::new(MachineOpts::small_test(), SecurityMode::FsEncr);
+    let h = m
+        .create(
+            USER,
+            GroupId::new(1),
+            "osiris.bin",
+            Mode::PRIVATE,
+            Some("pw"),
+        )
+        .expect("create");
+    let map = m.mmap(&h).expect("mmap");
+    for (line, times) in RECOVERY_WRITES {
+        for n in 0..times {
+            m.write(0, map, line * 64, &line_bytes(line, n))
+                .expect("write");
+            m.persist(0, map, line * 64, 64).expect("persist");
+        }
+    }
+    m.crash();
+    let report = m.recover();
+    assert!(report.repaired > 0, "{report:?}");
+    assert_eq!(report.unrecoverable, 0, "{report:?}");
+    m
+}
+
+#[test]
+fn recovered_snapshot_image_is_pinned() {
+    let mut m = recovered_machine();
+    let image = m.save_snapshot().expect("save");
+    let got = fnv1a64_once(&image);
+    assert_eq!(got, RECOVERED_PIN, "recovered image changed: {got:#018x}");
+    let h = m
+        .open(
+            USER,
+            &[GroupId::new(1)],
+            "osiris.bin",
+            AccessKind::Read,
+            Some("pw"),
+        )
+        .expect("open");
+    let map = m.mmap(&h).expect("mmap");
+    for (line, times) in RECOVERY_WRITES {
+        let mut buf = [0u8; 64];
+        m.read(0, map, line * 64, &mut buf).expect("read");
+        assert_eq!(buf, line_bytes(line, times - 1), "line {line}");
+    }
 }
 
 #[test]
