@@ -2,7 +2,7 @@
 //!
 //! The paper's security argument needs every byte that reaches NVM to
 //! be encrypted by the memory controller. Token-level linting cannot
-//! see a code path that hands plaintext to [`Storage::write`] or
+//! see a code path that hands plaintext to `Storage::write` or
 //! `NvmDevice::poke_line`; this pass can. It parses every workspace
 //! source with [`crate::items`], resolves method-call receivers through
 //! struct fields, function parameters and `use` aliases, links the
@@ -35,8 +35,6 @@
 //! `#[cfg(test)]` code is exempt from every rule, and findings carry
 //! the enclosing function's qualified name so allowlist entries can
 //! pin exactly one audited edge.
-//!
-//! [`Storage::write`]: fsencr_nvm::Storage::write
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;

@@ -1,29 +1,26 @@
 //! CLI for the static analysis gate.
 //!
 //! ```sh
-//! cargo run --release -p analysis -- check    # lint + confine + layout
-//! cargo run --release -p analysis -- lint     # source passes (lint + confine)
-//! cargo run --release -p analysis -- layout   # invariants only
+//! cargo run --release -p analysis -- check    # both passes: lint + confine
 //! cargo run --release -p analysis -- lint --root crates/analysis/fixtures/violations
 //! ```
 //!
-//! Exit status: 0 when no findings survive the allowlist, 1 otherwise,
-//! 2 on usage errors. Output is sorted and byte-identical across runs.
+//! `lint` is another name for `check`. Exit status: 0 when no findings
+//! survive the allowlist, 1 otherwise, 2 on usage errors and on a root
+//! with no `crates/*/src/**/*.rs` (a mistyped `--root` must not read as
+//! a clean pass). Output is sorted and byte-identical across runs.
 
 use std::path::PathBuf;
 
 use analysis::allow::Allowlist;
-use analysis::{confine, layout_check, lint, Finding};
+use analysis::{confine, lint, Finding};
 
-const USAGE: &str = "usage: analysis [check|lint|layout] [--root DIR]";
+const USAGE: &str = "usage: analysis [check|lint] [--root DIR]";
 
-struct Args {
-    command: String,
-    root: Option<PathBuf>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut command = None;
+/// Parses the command line into the root to analyse, if one was given.
+/// `check` and `lint` name the same two passes.
+fn parse_args() -> Result<Option<PathBuf>, String> {
+    let mut has_command = false;
     let mut root = None;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
@@ -34,14 +31,12 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => return Err(String::new()),
             flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
-            cmd if command.is_none() => command = Some(cmd.to_string()),
+            "check" | "lint" if !has_command => has_command = true,
+            cmd if !has_command => return Err(format!("unknown command `{cmd}`")),
             extra => return Err(format!("unexpected argument `{extra}`")),
         }
     }
-    Ok(Args {
-        command: command.unwrap_or_else(|| "check".to_string()),
-        root,
-    })
+    Ok(root)
 }
 
 /// The source passes — token lint plus the item-graph confinement
@@ -73,8 +68,8 @@ fn run_source_passes(root: &std::path::Path) -> (Vec<Finding>, usize) {
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(args) => args,
+    let root = match parse_args() {
+        Ok(root) => root.unwrap_or_else(analysis::workspace_root),
         Err(msg) => {
             if !msg.is_empty() {
                 eprintln!("error: {msg}");
@@ -83,43 +78,20 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let root = args.root.unwrap_or_else(analysis::workspace_root);
-
-    let mut findings = Vec::new();
-    let mut suppressed = 0usize;
-    let mut passes = Vec::new();
-    match args.command.as_str() {
-        "lint" => {
-            let (f, s) = run_source_passes(&root);
-            findings.extend(f);
-            suppressed = s;
-            passes.extend(["lint", "confine"]);
-        }
-        "layout" => {
-            findings.extend(layout_check::check());
-            passes.push("layout");
-        }
-        "check" => {
-            let (f, s) = run_source_passes(&root);
-            findings.extend(f);
-            suppressed = s;
-            findings.extend(layout_check::check());
-            passes.extend(["lint", "confine", "layout"]);
-        }
-        other => {
-            eprintln!("error: unknown command `{other}`");
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
+    if !lint::rust_sources(&root)
+        .iter()
+        .any(|f| f.starts_with("crates/"))
+    {
+        eprintln!("error: no crates/*/src/**/*.rs under `{}`", root.display());
+        std::process::exit(2);
     }
 
-    findings.sort();
+    let (findings, suppressed) = run_source_passes(&root);
     for finding in &findings {
         println!("{finding}");
     }
     println!(
-        "analysis [{}]: {} finding(s), {} suppressed by allowlist",
-        passes.join("+"),
+        "analysis [lint+confine]: {} finding(s), {} suppressed by allowlist",
         findings.len(),
         suppressed
     );

@@ -1,13 +1,14 @@
 //! The gate must gate: these tests prove the lint and confinement
 //! passes flag every seeded violation in the fixture tree, stay quiet
 //! on the real workspace, and print byte-identical diagnostics across
-//! runs, and that the clippy/rustc configuration carrying the panic,
-//! cast, nondeterminism and `unsafe` rules is in place.
+//! runs, that the clippy/rustc configuration carrying the panic,
+//! cast, nondeterminism and `unsafe` rules is in place, and that the
+//! gate itself depends on no model crate.
 
 use std::path::{Path, PathBuf};
 
 use analysis::allow::Allowlist;
-use analysis::{confine, layout_check, lint};
+use analysis::{confine, lint};
 
 fn fixture_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/violations")
@@ -144,12 +145,6 @@ fn real_tree_is_clean_with_the_checked_in_allowlist() {
     );
 }
 
-#[test]
-fn real_tree_satisfies_layout_invariants() {
-    let findings = layout_check::check();
-    assert!(findings.is_empty(), "{}", render(&findings));
-}
-
 /// The hot-path crates and the experiment library: their non-test code
 /// must be panic-free and free of truncating casts.
 const HOT_CRATES: [&str; 10] = [
@@ -224,5 +219,34 @@ fn stock_lint_config_is_in_place() {
                 "crates/{krate}/clippy.toml lacks `{needle}`"
             );
         }
+    }
+}
+
+#[test]
+fn gate_has_no_normal_dependencies() {
+    // The gate reads source text only. Runtime invariants of the model
+    // are tests in the crates that define them; a dependency here would
+    // make building the gate compile the model again.
+    let manifest = read("crates/analysis/Cargo.toml");
+    let deps: Vec<&str> = manifest
+        .split("\n[dependencies]\n")
+        .nth(1)
+        .expect("crates/analysis/Cargo.toml keeps a `[dependencies]` table")
+        .lines()
+        .take_while(|line| !line.starts_with('['))
+        .filter(|line| !line.trim().is_empty() && !line.trim_start().starts_with('#'))
+        .collect();
+    assert!(
+        deps.is_empty(),
+        "the analysis gate must not depend on {deps:?}"
+    );
+    for header in manifest
+        .lines()
+        .filter(|line| line.starts_with('[') && line.contains("dependencies"))
+    {
+        assert!(
+            header == "[dependencies]" || header.starts_with("[dev-dependencies"),
+            "crates/analysis/Cargo.toml must not declare `{header}`"
+        );
     }
 }

@@ -438,6 +438,98 @@ mod tests {
     }
 
     #[test]
+    fn slot_format_matches_the_module_doc() {
+        let (spill, mut meta, mut nvm) = setup();
+        let key = Key128::from_seed(7);
+        let t = spill
+            .insert(&mut meta, &mut nvm, Cycle::ZERO, 3, 5, &key)
+            .unwrap();
+        meta.flush(&mut nvm, t);
+        let slots: Vec<[u8; 32]> = (0..8u64)
+            .map(|line| nvm.peek_line(fsencr_nvm::PhysAddr::new(spill.base + line * 64)))
+            .flat_map(|bytes| [0, 32].map(|off| bytes[off..off + 32].try_into().unwrap()))
+            .filter(|slot| *slot != [0u8; 32])
+            .collect();
+        assert_eq!(slots.len(), 1, "one insert fills exactly one slot");
+        let slot = slots[0];
+        assert_eq!(slot[0], 1, "state byte: occupied");
+        // The ID word (3 << 14) | 5 = 0xc005, little-endian.
+        assert_eq!(slot[1..5], [0x05, 0xc0, 0x00, 0x00]);
+        // AES-ECB of the file key under the OTT key, never the key itself.
+        assert_ne!(slot[5..21], key.as_bytes()[..]);
+        let wrapped = Aes128::new(&Key128::from_seed(0xA11CE)).encrypt_block(*key.as_bytes());
+        assert_eq!(slot[5..21], wrapped);
+        assert_eq!(slot[21..32], [0u8; 11], "zero pad");
+        // Only the processor's OTT key unwraps it.
+        let wrong = OttSpill::new(spill.base, 512, &Key128::from_seed(0xBAD));
+        let (found, _) = wrong.lookup(&mut meta, &mut nvm, t, 3, 5).unwrap();
+        assert_ne!(found, Some(key));
+    }
+
+    #[test]
+    fn spill_and_counter_leaves_stay_covered_through_flush_and_rebuild() {
+        // The coverage oracle checks every line the persist paths push
+        // to media; the sweeps below re-walk every leaf (OTT spill lines
+        // included) and tree node from media to the root.
+        let (spill, mut meta, mut nvm) = setup();
+        meta.set_coverage_oracle(true);
+        let mut t = Cycle::ZERO;
+        // Five rounds per counter block: stop-loss 4 forces at least one
+        // Osiris write-through per block.
+        let counters: Vec<LineAddr> = (0..16u64)
+            .map(fsencr_nvm::PageId::new)
+            .flat_map(|p| [meta.layout().mecb_addr(p), meta.layout().fecb_addr(p)])
+            .collect();
+        for round in 0..5u8 {
+            for (i, &addr) in counters.iter().enumerate() {
+                t = meta
+                    .write_block(&mut nvm, t, addr, [i as u8 + round + 1; 64])
+                    .unwrap()
+                    .done;
+            }
+        }
+        assert!(meta.stats().osiris_persists.get() >= counters.len() as u64);
+        t = meta.persist_blocks(&mut nvm, t, &counters).unwrap();
+        for (fid, seed) in [(2u32, 11u64), (4, 12)] {
+            t = spill
+                .insert(&mut meta, &mut nvm, t, 1, fid, &Key128::from_seed(seed))
+                .unwrap();
+        }
+        t = meta.flush(&mut nvm, t);
+
+        let is_spill = |leaf: &LineAddr| (spill.base..spill.base + 512).contains(&leaf.get());
+        let leaves: Vec<LineAddr> = meta.layout().leaves().collect();
+        assert_eq!(leaves.iter().filter(|l| is_spill(l)).count(), 8);
+        for &leaf in &leaves {
+            assert!(meta.check_coverage(&nvm, leaf).is_ok(), "{leaf:?}");
+        }
+        for level in 0..meta.layout().merkle_levels() {
+            for idx in 0..meta.layout().nodes_at(level) {
+                let node = meta.layout().node_addr(level, idx);
+                assert!(meta.check_coverage(&nvm, node).is_ok(), "{node:?}");
+            }
+        }
+
+        meta.crash();
+        meta.rebuild(&mut nvm);
+        for &leaf in &leaves {
+            assert!(meta.check_coverage(&nvm, leaf).is_ok(), "{leaf:?}");
+        }
+        let (bytes, _) = meta.read_block(&mut nvm, t, counters[14]).unwrap();
+        assert_eq!(bytes, [14 + 5; 64]);
+        let (found, _) = spill.lookup(&mut meta, &mut nvm, t, 1, 4).unwrap();
+        assert_eq!(found, Some(Key128::from_seed(12)));
+
+        // A tampered media line fails the walk.
+        meta.crash();
+        let victim = fsencr_nvm::PhysAddr::new(counters[1].get());
+        let mut evil = nvm.peek_line(victim);
+        evil[0] ^= 0x5a;
+        nvm.poke_line(victim, &evil);
+        assert!(meta.check_coverage(&nvm, counters[1]).is_err());
+    }
+
+    #[test]
     fn costs_time() {
         let (spill, mut meta, mut nvm) = setup();
         let done = spill

@@ -366,6 +366,40 @@ mod tests {
     }
 
     #[test]
+    fn block_layout_matches_figure_6() {
+        assert_eq!(MINORS_PER_BLOCK, 64);
+        assert_eq!(MINOR_LIMIT, 128);
+        assert_eq!(GID_LIMIT, 1 << 18);
+        assert_eq!(FID_LIMIT, 1 << 14);
+        // MECB: the 64-bit major, little-endian, at bytes 0..8.
+        let mut m = CounterBlock::new(PadDomain::Memory);
+        m.set(0x0123_4567_89ab_cdef, 63, 127);
+        assert_eq!(
+            m.to_bytes()[..8],
+            [0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01]
+        );
+        // FECB: the ID word `(gid << 14) | fid` at 0..4, then the 32-bit
+        // major at 4..8, both little-endian. (3 << 14) | 5 = 0xc005.
+        let mut f = file_block(3, 5);
+        f.set(0xdead_beef, 17, 99);
+        assert_eq!(
+            f.to_bytes()[..8],
+            [0x05, 0xc0, 0x00, 0x00, 0xef, 0xbe, 0xad, 0xde]
+        );
+        // The widest IDs fill the 32-bit word exactly.
+        let widest = file_block(GID_LIMIT - 1, FID_LIMIT - 1);
+        assert_eq!(widest.to_bytes()[..8], [0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0]);
+        // 64 x 7-bit minors fill bytes 8..64 bit-exactly.
+        let mut full = CounterBlock::new(PadDomain::Memory);
+        for block in 0..MINORS_PER_BLOCK {
+            full.set(0, block, MINOR_LIMIT - 1);
+        }
+        let bytes = full.to_bytes();
+        assert_eq!(bytes[..8], [0u8; 8]);
+        assert_eq!(bytes[8..], [0xffu8; 56]);
+    }
+
+    #[test]
     fn mecb_roundtrip() {
         let mut b = CounterBlock::new(PadDomain::Memory);
         b.set(0xdeadbeef_12345678, 7, 99);

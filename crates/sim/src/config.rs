@@ -253,7 +253,11 @@ mod tests {
         assert_eq!(cfg.nvm.row_buffer_bytes, 1024);
         assert_eq!(cfg.security.aes_ns, 40);
         assert_eq!(cfg.security.metadata_cache.size_bytes, 512 << 10);
+        assert_eq!(cfg.security.metadata_cache.ways, 8);
         assert_eq!(cfg.security.ott_entries, 1024);
+        assert_eq!(cfg.security.ott_latency_cycles, 20);
+        assert_eq!(cfg.security.osiris_stop_loss, 4);
+        assert_eq!(cfg.security.mac_cycles, 40);
     }
 
     #[test]
