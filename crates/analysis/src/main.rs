@@ -2,24 +2,32 @@
 //!
 //! ```sh
 //! cargo run --release -p analysis -- check    # both passes: lint + confine
-//! cargo run --release -p analysis -- lint --root crates/analysis/fixtures/violations
+//! cargo run --release -p analysis -- check --root crates/analysis/fixtures/violations
+//! cargo run --release -p analysis -- --help   # usage line on stdout, exit 0
 //! ```
 //!
-//! `lint` is another name for `check`. Exit status: 0 when no findings
-//! survive the allowlist, 1 otherwise, 2 on usage errors and on a root
-//! with no `crates/*/src/**/*.rs` (a mistyped `--root` must not read as
-//! a clean pass). Output is sorted and byte-identical across runs.
+//! Exit status: 0 when no findings survive the allowlist (and for
+//! `--help`), 1 otherwise, 2 on usage errors and on a root with no
+//! `crates/*/src/**/*.rs` (a mistyped `--root` must not read as a clean
+//! pass). Output is sorted and byte-identical across runs.
 
 use std::path::PathBuf;
 
 use analysis::allow::Allowlist;
 use analysis::{confine, lint, Finding};
 
-const USAGE: &str = "usage: analysis [check|lint] [--root DIR]";
+const USAGE: &str = "usage: analysis [check] [--root DIR]";
 
-/// Parses the command line into the root to analyse, if one was given.
-/// `check` and `lint` name the same two passes.
-fn parse_args() -> Result<Option<PathBuf>, String> {
+/// What the command line asks for.
+enum Cli {
+    /// Run both passes over this root, or the workspace's.
+    Check(Option<PathBuf>),
+    /// Print the usage line.
+    Help,
+}
+
+/// Parses the command line.
+fn parse_args() -> Result<Cli, String> {
     let mut has_command = false;
     let mut root = None;
     let mut argv = std::env::args().skip(1);
@@ -29,14 +37,14 @@ fn parse_args() -> Result<Option<PathBuf>, String> {
                 let value = argv.next().ok_or("--root needs a directory")?;
                 root = Some(PathBuf::from(value));
             }
-            "--help" | "-h" => return Err(String::new()),
+            "--help" | "-h" => return Ok(Cli::Help),
             flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
-            "check" | "lint" if !has_command => has_command = true,
+            "check" if !has_command => has_command = true,
             cmd if !has_command => return Err(format!("unknown command `{cmd}`")),
             extra => return Err(format!("unexpected argument `{extra}`")),
         }
     }
-    Ok(root)
+    Ok(Cli::Check(root))
 }
 
 /// The source passes — token lint plus the item-graph confinement
@@ -69,12 +77,13 @@ fn run_source_passes(root: &std::path::Path) -> (Vec<Finding>, usize) {
 
 fn main() {
     let root = match parse_args() {
-        Ok(root) => root.unwrap_or_else(analysis::workspace_root),
+        Ok(Cli::Check(root)) => root.unwrap_or_else(analysis::workspace_root),
+        Ok(Cli::Help) => {
+            println!("{USAGE}");
+            return;
+        }
         Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("error: {msg}");
-            }
-            eprintln!("{USAGE}");
+            eprintln!("error: {msg}\n{USAGE}");
             std::process::exit(2);
         }
     };

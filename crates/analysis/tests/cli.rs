@@ -29,7 +29,6 @@ fn missing_and_empty_roots_exit_2() {
     let missing = scratch("missing");
     let _ = std::fs::remove_dir_all(&missing);
     let missing = missing.to_str().expect("utf-8 path");
-    assert_usage_exit(&["lint", "--root", missing], "no crates/*/src/**/*.rs");
     assert_usage_exit(&["check", "--root", missing], "no crates/*/src/**/*.rs");
 
     // A tree with sources only outside `crates/` has nothing to gate.
@@ -39,7 +38,7 @@ fn missing_and_empty_roots_exit_2() {
     std::fs::create_dir_all(empty.join("src")).expect("scratch dir");
     std::fs::write(empty.join("src/main.rs"), "fn main() {}\n").expect("scratch file");
     let empty = empty.to_str().expect("utf-8 path");
-    assert_usage_exit(&["lint", "--root", empty], "no crates/*/src/**/*.rs");
+    assert_usage_exit(&["check", "--root", empty], "no crates/*/src/**/*.rs");
 }
 
 #[test]
@@ -47,7 +46,21 @@ fn usage_errors_exit_2() {
     assert_usage_exit(&["layout"], "unknown command `layout`");
     assert_usage_exit(&["check", "extra"], "unexpected argument `extra`");
     assert_usage_exit(&["--bogus"], "unknown flag `--bogus`");
-    assert_usage_exit(&["lint", "--root"], "--root needs a directory");
+    assert_usage_exit(&["check", "--root"], "--root needs a directory");
+    // `lint` was a second name for `check`; it is retired.
+    assert_usage_exit(&["lint"], "unknown command `lint`");
+}
+
+#[test]
+fn help_prints_usage_on_stdout_and_exits_0() {
+    for flag in ["--help", "-h"] {
+        let out = analysis(&[flag]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{flag}");
+        assert!(stdout.starts_with("usage: analysis"), "{flag}: {stdout}");
+        assert!(!stdout.contains("lint"), "{flag}: {stdout}");
+        assert!(out.stderr.is_empty(), "{flag}");
+    }
 }
 
 #[test]

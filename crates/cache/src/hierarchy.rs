@@ -7,11 +7,18 @@
 //! snoops the other cores' private caches and migrates any copy found —
 //! and makes `clwb` unambiguous, which matters because persistent-memory
 //! workloads flush on every transaction.
+//!
+//! A line's bytes have one home, the hierarchy's [`LineStore`]; each
+//! level's ways hold a tag, an LRU stamp, a dirty bit and a 4-byte slot
+//! handle. Migrations move handles. Bytes are copied only where a line
+//! enters or leaves the hierarchy: a load's return value, `store`,
+//! `fill`, a dirty L3 victim, `clwb`, `clflush`, `flush_all` and the
+//! snapshot image, whose format is that of a cache holding its bytes.
 
 use fsencr_nvm::{LineAddr, LINE_BYTES};
 use fsencr_sim::{config::CpuConfig, Cycle};
 
-use crate::set_assoc::Cache;
+use crate::set_assoc::{Cache, Displaced, Eviction};
 
 /// A line travelling between the hierarchy and the memory controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,12 +43,100 @@ pub struct LoadOutcome {
     pub writebacks: Vec<CacheLine>,
 }
 
-/// Private L1/L2 per core plus a shared L3.
+/// Handle of a line's bytes in the [`LineStore`].
+type Slot = u32;
+
+/// Lines per store chunk: one 4 KiB page of line bytes.
+const CHUNK_LINES: usize = 64;
+
+/// No free slot: the end of the free list.
+const NO_SLOT: Slot = Slot::MAX;
+
+/// The bytes of every resident line: a slab of 64-byte slots in 4 KiB
+/// chunks that are allocated as residency grows and never move, with
+/// freed slots on an intrusive free list (a free slot's first four
+/// bytes name the next one). Slots are handed out in order, so every
+/// chunk before the one holding slot `used` is full.
+#[derive(Debug, Clone)]
+struct LineStore {
+    chunks: Vec<Vec<[u8; LINE_BYTES]>>,
+    /// Slots handed out since the last [`LineStore::clear`].
+    used: Slot,
+    /// Head of the free list.
+    free: Slot,
+}
+
+impl LineStore {
+    fn new() -> Self {
+        LineStore {
+            chunks: Vec::new(),
+            used: 0,
+            free: NO_SLOT,
+        }
+    }
+
+    fn get(&self, slot: Slot) -> &[u8; LINE_BYTES] {
+        let s = slot as usize;
+        &self.chunks[s / CHUNK_LINES][s % CHUNK_LINES]
+    }
+
+    fn get_mut(&mut self, slot: Slot) -> &mut [u8; LINE_BYTES] {
+        let s = slot as usize;
+        &mut self.chunks[s / CHUNK_LINES][s % CHUNK_LINES]
+    }
+
+    /// Stores `data` in a free slot and returns its handle.
+    fn alloc(&mut self, data: &[u8; LINE_BYTES]) -> Slot {
+        if self.free != NO_SLOT {
+            let slot = self.free;
+            let line = self.get_mut(slot);
+            let mut next = [0u8; 4];
+            next.copy_from_slice(&line[..4]);
+            *line = *data;
+            self.free = Slot::from_le_bytes(next);
+            return slot;
+        }
+        let slot = self.used;
+        let chunk = slot as usize / CHUNK_LINES;
+        if chunk == self.chunks.len() {
+            self.chunks.push(Vec::with_capacity(CHUNK_LINES));
+        }
+        self.chunks[chunk].push(*data);
+        self.used += 1;
+        slot
+    }
+
+    /// Returns a slot to the free list.
+    fn release(&mut self, slot: Slot) {
+        let head = self.free;
+        self.get_mut(slot)[..4].copy_from_slice(&head.to_le_bytes());
+        self.free = slot;
+    }
+
+    /// Frees every slot, keeping the chunks for reuse.
+    fn clear(&mut self) {
+        self.chunks.iter_mut().for_each(Vec::clear);
+        self.used = 0;
+        self.free = NO_SLOT;
+    }
+}
+
+/// Every cache in search order: the L1s, the L2s, then the L3.
+fn levels<'a>(
+    l1: &'a mut [Cache<Slot>],
+    l2: &'a mut [Cache<Slot>],
+    l3: &'a mut Cache<Slot>,
+) -> impl Iterator<Item = &'a mut Cache<Slot>> {
+    l1.iter_mut().chain(l2).chain(std::iter::once(l3))
+}
+
+/// Private L1/L2 per core plus a shared L3, over one line store.
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
-    l1: Vec<Cache>,
-    l2: Vec<Cache>,
-    l3: Cache,
+    l1: Vec<Cache<Slot>>,
+    l2: Vec<Cache<Slot>>,
+    l3: Cache<Slot>,
+    lines: LineStore,
 }
 
 impl Hierarchy {
@@ -56,6 +151,7 @@ impl Hierarchy {
             l1: (0..cfg.cores).map(|_| Cache::new(cfg.l1)).collect(),
             l2: (0..cfg.cores).map(|_| Cache::new(cfg.l2)).collect(),
             l3: Cache::new(cfg.l3),
+            lines: LineStore::new(),
         }
     }
 
@@ -68,42 +164,55 @@ impl Hierarchy {
         assert!(core < self.l1.len(), "core {core} out of range");
     }
 
-    /// Inserts into the given core's L1 and cascades victims down the
-    /// hierarchy, collecting memory write-backs.
+    /// Frees the slot of a replaced payload; passes a victim on.
+    fn victim_of(&mut self, displaced: Displaced<Slot>) -> Option<Eviction<Slot>> {
+        match displaced {
+            Displaced::Nothing => None,
+            Displaced::Payload(old) => {
+                self.lines.release(old);
+                None
+            }
+            Displaced::Victim(ev) => Some(ev),
+        }
+    }
+
+    /// Inserts slot `slot` into the given core's L1 and cascades victims
+    /// down the hierarchy, collecting memory write-backs.
     fn insert_l1(
         &mut self,
         core: usize,
         addr: LineAddr,
-        data: [u8; LINE_BYTES],
+        slot: Slot,
         dirty: bool,
         writebacks: &mut Vec<CacheLine>,
     ) {
-        if let Some(v1) = self.l1[core].insert(addr, data, dirty) {
-            if let Some(v2) = self.l2[core].insert(v1.addr, v1.data, v1.dirty) {
-                if let Some(v3) = self.l3.insert(v2.addr, v2.data, v2.dirty) {
-                    if v3.dirty {
-                        writebacks.push(CacheLine {
-                            addr: v3.addr,
-                            data: v3.data,
-                        });
-                    }
-                }
-            }
+        let d1 = self.l1[core].insert(addr, slot, dirty);
+        let Some(v1) = self.victim_of(d1) else { return };
+        let d2 = self.l2[core].insert(v1.addr, v1.data, v1.dirty);
+        let Some(v2) = self.victim_of(d2) else { return };
+        let d3 = self.l3.insert(v2.addr, v2.data, v2.dirty);
+        let Some(v3) = self.victim_of(d3) else { return };
+        if v3.dirty {
+            writebacks.push(CacheLine {
+                addr: v3.addr,
+                data: *self.lines.get(v3.data),
+            });
         }
+        self.lines.release(v3.data);
     }
 
     /// Searches the other cores' private caches for `addr`, removing and
-    /// returning any copy found (data, dirty).
-    fn snoop_remote(&mut self, core: usize, addr: LineAddr) -> Option<([u8; LINE_BYTES], bool)> {
+    /// returning any copy found.
+    fn snoop_remote(&mut self, core: usize, addr: LineAddr) -> Option<Eviction<Slot>> {
         for other in 0..self.l1.len() {
             if other == core {
                 continue;
             }
             if let Some(ev) = self.l1[other].invalidate(addr) {
-                return Some((ev.data, ev.dirty));
+                return Some(ev);
             }
             if let Some(ev) = self.l2[other].invalidate(addr) {
-                return Some((ev.data, ev.dirty));
+                return Some(ev);
             }
         }
         None
@@ -117,52 +226,29 @@ impl Hierarchy {
     pub fn load(&mut self, core: usize, addr: LineAddr) -> LoadOutcome {
         self.check_core(core);
         let mut latency = Cycle::new(self.l1[core].latency_cycles());
-        if let Some(data) = self.l1[core].lookup(addr).copied() {
+        if let Some(&slot) = self.l1[core].lookup(addr) {
             return LoadOutcome {
-                data: Some(data),
+                data: Some(*self.lines.get(slot)),
                 latency,
                 writebacks: Vec::new(),
             };
         }
 
         latency += self.l2[core].latency_cycles();
+        let mut found = self.l2[core].take(addr);
+        if found.is_none() {
+            latency += self.l3.latency_cycles();
+            // Remote snoop: another core's private cache may hold the
+            // only copy.
+            found = self.l3.take(addr).or_else(|| self.snoop_remote(core, addr));
+        }
         let mut writebacks = Vec::new();
-        if self.l2[core].lookup(addr).is_some() {
-            // A hit guarantees the line is still resident to invalidate.
-            if let Some(ev) = self.l2[core].invalidate(addr) {
-                self.insert_l1(core, addr, ev.data, ev.dirty, &mut writebacks);
-                return LoadOutcome {
-                    data: Some(ev.data),
-                    latency,
-                    writebacks,
-                };
-            }
-        }
-
-        latency += self.l3.latency_cycles();
-        if self.l3.lookup(addr).is_some() {
-            if let Some(ev) = self.l3.invalidate(addr) {
-                self.insert_l1(core, addr, ev.data, ev.dirty, &mut writebacks);
-                return LoadOutcome {
-                    data: Some(ev.data),
-                    latency,
-                    writebacks,
-                };
-            }
-        }
-
-        // Remote snoop: another core's private cache may hold the only copy.
-        if let Some((data, dirty)) = self.snoop_remote(core, addr) {
-            self.insert_l1(core, addr, data, dirty, &mut writebacks);
-            return LoadOutcome {
-                data: Some(data),
-                latency,
-                writebacks,
-            };
-        }
-
+        let data = found.map(|ev| {
+            self.insert_l1(core, addr, ev.data, ev.dirty, &mut writebacks);
+            *self.lines.get(ev.data)
+        });
         LoadOutcome {
-            data: None,
+            data,
             latency,
             writebacks,
         }
@@ -173,7 +259,8 @@ impl Hierarchy {
     pub fn fill(&mut self, core: usize, addr: LineAddr, data: [u8; LINE_BYTES]) -> Vec<CacheLine> {
         self.check_core(core);
         let mut writebacks = Vec::new();
-        self.insert_l1(core, addr, data, false, &mut writebacks);
+        let slot = self.lines.alloc(&data);
+        self.insert_l1(core, addr, slot, false, &mut writebacks);
         writebacks
     }
 
@@ -191,80 +278,56 @@ impl Hierarchy {
         let mut latency = Cycle::new(self.l1[core].latency_cycles());
         let mut writebacks = Vec::new();
 
-        if self.l1[core].update(addr, &data) {
+        if let Some(slot) = self.l1[core].update(addr).copied() {
+            *self.lines.get_mut(slot) = data;
             return (true, latency, writebacks);
         }
 
         latency += self.l2[core].latency_cycles();
-        if self.l2[core].invalidate(addr).is_some() {
-            self.insert_l1(core, addr, data, true, &mut writebacks);
-            return (true, latency, writebacks);
+        let mut found = self.l2[core].invalidate(addr);
+        if found.is_none() {
+            latency += self.l3.latency_cycles();
+            found = self
+                .l3
+                .invalidate(addr)
+                .or_else(|| self.snoop_remote(core, addr));
         }
-
-        latency += self.l3.latency_cycles();
-        if self.l3.invalidate(addr).is_some() {
-            self.insert_l1(core, addr, data, true, &mut writebacks);
-            return (true, latency, writebacks);
-        }
-
-        if self.snoop_remote(core, addr).is_some() {
-            self.insert_l1(core, addr, data, true, &mut writebacks);
-            return (true, latency, writebacks);
-        }
-
-        // Write-allocate without fetch.
-        self.insert_l1(core, addr, data, true, &mut writebacks);
-        (false, latency, writebacks)
+        let slot = match found {
+            Some(ev) => {
+                *self.lines.get_mut(ev.data) = data;
+                ev.data
+            }
+            // Write-allocate without fetch.
+            None => self.lines.alloc(&data),
+        };
+        self.insert_l1(core, addr, slot, true, &mut writebacks);
+        (found.is_some(), latency, writebacks)
     }
 
     /// `clwb`: if a dirty copy of `addr` exists anywhere, marks it clean
     /// and returns the data for the caller to persist. The line stays
     /// cached.
     pub fn clwb(&mut self, addr: LineAddr) -> Option<CacheLine> {
-        for l1 in &mut self.l1 {
-            if let Some(data) = l1.clean(addr) {
-                return Some(CacheLine { addr, data });
-            }
-        }
-        for l2 in &mut self.l2 {
-            if let Some(data) = l2.clean(addr) {
-                return Some(CacheLine { addr, data });
-            }
-        }
-        self.l3.clean(addr).map(|data| CacheLine { addr, data })
+        let slot = levels(&mut self.l1, &mut self.l2, &mut self.l3).find_map(|c| c.clean(addr))?;
+        Some(CacheLine {
+            addr,
+            data: *self.lines.get(slot),
+        })
     }
 
     /// `clflush`: removes `addr` from every cache; returns the contents if
     /// a dirty copy needed writing back.
     pub fn clflush(&mut self, addr: LineAddr) -> Option<CacheLine> {
         let mut dirty_copy = None;
-        for l1 in &mut self.l1 {
-            if let Some(ev) = l1.invalidate(addr) {
-                if ev.dirty {
-                    dirty_copy = Some(CacheLine {
-                        addr,
-                        data: ev.data,
-                    });
-                }
-            }
-        }
-        for l2 in &mut self.l2 {
-            if let Some(ev) = l2.invalidate(addr) {
-                if ev.dirty {
-                    dirty_copy = Some(CacheLine {
-                        addr,
-                        data: ev.data,
-                    });
-                }
-            }
-        }
-        if let Some(ev) = self.l3.invalidate(addr) {
+        let caches = levels(&mut self.l1, &mut self.l2, &mut self.l3);
+        for ev in caches.filter_map(|c| c.invalidate(addr)) {
             if ev.dirty {
                 dirty_copy = Some(CacheLine {
                     addr,
-                    data: ev.data,
+                    data: *self.lines.get(ev.data),
                 });
             }
+            self.lines.release(ev.data);
         }
         dirty_copy
     }
@@ -272,48 +335,39 @@ impl Hierarchy {
     /// Flushes every dirty line in the machine (clean shutdown), returning
     /// them for write-back in address order.
     pub fn flush_all(&mut self) -> Vec<CacheLine> {
-        let mut out = Vec::new();
-        for l1 in &mut self.l1 {
-            out.extend(l1.drain_dirty().into_iter().map(|e| CacheLine {
-                addr: e.addr,
-                data: e.data,
-            }));
+        let mut dirty = Vec::new();
+        for c in levels(&mut self.l1, &mut self.l2, &mut self.l3) {
+            c.drain_dirty_into(&mut dirty);
         }
-        for l2 in &mut self.l2 {
-            out.extend(l2.drain_dirty().into_iter().map(|e| CacheLine {
-                addr: e.addr,
-                data: e.data,
-            }));
-        }
-        out.extend(self.l3.drain_dirty().into_iter().map(|e| CacheLine {
-            addr: e.addr,
-            data: e.data,
-        }));
+        let mut out: Vec<CacheLine> = dirty
+            .iter()
+            .map(|ev| CacheLine {
+                addr: ev.addr,
+                data: *self.lines.get(ev.data),
+            })
+            .collect();
         out.sort_by_key(|l| l.addr.get());
         out
     }
 
     /// Drops all cached state without write-back (power loss).
     pub fn drop_all(&mut self) {
-        for l1 in &mut self.l1 {
-            l1.clear();
-        }
-        for l2 in &mut self.l2 {
-            l2.clear();
-        }
-        self.l3.clear();
+        levels(&mut self.l1, &mut self.l2, &mut self.l3).for_each(Cache::clear);
+        self.lines.clear();
     }
 
-    /// Serializes every cache in a fixed order (L1s, L2s, L3).
+    /// Serializes every cache in a fixed order (L1s, L2s, L3), each line
+    /// with its bytes from the store.
     pub fn snap_save(&self, enc: &mut fsencr_snapshot::Enc) {
         enc.put_u64(self.l1.len() as u64);
-        for c in &self.l1 {
-            c.snap_save(enc);
+        for c in self
+            .l1
+            .iter()
+            .chain(&self.l2)
+            .chain(std::iter::once(&self.l3))
+        {
+            c.snap_save_with(enc, |enc, slot| enc.put_bytes(self.lines.get(slot)));
         }
-        for c in &self.l2 {
-            c.snap_save(enc);
-        }
-        self.l3.snap_save(enc);
     }
 
     /// Restores a hierarchy for `cfg` from [`Hierarchy::snap_save`] bytes.
@@ -325,16 +379,18 @@ impl Hierarchy {
         if cores != cfg.cores || cores == 0 {
             return Err(fsencr_snapshot::SnapError::StateMismatch);
         }
-        let mut l1 = Vec::with_capacity(cores);
-        for _ in 0..cores {
-            l1.push(Cache::snap_load(cfg.l1, dec)?);
-        }
-        let mut l2 = Vec::with_capacity(cores);
-        for _ in 0..cores {
-            l2.push(Cache::snap_load(cfg.l2, dec)?);
-        }
-        let l3 = Cache::snap_load(cfg.l3, dec)?;
-        Ok(Hierarchy { l1, l2, l3 })
+        let mut lines = LineStore::new();
+        let mut level = |cfg, dec: &mut fsencr_snapshot::Dec<'_>| {
+            Cache::snap_load_with(cfg, dec, |data| lines.alloc(data))
+        };
+        let l1 = (0..cores)
+            .map(|_| level(cfg.l1, dec))
+            .collect::<Result<_, _>>()?;
+        let l2 = (0..cores)
+            .map(|_| level(cfg.l2, dec))
+            .collect::<Result<_, _>>()?;
+        let l3 = level(cfg.l3, dec)?;
+        Ok(Hierarchy { l1, l2, l3, lines })
     }
 }
 

@@ -2,15 +2,16 @@
 //!
 //! Two building blocks:
 //!
-//! * [`Cache`] — a generic set-associative, write-back, LRU cache that
-//!   stores real 64-byte line contents (the simulation is functional, not
-//!   just statistical: plaintext lives in caches, ciphertext in the NVM).
-//!   The same structure models the data caches *and* the dedicated
-//!   security-metadata cache of Table III.
-//! * [`Hierarchy`] — per-core private L1/L2 plus a shared L3, with the
-//!   write-allocate / write-back policy, full-line store bypass (modelling
-//!   non-temporal stores used by persistent-memory libraries), and
-//!   `clwb`-style flush operations that persistent workloads issue.
+//! * [`Cache`] — a generic set-associative, write-back, LRU cache whose
+//!   ways carry a payload: real 64-byte line contents in the dedicated
+//!   security-metadata cache of Table III (the simulation is functional,
+//!   not just statistical: plaintext lives in caches, ciphertext in the
+//!   NVM), slot handles in the data caches.
+//! * [`Hierarchy`] — per-core private L1/L2 plus a shared L3 over one
+//!   line store, with the write-allocate / write-back policy, full-line
+//!   store bypass (modelling non-temporal stores used by
+//!   persistent-memory libraries), and `clwb`-style flush operations
+//!   that persistent workloads issue. Migrations move slot handles.
 //!
 //! # Examples
 //!
@@ -39,4 +40,4 @@ pub mod hierarchy;
 pub mod set_assoc;
 
 pub use hierarchy::{CacheLine, Hierarchy, LoadOutcome};
-pub use set_assoc::{Cache, CacheStats, Eviction};
+pub use set_assoc::{Cache, CacheStats, Displaced, Eviction};

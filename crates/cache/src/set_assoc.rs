@@ -1,17 +1,43 @@
 //! Generic set-associative write-back cache with LRU replacement.
+//!
+//! A way holds a tag, an LRU stamp, a dirty bit and a payload `L`: the
+//! line's 64 bytes for the security-metadata cache, or a handle into
+//! the line store of a [`crate::Hierarchy`], whose levels then move
+//! handles rather than bytes.
 
 use fsencr_nvm::{LineAddr, LINE_BYTES};
 use fsencr_sim::{config::CacheConfig, Counter};
 
-/// A dirty or clean line pushed out of the cache by an insertion.
+/// A dirty or clean line pushed out of the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Eviction {
+pub struct Eviction<L = [u8; LINE_BYTES]> {
     /// Address of the victim line.
     pub addr: LineAddr,
-    /// Its current contents.
-    pub data: [u8; LINE_BYTES],
+    /// Its payload: contents, or a handle to them.
+    pub data: L,
     /// Whether the victim was modified and must be written back.
     pub dirty: bool,
+}
+
+/// What [`Cache::insert`] pushed aside to place a line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Displaced<L = [u8; LINE_BYTES]> {
+    /// Nothing: the line went into a free way.
+    Nothing,
+    /// The line was already resident: its replaced payload.
+    Payload(L),
+    /// The set was full: its least recently used line.
+    Victim(Eviction<L>),
+}
+
+impl<L> Displaced<L> {
+    /// The evicted line, if the insertion evicted one.
+    pub fn victim(self) -> Option<Eviction<L>> {
+        match self {
+            Displaced::Victim(ev) => Some(ev),
+            Displaced::Nothing | Displaced::Payload(_) => None,
+        }
+    }
 }
 
 /// Hit/miss counters for one cache.
@@ -28,26 +54,26 @@ pub struct CacheStats {
 }
 
 #[derive(Debug, Clone)]
-struct Entry {
+struct Entry<L> {
     tag: u64,
-    data: [u8; LINE_BYTES],
-    dirty: bool,
     lru: u64,
+    line: L,
+    dirty: bool,
 }
 
-/// Set-associative, write-back, true-LRU cache storing line contents.
+/// Set-associative, write-back, true-LRU cache with payload `L` per way.
 ///
 /// Keys are [`LineAddr`]s; the set index is taken from the line-address
 /// bits directly above the block offset, as in a physically-indexed cache.
 #[derive(Debug, Clone)]
-pub struct Cache {
+pub struct Cache<L = [u8; LINE_BYTES]> {
     cfg: CacheConfig,
-    sets: Vec<Vec<Entry>>,
+    sets: Vec<Vec<Entry<L>>>,
     stamp: u64,
     stats: CacheStats,
 }
 
-impl Cache {
+impl<L: Copy> Cache<L> {
     /// Creates an empty cache with the given geometry. A set allocates
     /// its ways on first fill, so an empty cache costs one header per
     /// set, whatever its associativity.
@@ -74,13 +100,26 @@ impl Cache {
     )]
     fn index_of(&self, addr: LineAddr) -> (usize, u64) {
         let line_no = addr.get() / LINE_BYTES as u64;
-        let set = (line_no % self.sets.len() as u64) as usize;
-        let tag = line_no / self.sets.len() as u64;
-        (set, tag)
+        let sets = self.sets.len() as u64;
+        // Every paper geometry has a power-of-two set count: mask and
+        // shift instead of two 64-bit divisions on each probe.
+        if sets.is_power_of_two() {
+            (
+                (line_no & (sets - 1)) as usize,
+                line_no >> sets.trailing_zeros(),
+            )
+        } else {
+            ((line_no % sets) as usize, line_no / sets)
+        }
+    }
+
+    fn addr_of(&self, set: usize, tag: u64) -> LineAddr {
+        let line_no = tag * self.sets.len() as u64 + set as u64;
+        LineAddr::new(line_no * LINE_BYTES as u64)
     }
 
     /// Looks up a line, updating LRU and hit/miss statistics.
-    pub fn lookup(&mut self, addr: LineAddr) -> Option<&[u8; LINE_BYTES]> {
+    pub fn lookup(&mut self, addr: LineAddr) -> Option<&L> {
         let (set, tag) = self.index_of(addr);
         self.stamp += 1;
         let stamp = self.stamp;
@@ -88,7 +127,7 @@ impl Cache {
             Some(entry) => {
                 entry.lru = stamp;
                 self.stats.hits.incr();
-                Some(&entry.data)
+                Some(&entry.line)
             }
             None => {
                 self.stats.misses.incr();
@@ -97,23 +136,46 @@ impl Cache {
         }
     }
 
-    /// Looks up a line and, on hit, overwrites its contents and marks it
-    /// dirty. Returns whether the line was present.
-    pub fn update(&mut self, addr: LineAddr, data: &[u8; LINE_BYTES]) -> bool {
+    /// [`Cache::lookup`] then [`Cache::invalidate`] in one scan: the
+    /// same stamp and hit/miss effects, and on hit the line leaves the
+    /// cache. The migration step of an exclusive hierarchy.
+    pub fn take(&mut self, addr: LineAddr) -> Option<Eviction<L>> {
+        let (set, tag) = self.index_of(addr);
+        self.stamp += 1;
+        let set_entries = &mut self.sets[set];
+        match set_entries.iter().position(|e| e.tag == tag) {
+            Some(idx) => {
+                self.stats.hits.incr();
+                let entry = set_entries.swap_remove(idx);
+                Some(Eviction {
+                    addr,
+                    data: entry.line,
+                    dirty: entry.dirty,
+                })
+            }
+            None => {
+                self.stats.misses.incr();
+                None
+            }
+        }
+    }
+
+    /// Looks up a line for writing: on hit refreshes LRU, marks the line
+    /// dirty and returns its payload for the caller to overwrite.
+    pub fn update(&mut self, addr: LineAddr) -> Option<&mut L> {
         let (set, tag) = self.index_of(addr);
         self.stamp += 1;
         let stamp = self.stamp;
         match self.sets[set].iter_mut().find(|e| e.tag == tag) {
             Some(entry) => {
                 entry.lru = stamp;
-                entry.data = *data;
                 entry.dirty = true;
                 self.stats.hits.incr();
-                true
+                Some(&mut entry.line)
             }
             None => {
                 self.stats.misses.incr();
-                false
+                None
             }
         }
     }
@@ -128,97 +190,100 @@ impl Cache {
     /// side-effect-free sibling of [`Cache::lookup`], for oracles and
     /// invariant checks that must observe the cache without perturbing
     /// the simulated replacement behaviour they are checking.
-    pub fn peek(&self, addr: LineAddr) -> Option<&[u8; LINE_BYTES]> {
+    pub fn peek(&self, addr: LineAddr) -> Option<&L> {
         let (set, tag) = self.index_of(addr);
         self.sets[set]
             .iter()
             .find(|e| e.tag == tag)
-            .map(|e| &e.data)
+            .map(|e| &e.line)
     }
 
-    /// Inserts (or overwrites) a line, returning the victim if one had to
-    /// be evicted. Does not touch hit/miss statistics, but counts fills
-    /// and evictions.
-    pub fn insert(
-        &mut self,
-        addr: LineAddr,
-        data: [u8; LINE_BYTES],
-        dirty: bool,
-    ) -> Option<Eviction> {
+    /// Inserts (or overwrites) a line and reports what it displaced: the
+    /// LRU victim of a full set, or the old payload of a resident line,
+    /// whose dirty bit merges with `dirty`. Does not touch hit/miss
+    /// statistics, but counts fills and evictions.
+    pub fn insert(&mut self, addr: LineAddr, line: L, dirty: bool) -> Displaced<L> {
         let (set, tag) = self.index_of(addr);
         self.stamp += 1;
         let stamp = self.stamp;
-        let ways = self.cfg.ways;
-        let num_sets = self.sets.len() as u64;
         let set_entries = &mut self.sets[set];
 
-        if let Some(entry) = set_entries.iter_mut().find(|e| e.tag == tag) {
-            entry.data = data;
-            entry.dirty = entry.dirty || dirty;
-            entry.lru = stamp;
-            return None;
+        // One scan finds a resident copy or else the first LRU way.
+        let (mut oldest, mut oldest_lru) = (0, u64::MAX);
+        for (idx, entry) in set_entries.iter_mut().enumerate() {
+            if entry.tag == tag {
+                let old = std::mem::replace(&mut entry.line, line);
+                entry.dirty = entry.dirty || dirty;
+                entry.lru = stamp;
+                return Displaced::Payload(old);
+            }
+            if entry.lru < oldest_lru {
+                (oldest, oldest_lru) = (idx, entry.lru);
+            }
         }
 
-        let mut victim = None;
-        if set_entries.len() >= ways {
-            // ways >= 1, so a full set always yields an LRU minimum.
-            if let Some((idx, _)) = set_entries.iter().enumerate().min_by_key(|(_, e)| e.lru) {
-                let evicted = set_entries.swap_remove(idx);
-                let line_no = evicted.tag * num_sets + set as u64;
-                victim = Some(Eviction {
-                    addr: LineAddr::new(line_no * LINE_BYTES as u64),
-                    data: evicted.data,
-                    dirty: evicted.dirty,
-                });
-                self.stats.evictions.incr();
-            }
+        let mut displaced = Displaced::Nothing;
+        if set_entries.len() >= self.cfg.ways {
+            let evicted = set_entries.swap_remove(oldest);
+            displaced = Displaced::Victim(Eviction {
+                addr: self.addr_of(set, evicted.tag),
+                data: evicted.line,
+                dirty: evicted.dirty,
+            });
+            self.stats.evictions.incr();
+        }
+        // A set's ways are one allocation, made on first fill; a set
+        // restored with fewer ways grows straight to its associativity.
+        let set_entries = &mut self.sets[set];
+        if set_entries.len() == set_entries.capacity() {
+            set_entries.reserve_exact(self.cfg.ways - set_entries.len());
         }
         set_entries.push(Entry {
             tag,
-            data,
-            dirty,
             lru: stamp,
+            line,
+            dirty,
         });
         self.stats.fills.incr();
-        victim
+        displaced
     }
 
-    /// Removes a line, returning its contents if it was present.
-    pub fn invalidate(&mut self, addr: LineAddr) -> Option<Eviction> {
+    /// Removes a line, returning it if it was present.
+    pub fn invalidate(&mut self, addr: LineAddr) -> Option<Eviction<L>> {
         let (set, tag) = self.index_of(addr);
         let set_entries = &mut self.sets[set];
         let idx = set_entries.iter().position(|e| e.tag == tag)?;
         let entry = set_entries.swap_remove(idx);
         Some(Eviction {
             addr,
-            data: entry.data,
+            data: entry.line,
             dirty: entry.dirty,
         })
     }
 
     /// `clwb` semantics: if the line is present and dirty, returns its
-    /// contents for write-back and marks it clean, keeping it cached.
-    pub fn clean(&mut self, addr: LineAddr) -> Option<[u8; LINE_BYTES]> {
+    /// payload for write-back and marks it clean, keeping it cached.
+    pub fn clean(&mut self, addr: LineAddr) -> Option<L> {
         let (set, tag) = self.index_of(addr);
         let entry = self.sets[set]
             .iter_mut()
             .find(|e| e.tag == tag && e.dirty)?;
         entry.dirty = false;
-        Some(entry.data)
+        Some(entry.line)
     }
 
     /// Drains every dirty line (marking them clean), for full-cache flushes
     /// at crash or shutdown points.
-    pub fn drain_dirty(&mut self) -> Vec<Eviction> {
+    pub fn drain_dirty(&mut self) -> Vec<Eviction<L>> {
         let mut out = Vec::new();
         self.drain_dirty_into(&mut out);
         out
     }
 
     /// [`Self::drain_dirty`] into a caller-provided buffer, appending in
-    /// the same set-then-way order. Lets flush loops reuse one scratch
-    /// vector instead of allocating per cache per flush.
-    pub fn drain_dirty_into(&mut self, out: &mut Vec<Eviction>) {
+    /// set-then-way order. Lets flush loops reuse one scratch vector
+    /// instead of allocating per cache per flush.
+    pub fn drain_dirty_into(&mut self, out: &mut Vec<Eviction<L>>) {
         let sets_len = self.sets.len() as u64;
         for (set_idx, set) in self.sets.iter_mut().enumerate() {
             for entry in set.iter_mut().filter(|e| e.dirty) {
@@ -226,7 +291,7 @@ impl Cache {
                 let line_no = entry.tag * sets_len + set_idx as u64;
                 out.push(Eviction {
                     addr: LineAddr::new(line_no * LINE_BYTES as u64),
-                    data: entry.data,
+                    data: entry.line,
                     dirty: true,
                 });
             }
@@ -257,10 +322,15 @@ impl Cache {
 
     /// Serializes the full cache state: the set count, then only the
     /// resident sets, in ascending index order, each as `(index, len,
-    /// entries)`. Way order within each set is preserved verbatim:
-    /// `insert` evicts via `swap_remove`, so the in-memory entry order
-    /// is behavioral and must survive a restore bit-for-bit.
-    pub fn snap_save(&self, enc: &mut fsencr_snapshot::Enc) {
+    /// entries)`, with `put_line` writing each entry's 64 bytes. Way
+    /// order within each set is preserved verbatim: `insert` evicts via
+    /// `swap_remove`, so the in-memory entry order is behavioral and
+    /// must survive a restore bit-for-bit.
+    pub fn snap_save_with(
+        &self,
+        enc: &mut fsencr_snapshot::Enc,
+        mut put_line: impl FnMut(&mut fsencr_snapshot::Enc, L),
+    ) {
         enc.put_u64(self.sets.len() as u64);
         let resident = self.sets.iter().filter(|s| !s.is_empty()).count();
         enc.put_u64(resident as u64);
@@ -269,7 +339,7 @@ impl Cache {
             enc.put_u64(set.len() as u64);
             for entry in set {
                 enc.put_u64(entry.tag);
-                enc.put_bytes(&entry.data);
+                put_line(enc, entry.line);
                 enc.put_bool(entry.dirty);
                 enc.put_u64(entry.lru);
             }
@@ -281,14 +351,16 @@ impl Cache {
         enc.put_u64(self.stats.evictions.get());
     }
 
-    /// Restores a cache with geometry `cfg` from [`Cache::snap_save`]
-    /// bytes. The set count must match the configuration; a listed set
+    /// Restores a cache with geometry `cfg` from [`Cache::snap_save_with`]
+    /// bytes, with `get_line` turning each entry's 64 bytes into its
+    /// payload. The set count must match the configuration; a listed set
     /// must be non-empty, within its ways, and follow the previous
     /// listed index. Only the decoded ways are allocated.
-    pub fn snap_load(
+    pub fn snap_load_with(
         cfg: CacheConfig,
         dec: &mut fsencr_snapshot::Dec<'_>,
-    ) -> Result<Cache, fsencr_snapshot::SnapError> {
+        mut get_line: impl FnMut(&[u8; LINE_BYTES]) -> L,
+    ) -> Result<Self, fsencr_snapshot::SnapError> {
         use fsencr_snapshot::SnapError;
         /// Bytes of one encoded entry: tag, data, dirty flag, LRU stamp.
         const ENTRY_BYTES: usize = 8 + LINE_BYTES + 1 + 8;
@@ -326,9 +398,9 @@ impl Cache {
                 let lru = dec.get_u64()?;
                 set.push(Entry {
                     tag,
-                    data,
-                    dirty,
                     lru,
+                    line: get_line(&data),
+                    dirty,
                 });
             }
         }
@@ -338,6 +410,21 @@ impl Cache {
         cache.stats.fills.add(dec.get_u64()?);
         cache.stats.evictions.add(dec.get_u64()?);
         Ok(cache)
+    }
+}
+
+impl Cache {
+    /// [`Cache::snap_save_with`] for a cache that holds its lines' bytes.
+    pub fn snap_save(&self, enc: &mut fsencr_snapshot::Enc) {
+        self.snap_save_with(enc, |enc, line| enc.put_bytes(&line));
+    }
+
+    /// [`Cache::snap_load_with`] for a cache that holds its lines' bytes.
+    pub fn snap_load(
+        cfg: CacheConfig,
+        dec: &mut fsencr_snapshot::Dec<'_>,
+    ) -> Result<Cache, fsencr_snapshot::SnapError> {
+        Cache::snap_load_with(cfg, dec, |data| *data)
     }
 }
 
@@ -377,7 +464,10 @@ mod tests {
         c.insert(line(2), [2u8; 64], false);
         // touch line 0 so line 2 becomes LRU
         assert!(c.lookup(line(0)).is_some());
-        let victim = c.insert(line(4), [4u8; 64], false).expect("eviction");
+        let victim = c
+            .insert(line(4), [4u8; 64], false)
+            .victim()
+            .expect("eviction");
         assert_eq!(victim.addr, line(2));
         assert!(!victim.dirty);
         assert!(c.probe(line(0)));
@@ -390,7 +480,10 @@ mod tests {
         let mut c = small();
         c.insert(line(0), [9u8; 64], true);
         c.insert(line(2), [2u8; 64], false);
-        let victim = c.insert(line(4), [4u8; 64], false).expect("eviction");
+        let victim = c
+            .insert(line(4), [4u8; 64], false)
+            .victim()
+            .expect("eviction");
         assert_eq!(victim.addr, line(0));
         assert!(victim.dirty);
         assert_eq!(victim.data, [9u8; 64]);
@@ -399,9 +492,9 @@ mod tests {
     #[test]
     fn update_marks_dirty_only_on_hit() {
         let mut c = small();
-        assert!(!c.update(line(0), &[1u8; 64]));
+        assert!(c.update(line(0)).is_none());
         c.insert(line(0), [0u8; 64], false);
-        assert!(c.update(line(0), &[1u8; 64]));
+        *c.update(line(0)).unwrap() = [1u8; 64];
         let ev = c.invalidate(line(0)).unwrap();
         assert!(ev.dirty);
         assert_eq!(ev.data, [1u8; 64]);
@@ -412,7 +505,10 @@ mod tests {
         let mut c = small();
         c.insert(line(0), [1u8; 64], true);
         // re-insert clean: dirty bit must survive (write-back correctness)
-        c.insert(line(0), [2u8; 64], false);
+        assert_eq!(
+            c.insert(line(0), [2u8; 64], false),
+            Displaced::Payload([1u8; 64])
+        );
         let ev = c.invalidate(line(0)).unwrap();
         assert!(ev.dirty);
         assert_eq!(ev.data, [2u8; 64]);
@@ -473,7 +569,7 @@ mod tests {
         assert!(c.probe(line(0)));
         assert_eq!(c.stats().hits.get(), 0);
         // line 0 is still LRU, so it gets evicted
-        let victim = c.insert(line(4), [4u8; 64], false).unwrap();
+        let victim = c.insert(line(4), [4u8; 64], false).victim().unwrap();
         assert_eq!(victim.addr, line(0));
     }
 
@@ -504,14 +600,38 @@ mod tests {
         c.insert(a, [1u8; 64], true);
         // Same set, different tag (64 sets, 1 way): + 64*64 bytes
         let b = LineAddr::new(0x12340 + 64 * 64);
-        let ev = c.insert(b, [2u8; 64], false).unwrap();
+        let ev = c.insert(b, [2u8; 64], false).victim().unwrap();
         assert_eq!(ev.addr, a);
+    }
+
+    #[test]
+    fn take_is_lookup_then_invalidate() {
+        let (mut fused, mut split) = (small(), small());
+        for c in [&mut fused, &mut split] {
+            c.insert(line(0), [1u8; 64], true);
+            c.insert(line(2), [2u8; 64], false);
+        }
+        for n in [0, 4] {
+            let taken = fused.take(line(n));
+            let looked = split.lookup(line(n)).is_some();
+            assert_eq!(taken, looked.then(|| split.invalidate(line(n))).flatten());
+        }
+        assert_eq!(fused.take(line(2)).map(|ev| ev.dirty), Some(false));
+        split.lookup(line(2));
+        split.invalidate(line(2));
+        // Same stamp, statistics and ways: the images match.
+        let [a, b] = [fused, split].map(|c| {
+            let mut enc = fsencr_snapshot::Enc::new();
+            c.snap_save(&mut enc);
+            enc.finish()
+        });
+        assert_eq!(a, b);
     }
 
     #[test]
     #[should_panic(expected = "64-byte lines")]
     fn wrong_block_size_panics() {
-        Cache::new(CacheConfig {
+        Cache::<u32>::new(CacheConfig {
             size_bytes: 1024,
             ways: 2,
             block_bytes: 128,

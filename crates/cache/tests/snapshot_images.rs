@@ -71,7 +71,10 @@ fn round_trip_keeps_swap_remove_way_order() {
     }
     // Line 0 is LRU in way 0; its eviction swaps line 6 into way 0.
     assert!(c.lookup(line(2)).is_some());
-    let victim = c.insert(line(8), [8; 64], true).expect("set 0 is full");
+    let victim = c
+        .insert(line(8), [8; 64], true)
+        .victim()
+        .expect("set 0 is full");
     assert_eq!(victim.addr, line(0));
     c.insert(line(1), [1; 64], false);
 

@@ -590,7 +590,7 @@ impl MetadataSystem {
         }
         let mut queue = std::mem::take(&mut self.evict_scratch);
         queue.clear();
-        if let Some(ev) = self.cache_at(addr).insert(addr, bytes, dirty) {
+        if let Some(ev) = self.cache_at(addr).insert(addr, bytes, dirty).victim() {
             queue.push_back(ev);
         }
         t = self.drain_queue(nvm, t, &mut queue);
@@ -673,10 +673,14 @@ impl MetadataSystem {
             }
         };
         Self::set_slot(&mut node, slot, new_digest);
-        if !self.cache_at(parent_addr).update(parent_addr, &node) {
-            if let Some(ev) = self.cache_at(parent_addr).insert(parent_addr, node, true) {
-                queue.push_back(ev);
-            }
+        if let Some(line) = self.cache_at(parent_addr).update(parent_addr) {
+            *line = node;
+        } else if let Some(ev) = self
+            .cache_at(parent_addr)
+            .insert(parent_addr, node, true)
+            .victim()
+        {
+            queue.push_back(ev);
         }
         t
     }
@@ -700,8 +704,11 @@ impl MetadataSystem {
             let (_, acc) = self.read_block(nvm, now, addr)?;
             t = acc.done;
         }
-        let updated = self.cache_at(addr).update(addr, &bytes);
-        debug_assert!(updated, "line present after fetch");
+        let line = self.cache_at(addr).update(addr);
+        debug_assert!(line.is_some(), "line present after fetch");
+        if let Some(line) = line {
+            *line = bytes;
+        }
 
         let count = self.pending.entry(addr.get()).or_insert(0);
         *count += 1;

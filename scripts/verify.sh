@@ -95,7 +95,7 @@ rm -rf "$snap_dir"
 finish
 
 begin "static analysis self-test: the gate must fail on the seeded-violation fixtures"
-if cargo run --release -q -p analysis -- lint --root crates/analysis/fixtures/violations >/tmp/fsencr_lint_fixture.out 2>&1; then
+if cargo run --release -q -p analysis -- check --root crates/analysis/fixtures/violations >/tmp/fsencr_lint_fixture.out 2>&1; then
     echo "FAIL: source passes reported the seeded-violation fixture tree as clean" >&2
     exit 1
 fi
