@@ -3,7 +3,7 @@
 # function.
 #
 #   scripts/sprof.sh --jobs 1 fig11 1.0
-#   SPROF_TOP=40 scripts/sprof.sh --jobs 1 fig8-10 0.75
+#   scripts/sprof.sh --jobs 1 fig8-10 0.75
 #
 # A small LD_PRELOAD shim arms ITIMER_PROF at 1 kHz of process CPU time
 # (a kernel with a coarser tick delivers fewer; shares are unaffected);
@@ -29,7 +29,6 @@ cat >"$work/shim.c" <<'EOF'
 #include <execinfo.h>
 #include <signal.h>
 #include <stdio.h>
-#include <stdlib.h>
 #include <string.h>
 #include <sys/time.h>
 
@@ -61,8 +60,7 @@ __attribute__((constructor)) static void sprof_start(void) {
 __attribute__((destructor)) static void sprof_stop(void) {
     struct itimerval off = {{0, 0}, {0, 0}};
     setitimer(ITIMER_PROF, &off, NULL);
-    const char *path = getenv("SPROF_OUT");
-    FILE *out = path ? fopen(path, "w") : NULL;
+    FILE *out = fopen(SPROF_OUT, "w");
     if (!out)
         return;
     long n = taken < MAX_SAMPLES ? taken : MAX_SAMPLES;
@@ -82,14 +80,18 @@ __attribute__((destructor)) static void sprof_stop(void) {
     fclose(out);
 }
 EOF
-gcc -O2 -shared -fPIC -o "$work/shim.so" "$work/shim.c"
+# The shim writes its stacks to a path fixed when it is compiled.
+gcc -O2 -shared -fPIC -DSPROF_OUT="\"$PWD/$work/stacks.txt\"" -o "$work/shim.so" "$work/shim.c"
 
-LD_PRELOAD="$PWD/$work/shim.so" SPROF_OUT="$work/stacks.txt" "$bin" "$@" >/dev/null
+rm -f "$work/stacks.txt"
+LD_PRELOAD="$PWD/$work/shim.so" "$bin" "$@" >/dev/null
 
-python3 - "$work/stacks.txt" "$PWD/$bin" "${SPROF_TOP:-25}" <<'EOF'
+python3 - "$work/stacks.txt" "$PWD/$bin" <<'EOF'
 import collections, subprocess, sys
 
-path, binary, top = sys.argv[1], sys.argv[2], int(sys.argv[3])
+path, binary = sys.argv[1], sys.argv[2]
+# Rows per table.
+top = 25
 stacks, base = [], None
 for line in open(path):
     if line.startswith("S"):
