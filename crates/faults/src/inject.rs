@@ -14,8 +14,9 @@
 //! line write through the storage array — including raw debug pokes —
 //! has the stuck bit forced, exactly like a physical wear-out failure.
 //!
-//! This file is covered by the `hot-alloc` lint rule: the per-access
-//! hooks allocate nothing; the only growth is the bounded event log.
+//! The per-access hooks allocate nothing (the crate's `clippy.toml` bans
+//! bare `Vec::new`/`VecDeque::new`); the only growth is the bounded
+//! event log.
 
 use std::collections::BTreeMap;
 

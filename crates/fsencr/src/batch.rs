@@ -102,6 +102,10 @@ impl MemoryController {
     /// ones, in their engine (`file_key` for a file block): read at the
     /// previous completion, strip the old pad, apply the new, write at
     /// the read's completion. Returns the last write's completion.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "re-pads ciphertext under freshly advanced counters: the device receives ciphertext only"
+    )]
     pub(crate) fn repad_page(
         &mut self,
         now: Cycle,

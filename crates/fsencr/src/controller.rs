@@ -41,12 +41,12 @@ use fsencr_secmem::{
 use fsencr_sim::{config::SecurityConfig, Counter, Cycle, Histogram};
 
 use crate::ott::OpenTunnelTable;
+use crate::plane::FaultPlane;
 use crate::snapshot::StatsSnapshot;
 use crate::spill::{OttSpill, SpillError};
 
 // A child module of `controller` (not a sibling) so the region ops can
-// drive the private datapath fields directly; the file lives at
-// `src/batch.rs` where the hot-alloc lint scopes it.
+// drive the private datapath fields directly.
 #[path = "batch.rs"]
 pub(crate) mod batch;
 
@@ -319,11 +319,20 @@ impl MemoryController {
         self.meta.layout()
     }
 
-    /// Raw mutable device access. Debug/attack surface only — production
-    /// callers go through the datapath; tests and attack fixtures that
-    /// need to corrupt media directly reach for this, visibly.
-    pub fn debug_nvm_mut(&mut self) -> &mut NvmDevice {
-        &mut self.nvm
+    /// The consolidated fault surface over this controller: raw
+    /// tampering, fault plans, power-cut control and quarantine knobs.
+    pub fn fault_plane(&mut self) -> FaultPlane<'_> {
+        FaultPlane::new(self)
+    }
+
+    /// Overwrites a raw media line behind the datapath's back. The one
+    /// caller is [`FaultPlane::tamper_line`], the tampering attacker.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "attacker-model tampering via the consolidated fault plane"
+    )]
+    pub(crate) fn tamper_line(&mut self, addr: PhysAddr, data: &[u8; LINE_BYTES]) {
+        self.nvm.poke_line(addr, data);
     }
 
     // ------------------------------------------------------------------
@@ -509,6 +518,10 @@ impl MemoryController {
     /// recorded by the pad-uniqueness oracle as a (key, IV,
     /// covered-content) triple, and the controller halts on a genuine
     /// reuse. Zero simulated cost; one real branch when the oracle is off.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the controller's pad step: one pad per advanced (counter block, line), checked by the pad-uniqueness oracle"
+    )]
     fn xor_pad(
         &mut self,
         data: &mut [u8; LINE_BYTES],
@@ -717,6 +730,10 @@ impl MemoryController {
         res
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the encrypt-then-write boundary: counter-mode ciphertext, or plaintext in the unencrypted baseline by design"
+    )]
     fn write_line_inner(
         &mut self,
         now: Cycle,
@@ -939,6 +956,10 @@ impl MemoryController {
     /// Osiris recovery: for every line the ECC oracle knows about, try
     /// counter candidates up to the stop-loss bound, repair the on-media
     /// counter blocks, then rebuild the Merkle tree.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "recovery poke of re-encrypted lines and repaired counters"
+    )]
     pub fn recover(&mut self) -> RecoveryReport {
         let mut report = RecoveryReport::default();
         if self.mode == CtrlMode::Unencrypted {
@@ -988,6 +1009,10 @@ impl MemoryController {
                 mem: CounterBlock,
                 file: CounterBlock,
             }
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "grows only to the page's ECC-tagged lines: a full-page reservation raised the fault campaign's peak RSS"
+            )]
             let mut finds: Vec<Found> = Vec::new();
             for line in lines {
                 let block = line.block_in_page();

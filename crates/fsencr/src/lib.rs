@@ -46,6 +46,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 #![warn(missing_docs)]
 
 pub mod controller;

@@ -400,6 +400,19 @@ impl TransferredModule {
 }
 
 /// The simulated system: cores, caches, controller, NVM, filesystem.
+///
+/// Code outside this crate reaches the machine's device immutably only:
+/// [`Machine::controller`] lends `&MemoryController`, whose
+/// [`MemoryController::nvm`] lends `&NvmDevice`. Raw media writes go
+/// through [`Machine::fault_plane`]; this does not compile:
+///
+/// ```compile_fail,E0596
+/// use fsencr::{Machine, MachineOpts, SecurityMode};
+/// use fsencr_nvm::PhysAddr;
+///
+/// let mut m = Machine::new(MachineOpts::small_test(), SecurityMode::FsEncr);
+/// m.controller().nvm().poke_line(PhysAddr::new(0), &[0u8; 64]);
+/// ```
 #[derive(Debug)]
 pub struct Machine {
     mode: SecurityMode,
@@ -487,7 +500,7 @@ impl Machine {
             journal_cursor: 0,
             tlbs: (0..cores).map(|_| Tlb::new(TLB_ENTRIES)).collect(),
             baseline: StatsSnapshot::default(),
-            persist_scratch: Vec::new(),
+            persist_scratch: Vec::with_capacity(PAGE_BYTES / LINE_BYTES),
         }
     }
 
@@ -513,10 +526,10 @@ impl Machine {
     }
 
     /// The consolidated fault surface: raw tampering, deterministic
-    /// fault plans, power-cut control, quarantine knobs, and (as the
-    /// audited last resort) raw controller access.
+    /// fault plans, power-cut control, quarantine knobs, and raw
+    /// controller access; see [`MemoryController::fault_plane`].
     pub fn fault_plane(&mut self) -> crate::plane::FaultPlane<'_> {
-        crate::plane::FaultPlane::new(&mut self.ctrl)
+        self.ctrl.fault_plane()
     }
 
     /// Turns the runtime security oracles (pad-uniqueness ledger and
@@ -836,7 +849,7 @@ impl Machine {
             journal_cursor,
             tlbs,
             baseline,
-            persist_scratch: Vec::new(),
+            persist_scratch: Vec::with_capacity(PAGE_BYTES / LINE_BYTES),
         })
     }
 
@@ -1044,7 +1057,8 @@ impl Machine {
             // the key swap is global per (gid, fid).
             self.flush_hierarchy()?;
             let mut t = self.elapsed();
-            let mut pages_plain: Vec<(PageId, Vec<[u8; LINE_BYTES]>)> = Vec::new();
+            let mut pages_plain: Vec<(PageId, Vec<[u8; LINE_BYTES]>)> =
+                Vec::with_capacity(frames.len());
             for frame in frames {
                 let mut page_plain = Vec::with_capacity(64);
                 let addrs: Vec<PhysAddr> = frame.lines().map(|l| PhysAddr::new(l.get())).collect();
@@ -1496,6 +1510,10 @@ impl Machine {
     // Software-encryption (eCryptfs) path.
     // ------------------------------------------------------------------
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "eCryptfs comparator mints counterless pads by design"
+    )]
     fn sw_pad(&mut self, fek: Key128, frame: PageId, block: u8) -> [u8; LINE_BYTES] {
         let aes = self.sw_schedules.get(&fek);
         ctr::line_pad_with(

@@ -1,27 +1,26 @@
 //! The consolidated inspection / fault surface.
 //!
-//! Media inspection and attack plumbing used to be spread over ad-hoc
-//! per-accessor escape hatches on `Machine` and `TransferredModule`;
-//! each did one narrow thing and each had to be audited separately by
-//! the confinement pass. The deprecated shims are gone — these two
-//! planes are the only surface:
+//! Media inspection and attack plumbing go through two planes, and
+//! nothing else outside the controller reaches the device mutably:
 //!
 //! * [`InspectPlane`] ([`Machine::inspect_plane`]) — read-only: raw media
 //!   lines, wear telemetry, the Merkle root, the quarantine set, the
 //!   armed injector's state. Handing one out can never change the
 //!   machine.
-//! * [`FaultPlane`] ([`Machine::fault_plane`]) — every way to make the
-//!   device misbehave, in one audited place: raw tampering,
-//!   arming/disarming deterministic [`FaultPlan`]s, power-cut control and
-//!   the quarantine knobs. The confinement gate's `debug-reach` and
-//!   `plaintext-confinement` rules allowlist exactly this module, so a
-//!   raw write appearing anywhere else still fails the gate.
+//! * [`FaultPlane`] ([`Machine::fault_plane`],
+//!   [`MemoryController::fault_plane`]) — every way to make the device
+//!   misbehave, in one audited place: raw tampering, arming/disarming
+//!   deterministic [`FaultPlan`]s, power-cut control and the quarantine
+//!   knobs. Its raw poke is the controller's `pub(crate)` `tamper_line`,
+//!   one of the audited `#[expect(clippy::disallowed_methods)]` sites;
+//!   clippy rejects a raw write anywhere else.
 //!
 //! [`TransferredModule`] gets the same split ([`ModuleInspect`] /
 //! [`ModuleFault`]) for the in-transit attacker model.
 //!
 //! [`Machine::inspect_plane`]: crate::Machine::inspect_plane
 //! [`Machine::fault_plane`]: crate::Machine::fault_plane
+//! [`MemoryController::fault_plane`]: crate::MemoryController::fault_plane
 //! [`TransferredModule`]: crate::machine::TransferredModule
 
 use fsencr_faults::{FaultEvent, FaultPlan};
@@ -83,10 +82,9 @@ impl<'a> InspectPlane<'a> {
 /// The machine's consolidated fault surface: everything that makes the
 /// device misbehave, in one audited place.
 ///
-/// Obtained from [`crate::Machine::fault_plane`]. This is deliberately
-/// the *only* module (outside tests) that reaches the raw device through
-/// the controller's debug hatch — the static confinement gate enforces
-/// that with targeted allowlist entries for this file.
+/// Obtained from [`crate::Machine::fault_plane`] or
+/// [`MemoryController::fault_plane`]. Outside the controller's own
+/// datapath and recovery, this is the only route to a raw media write.
 #[derive(Debug)]
 pub struct FaultPlane<'a> {
     ctrl: &'a mut MemoryController,
@@ -106,7 +104,7 @@ impl<'a> FaultPlane<'a> {
     /// tampering attacker. Integrity verification is expected to catch
     /// the modification on the next covered read.
     pub fn tamper_line(&mut self, addr: PhysAddr, data: &[u8; LINE_BYTES]) {
-        self.ctrl.debug_nvm_mut().poke_line(addr, data);
+        self.ctrl.tamper_line(addr, data);
     }
 
     /// Arms a deterministic fault plan (replacing any armed injector and
@@ -194,6 +192,10 @@ impl<'a> ModuleFault<'a> {
     }
 
     /// Overwrites a raw media line of the travelling DIMM.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "attacker-model tampering of exported module images"
+    )]
     pub fn tamper_line(&mut self, addr: PhysAddr, data: &[u8; LINE_BYTES]) {
         self.nvm.poke_line(addr, data);
     }

@@ -37,6 +37,10 @@ pub fn media_contains(machine: &Machine, needle: &[u8]) -> bool {
 /// file keys): decrypts every data line using the on-media counters —
 /// exactly what booting a different OS achieves once the memory key is
 /// broken — and scans for `needle`.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "attacker model reconstructs pads to demonstrate reuse leakage"
+)]
 pub fn attacker_decrypts(
     machine: &Machine,
     mem_key: &Key128,

@@ -15,6 +15,8 @@
 //! every operation the plaintexts, completion cycles and errors must be
 //! equal; at the end, the full statistics snapshots and Merkle roots.
 
+#![allow(clippy::disallowed_methods, reason = "test code may allocate")]
+
 use proptest::prelude::*;
 
 use fsencr::controller::{CtrlMode, MemError, MemoryController};
@@ -286,7 +288,7 @@ impl Pair {
         for c in [&mut self.region, &mut self.reference] {
             let mut evil = c.nvm().peek_line(fecb);
             evil[4] ^= 0x01;
-            c.debug_nvm_mut().poke_line(fecb, &evil);
+            c.fault_plane().tamper_line(fecb, &evil);
         }
         let mut addrs = region(seed, 4);
         addrs.insert(2, line_addr(page, seed % LINES_PER_PAGE));

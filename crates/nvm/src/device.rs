@@ -78,7 +78,10 @@ impl NvmDevice {
         (data, done)
     }
 
-    /// Writes one line, returning the completion time.
+    /// Writes one line, returning the completion time. Raw: callers
+    /// outside this crate are the memory controller's encrypt path and
+    /// the metadata engine, each under an audited
+    /// `#[expect(clippy::disallowed_methods)]`.
     ///
     /// # Panics
     ///
@@ -177,8 +180,10 @@ impl NvmDevice {
         self.storage.read_line(addr.line())
     }
 
-    /// Zero-time raw write, used only by test fixtures and the tampering
-    /// attacker model. Does not disturb timing or statistics.
+    /// Zero-time raw write: the tampering attacker, crash recovery and
+    /// test fixtures. Does not disturb timing or statistics. Like
+    /// [`NvmDevice::write_line`], clippy rejects it outside this crate
+    /// except under an audited `#[expect(clippy::disallowed_methods)]`.
     pub fn poke_line(&mut self, addr: PhysAddr, data: &[u8; LINE_BYTES]) {
         self.storage.write_line(addr.line(), data);
     }
@@ -186,11 +191,6 @@ impl NvmDevice {
     /// Direct access to the underlying byte store (media-level inspection).
     pub fn storage(&self) -> &Storage {
         &self.storage
-    }
-
-    /// Mutable access to the byte store, for crash-injection fixtures.
-    pub fn storage_mut(&mut self) -> &mut Storage {
-        &mut self.storage
     }
 
     /// Access counters.
@@ -383,7 +383,7 @@ mod tests {
 
         let mut nvm = device();
         let addr = PhysAddr::new(8192);
-        nvm.storage_mut().stuck_cells_mut().add(
+        nvm.storage.stuck_cells_mut().add(
             addr.line().get(),
             StuckMask {
                 byte: 3,
@@ -395,7 +395,7 @@ mod tests {
         assert_eq!(nvm.peek_line(addr)[3], 1);
         nvm.write_line(Cycle::ZERO, addr, &[0u8; LINE_BYTES]);
         assert_eq!(nvm.peek_line(addr)[3], 1);
-        nvm.storage_mut().set_stuck_cells(None);
+        nvm.storage.set_stuck_cells(None);
         nvm.poke_line(addr, &[0u8; LINE_BYTES]);
         assert_eq!(nvm.peek_line(addr)[3], 0);
     }

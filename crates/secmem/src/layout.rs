@@ -71,6 +71,10 @@ impl MetadataLayout {
     ///
     /// Panics unless `data_bytes` is page-aligned and positive and
     /// `ott_bytes` is line-aligned.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "runs once per layout, not per access"
+    )]
     pub fn new(data_bytes: u64, ott_bytes: u64) -> Self {
         assert!(data_bytes > 0, "need at least one data page");
         assert_eq!(

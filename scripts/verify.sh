@@ -35,10 +35,11 @@ cargo test -q --workspace
 finish
 
 # Clippy and rustc carry the panic (unwrap/expect/panic!), truncating-cast,
-# nondeterminism (hashed collections, host clocks, thread::current) and
-# forbid-unsafe rules; see Cargo.toml, the hot-path crate roots and the
-# clippy.toml files.
-begin "cargo clippy --workspace --all-targets -- -D warnings (no-panic, truncating casts, nondeterminism, forbid-unsafe)"
+# nondeterminism (hashed collections, host clocks, thread::current),
+# forbid-unsafe, raw-NVM-write, pad-minting and hot-path allocation
+# rules; see Cargo.toml, the hot-path crate roots and the clippy.toml
+# files. Audited exceptions are `#[expect(clippy::disallowed_methods)]`.
+begin "cargo clippy --workspace --all-targets -- -D warnings (no-panic, truncating casts, nondeterminism, forbid-unsafe, raw writes, pads, hot-path allocation)"
 cargo clippy --workspace --all-targets -- -D warnings
 finish
 
@@ -47,10 +48,6 @@ finish
 # edit must keep it compiling.
 begin "cargo check benchmark/ (all targets)"
 cargo check --offline --manifest-path benchmark/Cargo.toml --all-targets
-finish
-
-begin "static analysis gate: cargo run -p analysis -- check"
-cargo run --release -q -p analysis -- check
 finish
 
 begin "seeded fault campaign: byte-identical across --jobs, zero undetected corruption"
@@ -94,34 +91,39 @@ snap_dir="$(mktemp -d)"
 rm -rf "$snap_dir"
 finish
 
-begin "static analysis self-test: the gate must fail on the seeded-violation fixtures"
-if cargo run --release -q -p analysis -- check --root crates/analysis/fixtures/violations >/tmp/fsencr_lint_fixture.out 2>&1; then
-    echo "FAIL: source passes reported the seeded-violation fixture tree as clean" >&2
+# The security and allocation bans are clippy `disallowed-methods`
+# entries. scripts/lint-fixture seeds one violation of each (raw pokes
+# and writes, pad minting under a reused IV, a bare `Vec::new()`) on
+# lines marked `// seeded`; linted under crates/fsencr/clippy.toml,
+# which carries every ban, clippy must fail and name each of them.
+begin "clippy rejects the seeded violations in scripts/lint-fixture"
+fixture=scripts/lint-fixture
+fixture_out="$(mktemp)"
+if CLIPPY_CONF_DIR="$PWD/crates/fsencr" cargo clippy --offline -q \
+    --manifest-path "$fixture/Cargo.toml" --target-dir target/lint-fixture \
+    --message-format short -- -D warnings >"$fixture_out" 2>&1; then
+    echo "FAIL: clippy accepted the seeded-violation fixture" >&2
     exit 1
 fi
-# The fixture tree seeds a bare allocation in each class of
-# allocation-free file; each must actually be reported.
-for seeded in "crates/fsencr/src/batch.rs" "crates/secmem/src/metadata.rs" "crates/crypto/src/lanes.rs" "crates/faults/src/inject.rs" "crates/snapshot/src/lib.rs"; do
-    if ! grep -q "$seeded" /tmp/fsencr_lint_fixture.out; then
-        echo "FAIL: lint did not flag seeded violations in $seeded" >&2
-        exit 1
-    fi
+seeded=0
+for file in "$fixture"/src/*.rs; do
+    for line in $(grep -n '// seeded$' "$file" | cut -d: -f1); do
+        seeded=$((seeded + 1))
+        if ! grep -q "^src/${file##*/}:$line:.*disallowed method" "$fixture_out"; then
+            echo "FAIL: clippy did not flag the seeded violation at ${file##*/}:$line" >&2
+            cat "$fixture_out" >&2
+            exit 1
+        fi
+    done
 done
-# The confinement fixtures: a plaintext leak reaching a raw NVM write
-# (directly and through a caller) and a counter-free IV-reuse pad site.
-# Each must be reported under its confinement rule.
-for seeded in "crates/fsencr/src/leak.rs" "crates/workloads/src/ivreuse.rs"; do
-    if ! grep -q "$seeded" /tmp/fsencr_lint_fixture.out; then
-        echo "FAIL: confinement pass did not flag seeded violations in $seeded" >&2
-        exit 1
-    fi
-done
-for rule in "hot-alloc" "plaintext-confinement" "confinement-reach" "pad-site"; do
-    if ! grep -q "$rule" /tmp/fsencr_lint_fixture.out; then
-        echo "FAIL: seeded fixtures did not trip the $rule rule" >&2
-        exit 1
-    fi
-done
+# Five seeded lines: two raw writes, two pad mints, one allocation.
+flagged=$(grep -c 'error: use of a disallowed method' "$fixture_out" || true)
+if [ "$seeded" -ne 5 ] || [ "$flagged" -ne "$seeded" ]; then
+    echo "FAIL: expected 5 seeded violations, found $seeded marked and $flagged flagged" >&2
+    cat "$fixture_out" >&2
+    exit 1
+fi
+rm -f "$fixture_out"
 finish
 
 # Optional deeper checkers: run when the toolchain supports them,

@@ -8,6 +8,11 @@
 //! snapshot must round-trip byte for byte and be refused under the
 //! other cache layout.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the tampering attacker pokes raw media lines"
+)]
+
 use std::collections::BTreeMap;
 
 use fsencr_nvm::{LineAddr, NvmDevice, PhysAddr};
