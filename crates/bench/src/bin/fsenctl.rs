@@ -10,7 +10,7 @@
 
 use std::io::{BufRead, Write};
 
-use fsencr::machine::{MachineOpts, Preset, SecurityMode};
+use fsencr::machine::{MachineOpts, SecurityMode};
 use fsencr_bench::shell::{Shell, ShellOutcome};
 
 fn main() {
@@ -24,10 +24,11 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let opts = MachineOpts::preset(Preset::SmallTest)
-        .general_bytes(8 << 20)
-        .pmem_bytes(16 << 20)
-        .build();
+    let opts = MachineOpts {
+        general_bytes: 8 << 20,
+        pmem_bytes: 16 << 20,
+        ..MachineOpts::small_test()
+    };
     let mut shell = Shell::new(mode, opts);
 
     let interactive = std::env::var_os("FSENCTL_BATCH").is_none();

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use fsencr::machine::{MachineError, MachineOpts, Preset, SecurityMode};
+use fsencr::machine::{MachineError, MachineOpts, SecurityMode};
 use fsencr::security;
 use fsencr::snapshot::StatsSnapshot;
 use fsencr_crypto::Key128;
@@ -357,9 +357,8 @@ pub fn fig15(scale: f64) -> Figure {
     let mut cells = Vec::new();
     for (name, factory) in &workloads {
         for (bytes, size_name) in sizes {
-            let opts = MachineOpts::preset(Preset::Paper)
-                .metadata_cache_bytes(*bytes)
-                .build();
+            let mut opts = MachineOpts::benchmark();
+            opts.config.security.metadata_cache.size_bytes = *bytes;
             for mode in [SecurityMode::MemoryOnly, SecurityMode::FsEncr] {
                 cells.push(ProfileCellSpec {
                     label: format!("{name}/{size_name}"),
@@ -491,9 +490,8 @@ pub fn ablation_ott(scale: f64) -> Figure {
         factory: Arc::clone(&factory),
     }];
     for lat in latencies {
-        let opts = MachineOpts::preset(Preset::Paper)
-            .ott_latency_cycles(lat)
-            .build();
+        let mut opts = MachineOpts::benchmark();
+        opts.config.security.ott_latency_cycles = lat;
         cells.push(ProfileCellSpec {
             label: format!("YCSB/ott-latency-{lat}"),
             opts,
@@ -531,9 +529,8 @@ pub fn ablation_osiris(scale: f64) -> Figure {
         factory: Arc::clone(&factory),
     }];
     for stop_loss in stop_losses {
-        let opts = MachineOpts::preset(Preset::Paper)
-            .osiris_stop_loss(stop_loss)
-            .build();
+        let mut opts = MachineOpts::benchmark();
+        opts.config.security.osiris_stop_loss = stop_loss;
         cells.push(ProfileCellSpec {
             label: format!("Overwrite-S/stop-loss-{stop_loss}"),
             opts,
@@ -584,9 +581,8 @@ pub fn ablation_partition(scale: f64) -> Figure {
     let mut cells = Vec::new();
     for (name, factory) in &factories {
         for partitioned in [false, true] {
-            let opts = MachineOpts::preset(Preset::Paper)
-                .partition_metadata_cache(partitioned)
-                .build();
+            let mut opts = MachineOpts::benchmark();
+            opts.config.security.partition_metadata_cache = partitioned;
             for mode in [SecurityMode::MemoryOnly, SecurityMode::FsEncr] {
                 cells.push(ProfileCellSpec {
                     label: format!("{name}/partitioned-{partitioned}"),
@@ -638,9 +634,8 @@ pub fn ablation_direct(scale: f64) -> Figure {
             })),
         ),
     ];
-    let direct_opts = MachineOpts::preset(Preset::Paper)
-        .direct_encryption(true)
-        .build();
+    let mut direct_opts = MachineOpts::benchmark();
+    direct_opts.config.security.direct_encryption = true;
     let mut cells = Vec::new();
     for (name, factory) in &factories {
         cells.push(ProfileCellSpec {

@@ -327,11 +327,8 @@ fn run_scenario(
 
     let plan = FaultPlan::generate(seed, scenario, spec);
     out.planned = plan.planned();
-    {
-        let mut fp = m.fault_plane();
-        fp.set_auto_quarantine(true);
-        fp.arm(plan);
-    }
+    m.controller_mut().set_auto_quarantine(true);
+    m.controller_mut().arm_faults(plan);
 
     // Lines whose *durable* expectation became unknowable. A failed
     // write or persist aborts the batched writeback region at the first
@@ -411,8 +408,8 @@ fn run_scenario(
                 }
             }
         }
-        if m.inspect_plane().power_lost() {
-            m.fault_plane().restore_power();
+        if m.controller().power_lost() {
+            m.controller_mut().restore_power();
             m.crash();
             let rep = m.recover();
             out.recoveries += 1;
@@ -429,10 +426,10 @@ fn run_scenario(
 
     // Disarm before the audit so no *new* faults land during it, then
     // count what the injector actually did.
-    if m.inspect_plane().power_lost() {
-        m.fault_plane().restore_power();
+    if m.controller().power_lost() {
+        m.controller_mut().restore_power();
     }
-    let events = m.fault_plane().disarm();
+    let events = m.controller_mut().disarm_faults();
     for e in &events {
         if e.changed {
             out.applied += 1;
@@ -479,7 +476,7 @@ fn run_scenario(
             Err(_) => out.lines_detected += 1,
         }
     }
-    out.quarantined_lines = m.inspect_plane().quarantined().len() as u64;
+    out.quarantined_lines = m.controller().quarantined_lines().count() as u64;
     out
 }
 

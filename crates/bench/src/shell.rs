@@ -303,11 +303,11 @@ impl Shell {
                 "flushed".to_string()
             }
             ("lock", _) => {
-                self.machine.lock_file_engine();
+                self.machine.controller_mut().lock_file_engine();
                 "file engine locked".to_string()
             }
             ("unlock", _) => {
-                self.machine.unlock_file_engine();
+                self.machine.controller_mut().unlock_file_engine();
                 "file engine unlocked".to_string()
             }
             ("profile", ["on", rest @ ..]) => {
@@ -319,7 +319,7 @@ impl Shell {
                 format!("observer enabled (span capacity {cap})")
             }
             ("profile", ["off"]) => {
-                self.machine.disable_observer();
+                self.machine.controller_mut().disable_observer();
                 "observer disabled".to_string()
             }
             ("profile", ["json"]) => self.machine.observer().to_json(),

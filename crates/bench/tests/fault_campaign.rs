@@ -90,17 +90,17 @@ fn empty_or_disarmed_injector_is_invisible() {
 
     // An armed-but-empty plan: hooks run on every access, apply nothing.
     let mut empty = Machine::new(MachineOpts::small_test(), SecurityMode::FsEncr);
-    empty.fault_plane().arm(FaultPlan::empty());
+    empty.controller_mut().arm_faults(FaultPlan::empty());
     let (snap_empty, data_empty) = drive(&mut empty);
     assert!(
-        empty.fault_plane().disarm().is_empty(),
+        empty.controller_mut().disarm_faults().is_empty(),
         "empty plan applied a fault"
     );
 
     // Armed and disarmed again before any traffic.
     let mut cycled = Machine::new(MachineOpts::small_test(), SecurityMode::FsEncr);
-    cycled.fault_plane().arm(FaultPlan::empty());
-    let _ = cycled.fault_plane().disarm();
+    cycled.controller_mut().arm_faults(FaultPlan::empty());
+    let _ = cycled.controller_mut().disarm_faults();
     let (snap_cycled, data_cycled) = drive(&mut cycled);
 
     assert_eq!(data_base, data_empty, "empty injector changed data bytes");

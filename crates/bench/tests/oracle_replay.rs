@@ -35,7 +35,7 @@ fn figure_workloads_replay_clean_under_oracles_and_identically_without() {
                 let what = format!("{} under {:?}", cell.label, cell.mode);
                 let mut workload = (*cell.factory)();
                 let mut m = Machine::new(workload.configure(cell.opts), cell.mode);
-                m.set_security_oracles(true);
+                m.controller_mut().set_security_oracles(true);
                 workload.setup(&mut m).unwrap();
                 m.begin_measurement();
                 workload.run(&mut m).unwrap();
@@ -62,7 +62,7 @@ fn figure_workloads_replay_clean_under_oracles_and_identically_without() {
 #[test]
 fn rekey_and_crash_recovery_replay_clean_under_armed_oracles() {
     let mut m = Machine::new(MachineOpts::small_test(), SecurityMode::FsEncr);
-    m.set_security_oracles(true);
+    m.controller_mut().set_security_oracles(true);
     let h = m
         .create(ALICE, STAFF, "ledger", Mode::PRIVATE, Some("pw"))
         .unwrap();

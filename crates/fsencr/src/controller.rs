@@ -41,7 +41,6 @@ use fsencr_secmem::{
 use fsencr_sim::{config::SecurityConfig, Counter, Cycle, Histogram};
 
 use crate::ott::OpenTunnelTable;
-use crate::plane::FaultPlane;
 use crate::snapshot::StatsSnapshot;
 use crate::spill::{OttSpill, SpillError};
 
@@ -319,19 +318,14 @@ impl MemoryController {
         self.meta.layout()
     }
 
-    /// The consolidated fault surface over this controller: raw
-    /// tampering, fault plans, power-cut control and quarantine knobs.
-    pub fn fault_plane(&mut self) -> FaultPlane<'_> {
-        FaultPlane::new(self)
-    }
-
-    /// Overwrites a raw media line behind the datapath's back. The one
-    /// caller is [`FaultPlane::tamper_line`], the tampering attacker.
+    /// Overwrites a raw media line behind the datapath's back — the
+    /// tampering attacker. Integrity verification is expected to catch
+    /// the change on the next covered read.
     #[expect(
         clippy::disallowed_methods,
-        reason = "attacker-model tampering via the consolidated fault plane"
+        reason = "attacker-model tampering of the live device"
     )]
-    pub(crate) fn tamper_line(&mut self, addr: PhysAddr, data: &[u8; LINE_BYTES]) {
+    pub fn tamper_line(&mut self, addr: PhysAddr, data: &[u8; LINE_BYTES]) {
         self.nvm.poke_line(addr, data);
     }
 

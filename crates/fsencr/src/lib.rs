@@ -52,15 +52,13 @@
 pub mod controller;
 pub mod machine;
 pub mod ott;
-pub mod plane;
 pub mod security;
 pub mod snapshot;
 pub mod spill;
 pub mod tlb;
 
 pub use controller::{CtrlStats, IntegrityError, MemError, MemoryController, ModuleEnvelope};
-pub use machine::{Machine, MachineOpts, MapId, Preset, SecurityMode};
+pub use machine::{Machine, MachineOpts, MapId, SecurityMode};
 pub use ott::{OpenTunnelTable, OttStats};
-pub use plane::{FaultPlane, InspectPlane, ModuleFault, ModuleInspect};
 pub use snapshot::StatsSnapshot;
 pub use spill::OttSpill;

@@ -120,140 +120,51 @@ pub struct MachineOpts {
     pub softencr: SoftEncrConfig,
 }
 
-/// Named starting points for [`MachineOpts::preset`]. Every experiment
-/// starts from one of these and overrides the handful of fields it
-/// varies, so the two configurations are defined in exactly one place.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Preset {
+impl MachineOpts {
     /// Unit-test scale: 1 MiB general + 1 MiB DAX, 64-page software page
-    /// cache (fits the general region).
-    SmallTest,
+    /// cache (fits the general region). Callers override the fields they
+    /// vary:
+    ///
+    /// ```
+    /// use fsencr::MachineOpts;
+    ///
+    /// let mut opts = MachineOpts::small_test();
+    /// opts.pmem_bytes = 2 << 20;
+    /// opts.config.security.metadata_cache.size_bytes = 128 << 10;
+    /// assert_eq!(opts.general_bytes, 1 << 20); // default kept
+    /// ```
+    pub fn small_test() -> Self {
+        MachineOpts {
+            config: MachineConfig::paper_defaults(),
+            general_bytes: 1 << 20,
+            pmem_bytes: 1 << 20,
+            ott_spill_bytes: 4096,
+            seed: 0xF5EC,
+            softencr: SoftEncrConfig {
+                page_cache_pages: 64,
+                ..SoftEncrConfig::default()
+            },
+        }
+    }
+
     /// The paper's benchmark scale: 32 MiB general + 64 MiB DAX, enough
     /// to exceed every cache while keeping simulations fast. The software
     /// page cache is sized like real DRAM page caches relative to the
     /// working sets (4096 pages = 16 MiB): capacity misses are rare and
     /// the software-encryption cost is dominated by per-syscall layering
     /// and per-fsync page crypto, as in the paper's eCryptfs measurement.
-    Paper,
-}
-
-impl MachineOpts {
-    /// Starts a builder from a named preset.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use fsencr::{MachineOpts, Preset};
-    ///
-    /// let opts = MachineOpts::preset(Preset::SmallTest)
-    ///     .pmem_bytes(2 << 20)
-    ///     .metadata_cache_bytes(128 << 10)
-    ///     .build();
-    /// assert_eq!(opts.pmem_bytes, 2 << 20);
-    /// assert_eq!(opts.general_bytes, 1 << 20); // preset default kept
-    /// ```
-    pub fn preset(preset: Preset) -> MachineOptsBuilder {
-        let opts = match preset {
-            Preset::SmallTest => MachineOpts {
-                config: MachineConfig::paper_defaults(),
-                general_bytes: 1 << 20,
-                pmem_bytes: 1 << 20,
-                ott_spill_bytes: 4096,
-                seed: 0xF5EC,
-                softencr: SoftEncrConfig {
-                    page_cache_pages: 64,
-                    ..SoftEncrConfig::default()
-                },
-            },
-            Preset::Paper => MachineOpts {
-                config: MachineConfig::paper_defaults(),
-                general_bytes: 32 << 20,
-                pmem_bytes: 64 << 20,
-                ott_spill_bytes: 256 << 10,
-                seed: 0xF5EC,
-                softencr: SoftEncrConfig {
-                    page_cache_pages: 4096,
-                    ..SoftEncrConfig::default()
-                },
-            },
-        };
-        MachineOptsBuilder { opts }
-    }
-
-    /// [`Preset::SmallTest`] with no overrides.
-    pub fn small_test() -> Self {
-        MachineOpts::preset(Preset::SmallTest).build()
-    }
-
-    /// [`Preset::Paper`] with no overrides.
     pub fn benchmark() -> Self {
-        MachineOpts::preset(Preset::Paper).build()
-    }
-}
-
-/// Builder over [`MachineOpts`], started via [`MachineOpts::preset`].
-///
-/// Setters cover both the top-level region sizes and the commonly swept
-/// architectural knobs (metadata-cache capacity, OTT latency, Osiris
-/// stop-loss, the ablation switches), so experiments override one field
-/// instead of restating a whole configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct MachineOptsBuilder {
-    opts: MachineOpts,
-}
-
-impl MachineOptsBuilder {
-    /// Bytes of general (non-DAX) memory.
-    pub fn general_bytes(mut self, bytes: u64) -> Self {
-        self.opts.general_bytes = bytes;
-        self
-    }
-
-    /// Bytes of the DAX-formatted persistent region.
-    pub fn pmem_bytes(mut self, bytes: u64) -> Self {
-        self.opts.pmem_bytes = bytes;
-        self
-    }
-
-    /// Seed for keys and FEK generation.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.opts.seed = seed;
-        self
-    }
-
-    /// Metadata-cache capacity (the Figure 15 sweep axis).
-    pub fn metadata_cache_bytes(mut self, bytes: usize) -> Self {
-        self.opts.config.security.metadata_cache.size_bytes = bytes;
-        self
-    }
-
-    /// OTT lookup latency in cycles.
-    pub fn ott_latency_cycles(mut self, cycles: u64) -> Self {
-        self.opts.config.security.ott_latency_cycles = cycles;
-        self
-    }
-
-    /// Osiris stop-loss period (counter persistence interval).
-    pub fn osiris_stop_loss(mut self, period: u32) -> Self {
-        self.opts.config.security.osiris_stop_loss = period;
-        self
-    }
-
-    /// Ablation: statically partition the metadata cache per kind.
-    pub fn partition_metadata_cache(mut self, on: bool) -> Self {
-        self.opts.config.security.partition_metadata_cache = on;
-        self
-    }
-
-    /// Ablation: direct (serialized) encryption instead of counter mode.
-    pub fn direct_encryption(mut self, on: bool) -> Self {
-        self.opts.config.security.direct_encryption = on;
-        self
-    }
-
-    /// Finishes the builder.
-    pub fn build(self) -> MachineOpts {
-        self.opts
+        MachineOpts {
+            config: MachineConfig::paper_defaults(),
+            general_bytes: 32 << 20,
+            pmem_bytes: 64 << 20,
+            ott_spill_bytes: 256 << 10,
+            seed: 0xF5EC,
+            softencr: SoftEncrConfig {
+                page_cache_pages: 4096,
+                ..SoftEncrConfig::default()
+            },
+        }
     }
 }
 
@@ -385,17 +296,30 @@ pub struct TransferredModule {
 }
 
 impl TransferredModule {
-    /// Read-only media window — what the in-transit attacker sees
-    /// (ciphertext only).
-    pub fn inspect_plane(&self) -> crate::plane::ModuleInspect<'_> {
-        crate::plane::ModuleInspect::new(&self.nvm)
+    /// The travelling DIMM — what the in-transit attacker reads
+    /// (ciphertext only). Lent immutably, so raw writes do not build:
+    ///
+    /// ```compile_fail,E0596
+    /// use fsencr::{Machine, MachineOpts, SecurityMode};
+    /// use fsencr_nvm::PhysAddr;
+    ///
+    /// let m = Machine::new(MachineOpts::small_test(), SecurityMode::FsEncr);
+    /// let (_envelope, module) = m.export_module().unwrap();
+    /// module.nvm().poke_line(PhysAddr::new(0), &[0u8; 64]);
+    /// ```
+    pub fn nvm(&self) -> &fsencr_nvm::NvmDevice {
+        &self.nvm
     }
 
-    /// Fault surface of the travelling DIMM — the in-transit tampering
-    /// attacker. Import-time authentication against the envelope's root
-    /// digest is expected to catch anything done here.
-    pub fn fault_plane(&mut self) -> crate::plane::ModuleFault<'_> {
-        crate::plane::ModuleFault::new(&mut self.nvm)
+    /// Overwrites a raw media line of the travelling DIMM — the
+    /// in-transit tampering attacker. Import-time authentication against
+    /// the envelope's root digest is expected to catch it.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "attacker-model tampering of exported module images"
+    )]
+    pub fn tamper_line(&mut self, addr: PhysAddr, data: &[u8; LINE_BYTES]) {
+        self.nvm.poke_line(addr, data);
     }
 }
 
@@ -403,8 +327,9 @@ impl TransferredModule {
 ///
 /// Code outside this crate reaches the machine's device immutably only:
 /// [`Machine::controller`] lends `&MemoryController`, whose
-/// [`MemoryController::nvm`] lends `&NvmDevice`. Raw media writes go
-/// through [`Machine::fault_plane`]; this does not compile:
+/// [`MemoryController::nvm`] lends `&NvmDevice`. The one raw media write
+/// is [`MemoryController::tamper_line`], reached through
+/// [`Machine::controller_mut`]; this does not compile:
 ///
 /// ```compile_fail,E0596
 /// use fsencr::{Machine, MachineOpts, SecurityMode};
@@ -519,37 +444,11 @@ impl Machine {
         &self.ctrl
     }
 
-    /// Read-only window onto media, wear, Merkle root, quarantine and
-    /// fault-injector state — the consolidated inspection surface.
-    pub fn inspect_plane(&self) -> crate::plane::InspectPlane<'_> {
-        crate::plane::InspectPlane::new(&self.ctrl)
-    }
-
-    /// The consolidated fault surface: raw tampering, deterministic
-    /// fault plans, power-cut control, quarantine knobs, and raw
-    /// controller access; see [`MemoryController::fault_plane`].
-    pub fn fault_plane(&mut self) -> crate::plane::FaultPlane<'_> {
-        self.ctrl.fault_plane()
-    }
-
-    /// Turns the runtime security oracles (pad-uniqueness ledger and
-    /// Merkle-coverage walker) on or off for this machine. Both are off
-    /// by default — benches pay one branch per pad/persist and figure
-    /// bytes are unaffected; replay tests switch them on to turn the
-    /// paper's security argument into executed assertions.
-    pub fn set_security_oracles(&mut self, on: bool) {
-        self.ctrl.set_security_oracles(on);
-    }
-
-    /// Boot-auth lockout: suspends the file engine (reads/writes fall
-    /// back to memory-only pads) until [`Machine::unlock_file_engine`].
-    pub fn lock_file_engine(&mut self) {
-        self.ctrl.lock_file_engine();
-    }
-
-    /// Re-arms the file engine after a [`Machine::lock_file_engine`].
-    pub fn unlock_file_engine(&mut self) {
-        self.ctrl.unlock_file_engine();
+    /// The memory controller, mutably: fault plans, power-cut control,
+    /// quarantine knobs, security oracles, the boot-auth lock and the
+    /// tampering attacker ([`MemoryController::tamper_line`]).
+    pub fn controller_mut(&mut self) -> &mut MemoryController {
+        &mut self.ctrl
     }
 
     /// The filesystem model.
@@ -561,11 +460,6 @@ impl Machine {
     /// attacker experiments of Section VI / Table I.
     pub fn mem_key(&self) -> Key128 {
         self.mem_key
-    }
-
-    /// The controller's on-chip Merkle root register.
-    pub fn merkle_root(&self) -> [u8; 8] {
-        self.ctrl.merkle_root()
     }
 
     // ------------------------------------------------------------------
@@ -864,12 +758,6 @@ impl Machine {
         self.ctrl.enable_observer(span_capacity);
     }
 
-    /// Disables (and clears) the observer; the datapath reverts to its
-    /// one-branch-per-record disabled cost.
-    pub fn disable_observer(&mut self) {
-        self.ctrl.disable_observer();
-    }
-
     /// The controller's observer (metrics + recorded spans).
     pub fn observer(&self) -> &Observer {
         self.ctrl.observer()
@@ -1012,7 +900,7 @@ impl Machine {
         self.journal_op(0, 4)
     }
 
-    /// `chown` passthrough (root only).
+    /// `chown` (root only), journaled like `chmod`.
     ///
     /// # Errors
     ///
@@ -1024,7 +912,8 @@ impl Machine {
         owner: UserId,
         group: GroupId,
     ) -> Result<(), MachineError> {
-        Ok(self.fs.chown(user, name, owner, group)?)
+        self.fs.chown(user, name, owner, group)?;
+        self.journal_op(0, 5)
     }
 
     /// Rotates a file's key (Section VI): in FsEncr mode every allocated
@@ -1637,7 +1526,9 @@ impl Machine {
 
     /// Writes one journal record for a metadata-mutating operation —
     /// ext4-DAX journals metadata synchronously, so every create/unlink/
-    /// chmod/rename/extent-allocation pays a small durable write.
+    /// chmod/chown/rename/extent-allocation pays a small durable write.
+    /// `op` is the record's code: 1 create, 2 unlink, 3 rename, 4 chmod,
+    /// 5 chown, 6 extent allocation.
     fn journal_op(&mut self, core: usize, op: u8) -> Result<(), MachineError> {
         self.advance(core, JOURNAL_CYCLES);
         let ring_base = self.fs_meta_base() + FS_IMAGE_PAGES * PAGE_BYTES as u64;
@@ -1846,7 +1737,9 @@ impl Machine {
         self.event("crash", at, 0);
         self.hier.drop_all();
         self.ctrl.crash();
+        // The page cache's frames die with it; its allocator starts over.
         self.page_cache = PageCacheModel::new(self.opts.softencr.page_cache_pages);
+        self.heap_next = PAGE_BYTES as u64;
         self.pt = PageTable::new();
         self.mappings.clear();
         for tlb in &mut self.tlbs {

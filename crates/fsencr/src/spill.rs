@@ -142,6 +142,43 @@ impl OttSpill {
         Key128::from_bytes(self.aes.decrypt_block(enc))
     }
 
+    /// Walks `(gid, fid)`'s probe chain from its hash slot, reading one
+    /// slot per step, until the id's slot, an empty slot (the chain's
+    /// end) or a full lap. Returns what it found and the time after the
+    /// last read.
+    fn probe(
+        &self,
+        meta: &mut MetadataSystem,
+        nvm: &mut NvmDevice,
+        now: Cycle,
+        gid: u32,
+        fid: u32,
+    ) -> Result<(Probe, Cycle), SpillError> {
+        let want = id_word(gid, fid).to_le_bytes();
+        let start = hash_ids(gid, fid) % self.slots;
+        let mut t = now;
+        let mut first_free = None;
+        for step in 0..self.slots {
+            let slot = (start + step) % self.slots;
+            let (line, off) = self.slot_location(slot);
+            let (bytes, acc) = meta.read_block(nvm, t, line)?;
+            t = acc.done;
+            match bytes[off] {
+                STATE_OCCUPIED if bytes[off + 1..off + 5] == want => {
+                    return Ok((Probe::Found { line, off, bytes }, t));
+                }
+                STATE_OCCUPIED => {}
+                state => {
+                    first_free = first_free.or(Some(slot));
+                    if state == STATE_EMPTY {
+                        break;
+                    }
+                }
+            }
+        }
+        Ok((Probe::Absent { first_free }, t))
+    }
+
     /// Inserts (or updates) the spilled key for `(gid, fid)`.
     ///
     /// # Errors
@@ -157,43 +194,17 @@ impl OttSpill {
         fid: u32,
         key: &Key128,
     ) -> Result<Cycle, SpillError> {
-        let want = id_word(gid, fid);
-        let start = hash_ids(gid, fid) % self.slots;
-        let mut t = now;
-        let mut first_free: Option<u64> = None;
-        for probe in 0..self.slots {
-            let slot = (start + probe) % self.slots;
-            let (line, off) = self.slot_location(slot);
-            let (bytes, acc) = meta.read_block(nvm, t, line)?;
-            t = acc.done;
-            let state = bytes[off];
-            if state == STATE_OCCUPIED {
-                let mut idw = [0u8; 4];
-                idw.copy_from_slice(&bytes[off + 1..off + 5]);
-                if u32::from_le_bytes(idw) == want {
-                    // update in place
-                    let mut updated = bytes;
-                    self.encode_slot(&mut updated[off..off + SLOT_BYTES], gid, fid, key);
-                    let acc = meta.write_block(nvm, t, line, updated)?;
-                    return Ok(acc.done);
-                }
-            } else {
-                if first_free.is_none() {
-                    first_free = Some(slot);
-                }
-                if state == STATE_EMPTY {
-                    break; // probe chain ends: the id is not present
-                }
+        let (line, off, mut bytes, t) = match self.probe(meta, nvm, now, gid, fid)? {
+            // Update in place.
+            (Probe::Found { line, off, bytes }, t) => (line, off, bytes, t),
+            (Probe::Absent { first_free }, t) => {
+                let (line, off) = self.slot_location(first_free.ok_or(SpillError::Full)?);
+                let (bytes, acc) = meta.read_block(nvm, t, line)?;
+                (line, off, bytes, acc.done)
             }
-        }
-        let slot = first_free.ok_or(SpillError::Full)?;
-        let (line, off) = self.slot_location(slot);
-        let (bytes, acc) = meta.read_block(nvm, t, line)?;
-        t = acc.done;
-        let mut updated = bytes;
-        self.encode_slot(&mut updated[off..off + SLOT_BYTES], gid, fid, key);
-        let acc = meta.write_block(nvm, t, line, updated)?;
-        Ok(acc.done)
+        };
+        self.encode_slot(&mut bytes[off..off + SLOT_BYTES], gid, fid, key);
+        Ok(meta.write_block(nvm, t, line, bytes)?.done)
     }
 
     /// Looks up the spilled key for `(gid, fid)`.
@@ -209,28 +220,12 @@ impl OttSpill {
         gid: u32,
         fid: u32,
     ) -> Result<(Option<Key128>, Cycle), SpillError> {
-        let want = id_word(gid, fid);
-        let start = hash_ids(gid, fid) % self.slots;
-        let mut t = now;
-        for probe in 0..self.slots {
-            let slot = (start + probe) % self.slots;
-            let (line, off) = self.slot_location(slot);
-            let (bytes, acc) = meta.read_block(nvm, t, line)?;
-            t = acc.done;
-            match bytes[off] {
-                STATE_EMPTY => return Ok((None, t)),
-                STATE_OCCUPIED => {
-                    let mut idw = [0u8; 4];
-                    idw.copy_from_slice(&bytes[off + 1..off + 5]);
-                    if u32::from_le_bytes(idw) == want {
-                        let key = self.decode_key(&bytes[off..off + SLOT_BYTES]);
-                        return Ok((Some(key), t));
-                    }
-                }
-                _ => {} // tombstone: keep probing
+        match self.probe(meta, nvm, now, gid, fid)? {
+            (Probe::Found { off, bytes, .. }, t) => {
+                Ok((Some(self.decode_key(&bytes[off..off + SLOT_BYTES])), t))
             }
+            (Probe::Absent { .. }, t) => Ok((None, t)),
         }
-        Ok((None, t))
     }
 
     /// Removes the spilled key for `(gid, fid)` (file deletion), leaving a
@@ -247,32 +242,35 @@ impl OttSpill {
         gid: u32,
         fid: u32,
     ) -> Result<(bool, Cycle), SpillError> {
-        let want = id_word(gid, fid);
-        let start = hash_ids(gid, fid) % self.slots;
-        let mut t = now;
-        for probe in 0..self.slots {
-            let slot = (start + probe) % self.slots;
-            let (line, off) = self.slot_location(slot);
-            let (bytes, acc) = meta.read_block(nvm, t, line)?;
-            t = acc.done;
-            match bytes[off] {
-                STATE_EMPTY => return Ok((false, t)),
-                STATE_OCCUPIED => {
-                    let mut idw = [0u8; 4];
-                    idw.copy_from_slice(&bytes[off + 1..off + 5]);
-                    if u32::from_le_bytes(idw) == want {
-                        let mut updated = bytes;
-                        updated[off..off + SLOT_BYTES].fill(0);
-                        updated[off] = STATE_TOMBSTONE;
-                        let acc = meta.write_block(nvm, t, line, updated)?;
-                        return Ok((true, acc.done));
-                    }
-                }
-                _ => {}
+        match self.probe(meta, nvm, now, gid, fid)? {
+            (
+                Probe::Found {
+                    line,
+                    off,
+                    mut bytes,
+                },
+                t,
+            ) => {
+                bytes[off..off + SLOT_BYTES].fill(0);
+                bytes[off] = STATE_TOMBSTONE;
+                Ok((true, meta.write_block(nvm, t, line, bytes)?.done))
             }
+            (Probe::Absent { .. }, t) => Ok((false, t)),
         }
-        Ok((false, t))
     }
+}
+
+/// Where a probe walk ended.
+enum Probe {
+    /// The id's slot: its line, byte offset and the line's bytes.
+    Found {
+        line: LineAddr,
+        off: usize,
+        bytes: [u8; LINE_BYTES],
+    },
+    /// The id is not on its chain; the first empty or tombstoned slot
+    /// the walk passed, if any.
+    Absent { first_free: Option<u64> },
 }
 
 #[cfg(test)]

@@ -288,7 +288,7 @@ impl Pair {
         for c in [&mut self.region, &mut self.reference] {
             let mut evil = c.nvm().peek_line(fecb);
             evil[4] ^= 0x01;
-            c.fault_plane().tamper_line(fecb, &evil);
+            c.tamper_line(fecb, &evil);
         }
         let mut addrs = region(seed, 4);
         addrs.insert(2, line_addr(page, seed % LINES_PER_PAGE));

@@ -204,9 +204,9 @@ fn media_tampering_is_detected_on_read() {
     // Attacker corrupts the page's FECB on media.
     let frame = m.fs().stat("t").unwrap().page(0).unwrap();
     let fecb_addr = fsencr_nvm::PhysAddr::new(m.controller().layout().fecb_addr(frame).get());
-    let mut evil = m.inspect_plane().media_line(fecb_addr);
+    let mut evil = m.controller().nvm().peek_line(fecb_addr);
     evil[4] ^= 0x01;
-    m.fault_plane().tamper_line(fecb_addr, &evil);
+    m.controller_mut().tamper_line(fecb_addr, &evil);
 
     let h = m
         .open(ALICE, &[STAFF], "t", AccessKind::Read, Some("pw"))
@@ -268,10 +268,10 @@ fn boot_lockout_garbles_file_reads() {
     let frame = m.fs().stat("locked").unwrap().page(0).unwrap();
     m.crash();
     m.recover();
-    m.lock_file_engine();
+    m.controller_mut().lock_file_engine();
     let line = fsencr_nvm::PhysAddr::new(frame.get() * PAGE_BYTES as u64);
     let t = m.elapsed();
-    let (garbled, _) = m.fault_plane().controller_mut().read_line(t, line).unwrap();
+    let (garbled, _) = m.controller_mut().read_line(t, line).unwrap();
     assert_ne!(
         &garbled[..16],
         b"admin-only-data!",
@@ -279,7 +279,7 @@ fn boot_lockout_garbles_file_reads() {
     );
 
     // Successful re-authentication restores access.
-    m.unlock_file_engine();
+    m.controller_mut().unlock_file_engine();
     let mut buf = [0u8; 16];
     let h = m
         .open(ALICE, &[STAFF], "locked", AccessKind::Read, Some("pw"))
@@ -576,4 +576,23 @@ fn machine_events_record_lifecycle_in_order() {
     // Recovery found nothing unrecoverable.
     assert_eq!(events[recover].arg, 0);
     assert_eq!(report.unrecoverable, 0);
+}
+
+#[test]
+fn chown_writes_one_journal_record() {
+    let mut m = machine(SecurityMode::FsEncr);
+    m.create(ALICE, STAFF, "owned", Mode::PRIVATE, None)
+        .unwrap();
+    m.enable_observer(1 << 12);
+    let before = m.now(0);
+    m.chown(UserId::ROOT, "owned", BOB, STAFF).unwrap();
+    assert!(m.now(0) > before, "the journal record costs time");
+    let journal: Vec<u64> = m
+        .observer()
+        .spans()
+        .filter(|s| s.cat == "machine" && s.name == "journal")
+        .map(|s| s.arg)
+        .collect();
+    assert_eq!(journal, [5], "chown journals once, with op code 5");
+    assert_eq!(m.fs().stat("owned").unwrap().owner(), BOB);
 }

@@ -98,7 +98,7 @@ fn drive_pair(
             a.crash();
             b.crash();
             prop_assert_eq!(a.recover(), b.recover());
-            prop_assert_eq!(a.merkle_root(), b.merkle_root());
+            prop_assert_eq!(a.controller().merkle_root(), b.controller().merkle_root());
             *a_maps = reopen(a);
             *b_maps = reopen(b);
         }
@@ -165,14 +165,14 @@ proptest! {
         prop_assert_eq!(&b.save_snapshot().unwrap(), &bytes);
         prop_assert_eq!(a.elapsed(), b.elapsed());
         prop_assert_eq!(a.snapshot(), b.snapshot());
-        prop_assert_eq!(a.merkle_root(), b.merkle_root());
+        prop_assert_eq!(a.controller().merkle_root(), b.controller().merkle_root());
 
         for &op in &suffix {
             drive_pair(&mut a, &mut b, &mut a_maps, &mut b_maps, op)?;
         }
 
         prop_assert_eq!(a.snapshot(), b.snapshot());
-        prop_assert_eq!(a.merkle_root(), b.merkle_root());
+        prop_assert_eq!(a.controller().merkle_root(), b.controller().merkle_root());
         prop_assert_eq!(a.measurement_snapshot(), b.measurement_snapshot());
         // The final states serialize identically too.
         prop_assert_eq!(a.save_snapshot().unwrap(), b.save_snapshot().unwrap());
@@ -199,9 +199,9 @@ proptest! {
 #[test]
 fn snapshot_refuses_armed_injector() {
     let (mut m, _, _) = build(SecurityMode::FsEncr);
-    m.fault_plane().arm(FaultPlan::empty());
+    m.controller_mut().arm_faults(FaultPlan::empty());
     assert!(matches!(m.save_snapshot(), Err(SnapError::InjectorArmed)));
-    m.fault_plane().disarm();
+    m.controller_mut().disarm_faults();
     assert!(m.save_snapshot().is_ok());
 }
 
@@ -215,9 +215,10 @@ fn restore_rejects_config_mismatch() {
         Err(SnapError::StateMismatch)
     ));
     // Wrong options (different seed).
-    let other = MachineOpts::preset(fsencr::machine::Preset::SmallTest)
-        .seed(0xDEAD)
-        .build();
+    let other = MachineOpts {
+        seed: 0xDEAD,
+        ..MachineOpts::small_test()
+    };
     assert!(matches!(
         Machine::restore_snapshot(other, SecurityMode::FsEncr, &bytes),
         Err(SnapError::StateMismatch)

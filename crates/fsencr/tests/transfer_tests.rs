@@ -111,9 +111,9 @@ fn tampered_module_is_rejected_at_import() {
 
     let (envelope, mut module) = m.export_module().unwrap();
     // In-transit attacker flips a counter bit.
-    let mut evil = module.inspect_plane().media_line(addr);
+    let mut evil = module.nvm().peek_line(addr);
     evil[0] ^= 1;
-    module.fault_plane().tamper_line(addr, &evil);
+    module.tamper_line(addr, &evil);
 
     let err = Machine::import_module(&envelope, module);
     assert!(err.is_err(), "tampered module must be rejected");

@@ -12,8 +12,9 @@
 //! The check is keyless and every step of it is invertible per word, so it
 //! hides nothing about the plaintext from whoever reads it. The lane stays
 //! confidential only because it is **not** addressable memory and no
-//! attacker plane (`ModuleInspect`, `ModuleFault`, `FaultPlane`) reaches
-//! the store. Keep it that way: exposing the lane would leak plaintext.
+//! attacker handle (the controller's `nvm()` and `tamper_line`, a
+//! transferred module's `nvm()` and `tamper_line`) reaches the store.
+//! Keep it that way: exposing the lane would leak plaintext.
 
 use fsencr_nvm::{AddrMap, LineAddr, PageId};
 

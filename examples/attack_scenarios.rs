@@ -70,10 +70,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let frame = m.fs().stat("hr.doc").unwrap().page(0).unwrap();
     m.crash();
     m.recover();
-    m.lock_file_engine();
+    m.controller_mut().lock_file_engine();
     let line = fsencr_nvm::PhysAddr::new(frame.get() * PAGE_BYTES as u64);
     let t = m.elapsed();
-    let (bytes, _) = m.fault_plane().controller_mut().read_line(t, line)?;
+    let (bytes, _) = m.controller_mut().read_line(t, line)?;
     let visible = bytes
         .windows(SECRET.len().min(16))
         .any(|w| w == &SECRET[..16]);
@@ -86,12 +86,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     m.recover();
     let frame = m.fs().stat("hr.doc").unwrap().page(0).unwrap();
     let mecb = fsencr_nvm::PhysAddr::new(m.controller().layout().mecb_addr(frame).get());
-    let mut evil = m.inspect_plane().media_line(mecb);
+    let mut evil = m.controller().nvm().peek_line(mecb);
     evil[0] ^= 0xff;
-    m.fault_plane().tamper_line(mecb, &evil);
+    m.controller_mut().tamper_line(mecb, &evil);
     let t = m.elapsed();
     let line = fsencr_nvm::PhysAddr::new(frame.get() * PAGE_BYTES as u64);
-    match m.fault_plane().controller_mut().read_line(t, line) {
+    match m.controller_mut().read_line(t, line) {
         Err(e) => println!("  Merkle tree says: {e}"),
         Ok(_) => unreachable!("tampering must be detected"),
     }

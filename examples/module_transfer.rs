@@ -48,9 +48,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let frame = m3.fs().stat("x").unwrap().page(0).unwrap();
     let addr = fsencr_nvm::PhysAddr::new(m3.controller().layout().mecb_addr(frame).get());
     let (envelope, mut module) = m3.export_module()?;
-    let mut evil = module.inspect_plane().media_line(addr);
+    let mut evil = module.nvm().peek_line(addr);
     evil[0] ^= 1;
-    module.fault_plane().tamper_line(addr, &evil);
+    module.tamper_line(addr, &evil);
     match Machine::import_module(&envelope, module) {
         Err(e) => println!("tampered module rejected: {e}"),
         Ok(_) => unreachable!("tampering must be detected at import"),

@@ -91,6 +91,22 @@ snap_dir="$(mktemp -d)"
 rm -rf "$snap_dir"
 finish
 
+# The first 30 lines of harness_full.txt are the committed output of
+# `params`, `list` and `table1`. Table I drives the attacker model
+# (tampering, theft, foreign OS) through the controller's public surface.
+begin "harness params, list and table1 match harness_full.txt"
+pinned="$(mktemp)"
+head -n 30 harness_full.txt >"$pinned"
+if ! (for cmd in params list table1; do ./target/release/harness "$cmd"; done) 2>/dev/null |
+    cmp -s - "$pinned"; then
+    echo "FAIL: harness params/list/table1 differ from harness_full.txt" >&2
+    (for cmd in params list table1; do ./target/release/harness "$cmd"; done) 2>/dev/null |
+        diff "$pinned" - >&2 || true
+    exit 1
+fi
+rm -f "$pinned"
+finish
+
 # The security and allocation bans are clippy `disallowed-methods`
 # entries. scripts/lint-fixture seeds one violation of each (raw pokes
 # and writes, pad minting under a reused IV, a bare `Vec::new()`) on

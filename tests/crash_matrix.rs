@@ -1,7 +1,7 @@
 //! Crash-consistency matrix: crash points x security modes x workloads.
 
 use fsencr::controller::MemError;
-use fsencr::machine::{Machine, MachineError, MachineOpts, MapId, Preset, SecurityMode};
+use fsencr::machine::{Machine, MachineError, MachineOpts, MapId, SecurityMode};
 use fsencr_fs::{AccessKind, GroupId, Mode, UserId};
 use fsencr_workloads::kv::BTreeKv;
 
@@ -92,6 +92,40 @@ fn repeated_crash_cycles() {
     assert_eq!(next_key, 100);
 }
 
+/// Software mode: a power cut drops the page cache with its frames, and
+/// the frames go back to the allocator. Each cycle writes, syncs, crashes
+/// and reads back a page-cache-sized file; leaked frames would exhaust
+/// general memory within a few cycles.
+#[test]
+fn software_page_cache_survives_repeated_crashes() {
+    let opts = MachineOpts::small_test();
+    let pages = opts.softencr.page_cache_pages as u64;
+    let mut m = Machine::new(opts, SecurityMode::Software);
+    let h = m
+        .create(USER, GROUP, "sw", Mode::PRIVATE, Some("pw"))
+        .unwrap();
+    let mut map = m.mmap(&h).unwrap();
+    let mut buf = [0u8; 4096];
+    for cycle in 0..8u8 {
+        for page in 0..pages {
+            m.write(0, map, page * 4096, &[cycle ^ page as u8; 4096])
+                .unwrap();
+        }
+        m.msync(0, map, 0, pages * 4096).unwrap();
+        m.crash();
+        let report = m.recover();
+        assert_eq!(report.unrecoverable, 0, "cycle {cycle}: {report:?}");
+        let h = m
+            .open(USER, &[GROUP], "sw", AccessKind::Write, Some("pw"))
+            .unwrap();
+        map = m.mmap(&h).unwrap();
+        for page in 0..pages {
+            m.read(0, map, page * 4096, &mut buf).unwrap();
+            assert_eq!(buf, [cycle ^ page as u8; 4096], "cycle {cycle} page {page}");
+        }
+    }
+}
+
 /// Counters repaired by recovery keep decrypting correctly for
 /// subsequent writes (no pad reuse after repair), at any Osiris
 /// stop-loss: recovery tries at most `MINOR_LIMIT` counter candidates per
@@ -99,10 +133,9 @@ fn repeated_crash_cycles() {
 #[test]
 fn writes_after_recovery_remain_consistent() {
     for stop_loss in [4, 127, 128, u32::MAX] {
-        let opts = MachineOpts::preset(Preset::SmallTest)
-            .pmem_bytes(8 << 20)
-            .osiris_stop_loss(stop_loss)
-            .build();
+        let mut opts = MachineOpts::small_test();
+        opts.pmem_bytes = 8 << 20;
+        opts.config.security.osiris_stop_loss = stop_loss;
         let mut m = Machine::new(opts, SecurityMode::FsEncr);
         let h = m
             .create(USER, GROUP, "f", Mode::PRIVATE, Some("pw"))
@@ -172,7 +205,7 @@ fn reset_counter_block_fences_its_page() {
     m.persist(0, map, 0, 4096).unwrap();
     let frame = m.fs().stat("q").unwrap().page(0).unwrap();
     let mecb = m.controller().layout().mecb_addr(frame);
-    m.fault_plane().quarantine_line(mecb.get());
+    m.controller_mut().quarantine_line(mecb.get());
     m.crash();
     let report = m.recover();
     assert_eq!(report.metadata_reset, 1, "{report:?}");
@@ -314,12 +347,12 @@ fn one_engine_overflow_survives_crash() {
     let bystander = [0xb7u8; 64];
     m.write(0, map, 64, &bystander).unwrap();
     m.persist(0, map, 64, 64).unwrap();
-    m.lock_file_engine();
+    m.controller_mut().lock_file_engine();
     for i in 0..60u8 {
         m.write(0, map, 0, &[0x80 | i; 64]).unwrap();
         m.persist(0, map, 0, 64).unwrap();
     }
-    m.unlock_file_engine();
+    m.controller_mut().unlock_file_engine();
 
     // Line 0's MECB minor now leads its FECB minor by 60: the MECB
     // overflows first, on the 67th write, and the FECB follows on the
