@@ -4,25 +4,23 @@
 //! harness [--jobs N] <experiment> [scale]
 //!
 //! experiments:
-//!   fig3        software-encryption overhead (Whisper)
-//!   fig8-10     PMEMKV slowdown / writes / reads
-//!   fig11       Whisper slowdown / writes / reads + reduction
-//!   fig12-14    DAX micro-benchmarks
-//!   fig15       metadata-cache sensitivity
+//!   <figure>    a figure or ablation of the `fsencr_bench` registry
+//!               (fig3, fig8-10, ..., ablation-partition; the usage line
+//!               lists every one)
 //!   table1      vulnerability matrix
 //!   params      Table III simulation parameters
 //!   list        Table II workload descriptions
 //!   profile <fig> [scale]
-//!               cycle-attribution profile of a figure's cells
+//!               cycle-attribution profile of any figure's cells
 //!               -> stdout + PROFILE_<fig>.json + PROFILE_<fig>_trace.json
-//!   ablation-ott / ablation-osiris / ablation-direct / ablation-partition
-//!   all         every figure, table and ablation above (slow)
+//!   all         every table and figure above (slow)
 //!   snapshot <save|load|info> [PATH]
 //!               save/restore/inspect an fsencr-snap/1 machine image
 //! ```
 //!
 //! `scale` in (0, 1] shrinks operation counts; default 1.0. Run with
-//! `--release`. Malformed arguments print the usage line and exit 2.
+//! `--release`. Malformed arguments, and any operand after the scale,
+//! print the usage line and exit 2.
 //!
 //! Host-time measurement lives outside this binary: the `benchmark/`
 //! package (declared by `BENCHMARK.json`) times the figure suite and a
@@ -52,8 +50,11 @@ use fsencr_sim::{MachineConfig, SplitMix64};
 const MAX_JOBS: usize = 256;
 
 fn usage() -> ! {
+    let figs: Vec<_> = exp::figure_names().collect();
     eprintln!(
-        "usage: harness [--jobs N] <fig3|fig8-10|fig11|fig12-14|fig15|table1|params|list|ablation-ott|ablation-osiris|ablation-direct|ablation-partition|all> [scale]\n       harness [--jobs N] profile <fig3|fig8-10|fig11|fig12-14> [scale]\n       harness [--jobs N] faults [--seed N] [--campaign SPEC] [--out PATH]\n       harness snapshot <save|load|info> [PATH] [--seed N] [--pages N] [--mode M]\n\n--jobs N runs up to N cells concurrently (1 <= N <= {}); figures are\nbyte-identical at any N.\n\n`faults` runs a deterministic fault-injection campaign and writes\nFAULTS_report.json (byte-identical at any --jobs count). SPEC is a\ncomma list like `scenarios=8,ops=64,bitrot=2,torn=1,cuts=1,stuck=1`;\nomitted knobs keep their defaults (`default` for all defaults).\n\n`snapshot save` simulates the reference setup and writes its\nfsencr-snap/1 image (default MACHINE.snap); `load` restores it; `info`\nlists its digest-chained sections without restoring.",
+        "usage: harness [--jobs N] <{}|table1|params|list|all> [scale]\n       harness [--jobs N] profile <{}> [scale]\n       harness [--jobs N] faults [--seed N] [--campaign SPEC] [--out PATH]\n       harness snapshot <save|load|info> [PATH] [--seed N] [--pages N] [--mode M]\n\n--jobs N runs up to N cells concurrently (1 <= N <= {}); figures are\nbyte-identical at any N.\n\n`faults` runs a deterministic fault-injection campaign and writes\nFAULTS_report.json (byte-identical at any --jobs count). SPEC is a\ncomma list like `scenarios=8,ops=64,bitrot=2,torn=1,cuts=1,stuck=1`;\nomitted knobs keep their defaults (`default` for all defaults).\n\n`snapshot save` simulates the reference setup and writes its\nfsencr-snap/1 image (default MACHINE.snap); `load` restores it; `info`\nlists its digest-chained sections without restoring.",
+        figs.join("|"),
+        figs.join("|"),
         MAX_JOBS
     );
     std::process::exit(2);
@@ -385,8 +386,10 @@ fn snapshot_cmd(args: &[String]) {
 fn profile(fig: &str, scale: f64) {
     let Some(report) = exp::profile::profile(fig, scale, exp::profile::DEFAULT_SPAN_CAPACITY)
     else {
+        let figs: Vec<_> = exp::figure_names().collect();
         eprintln!(
-            "[profile] `{fig}` has no profilable cell matrix (try fig3, fig8-10, fig11, fig12-14)"
+            "[profile] `{fig}` is not a figure (try {})",
+            figs.join(", ")
         );
         std::process::exit(2);
     };
@@ -417,7 +420,9 @@ fn main() {
     let Some(which) = args.first() else { usage() };
     let which = which.clone();
     if which == "profile" {
-        let Some(fig) = args.get(1) else { usage() };
+        let (Some(fig), None) = (args.get(1), args.get(3)) else {
+            usage()
+        };
         // Profiling defaults to a small scale: the span buffers make
         // full-scale runs memory-heavy.
         let scale = parse_scale(args.get(2), 0.05);
@@ -436,49 +441,28 @@ fn main() {
         snapshot_cmd(&args[1..]);
         return;
     }
+    if args.len() > 2 {
+        usage();
+    }
     let scale = parse_scale(args.get(1), 1.0);
 
     let t0 = Instant::now();
     match which.as_str() {
-        "fig3" => println!("{}", exp::fig3(scale)),
-        "fig8-10" | "fig8" | "fig9" | "fig10" => {
-            let (a, b, c) = exp::fig8_9_10(scale);
-            println!("{a}{b}{c}");
-        }
-        "fig11" => {
-            let (a, b, c, d) = exp::fig11(scale);
-            println!("{a}{b}{c}{d}");
-        }
-        "fig12-14" | "fig12" | "fig13" | "fig14" => {
-            let (a, b, c) = exp::fig12_13_14(scale);
-            println!("{a}{b}{c}");
-        }
-        "fig15" => println!("{}", exp::fig15(scale)),
         "table1" => table1(),
         "params" => params(),
         "list" => list(),
-        "ablation-ott" => println!("{}", exp::ablation_ott(scale)),
-        "ablation-osiris" => println!("{}", exp::ablation_osiris(scale)),
-        "ablation-direct" => println!("{}", exp::ablation_direct(scale)),
-        "ablation-partition" => println!("{}", exp::ablation_partition(scale)),
         "all" => {
             params();
             list();
             table1();
-            println!("{}", exp::fig3(scale));
-            let (a, b, c) = exp::fig8_9_10(scale);
-            println!("{a}{b}{c}");
-            let (a, b, c, d) = exp::fig11(scale);
-            println!("{a}{b}{c}{d}");
-            let (a, b, c) = exp::fig12_13_14(scale);
-            println!("{a}{b}{c}");
-            println!("{}", exp::fig15(scale));
-            println!("{}", exp::ablation_ott(scale));
-            println!("{}", exp::ablation_osiris(scale));
-            println!("{}", exp::ablation_direct(scale));
-            println!("{}", exp::ablation_partition(scale));
+            for text in exp::figure_names().filter_map(|fig| exp::render(fig, scale)) {
+                println!("{text}");
+            }
         }
-        _ => usage(),
+        fig => match exp::render(fig, scale) {
+            Some(text) => println!("{text}"),
+            None => usage(),
+        },
     }
     eprintln!("[harness] completed in {:.1?}", t0.elapsed());
 }

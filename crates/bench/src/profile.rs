@@ -16,8 +16,7 @@ use fsencr::snapshot::StatsSnapshot;
 use fsencr_obs::{json_string, Observer};
 use fsencr_workloads::driver::profile_workload;
 
-use crate::experiments::{cell_failed, profile_cells, ProfileCellSpec};
-use crate::pool;
+use crate::experiments::{profile_cells, run_cells};
 
 /// Default span-buffer capacity per cell: enough for small profile
 /// scales; overflow is counted (`spans_dropped`), never silent.
@@ -50,33 +49,22 @@ pub struct ProfileReport {
 }
 
 /// Runs the cells of `fig` with observation enabled. Returns `None` for
-/// figures without a profilable cell list (e.g. `table1`).
+/// anything that is not a figure command (e.g. `table1`).
 pub fn profile(fig: &str, scale: f64, span_capacity: usize) -> Option<ProfileReport> {
-    let specs: Vec<ProfileCellSpec> = profile_cells(fig, scale)?;
-    let tasks: Vec<_> = specs
-        .iter()
-        .map(|spec| {
-            move || {
-                let run = profile_workload(
-                    spec.opts,
-                    spec.mode,
-                    (spec.factory)().as_mut(),
-                    span_capacity,
-                )
-                .unwrap_or_else(|e| cell_failed(&spec.label, spec.mode, e));
-                ProfiledCell {
-                    label: spec.label.clone(),
-                    mode: spec.mode,
-                    window: run.result.stats,
-                    observer: run.observer,
-                }
-            }
+    let cells = run_cells(&profile_cells(fig, scale)?, |spec| {
+        let mut workload = (spec.factory)();
+        let run = profile_workload(spec.opts, spec.mode, workload.as_mut(), span_capacity)?;
+        Ok(ProfiledCell {
+            label: spec.label.clone(),
+            mode: spec.mode,
+            window: run.result.stats,
+            observer: run.observer,
         })
-        .collect();
+    });
     Some(ProfileReport {
         figure: fig.to_string(),
         scale,
-        cells: pool::run_tasks(tasks),
+        cells,
     })
 }
 

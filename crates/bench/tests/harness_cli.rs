@@ -38,6 +38,8 @@ fn malformed_operands_are_usage_errors() {
         &["fig3", "0"],
         &["profile", "fig3", "0"],
         &["profile", "fig3", "-1"],
+        &["fig3", "0.01", "junk"],
+        &["profile", "fig3", "0.01", "junk"],
         &["bench"],
         &["bench-check"],
         &["--jobs", "0", "fig3", "0.01"],

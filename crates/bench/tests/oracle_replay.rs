@@ -14,7 +14,7 @@
 //! proving the shipping figures owe nothing to observer effects.
 
 use fsencr::machine::{Machine, MachineOpts, SecurityMode};
-use fsencr_bench::{pool, profile_cells};
+use fsencr_bench::{figure_names, pool, profile_cells};
 use fsencr_fs::{AccessKind, GroupId, Mode, UserId};
 use fsencr_workloads::run_workload;
 
@@ -23,12 +23,15 @@ const STAFF: GroupId = GroupId::new(3);
 
 #[test]
 fn figure_workloads_replay_clean_under_oracles_and_identically_without() {
-    // Whisper in all four modes (fig11's cells include every fig3 cell),
-    // PMEMKV and the DAX micro-benchmarks: every cell runs once on an
+    // PMEMKV, Whisper in all four modes, the DAX micro-benchmarks and the
+    // ablations' machines (OTT latency, Osiris stop-loss, direct
+    // encryption, a partitioned metadata cache): every registered figure
+    // but fig3, whose cells fig11 includes, and fig15, whose 30 cells
+    // would add half again to the run time. Every cell runs once on an
     // armed machine, where any pad reuse or coverage gap aborts the run,
     // and once unarmed through `run_workload`, as the figures run it.
-    let tasks: Vec<_> = ["fig8-10", "fig11", "fig12-14"]
-        .into_iter()
+    let tasks: Vec<_> = figure_names()
+        .filter(|&fig| fig != "fig3" && fig != "fig15")
         .flat_map(|fig| profile_cells(fig, 0.01).unwrap())
         .map(|cell| {
             move || {

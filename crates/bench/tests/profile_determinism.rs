@@ -7,7 +7,7 @@ use fsencr::machine::{Machine, MachineOpts, SecurityMode};
 use fsencr_bench::experiments::profile_cells;
 use fsencr_bench::pool::{self, Schedule};
 use fsencr_bench::profile::profile;
-use fsencr_bench::{fig8_9_10, Figure};
+use fsencr_bench::render;
 use fsencr_fs::{GroupId, Mode, UserId};
 use fsencr_workloads::driver::{profile_workload, run_workload};
 use fsencr_workloads::whisper::HashmapBench;
@@ -97,10 +97,9 @@ fn observer_metrics_are_cycle_sums_only() {
 /// figures (observer disabled, as always) stay byte-identical.
 #[test]
 fn figures_are_unchanged_by_an_interleaved_profile_run() {
-    let render = |f: &(Figure, Figure, Figure)| format!("{}{}{}", f.0, f.1, f.2);
-    let before = render(&fig8_9_10(0.01));
+    let before = render("fig8-10", 0.01);
     let _ = profile("fig8", 0.01, 1 << 12).unwrap();
-    let after = render(&fig8_9_10(0.01));
+    let after = render("fig8-10", 0.01);
     assert_eq!(before, after);
 }
 

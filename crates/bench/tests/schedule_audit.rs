@@ -1,5 +1,5 @@
 //! The figures must not depend on the worker count or on which worker
-//! picked up which cell. This audit renders each scalable figure
+//! picked up which cell. This audit renders the registered figures
 //! serially under the FIFO schedule, then replays it under every
 //! adversarial-but-reproducible drain order the pool supports
 //! ([`Schedule`]) at several worker counts, and compares the rendered
@@ -11,7 +11,7 @@
 //! concurrently would change the schedule under audit.
 
 use fsencr_bench::pool::{self, Schedule};
-use fsencr_bench::{fig11, fig12_13_14, fig3, fig8_9_10};
+use fsencr_bench::{figure_names, render};
 
 /// The small scale every figure determinism test uses.
 const SCALE: f64 = 0.01;
@@ -25,37 +25,20 @@ const VARIANTS: [(usize, Schedule); 4] = [
     (4, Schedule::Fifo),
 ];
 
-type Render = fn() -> String;
-
-/// The scalable figures, rendered as the harness prints them. Fig 15
-/// is left out: its five renders would double this test's run time.
-const FIGURES: [(&str, Render); 4] = [
-    ("fig3", || format!("{}", fig3(SCALE))),
-    ("fig8-10", || {
-        let (a, b, c) = fig8_9_10(SCALE);
-        format!("{a}\n{b}\n{c}")
-    }),
-    ("fig11", || {
-        let (a, b, c, d) = fig11(SCALE);
-        format!("{a}\n{b}\n{c}\n{d}")
-    }),
-    ("fig12-14", || {
-        let (a, b, c) = fig12_13_14(SCALE);
-        format!("{a}\n{b}\n{c}")
-    }),
-];
-
 #[test]
 fn figures_are_byte_identical_under_every_schedule() {
     let mut divergences = Vec::new();
-    for (name, render) in FIGURES {
+    // Every registered figure but Fig 15: its 30 cells take longer than
+    // the four ablations' 24 together, and this test renders each figure
+    // five times.
+    for name in figure_names().filter(|&fig| fig != "fig15") {
         pool::set_jobs(1);
         pool::set_schedule(Schedule::Fifo);
-        let baseline = render();
+        let baseline = render(name, SCALE).expect("a registered figure");
         for (jobs, sched) in VARIANTS {
             pool::set_jobs(jobs);
             pool::set_schedule(sched);
-            let got = render();
+            let got = render(name, SCALE).expect("a registered figure");
             if got != baseline {
                 let at = baseline
                     .bytes()

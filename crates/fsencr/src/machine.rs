@@ -372,7 +372,8 @@ impl Machine {
     /// # Panics
     ///
     /// Panics if the regions are not page-aligned or do not fit the
-    /// configured device.
+    /// configured device, or if the software page cache does not fit the
+    /// general region.
     pub fn new(opts: MachineOpts, mode: SecurityMode) -> Self {
         assert_eq!(opts.general_bytes % PAGE_BYTES as u64, 0);
         assert_eq!(opts.pmem_bytes % PAGE_BYTES as u64, 0);
@@ -403,6 +404,12 @@ impl Machine {
         assert!(
             opts.pmem_bytes / PAGE_BYTES as u64 > FS_META_PAGES,
             "DAX region too small for the filesystem metadata area"
+        );
+        // The page cache takes its frames from general memory above the
+        // reserved first page.
+        assert!(
+            (opts.softencr.page_cache_pages as u64) < opts.general_bytes / PAGE_BYTES as u64,
+            "general region too small for the software page cache"
         );
         let (base, pages) = fs_region(&opts);
         let fs = DaxFs::format(base, pages, opts.seed);

@@ -484,6 +484,15 @@ fn heap_roundtrip() {
 }
 
 #[test]
+#[should_panic(expected = "general region too small for the software page cache")]
+fn page_cache_must_fit_general_memory() {
+    let mut opts = MachineOpts::small_test();
+    // 256 frames plus the reserved first page outgrow 1 MiB.
+    opts.softencr.page_cache_pages = 256;
+    Machine::new(opts, SecurityMode::Software);
+}
+
+#[test]
 fn read_only_mappings_reject_writes() {
     let mut m = machine(SecurityMode::FsEncr);
     let h = m

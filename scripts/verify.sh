@@ -107,6 +107,20 @@ fi
 rm -f "$pinned"
 finish
 
+# harness_smoke.txt is the committed stdout of `harness --jobs 2 all 0.01`:
+# every table, figure and ablation at smoke scale. A change meant to move
+# simulated outcomes re-records it and says why.
+begin "harness --jobs 2 all 0.01 matches harness_smoke.txt"
+smoke="$(mktemp)"
+./target/release/harness --jobs 2 all 0.01 >"$smoke" 2>/dev/null
+if ! cmp -s "$smoke" harness_smoke.txt; then
+    echo "FAIL: harness all 0.01 differs from harness_smoke.txt" >&2
+    diff harness_smoke.txt "$smoke" >&2 || true
+    exit 1
+fi
+rm -f "$smoke"
+finish
+
 # The security and allocation bans are clippy `disallowed-methods`
 # entries. scripts/lint-fixture seeds one violation of each (raw pokes
 # and writes, pad minting under a reused IV, a bare `Vec::new()`) on

@@ -12,7 +12,7 @@
 
 use fsencr::{Machine, MachineOpts, SecurityMode};
 use fsencr_bench::faultcamp::{run_campaign, run_campaign_cold};
-use fsencr_bench::{fig12_13_14, pool};
+use fsencr_bench::{pool, render};
 use fsencr_fs::{GroupId, Mode, UserId};
 
 const PAGE: u64 = 4096;
@@ -40,16 +40,6 @@ fn persisted_file_machine(pages: u64) -> Machine {
     m
 }
 
-fn render(
-    figs: (
-        impl std::fmt::Display,
-        impl std::fmt::Display,
-        impl std::fmt::Display,
-    ),
-) -> String {
-    format!("{}{}{}", figs.0, figs.1, figs.2)
-}
-
 #[test]
 fn headline_claims_hold_at_small_scale() {
     let spec = "scenarios=2,ops=48".parse().expect("campaign spec");
@@ -75,9 +65,9 @@ fn headline_claims_hold_at_small_scale() {
     );
 
     pool::set_jobs(1);
-    let serial = render(fig12_13_14(0.01));
+    let serial = render("fig12-14", 0.01);
     pool::set_jobs(2);
-    let parallel = render(fig12_13_14(0.01));
+    let parallel = render("fig12-14", 0.01);
     pool::set_jobs(0);
     assert_eq!(serial, parallel, "fig12-14 depends on the job count");
 }
